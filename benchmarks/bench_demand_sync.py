@@ -1,42 +1,41 @@
-"""E30 — demand-driven conservative sync vs the E29 lockstep control.
+"""E29/E30 — the sharded kernel at population scale (tracked).
 
-The E29 lockstep protocol broadcasts one time grant per shard per round
-and pays for it in null messages: payload-free grants to shards with
-nothing executable in the window.  E30 replaces it with demand-driven
-grants — a per-pair lookahead matrix L[i][j], piggybacked
-earliest-output-time promises, and a coordinator that only dispatches a
-shard when its safe horizon strictly exceeds its next executable event.
-Both protocols must produce the *identical* merged trace; the old path
-stays selectable (``sync="lockstep"`` / ``ACE_SYNC_LOCKSTEP=1``) as the
-A/B control.
+The four-region campus (:mod:`repro.env.campus`) under the population
+workload (:mod:`repro.workloads.population`: MMPP arrivals, a flash crowd,
+per-user session FSMs), swept across 1, 2, 4 and 8 kernel shards
+(:class:`repro.sim.parallel.ShardedSimulator`, one OS process per shard,
+demand-driven conservative sync).  At 8 shards the region-contiguous map
+leaves four shards empty.
 
-Three claims are pinned in ``BENCH_E30.json``:
+Pinned in ``BENCH_E30.json``:
 
-* **equivalence** — lockstep and demand produce the same canonical
-  merged-trace hash at 1, 2, 4, and 8 shards, both on a fixed-scale
-  invariance profile (hash committed and CI-guarded — the same profile
-  whose hash E29 pinned, so demand sync must reproduce the committed E29
-  trace bit-for-bit) and on the full population sweep.
-* **null elimination** — at 4 shards the demand protocol cuts
-  ``sync.null_messages`` by >= 5x vs lockstep on the same workload.  (By
-  construction every demand grant delivers at least one event, so the
-  measured reduction is typically far larger.)
+* **determinism** — the merged trace is shard-count invariant: one
+  canonical hash at 1, 2, 4 and 8 shards, both on a fixed-scale
+  invariance profile (hash committed and CI-guarded; it is the hash E29
+  first pinned) and on the full population sweep.
+* **no sync overhead messages** — every grant delivers at least one
+  event: ``sync.null_messages`` and ``sync.lookahead_stalls`` are 0 at
+  every shard count, and an empty shard receives the boot grant only.
 * **the 100k rung** — a 100k-user campus run
-  (:func:`repro.env.campus_100k_profile`: lazy session materialization +
-  compact per-user state) completes a timed 4-shard run; wall seconds,
-  per-shard maxrss, and served ops are recorded.
+  (:func:`repro.env.campus_100k_profile`) completes a timed 4-shard run
+  with zero errors and < 600 bytes/user of population bookkeeping; wall
+  seconds, per-shard maxrss and served ops are recorded.
+
+Critical-path CPU (max per-shard CPU + coordinator CPU) is reported as a
+diagnostic only; host-speed claims are ``python3 -m bench``'s job.
 
 Results go to ``BENCH_E30.json`` (``ACE_BENCH_ARTIFACT_DIR`` when set,
 else the committed copy at the repo root).  ``ACE_BENCH_GUARD=1`` turns
-baseline drift (invariance-hash change, null-reduction ratio below
-target) into a failure.  ``ACE_BENCH_SHORT=1`` runs CI-sized populations
-(the invariance profile is deliberately SHORT-independent).
+an invariance-hash change into a failure.  ``ACE_BENCH_SHORT=1`` runs
+CI-sized populations (the invariance profile is deliberately
+SHORT-independent).
 """
 
 import functools
 import json
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -54,15 +53,12 @@ SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
 GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E30.json")
-E29_BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E29.json")
 
 REGIONS = 4
 SEED = 29
 SHARD_COUNTS = (1, 2, 4, 8)
 
-#: the population under test — the E29 sweep workload, now also at 8
-#: shards (where the region-contiguous map leaves four shards empty:
-#: lockstep null-broadcasts to them every round, demand never grants them)
+#: the population under test: 10k users full-size, CI-sized when SHORT
 SWEEP_PROFILE = PopulationProfile(
     n_users=1_500 if SHORT else 10_000,
     duration=20.0 if SHORT else 30.0,
@@ -72,19 +68,18 @@ SWEEP_PROFILE = PopulationProfile(
 )
 
 #: fixed-scale run whose merged-trace hash is pinned in BENCH_E30.json —
-#: identical to the E29 invariance profile on purpose, so the committed
-#: E29 hash doubles as an external witness for the new protocol
+#: deliberately independent of SHORT so CI checks the committed hash
 INVARIANCE_PROFILE = PopulationProfile(
     n_users=120, duration=8.0, process="poisson",
     flash_at=4.0, flash_duration=2.0,
 )
 
-#: the 100k-user rung (SHORT: 20k) — acceptance is "completes a timed run"
+#: the 100k-user rung (SHORT: 20k)
 N_USERS_100K = 20_000 if SHORT else 100_000
 CAMPUS_100K_SHARDS = 4
-
-#: acceptance target (ISSUE 10): demand cuts null messages >= 5x at 4 shards
-NULL_REDUCTION_4SHARDS_MIN = 5.0
+#: population bookkeeping the rung may hold per user, summed over shards
+#: (the budget tests/env/test_population_memory.py gates on one kernel)
+BOOKKEEPING_BYTES_PER_USER = 600
 
 BUILDER = functools.partial(build_campus, regions=REGIONS, seed=SEED)
 #: tracing off for the 100k rung: the claim is capacity, not the trace
@@ -93,20 +88,32 @@ BUILDER_100K = functools.partial(
 )
 
 
-def run_one(n_shards: int, profile: PopulationProfile, *, sync: str,
-            mode: str = "process", builder=BUILDER,
+def start_population_measured(env, shard, *, profile) -> int:
+    """``start_population`` under tracemalloc; returns the bytes it kept."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        start_population(env, shard, profile=profile)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return after - before
+
+
+def run_one(n_shards: int, profile: PopulationProfile, *,
+            mode: str = "process", builder=BUILDER, spawn=start_population,
             with_trace: bool = True) -> dict:
     """One boot + population run; returns a report row (plus the merged
-    trace under ``_trace`` when requested, stripped before writing)."""
+    trace under ``_trace``, which callers strip before writing)."""
     shard_map = campus_shard_map(REGIONS, n_shards) if n_shards > 1 else None
     sim = ShardedSimulator(builder, n_shards=n_shards,
-                           host_to_shard=shard_map, mode=mode, seed=SEED,
-                           sync=sync)
+                           host_to_shard=shard_map, mode=mode, seed=SEED)
     with sim:
         wall0 = time.perf_counter()
         cpu0 = time.process_time()
         sim.boot(settle=2.0)
-        sim.spawn(start_population, profile=profile)
+        boot_grants = [s["grants"] for s in sim.sync_report()["per_shard"]]
+        spawned = sim.spawn(spawn, profile=profile)
         sim.run(sim.now + profile.duration + 3.0)
         coordinator_cpu = time.process_time() - cpu0
         wall_s = time.perf_counter() - wall0
@@ -120,7 +127,6 @@ def run_one(n_shards: int, profile: PopulationProfile, *, sync: str,
     events = counters["events_delivered"]
     return {
         "n_shards": n_shards,
-        "sync": sync,
         "mode": mode,
         "ops": sum(r["ops"] for r in results),
         "sessions": sum(r["sessions_spawned"] for r in results),
@@ -136,80 +142,83 @@ def run_one(n_shards: int, profile: PopulationProfile, *, sync: str,
         "coordinator_cpu_s": round(coordinator_cpu, 3),
         "critical_cpu_s": round(critical_cpu, 3),
         "wall_s": round(wall_s, 3),
-        "agg_events_per_s": round(events / critical_cpu),
         "maxrss_kb": [int(r.get("maxrss_kb", 0)) for r in reports],
         "grants_per_shard": [s["grants"] for s in sync_report["per_shard"]],
+        "boot_grants_per_shard": boot_grants,
         "window_width_p95": [
             round(s["window_width"]["p95"], 6)
             for s in sync_report["per_shard"]
         ],
         "merged_trace_sha256": trace.hash() if trace is not None else None,
-        "_trace": trace,  # stripped before the report is written
+        "spawn_results": spawned,  # what ``spawn`` returned in each shard
+        "_trace": trace,
     }
 
 
-def _assert_same_trace(a: dict, b: dict, context: str) -> None:
-    if a["merged_trace_sha256"] == b["merged_trace_sha256"]:
+def _assert_same_run(base: dict, row: dict, context: str) -> None:
+    """``row`` served the same ops and merged to the same trace as ``base``."""
+    assert row["ops"] == base["ops"], (context, base["ops"], row["ops"])
+    if row["merged_trace_sha256"] == base["merged_trace_sha256"]:
         return
     delta = ""
-    if a["_trace"] is not None and b["_trace"] is not None:
-        lines = diff_traces(a["_trace"].records, b["_trace"].records)
+    if base.get("_trace") and row.get("_trace"):
+        lines = diff_traces(base["_trace"].records, row["_trace"].records)
         delta = "\nfirst diverging records:\n  " + "\n  ".join(lines)
     raise AssertionError(
         f"merged trace diverges ({context}): "
-        f"{a['sync']}@{a['n_shards']} {a['merged_trace_sha256'][:16]}… vs "
-        f"{b['sync']}@{b['n_shards']} {b['merged_trace_sha256'][:16]}…"
+        f"{base['n_shards']} shard(s) {base['merged_trace_sha256'][:16]}… vs "
+        f"{row['n_shards']} shard(s) {row['merged_trace_sha256'][:16]}…"
         + delta)
 
 
+def _assert_no_sync_overhead(row: dict, context: str) -> None:
+    """Every grant moved work, and empty shards drew the boot grant only."""
+    n = row["n_shards"]
+    assert row["null_messages"] == 0, (context, n, row["null_messages"])
+    assert row["lookahead_stalls"] == 0, (context, n, row["lookahead_stalls"])
+    if n == 1:
+        assert row["grants"] == 2, "one shard degenerates to boot + run"
+    shard_of = campus_shard_map(REGIONS, n)
+    owners = {shard_of(f"r{region}-any") for region in range(REGIONS)}
+    for i, grants in enumerate(row["grants_per_shard"]):
+        booted = row["boot_grants_per_shard"][i]
+        if i in owners:
+            assert grants > booted, f"shard {i} of {n} never ran"
+        else:
+            assert grants == booted == 1, (
+                f"empty shard {i} of {n} drew {grants} grants, "
+                f"{booted} of them to boot")
+
+
 def run_invariance() -> dict:
-    """Fixed-scale runs, both protocols x 1/2/4/8 shards, one hash."""
-    base = None
-    rows = []
-    for n in SHARD_COUNTS:
-        for sync in ("lockstep", "demand"):
-            row = run_one(n, INVARIANCE_PROFILE, sync=sync, mode="local")
-            if base is None:
-                base = row
-            else:
-                assert row["ops"] == base["ops"], (sync, n, row["ops"])
-                _assert_same_trace(base, row, "invariance")
-            rows.append({k: row[k] for k in
-                         ("n_shards", "sync", "rounds", "grants",
-                          "null_messages")})
+    """Fixed-scale runs at 1/2/4/8 shards, one hash."""
+    rows = [run_one(n, INVARIANCE_PROFILE, mode="local")
+            for n in SHARD_COUNTS]
+    for row in rows:
+        _assert_same_run(rows[0], row, "invariance")
+        _assert_no_sync_overhead(row, "invariance")
     return {
         "profile": {"n_users": INVARIANCE_PROFILE.n_users,
                     "duration": INVARIANCE_PROFILE.duration,
                     "process": INVARIANCE_PROFILE.process},
         "shard_counts": list(SHARD_COUNTS),
-        "ops": base["ops"],
-        "runs": rows,
-        "merged_trace_sha256": base["merged_trace_sha256"],
+        "ops": rows[0]["ops"],
+        "runs": [{k: row[k] for k in ("n_shards", "rounds", "grants")}
+                 for row in rows],
+        "merged_trace_sha256": rows[0]["merged_trace_sha256"],
     }
 
 
 def run_sweep() -> dict:
-    """Population sweep, demand vs lockstep at every shard count."""
+    """Population sweep: same ops and merged trace at every shard count."""
     shards = {}
     for n in SHARD_COUNTS:
-        demand = run_one(n, SWEEP_PROFILE, sync="demand", mode="process")
-        lockstep = run_one(n, SWEEP_PROFILE, sync="lockstep", mode="process")
-        assert demand["ops"] == lockstep["ops"], (n, demand["ops"],
-                                                 lockstep["ops"])
-        _assert_same_trace(lockstep, demand, f"sweep @{n} shards")
-        for row in (demand, lockstep):
-            row.pop("_trace")
-        shards[str(n)] = {"demand": demand, "lockstep": lockstep}
-    null_reduction = {
-        key: round(pair["lockstep"]["null_messages"]
-                   / max(pair["demand"]["null_messages"], 1), 2)
-        for key, pair in shards.items() if key != "1"
-    }
-    grant_reduction = {
-        key: round(pair["lockstep"]["grants"]
-                   / max(pair["demand"]["grants"], 1), 2)
-        for key, pair in shards.items() if key != "1"
-    }
+        row = run_one(n, SWEEP_PROFILE)
+        del row["_trace"]  # a 10k-user trace per row is not worth holding
+        _assert_same_run(shards.get("1", row), row, "sweep")
+        _assert_no_sync_overhead(row, "sweep")
+        shards[str(n)] = row
+    assert shards["4"]["boundary_msgs"] > 0, "nothing crossed shards"
     return {
         "profile": {"n_users": SWEEP_PROFILE.n_users,
                     "duration": SWEEP_PROFILE.duration,
@@ -219,20 +228,18 @@ def run_sweep() -> dict:
         "regions": REGIONS,
         "cores_available": cores_available(),
         "shards": shards,
-        "null_reduction": null_reduction,
-        "grant_reduction": grant_reduction,
     }
 
 
 def run_100k() -> dict:
     """The capacity rung: a timed 100k-user run on the trimmed profile."""
     profile = campus_100k_profile(n_users=N_USERS_100K)
-    row = run_one(CAMPUS_100K_SHARDS, profile, sync="demand",
-                  mode="process", builder=BUILDER_100K, with_trace=False)
-    row.pop("_trace")
+    row = run_one(CAMPUS_100K_SHARDS, profile, builder=BUILDER_100K,
+                  spawn=start_population_measured, with_trace=False)
+    del row["_trace"]
     row["n_users"] = profile.n_users
-    row["lazy_sessions"] = profile.lazy_sessions
-    row["compact_sessions"] = profile.compact_sessions
+    row["bookkeeping_bytes_per_user"] = round(
+        sum(row.pop("spawn_results")) / profile.n_users, 1)
     # The thinned arrival process targets n_users in expectation and is
     # capped there, so a realization can fall short of the cap by a few
     # Poisson standard deviations (sigma = sqrt(n)).
@@ -241,38 +248,25 @@ def run_100k() -> dict:
         f"population pump spawned {row['sessions']} of {profile.n_users} "
         f"sessions (floor {floor})")
     assert row["ops"] > 0
+    assert row["errors"] == 0
+    assert row["bookkeeping_bytes_per_user"] < BOOKKEEPING_BYTES_PER_USER
+    _assert_no_sync_overhead(row, "100k")
     return row
 
 
 def _check_against_baseline(report: dict) -> list:
-    """Invariance-hash and null-reduction drift vs committed baselines."""
-    problems = []
+    """Invariance-hash drift vs the committed baseline."""
+    if not os.path.exists(BASELINE_PATH):
+        return []
+    with open(BASELINE_PATH) as fh:
+        baseline = json.load(fh)
+    pinned = baseline.get("invariance", {}).get("merged_trace_sha256")
     current = report["invariance"]["merged_trace_sha256"]
-    if os.path.exists(BASELINE_PATH):
-        with open(BASELINE_PATH) as fh:
-            baseline = json.load(fh)
-        pinned = baseline.get("invariance", {}).get("merged_trace_sha256")
-        if pinned and pinned != current:
-            problems.append(
-                f"invariance-run merged-trace hash changed: committed "
-                f"{pinned[:16]}…, measured {current[:16]}… — demand sync "
-                f"no longer reproduces the committed trace")
-    # The E29 baseline pinned the same fixed-scale profile under the old
-    # protocol; demand sync must reproduce that committed trace too.
-    if os.path.exists(E29_BASELINE_PATH):
-        with open(E29_BASELINE_PATH) as fh:
-            e29 = json.load(fh)
-        e29_pinned = e29.get("invariance", {}).get("merged_trace_sha256")
-        if e29_pinned and e29_pinned != current:
-            problems.append(
-                f"demand sync does not reproduce the committed E29 trace: "
-                f"E29 pinned {e29_pinned[:16]}…, measured {current[:16]}…")
-    measured = report["sweep"]["null_reduction"]["4"]
-    if measured < NULL_REDUCTION_4SHARDS_MIN:
-        problems.append(
-            f"4-shard null-message reduction only {measured:.1f}x "
-            f"(target {NULL_REDUCTION_4SHARDS_MIN}x)")
-    return problems
+    if pinned and pinned != current:
+        return [f"invariance-run merged-trace hash changed: committed "
+                f"{pinned[:16]}…, measured {current[:16]}… — the sharded "
+                f"kernel no longer reproduces the committed trace"]
+    return []
 
 
 def test_e30_demand_sync(benchmark, table_printer):
@@ -280,9 +274,6 @@ def test_e30_demand_sync(benchmark, table_printer):
         return {
             "experiment": "E30",
             "short": SHORT,
-            "targets": {
-                "null_reduction_4shards_min": NULL_REDUCTION_4SHARDS_MIN,
-            },
             "invariance": run_invariance(),
             "sweep": run_sweep(),
             "campus_100k": run_100k(),
@@ -293,44 +284,25 @@ def test_e30_demand_sync(benchmark, table_printer):
     sweep = report["sweep"]
     table = table_printer(ResultTable(
         f"E30: {sweep['profile']['n_users']} users / {REGIONS} regions, "
-        f"demand vs lockstep sync ({sweep['cores_available']} cores)",
-        ["shards", "sync", "rounds", "grants", "nulls", "stalls",
-         "agg_ev_per_s", "crit_cpu_s"],
+        f"1-8 kernel shards ({sweep['cores_available']} cores visible)",
+        ["shards", "rounds", "grants", "nulls", "stalls", "boundary_msgs",
+         "crit_cpu_s", "wall_s"],
     ))
     for key in sorted(sweep["shards"], key=int):
-        for sync in ("lockstep", "demand"):
-            row = sweep["shards"][key][sync]
-            table.add(key, sync, row["rounds"], row["grants"],
-                      row["null_messages"], row["lookahead_stalls"],
-                      row["agg_events_per_s"], row["critical_cpu_s"])
+        row = sweep["shards"][key]
+        table.add(key, row["rounds"], row["grants"], row["null_messages"],
+                  row["lookahead_stalls"], row["boundary_msgs"],
+                  row["critical_cpu_s"], row["wall_s"])
     big = report["campus_100k"]
     table100k = table_printer(ResultTable(
         f"E30: {big['n_users']} users on {big['n_shards']} shards "
-        f"(lazy+compact sessions, tracing off)",
-        ["ops", "events", "wall_s", "crit_cpu_s", "max_rss_mb"],
+        f"(compact sessions, tracing off)",
+        ["ops", "events", "wall_s", "crit_cpu_s", "max_rss_mb", "B/user"],
     ))
     table100k.add(big["ops"], big["events_delivered"], big["wall_s"],
                   big["critical_cpu_s"],
-                  round(max(big["maxrss_kb"]) / 1024, 1))
-
-    # Demand grants only move executable work: no nulls, no stalls.
-    four = sweep["shards"]["4"]
-    assert four["demand"]["null_messages"] == 0
-    assert four["demand"]["lookahead_stalls"] == 0
-    assert sweep["null_reduction"]["4"] >= NULL_REDUCTION_4SHARDS_MIN, (
-        f"null reduction at 4 shards only {sweep['null_reduction']['4']}x")
-    # The 8-shard run has four empty shards: lockstep null-broadcasts to
-    # them every round, demand grants them only their boot-time events.
-    eight = sweep["shards"]["8"]
-    assert eight["demand"]["boundary_msgs"] > 0
-    for i in range(8):
-        grants = eight["demand"]["grants_per_shard"][i]
-        if i % 2 == 1:
-            assert grants <= 2, f"empty shard {i} drew {grants} grants"
-        else:
-            assert grants > 100
-    assert min(eight["lockstep"]["grants_per_shard"]) \
-        == eight["lockstep"]["rounds"]
+                  round(max(big["maxrss_kb"]) / 1024, 1),
+                  big["bookkeeping_bytes_per_user"])
 
     problems = _check_against_baseline(report)
     if problems and GUARD:

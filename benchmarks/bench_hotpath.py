@@ -1,4 +1,4 @@
-"""E24 — hot-path performance: kernel fast path + codec fast lane (tracked).
+"""E24 — hot-path performance: kernel scheduler + codec fast lane (tracked).
 
 The two loops every experiment in this reproduction runs on are the
 `repro.sim` event kernel and the `repro.lang` command codec.  E24 pins
@@ -8,23 +8,23 @@ their performance to a machine-readable baseline:
   churn, process chains over already-processed events, an interrupt storm,
   a process spawn storm), each with a heap of pending heartbeat-style
   timers as ballast (that is what a real environment's heap looks like —
-  E18 runs thousands of leases/heartbeats).  Each scenario runs on the old
-  heap-only path (``Simulator(fastpath=False)``) and the ready-queue fast
-  path, measured in delivered events per wall second via
-  :class:`repro.obs.ProfileScope`.
+  E18 runs thousands of leases/heartbeats), measured in delivered events
+  per wall second via :class:`repro.obs.ProfileScope`.  These rows are
+  informational: host-speed regressions are ``python3 -m bench``'s job
+  (``ops_per_host_s``, ``sim.events_per_host_s``, ``sim.heap_push_share``).
 * **codec sweep** — E1's flat-form command lines through the full
   tokenizer/parser vs the fast-lane ``parse_command``, plus a vector-form
   call to show the fallback costs nothing it didn't already cost.
-* **Scenario-1 macro run** — the §7.1 new-user story end to end on both
-  kernel paths, with the kernel counters proving the fast path actually
-  carried the run.
+* **Scenario-1 macro run** — the §7.1 new-user story end to end, with the
+  kernel counters showing the ready queues carried the run.
 
 Results are written to ``BENCH_E24.json`` (to ``ACE_BENCH_ARTIFACT_DIR``
 when set — the CI artifact — else to the repo root, which is the committed
-perf trajectory).  The regression guard compares the measured *speedup
-ratios* against the committed baseline — ratios are machine-independent,
-absolute events/sec are not — and fails the run under ``ACE_BENCH_GUARD=1``
-when a ratio drops more than 20% below the baseline; otherwise it warns.
+perf trajectory).  The regression guard compares the measured codec
+*speedup ratio* against the committed baseline — ratios are
+machine-independent, absolute rates are not — and fails the run under
+``ACE_BENCH_GUARD=1`` when it drops more than 20% below the baseline;
+otherwise it warns.
 
 Set ``ACE_BENCH_SHORT=1`` for a CI-sized run.
 """
@@ -53,13 +53,9 @@ SIZES = {
     "spawn_storm": 5_000 if SHORT else 50_000,
 }
 
-#: acceptance targets (ISSUE 4); the committed baseline must clear these
-KERNEL_SPEEDUP_MIN = 1.5
+#: acceptance target (ISSUE 4); the committed baseline must clear it, and
+#: it doubles as the in-test floor
 PARSE_SPEEDUP_MIN = 2.0
-#: in-test floors, slacker than the committed-baseline targets so a noisy
-#: shared CI runner doesn't flake the suite
-KERNEL_SPEEDUP_FLOOR = 1.1 if SHORT else 1.35
-PARSE_SPEEDUP_FLOOR = 2.0
 
 GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,19 +66,19 @@ BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E24.json")
 # Kernel microbench scenarios
 # ---------------------------------------------------------------------------
 
-def _ballasted(fastpath: bool) -> Simulator:
+def _ballasted() -> Simulator:
     """A simulator with a realistic heap of far-future timers pending."""
-    sim = Simulator(fastpath=fastpath)
+    sim = Simulator()
     for i in range(BALLAST):
         sim.timeout(1e6 + i)
     return sim
 
 
-def _scn_event_churn(fastpath: bool) -> ProfileScope:
+def _scn_event_churn() -> ProfileScope:
     """Zero-delay trigger/deliver cycles through callbacks — the pattern
     queue hand-offs and notification fan-outs produce."""
     n = SIZES["event_churn"]
-    sim = _ballasted(fastpath)
+    sim = _ballasted()
     count = [0]
 
     def relight(_ev):
@@ -97,11 +93,11 @@ def _scn_event_churn(fastpath: bool) -> ProfileScope:
     return scope
 
 
-def _scn_process_chain(fastpath: bool) -> ProfileScope:
+def _scn_process_chain() -> ProfileScope:
     """Short-lived processes yielding already-processed events and
-    zero-delay timeouts — the relay-allocation hot case."""
+    zero-delay timeouts — the resume-record hot case."""
     n = SIZES["process_chain"]
-    sim = _ballasted(fastpath)
+    sim = _ballasted()
 
     def link(depth):
         ev = sim.event()
@@ -120,10 +116,10 @@ def _scn_process_chain(fastpath: bool) -> ProfileScope:
     return scope
 
 
-def _scn_interrupt_storm(fastpath: bool) -> ProfileScope:
-    """One long sleeper interrupted over and over — the kick-event case."""
+def _scn_interrupt_storm() -> ProfileScope:
+    """One long sleeper interrupted over and over — the kick case."""
     n = SIZES["interrupt_storm"]
-    sim = _ballasted(fastpath)
+    sim = _ballasted()
 
     def sleeper():
         hits = 0
@@ -151,10 +147,10 @@ def _scn_interrupt_storm(fastpath: bool) -> ProfileScope:
     return scope
 
 
-def _scn_spawn_storm(fastpath: bool) -> ProfileScope:
-    """Spawn-and-join of trivial processes — the bootstrap-event case."""
+def _scn_spawn_storm() -> ProfileScope:
+    """Spawn-and-join of trivial processes — the bootstrap case."""
     n = SIZES["spawn_storm"]
-    sim = _ballasted(fastpath)
+    sim = _ballasted()
 
     def leaf(i):
         return i
@@ -179,42 +175,19 @@ _KERNEL_SCENARIOS = {
 
 
 def run_kernel_microbench() -> dict:
-    """Best-of-``REPEATS`` events/sec per scenario on both kernel paths."""
+    """Best-of-``REPEATS`` events/sec per scenario."""
     results: dict = {"scenarios": {}, "counters": {}}
-    slow_total_ev = fast_total_ev = 0
-    slow_total_s = fast_total_s = 0.0
+    total_ev, total_s = 0, 0.0
     for name, scenario in _KERNEL_SCENARIOS.items():
-        slow_best = fast_best = None
-        for _ in range(REPEATS):
-            slow = scenario(False)
-            fast = scenario(True)
-            if slow_best is None or slow.events_per_s > slow_best.events_per_s:
-                slow_best = slow
-            if fast_best is None or fast.events_per_s > fast_best.events_per_s:
-                fast_best = fast
-        # The two paths must do the same logical work (same total order ⇒
-        # same number of schedules/deliveries).
-        assert slow_best.counters["events_scheduled"] == fast_best.counters["events_scheduled"]
-        assert slow_best.counters["events_delivered"] == fast_best.counters["events_delivered"]
-        assert slow_best.counters["ready_hits"] == 0
-        assert fast_best.counters["heap_pushes"] <= BALLAST + 1 + SIZES[name]
-        results["scenarios"][name] = {
-            "slow_events_per_s": round(slow_best.events_per_s),
-            "fast_events_per_s": round(fast_best.events_per_s),
-            "speedup": round(fast_best.events_per_s / slow_best.events_per_s, 3),
-        }
-        results["counters"][name] = dict(fast_best.counters)
-        slow_total_ev += slow_best.counters["events_delivered"]
-        fast_total_ev += fast_best.counters["events_delivered"]
-        slow_total_s += slow_best.wall_s
-        fast_total_s += fast_best.wall_s
-    slow_agg = slow_total_ev / slow_total_s
-    fast_agg = fast_total_ev / fast_total_s
-    results["aggregate"] = {
-        "slow_events_per_s": round(slow_agg),
-        "fast_events_per_s": round(fast_agg),
-        "speedup": round(fast_agg / slow_agg, 3),
-    }
+        best = max((scenario() for _ in range(REPEATS)),
+                   key=lambda scope: scope.events_per_s)
+        # Only the ballast and genuinely delayed timers touch the heap.
+        assert best.counters["heap_pushes"] <= BALLAST + 1 + SIZES[name]
+        results["scenarios"][name] = {"events_per_s": round(best.events_per_s)}
+        results["counters"][name] = dict(best.counters)
+        total_ev += best.counters["events_delivered"]
+        total_s += best.wall_s
+    results["aggregate"] = {"events_per_s": round(total_ev / total_s)}
     return results
 
 
@@ -274,37 +247,21 @@ def run_codec_sweep() -> dict:
 # Scenario-1 macro run
 # ---------------------------------------------------------------------------
 
-def run_scenario1(fastpath: bool) -> ProfileScope:
-    previous = os.environ.get("ACE_KERNEL_FASTPATH")
-    os.environ["ACE_KERNEL_FASTPATH"] = "1" if fastpath else "0"
-    try:
-        env = standard_environment(seed=224).boot()
-        with ProfileScope("scenario1", sim=env.sim, profile=False) as scope:
-            result = env.run(scenario_1_new_user(env))
-        assert result["workspace"]
-        return scope
-    finally:
-        if previous is None:
-            os.environ.pop("ACE_KERNEL_FASTPATH", None)
-        else:
-            os.environ["ACE_KERNEL_FASTPATH"] = previous
+def run_scenario1() -> ProfileScope:
+    env = standard_environment(seed=224).boot()
+    with ProfileScope("scenario1", sim=env.sim, profile=False) as scope:
+        result = env.run(scenario_1_new_user(env))
+    assert result["workspace"]
+    return scope
 
 
 def run_scenario1_macro() -> dict:
-    slow = min((run_scenario1(False) for _ in range(REPEATS)), key=lambda s: s.wall_s)
-    fast = min((run_scenario1(True) for _ in range(REPEATS)), key=lambda s: s.wall_s)
-    # The fast path must actually carry the run...
-    assert fast.counters["ready_hits"] > 0
-    assert fast.counters["relays_avoided"] > 0
-    assert slow.counters["ready_hits"] == 0
-    # ...and do the identical logical work.
-    assert slow.counters["events_scheduled"] == fast.counters["events_scheduled"]
+    best = min((run_scenario1() for _ in range(REPEATS)), key=lambda s: s.wall_s)
+    assert best.counters["ready_hits"] > 0
     return {
-        "sim_s": round(fast.sim_s, 6),
-        "slow_wall_s": round(slow.wall_s, 4),
-        "fast_wall_s": round(fast.wall_s, 4),
-        "speedup": round(slow.wall_s / fast.wall_s, 3),
-        "counters": dict(fast.counters),
+        "sim_s": round(best.sim_s, 6),
+        "wall_s": round(best.wall_s, 4),
+        "counters": dict(best.counters),
     }
 
 
@@ -313,29 +270,20 @@ def run_scenario1_macro() -> dict:
 # ---------------------------------------------------------------------------
 
 def _check_against_baseline(report: dict) -> list:
-    """Compare measured speedup ratios with the committed baseline; returns
-    a list of regression messages (empty when clean or no baseline)."""
+    """Compare the measured codec speedup ratio with the committed
+    baseline; returns a list of regression messages (empty when clean or
+    no baseline)."""
     if not os.path.exists(BASELINE_PATH):
         return []
     with open(BASELINE_PATH) as fh:
         baseline = json.load(fh)
-    problems = []
-    checks = [
-        ("kernel aggregate", report["kernel"]["aggregate"]["speedup"],
-         baseline.get("kernel", {}).get("aggregate", {}).get("speedup")),
-        ("codec flat aggregate", report["codec"]["flat_aggregate"]["speedup"],
-         baseline.get("codec", {}).get("flat_aggregate", {}).get("speedup")),
-    ]
-    for label, measured, committed in checks:
-        if not committed:
-            continue
-        drop = (committed - measured) / committed
-        if drop > 0.20:
-            problems.append(
-                f"{label} speedup {measured:.2f}x is {drop:.0%} below the "
-                f"committed baseline {committed:.2f}x"
-            )
-    return problems
+    measured = report["codec"]["flat_aggregate"]["speedup"]
+    committed = baseline.get("codec", {}).get("flat_aggregate", {}).get("speedup")
+    if committed and (committed - measured) / committed > 0.20:
+        return [f"codec flat aggregate speedup {measured:.2f}x is "
+                f"{(committed - measured) / committed:.0%} below the "
+                f"committed baseline {committed:.2f}x"]
+    return []
 
 
 def test_e24_hotpath(benchmark, table_printer):
@@ -343,10 +291,7 @@ def test_e24_hotpath(benchmark, table_printer):
         return {
             "experiment": "E24",
             "short": SHORT,
-            "targets": {
-                "kernel_speedup_min": KERNEL_SPEEDUP_MIN,
-                "parse_speedup_min": PARSE_SPEEDUP_MIN,
-            },
+            "targets": {"parse_speedup_min": PARSE_SPEEDUP_MIN},
             "kernel": run_kernel_microbench(),
             "codec": run_codec_sweep(),
             "scenario1": run_scenario1_macro(),
@@ -355,16 +300,12 @@ def test_e24_hotpath(benchmark, table_printer):
     report = benchmark.pedantic(run, rounds=1, iterations=1)
 
     kt = table_printer(ResultTable(
-        f"E24: kernel microbench, heap-only vs ready-queue path "
-        f"(ballast={BALLAST}, best of {REPEATS})",
-        ["scenario", "slow_ev_per_s", "fast_ev_per_s", "speedup"],
+        f"E24: kernel microbench (ballast={BALLAST}, best of {REPEATS})",
+        ["scenario", "events_per_s"],
     ))
     for name, row in report["kernel"]["scenarios"].items():
-        kt.add(name, row["slow_events_per_s"], row["fast_events_per_s"],
-               f'{row["speedup"]:.2f}x')
-    agg = report["kernel"]["aggregate"]
-    kt.add("aggregate", agg["slow_events_per_s"], agg["fast_events_per_s"],
-           f'{agg["speedup"]:.2f}x')
+        kt.add(name, row["events_per_s"])
+    kt.add("aggregate", report["kernel"]["aggregate"]["events_per_s"])
 
     ct = table_printer(ResultTable(
         "E24: codec, full parser vs fast lane",
@@ -379,26 +320,17 @@ def test_e24_hotpath(benchmark, table_printer):
     s1 = report["scenario1"]
     st = table_printer(ResultTable(
         "E24: Scenario 1 macro run (wall s)",
-        ["path", "wall_s", "ready_hits", "relays_avoided"],
+        ["wall_s", "heap_pushes", "ready_hits"],
     ))
-    st.add("heap-only", s1["slow_wall_s"], 0, 0)
-    st.add("fast", s1["fast_wall_s"], s1["counters"]["ready_hits"],
-           s1["counters"]["relays_avoided"])
+    st.add(s1["wall_s"], s1["counters"]["heap_pushes"],
+           s1["counters"]["ready_hits"])
 
-    # Shape assertions (floors are slacker than the committed targets so a
-    # noisy shared runner doesn't flake; the committed BENCH_E24.json is
-    # what must clear the ISSUE's 1.5x / 2x).
-    assert agg["speedup"] >= KERNEL_SPEEDUP_FLOOR, (
-        f"kernel fast path only {agg['speedup']:.2f}x (floor {KERNEL_SPEEDUP_FLOOR}x)")
-    assert flat["speedup"] >= PARSE_SPEEDUP_FLOOR, (
-        f"codec fast lane only {flat['speedup']:.2f}x (floor {PARSE_SPEEDUP_FLOOR}x)")
+    assert flat["speedup"] >= PARSE_SPEEDUP_MIN, (
+        f"codec fast lane only {flat['speedup']:.2f}x (floor {PARSE_SPEEDUP_MIN}x)")
     # The vector-form call must not regress: the fallback adds one failed
     # regex match, so parity within noise.
     vec = report["codec"]["calls"]["calibration-matrix"]
     assert vec["speedup"] > 0.7, f"fallback regressed vectors: {vec}"
-    # The macro run must not be slower on the fast path (it is dominated by
-    # non-kernel work, so just require no regression beyond noise).
-    assert s1["speedup"] > 0.85, f"scenario 1 regressed: {s1}"
 
     # Perf-regression guard against the committed trajectory.
     problems = _check_against_baseline(report)

@@ -132,9 +132,8 @@ def campus_shard_map(n_regions: int, n_shards: int) -> Callable[[str], int]:
 
     With more shards than regions, the region-contiguous formula leaves
     some shards owning zero hosts.  That is a legal partition: an empty
-    shard's lookahead row is all-``inf``, so under demand-driven sync
-    (E30) it simply never receives a grant — whereas lockstep would
-    null-broadcast to it every round.
+    shard's lookahead row is all-``inf``, so it never receives a grant
+    past the boot one.
     """
     return functools.partial(
         _campus_host_shard, n_regions=n_regions, n_shards=n_shards
@@ -144,11 +143,9 @@ def campus_shard_map(n_regions: int, n_shards: int) -> Callable[[str], int]:
 def campus_100k_profile(n_users: int = 100_000, duration: float = 6.0):
     """The 100k-user campus rung (E30): a memory-trimmed population.
 
-    Turns on both population-scale switches — ``lazy_sessions`` (one
-    pump process materializes session generators at their arrival times)
-    and ``compact_sessions`` (xorshift per-user RNGs, histogram latency
-    digest instead of raw samples) — and stretches think time so the
-    event rate stays within a timed-benchmark budget.  Compact sessions
+    Turns on ``compact_sessions`` (xorshift per-user RNGs, histogram
+    latency digest instead of raw samples) and stretches think time so
+    the event rate stays within a timed-benchmark budget.  Compact sessions
     draw from a different generator family, so this profile is for
     capacity runs, not for trace-equivalence comparisons against the
     standard profiles.
@@ -160,6 +157,5 @@ def campus_100k_profile(n_users: int = 100_000, duration: float = 6.0):
         duration=duration,
         process="mmpp",
         think_time=2.0,
-        lazy_sessions=True,
         compact_sessions=True,
     )

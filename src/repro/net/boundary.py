@@ -14,9 +14,10 @@ window boundaries; :meth:`inject` turns them back into ordinary in-kernel
 deliveries at their precomputed arrival time.
 
 The conservative-sync contract every send path here must uphold: a message
-posted at local time ``t`` arrives no earlier than ``t + lookahead``,
-where the lookahead (:meth:`compute_lookahead`) is the minimum cross-shard
-path latency.  That is why arrival timestamps are computed and posted *at
+posted at local time ``t`` to a host of shard ``j`` arrives no earlier than
+``t + L[self][j]``, where the lookahead row
+(:meth:`compute_lookahead_row`) holds the minimum path latency to each
+peer shard.  That is why arrival timestamps are computed and posted *at
 send-decision time*, before the sender yields for its transmit delay.
 
 Connect refusals are *not* a deviation: the base fabric delivers a
@@ -135,8 +136,7 @@ class BoundaryNetwork(Network):
 
         The row is computed once and cached — topology and segment
         layout are construction-time facts, and the sync protocol pins
-        its safety argument to the build-time bound (same contract the
-        E29 global lookahead had).
+        its safety argument to the build-time bound.
         """
         if self._lookahead_row is not None:
             return self._lookahead_row
@@ -161,16 +161,6 @@ class BoundaryNetwork(Network):
         self._lookahead_row = row
         return row
 
-    def compute_lookahead(self) -> float:
-        """Minimum owned→foreign path latency: the global sync lookahead.
-
-        The row minimum of :meth:`compute_lookahead_row` — kept as the
-        scalar bound the lockstep protocol (and the zero-lookahead sanity
-        check) uses.
-        """
-        row = self.compute_lookahead_row()
-        return min(row.values(), default=float("inf"))
-
     def earliest_output_times(self, next_event: float) -> Dict[int, float]:
         """EOT promises: per destination shard, the earliest timestamp any
         *future* message from this shard can carry (E30).
@@ -181,7 +171,7 @@ class BoundaryNetwork(Network):
         timestamps that include at least one full path latency
         (see :meth:`post`).  These promises piggyback on shard reports
         and are what lets the coordinator issue per-shard demand-driven
-        grants instead of one global lockstep window.
+        grants.
         """
         return {
             j: next_event + la

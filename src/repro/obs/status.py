@@ -115,8 +115,7 @@ def render_control(control: dict) -> str:
 
 
 def run_sharded_demo(seed: int = 29, *, n_shards: int = 2, users: int = 120,
-                     duration: float = 6.0, regions: int = 4,
-                     sync: Optional[str] = None) -> dict:
+                     duration: float = 6.0, regions: int = 4) -> dict:
     """Small sharded campus run (E29/E30, local mode); returns the report
     dict, including the coordinator's :meth:`sync_report`."""
     import functools
@@ -132,8 +131,7 @@ def run_sharded_demo(seed: int = 29, *, n_shards: int = 2, users: int = 120,
     builder = functools.partial(build_campus, regions=regions, seed=seed)
     shard_map = campus_shard_map(regions, n_shards) if n_shards > 1 else None
     sim = ShardedSimulator(builder, n_shards=n_shards,
-                           host_to_shard=shard_map, mode="local", seed=seed,
-                           sync=sync)
+                           host_to_shard=shard_map, mode="local", seed=seed)
     with sim:
         sim.boot(settle=2.0)
         sim.spawn(start_population, profile=profile)
@@ -158,9 +156,8 @@ def render_sharding(report: dict) -> str:
     from repro.metrics import ResultTable
 
     sync = report.get("sync", {})
-    protocol = sync.get("protocol", "?")
     table = ResultTable(
-        f"sharded kernel ({protocol} sync): {report['users']} users / "
+        f"sharded kernel: {report['users']} users / "
         f"{report['regions']} regions on {report['n_shards']} shard(s), "
         f"{report['ops']} ops",
         ["shard", "events", "cpu_s", "grants", "width_p50", "width_p95",
@@ -228,9 +225,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="run the sharded-campus demo (E29/E30) on N "
                              "kernel shards instead of the telemetry demo, "
                              "and show per-shard sync/boundary counters")
-    parser.add_argument("--sync", choices=("demand", "lockstep"),
-                        help="sync protocol for --shards (default: demand, "
-                             "or lockstep when ACE_SYNC_LOCKSTEP=1)")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the snapshot as JSON")
     args = parser.parse_args(argv)
@@ -239,7 +233,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         import json as _json
 
         report = run_sharded_demo(args.seed, n_shards=args.shards,
-                                  duration=args.duration, sync=args.sync)
+                                  duration=args.duration)
         print(render_sharding(report))
         if args.json:
             with open(args.json, "w") as fh:

@@ -14,23 +14,22 @@ Hot path (E24)
 Almost every occurrence in an ACE run is *zero-delay*: event triggers,
 queue hand-offs, process bootstraps, relays for already-processed yields,
 interrupt kicks.  Pushing each of those through the binary heap costs a
-tuple allocation plus O(log n) sift both ways.  The fast path (default;
-disable with ``ACE_KERNEL_FASTPATH=0``) instead lands zero-delay
-occurrences on per-priority FIFO **ready queues** and replaces the relay/
-bootstrap/kick ``Event`` allocations with small :class:`_Resume` records.
+tuple allocation plus O(log n) sift both ways.  The scheduler instead
+lands zero-delay occurrences on per-priority FIFO **ready queues**, and
+process bootstraps, relays and interrupt kicks are small :class:`_Resume`
+records rather than throwaway ``Event`` allocations.
 
-The total order is *unchanged*: every schedule still consumes one global
-sequence number, ready entries are FIFO-by-sequence within their priority,
-and :meth:`Simulator._pop_next` compares the heap head's
-``(time, priority, seq)`` against the best ready head before popping — so
-delivery order is exactly the ``(time, priority, seq)`` min in both modes
-and same-seed traces are bit-identical (regression-tested).
+The total order is still ``(time, priority, seq)``: every schedule consumes
+one global sequence number, ready entries are FIFO-by-sequence within their
+priority, and :meth:`Simulator._pop_next` compares the heap head's
+``(time, priority, seq)`` against the best ready head before popping.  The
+suite checks this against an always-heappush oracle
+(``tests/sim/heap_only.py``): same-seed traces are bit-identical.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -135,13 +134,11 @@ class Event:
 class _Resume:
     """A ready-queue record resuming (or interrupting) a process directly.
 
-    Replaces the fast path's three throwaway ``Event`` allocations — the
-    bootstrap event in :meth:`Process.__init__`, the relay event for
-    already-processed yields in :meth:`Process._step_inner`, and the kick
-    event in :meth:`Process.interrupt` — with one four-slot record and a
-    deque append.  ``cancelled`` lets :meth:`Process._throw` revoke a
-    pending resume exactly like removing ``_resume`` from a relay's
-    callback list.
+    Stands in for three throwaway ``Event`` allocations — the bootstrap
+    in :meth:`Process.__init__`, the relay for already-processed yields in
+    :meth:`Process._step`, and the kick in :meth:`Process.interrupt` —
+    with one small record and a deque append.  ``cancelled`` lets
+    :meth:`Process._throw` revoke a pending resume.
     """
 
     __slots__ = ("proc", "ok", "value", "kick", "cancelled")
@@ -209,14 +206,9 @@ class Process(Event):
         parent = sim.active_process
         self.obs_context = parent.obs_context if parent is not None else None
         # Bootstrap: resume once at the current time.
-        if sim.fastpath:
-            record = _Resume(self, True, None)
-            self._pending_resume = record
-            sim._schedule_record(record, URGENT)
-        else:
-            boot = Event(sim)
-            boot.callbacks.append(self._resume_cb)
-            boot.succeed(priority=URGENT)
+        record = _Resume(self, True, None)
+        self._pending_resume = record
+        sim._schedule_record(record, URGENT)
 
     @property
     def is_alive(self) -> bool:
@@ -226,13 +218,7 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._triggered:
             return  # already finished; interrupting is a no-op
-        sim = self.sim
-        if sim.fastpath:
-            sim._schedule_record(_Resume(self, True, cause, kick=True), URGENT)
-            return
-        kick = Event(sim)
-        kick.callbacks.append(lambda _ev: self._throw(Interrupt(cause)))
-        kick.succeed(priority=URGENT)
+        self.sim._schedule_record(_Resume(self, True, cause, kick=True), URGENT)
 
     # -- internal --------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -283,22 +269,12 @@ class Process(Event):
             if target.callbacks is None:
                 # Already processed: resume at the current time through the
                 # scheduler so ordering stays consistent.
-                if sim.fastpath:
-                    if not target._ok:
-                        target.defuse()
-                    record = _Resume(self, target._ok, target._value)
-                    self._pending_resume = record
-                    self._waiting_on = None
-                    sim._schedule_record(record, URGENT)
-                    return
-                relay = Event(sim)
-                relay.callbacks.append(self._resume_cb)
-                if target._ok:
-                    relay.succeed(target._value, priority=URGENT)
-                else:
+                if not target._ok:
                     target.defuse()
-                    relay.fail(target._value, priority=URGENT)
-                self._waiting_on = relay
+                record = _Resume(self, target._ok, target._value)
+                self._pending_resume = record
+                self._waiting_on = None
+                sim._schedule_record(record, URGENT)
             else:
                 target.callbacks.append(self._resume_cb)
                 self._waiting_on = target
@@ -389,32 +365,24 @@ class AllOf(_Condition):
 
 class Simulator:
     """The event loop: a heap of ``(time, priority, seq, event)`` entries
-    plus, on the fast path, per-priority ready queues for the zero-delay
-    occurrences that dominate real runs (see the module docstring).
-
-    ``fastpath=None`` (default) reads ``ACE_KERNEL_FASTPATH`` from the
-    environment at construction time — ``0`` disables — so determinism
-    tests can run the same workload on both paths.
+    plus per-priority ready queues for the zero-delay occurrences that
+    dominate real runs (see the module docstring).
     """
 
-    def __init__(self, fastpath: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, int, Any]] = []
         self._seq = 0
         self._running = False
-        if fastpath is None:
-            fastpath = os.environ.get("ACE_KERNEL_FASTPATH", "1") != "0"
-        #: zero-delay occurrences bypass the heap when True (default)
-        self.fastpath = bool(fastpath)
         #: ready queues, one FIFO of ``(seq, item)`` per priority level
         self._ready: tuple[deque, deque, deque] = (deque(), deque(), deque())
         #: the process currently being stepped (None between steps); lets
         #: freshly spawned processes inherit the spawner's obs_context
         self.active_process: Optional[Process] = None
         # -- hot-path counters (read by repro.obs.profiling / E24) --------
-        #: heap entries pushed (delayed, or all schedules on the slow path)
+        #: heap entries pushed (every schedule with a delay)
         self.n_heap_pushes = 0
-        #: relay/boot/kick Event allocations replaced by _Resume records
+        #: relay/boot/kick resumes scheduled as _Resume records
         self.n_relays_avoided = 0
         #: events + resume records delivered by step()
         self.n_delivered = 0
@@ -447,15 +415,15 @@ class Simulator:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
         self._seq += 1
-        if self.fastpath and delay == 0.0 and 0 <= priority <= 2:
+        if delay == 0.0 and 0 <= priority <= 2:
             self._ready[priority].append((self._seq, event))
         else:
             self.n_heap_pushes += 1
             heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
 
     def _schedule_record(self, record: _Resume, priority: int) -> None:
-        """Fast-path only: land a resume record on a ready queue.  Consumes
-        one sequence number, exactly like the Event it replaces."""
+        """Land a resume record on a ready queue.  Consumes one sequence
+        number, like any other schedule."""
         self._seq += 1
         self.n_relays_avoided += 1
         self._ready[priority].append((self._seq, record))

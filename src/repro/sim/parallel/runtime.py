@@ -5,10 +5,9 @@ tests — is a :class:`ShardServer` answering a tiny request/reply protocol
 from the coordinator (:class:`~repro.sim.parallel.sharded.ShardedSimulator`):
 
 =============  =====================================================
-``build``      run the topology builder, report lookahead + next event
+``build``      run the topology builder, report lookahead row + next event
 ``boot``       start ``env.boot_async(settle)`` as a kernel process
 ``spawn``      call a module-level ``fn(env, ctx, *args, **kwargs)``
-``peek``       report next event time and current clock
 ``window``     inject boundary messages, run events strictly before W,
                drain the outbox, report next event time
 ``advance``    ``sim.run(until=t)`` — clock catch-up, queues already dry
@@ -78,15 +77,12 @@ class ShardServer:
     def _do_build(self) -> Dict[str, Any]:
         self.env = self.builder(self.ctx)
         sim, net = self.env.sim, self.env.net
-        lookahead = float("inf")
         lookahead_row: Dict[int, float] = {}
         if isinstance(net, BoundaryNetwork):
             lookahead_row = net.compute_lookahead_row()
-            lookahead = net.compute_lookahead()
         owned = sum(1 for name in net.hosts if self.ctx.owns(name))
         nxt = sim.peek()
         return {
-            "lookahead": lookahead,
             "lookahead_row": lookahead_row,
             "next": nxt,
             "eot": self._eot(nxt),
@@ -103,9 +99,6 @@ class ShardServer:
         result = fn(self.env, self.ctx, *args, **kwargs)
         nxt = self.env.sim.peek()
         return {"next": nxt, "eot": self._eot(nxt), "result": result}
-
-    def _do_peek(self) -> Dict[str, Any]:
-        return {"next": self.env.sim.peek(), "now": self.env.sim.now}
 
     def _do_window(self, before: float, msgs: list) -> Dict[str, Any]:
         net = self.env.net

@@ -3,51 +3,40 @@
 :class:`ShardedSimulator` partitions a simulated network across kernel
 shards — OS processes in ``mode="process"``, in-process servers in
 ``mode="local"`` (same code path, handy for tests) — and keeps them
-conservatively synchronized.  Two sync protocols are built in, selected
-by the ``sync=`` kwarg (default) or ``ACE_SYNC_LOCKSTEP=1`` (the A/B
-control, mirroring the ``ACE_KERNEL_FASTPATH`` pattern):
+conservatively synchronized with per-shard, demand-driven grants.
 
-``sync="demand"`` (default, E30)
-    Per-shard, demand-driven grants.  The coordinator assembles a
-    **per-pair lookahead matrix** ``L[i][j]`` at build time (min latency
-    from shard-*i*-owned hosts to shard-*j*-owned hosts,
-    :meth:`~repro.net.boundary.BoundaryNetwork.compute_lookahead_row`);
-    shard reports piggyback **earliest-output-time promises** per
-    destination shard.  From ``(next_i, held-message floors, L)`` the
-    coordinator solves the classic LBTS fixed point
+The coordinator assembles a **per-pair lookahead matrix** ``L[i][j]`` at
+build time (min latency from shard-*i*-owned hosts to shard-*j*-owned
+hosts, :meth:`~repro.net.boundary.BoundaryNetwork.compute_lookahead_row`);
+shard reports piggyback **earliest-output-time promises** per destination
+shard.  From ``(next_i, held-message floors, L)`` the coordinator solves
+the classic LBTS fixed point
 
-        ``E_j = min(wake_j, min_{k != j}(E_k + L[k][j]))``
+    ``E_j = min(wake_j, min_{k != j}(E_k + L[k][j]))``
 
-    (``wake_j`` = the earliest time shard *j* could execute anything;
-    frozen at the dispatch floor while *j* is mid-window) and issues
+(``wake_j`` = the earliest time shard *j* could execute anything; frozen
+at the dispatch floor while *j* is mid-window) and issues
 
-        ``grant_i = min_{j != i} min(EOT_j[i], E_j + L[j][i])``
+    ``grant_i = min_{j != i} min(EOT_j[i], E_j + L[j][i])``
 
-    A shard is dispatched **only when it has demand** — an event or a
-    pending boundary message strictly inside its grant — so every grant
-    delivers at least one event and the classic CMB *null message* (a
-    pure-overhead sync message that moves no simulation work) is
-    structurally eliminated.  Grants are asynchronous: replies are
-    collected with wait-any, so one slow shard no longer barriers the
-    rest, and a shard whose horizon advanced is re-dispatched
-    immediately.  Boundary messages are batched per (dispatch,
-    destination shard).  Windows widen automatically to the full safe
-    horizon — when peers are quiescent far into the future the fixed
-    point pushes ``grant_i`` out accordingly, which is what the lockstep
-    protocol's fixed ``T + lookahead`` window never could.
+A shard is dispatched **only when it has demand** — an event or a pending
+boundary message strictly inside its grant — so every grant delivers at
+least one event and the classic CMB *null message* (a pure-overhead sync
+message that moves no simulation work) is structurally eliminated.
+Grants are asynchronous: replies are collected with wait-any, so one slow
+shard does not barrier the rest, and a shard whose horizon advanced is
+re-dispatched immediately.  Boundary messages are batched per (dispatch,
+destination shard).  Windows widen automatically to the full safe
+horizon: when peers are quiescent far into the future the fixed point
+pushes ``grant_i`` out accordingly.
 
-``sync="lockstep"`` (E29, the control)
-    Synchronous send-all/recv-all rounds over one global window
-    ``W = min(T + global_lookahead, nextafter(until))`` — kept verbatim
-    for A/B benchmarking and trace-equivalence regression.
-
-Safety (both modes): a message posted at local time ``t`` by shard ``j``
-arrives at shard ``i`` no earlier than ``t + L[j][i]`` (every send path
-computes arrival timestamps that include one full path latency — see
+Safety: a message posted at local time ``t`` by shard ``j`` arrives at
+shard ``i`` no earlier than ``t + L[j][i]`` (every send path computes
+arrival timestamps that include one full path latency — see
 :mod:`repro.net.boundary`).  Since shard ``j`` executes nothing before
 ``E_j``, no message can land in shard ``i`` before ``grant_i`` — so
 processing ``[now, grant_i)`` is safe, and the merged trace is
-bit-identical between the two protocols at every shard count
+bit-identical to the single kernel's at every shard count
 (regression-tested and CI-guarded via ``BENCH_E30.json``).
 
 With one shard the coordinator degenerates to a single window per
@@ -59,7 +48,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
+import traceback
 from multiprocessing import connection as _mpconn
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -80,6 +69,13 @@ WINDOW_WIDTH_BUCKETS: Tuple[float, ...] = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
+#: wall seconds the coordinator waits for *any* in-flight shard to answer
+#: before it declares the run livelocked (a shard spinning at zero delay
+#: never finishes its window).  More than 10x the slowest window any
+#: benchmark here runs: a one-shard run is a single window, ~105 s for the
+#: 10k-user sweep on one core; the 100k-user rung's slowest takes < 1 s.
+SHARD_REPLY_TIMEOUT_S = 1800.0
+
 
 class _LocalHandle:
     """In-process shard: requests execute synchronously on send()."""
@@ -89,7 +85,6 @@ class _LocalHandle:
         self._reply: Any = None
 
     def send(self, msg: tuple) -> None:
-        import traceback
         try:
             self._reply = ("ok", self.server.handle(msg))
         except Exception:
@@ -158,11 +153,6 @@ class ShardedSimulator:
         ``"process"`` (default) or ``"local"`` (in-process, for tests).
     seed:
         Forwarded to every :class:`ShardContext` (shard-local RNG forks).
-    sync:
-        ``"demand"`` (per-shard EOT grants, the default) or
-        ``"lockstep"`` (the E29 global-window rounds).  ``None`` reads
-        ``ACE_SYNC_LOCKSTEP`` from the environment: ``1`` selects
-        lockstep, anything else demand.
 
     Duck-types the slice of :class:`~repro.sim.kernel.Simulator` that
     :class:`~repro.obs.profiling.ProfileScope` consumes (``now``,
@@ -173,30 +163,23 @@ class ShardedSimulator:
                  n_shards: int = 1,
                  host_to_shard: Optional[Callable[[str], int]] = None,
                  mode: str = "process",
-                 seed: int = 0,
-                 sync: Optional[str] = None):
+                 seed: int = 0):
         if n_shards < 1:
             raise SimulationError(f"n_shards must be >= 1, got {n_shards}")
         if n_shards > 1 and host_to_shard is None:
             raise SimulationError("n_shards > 1 requires a host_to_shard map")
         if mode not in ("process", "local"):
             raise SimulationError(f"unknown shard mode {mode!r}")
-        if sync is None:
-            sync = ("lockstep"
-                    if os.environ.get("ACE_SYNC_LOCKSTEP", "0") == "1"
-                    else "demand")
-        if sync not in ("demand", "lockstep"):
-            raise SimulationError(f"unknown sync protocol {sync!r}")
         self.builder = builder
         self.n_shards = n_shards
         self.host_to_shard = host_to_shard
         self.mode = mode
         self.seed = seed
-        self.sync = sync
+        #: smallest cross-shard latency, ``min(L[i][j])``
         self.lookahead = _INF
         #: per-pair lookahead matrix, ``L[i][j]`` = min latency i -> j
         self.lookahead_matrix: List[Dict[int, float]] = []
-        self.rounds = 0          # scheduler passes (lockstep: window rounds)
+        self.rounds = 0          # scheduler passes
         self.grants = 0          # window grants dispatched
         self.null_grants = 0     # grants that moved no simulation work
         self.payload_free_grants = 0  # grants carrying no boundary payload
@@ -209,7 +192,6 @@ class ShardedSimulator:
         self._held: Dict[int, List[tuple]] = {}
         self._started = False
         self._closed = False
-        self._build_info: List[Dict[str, Any]] = []
         #: per-shard grant counts and granted-window-width histograms
         self._grants_per_shard: List[int] = [0] * n_shards
         self._width_hists: List[Histogram] = [
@@ -228,14 +210,15 @@ class ShardedSimulator:
                            self.host_to_shard, self.seed)
             )
         infos = self._request_all(("build",))
-        self._build_info = infos
         self._next = [info["next"] for info in infos]
         self._eot = [dict(info.get("eot") or {}) for info in infos]
         self.lookahead_matrix = [
             {int(j): float(v) for j, v in (info.get("lookahead_row") or {}).items()}
             for info in infos
         ]
-        self.lookahead = min(info["lookahead"] for info in infos)
+        self.lookahead = min(
+            (la for row in self.lookahead_matrix for la in row.values()),
+            default=_INF)
         if self.n_shards > 1:
             if self.lookahead <= 0.0:
                 self._abort()
@@ -341,10 +324,7 @@ class ShardedSimulator:
                 f"cannot run backwards: until={until} < now={self._now}"
             )
         upper = math.nextafter(until, math.inf)
-        if self.sync == "lockstep":
-            delivered = self._run_lockstep(until, upper)
-        else:
-            delivered = self._run_demand(until, upper)
+        delivered = self._run_grants(until, upper)
         finals = self._request_all(("advance", until))
         for i, f in enumerate(finals):
             self._next[i] = f["next"]
@@ -359,47 +339,7 @@ class ShardedSimulator:
             return _INF
         return min(m[1] for m in msgs)
 
-    # -- lockstep (E29, the A/B control) --------------------------------
-    def _run_lockstep(self, until: float, upper: float) -> int:
-        """Global-window rounds, kept verbatim from E29.
-
-        ``null_grants`` here keeps the E29 accounting — a grant carrying
-        no boundary payload — which is exactly the blind-broadcast cost
-        the demand protocol eliminates.
-        """
-        delivered = 0
-        while True:
-            horizon = min(self._next)
-            for msgs in self._held.values():
-                for m in msgs:
-                    if m[1] < horizon:
-                        horizon = m[1]
-            if horizon > until:
-                break
-            window = horizon + self.lookahead
-            if window > upper:
-                window = upper
-            per_shard: List[tuple] = []
-            for i in range(self.n_shards):
-                inbox = self._held.pop(i, [])
-                if not inbox:
-                    self.null_grants += 1
-                    self.payload_free_grants += 1
-                per_shard.append(("window", window, inbox))
-                self._grants_per_shard[i] += 1
-                self._width_hists[i].observe(window - horizon)
-            self.grants += self.n_shards
-            reports = self._request_all(None, per_shard)
-            self.rounds += 1
-            for i, rep in enumerate(reports):
-                self._next[i] = rep["next"]
-                self._eot[i] = dict(rep.get("eot") or {})
-                delivered += rep["delivered"]
-                for dst, msgs in rep["outbox"].items():
-                    self._held.setdefault(int(dst), []).extend(msgs)
-        return delivered
-
-    # -- demand-driven (E30) --------------------------------------------
+    # -- demand-driven grants ---------------------------------------------
     def _compute_grants(self, busy: Dict[int, tuple], upper: float) -> List[float]:
         """Per-shard safe horizons from the EOT/lookahead fixed point.
 
@@ -448,8 +388,8 @@ class ShardedSimulator:
             grants.append(g)
         return grants
 
-    def _run_demand(self, until: float, upper: float) -> int:
-        """Asynchronous demand-driven grant loop (the E30 tentpole).
+    def _run_grants(self, until: float, upper: float) -> int:
+        """Asynchronous demand-driven grant loop.
 
         Each scheduler pass dispatches every idle shard whose wake time —
         an event or a held boundary message — falls strictly inside its
@@ -461,8 +401,8 @@ class ShardedSimulator:
         guards.
         """
         delivered = 0
-        #: shard -> (dispatch floor, had_payload) for in-flight windows
-        busy: Dict[int, Tuple[float, bool]] = {}
+        #: shard -> (dispatch floor, grant, had_payload) for in-flight windows
+        busy: Dict[int, Tuple[float, float, bool]] = {}
         while True:
             grants = self._compute_grants(busy, upper)
             for i in range(self.n_shards):
@@ -481,7 +421,7 @@ class ShardedSimulator:
                     self._abort()
                     raise SimulationError(
                         f"shard {i} died mid-run ({exc!r})") from None
-                busy[i] = (wake, bool(inbox))
+                busy[i] = (wake, g, bool(inbox))
                 self.grants += 1
                 self._grants_per_shard[i] += 1
                 if not inbox:
@@ -502,7 +442,7 @@ class ShardedSimulator:
                 )
             self.rounds += 1
             for i, rep in self._collect_ready(busy):
-                floor, had_payload = busy.pop(i)
+                _, _, had_payload = busy.pop(i)
                 self._next[i] = rep["next"]
                 self._eot[i] = dict(rep.get("eot") or {})
                 delivered += rep["delivered"]
@@ -512,17 +452,25 @@ class ShardedSimulator:
                     self._held.setdefault(int(dst), []).extend(msgs)
         return delivered
 
-    def _collect_ready(self, busy: Dict[int, Any]) -> List[Tuple[int, Any]]:
+    def _collect_ready(self, busy: Dict[int, tuple]) -> List[Tuple[int, Any]]:
         """Replies from at least one busy shard (all of them in local mode,
         whichever pipes are readable in process mode)."""
         out: List[Tuple[int, Any]] = []
         if self.mode == "process":
             conns = {self._handles[i].conn: i for i in busy}
             try:
-                ready = _mpconn.wait(list(conns))
+                ready = _mpconn.wait(list(conns), SHARD_REPLY_TIMEOUT_S)
             except OSError as exc:
                 self._abort()
                 raise SimulationError(f"shard pipe failed ({exc!r})") from None
+            if not ready:
+                self._abort()
+                silent = "; ".join(
+                    f"shard {i} granted [{busy[i][0]!r}, {busy[i][1]!r})"
+                    for i in sorted(busy))
+                raise SimulationError(
+                    f"no shard replied in {SHARD_REPLY_TIMEOUT_S:g} wall "
+                    f"seconds, livelocked at zero delay? {silent}")
             for conn in ready:
                 i = conns[conn]
                 out.append((i, self._recv_checked(i)))
@@ -582,16 +530,13 @@ class ShardedSimulator:
 
         Kernel counters are summed across shards.  ``sync.*`` telemetry:
 
-        * ``sync.rounds`` — scheduler passes (lockstep: window rounds);
-          ``sync.windows`` is kept as a compatibility alias.
-        * ``sync.grants`` — window grants dispatched.  Lockstep sends one
-          per shard per round; demand mode only dispatches shards with
-          executable demand, so the two are no longer conflated.
-        * ``sync.null_messages`` — grants that moved no simulation work:
-          payload-free broadcasts under lockstep (the E29 accounting),
-          delivered-nothing dispatches under demand (structurally ~0).
+        * ``sync.rounds`` — scheduler passes.
+        * ``sync.grants`` — window grants dispatched (only shards with
+          executable demand are dispatched).
+        * ``sync.null_messages`` — grants that delivered nothing and
+          carried no boundary payload (structurally 0).
         * ``sync.payload_free_grants`` — grants carrying no boundary
-          payload, reported under both protocols for transparency.
+          payload.
         """
         reports = self.shard_reports()
         out: Dict[str, float] = {}
@@ -599,9 +544,7 @@ class ShardedSimulator:
                     "relays_avoided", "events_delivered"):
             out[key] = sum(r["kernel"].get(key, 0) for r in reports)
         out["sync.shards"] = self.n_shards
-        out["sync.demand"] = 0.0 if self.sync == "lockstep" else 1.0
         out["sync.rounds"] = self.rounds
-        out["sync.windows"] = self.rounds
         out["sync.grants"] = self.grants
         out["sync.null_messages"] = self.null_grants
         out["sync.payload_free_grants"] = self.payload_free_grants
@@ -615,10 +558,9 @@ class ShardedSimulator:
         return out
 
     def sync_report(self) -> Dict[str, Any]:
-        """Structured sync telemetry: protocol, totals, and per-shard
-        grant counts + granted-window-width histograms (picklable)."""
+        """Structured sync telemetry: totals, and per-shard grant counts
+        + granted-window-width histograms (picklable)."""
         return {
-            "protocol": self.sync,
             "rounds": self.rounds,
             "grants": self.grants,
             "null_grants": self.null_grants,

@@ -123,10 +123,6 @@ class PopulationProfile:
     think_time: float = 1.0
     roam_fraction: float = 0.1
     # -- population-scale memory trim (E30, the 100k rung) ---------------
-    #: spawn sessions from one pump process at their arrival times
-    #: instead of pre-creating every generator (and its heap entry) up
-    #: front; scheduling inside a session is unchanged
-    lazy_sessions: bool = False
     #: compact per-user state: :class:`CompactUserRng` instead of a
     #: cached ``random.Random`` per user, and a :class:`HistogramRecorder`
     #: latency digest instead of raw samples.  Changes draw sequences, so
@@ -268,12 +264,11 @@ def home_region(uid: int, n_regions: int) -> int:
     return pattern[uid % len(pattern)]
 
 
-def _session(env, state: PopulationState, uid: int, region,
-             start_at: float, end_at: float) -> Generator:
+def _session(env, state: PopulationState, uid: int, region) -> Generator:
     sim = env.sim
     profile = state.profile
+    end_at = state.end_at
     regions = env.campus_regions
-    yield sim.timeout(max(0.0, start_at - sim.now))
     if profile.compact_sessions:
         # transient + tiny: nothing is cached registry-side, and the
         # state is one machine word instead of a Mersenne table
@@ -335,35 +330,25 @@ def start_population(env, shard, *, profile: PopulationProfile) -> int:
             continue
         owned.append((t, uid, region))
     state.sessions_spawned = len(owned)
-    if profile.lazy_sessions:
+    if owned:  # a shard that owns no region schedules nothing
         env.sim.process(_session_pump(env, state, owned, t0), name="pop-pump")
-    else:
-        for t, uid, region in owned:
-            env.sim.process(
-                _session(env, state, uid, region, t0 + t, state.end_at),
-                name=f"pop-{uid}",
-            )
     return state.sessions_spawned
 
 
 def _session_pump(env, state: PopulationState, arrivals, t0: float) -> Generator:
-    """Spawn sessions at their arrival times (``lazy_sessions``).
+    """Spawn sessions at their arrival times.
 
-    Pre-creating 100k generators parks 100k frames and heap entries in
-    the kernel before the first user even arrives; the pump walks the
+    Pre-creating 100k generators would park 100k frames and heap entries
+    in the kernel before the first user even arrives; the pump walks the
     (time-sorted) arrival list and materializes each session only when
-    its start time comes due.  Event timing inside a session is
-    identical — ``_session`` still anchors on its absolute ``start_at``.
+    its start time comes due.
     """
     sim = env.sim
     for t, uid, region in arrivals:
         start_at = t0 + t
         if start_at > sim.now:
             yield sim.timeout(start_at - sim.now)
-        sim.process(
-            _session(env, state, uid, region, start_at, state.end_at),
-            name=f"pop-{uid}",
-        )
+        sim.process(_session(env, state, uid, region), name=f"pop-{uid}")
 
 
 def collect_population(env, shard=None) -> dict:

@@ -4,7 +4,7 @@ The 100k campus profile only fits because per-user state was trimmed:
 ``CompactUserRng`` (one 64-bit word) instead of a registry-cached
 ``random.Random`` (~2.5 KB of Mersenne state — a quarter gigabyte at
 100k users), a histogram latency digest instead of unbounded raw
-samples, and a lazy session pump instead of 100k pre-created generator
+samples, and a session pump instead of 100k pre-created generator
 frames.  These tests pin each trim with tracemalloc so a future refactor
 cannot silently reintroduce per-user kilobytes.
 """
@@ -82,7 +82,7 @@ class TestMemoryFootprint:
         env = build_campus(regions=2, trace=False)
         profile = PopulationProfile(
             n_users=n_users, duration=8.0, process="mmpp",
-            lazy_sessions=True, compact_sessions=True,
+            compact_sessions=True,
         )
         tracemalloc.start()
         try:
@@ -95,6 +95,30 @@ class TestMemoryFootprint:
         assert per_user < BOOKKEEPING_BYTES_PER_USER, (
             f"{per_user:.0f} B/user of population bookkeeping "
             f"(budget {BOOKKEEPING_BYTES_PER_USER})")
+
+    @pytest.mark.parametrize("make_profile",
+                             [PopulationProfile, campus_100k_profile],
+                             ids=["default", "100k"])
+    def test_sessions_spawn_through_one_pump(self, make_profile):
+        """One pump process, not ``n_users`` parked generators: what
+        ``start_population`` schedules does not grow with the population."""
+        scheduled = []
+        for n_users in (10, 1000):
+            env = build_campus(regions=2, trace=False)
+            spawned = []
+            process = env.sim.process
+
+            def recording_process(generator, name=""):
+                spawned.append(name)
+                return process(generator, name=name)
+
+            env.sim.process = recording_process
+            before = env.sim.counters()["events_scheduled"]
+            start_population(env, None, profile=make_profile(
+                n_users=n_users, duration=4.0))
+            scheduled.append(env.sim.counters()["events_scheduled"] - before)
+            assert spawned == ["pop-pump"]
+        assert scheduled[0] == scheduled[1]
 
     def test_compact_rngs_bypass_the_registry_cache(self):
         """A compact session's RNG must not leave a cached random.Random
@@ -135,14 +159,13 @@ class TestProfileGating:
     def test_campus_100k_profile_sets_both_trims(self):
         profile = campus_100k_profile()
         assert profile.n_users == 100_000
-        assert profile.lazy_sessions
         assert profile.compact_sessions
+        assert profile.think_time == 2.0
         assert profile.process == "mmpp"
 
     def test_default_profiles_stay_untrimmed(self):
         # the pinned E29 trace hashes depend on the standard generators
         profile = PopulationProfile(n_users=10, duration=1.0)
-        assert not profile.lazy_sessions
         assert not profile.compact_sessions
 
     def test_compact_lazy_run_end_to_end(self):

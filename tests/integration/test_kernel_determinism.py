@@ -1,13 +1,13 @@
-"""Determinism regression for the kernel fast path (E24).
+"""Determinism regression for the kernel's ready queues (E24).
 
-The fast path's whole contract is "same total order, cheaper": the
-ready-queue/heap split and the relay-free resumes must not perturb a
-single delivery.  We prove it on two very different workloads:
+Their whole contract is "same total order, cheaper": the ready-queue/heap
+split must not perturb a single delivery.  We prove it against the
+heap-only oracle (``tests/sim/heap_only.py``) on two very different
+workloads:
 
 * Scenario 1 (the §7.1 new-user story) with full tracing — the entire
   finished-span stream, serialized through the NetLogger wire format and
-  hashed, must be bit-identical between ``ACE_KERNEL_FASTPATH=0`` and the
-  default fast path.
+  hashed, must be bit-identical between the oracle and the kernel.
 * The E21 seeded chaos run (gray failure + crash + flaky link with
   retries, breakers, and deadlines on top) — the per-call record stream
   must be identical, because fault injection samples the deterministic
@@ -21,6 +21,7 @@ from repro.env.scenarios import scenario_1_new_user, standard_environment
 from repro.obs import span_to_wire
 
 from tests.core.test_chaos_recovery import run_once
+from tests.sim.heap_only import heap_only_kernel  # noqa: F401 - fixture
 
 
 def _scenario1_fingerprint():
@@ -39,10 +40,10 @@ def _scenario1_fingerprint():
     )
 
 
-def test_scenario1_trace_identical_across_kernel_paths(monkeypatch):
-    monkeypatch.setenv("ACE_KERNEL_FASTPATH", "0")
+def test_scenario1_trace_identical_across_kernel_paths(heap_only_kernel,
+                                                       monkeypatch):
     slow_hash, slow_n, slow_ws, slow_t, slow_counters = _scenario1_fingerprint()
-    monkeypatch.setenv("ACE_KERNEL_FASTPATH", "1")
+    monkeypatch.undo()  # back to the kernel's own scheduler
     fast_hash, fast_n, fast_ws, fast_t, fast_counters = _scenario1_fingerprint()
 
     assert slow_n == fast_n > 0
@@ -63,10 +64,9 @@ def _chaos_fingerprint():
     return rows, result.hung, ace.sim.counters()
 
 
-def test_chaos_run_identical_across_kernel_paths(monkeypatch):
-    monkeypatch.setenv("ACE_KERNEL_FASTPATH", "0")
+def test_chaos_run_identical_across_kernel_paths(heap_only_kernel, monkeypatch):
     slow_rows, slow_hung, slow_counters = _chaos_fingerprint()
-    monkeypatch.setenv("ACE_KERNEL_FASTPATH", "1")
+    monkeypatch.undo()
     fast_rows, fast_hung, fast_counters = _chaos_fingerprint()
 
     assert len(slow_rows) > 200

@@ -133,7 +133,6 @@ class TestLookaheadRow:
         n_shards, hosts, lan, backbone = topo
         for net in build_networks(n_shards, hosts, lan, backbone):
             row = net.compute_lookahead_row()
-            assert net.compute_lookahead() == min(row.values(), default=INF)
             eot = net.earliest_output_times(next_event)
             assert set(eot) == set(row)
             for j, la in row.items():

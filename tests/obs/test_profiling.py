@@ -14,7 +14,7 @@ def _spin(sim, n=50):
 
 
 def test_scope_captures_counter_deltas():
-    sim = Simulator(fastpath=True)
+    sim = Simulator()
     _spin(sim)  # work before the scope must not leak into the deltas
     with ProfileScope("region", sim=sim, profile=False) as scope:
         _spin(sim, n=30)

@@ -1,13 +1,13 @@
-"""Demand-driven conservative sync (E30): causality and A/B equivalence.
+"""Demand-driven conservative sync (E30): causality and equivalence.
 
 The protocol's load-bearing promise: once the coordinator grants shard
 ``i`` a window up to ``g``, **no boundary message with a timestamp below
 ``g`` is ever delivered to ``i`` afterwards** — the window's contents
 were complete at grant time.  The causality regression here instruments
 the coordinator's dispatch path and checks that invariant message by
-message on a real campus run; the equivalence tests pin the A/B
-contract (same merged trace as lockstep and as the single kernel) and
-the structural null-message elimination.
+message on a real campus run; the equivalence tests pin the contract
+(same merged trace as the single kernel) and the structural null-message
+elimination.
 """
 
 import functools
@@ -59,11 +59,10 @@ def _instrument_grants(sim):
     return violations
 
 
-def _run_campus(n_shards, sync, *, instrument=False):
+def _run_campus(n_shards, *, instrument=False):
     shard_map = campus_shard_map(REGIONS, n_shards) if n_shards > 1 else None
     sim = ShardedSimulator(BUILDER, n_shards=n_shards,
-                           host_to_shard=shard_map, mode="local", seed=SEED,
-                           sync=sync)
+                           host_to_shard=shard_map, mode="local", seed=SEED)
     with sim:
         violations = _instrument_grants(sim) if instrument else []
         sim.boot(settle=1.0)
@@ -81,41 +80,32 @@ class TestCausality:
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_no_message_lands_inside_granted_window(self, n_shards):
         ops, counters, report, _, violations = _run_campus(
-            n_shards, "demand", instrument=True)
+            n_shards, instrument=True)
         assert ops > 0
         assert counters["boundary.msgs_out"] > 0, "nothing crossed shards"
         assert counters["sync.grants"] > 0
         assert not violations, violations[:5]
 
-    def test_lockstep_windows_obey_the_same_invariant(self):
-        # the A/B control must honor the identical delivery contract
-        _, counters, _, _, violations = _run_campus(
-            2, "lockstep", instrument=True)
-        assert counters["boundary.msgs_out"] > 0
-        assert not violations, violations[:5]
-
 
 class TestEquivalence:
     def test_demand_matches_lockstep_and_single_kernel(self):
-        ops1, _, _, hash1, _ = _run_campus(1, "demand")
-        ops_d, counters_d, _, hash_d, _ = _run_campus(2, "demand")
-        ops_l, counters_l, _, hash_l, _ = _run_campus(2, "lockstep")
+        ops1, _, _, hash1, _ = _run_campus(1)
+        ops2, counters2, _, hash2, _ = _run_campus(2)
         assert ops1 > 0
-        assert ops1 == ops_d == ops_l
-        assert hash1 == hash_d == hash_l
-        # demand-driven dispatch is null-free by construction; lockstep
-        # pays for its blind per-round broadcasts
-        assert counters_d["sync.null_messages"] == 0
-        assert counters_l["sync.null_messages"] > 0
-        assert counters_d["sync.grants"] < counters_l["sync.grants"]
+        assert ops1 == ops2
+        assert hash1 == hash2
+        # demand-driven dispatch is null-free by construction: every grant
+        # delivers an event, so no shard is dispatched once per pass
+        assert counters2["sync.null_messages"] == 0
+        assert counters2["sync.lookahead_stalls"] == 0
+        assert counters2["sync.grants"] < 2 * counters2["sync.rounds"]
 
     def test_empty_shards_see_only_boot_grants(self):
         """8 shards over 4 regions: odd shards own nothing.  Beyond the
-        boot sequence's own timers (one grant), demand sync never
-        dispatches them — where lockstep broadcasts every round — and
-        the run still matches the single kernel."""
-        ops1, _, _, hash1, _ = _run_campus(1, "demand")
-        ops8, counters8, report8, hash8, _ = _run_campus(8, "demand")
+        boot sequence's own timers (one grant), they are never
+        dispatched, and the run still matches the single kernel."""
+        ops1, _, _, hash1, _ = _run_campus(1)
+        ops8, counters8, report8, hash8, _ = _run_campus(8)
         assert ops8 == ops1
         assert hash8 == hash1
         assert counters8["boundary.msgs_out"] > 0
@@ -126,7 +116,7 @@ class TestEquivalence:
                 assert shard["grants"] > 20 * 2
 
     def test_width_histograms_count_every_grant(self):
-        _, _, report, _, _ = _run_campus(2, "demand")
+        _, _, report, _, _ = _run_campus(2)
         for shard in report["per_shard"]:
             assert shard["window_width"]["count"] == shard["grants"]
             assert shard["window_width"]["p95"] > 0.0
@@ -135,23 +125,8 @@ class TestEquivalence:
 
 
 class TestProtocolSelection:
-    def test_env_var_selects_lockstep(self, monkeypatch):
-        monkeypatch.setenv("ACE_SYNC_LOCKSTEP", "1")
-        sim = ShardedSimulator(BUILDER, n_shards=1, mode="local")
-        assert sim.sync == "lockstep"
-        monkeypatch.setenv("ACE_SYNC_LOCKSTEP", "0")
-        assert ShardedSimulator(BUILDER, n_shards=1, mode="local").sync \
-            == "demand"
-
-    def test_explicit_sync_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv("ACE_SYNC_LOCKSTEP", "1")
-        sim = ShardedSimulator(BUILDER, n_shards=1, mode="local",
-                               sync="demand")
-        assert sim.sync == "demand"
-
     def test_unknown_sync_rejected(self):
-        from repro.sim import SimulationError
-
-        with pytest.raises(SimulationError, match="unknown sync protocol"):
+        """There is one protocol and no kwarg that names another."""
+        with pytest.raises(TypeError):
             ShardedSimulator(BUILDER, n_shards=1, mode="local",
-                             sync="optimistic")
+                             sync="lockstep")

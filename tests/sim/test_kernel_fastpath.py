@@ -1,8 +1,9 @@
 """Edge coverage for the kernel's ready-queue fast path (E24).
 
-Every test runs on both ``Simulator(fastpath=True)`` and the heap-only
-path and asserts the *same observable behavior*, because the fast path's
-contract is "bit-identical total order, just cheaper".  The tricky spots:
+Every test runs on both the kernel's scheduler and the heap-only oracle
+(``tests/sim/heap_only.py``) and asserts the *same observable behavior*,
+because the ready queues' contract is "bit-identical total order, just
+cheaper".  The tricky spots:
 interrupts racing a same-tick success, conditions over mixed
 processed/pending children, ``run(until=...)`` stopping with ready entries
 due, and resuming from already-processed yields (the relay-allocation
@@ -12,16 +13,25 @@ case) including failures and cancellation.
 import pytest
 
 from repro.sim import Interrupt, SimulationError, Simulator
+from tests.sim.heap_only import heap_only_kernel  # noqa: F401 - fixture
 
 
-@pytest.fixture(params=[False, True], ids=["heap-only", "fastpath"])
+@pytest.fixture(params=["heap-only", "fastpath"])
 def sim(request):
-    return Simulator(fastpath=request.param)
+    if request.param == "heap-only":
+        request.getfixturevalue("heap_only_kernel")
+    return Simulator()
 
 
-def _both(build):
-    """Run ``build(sim)`` on both kernel paths and return both outcomes."""
-    return build(Simulator(fastpath=False)), build(Simulator(fastpath=True))
+@pytest.fixture
+def both(heap_only_kernel, monkeypatch):
+    """``both(build)``: run ``build(sim)`` on the heap-only oracle, then on
+    the kernel's own scheduler; returns both outcomes in that order."""
+    def run(build):
+        slow = build(Simulator())
+        monkeypatch.undo()
+        return slow, build(Simulator())
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +67,8 @@ def _race(sim, interrupt_first):
 
 
 @pytest.mark.parametrize("interrupt_first", [True, False])
-def test_interrupt_races_same_tick_success(interrupt_first):
-    slow, fast = _both(lambda s: _race(s, interrupt_first))
+def test_interrupt_races_same_tick_success(interrupt_first, both):
+    slow, fast = both(lambda s: _race(s, interrupt_first))
     assert slow == fast
     # The kick is URGENT, the success NORMAL: the interrupt wins the tick
     # regardless of call order, and the success is still visible after.
@@ -146,8 +156,8 @@ def _processed_yield(sim):
     return log
 
 
-def test_yield_already_processed_event():
-    slow, fast = _both(_processed_yield)
+def test_yield_already_processed_event(both):
+    slow, fast = both(_processed_yield)
     assert slow == fast == [
         ("ok", 41, 0.0),
         ("bad", "stale failure", 0.0),
@@ -188,8 +198,8 @@ def _mixed_any(sim):
     return value, sim.now
 
 
-def test_any_of_mixed_processed_and_pending():
-    slow, fast = _both(_mixed_any)
+def test_any_of_mixed_processed_and_pending(both):
+    slow, fast = both(_mixed_any)
     assert slow == fast == ({"early": "early"}, 0.0)
 
 
@@ -207,8 +217,8 @@ def _mixed_all(sim):
     return value, sim.now
 
 
-def test_all_of_mixed_processed_and_pending():
-    slow, fast = _both(_mixed_all)
+def test_all_of_mixed_processed_and_pending(both):
+    slow, fast = both(_mixed_all)
     assert slow == fast == ([1, 2], 5.0)
 
 
@@ -222,7 +232,7 @@ def _until_boundary(sim):
 
     def chatter():
         for i in range(3):
-            yield sim.timeout(0)  # zero-delay: ready queue on the fast path
+            yield sim.timeout(0)  # zero-delay: ready queue
             log.append(("zero", i, sim.now))
 
     sim.process(chatter())
@@ -233,8 +243,8 @@ def _until_boundary(sim):
     return log
 
 
-def test_run_until_stops_between_ready_and_heap():
-    slow, fast = _both(_until_boundary)
+def test_run_until_stops_between_ready_and_heap(both):
+    slow, fast = both(_until_boundary)
     assert slow == fast
     # All zero-delay work at t=0 drains before until=1.0 stops the run;
     # the t=2.0 heap entry only fires in the second run.
@@ -286,14 +296,11 @@ def _counter_workload(sim):
         return total
 
     assert sim.run_process(driver()) == 45
+    return sim.counters()
 
 
-def test_counters_account_for_every_schedule():
-    slow_sim = Simulator(fastpath=False)
-    fast_sim = Simulator(fastpath=True)
-    _counter_workload(slow_sim)
-    _counter_workload(fast_sim)
-    slow, fast = slow_sim.counters(), fast_sim.counters()
+def test_counters_account_for_every_schedule(both):
+    slow, fast = both(_counter_workload)
 
     # Same logical work on both paths.
     assert slow["events_scheduled"] == fast["events_scheduled"]
@@ -301,11 +308,11 @@ def test_counters_account_for_every_schedule():
     # Every schedule lands in exactly one of heap / ready queue.
     for c in (slow, fast):
         assert c["events_scheduled"] == c["heap_pushes"] + c["ready_hits"]
-    # The heap-only path never touches the ready queue or skips a relay.
+    # The heap-only oracle never touches the ready queue.
     assert slow["ready_hits"] == 0
     assert slow["relays_avoided"] == 0
-    # The fast path routed all zero-delay work off the heap: only the
-    # ten 0.5s timeouts are genuine future entries.
+    # The kernel routed all zero-delay work off the heap: only the ten
+    # 0.5s timeouts are genuine future entries.
     assert fast["heap_pushes"] == 10
     assert fast["ready_hits"] > 0
     # One bootstrap record per spawned process (10 workers + the driver);
@@ -313,11 +320,3 @@ def test_counters_account_for_every_schedule():
     # the ordinary callback path, not the processed-yield resume.
     assert fast["relays_avoided"] == 11
 
-
-def test_fastpath_env_flag(monkeypatch):
-    monkeypatch.setenv("ACE_KERNEL_FASTPATH", "0")
-    assert Simulator().fastpath is False
-    monkeypatch.setenv("ACE_KERNEL_FASTPATH", "1")
-    assert Simulator().fastpath is True
-    monkeypatch.delenv("ACE_KERNEL_FASTPATH")
-    assert Simulator().fastpath is True

@@ -7,6 +7,8 @@ latencies, same canonical trace — and must fail *cleanly* (a
 the synchronizer nothing to work with (zero lookahead).
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,7 @@ from repro.net.address import WellKnownPorts
 from repro.services.asd import ServiceDirectoryDaemon
 from repro.services.aud import UserDatabaseDaemon
 from repro.sim import SimulationError
-from repro.sim.parallel import ShardContext, ShardedSimulator
+from repro.sim.parallel import ShardContext, ShardedSimulator, sharded
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +87,20 @@ def _boom(_event):
     raise RuntimeError("boom in shard")
 
 
+def spawn_spinner(env, shard, at=0.5):
+    """From sim time ``at`` on, this shard's kernel spins at zero delay."""
+    if shard is not None and shard.index != shard.n_shards - 1:
+        return False
+
+    def spin():
+        yield env.sim.timeout(at)
+        while True:
+            yield env.sim.timeout(0)
+
+    env.sim.process(spin(), name="spinner")
+    return True
+
+
 def _run_pair(n_shards, mode="local"):
     sim = ShardedSimulator(
         build_pair, n_shards=n_shards,
@@ -114,7 +130,7 @@ class TestEquivalence:
         # the split run really did cross the boundary
         assert c1["boundary.msgs_out"] == 0
         assert c2["boundary.msgs_out"] > 0
-        assert c2["sync.windows"] > 0
+        assert c2["sync.rounds"] > 0
 
     def test_cross_shard_latency_includes_backbone(self):
         lat, _, _ = _run_pair(2)
@@ -183,6 +199,26 @@ class TestFailures:
             with pytest.raises(SimulationError, match="shard 1"):
                 sim.run(sim.now + 2.0)
         # after the failure the coordinator is closed, not wedged
+        with pytest.raises(SimulationError, match="closed"):
+            sim.run(10.0)
+
+    def test_livelocked_shard_is_named_and_reaped(self, monkeypatch):
+        monkeypatch.setattr(sharded, "SHARD_REPLY_TIMEOUT_S", 0.5)
+        sim = ShardedSimulator(build_pair, n_shards=2,
+                               host_to_shard=pair_shard_map, mode="process",
+                               seed=7)
+        with sim:
+            sim.boot(settle=1.0)
+            sim.spawn(spawn_spinner, at=0.5)
+            started = time.monotonic()
+            with pytest.raises(SimulationError) as err:
+                sim.run(sim.now + 2.0)
+            assert time.monotonic() - started < 30.0
+        # names the silent shard, its granted window and the wall wait
+        assert "shard 1 granted [" in str(err.value)
+        assert "shard 0" not in str(err.value)
+        assert "in 0.5 wall seconds" in str(err.value)
+        assert not any(h.proc.is_alive() for h in sim._handles)
         with pytest.raises(SimulationError, match="closed"):
             sim.run(10.0)
 
