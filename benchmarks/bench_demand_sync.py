@@ -11,8 +11,9 @@ Pinned in ``BENCH_E30.json``:
 
 * **determinism** — the merged trace is shard-count invariant: one
   canonical hash at 1, 2, 4 and 8 shards, both on a fixed-scale
-  invariance profile (hash committed and CI-guarded; it is the hash E29
-  first pinned) and on the full population sweep.
+  invariance profile (hash committed and CI-guarded; E29's profile,
+  re-pinned once when sessions began holding their connections —
+  EXPERIMENTS.md E30) and on the full population sweep.
 * **no sync overhead messages** — every grant delivers at least one
   event: ``sync.null_messages`` and ``sync.lookahead_stalls`` are 0 at
   every shard count, and an empty shard receives the boot grant only.

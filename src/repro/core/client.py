@@ -325,11 +325,12 @@ class PipelinedConnection:
 class ConnectionPool:
     """Attached connections reused across calls, keyed by address.
 
-    The paper's clients dial the ASD for *every* command (connect → attach
-    → call → close); at scale the dial+attach dominates.  The pool checks
-    idle connections out exclusively (a plain channel cannot interleave two
-    request/reply exchanges), so concurrent callers to one address either
-    reuse distinct pooled channels or dial new ones.
+    ``call_once`` dials for *every* command (connect → attach → call →
+    close); at scale the dial+attach dominates, so long-lived callers (the
+    store client, population sessions) go through a pool instead.  The
+    pool checks idle connections out exclusively (a plain channel cannot
+    interleave two request/reply exchanges), so concurrent callers to one
+    address either reuse distinct pooled channels or dial new ones.
     """
 
     def __init__(self, client: "ServiceClient", max_idle_per_address: Optional[int] = None):
@@ -348,17 +349,30 @@ class ConnectionPool:
         self._m_dial = metrics.counter("rpc.pool.dial")
         self._m_discard = metrics.counter("rpc.pool.discard")
 
-    def acquire(self, address: Address, **connect_kw) -> Generator:
-        """Check out an attached connection (reused when one is idle)."""
+    def _take_idle(self, address: Address) -> Optional[ServiceConnection]:
+        """Pop a reusable idle connection to ``address``, or ``None``.
+
+        A strict request/reply channel has nothing to read while idle, so
+        anything queued on it — the peer's EOF (``closed`` stays False until
+        somebody reads it), a stray late reply — means the next exchange
+        would fail or mis-pair: such a connection is closed and discarded.
+        """
         bucket = self._idle.get(address)
         while bucket:
             conn = bucket.pop()
-            if not conn.closed:
+            if not conn.closed and not conn.channel.pending():
                 self._m_reuse.inc()
                 return conn
+            conn.close()
             self._m_discard.inc()
-        conn = yield from self._client.connect(address, **connect_kw)
-        self._m_dial.inc()
+        return None
+
+    def acquire(self, address: Address, **connect_kw) -> Generator:
+        """Check out an attached connection (reused when one is idle)."""
+        conn = self._take_idle(address)
+        if conn is None:
+            conn = yield from self._client.connect(address, **connect_kw)
+            self._m_dial.inc()
         return conn
 
     def resize(self, max_idle_per_address: int) -> None:
@@ -385,8 +399,12 @@ class ConnectionPool:
         self, address: Address, command: ACECmdLine, *, check: bool = True, **connect_kw
     ) -> Generator:
         """``call_once`` over a pooled channel: the dial+attach round trips
-        are paid once per connection, not once per command."""
-        conn = yield from self.acquire(address, **connect_kw)
+        are paid once per connection, not once per command.  Only a miss
+        runs the ``connect`` generator; a hit goes straight to the call."""
+        conn = self._take_idle(address)
+        if conn is None:
+            conn = yield from self._client.connect(address, **connect_kw)
+            self._m_dial.inc()
         try:
             reply = yield from conn.call(command, check=check)
         except RETRYABLE:
@@ -394,6 +412,13 @@ class ConnectionPool:
             raise
         except CallError:
             self.release(address, conn)   # daemon answered: channel is fine
+            raise
+        except Exception:
+            # Interrupt, host death, a garbled reply: the exchange stopped
+            # half way, so the channel's state is unknown.  Closing it also
+            # lets the daemon's command thread see EOF instead of parking.
+            conn.close()
+            self._m_discard.inc()
             raise
         self.release(address, conn)
         return reply
@@ -421,8 +446,8 @@ class ServiceClient:
         self.keypair = keypair
         # RNG streams are created on first draw: registry streams are
         # keyed (seed, name) so laziness never changes a sequence, and a
-        # population-scale run (one client per user, plain call_once, no
-        # security) never pays two Mersenne states per session.
+        # population-scale run (one client per user, plain pooled calls,
+        # no security) never pays two Mersenne states per session.
         self._rng_cache = None
         self._retry_rng_cache = None
         #: client-observed resilient-call latency, shared env-wide; traced

@@ -27,10 +27,18 @@ from repro.sim import RngRegistry, Simulator, TraceRecorder
 
 from repro.apps.factories import build_registry
 from repro.apps.runner import AppRegistry
+from repro.control import Actuator, AutoscalerDaemon, SignalReader, default_rules
 from repro.core.client import ServiceClient
 from repro.core.context import DaemonContext, SecurityMode
 from repro.core.daemon import ACEDaemon
 from repro.env.users import UserIdentity
+from repro.obs.cluster import (
+    TelemetryAggregatorDaemon,
+    TelemetryPublisherDaemon,
+    default_slos,
+)
+from repro.obs.cluster.snapshot import BREAKER_LEVELS
+from repro.recovery import SupervisorDaemon
 from repro.services.asd import DirectoryWatcherDaemon, ServiceDirectoryDaemon
 from repro.services.aud import UserDatabaseDaemon
 from repro.services.authdb import AuthorizationDatabaseDaemon
@@ -44,6 +52,9 @@ from repro.services.roomdb import RoomDatabaseDaemon
 from repro.services.sal import SystemApplicationLauncherDaemon
 from repro.services.srm import SystemResourceMonitorDaemon
 from repro.services.wss import WorkspaceServerDaemon
+from repro.store.client import StoreClient
+from repro.store.server import PersistentStoreDaemon
+from repro.store.sharding import ShardMap
 
 #: boot tiers: daemons start tier by tier (Fig. 9 dependencies)
 _TIER_BOOTSTRAP = 0   # ASD, RoomDB, NetLogger
@@ -285,8 +296,6 @@ class ACEEnvironment:
         ``include`` restricts supervision to the named daemons;
         ``exclude`` exempts names.  Returns host name -> supervisor.
         """
-        from repro.recovery import SupervisorDaemon
-
         self.ctx.idempotent_retries = idempotent_retries
         if negative_ttl > 0 and self.ctx.lookup_cache is not None:
             self.ctx.lookup_cache.negative_ttl = negative_ttl
@@ -342,14 +351,6 @@ class ACEEnvironment:
         Returns the aggregator.  When telemetry stays off, none of this
         exists and the wire is byte-identical to pre-E27 traffic.
         """
-        from repro.net.address import WellKnownPorts
-        from repro.obs.cluster import (
-            TelemetryAggregatorDaemon,
-            TelemetryPublisherDaemon,
-            default_slos,
-        )
-        from repro.obs.cluster.snapshot import BREAKER_LEVELS
-
         if "telemetry" in self.daemons:
             return self.daemons["telemetry"]
         if aggregator_host is None:
@@ -430,8 +431,6 @@ class ACEEnvironment:
                 return
             if isinstance(daemon, (ServiceDirectoryDaemon, DirectoryWatcherDaemon)):
                 return
-            from repro.recovery import SupervisorDaemon
-
             supervisor = SupervisorDaemon(
                 self.ctx, daemon.host, **self._supervision_kwargs
             )
@@ -472,9 +471,6 @@ class ACEEnvironment:
         that many replica-groups of ``replicas`` servers each; every daemon
         (and every :meth:`store_client`) shares one
         :class:`~repro.store.sharding.ShardMap` so keys route locally."""
-        from repro.store.server import PersistentStoreDaemon
-        from repro.store.sharding import ShardMap
-
         shard_map = ShardMap(groups) if groups > 1 else None
         self._store_shard_map = shard_map
         self._store_groups = []
@@ -531,9 +527,6 @@ class ACEEnvironment:
         """Grow the sharded store by one replica-group: a new ShardMap epoch
         is installed everywhere and existing groups stream the objects they
         no longer own to the new group (the rebalance path)."""
-        from repro.store.server import PersistentStoreDaemon
-        from repro.store.sharding import ShardMap
-
         if not self._store_groups:
             raise RuntimeError("add_persistent_store() first")
         old_map = self._store_shard_map or ShardMap(1)
@@ -632,8 +625,6 @@ class ACEEnvironment:
         return self.sim.process(_finish(), name="store-drain")
 
     def store_client(self, host: Host, principal: str = "store-client", **kwargs):
-        from repro.store.client import StoreClient
-
         if self._store_shard_map is not None and self._store_groups:
             kwargs.setdefault("shard_map", self._store_shard_map)
             kwargs.setdefault(
@@ -765,8 +756,6 @@ class ACEEnvironment:
         pub_name = f"telem.{host.name}"
         if pub_name in self.daemons:
             return
-        from repro.obs.cluster import TelemetryPublisherDaemon
-
         aggregator = self.daemons["telemetry"]
         publisher = TelemetryPublisherDaemon(
             self.ctx, pub_name, host, interval=aggregator.interval,
@@ -800,13 +789,6 @@ class ACEEnvironment:
         and registers it like any daemon: ASD-discoverable, traced, and
         supervised when the recovery plane is on.  ``rules`` defaults to
         :func:`~repro.control.default_rules` scaled to the interval."""
-        from repro.control import (
-            Actuator,
-            AutoscalerDaemon,
-            SignalReader,
-            default_rules,
-        )
-
         if "autoscaler" in self.daemons:
             return self.daemons["autoscaler"]
         aggregator = self.enable_telemetry(interval=interval)

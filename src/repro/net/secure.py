@@ -135,6 +135,9 @@ class SecureChannel:
             return body
         raise HandshakeError(f"corrupt record type tag {tag!r}")
 
+    def pending(self) -> int:
+        return self.conn.pending()
+
     def close(self) -> None:
         self.conn.close()
 

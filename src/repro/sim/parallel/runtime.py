@@ -21,16 +21,47 @@ Requests and replies are plain picklable tuples: ``("verb", *payload)``
 in, ``("ok", result)`` or ``("error", traceback_text)`` out.  ``spawn``/
 ``collect`` functions must be module-level (they cross a pickle
 boundary in process mode).
+
+A shard process sleeps on its pipe between requests, with one exception:
+when every shard has a core of its own it polls the pipe for a while after
+answering a ``window`` (see :data:`GRANT_POLL_S`), because in a run the
+next grant is a peer's window away and waking an idle core costs more than
+that.
 """
 
 from __future__ import annotations
 
+import os
+import select
 import time
 import traceback
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.net.boundary import BoundaryNetwork
 from repro.sim.parallel.context import ShardContext
+
+
+#: host seconds a shard with a core to itself keeps polling its pipe for the
+#: next grant after it answered a window, before it sleeps on the pipe.  In a
+#: run the next grant follows within a peer's window, a few hundred
+#: microseconds; a core that goes idle in between is woken once per grant,
+#: and on a shared host every such wake-up goes through the hypervisor's
+#: scheduler, which takes milliseconds whenever the host is busy (measured
+#: on the 2-vCPU sizing box: a 2-shard campus run 2-3x slower in those
+#: phases, unchanged with polling).  ``advance`` ends every ``run()``, so a
+#: shard never polls while the coordinator is doing something else.
+GRANT_POLL_S = 0.02
+
+
+def _poll_for_request(poller, budget_s: float) -> None:
+    """Return once ``poller`` (a ``select.poll`` watching the shard's pipe)
+    reports a request or ``budget_s`` host seconds passed, offering the
+    core to any other runnable process on every turn."""
+    deadline = time.perf_counter() + budget_s
+    while not poller.poll(0):
+        if time.perf_counter() >= deadline:
+            return
+        os.sched_yield()
 
 
 def _maxrss_kb() -> int:
@@ -60,6 +91,9 @@ class ShardServer:
         self.env: Any = None
         self.windows = 0
         self.lookahead_stalls = 0
+        #: CPU seconds spent polling the pipe between windows, kept out of
+        #: the ``cpu_s`` the shard reports (that is its simulation work)
+        self.poll_cpu_s = 0.0
 
     # -- dispatch -------------------------------------------------------
     def handle(self, msg: Tuple[Any, ...]) -> Any:
@@ -132,7 +166,8 @@ class ShardServer:
         info: Dict[str, Any] = {
             "kernel": dict(sim.counters()),
             "now": sim.now,
-            "cpu_s": time.process_time(),
+            "cpu_s": time.process_time() - self.poll_cpu_s,
+            "poll_cpu_s": self.poll_cpu_s,
             "maxrss_kb": _maxrss_kb(),
             "windows": self.windows,
             "lookahead_stalls": self.lookahead_stalls,
@@ -152,15 +187,28 @@ class ShardServer:
 def shard_process_main(index: int, n_shards: int,
                        builder: Callable[[ShardContext], Any],
                        host_to_shard: Optional[Callable[[str], int]],
-                       seed: int, conn) -> None:
+                       seed: int, conn, poll: bool = False) -> None:
     """Entry point of a shard OS process: serve requests until ``stop``.
+
+    With ``poll`` (the coordinator sets it when every shard has a core of
+    its own) the shard busy-waits up to :data:`GRANT_POLL_S` for the grant
+    that follows a window instead of sleeping on the pipe straight away.
 
     Any exception inside a request is reported as ``("error", tb)`` and the
     loop keeps serving — the coordinator decides whether it is fatal.  A
     broken pipe (coordinator gone) exits quietly.
     """
     server = ShardServer(index, n_shards, builder, host_to_shard, seed)
+    poller = None
+    if poll and hasattr(os, "sched_yield") and hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(conn.fileno(), select.POLLIN)
+    in_run = False
     while True:
+        if in_run:
+            c0 = time.process_time()
+            _poll_for_request(poller, GRANT_POLL_S)
+            server.poll_cpu_s += time.process_time() - c0
         try:
             msg = conn.recv()
         except (EOFError, OSError):
@@ -183,3 +231,4 @@ def shard_process_main(index: int, n_shards: int,
                 return
         if msg and msg[0] == "stop":
             return
+        in_run = poller is not None and bool(msg) and msg[0] == "window"

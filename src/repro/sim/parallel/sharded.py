@@ -52,6 +52,7 @@ import traceback
 from multiprocessing import connection as _mpconn
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.metrics import cores_available
 from repro.obs.registry import Histogram
 from repro.sim.kernel import SimulationError
 from repro.sim.parallel.context import ShardContext
@@ -109,7 +110,9 @@ class _ProcessHandle:
         parent, child = mp.Pipe()
         self.proc = mp.Process(
             target=shard_process_main,
-            args=(index, n_shards, builder, host_to_shard, seed, child),
+            # shards poll for their grants only while each has a core
+            args=(index, n_shards, builder, host_to_shard, seed, child,
+                  n_shards <= cores_available()),
             name=f"ace-shard-{index}",
             daemon=True,
         )

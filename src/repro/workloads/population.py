@@ -11,7 +11,9 @@ separating *who arrives when* from *what a session does*:
 * each arrival becomes a per-user session FSM on its home region's
   client host, looking services up in the regional directory, listing
   users in the regional AUD, and occasionally *roaming* to another
-  region (cross-shard traffic in a sharded run).
+  region (cross-shard traffic in a sharded run).  A session holds one
+  pooled connection per daemon it talks to for as long as it lives: it
+  dials a directory the first time it needs it, not once per command.
 
 Sharding contract: the schedule is computed identically in every shard
 from the same root stream, and each shard spawns only the sessions whose
@@ -33,6 +35,11 @@ from repro.net import ConnectionClosed, ConnectionRefused
 from repro.obs.registry import Histogram
 
 _MASK64 = (1 << 64) - 1
+
+# One op is these two commands.  Command lines are immutable and memoise
+# their wire text, so every session shares the same two objects.
+_LOOKUP = ACECmdLine("lookup", cls="HRM")
+_LIST_USERS = ACECmdLine("listUsers")
 
 
 class CompactUserRng:
@@ -126,7 +133,8 @@ class PopulationProfile:
     #: compact per-user state: :class:`CompactUserRng` instead of a
     #: cached ``random.Random`` per user, and a :class:`HistogramRecorder`
     #: latency digest instead of raw samples.  Changes draw sequences, so
-    #: it is opt-in — default profiles stay bit-identical to E29.
+    #: it is opt-in — default profiles keep the standard streams and the
+    #: pinned E29/E30 trace hash.
     compact_sessions: bool = False
 
     def window(self) -> float:
@@ -265,6 +273,13 @@ def home_region(uid: int, n_regions: int) -> int:
 
 
 def _session(env, state: PopulationState, uid: int, region) -> Generator:
+    """One user's closed loop: lookup + listUsers, think, repeat.
+
+    Commands ride the client's connection pool, so the session keeps its
+    channels (home directory, AUD, and any directory it has roamed to)
+    across ops; a channel that dies costs one errored op and the back-off,
+    then the next op dials afresh.
+    """
     sim = env.sim
     profile = state.profile
     end_at = state.end_at
@@ -277,6 +292,8 @@ def _session(env, state: PopulationState, uid: int, region) -> Generator:
         rng = env.rng.py(f"population.user.{uid}")
     host = env.net.host(region.client_host)
     client = ServiceClient(env.ctx, host, principal=f"pop-{uid}")
+    pool = client.pool
+    aud = region.aud
     state.sessions_started += 1
     while sim.now < end_at:
         asd = region.asd
@@ -287,9 +304,10 @@ def _session(env, state: PopulationState, uid: int, region) -> Generator:
                 state.roams += 1
         t0 = sim.now
         try:
-            yield from client.call_once(asd, ACECmdLine("lookup", cls="HRM"))
-            yield from client.call_once(region.aud, ACECmdLine("listUsers"))
+            yield from pool.call(asd, _LOOKUP)
+            yield from pool.call(aud, _LIST_USERS)
         except (CallError, ConnectionClosed, ConnectionRefused):
+            # CallError includes TransportError: a held channel died
             state.errors += 1
             yield sim.timeout(0.5)
             continue
@@ -298,6 +316,8 @@ def _session(env, state: PopulationState, uid: int, region) -> Generator:
         if profile.in_flash(sim.now - state.t0):
             think /= profile.flash_think_divisor
         yield sim.timeout(rng.expovariate(1.0 / think) if think > 0 else 0)
+    # hang up, so the daemons' per-connection command threads end too
+    client.close_channels()
     state.sessions_finished += 1
 
 

@@ -281,6 +281,88 @@ def test_pool_reuses_channels_and_discards_suspects(ace_with_echo):
     assert client.pool._idle.get(str(echo.address), []) == []
 
 
+def _redial_after_peer_close(sim, ctx, client, address):
+    """A pooled ``ping``; the daemon's end of that idle channel closes and
+    the EOF reaches (but is not read by) the client; the next pooled
+    ``ping`` must discard the stale channel and dial afresh."""
+    dial = ctx.obs.metrics.counter("rpc.pool.dial")
+    discard = ctx.obs.metrics.counter("rpc.pool.discard")
+
+    def ping():
+        reply = yield from client.call_pooled(address, ACECmdLine("ping"))
+        return reply.name
+
+    assert sim.run_process(ping(), timeout=30.0) == "cmdOk"
+    (held,) = client.pool._idle[address]
+    transport = getattr(held.channel, "conn", held.channel)
+    transport.peer.close()
+    sim.run(until=sim.now + 0.5)
+    assert not held.closed and held.channel.pending() == 1   # unread EOF
+    dials, discards = dial.value, discard.value
+
+    assert sim.run_process(ping(), timeout=30.0) == "cmdOk"
+    assert discard.value == discards + 1     # the stale one, thrown away...
+    assert dial.value == dials + 1           # ...and replaced by a fresh dial
+    assert held.closed
+    assert client.pool._idle[address] != [held]
+
+
+def test_pool_discards_idle_connection_whose_peer_closed(ace_with_echo):
+    # ``closed`` only flips once somebody reads the EOF, so the pool must
+    # look at what is queued on an idle channel before handing it out.
+    ace, echo = ace_with_echo
+    _redial_after_peer_close(
+        ace.sim, ace.ctx, ace.client(principal="pooled"), echo.address)
+
+
+def test_pool_discards_stale_secure_channel():
+    from repro.core import ServiceClient
+    from repro.core.context import SecurityMode
+    from tests.core.test_secure_modes import build_secure_ace
+
+    sim, net, ctx, _asd, _authdb, echo = build_secure_ace(SecurityMode.SSL)
+    client = ServiceClient(ctx, net.host("infra"), principal="user:alice")
+    _redial_after_peer_close(sim, ctx, client, echo.address)
+
+
+def test_pool_closes_connection_when_call_is_interrupted(ace_with_echo):
+    # An exchange cut short by anything but a transport error or a
+    # cmdFailed (here: the caller is interrupted mid-call) leaves a
+    # channel in an unknown state: closed, counted, never pooled — and the
+    # daemon's command thread sees EOF instead of parking on it forever.
+    ace, echo = ace_with_echo
+    discard = _counter(ace, "rpc.pool.discard")
+    client = ace.client(principal="pooled")
+    dialled = []
+    connect = client.connect
+
+    def recording_connect(*args, **kw):
+        conn = yield from connect(*args, **kw)
+        dialled.append(conn)
+        return conn
+
+    client.connect = recording_connect
+
+    def caller():
+        yield from client.call_pooled(
+            echo.address, ACECmdLine("slowEcho", text="x", delay=5.0))
+
+    proc = ace.sim.process(caller(), name="caller")
+    proc.defuse()
+    ace.sim.run(until=ace.sim.now + 1.0)       # dialled, attached, waiting
+    (conn,) = dialled
+    server_side = conn.channel.peer
+    assert not conn.closed and server_side.pending() == 0
+    proc.interrupt("supervisor kill")
+    ace.sim.run(until=ace.sim.now + 0.05)      # > one path latency
+    assert not proc.is_alive
+    assert conn.closed and server_side.pending() == 1    # EOF delivered
+    assert discard.value == 1
+    assert not any(client.pool._idle.values())
+    ace.sim.run(until=ace.sim.now + 6.0)       # slowEcho done, thread reads EOF
+    assert server_side.closed
+
+
 # ----------------------------------------------------------------------
 # Batched lease renewal
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ every shard, so a sharded run spawns exactly the sessions the single
 kernel would — no more, no fewer, with the same RNG draw sequences.
 """
 
+import functools
+
 import pytest
 
 from repro.env import ACEEnvironment, build_campus, campus_shard_map
@@ -184,8 +186,6 @@ class TestPopulationSharding:
         the same number — i.e. every stream consumed exactly the same
         draws regardless of which shard hosted the session.
         """
-        import functools
-
         draws = {}
         for n in (1, 2, 4):
             sim = ShardedSimulator(
@@ -219,6 +219,108 @@ class TestPopulationSharding:
         assert report["ops"] > 0
         assert report["sessions_spawned"] == report["schedule_len"]
         assert len(report["samples"]) == report["ops"]
+
+
+# ---------------------------------------------------------------------------
+# Sessions hold pooled connections
+# ---------------------------------------------------------------------------
+
+HELD_PROFILE = PopulationProfile(n_users=120, duration=6.0, process="mmpp",
+                                 flash_at=3.0, flash_duration=1.0,
+                                 roam_fraction=0.2)
+
+
+def _pool_counts(env, shard=None):
+    """Pool counters, plus the open client-side cross-shard connections."""
+    metrics = env.ctx.obs.metrics
+    held = [conn for conn in getattr(env.net, "_boundary_conns", {}).values()
+            if not conn.closed and conn.host.name.endswith("-clients")]
+    return {"dial": metrics.counter("rpc.pool.dial").value,
+            "reuse": metrics.counter("rpc.pool.reuse").value,
+            "cross_shard_held": len(held)}
+
+
+def _run_held(n_shards):
+    sim = ShardedSimulator(
+        functools.partial(build_campus, regions=4, seed=29),
+        n_shards=n_shards,
+        host_to_shard=campus_shard_map(4, n_shards) if n_shards > 1 else None,
+        mode="local", seed=29,
+    )
+    with sim:
+        sim.boot(settle=2.0)
+        booted = sim.counters()["events_delivered"]
+        sim.spawn(start_population, profile=HELD_PROFILE)
+        sim.run(sim.now + HELD_PROFILE.duration / 2)
+        mid = sim.collect(_pool_counts)
+        sim.run(sim.now + HELD_PROFILE.duration / 2 + 3.0)
+        reports = sim.collect(collect_population)
+        pools = sim.collect(_pool_counts)
+        events = sim.counters()["events_delivered"] - booted
+        trace_hash = sim.merged_trace().hash()
+    return {
+        "events": events,
+        "trace_hash": trace_hash,
+        "samples": sorted(s for r in reports for s in r["samples"]),
+        "cross_shard_held": sum(m["cross_shard_held"] for m in mid),
+        **{key: sum(r[key] for r in reports)
+           for key in ("ops", "errors", "roams", "sessions_started")},
+        **{key: sum(p[key] for p in pools) for key in ("dial", "reuse")},
+    }
+
+
+class TestSessionsHoldConnections:
+    """Counts that repeat exactly per seed, so connect-per-call cannot
+    creep back unnoticed (it costs ~49 events and 2 dials per op)."""
+
+    @pytest.fixture(scope="class")
+    def single(self):
+        return _run_held(1)
+
+    def test_an_op_costs_few_events_and_almost_no_dials(self, single):
+        assert single["errors"] == 0 and single["ops"] > 500
+        assert single["events"] / single["ops"] <= 30
+        # at worst a session dials its AUD and each region's directory once
+        sessions, regions = single["sessions_started"], 4
+        assert single["dial"] <= sessions * regions + sessions
+        assert single["reuse"] > single["dial"]
+        assert single["dial"] + single["reuse"] == 2 * single["ops"]
+
+    def test_two_shards_match_with_cross_shard_connections_held(self, single):
+        split = _run_held(2)
+        assert single["cross_shard_held"] == 0
+        # mid-run, roamers park connections whose far end is another kernel
+        assert split["cross_shard_held"] > 0 and split["roams"] > 0
+        for key in ("ops", "errors", "roams", "samples", "trace_hash",
+                    "dial", "reuse"):
+            assert split[key] == single[key], key
+
+    def test_sessions_outlive_a_directory_restart(self):
+        """A regional ASD dies and comes back mid-population: sessions
+        holding a channel to it record errors, back off, re-dial and carry
+        on — none is left wedged on the dead connection."""
+        env = build_campus(regions=2, trace=False)
+        env.boot()
+        profile = PopulationProfile(n_users=60, duration=8.0, think_time=0.3)
+        start_population(env, None, profile=profile)
+        state = env.population
+        dial = env.ctx.obs.metrics.counter("rpc.pool.dial")
+        env.run_for(3.0)
+        assert state.errors == 0 and len(state.ops) > 0
+        old = env.daemons["asd.r1"]
+        old.kill()
+        env.run_for(1.5)
+        down_errors, down_ops, down_dials = state.errors, len(state.ops), dial.value
+        assert down_errors > 0
+        reborn = old.respawn(incarnation=1)
+        reborn.start()
+        env.run_for(profile.duration + 10.0)
+        report = collect_population(env)
+        assert dial.value > down_dials            # re-dialled the new ASD
+        assert report["ops"] > down_ops
+        assert state.errors < down_errors + 60    # back-off ends once it is up
+        assert report["sessions_finished"] == report["sessions_started"] \
+            == report["sessions_spawned"] == report["schedule_len"]
 
 
 def _start_tracked(env, shard, *, profile):

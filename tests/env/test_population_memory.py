@@ -5,15 +5,19 @@ The 100k campus profile only fits because per-user state was trimmed:
 ``random.Random`` (~2.5 KB of Mersenne state — a quarter gigabyte at
 100k users), a histogram latency digest instead of unbounded raw
 samples, and a session pump instead of 100k pre-created generator
-frames.  These tests pin each trim with tracemalloc so a future refactor
-cannot silently reintroduce per-user kilobytes.
+frames.  Sessions also hold their pooled connections while they think,
+so an idle attached connection has a byte budget too.  These tests pin
+each trim with tracemalloc so a future refactor cannot silently
+reintroduce per-user kilobytes.
 """
 
+import gc
 import sys
 import tracemalloc
 
 import pytest
 
+from repro.core import ServiceClient
 from repro.env import build_campus, campus_100k_profile
 from repro.sim import RngRegistry
 from repro.workloads import (
@@ -28,6 +32,11 @@ from repro.workloads import (
 #: state) per user under the trimmed profile.  Measured ~250 B/user; the
 #: headroom absorbs allocator noise, not a design change.
 BOOKKEEPING_BYTES_PER_USER = 600
+
+#: bound on one idle attached connection: the client's ServiceConnection,
+#: both Connection endpoints and the daemon's parked command thread.
+#: Measured ~4.5 KB (7.4 KB while every Store built three deques up front).
+HELD_CONNECTION_BYTES = 6144
 
 
 class TestCompactUserRng:
@@ -95,6 +104,65 @@ class TestMemoryFootprint:
         assert per_user < BOOKKEEPING_BYTES_PER_USER, (
             f"{per_user:.0f} B/user of population bookkeeping "
             f"(budget {BOOKKEEPING_BYTES_PER_USER})")
+
+    def test_bytes_per_held_connection(self):
+        """Every live session parks a few of these for its whole life."""
+        n = 200
+        env = build_campus(regions=1, trace=False)
+        env.boot()
+        region = env.campus_regions[0]
+        host = env.net.host(region.client_host)
+
+        def hold(pool, count):
+            held = []
+            for _ in range(count):
+                held.append((yield from pool.acquire(region.asd)))
+            for conn in held:
+                pool.release(region.asd, conn)
+
+        warm = ServiceClient(env.ctx, host, principal="warm")
+        env.run(hold(warm.pool, 4))     # codec caches, lazily-built state
+        warm.close_channels()
+        env.run_for(0.5)
+        pool = ServiceClient(env.ctx, host, principal="holder").pool
+        pool.resize(n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            env.run(hold(pool, n))
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pool._idle[region.asd]) == n
+        per_connection = (after - before) / n
+        assert per_connection <= HELD_CONNECTION_BYTES, (
+            f"{per_connection:.0f} B per held attached connection "
+            f"(budget {HELD_CONNECTION_BYTES})")
+
+    def test_finished_sessions_leave_no_command_threads(self):
+        """A session hangs up when its loop ends, so the daemons' per-
+        connection command threads end with it instead of parking forever
+        on channels nobody will use again."""
+        env = build_campus(regions=2, trace=False)
+        env.boot()
+
+        def serving():
+            return [proc.name for daemon in env.daemons.values()
+                    for proc in daemon._child_procs
+                    if proc.is_alive and ".cmd:" in proc.name
+                    and "-clients:" in proc.name]
+
+        profile = PopulationProfile(n_users=40, duration=4.0, think_time=0.5)
+        start_population(env, None, profile=profile)
+        env.run_for(profile.duration / 2)
+        assert serving()                  # mid-run: sessions hold channels
+        env.run_for(profile.duration / 2 + 20.0)
+        report = collect_population(env)
+        assert report["sessions_finished"] == report["sessions_spawned"] == \
+            report["schedule_len"]
+        assert serving() == []
 
     @pytest.mark.parametrize("make_profile",
                              [PopulationProfile, campus_100k_profile],

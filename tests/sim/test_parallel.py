@@ -231,6 +231,56 @@ class TestFailures:
 
 
 # ---------------------------------------------------------------------------
+# Grant polling: process shards with a core each do not sleep between windows
+# ---------------------------------------------------------------------------
+
+class TestGrantPolling:
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_shards_poll_only_with_a_core_each(self, monkeypatch, cores):
+        monkeypatch.setattr(sharded, "cores_available", lambda: cores)
+        sim = ShardedSimulator(build_pair, n_shards=2,
+                               host_to_shard=pair_shard_map, mode="process",
+                               seed=7)
+        with sim:
+            sim.boot(settle=1.0)
+            sim.spawn(spawn_beta_lookups, n_ops=5)
+            sim.run(sim.now + 4.0)
+            reports = sim.shard_reports()
+            trace_hash = sim.merged_trace().hash()
+        # host-side waiting only: the simulation is the single kernel's
+        assert trace_hash == _run_pair(1)[2]
+        polled = [r["poll_cpu_s"] for r in reports]
+        if cores >= 2:
+            assert all(p > 0.0 for p in polled)
+        else:
+            assert polled == [0.0, 0.0]
+        # cpu_s is simulation work: polling is not in it
+        assert all(r["cpu_s"] > 0.0 for r in reports)
+
+    def test_poll_returns_on_data_or_when_the_budget_is_spent(self):
+        import multiprocessing
+        import select
+
+        from repro.sim.parallel.runtime import _poll_for_request
+
+        ours, theirs = multiprocessing.Pipe()
+        poller = select.poll()
+        poller.register(ours.fileno(), select.POLLIN)
+        try:
+            started = time.perf_counter()
+            _poll_for_request(poller, 0.05)
+            assert 0.05 <= time.perf_counter() - started < 2.0
+            theirs.send(("window", 1.0, []))
+            started = time.perf_counter()
+            _poll_for_request(poller, 30.0)
+            assert time.perf_counter() - started < 2.0
+            assert ours.recv() == ("window", 1.0, [])
+        finally:
+            ours.close()
+            theirs.close()
+
+
+# ---------------------------------------------------------------------------
 # Shard context / RNG forks
 # ---------------------------------------------------------------------------
 
