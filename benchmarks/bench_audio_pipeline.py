@@ -50,7 +50,7 @@ def build_conference(seed=30):
 def wire(env, src, dst):
     def go():
         client = env.client(env.net.host("infra"))
-        yield from client.call_once(
+        yield from client.call(
             src.address, ACECmdLine("addSink", host=dst.address.host, port=dst.address.port)
         )
 
@@ -60,7 +60,7 @@ def wire(env, src, dst):
 def call(env, daemon, command):
     def go():
         client = env.client(env.net.host("infra"))
-        return (yield from client.call_once(daemon.address, command))
+        return (yield from client.call(daemon.address, command))
 
     return env.run(go())
 

@@ -12,11 +12,12 @@ This experiment injects the failures that machinery cannot see:
   to force both paths bad at once.
 
 The same closed-loop workload runs twice: with the resilient RPC layer
-(deadlines + retries + circuit breakers, ``call_resilient``) and with the
-naive pre-policy client (``call_once``, no deadline).  Recovery shape is
-asserted, not just plotted: availability dips then returns, breakers trip
-and shed load, no resilient caller is ever stuck past its deadline
-budget, and p99 stays bounded — while naive callers hang indefinitely.
+(deadlines + retries + circuit breakers: ``client.call`` under a
+``CallPolicy``) and with the naive pre-policy client (``policy=None``, no
+deadline).  Recovery shape is asserted, not just plotted: availability
+dips then returns, breakers trip and shed load, no resilient caller is
+ever stuck past its deadline budget, and p99 stays bounded — while naive
+callers hang indefinitely.
 
 Set ``ACE_BENCH_SHORT=1`` to run a smaller population (CI smoke).
 """

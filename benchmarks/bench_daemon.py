@@ -89,7 +89,7 @@ def test_e20_data_thread_survives_busy_control_thread(benchmark, table_printer):
 
         def blocking_client():
             client = env.client(env.net.host("infra"), principal="blocker")
-            yield from client.call_once(
+            yield from client.call(
                 echo.address, ACECmdLine("slowEcho", text="x", delay=2.0))
 
         def streamer():

@@ -192,7 +192,7 @@ def test_e23_pooled_pipelined_ops_factor(benchmark, table_printer):
         def dial_per_call():
             t0 = env.sim.now
             for i in range(k):
-                reply = yield from client.call_once(
+                reply = yield from client.call(
                     echo.address, ACECmdLine("echo", text=f"d{i}")
                 )
                 assert reply.get("text") == f"d{i}"
@@ -201,7 +201,7 @@ def test_e23_pooled_pipelined_ops_factor(benchmark, table_printer):
         def pooled():
             t0 = env.sim.now
             for i in range(k):
-                reply = yield from client.call_pooled(
+                reply = yield from client.pool.call(
                     echo.address, ACECmdLine("echo", text=f"q{i}")
                 )
                 assert reply.get("text") == f"q{i}"

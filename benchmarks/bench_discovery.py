@@ -110,9 +110,9 @@ def test_e17_asd_vs_jini(benchmark, table_printer):
         def asd_flow():
             nonlocal lookup_bytes_asd, t_asd
             client = env.client(env.net.host("farm"), principal="cam")
-            yield from client.call_once(env.asd_address, asd_register)
+            yield from client.call(env.asd_address, asd_register)
             t0 = env.sim.now
-            reply = yield from client.call_once(
+            reply = yield from client.call(
                 env.asd_address, ACECmdLine("lookup", cls="PTZCamera")
             )
             t_asd = env.sim.now - t0

@@ -31,7 +31,7 @@ def build(threshold=1.0, n_users=20, seed=180):
 
     def load():
         client = env.client(env.net.host("infra"))
-        yield from client.call_once(fiu.address, ACECmdLine("loadTemplates"))
+        yield from client.call(fiu.address, ACECmdLine("loadTemplates"))
 
     env.run(load())
     return env, fiu, users
@@ -40,8 +40,8 @@ def build(threshold=1.0, n_users=20, seed=180):
 def scan(env, fiu, sample):
     def go():
         client = env.client(env.net.host("infra"), principal="driver")
-        return (yield from client.call_once(fiu.address,
-                                            ACECmdLine("scan", sample=sample)))
+        return (yield from client.call(fiu.address,
+                                       ACECmdLine("scan", sample=sample)))
 
     return env.run(go())
 

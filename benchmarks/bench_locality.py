@@ -29,11 +29,11 @@ def build(backbone_ms, seed=70):
 
     def setup():
         client = env.client(room, principal="setup")
-        yield from client.call_once(
+        yield from client.call(
             gateway.address,
             ACECmdLine("registerDevice", device="cam", host=room.name, port=camera.port),
         )
-        yield from client.call_once(camera.address, ACECmdLine("power", state="on"))
+        yield from client.call(camera.address, ACECmdLine("power", state="on"))
 
     env.run(setup())
     return env, room, camera, gateway
@@ -68,14 +68,14 @@ def test_e16_latency_and_backbone_sweep(benchmark, table_printer):
             env, room, camera, gateway = build(backbone_ms)
 
             def direct(client, i):
-                yield from client.call_once(
+                yield from client.call(
                     camera.address, ACECmdLine("setZoom", factor=1.0 + (i % 9))
                 )
 
             direct_lat, direct_bb = drive(env, room, direct)
 
             def central(client, i):
-                yield from client.call_once(
+                yield from client.call(
                     gateway.address,
                     ACECmdLine("forward", device="cam",
                                command=f"setZoom factor={1.0 + (i % 9)};"),

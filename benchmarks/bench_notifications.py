@@ -57,7 +57,7 @@ def test_e3_fanout_latency_vs_listeners(benchmark, table_printer):
 
             def trigger():
                 client = env.client(env.net.host("infra"), principal="trigger")
-                yield from client.call_once(source.address, ACECmdLine("echo", text="go"))
+                yield from client.call(source.address, ACECmdLine("echo", text="go"))
                 return env.sim.now
 
             t0 = env.run(trigger())
@@ -89,7 +89,7 @@ def test_e3_dead_listener_purged_and_others_unaffected(benchmark, table_printer)
 
         def trigger():
             client = env.client(env.net.host("infra"), principal="trigger")
-            yield from client.call_once(source.address, ACECmdLine("echo", text="x"))
+            yield from client.call(source.address, ACECmdLine("echo", text="x"))
 
         env.run(trigger())
         env.run_for(5.0)
@@ -121,7 +121,7 @@ def test_a3_push_vs_poll(benchmark, table_printer):
         def fire():
             yield env.sim.timeout(13.0)
             client = env.client(env.net.host("infra"), principal="event")
-            yield from client.call_once(source.address, ACECmdLine("echo", text="evt"))
+            yield from client.call(source.address, ACECmdLine("echo", text="evt"))
             return env.sim.now
 
         t_event = env.run(fire())

@@ -177,7 +177,7 @@ def test_e22_critical_path_under_faults(benchmark, table_printer):
                 root = client.begin_trace("probe", i=i)
                 status = "ok"
                 try:
-                    yield from client.call_resilient(
+                    yield from client.call(
                         echo.address, ACECmdLine("echo", text=f"p{i}"), policy=policy)
                 except Exception:
                     status = "failed"

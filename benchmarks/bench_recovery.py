@@ -87,7 +87,7 @@ def run_kill(target: str, probe: ACECmdLine, seed: int) -> dict:
     records = []  # (start, end, ok)
 
     setup = env.client(caller_host, principal="setup")
-    env.run(setup.call_once(
+    env.run(setup.call(
         env.ctx.roomdb_address,
         ACECmdLine("registerRoom", room="lab", building="b1",
                    dims=(4.0, 5.0, 3.0)),
@@ -99,7 +99,7 @@ def run_kill(target: str, probe: ACECmdLine, seed: int) -> dict:
         while env.sim.now < end_at:
             t0 = env.sim.now
             try:
-                reply = yield from client.call_resilient(
+                reply = yield from client.call(
                     address, probe, policy=WORKLOAD_POLICY, check=False
                 )
                 ok = is_ok(reply)
@@ -123,13 +123,13 @@ def run_kill(target: str, probe: ACECmdLine, seed: int) -> dict:
     env.run_for(KILL_AT - 1.5)
     replay_client = env.client(caller_host, principal="replay")
     stamped = probe.with_args(**{CLIENT_ID_ARG: "replay.c0", CLIENT_SEQ_ARG: 1})
-    first = env.run(replay_client.call_once(address, stamped))
+    first = env.run(replay_client.call(address, stamped))
 
     # The resilient call rides out whatever is left of the outage and lands
     # on the reincarnation as soon as it serves again.
     env.run_for(1.5 + 3.0)
     hits_before = env.obs.metrics.counter(f"daemon.{target}.dedup.hits").value
-    replay = env.run(replay_client.call_resilient(
+    replay = env.run(replay_client.call(
         address, stamped, policy=WORKLOAD_POLICY, check=False
     ))
     hits_after = env.obs.metrics.counter(f"daemon.{target}.dedup.hits").value

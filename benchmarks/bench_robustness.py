@@ -33,7 +33,7 @@ def build(seed=100, sweep_interval=8.0):
 def manage(env, app_id, cls, host, interval=0.2):
     def go():
         client = env.client(env.net.host("infra"), principal="admin")
-        return (yield from client.call_once(
+        return (yield from client.call(
             env.daemon("restartmgr").address,
             ACECmdLine("manageApp", app="counter", app_id=app_id, cls=cls,
                        args=f"app_id={app_id} interval={interval}", host=host),

@@ -30,7 +30,7 @@ def build_env(seed=25):
 def add_sink(env, daemon, sink):
     def go():
         client = env.client(env.net.host("infra"))
-        yield from client.call_once(
+        yield from client.call(
             daemon.address,
             ACECmdLine("addSink", host=sink.address.host, port=sink.address.port),
         )

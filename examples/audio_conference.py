@@ -45,7 +45,7 @@ def main() -> None:
     def wire(src, dst):
         def go():
             client = env.client(env.net.host("infra"))
-            yield from client.call_once(
+            yield from client.call(
                 src.address,
                 ACECmdLine("addSink", host=dst.address.host, port=dst.address.port))
 
@@ -54,7 +54,7 @@ def main() -> None:
     def call(daemon, command):
         def go():
             client = env.client(env.net.host("infra"))
-            return (yield from client.call_once(daemon.address, command))
+            return (yield from client.call(daemon.address, command))
 
         return env.run(go())
 

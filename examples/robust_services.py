@@ -42,7 +42,7 @@ def main() -> None:
     # ---- 2. Managed robust application ----------------------------------
     def manage():
         client = env.client(env.net.host("infra"), principal="admin")
-        return (yield from client.call_once(
+        return (yield from client.call(
             env.daemon("restartmgr").address,
             ACECmdLine("manageApp", app="counter", app_id="demo", cls="robust",
                        args="app_id=demo interval=0.2", host="w1"),

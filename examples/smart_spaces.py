@@ -39,7 +39,7 @@ def main() -> None:
     def call(daemon_name, command):
         def go():
             client = env.client(infra, principal="demo")
-            return (yield from client.call_once(env.daemon(daemon_name).address, command))
+            return (yield from client.call(env.daemon(daemon_name).address, command))
 
         return env.run(go())
 
@@ -48,10 +48,10 @@ def main() -> None:
 
         def go():
             driver = env.client(fiu.host, principal="driver")
-            yield from driver.call_once(fiu.address, ACECmdLine("loadTemplates"))
+            yield from driver.call(fiu.address, ACECmdLine("loadTemplates"))
             sample = noisy_sample(env.users["john"].fingerprint_template,
                                   env.rng.np(f"demo.{device}"))
-            yield from driver.call_once(fiu.address, ACECmdLine("scan", sample=sample))
+            yield from driver.call(fiu.address, ACECmdLine("scan", sample=sample))
 
         env.run(go())
         env.run_for(1.0)

@@ -58,7 +58,7 @@ class ACEControlGUI:
     # -- tree construction -------------------------------------------------
     def refresh(self) -> Generator:
         """Rebuild the tree: rooms from the RoomDB, services from the ASD."""
-        rooms_reply = yield from self.client.call_once(
+        rooms_reply = yield from self.client.call(
             self.roomdb_address, ACECmdLine("listRooms")
         )
         records = yield from asd_lookup(self.client, self.asd_address)

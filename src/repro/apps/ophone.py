@@ -83,7 +83,7 @@ class OPhoneDaemon(StreamDaemon):
         t0 = self.ctx.sim.now
         client = self._service_client()
         try:
-            reply = yield from client.call_once(
+            reply = yield from client.call(
                 peer,
                 ACECmdLine("invite", caller=self.name,
                            host=self.host.name, port=self.port),
@@ -110,7 +110,7 @@ class OPhoneDaemon(StreamDaemon):
             auds = yield from asd_lookup(client, self.ctx.asd_address, name="aud")
             if not auds:
                 raise ServiceError("no user database available")
-            user_reply = yield from client.call_once(
+            user_reply = yield from client.call(
                 auds[0].address, ACECmdLine("getUser", username=username)
             )
         except (CallError, ConnectionClosed, ConnectionRefused) as exc:
@@ -160,7 +160,7 @@ class OPhoneDaemon(StreamDaemon):
         self.state = "idle"
         client = self._service_client()
         try:
-            yield from client.call_once(
+            yield from client.call(
                 peer, ACECmdLine("remoteHangup", caller=self.name)
             )
         except (CallError, ConnectionClosed, ConnectionRefused):

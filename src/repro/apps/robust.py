@@ -152,7 +152,7 @@ class RestartManagerDaemon(ACEDaemon):
             return
         client = self._service_client()
         try:
-            yield from client.call_once(
+            yield from client.call(
                 self.ctx.asd_address,
                 ACECmdLine("addNotification", cmd="register", listener=self.name,
                            host=self.host.name, port=self.port,
@@ -175,7 +175,7 @@ class RestartManagerDaemon(ACEDaemon):
             return
         client = self._service_client()
         try:
-            yield from client.call_once(
+            yield from client.call(
                 address,
                 ACECmdLine("addNotification", cmd="appExited", listener=self.name,
                            host=self.host.name, port=self.port, callback="onAppExited"),
@@ -212,7 +212,7 @@ class RestartManagerDaemon(ACEDaemon):
             "launchApp", app=managed.factory, args=managed.args,
             **({"host": prefer_host} if prefer_host else {}),
         )
-        reply = yield from client.call_once(sals[0].address, command)
+        reply = yield from client.call(sals[0].address, command)
         managed.host = reply.str("host")
         managed.pid = reply.int("pid")
         self._by_pid[managed.pid] = managed.app_id
@@ -318,7 +318,7 @@ class RestartManagerDaemon(ACEDaemon):
         if hal is None:
             return False
         try:
-            reply = yield from client.call_once(
+            reply = yield from client.call(
                 hal.address, ACECmdLine("isRunning", pid=managed.pid)
             )
         except (CallError, ConnectionClosed, ConnectionRefused):

@@ -62,7 +62,7 @@ class CentralGatewayDaemon(ACEDaemon):
             raise ServiceError(f"unparseable inner command: {exc}")
         client = self._service_client()
         try:
-            reply = yield from client.call_once(target, inner, attach=True)
+            reply = yield from client.call(target, inner, attach=True)
         except (CallError, ConnectionClosed, ConnectionRefused) as exc:
             raise ServiceError(f"device {device!r} unreachable: {exc}")
         self.forwarded += 1

@@ -171,7 +171,7 @@ class AutoscalerDaemon(Checkpointable, ACEDaemon):
         )
         while self.running:
             try:
-                yield from client.call_resilient(
+                yield from client.call(
                     self.ctx.telemetry_address, subscribe, policy=policy
                 )
             except (CallError, ConnectionClosed, ConnectionRefused):

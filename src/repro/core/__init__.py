@@ -23,7 +23,7 @@ from repro.core.client import (
     ServiceClient,
     ServiceConnection,
 )
-from repro.core.leases import Lease, LeaseRenewalBatcher, LeaseTable
+from repro.core.leases import Lease, LeaseTable
 from repro.core.lookup_cache import LookupCache, query_key
 from repro.core.notifications import NotificationEntry, NotificationTable
 from repro.core.policy import (
@@ -45,7 +45,6 @@ __all__ = [
     "DaemonContext",
     "DeadlineExceeded",
     "Lease",
-    "LeaseRenewalBatcher",
     "LeaseTable",
     "LookupCache",
     "PipelinedConnection",

@@ -13,7 +13,8 @@ and parses the reply string back into an ACECmdLine.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Union
+from functools import cached_property
+from typing import Generator, Iterable, Optional, Union
 
 from repro.lang import ACECmdLine, parse_command
 from repro.lang.command import CLIENT_ID_ARG, CLIENT_SEQ_ARG, PIPELINE_SEQ_ARG, is_error
@@ -64,14 +65,19 @@ def channel_binding(channel: Channel) -> str:
     return f"{channel.local}|{channel.remote}"
 
 
+def _cmd_failed(command: ACECmdLine, reply: ACECmdLine) -> CallError:
+    """The error a checked call raises for a ``cmdFailed`` reply."""
+    return CallError(f"{command.name!r} failed: {reply.get('reason', 'unknown')}", reply)
+
+
 class ServiceConnection:
     """An attached, ready-to-use channel to one daemon.
 
     When the owning :class:`ServiceClient` has a current span (an explicit
-    root started with :meth:`ServiceClient.begin_trace`, a bound span, or
-    the ambient per-process span), every :meth:`call` records a ``client``
-    span and injects its trace context into the outgoing command, so the
-    far daemon's execution joins the same causal tree.
+    root started with :meth:`ServiceClient.begin_trace`, the ``rpc:`` span
+    of a policy call, or the ambient per-process span), every :meth:`call`
+    records a ``client`` span and injects its trace context into the
+    outgoing command, so the far daemon's execution joins the same tree.
     """
 
     def __init__(self, channel: Channel, principal: str, client: Optional["ServiceClient"] = None):
@@ -89,16 +95,9 @@ class ServiceConnection:
         With ``check`` (default) a ``cmdFailed`` reply raises
         :class:`CallError`; otherwise the reply is returned either way.
         """
-        tracer = span = None
+        span = None
         if self._client is not None and command.name != "attach":
-            parent = self._client.current_span()
-            if parent is not None:
-                tracer = self._client.ctx.obs.tracer
-                span = tracer.start_span(
-                    f"call:{command.name}", self.principal, parent, kind=SPAN_CLIENT
-                )
-                if span is not None:
-                    command = inject(command, span.context)
+            span, command = self._client._open_span("call", self.principal, command)
         status = "interrupted"  # overwritten on any non-interrupt exit
         try:
             try:
@@ -108,28 +107,13 @@ class ServiceConnection:
                 status = "transport-error"
                 raise TransportError(f"connection lost during {command.name!r}: {exc}")
             reply = parse_command(reply_text)
-            if is_error(reply):
-                status = "cmdFailed"
-                if check:
-                    raise CallError(
-                        f"{command.name!r} failed: {reply.get('reason', 'unknown')}", reply
-                    )
-            else:
-                status = "ok"
-            return reply
+            status = "cmdFailed" if is_error(reply) else "ok"
         finally:
             if span is not None:
-                tracer.finish(span, status=status)
-
-    def send_oneway(self, command: ACECmdLine) -> Generator:
-        """Send without waiting for the reply (the reply is drained later or
-        discarded when the connection closes).  The current trace context
-        (if any) is injected so the receiver still joins the trace."""
-        if self._client is not None:
-            parent = self._client.current_span()
-            if parent is not None:
-                command = inject(command, parent.context)
-        yield from self.channel.send(command.to_string())
+                self._client.ctx.obs.tracer.finish(span, status=status)
+        if check and status == "cmdFailed":
+            raise _cmd_failed(command, reply)
+        return reply
 
     def close(self) -> None:
         self.channel.close()
@@ -204,16 +188,9 @@ class PipelinedConnection:
             raise TransportError(f"pipeline to {self._conn.channel.remote} is closed: {self._dead}")
         seq = self._next_seq
         self._next_seq += 1
-        tracer = span = None
-        parent = self._client.current_span()
-        if parent is not None:
-            tracer = self._client.ctx.obs.tracer
-            span = tracer.start_span(
-                f"pipeline:{command.name}", self._conn.principal, parent,
-                kind=SPAN_CLIENT, seq=seq,
-            )
-            if span is not None:
-                command = inject(command, span.context)
+        span, command = self._client._open_span(
+            "pipeline", self._conn.principal, command, seq=seq
+        )
         tagged = command.with_args(**{PIPELINE_SEQ_ARG: seq})
         reply_ev = sim.event()
         self._pending[seq] = reply_ev
@@ -250,18 +227,13 @@ class PipelinedConnection:
                 status = "transport-error"
                 raise
             reply = reply.without_args(PIPELINE_SEQ_ARG)
-            if is_error(reply):
-                status = "cmdFailed"
-                if check:
-                    raise CallError(
-                        f"{command.name!r} failed: {reply.get('reason', 'unknown')}", reply
-                    )
-            else:
-                status = "ok"
-            return reply
+            status = "cmdFailed" if is_error(reply) else "ok"
         finally:
             if span is not None:
-                tracer.finish(span, status=status)
+                self._client.ctx.obs.tracer.finish(span, status=status)
+        if check and status == "cmdFailed":
+            raise _cmd_failed(command, reply)
+        return reply
 
     # ------------------------------------------------------------------
     def _ensure_reader(self) -> None:
@@ -325,19 +297,18 @@ class PipelinedConnection:
 class ConnectionPool:
     """Attached connections reused across calls, keyed by address.
 
-    ``call_once`` dials for *every* command (connect → attach → call →
-    close); at scale the dial+attach dominates, so long-lived callers (the
-    store client, population sessions) go through a pool instead.  The
-    pool checks idle connections out exclusively (a plain channel cannot
-    interleave two request/reply exchanges), so concurrent callers to one
-    address either reuse distinct pooled channels or dial new ones.
+    :meth:`ServiceClient.call` dials for *every* command (connect → attach
+    → call → close); at scale the dial+attach dominates, so long-lived
+    callers (population sessions, the notification fan-out) go through a
+    pool instead.  The pool checks idle connections out exclusively (a
+    plain channel cannot interleave two request/reply exchanges), so
+    concurrent callers to one address either reuse distinct pooled
+    channels or dial new ones.
     """
 
-    def __init__(self, client: "ServiceClient", max_idle_per_address: Optional[int] = None):
+    def __init__(self, client: "ServiceClient"):
         self._client = client
-        if max_idle_per_address is None:
-            max_idle_per_address = client.ctx.pool_max_idle
-        self.max_idle_per_address = max_idle_per_address
+        self.max_idle_per_address = client.ctx.pool_max_idle
         # Registered (weakly) so the E28 control plane can resize every
         # live pool when it turns the pool_size knob.
         client.ctx._connection_pools.add(self)
@@ -398,7 +369,7 @@ class ConnectionPool:
     def call(
         self, address: Address, command: ACECmdLine, *, check: bool = True, **connect_kw
     ) -> Generator:
-        """``call_once`` over a pooled channel: the dial+attach round trips
+        """One command over a pooled channel: the dial+attach round trips
         are paid once per connection, not once per command.  Only a miss
         runs the ``connect`` generator; a hit goes straight to the call."""
         conn = self._take_idle(address)
@@ -444,16 +415,10 @@ class ServiceClient:
         self.host = host
         self.principal = principal
         self.keypair = keypair
-        # RNG streams are created on first draw: registry streams are
-        # keyed (seed, name) so laziness never changes a sequence, and a
-        # population-scale run (one client per user, plain pooled calls,
-        # no security) never pays two Mersenne states per session.
-        self._rng_cache = None
-        self._retry_rng_cache = None
-        #: client-observed resilient-call latency, shared env-wide; traced
+        #: client-observed policy-call latency, shared env-wide; traced
         #: calls pin their trace id as the bucket exemplar
         self._m_latency = ctx.obs.metrics.histogram("rpc.latency_s")
-        #: explicit span stack (roots/bound spans); the ambient per-process
+        #: explicit span stack (roots, ``rpc:`` spans); the ambient per-process
         #: span is the fallback.  One client serves one logical flow.
         self._span_stack: list = []
         self._pool: Optional[ConnectionPool] = None
@@ -463,21 +428,19 @@ class ServiceClient:
         self._stamp_id: Optional[str] = None
         self._stamp_seq = 0
 
-    @property
+    # RNG streams are created on first draw: registry streams are keyed
+    # (seed, name) so laziness never changes a sequence, and a
+    # population-scale run (one client per user, plain pooled calls, no
+    # security) never pays two Mersenne states per session.
+    @cached_property
     def _rng(self):
         """The handshake RNG stream (``client.<host>.<principal>``)."""
-        if self._rng_cache is None:
-            self._rng_cache = self.ctx.rng.py(
-                f"client.{self.host.name}.{self.principal}")
-        return self._rng_cache
+        return self.ctx.rng.py(f"client.{self.host.name}.{self.principal}")
 
-    @property
+    @cached_property
     def _retry_rng(self):
         """The backoff-jitter RNG stream (``rpc.<host>.<principal>``)."""
-        if self._retry_rng_cache is None:
-            self._retry_rng_cache = self.ctx.rng.py(
-                f"rpc.{self.host.name}.{self.principal}")
-        return self._retry_rng_cache
+        return self.ctx.rng.py(f"rpc.{self.host.name}.{self.principal}")
 
     # ------------------------------------------------------------------
     # Tracing (repro.obs)
@@ -505,12 +468,20 @@ class ServiceClient:
             self._span_stack.pop()
         return self.ctx.obs.tracer.finish(span, status=status, **annotations)
 
-    def bind_span(self, span) -> "ServiceClient":
-        """Parent this client's future calls under an existing span
-        (None-safe; used when the causal parent is known explicitly)."""
+    def _open_span(self, prefix: str, source: str, command: ACECmdLine, **annotations):
+        """Open a ``<prefix>:<command>`` client span under the current span
+        and inject its context into ``command``; ``(None, command)`` when
+        nothing is being traced.  :meth:`current_span` is inlined: every
+        exchange on every transport passes through here."""
+        parent = self._span_stack[-1] if self._span_stack else self.ctx.obs.ambient_span()
+        if parent is None:
+            return None, command
+        span = self.ctx.obs.tracer.start_span(
+            f"{prefix}:{command.name}", source, parent, kind=SPAN_CLIENT, **annotations
+        )
         if span is not None:
-            self._span_stack.append(span)
-        return self
+            command = inject(command, span.context)
+        return span, command
 
     def connect(
         self,
@@ -544,11 +515,50 @@ class ServiceClient:
             attach_cmd = attach_cmd.with_args(sig_e=f"{e:x}", sig_s=f"{s:x}")
         yield from connection.call(attach_cmd)
 
-    def call_once(self, address: Address, command: ACECmdLine, **connect_kw) -> Generator:
-        """Connect, call a single command, close.  Returns the reply."""
+    def call(
+        self,
+        target: Union[Address, Iterable[Address]],
+        command: ACECmdLine,
+        policy: Optional[CallPolicy] = None,
+        *,
+        check: bool = True,
+        **connect_kw,
+    ) -> Generator:
+        """Send ``command`` to an address and return the reply — the one
+        way to call a daemon this client holds no channel to.
+
+        * ``policy=None``: one plain attempt — dial, attach, exchange,
+          close.  No deadline: a stalled endpoint stalls the caller.
+        * a :class:`CallPolicy` hardens the call for gray failure: every
+          attempt races ``attempt_timeout``; transport failures and
+          timeouts are retried with jittered backoff until ``max_attempts``
+          or ``deadline`` runs out; a per-address circuit breaker (shared
+          through ``ctx.resilience``) sheds calls to endpoints that keep
+          failing.  The logical call is stamped for exactly-once execution
+          (``ctx.idempotent_retries``) and traced as one ``rpc:<cmd>`` span.
+        * a sequence of replica addresses as ``target``: each is tried in
+          turn under the same ``policy``; :data:`FAILOVER_ERRORS` move on.
+
+        With ``check`` a ``cmdFailed`` reply raises :class:`CallError` at
+        once — never retried or failed over: the service answered, and its
+        siblings would refuse identically.  Otherwise raises
+        :class:`BreakerOpen` (network untouched), :class:`DeadlineExceeded`
+        or the last transport error.  ``connect_kw`` goes to :meth:`connect`.
+        """
+        if not isinstance(target, Address):
+            return self._call_replicas(target, command, policy, check, connect_kw)
+        if policy is None:
+            return self._dial_call_close(target, command, check, **connect_kw)
+        return self._call_with_policy(target, command, policy, check, connect_kw)
+
+    def _dial_call_close(
+        self, address: Address, command: ACECmdLine, check: bool = True, **connect_kw
+    ) -> Generator:
+        """One attempt; closes its connection however it ends (a policy
+        attempt that lost its race is interrupted in here)."""
         connection = yield from self.connect(address, **connect_kw)
         try:
-            reply = yield from connection.call(command)
+            reply = yield from connection.call(command, check=check)
         finally:
             connection.close()
         return reply
@@ -563,13 +573,6 @@ class ServiceClient:
             self._pool = ConnectionPool(self)
         return self._pool
 
-    def call_pooled(
-        self, address: Address, command: ACECmdLine, *, check: bool = True, **connect_kw
-    ) -> Generator:
-        """``call_once`` minus the per-command dial+attach round trips."""
-        reply = yield from self.pool.call(address, command, check=check, **connect_kw)
-        return reply
-
     def pipelined(
         self, address: Address, max_inflight: int = 8, **connect_kw
     ) -> Generator:
@@ -581,22 +584,6 @@ class ServiceClient:
             pipe = PipelinedConnection(self, connection, max_inflight=max_inflight)
             self._pipelines[address] = pipe
         return pipe
-
-    def call_pipelined(
-        self,
-        address: Address,
-        command: ACECmdLine,
-        *,
-        check: bool = True,
-        timeout: Optional[float] = None,
-        **connect_kw,
-    ) -> Generator:
-        """Issue ``command`` on the shared pipelined channel to ``address``
-        — up to ``max_inflight`` commands from this client proceed without
-        waiting for each other's replies."""
-        pipe = yield from self.pipelined(address, **connect_kw)
-        reply = yield from pipe.call(command, check=check, timeout=timeout)
-        return reply
 
     def close_channels(self) -> None:
         """Drop every pooled/pipelined channel (e.g. at client shutdown)."""
@@ -623,30 +610,20 @@ class ServiceClient:
         return command.with_args(**{CLIENT_ID_ARG: self._stamp_id, CLIENT_SEQ_ARG: seq})
 
     # ------------------------------------------------------------------
-    # Replica failover (the §5.3 robust-application client side)
+    # The layers under call(): replica loop → policy loop → one attempt
     # ------------------------------------------------------------------
-    def call_failover(
-        self,
-        addresses,
-        command: ACECmdLine,
-        policy: Optional[CallPolicy] = None,
-        *,
-        check: bool = True,
-        **kw,
+    def _call_replicas(
+        self, addresses, command: ACECmdLine, policy: Optional[CallPolicy],
+        check: bool, connect_kw: dict,
     ) -> Generator:
-        """Try ``command`` against each replica address until one answers.
-
-        Transport failures, attempt deadlines, and open breakers move on to
-        the next replica (each endpoint gets ``policy.max_attempts``, one
-        by default — failing over *is* the retry).  A ``cmdFailed`` reply
-        raises immediately when ``check``: the service answered, so its
-        siblings would refuse identically.
-        """
+        """Try each replica until one answers (§5.3's robust-application
+        client side); each endpoint gets ``policy.max_attempts`` — usually
+        one, failing over *is* the retry."""
         addrs = list(addresses)
         if not addrs:
             raise CallError(f"no addresses to call {command.name!r} against")
-        policy = policy or FAILOVER_POLICY
-        command = self._stamp(command)
+        if policy is not None:
+            command = self._stamp(command)   # one stamp for every replica
         failovers = self.ctx.obs.metrics.counter("rpc.failover")
         last_exc: Optional[Exception] = None
         for i, address in enumerate(addrs):
@@ -657,51 +634,25 @@ class ServiceClient:
                     command=command.name, address=str(address),
                 )
             try:
-                reply = yield from self.call_resilient(
-                    address, command, policy, check=check, **kw
+                reply = yield from self.call(
+                    address, command, policy, check=check, **connect_kw
                 )
                 return reply
             except FAILOVER_ERRORS as exc:
                 last_exc = exc
-        assert last_exc is not None
         raise last_exc
 
-    # ------------------------------------------------------------------
-    # Resilient path: deadline + retry + circuit breaker
-    # ------------------------------------------------------------------
-    def call_resilient(
-        self,
-        address: Address,
-        command: ACECmdLine,
-        policy: Optional[CallPolicy] = None,
-        *,
-        check: bool = True,
-        expected_subject: Optional[str] = None,
-        attach: bool = True,
+    def _call_with_policy(
+        self, address: Address, command: ACECmdLine, policy: CallPolicy,
+        check: bool, connect_kw: dict,
     ) -> Generator:
-        """``call_once`` hardened for gray failure.
-
-        Each attempt (connect + call + reply) races a simulated timeout of
-        ``policy.attempt_timeout``; transport failures and attempt timeouts
-        are retried with jittered exponential backoff until
-        ``policy.max_attempts`` or the overall ``policy.deadline`` is
-        exhausted.  A per-address circuit breaker (shared environment-wide
-        via ``ctx.resilience``) sheds calls to endpoints that keep failing.
-
-        Raises :class:`BreakerOpen` without touching the network when the
-        breaker is open, :class:`DeadlineExceeded` when the budget runs out,
-        or the last transport error when attempts are exhausted.  A
-        ``cmdFailed`` reply (plain :class:`CallError`) is never retried —
-        the endpoint answered, so it also counts as breaker success.
-        """
+        """Deadline + retry + circuit breaker around :meth:`_dial_call_close`."""
         registry = self.ctx.resilience
-        policy = policy or registry.default_policy
         stats = registry.stats
         breaker = registry.breaker(address, policy)
         command = self._stamp(command)
         sim = self.ctx.sim
-        tracer = self.ctx.obs.tracer
-        span = tracer.start_span(
+        span = self.ctx.obs.tracer.start_span(
             f"rpc:{command.name}", self.principal, self.current_span(),
             kind=SPAN_CLIENT, address=str(address),
         )
@@ -727,11 +678,19 @@ class ServiceClient:
                     raise DeadlineExceeded(
                         f"{command.name!r} to {address} exceeded {policy.deadline:.3f}s deadline"
                     )
+                # its own process, so the attempt can race its budget
+                proc = sim.process(
+                    self._dial_call_close(address, command, check, **connect_kw),
+                    name=f"rpc.{self.principal}",
+                )
                 try:
-                    reply = yield from self._attempt_with_timeout(
-                        address, command, budget,
-                        check=check, expected_subject=expected_subject, attach=attach,
-                    )
+                    outcome = yield sim.any_of([proc, sim.timeout(budget)])
+                    if proc not in outcome:
+                        proc.interrupt("rpc attempt deadline")
+                        raise DeadlineExceeded(
+                            f"{command.name!r} to {address} exceeded {budget:.3f}s attempt budget"
+                        )
+                    reply = outcome[proc]
                 except RETRYABLE as exc:
                     if isinstance(exc, DeadlineExceeded):
                         stats.deadline_expired += 1
@@ -769,52 +728,12 @@ class ServiceClient:
         finally:
             if span is not None:
                 self._m_latency.observe_ex(sim.now - started, span.trace_id)
-                if self._span_stack and self._span_stack[-1] is span:
-                    self._span_stack.pop()
                 # ``attempt`` counts failed attempts; cmdFailed/ok add one
                 # more (the attempt that reached the service and returned).
                 total = attempt + (1 if status in ("ok", "cmdFailed") else 0)
-                tracer.finish(
+                self.end_trace(
                     span, status=status, attempts=total,
                     retries=max(total - 1, 0), breaker=breaker.state,
                 )
             else:
                 self._m_latency.observe(sim.now - started)
-
-    def _attempt_with_timeout(
-        self, address: Address, command: ACECmdLine, timeout: float, **kw
-    ) -> Generator:
-        """Race one call attempt against a sim timeout; losing attempts are
-        interrupted so they release their connection."""
-        sim = self.ctx.sim
-        proc = sim.process(
-            self._attempt(address, command, **kw), name=f"rpc.{self.principal}"
-        )
-        timer = sim.timeout(timeout)
-        outcome = yield sim.any_of([proc, timer])
-        if proc in outcome:
-            return outcome[proc]
-        proc.interrupt("rpc attempt deadline")
-        raise DeadlineExceeded(
-            f"{command.name!r} to {address} exceeded {timeout:.3f}s attempt budget"
-        )
-
-    def _attempt(
-        self,
-        address: Address,
-        command: ACECmdLine,
-        *,
-        check: bool = True,
-        expected_subject: Optional[str] = None,
-        attach: bool = True,
-    ) -> Generator:
-        connection = None
-        try:
-            connection = yield from self.connect(
-                address, expected_subject=expected_subject, attach=attach
-            )
-            reply = yield from connection.call(command, check=check)
-            return reply
-        finally:
-            if connection is not None:
-                connection.close()

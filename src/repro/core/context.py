@@ -40,9 +40,6 @@ class SecurityConfig:
     principal_keys: Dict[str, int] = field(default_factory=dict)
     #: locally-trusted POLICY assertions installed on every daemon
     policies: List[Assertion] = field(default_factory=list)
-    #: lookup credentials from the AuthDB service per command (Fig. 10)
-    #: instead of only using locally cached credentials
-    authdb_lookup: bool = True
     #: seconds a fetched credential set stays cached (0 = refetch always)
     credential_cache_ttl: float = 30.0
 
@@ -79,9 +76,6 @@ class DaemonContext:
     dispatch_work: float = 2.0
     #: shared breakers/counters/lookup-cache for the resilient RPC layer
     resilience: ResilienceRegistry = field(default_factory=ResilienceRegistry)
-    #: when set, daemons on one host coalesce their ASD lease renewals into
-    #: one batched ``renewLease names=(...)`` command per interval
-    batch_lease_renewals: bool = False
     #: when set, clients stamp every resilient call with a ``(o_cid,
     #: o_cseq)`` idempotency token that survives retries and failover, and
     #: daemons dedup on it — off by default so the pre-recovery wire
@@ -106,8 +100,6 @@ class DaemonContext:
         self.obs.metrics.register_view("rpc", self.resilience.stats.snapshot)
         if self.lookup_cache is None:
             self.lookup_cache = LookupCache(metrics=self.obs.metrics)
-        #: per-host lease-renewal batchers (populated lazily by daemons)
-        self._lease_batchers: dict = {}
         #: every live ConnectionPool (weakly held) so the control plane
         #: can resize them in place
         self._connection_pools = weakref.WeakSet()
@@ -132,16 +124,6 @@ class DaemonContext:
         if self.asd_addresses:
             return list(self.asd_addresses)
         return [self.asd_address] if self.asd_address is not None else []
-
-    def lease_batcher(self, host):
-        """The (lazily created) per-host lease-renewal batcher."""
-        from repro.core.leases import LeaseRenewalBatcher
-
-        batcher = self._lease_batchers.get(host.name)
-        if batcher is None:
-            batcher = LeaseRenewalBatcher(self, host)
-            self._lease_batchers[host.name] = batcher
-        return batcher
 
     def issue_identity(self, subject: str) -> tuple[KeyPair, Optional[Certificate]]:
         """Mint a keypair (+ certificate when a CA is configured) and record

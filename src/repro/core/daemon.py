@@ -54,7 +54,7 @@ from repro.security.crypto import verify_signature
 from repro.security.keynote import ComplianceChecker, parse_assertion
 from repro.sim import Interrupt, Process, QueueClosed, Store
 
-from repro.core.client import Channel, ServiceClient, CallError, channel_binding
+from repro.core.client import FAILOVER_POLICY, CallError, Channel, ServiceClient, channel_binding
 from repro.core.context import DaemonContext, SecurityMode
 from repro.core.notifications import NotificationEntry, NotificationTable
 from repro.core.policy import CallPolicy, TransportError
@@ -272,8 +272,6 @@ class ACEDaemon:
         if not self.running:
             return
         self.running = False
-        if self.ctx.batch_lease_renewals:
-            self.ctx.lease_batcher(self.host).unenroll(self.name)
         self._teardown()
         if self._main_proc is not None:
             self._main_proc.interrupt("killed")
@@ -312,13 +310,13 @@ class ACEDaemon:
         if not self.running:
             return
         self.running = False
-        if self.ctx.batch_lease_renewals:
-            self.ctx.lease_batcher(self.host).unenroll(self.name)
         if self.register_with_asd and self.ctx.directory_addresses() and self.host.up:
             try:
                 client = self._service_client()
-                yield from client.call_failover(
-                    self.ctx.directory_addresses(), ACECmdLine("deregister", name=self.name)
+                yield from client.call(
+                    self.ctx.directory_addresses(),
+                    ACECmdLine("deregister", name=self.name),
+                    policy=FAILOVER_POLICY,
                 )
             except (CallError, ConnectionClosed, Exception):
                 pass  # best effort; the lease will expire anyway
@@ -390,7 +388,7 @@ class ACEDaemon:
         client = self._service_client()
         if self.ctx.roomdb_address is not None and self.room:
             try:
-                yield from client.call_once(
+                yield from client.call(
                     self.ctx.roomdb_address,
                     ACECmdLine(
                         "registerService",
@@ -404,7 +402,7 @@ class ACEDaemon:
             except (CallError, ConnectionClosed, ConnectionRefused) as exc:
                 trace.emit(self.ctx.sim.now, self.name, "roomdb-unavailable", error=str(exc))
         if self.register_with_asd and self.ctx.directory_addresses():
-            yield from client.call_failover(
+            yield from client.call(
                 self.ctx.directory_addresses(),
                 self._registration_command(),
                 policy=STARTUP_REGISTRATION_POLICY,
@@ -412,7 +410,7 @@ class ACEDaemon:
             trace.emit(self.ctx.sim.now, self.name, "asd-registered", cls=self.class_path())
         if self.ctx.netlogger_address is not None:
             try:
-                yield from client.call_once(
+                yield from client.call(
                     self.ctx.netlogger_address,
                     ACECmdLine(
                         "logEvent",
@@ -442,22 +440,8 @@ class ACEDaemon:
         return command
 
     def _lease_loop(self) -> Generator:
-        """Renew the ASD lease at the configured fraction of its duration.
-
-        With ``ctx.batch_lease_renewals`` the daemon instead enrolls in its
-        host's :class:`~repro.core.leases.LeaseRenewalBatcher`, which sends
-        one ``renewLease names=(...)`` for every service on the host."""
+        """Renew the ASD lease at the configured fraction of its duration."""
         interval = self.ctx.lease_duration * self.ctx.lease_renew_fraction
-        batched = (
-            self.register_with_asd
-            and self.ctx.batch_lease_renewals
-            and self.ctx.directory_addresses()
-        )
-        if batched:
-            self.ctx.lease_batcher(self.host).enroll(self.name, self._reregister)
-            while self.running:   # keep the main thread parked (Fig. 9)
-                yield self.ctx.sim.timeout(self.ctx.lease_duration)
-            return
         client = self._service_client()
         while self.running:
             yield self.ctx.sim.timeout(interval)
@@ -469,12 +453,12 @@ class ACEDaemon:
                 self._beat()
                 continue
             try:
-                reply = yield from client.call_failover(
+                yield from client.call(
                     addresses,
                     ACECmdLine("renewLease", name=self.name),
+                    policy=FAILOVER_POLICY,
                     attach=False,
                 )
-                del reply
                 self._m_lease_renewals.inc()
                 self._beat()
             except (CallError, ConnectionClosed, ConnectionRefused):
@@ -487,8 +471,9 @@ class ACEDaemon:
     def _reregister(self) -> Generator:
         """Push our registration at the directory group again."""
         client = self._service_client()
-        yield from client.call_failover(
-            self.ctx.directory_addresses(), self._registration_command()
+        yield from client.call(
+            self.ctx.directory_addresses(), self._registration_command(),
+            policy=FAILOVER_POLICY,
         )
         self.ctx.trace.emit(self.ctx.sim.now, self.name, "asd-reregistered")
 
@@ -669,7 +654,7 @@ class ACEDaemon:
         """Fig. 10 steps 2–4: ask the Authorization DB for the principal's
         credentials (with a small cache so E5 can sweep the cost)."""
         cfg = self.ctx.security
-        if not cfg.authdb_lookup or self.ctx.asd_address is None:
+        if self.ctx.asd_address is None:
             return []
         now = self.ctx.sim.now
         self._evict_stale_credentials(now)
@@ -683,7 +668,7 @@ class ACEDaemon:
             return []
         try:
             client = self._service_client()
-            reply = yield from client.call_once(
+            reply = yield from client.call(
                 authdb_addr,
                 ACECmdLine("getCredentials", principal=principal),
                 attach=False,
@@ -979,17 +964,19 @@ class ACEDaemon:
             )
             try:
                 yield from conn.call(notification)
+            except (ConnectionClosed, ConnectionRefused, TransportError,
+                    HostDownError, Interrupt):
+                # Before ``CallError`` (TransportError is one): the channel
+                # is dead, so everyone still waiting behind it is purged.
+                conn.close()
+                for rest in entries[i:]:
+                    self._purge_listener(rest)
+                return
             except CallError:
                 # The listener answered cmdFailed: channel is fine, the
                 # registration is not — purge just this listener.
                 self._purge_listener(entry)
                 continue
-            except (ConnectionClosed, ConnectionRefused, TransportError,
-                    HostDownError, Interrupt):
-                conn.close()
-                for rest in entries[i:]:
-                    self._purge_listener(rest)
-                return
             self._m_notify_sent.inc()
             self.ctx.trace.emit(
                 self.ctx.sim.now, self.name, "notification-delivered",

@@ -93,105 +93,3 @@ class LeaseTable:
     def get(self, holder: str) -> Optional[Lease]:
         return self._leases.get(holder)
 
-
-class LeaseRenewalBatcher:
-    """One ``renewLease names=(...)`` per host per interval (§2.4 at scale).
-
-    Every daemon renewing its own lease gives the directory O(daemons)
-    commands per interval; a host running a dozen services can renew them
-    all in one command.  Daemons enroll ``(name, reregister)`` pairs; the
-    batcher owns the renewal loop and falls back to each daemon's
-    re-registration generator when the directory reports the lease already
-    lapsed (e.g. after a long partition).
-
-    Obtained via :meth:`DaemonContext.lease_batcher` (one per host) and
-    only used when ``ctx.batch_lease_renewals`` is set — the per-daemon
-    renewal loop in :class:`~repro.core.daemon.ACEDaemon` stays the
-    default.
-    """
-
-    def __init__(self, ctx, host):
-        self.ctx = ctx
-        self.host = host
-        #: service name -> zero-arg generator function that re-registers it
-        self._entries: Dict[str, Callable] = {}
-        self._proc = None
-        self._client = None
-        metrics = ctx.obs.metrics
-        self._m_batches = metrics.counter("lease.batch.sent")
-        self._m_renewed = metrics.counter("lease.batch.renewed")
-        self._m_reregistered = metrics.counter("lease.batch.reregistered")
-
-    def enroll(self, name: str, reregister: Callable) -> None:
-        """Add ``name`` to this host's batch; starts the loop when first."""
-        self._entries[name] = reregister
-        if self._proc is None or not self._proc.is_alive:
-            self._proc = self.ctx.sim.process(
-                self._loop(), name=f"lease-batch.{self.host.name}"
-            )
-
-    def unenroll(self, name: str) -> None:
-        self._entries.pop(name, None)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    # ------------------------------------------------------------------
-    def _loop(self):
-        from repro.lang import ACECmdLine
-        from repro.lang.command import is_ok
-
-        sim = self.ctx.sim
-        interval = self.ctx.lease_duration * self.ctx.lease_renew_fraction
-        while self._entries:
-            yield sim.timeout(interval)
-            names = tuple(sorted(self._entries))
-            if not names:
-                break
-            command = ACECmdLine("renewLease", names=names)
-            try:
-                reply = yield from self._directory_client().call_failover(
-                    self.ctx.directory_addresses(), command, check=False
-                )
-            except Exception:
-                self.ctx.trace.emit(
-                    sim.now, "lease", "batch-renew-unreachable", host=self.host.name
-                )
-                continue
-            self._m_batches.inc()
-            if not is_ok(reply):
-                continue
-            renewed = reply.get("renewed", ()) or ()
-            missing = reply.get("missing", ()) or ()
-            self._m_renewed.inc(len(renewed))
-            supervisor = self.ctx.supervisors.get(self.host.name)
-            if supervisor is not None:
-                # Batched renewals are the host's heartbeat too: each name
-                # the directory confirmed is demonstrably alive.
-                for name in renewed:
-                    supervisor.beat(name)
-            for name in missing:
-                reregister = self._entries.get(name)
-                if reregister is None:
-                    continue
-                try:
-                    yield from reregister()
-                    self._m_reregistered.inc()
-                    if supervisor is not None:
-                        supervisor.beat(name)
-                    self.ctx.trace.emit(
-                        sim.now, "lease", "batch-reregistered", service=name
-                    )
-                except Exception:
-                    self.ctx.trace.emit(
-                        sim.now, "lease", "batch-reregister-failed", service=name
-                    )
-
-    def _directory_client(self):
-        if self._client is None:
-            from repro.core.client import ServiceClient
-
-            self._client = ServiceClient(
-                self.ctx, self.host, principal=f"lease-batch.{self.host.name}"
-            )
-        return self._client

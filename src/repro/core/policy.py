@@ -162,8 +162,7 @@ class ResilienceRegistry:
     hammering it.
     """
 
-    def __init__(self, default_policy: Optional[CallPolicy] = None):
-        self.default_policy = default_policy or CallPolicy()
+    def __init__(self):
         self.stats = RpcStats()
         self._breakers: Dict[Any, CircuitBreaker] = {}
         self._lookup_cache: Dict[Tuple, Tuple] = {}

@@ -75,8 +75,6 @@ class ACEEnvironment:
         lease_duration: float = 30.0,
         trace: bool = True,
         net_kwargs: Optional[dict] = None,
-        obs_export: bool = False,
-        obs_export_kwargs: Optional[dict] = None,
         shard=None,
     ):
         self.sim = Simulator()
@@ -117,10 +115,6 @@ class ACEEnvironment:
         #: SupervisorDaemon kwargs once enable_supervision() ran (None =
         #: supervision off); late-added hosts get supervisors from these
         self._supervision_kwargs: Optional[dict] = None
-        #: ship finished spans + metric snapshots to the NetLogger at boot
-        self._obs_export = obs_export
-        self._obs_export_kwargs = dict(obs_export_kwargs or {})
-        self.exporter = None
 
     @property
     def obs(self):
@@ -933,13 +927,6 @@ class ACEEnvironment:
                 # is up, before any room-aware daemon starts.
                 self.sim.run_process(self._register_rooms(), timeout=30.0)
         self.sim.run(until=self.sim.now + settle)
-        if self._obs_export and "netlogger" in self.daemons:
-            from repro.obs import NetLoggerExporter
-
-            self.exporter = NetLoggerExporter(
-                self.ctx, self.daemons["netlogger"].host, **self._obs_export_kwargs
-            )
-            self.exporter.start()
         return self
 
     def boot_async(self, settle: float = 2.0) -> Generator:
@@ -974,13 +961,6 @@ class ACEEnvironment:
             if tier == _TIER_BOOTSTRAP and self.rooms and "roomdb" in self.daemons:
                 yield from self._register_rooms()
         yield self.sim.timeout(settle)
-        if self._obs_export and "netlogger" in self.daemons:
-            from repro.obs import NetLoggerExporter
-
-            self.exporter = NetLoggerExporter(
-                self.ctx, self.daemons["netlogger"].host, **self._obs_export_kwargs
-            )
-            self.exporter.start()
 
     def _staggered_start(self, daemon: ACEDaemon) -> Generator:
         yield self.sim.timeout(_boot_stagger(daemon.name))
@@ -991,7 +971,7 @@ class ACEEnvironment:
 
         client = self.client(self.daemons["roomdb"].host, principal="env-admin")
         for name, building, dims in self.rooms:
-            yield from client.call_once(
+            yield from client.call(
                 self.ctx.roomdb_address,
                 ACECmdLine("registerRoom", room=name, building=building,
                            dims=tuple(dims) if any(dims) else (1.0, 1.0, 1.0)),
@@ -1015,11 +995,6 @@ class ACEEnvironment:
         )
         return ServiceClient(self.ctx, host, principal=keypair.principal(),
                              keypair=keypair)
-
-    def user_client(self, host: Host, identity: UserIdentity) -> ServiceClient:
-        return ServiceClient(
-            self.ctx, host, principal=identity.principal, keypair=identity.keypair
-        )
 
     def run(self, generator: Generator, timeout: float = 300.0):
         """Run a scenario coroutine to completion; returns its value."""

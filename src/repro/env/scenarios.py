@@ -68,7 +68,7 @@ def scenario_1_new_user(env: ACEEnvironment, username: str = "john",
     status = "interrupted"
     try:
         # Step 1: insert the user and his scanned fingerprint into the AUD.
-        yield from client.call_once(
+        yield from client.call(
             env.daemon("aud").address,
             ACECmdLine(
                 "addUser",
@@ -82,7 +82,7 @@ def scenario_1_new_user(env: ACEEnvironment, username: str = "john",
         t_user_added = sim.now
 
         # Step 2: the GUI tells the WSS; a default workspace comes up somewhere.
-        reply = yield from client.call_once(
+        reply = yield from client.call(
             env.daemon("wss").address,
             ACECmdLine("ensureDefaultWorkspace", user=username),
         )
@@ -113,12 +113,12 @@ def scenario_2_identification(env: ACEEnvironment, username: str = "john",
     fiu = env.daemon(device)
     # Make sure the FIU has loaded John's template from the AUD.
     driver = scenario_client(env, fiu.host, "fiu-driver")
-    yield from driver.call_once(fiu.address, ACECmdLine("loadTemplates"))
+    yield from driver.call(fiu.address, ACECmdLine("loadTemplates"))
     sample = noisy_sample(
         identity.fingerprint_template, env.rng.np(f"scan.{username}.{sim.now}"), noise
     )
     t0 = sim.now
-    reply = yield from driver.call_once(fiu.address, ACECmdLine("scan", sample=sample))
+    reply = yield from driver.call(fiu.address, ACECmdLine("scan", sample=sample))
     matched = reply.int("matched") == 1
     # Let the notification chain (FIU → IDMon → AUD) drain.
     yield sim.timeout(0.5)
@@ -145,13 +145,13 @@ def scenario_3_workspace_display(env: ACEEnvironment, username: str = "john",
     fiu = env.daemon(device)
     identity = env.users[username]
     driver = scenario_client(env, fiu.host, "fiu-driver3")
-    yield from driver.call_once(fiu.address, ACECmdLine("loadTemplates"))
+    yield from driver.call(fiu.address, ACECmdLine("loadTemplates"))
     before = len(env.trace.filter(kind="viewer-attached"))
     sample = noisy_sample(
         identity.fingerprint_template, env.rng.np(f"scan3.{username}"), 0.05
     )
     t0 = sim.now
-    yield from driver.call_once(fiu.address, ACECmdLine("scan", sample=sample))
+    yield from driver.call(fiu.address, ACECmdLine("scan", sample=sample))
     # Wait for the viewer to come up (IDMon → WSS → HAL → viewer attach).
     deadline = sim.now + 30.0
     while sim.now < deadline:
@@ -179,25 +179,25 @@ def scenario_4_multiple_workspaces(env: ACEEnvironment, username: str = "john",
     identity = env.users[username]
     client = scenario_client(env, env.daemon("wss").host, "admin-gui4")
     wss_addr = env.daemon("wss").address
-    yield from client.call_once(
+    yield from client.call(
         wss_addr, ACECmdLine("createWorkspace", user=username, name=f"{username}-work")
     )
     # Identify at the podium: with 2 workspaces the IDMon shows a selector.
     fiu = env.daemon(device)
     driver = scenario_client(env, fiu.host, "fiu-driver4")
-    yield from driver.call_once(fiu.address, ACECmdLine("loadTemplates"))
+    yield from driver.call(fiu.address, ACECmdLine("loadTemplates"))
     selectors_before = len(env.trace.filter(kind="notification-delivered"))
     sample = noisy_sample(
         identity.fingerprint_template, env.rng.np(f"scan4.{username}"), 0.05
     )
-    yield from driver.call_once(fiu.address, ACECmdLine("scan", sample=sample))
+    yield from driver.call(fiu.address, ACECmdLine("scan", sample=sample))
     yield sim.timeout(2.0)
-    listing = yield from client.call_once(
+    listing = yield from client.call(
         wss_addr, ACECmdLine("listWorkspaces", user=username)
     )
     # John picks the secondary workspace on the selector GUI.
     viewer_before = len(env.trace.filter(kind="viewer-attached"))
-    reply = yield from client.call_once(
+    reply = yield from client.call(
         wss_addr,
         ACECmdLine("openWorkspace", user=username, name=f"{username}-work",
                    display=fiu.host.name),
@@ -231,7 +231,7 @@ def scenario_5_devices(env: ACEEnvironment, username: str = "john",
     t0 = sim.now
 
     # The GUI discovers what is in the room.
-    room_reply = yield from client.call_once(
+    room_reply = yield from client.call(
         env.ctx.roomdb_address, ACECmdLine("lookupRoom", room=room)
     )
     services = [w.split("|")[0] for w in room_reply.get("services", ())]

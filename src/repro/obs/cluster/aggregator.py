@@ -188,7 +188,7 @@ class TelemetryAggregatorDaemon(ACEDaemon):
                         self.ctx, self.host, principal=self.name
                     )
                 try:
-                    reply = yield from self._scrape_client.call_resilient(
+                    reply = yield from self._scrape_client.call(
                         self.publishers[host], ACECmdLine("obsScrape"),
                         policy=policy,
                     )

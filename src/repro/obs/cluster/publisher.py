@@ -164,7 +164,7 @@ class TelemetryPublisherDaemon(ACEDaemon):
                 seq=self._seq, scopes=tuple(rows),
             )
             try:
-                reply = yield from self._client.call_resilient(
+                reply = yield from self._client.call(
                     target, command, policy=self._policy
                 )
             except (CallError, ConnectionClosed, ConnectionRefused):

@@ -42,10 +42,6 @@ class TraceContext:
             return None
         return cls(parts[0], parts[1], "" if parts[2] == "x" else parts[2])
 
-    def child_of(self, span_id: str) -> "TraceContext":
-        """The context a child span started under this one would carry."""
-        return TraceContext(self.trace_id, span_id, self.span_id)
-
 
 def inject(command: ACECmdLine, context: Optional[TraceContext]) -> ACECmdLine:
     """A copy of ``command`` carrying ``context`` (or ``command`` itself

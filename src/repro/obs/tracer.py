@@ -179,13 +179,6 @@ class Tracer:
     def spans_for(self, trace_id: str) -> List[Span]:
         return [s for s in self.spans if s.trace_id == trace_id]
 
-    def trace_ids(self) -> List[str]:
-        seen: List[str] = []
-        for span in self.spans:
-            if span.trace_id not in seen:
-                seen.append(span.trace_id)
-        return seen
-
     def tree(self, trace_id: str) -> "SpanTree":
         return SpanTree(self.spans_for(trace_id))
 

@@ -138,9 +138,6 @@ class SupervisorDaemon:
         self._checkpoints[name] = payload
         self._m_checkpoints.inc()
 
-    def checkpoint_of(self, name: str) -> Optional[Dict[str, str]]:
-        return self._checkpoints.get(name)
-
     def persist_checkpoint(self, name: str, payload: Dict[str, str]) -> Generator:
         """Best-effort durable copy in the persistent store."""
         store = self._store_client()

@@ -69,7 +69,7 @@ class AdaptiveCameraDaemon(VCC4CameraDaemon):
                 if device.name in self._subscribed:
                     continue
                 try:
-                    yield from client.call_once(
+                    yield from client.call(
                         device.address,
                         ACECmdLine("addNotification", cmd="identified",
                                    listener=self.name, host=self.host.name,

@@ -198,10 +198,8 @@ class ServiceDirectoryDaemon(ACEDaemon):
         )
         sem.define(
             "renewLease",
-            ArgSpec("name", ArgType.STRING, required=False),
-            ArgSpec("names", ArgType.VECTOR, required=False),
+            ArgSpec("name", ArgType.STRING),
             ArgSpec("fwd", ArgType.INTEGER, required=False, default=0),
-            description="renew one lease, or a whole host's in one command",
         )
         sem.define(
             "lookup",
@@ -332,7 +330,7 @@ class ServiceDirectoryDaemon(ACEDaemon):
         forward = command.without_args(*RESERVED_ARGS).with_args(fwd=1)
         client = self._service_client()
         try:
-            reply = yield from client.call_resilient(
+            reply = yield from client.call(
                 leader, forward, policy=FORWARD_POLICY, check=False, attach=False
             )
             self.forwarded_writes += 1
@@ -358,7 +356,7 @@ class ServiceDirectoryDaemon(ACEDaemon):
     def _push_to_peer(self, peer: Address, wires: tuple) -> Generator:
         client = self._service_client()
         try:
-            yield from client.call_once(
+            yield from client.call(
                 peer, ACECmdLine("dirReplicate", entries=wires), attach=False
             )
             self.replications_sent += 1
@@ -493,10 +491,6 @@ class ServiceDirectoryDaemon(ACEDaemon):
 
     def cmd_renewLease(self, request: Request) -> Generator:
         cmd = request.command
-        single = cmd.get("name")
-        batch = cmd.get("names")
-        if single is None and batch is None:
-            raise ServiceError("renewLease needs name= or names=(...)")
         if not cmd.int("fwd", 0) and not self.is_leader:
             reply = yield from self._forward_to_leader(cmd)
             if reply is not None:
@@ -504,36 +498,17 @@ class ServiceDirectoryDaemon(ACEDaemon):
         self.coordinated_writes += 1
         now = self.ctx.sim.now
         self.leases.expire(now)
-        targets = list(batch) if batch is not None else [single]
-        renewed: List[str] = []
-        missing: List[str] = []
-        changed: List[DirEntry] = []
-        last_lease = None
-        for name in targets:
-            lease = self.leases.renew(name, now)
-            entry = self._entries.get(name)
-            if lease is None or entry is None or entry.deleted:
-                missing.append(name)
-                continue
-            entry.expires_at = lease.expires_at
-            entry.renewals = lease.renewals
-            entry.seq = self._next_seq()
-            entry.site = self.name
-            renewed.append(name)
-            changed.append(entry)
-            last_lease = lease
-        self._replicate_entries(changed)
-        if single is not None and batch is None:
-            if last_lease is None:
-                raise ServiceError(f"no active lease for {single!r}; re-register")
-            return {"lease": float(last_lease.duration), "renewals": last_lease.renewals}
-        result: dict = {"count": len(renewed)}
-        if renewed:
-            result["renewed"] = tuple(renewed)
-            result["lease"] = float(self.leases.duration)
-        if missing:
-            result["missing"] = tuple(missing)
-        return result
+        name = cmd.str("name")
+        lease = self.leases.renew(name, now)
+        entry = self._entries.get(name)
+        if lease is None or entry is None or entry.deleted:
+            raise ServiceError(f"no active lease for {name!r}; re-register")
+        entry.expires_at = lease.expires_at
+        entry.renewals = lease.renewals
+        entry.seq = self._next_seq()
+        entry.site = self.name
+        self._replicate_entries([entry])
+        return {"lease": float(lease.duration), "renewals": lease.renewals}
 
     # ------------------------------------------------------------------
     # Handlers: queries (paged)
@@ -683,7 +658,7 @@ class DirectoryWatcherDaemon(ACEDaemon):
                     callback="dirChanged",
                 )
                 try:
-                    yield from client.call_once(address, command)
+                    yield from client.call(address, command)
                     self.subscribed += 1
                 except (CallError, ConnectionClosed, ConnectionRefused):
                     self.ctx.trace.emit(
@@ -828,7 +803,7 @@ def asd_lookup(
             page_args = dict(args)
             if offset:
                 page_args["offset"] = offset
-            reply = yield from client.call_failover(
+            reply = yield from client.call(
                 targets, ACECmdLine("lookup", page_args), policy=per_replica
             )
             wires = reply.get("services", ())

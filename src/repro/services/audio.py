@@ -366,7 +366,7 @@ class SpeechToCommandDaemon(StreamDaemon):
         target, command_text = self.mappings[word]
         client = self._service_client()
         try:
-            yield from client.call_once(target, parse_command(command_text))
+            yield from client.call(target, parse_command(command_text))
         except (CallError, ConnectionClosed, ConnectionRefused):
             self.ctx.trace.emit(self.ctx.sim.now, self.name, "voice-command-failed",
                                 word=word)

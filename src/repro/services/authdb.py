@@ -67,9 +67,6 @@ class AuthorizationDatabaseDaemon(DatabaseDaemon):
         """Directly install a credential (administrative path)."""
         self._credentials.setdefault(principal, []).append(assertion.to_text())
 
-    def credentials_for(self, principal: str) -> List[Assertion]:
-        return [parse_assertion(t) for t in self._credentials.get(principal, [])]
-
     # -- handlers ---------------------------------------------------------
     def cmd_storeCredential(self, request: Request) -> dict:
         cmd = request.command

@@ -38,7 +38,7 @@ class DeviceDaemon(ACEDaemon):
             return
         client = self._service_client()
         try:
-            reply = yield from client.call_once(
+            reply = yield from client.call(
                 self.ctx.roomdb_address, ACECmdLine("roomDims", room=self.room)
             )
         except (CallError, ConnectionClosed, ConnectionRefused):

@@ -103,7 +103,7 @@ class FingerprintUnitDaemon(DeviceDaemon):
                 auds = yield from asd_lookup(client, self.ctx.asd_address, name="aud")
             if not auds:
                 return
-            reply = yield from client.call_once(auds[0].address, ACECmdLine("listFingerprints"))
+            reply = yield from client.call(auds[0].address, ACECmdLine("listFingerprints"))
         except (CallError, ConnectionClosed, ConnectionRefused):
             return
         users = reply.get("users", ())

@@ -169,7 +169,7 @@ class GestureRecognitionDaemon(ACEDaemon):
             target, command_text = mapping
             client = self._service_client()
             try:
-                yield from client.call_once(target, parse_command(command_text))
+                yield from client.call(target, parse_command(command_text))
             except (CallError, ConnectionClosed, ConnectionRefused):
                 self.ctx.trace.emit(self.ctx.sim.now, self.name,
                                     "gesture-command-failed", gesture=name)

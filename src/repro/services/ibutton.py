@@ -59,7 +59,7 @@ class IButtonReaderDaemon(DeviceDaemon):
             auds = yield from asd_lookup(client, self.ctx.asd_address, name="aud")
             if not auds:
                 return None
-            reply = yield from client.call_once(
+            reply = yield from client.call(
                 auds[0].address, ACECmdLine("findByIButton", serial=serial)
             )
         except (CallError, ConnectionClosed, ConnectionRefused):

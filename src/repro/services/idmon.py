@@ -73,7 +73,7 @@ class IDMonitorDaemon(ACEDaemon):
             return
         client = self._service_client()
         try:
-            yield from client.call_once(
+            yield from client.call(
                 self.ctx.asd_address,
                 ACECmdLine(
                     "addNotification", cmd="register", listener=self.name,
@@ -99,7 +99,7 @@ class IDMonitorDaemon(ACEDaemon):
             if key in self._subscribed:
                 continue
             try:
-                yield from client.call_once(
+                yield from client.call(
                     device_addr,
                     ACECmdLine(
                         "addNotification", cmd=watched, listener=self.name,
@@ -139,7 +139,7 @@ class IDMonitorDaemon(ACEDaemon):
                     if key in self._subscribed:
                         continue
                     try:
-                        yield from client.call_once(
+                        yield from client.call(
                             device.address,
                             ACECmdLine(
                                 "addNotification", cmd=watched, listener=self.name,
@@ -177,7 +177,7 @@ class IDMonitorDaemon(ACEDaemon):
         try:
             auds = yield from asd_lookup(client, self.ctx.asd_address, name="aud")
             if auds:
-                yield from client.call_once(
+                yield from client.call(
                     auds[0].address,
                     ACECmdLine("setLocation", username=username, location=location),
                 )
@@ -202,7 +202,7 @@ class IDMonitorDaemon(ACEDaemon):
         if display is None:
             return
         try:
-            listing = yield from client.call_once(
+            listing = yield from client.call(
                 wss_addr, ACECmdLine("listWorkspaces", user=username)
             )
         except (CallError, ConnectionClosed, ConnectionRefused):
@@ -219,7 +219,7 @@ class IDMonitorDaemon(ACEDaemon):
             )
             return
         try:
-            yield from client.call_once(
+            yield from client.call(
                 wss_addr,
                 ACECmdLine("openWorkspace", user=username, display=display),
             )
@@ -243,7 +243,7 @@ class IDMonitorDaemon(ACEDaemon):
         if self.ctx.netlogger_address is not None:
             client = self._service_client()
             try:
-                yield from client.call_once(
+                yield from client.call(
                     self.ctx.netlogger_address,
                     ACECmdLine("logEvent", source=self.name, event="invalid_identification",
                                detail=str(request.command.get("source", "?"))),

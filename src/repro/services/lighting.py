@@ -88,7 +88,7 @@ class LightingControllerDaemon(ACEDaemon):
             return
         client = self._service_client()
         try:
-            yield from client.call_once(
+            yield from client.call(
                 self.ctx.asd_address,
                 ACECmdLine("addNotification", cmd="register", listener=self.name,
                            host=self.host.name, port=self.port,
@@ -111,7 +111,7 @@ class LightingControllerDaemon(ACEDaemon):
             return
         client = self._service_client()
         try:
-            yield from client.call_once(
+            yield from client.call(
                 address,
                 ACECmdLine("addNotification", cmd="identified", listener=self.name,
                            host=self.host.name, port=self.port,
@@ -150,7 +150,7 @@ class LightingControllerDaemon(ACEDaemon):
         changed = 0
         for light in lights:
             try:
-                yield from client.call_once(
+                yield from client.call(
                     light.address, ACECmdLine("setLevel", level=level))
                 changed += 1
             except (CallError, ConnectionClosed, ConnectionRefused):

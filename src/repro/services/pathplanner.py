@@ -127,7 +127,7 @@ class PathPlannerDaemon(ACEDaemon):
         client = self._service_client()
         for upstream, downstream in zip(endpoints, endpoints[1:]):
             try:
-                yield from client.call_once(
+                yield from client.call(
                     upstream,
                     ACECmdLine("addSink", host=downstream.host, port=downstream.port),
                 )

@@ -91,7 +91,7 @@ class TaskAutomationDaemon(ACEDaemon):
             auds = yield from asd_lookup(client, self.ctx.asd_address, name="aud")
             if not auds:
                 return None
-            reply = yield from client.call_once(
+            reply = yield from client.call(
                 auds[0].address, ACECmdLine("getUser", username=username)
             )
         except (CallError, ConnectionClosed, ConnectionRefused):
@@ -117,7 +117,7 @@ class TaskAutomationDaemon(ACEDaemon):
         printer, why = yield from self._pick_printer(room)
         client = self._service_client()
         try:
-            reply = yield from client.call_once(
+            reply = yield from client.call(
                 printer.address,
                 ACECmdLine("printDocument", doc=cmd.str("doc"),
                            pages=cmd.int("pages", 1), user=username),

@@ -66,7 +66,7 @@ class SystemApplicationLauncherDaemon(ACEDaemon):
         if not srms:
             return None
         try:
-            reply = yield from client.call_once(
+            reply = yield from client.call(
                 srms[0].address,
                 ACECmdLine("selectHost", min_mem_mb=float(min_mem_mb)),
             )
@@ -87,7 +87,7 @@ class SystemApplicationLauncherDaemon(ACEDaemon):
             )
         client = self._service_client()
         try:
-            reply = yield from client.call_once(
+            reply = yield from client.call(
                 record.address,
                 ACECmdLine("launch", app=cmd.str("app"), args=cmd.str("args", "")),
             )

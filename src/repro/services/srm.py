@@ -68,7 +68,7 @@ class SystemResourceMonitorDaemon(ACEDaemon):
             return
         for record in hrms:
             try:
-                reply = yield from client.call_once(
+                reply = yield from client.call(
                     record.address, ACECmdLine("getResources")
                 )
             except (CallError, ConnectionClosed, ConnectionRefused):

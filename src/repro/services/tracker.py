@@ -68,7 +68,7 @@ class PersonnelTrackerDaemon(ACEDaemon):
             return
         client = self._service_client()
         try:
-            yield from client.call_once(
+            yield from client.call(
                 self.ctx.asd_address,
                 ACECmdLine("addNotification", cmd="register", listener=self.name,
                            host=self.host.name, port=self.port,
@@ -92,7 +92,7 @@ class PersonnelTrackerDaemon(ACEDaemon):
             return
         client = self._service_client()
         try:
-            yield from client.call_once(
+            yield from client.call(
                 address,
                 ACECmdLine("addNotification", cmd="identified", listener=self.name,
                            host=self.host.name, port=self.port,

@@ -96,7 +96,7 @@ class SoundTriangulationDaemon(ACEDaemon):
             return None
         client = self._service_client()
         try:
-            reply = yield from client.call_once(
+            reply = yield from client.call(
                 self.ctx.roomdb_address, ACECmdLine("whereIs", service=mic))
         except (CallError, ConnectionClosed, ConnectionRefused):
             return None

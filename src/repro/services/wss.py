@@ -237,7 +237,7 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
             f"session={session} owner={user} password={password} "
             f"secret={self.admin_secret}"
         )
-        reply = yield from client.call_once(
+        reply = yield from client.call(
             sals[0].address, ACECmdLine("launchApp", app="vncserver", args=args)
         )
         server_host = reply.str("host")
@@ -318,7 +318,7 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
             f"server={record.server_host}:{record.server_port} "
             f"session={record.session} password={record.password}"
         )
-        reply = yield from client.call_once(
+        reply = yield from client.call(
             hals[0].address, ACECmdLine("launch", app="vncviewer", args=args)
         )
         record.viewers += 1
@@ -338,7 +338,7 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
         yield from self._unpersist_record(key[0], key[1])
         client = self._service_client()
         try:
-            yield from client.call_once(
+            yield from client.call(
                 record.server_address,
                 ACECmdLine("destroySession", session=record.session,
                            admin=self.admin_secret),

@@ -22,12 +22,12 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.lang import ACECmdLine
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.net import Address
 from repro.net.host import Host, HostDownError
 
-from repro.core.client import CallError, ServiceClient
+from repro.core.client import FAILOVER_ERRORS, CallError, ServiceClient
 from repro.core.context import DaemonContext
-from repro.core.policy import BreakerOpen, CallPolicy, DeadlineExceeded, TransportError
+from repro.core.policy import CallPolicy
 from repro.store.namespace import decode_attrs, encode_attrs
 from repro.store.sharding import ShardMap, stable_hash
 
@@ -44,16 +44,10 @@ STORE_CALL_POLICY = CallPolicy(
     breaker_reset=5.0,
 )
 
-#: Failures that mean "try the next replica" — anything transport-shaped.
-#: A plain ``CallError`` (cmdFailed) propagates: the replica answered.
-_FAILOVER_ERRORS = (
-    ConnectionClosed,
-    ConnectionRefused,
-    HostDownError,
-    TransportError,
-    DeadlineExceeded,
-    BreakerOpen,
-)
+#: Failures that mean "try the next replica": the client's own list plus
+#: this host going down under us.  A plain ``CallError`` (cmdFailed)
+#: propagates: the replica answered.
+_FAILOVER_ERRORS = FAILOVER_ERRORS + (HostDownError,)
 
 #: default freshness horizon for cached reads (seconds of sim time)
 READ_CACHE_TTL = 5.0
@@ -145,36 +139,23 @@ class StoreClient:
         return self._rotated(self._group_replicas(path))
 
     # ------------------------------------------------------------------
-    def _call_with_failover(self, command: ACECmdLine, order: List[Address]) -> Generator:
+    def _call_with_failover(
+        self, command: ACECmdLine, order: List[Address], absent_ok: bool = False
+    ) -> Generator:
+        """The first reply any replica in ``order`` gives.  A ``cmdFailed``
+        reply raises ``CallError`` — or, with ``absent_ok``, means the
+        object is absent and returns ``None``."""
         last_error: Optional[Exception] = None
         for replica in order:
             try:
-                reply = yield from self._client.call_resilient(
-                    replica, command, policy=self.policy, attach=False
+                reply = yield from self._client.call(
+                    replica, command, policy=self.policy, check=not absent_ok, attach=False
                 )
-                return reply
             except _FAILOVER_ERRORS as exc:
                 last_error = exc
                 self._m_failovers.inc()
                 continue
-        self._m_unavailable.inc()
-        raise StoreUnavailable(f"all replicas failed for {command.name}: {last_error}")
-
-    def _call_with_failover_checked(self, command: ACECmdLine, order: List[Address]) -> Generator:
-        """Like _call_with_failover but treats cmdFailed as 'absent'."""
-        last_error: Optional[Exception] = None
-        for replica in order:
-            try:
-                reply = yield from self._client.call_resilient(
-                    replica, command, policy=self.policy, check=False, attach=False
-                )
-                if reply.name != "cmdOk":
-                    return None
-                return reply
-            except _FAILOVER_ERRORS as exc:
-                last_error = exc
-                self._m_failovers.inc()
-                continue
+            return None if absent_ok and reply.name != "cmdOk" else reply
         self._m_unavailable.inc()
         raise StoreUnavailable(f"all replicas failed for {command.name}: {last_error}")
 
@@ -228,8 +209,8 @@ class StoreClient:
             return cached
         if self.cache_reads:
             self._m_cache_misses.inc()
-        reply = yield from self._call_with_failover_checked(
-            ACECmdLine("psGet", path=path), self._read_order(path)
+        reply = yield from self._call_with_failover(
+            ACECmdLine("psGet", path=path), self._read_order(path), absent_ok=True
         )
         if reply is None:
             self._cache.pop(path, None)

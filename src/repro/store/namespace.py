@@ -33,9 +33,6 @@ class Version:
     counter: int
     site: str
 
-    def next_after(self, site: str) -> "Version":
-        return Version(self.counter + 1, site)
-
     def to_wire(self) -> str:
         return f"{self.counter}@{self.site}"
 

@@ -256,10 +256,8 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
                 delivered = False
                 for address in addresses:
                     try:
-                        yield from client.call_pipelined(
-                            address, command, attach=False,
-                            timeout=self.sync_interval,
-                        )
+                        pipe = yield from client.pipelined(address, attach=False)
+                        yield from pipe.call(command, timeout=self.sync_interval)
                         delivered = True
                     except _REPL_ERRORS:
                         continue
@@ -381,9 +379,8 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
                     entries=tuple(encode_object(o) for o in batch),
                 )
                 try:
-                    yield from client.call_pipelined(
-                        peer, command, attach=False, timeout=self.sync_interval
-                    )
+                    pipe = yield from client.pipelined(peer, attach=False)
+                    yield from pipe.call(command, timeout=self.sync_interval)
                 except _REPL_ERRORS:
                     self._m_repl_failed.inc()
                     self._peer_down_until[peer] = self.ctx.sim.now + self.sync_interval
@@ -432,7 +429,7 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
             deleted=1 if obj.deleted else 0,
         )
         try:
-            yield from client.call_once(peer, command, attach=False)
+            yield from client.call(peer, command, attach=False)
             self.replications_sent += 1
             self._m_repl_sent.inc()
             return True

@@ -5,10 +5,10 @@ service, failing over to an optional secondary, while a
 :class:`~repro.faults.ChaosController` breaks things underneath them.  Two
 modes share the same traffic shape so runs are comparable:
 
-* **resilient** — calls go through
-  :meth:`~repro.core.client.ServiceClient.call_resilient` (deadline,
-  retries, circuit breaker);
-* **naive** — calls use plain ``call_once`` with no deadline, the
+* **resilient** — :meth:`~repro.core.client.ServiceClient.call` under a
+  :class:`~repro.core.policy.CallPolicy` (deadline, retries, circuit
+  breaker);
+* **naive** — the same call with ``policy=None``: no deadline, the
   pre-policy behaviour: a stalled stream hangs the client forever.
 
 Every completed call is timestamped into an
@@ -23,13 +23,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.lang import ACECmdLine
-from repro.core.client import RETRYABLE, CallError, ServiceClient
-from repro.core.policy import BreakerOpen, CallPolicy
+from repro.core.client import FAILOVER_ERRORS, CallError, ServiceClient
+from repro.core.policy import CallPolicy
 from repro.metrics import AvailabilityRecorder
-from repro.net import Address, ConnectionClosed, ConnectionRefused
-
-#: Anything that should push a call to the secondary target.
-_FAILOVER = (ConnectionRefused, ConnectionClosed) + RETRYABLE + (BreakerOpen,)
+from repro.net import Address
 
 
 @dataclass(frozen=True)
@@ -126,13 +123,7 @@ def run_chaos_workload(
         availability=AvailabilityRecorder(bucket=bucket),
     )
     in_flight: Dict[Tuple[int, int], float] = {}
-
-    def call_target(client: ServiceClient, target: Address, command: ACECmdLine) -> Generator:
-        if resilient:
-            reply = yield from client.call_resilient(target, command, policy=policy)
-        else:
-            reply = yield from client.call_once(target, command)
-        return reply
+    policy = (policy or CallPolicy()) if resilient else None
 
     def one_call(client: ServiceClient, index: int, iteration: int) -> Generator:
         command = make_command(index, iteration)
@@ -141,10 +132,10 @@ def run_chaos_workload(
         ok = False
         for target in targets:
             try:
-                yield from call_target(client, target, command)
+                yield from client.call(target, command, policy=policy)
                 ok = True
                 break
-            except _FAILOVER as exc:
+            except FAILOVER_ERRORS as exc:
                 error = type(exc).__name__
             except CallError as exc:  # cmdFailed: service answered, no failover
                 error = type(exc).__name__

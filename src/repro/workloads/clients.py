@@ -105,7 +105,7 @@ def open_loop_arrivals(
         client = ServiceClient(env.ctx, host, principal=f"arrival-{index}")
         t0 = sim.now
         try:
-            yield from client.call_once(target, make_command(index))
+            yield from client.call(target, make_command(index))
         except (CallError, ConnectionClosed, ConnectionRefused):
             return
         recorder.record(sim.now - t0)
@@ -200,9 +200,9 @@ def user_session_workload(
         while sim.now < stop_at:
             t0 = sim.now
             try:
-                yield from client.call_once(asd, ACECmdLine("lookup", cls="HRM"))
+                yield from client.call(asd, ACECmdLine("lookup", cls="HRM"))
                 if aud is not None:
-                    yield from client.call_once(aud, ACECmdLine("listUsers"))
+                    yield from client.call(aud, ACECmdLine("listUsers"))
             except (CallError, ConnectionClosed, ConnectionRefused):
                 yield sim.timeout(0.5)
                 continue

@@ -24,7 +24,7 @@ def phone_env(loss_rate=0.0):
 def call(env, daemon, command, **kw):
     def go():
         client = env.client(env.net.host("infra"))
-        return (yield from client.call_once(daemon.address, command, **kw))
+        return (yield from client.call(daemon.address, command, **kw))
 
     return env.run(go())
 

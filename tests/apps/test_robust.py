@@ -44,7 +44,7 @@ def manage(env, app_id="c1", cls="restart", host=None, interval=0.2):
                 "args": f"app_id={app_id} interval={interval}"}
         if host:
             args["host"] = host
-        reply = yield from client.call_once(
+        reply = yield from client.call(
             env.daemon("restartmgr").address, ACECmdLine("manageApp", args)
         )
         return reply
@@ -118,7 +118,7 @@ def test_intentional_stop_not_resurrected(env):
 
     def stop_managed():
         client = env.client(env.net.host("infra"), principal="admin")
-        yield from client.call_once(
+        yield from client.call(
             env.daemon("restartmgr").address, ACECmdLine("unmanageApp", app_id="c1")
         )
 

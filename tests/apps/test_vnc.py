@@ -20,7 +20,7 @@ def vnc_env():
 
     def create():
         client = env.client(env.net.host("infra"), principal="wss")
-        yield from client.call_once(
+        yield from client.call(
             server.address,
             ACECmdLine("createSession", session="john-default", owner="john",
                        password="pw123", admin="s3cret"),
@@ -33,7 +33,7 @@ def vnc_env():
 def call(env, server, command, **kw):
     def go():
         client = env.client(env.net.host("infra"), principal="tester")
-        return (yield from client.call_once(server.address, command, **kw))
+        return (yield from client.call(server.address, command, **kw))
 
     return env.run(go())
 

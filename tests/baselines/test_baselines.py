@@ -171,14 +171,14 @@ def test_gateway_forwards_device_commands():
 
     def scenario():
         client = env.client(room_host, principal="user")
-        yield from client.call_once(
+        yield from client.call(
             gateway.address,
             ACECmdLine("registerDevice", device="cam", host=room_host.name,
                        port=camera.port),
         )
         backbone_before = env.net.stats.bytes_backbone
         t0 = env.sim.now
-        reply = yield from client.call_once(
+        reply = yield from client.call(
             gateway.address,
             ACECmdLine("forward", device="cam", command="power state=on;"),
         )
@@ -186,7 +186,7 @@ def test_gateway_forwards_device_commands():
         backbone_used = env.net.stats.bytes_backbone - backbone_before
 
         t1 = env.sim.now
-        yield from client.call_once(camera.address, ACECmdLine("power", state="off"))
+        yield from client.call(camera.address, ACECmdLine("power", state="off"))
         direct_latency = env.sim.now - t1
         return reply, central_latency, direct_latency, backbone_used
 
@@ -210,7 +210,7 @@ def test_gateway_unknown_device():
     def scenario():
         client = env.client(env.net.host("infra"))
         with pytest.raises(CallError, match="unknown device"):
-            yield from client.call_once(
+            yield from client.call(
                 gateway.address, ACECmdLine("forward", device="ghost", command="ping;")
             )
 

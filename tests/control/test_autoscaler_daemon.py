@@ -4,6 +4,7 @@ operator wire surface, and the checkpoint round-trip."""
 
 import pytest
 
+from repro.core import CallPolicy
 from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
 from repro.lang.command import is_ok
@@ -161,8 +162,8 @@ def test_ctl_status_wire_surface():
     plant.load = 50.0
     env.run_for(3.0)
     client = env.client(env.daemons["asd"].host, principal="operator")
-    reply = env.run(client.call_resilient(
-        daemon.address, ACECmdLine("ctlStatus", topk=4), attach=False
+    reply = env.run(client.call(
+        daemon.address, ACECmdLine("ctlStatus", topk=4), CallPolicy(), attach=False
     ))
     assert is_ok(reply)
     rows = reply.get("rows", ())

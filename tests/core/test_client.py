@@ -40,33 +40,18 @@ def test_call_error_carries_reply(ace_echo):
     assert exc.reply["cmd"] == "boom"
 
 
-def test_call_once_closes_connection_on_failure(ace_echo):
+def test_call_closes_connection_on_failure(ace_echo):
     ace, echo = ace_echo
 
     def go():
         client = ace.client()
         with pytest.raises(CallError):
-            yield from client.call_once(echo.address, ACECmdLine("boom"))
+            yield from client.call(echo.address, ACECmdLine("boom"))
         # A fresh call still works: nothing leaked.
-        reply = yield from client.call_once(echo.address, ACECmdLine("echo", text="ok"))
+        reply = yield from client.call(echo.address, ACECmdLine("echo", text="ok"))
         return reply
 
     assert ace.run(go())["text"] == "ok"
-
-
-def test_send_oneway_does_not_wait(ace_echo):
-    ace, echo = ace_echo
-
-    def go():
-        client = ace.client()
-        conn = yield from client.connect(echo.address)
-        t0 = ace.sim.now
-        yield from conn.send_oneway(ACECmdLine("slowEcho", text="x", delay=3.0))
-        elapsed = ace.sim.now - t0
-        conn.close()
-        return elapsed
-
-    assert ace.run(go()) < 0.5  # returned without waiting the 3 s
 
 
 def test_connect_without_attach(ace_echo):
@@ -122,7 +107,7 @@ def test_client_principal_reaches_daemon(ace_echo):
 
     def go():
         client = ServiceClient(ace.ctx, ace.infra_host, principal="user:carol")
-        yield from client.call_once(echo.address, ACECmdLine("echo", text="x"))
+        yield from client.call(echo.address, ACECmdLine("echo", text="x"))
 
     ace.run(go())
     assert principals == ["user:carol"]

@@ -14,7 +14,7 @@ def test_echo_roundtrip(ace_with_echo):
 
     def scenario():
         client = ace.client()
-        reply = yield from client.call_once(echo.address, ACECmdLine("echo", text="hi"))
+        reply = yield from client.call(echo.address, ACECmdLine("echo", text="hi"))
         return reply
 
     reply = ace.run(scenario())
@@ -28,7 +28,7 @@ def test_generator_handler_takes_sim_time(ace_with_echo):
     def scenario():
         client = ace.client()
         t0 = ace.sim.now
-        yield from client.call_once(
+        yield from client.call(
             echo.address, ACECmdLine("slowEcho", text="x", delay=2.0)
         )
         return ace.sim.now - t0
@@ -43,7 +43,7 @@ def test_service_error_becomes_cmd_failed(ace_with_echo):
     def scenario():
         client = ace.client()
         with pytest.raises(CallError, match="intentional failure"):
-            yield from client.call_once(echo.address, ACECmdLine("boom"))
+            yield from client.call(echo.address, ACECmdLine("boom"))
         # unchecked call returns the raw failure reply
         conn = yield from client.connect(echo.address)
         reply = yield from conn.call(ACECmdLine("boom"), check=False)
@@ -61,7 +61,7 @@ def test_unknown_command_rejected_by_semantics(ace_with_echo):
     def scenario():
         client = ace.client()
         with pytest.raises(CallError, match="unknown command"):
-            yield from client.call_once(echo.address, ACECmdLine("fabricated"))
+            yield from client.call(echo.address, ACECmdLine("fabricated"))
 
     ace.run(scenario())
 
@@ -144,7 +144,7 @@ def test_concurrent_clients_both_served(ace_with_echo):
 
     def one_client(tag):
         client = ace.client(principal=tag)
-        reply = yield from client.call_once(echo.address, ACECmdLine("echo", text=tag))
+        reply = yield from client.call(echo.address, ACECmdLine("echo", text=tag))
         results.append(reply["text"])
 
     ace.sim.process(one_client("a"))
@@ -161,7 +161,7 @@ def test_control_thread_serializes_commands(ace_with_echo):
 
     def one(tag):
         client = ace.client(principal=tag)
-        yield from client.call_once(echo.address, ACECmdLine("slowEcho", text=tag, delay=1.0))
+        yield from client.call(echo.address, ACECmdLine("slowEcho", text=tag, delay=1.0))
         finish.append(ace.sim.now)
 
     ace.sim.process(one("a"))
@@ -194,7 +194,7 @@ def test_commands_served_counter(ace_with_echo):
 
     def scenario():
         client = ace.client()
-        yield from client.call_once(echo.address, ACECmdLine("echo", text="x"))
+        yield from client.call(echo.address, ACECmdLine("echo", text="x"))
 
     ace.run(scenario())
     assert echo.commands_served == before + 1

@@ -134,7 +134,7 @@ def test_lookup_does_not_return_expired(ace_with_echo):
 
     def scenario():
         client = ace.client()
-        reply = yield from client.call_once(
+        reply = yield from client.call(
             ace.ctx.asd_address, ACECmdLine("lookup", cls="Echo")
         )
         return reply

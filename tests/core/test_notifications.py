@@ -71,7 +71,7 @@ def test_notification_delivered_on_command(ace_with_echo):
     def scenario():
         client = ace.client()
         # Step: listener asks echo1 to notify it when "echo" executes.
-        yield from client.call_once(
+        yield from client.call(
             echo.address,
             ACECmdLine(
                 "addNotification",
@@ -82,7 +82,7 @@ def test_notification_delivered_on_command(ace_with_echo):
                 callback="onEchoSeen",
             ),
         )
-        yield from client.call_once(echo.address, ACECmdLine("echo", text="trigger me"))
+        yield from client.call(echo.address, ACECmdLine("echo", text="trigger me"))
 
     ace.run(scenario())
     ace.sim.run(until=ace.sim.now + 2.0)
@@ -99,7 +99,7 @@ def test_failed_command_does_not_notify(ace_with_echo):
 
     def scenario():
         client = ace.client()
-        yield from client.call_once(
+        yield from client.call(
             echo.address,
             ACECmdLine(
                 "addNotification", cmd="boom", listener=listener.name,
@@ -125,12 +125,12 @@ def test_remove_notification_stops_delivery(ace_with_echo):
             "addNotification", cmd="echo", listener=listener.name,
             host=listener.host.name, port=listener.port, callback="onEchoSeen",
         )
-        yield from client.call_once(echo.address, add)
-        yield from client.call_once(
+        yield from client.call(echo.address, add)
+        yield from client.call(
             echo.address,
             ACECmdLine("removeNotification", cmd="echo", listener=listener.name),
         )
-        yield from client.call_once(echo.address, ACECmdLine("echo", text="quiet"))
+        yield from client.call(echo.address, ACECmdLine("echo", text="quiet"))
 
     ace.run(scenario())
     ace.sim.run(until=ace.sim.now + 2.0)
@@ -146,7 +146,7 @@ def test_watch_unknown_command_rejected(ace_with_echo):
 
         client = ace.client()
         with pytest.raises(CallError, match="unknown command"):
-            yield from client.call_once(
+            yield from client.call(
                 echo.address,
                 ACECmdLine(
                     "addNotification", cmd="nonexistent", listener="x",
@@ -164,14 +164,14 @@ def test_multiple_listeners_all_notified(ace_with_echo):
     def scenario():
         client = ace.client()
         for listener in listeners:
-            yield from client.call_once(
+            yield from client.call(
                 echo.address,
                 ACECmdLine(
                     "addNotification", cmd="echo", listener=listener.name,
                     host=listener.host.name, port=listener.port, callback="onEchoSeen",
                 ),
             )
-        yield from client.call_once(echo.address, ACECmdLine("echo", text="fanout"))
+        yield from client.call(echo.address, ACECmdLine("echo", text="fanout"))
 
     ace.run(scenario())
     ace.sim.run(until=ace.sim.now + 2.0)
@@ -184,7 +184,7 @@ def test_dead_listener_purged_after_failure(ace_with_echo):
 
     def scenario():
         client = ace.client()
-        yield from client.call_once(
+        yield from client.call(
             echo.address,
             ACECmdLine(
                 "addNotification", cmd="echo", listener=listener.name,
@@ -197,7 +197,7 @@ def test_dead_listener_purged_after_failure(ace_with_echo):
 
     def trigger():
         client = ace.client()
-        yield from client.call_once(echo.address, ACECmdLine("echo", text="to the void"))
+        yield from client.call(echo.address, ACECmdLine("echo", text="to the void"))
 
     ace.run(trigger())
     ace.sim.run(until=ace.sim.now + 5.0)
@@ -213,7 +213,7 @@ def test_notifications_to_same_address_are_batched(ace_with_echo):
     def scenario():
         client = ace.client()
         for who in ("watcher-a", "watcher-b"):
-            yield from client.call_once(
+            yield from client.call(
                 echo.address,
                 ACECmdLine(
                     "addNotification", cmd="echo", listener=who,
@@ -221,10 +221,58 @@ def test_notifications_to_same_address_are_batched(ace_with_echo):
                     callback="onEchoSeen",
                 ),
             )
-        yield from client.call_once(echo.address, ACECmdLine("echo", text="fan out"))
+        yield from client.call(echo.address, ACECmdLine("echo", text="fan out"))
 
     ace.run(scenario())
     ace.sim.run(until=ace.sim.now + 2.0)
     assert len(listener.seen_notifications) == 2
     batched = ace.ctx.obs.metrics.counter("daemon.echo1.notifications.batched")
     assert batched.value == 2
+
+
+def test_channel_death_mid_fanout_purges_everyone_behind_it(ace_with_echo):
+    """The listeners' end hangs up on the first of two deliveries over
+    their shared connection: the transport error closes that connection
+    and purges both — the second is never tried on the dead channel, and
+    nothing dead is handed back to the pool."""
+    ace, echo = ace_with_echo
+    listener = make_listener(ace)
+    notify_client = echo._notification_client()
+    connect, dialled = notify_client.connect, []
+
+    def hang_up_on_delivery(request):
+        listener.seen_notifications.append(request.command.args)
+        dialled[0].channel.peer.close()
+        return {}
+
+    listener.cmd_onEchoSeen = hang_up_on_delivery
+
+    def recording_connect(*args, **kw):
+        conn = yield from connect(*args, **kw)
+        dialled.append(conn)
+        return conn
+
+    notify_client.connect = recording_connect
+    discard = ace.ctx.obs.metrics.counter("rpc.pool.discard")
+
+    def scenario():
+        client = ace.client()
+        for who in ("watcher-a", "watcher-b"):
+            yield from client.call(
+                echo.address,
+                ACECmdLine(
+                    "addNotification", cmd="echo", listener=who,
+                    host=listener.host.name, port=listener.port,
+                    callback="onEchoSeen",
+                ),
+            )
+        yield from client.call(echo.address, ACECmdLine("echo", text="fan out"))
+
+    ace.run(scenario())
+    ace.sim.run(until=ace.sim.now + 2.0)
+    assert len(listener.seen_notifications) == 1     # second never sent
+    assert len(echo.notifications) == 0              # both purged
+    (conn,) = dialled
+    assert conn.closed
+    assert discard.value == 0
+    assert not any(notify_client.pool._idle.values())

@@ -1,4 +1,4 @@
-"""Pipelined RPC, connection pooling, and batched lease renewal.
+"""Pipelined RPC and connection pooling.
 
 The scale-out RPC layer's contracts, regression-tested:
 
@@ -8,9 +8,7 @@ The scale-out RPC layer's contracts, regression-tested:
 * a mid-pipeline transport death fails ONLY the in-flight calls —
   completed calls keep their replies and a fresh pipeline works
   immediately;
-* the pool reuses attached channels (and discards suspect ones);
-* hosts renew all their leases in one ``renewLease names=(...)`` batch,
-  re-registering any the directory reports missing.
+* the pool reuses attached channels (and discards suspect ones).
 """
 
 import pytest
@@ -241,9 +239,8 @@ def test_midpipeline_crash_fails_only_inflight_calls():
     ace.sim.run(until=ace.sim.now + 1.0)
 
     def after():
-        reply = yield from client.call_pipelined(
-            echo.address, ACECmdLine("echo", text="reborn")
-        )
+        pipe = yield from client.pipelined(echo.address)
+        reply = yield from pipe.call(ACECmdLine("echo", text="reborn"))
         return reply.get("text")
 
     assert ace.run(after()) == "reborn"
@@ -260,7 +257,7 @@ def test_pool_reuses_channels_and_discards_suspects(ace_with_echo):
     def scenario():
         client = ace.client(principal="pooled")
         for i in range(5):
-            reply = yield from client.call_pooled(
+            reply = yield from client.pool.call(
                 echo.address, ACECmdLine("echo", text=f"p{i}")
             )
             assert reply.get("text") == f"p{i}"
@@ -275,7 +272,7 @@ def test_pool_reuses_channels_and_discards_suspects(ace_with_echo):
 
     def failing():
         with pytest.raises((TransportError, Exception)):
-            yield from client.call_pooled(echo.address, ACECmdLine("echo", text="x"))
+            yield from client.pool.call(echo.address, ACECmdLine("echo", text="x"))
 
     ace.run(failing())
     assert client.pool._idle.get(str(echo.address), []) == []
@@ -289,7 +286,7 @@ def _redial_after_peer_close(sim, ctx, client, address):
     discard = ctx.obs.metrics.counter("rpc.pool.discard")
 
     def ping():
-        reply = yield from client.call_pooled(address, ACECmdLine("ping"))
+        reply = yield from client.pool.call(address, ACECmdLine("ping"))
         return reply.name
 
     assert sim.run_process(ping(), timeout=30.0) == "cmdOk"
@@ -344,7 +341,7 @@ def test_pool_closes_connection_when_call_is_interrupted(ace_with_echo):
     client.connect = recording_connect
 
     def caller():
-        yield from client.call_pooled(
+        yield from client.pool.call(
             echo.address, ACECmdLine("slowEcho", text="x", delay=5.0))
 
     proc = ace.sim.process(caller(), name="caller")
@@ -361,45 +358,3 @@ def test_pool_closes_connection_when_call_is_interrupted(ace_with_echo):
     assert not any(client.pool._idle.values())
     ace.sim.run(until=ace.sim.now + 6.0)       # slowEcho done, thread reads EOF
     assert server_side.closed
-
-
-# ----------------------------------------------------------------------
-# Batched lease renewal
-# ----------------------------------------------------------------------
-def test_host_renews_all_leases_in_one_batch():
-    ace = AceFixture(seed=4, lease_duration=4.0)
-    ace.ctx.batch_lease_renewals = True
-    ace.boot()
-    host = ace.net.make_host("bar", room="hawk")
-    daemons = [
-        EchoDaemon(ace.ctx, f"echo{i}", host, room="hawk") for i in (1, 2, 3)
-    ]
-    for d in daemons:
-        ace.add_daemon(d)
-        d.start()
-    ace.sim.run(until=ace.sim.now + 1.0)
-
-    sent = _counter(ace, "lease.batch.sent")
-    renewed = _counter(ace, "lease.batch.renewed")
-    ace.sim.run(until=ace.sim.now + 5.0)     # > one renewal interval (2s)
-
-    assert sent.value >= 1
-    assert renewed.value >= 3                # one batch covered the host
-    for d in daemons:
-        lease = ace.asd.leases.get(d.name)
-        assert lease is not None and lease.renewals >= 1
-
-    # The batch reply's ``missing`` list drives re-registration: drop one
-    # lease behind the daemon's back and the next batch restores it.
-    def drop():
-        client = ace.client(principal="admin")
-        yield from client.call_once(
-            ace.asd.address, ACECmdLine("deregister", name="echo2")
-        )
-
-    ace.run(drop())
-    assert "echo2" not in ace.asd.records
-    reregistered = _counter(ace, "lease.batch.reregistered")
-    ace.sim.run(until=ace.sim.now + 3.0)     # next batch interval
-    assert reregistered.value >= 1
-    assert "echo2" in ace.asd.records        # back in the directory

@@ -7,12 +7,14 @@ from repro.core.policy import (
     CLOSED,
     OPEN,
     BreakerOpen,
+    CallError,
     CallPolicy,
     CircuitBreaker,
     DeadlineExceeded,
 )
 from repro.lang import ACECmdLine
-from repro.net import ConnectionRefused
+from repro.lang.command import CLIENT_ID_ARG
+from repro.net import Address, ConnectionRefused
 from repro.services.asd import asd_lookup
 
 from tests.core.conftest import AceFixture, EchoDaemon
@@ -52,6 +54,65 @@ def test_backoff_delay_grows_and_caps():
     assert delays == [0.1, 0.2, 0.4, 0.4]
 
 
+# -- the one entry point ------------------------------------------------------
+
+@pytest.mark.parametrize("with_policy", [False, True], ids=["plain", "policy"])
+@pytest.mark.parametrize("replicas", [False, True], ids=["one-address", "first-replica-dead"])
+def test_call_layers_compose(ace_with_echo, replicas, with_policy):
+    """``client.call``: a policy adds stamp + ``rpc:`` span + RpcStats, a
+    sequence of addresses adds the replica loop — independently."""
+    ace, echo = ace_with_echo
+    ace.ctx.idempotent_retries = True
+    received = []
+
+    def cmd_echo(request):
+        received.append(request.command)
+        return {"text": request.command.str("text")}
+
+    echo.cmd_echo = cmd_echo
+    policy = None
+    if with_policy:
+        policy = CallPolicy(
+            deadline=2.0, attempt_timeout=1.0, max_attempts=1, breaker_threshold=0
+        )
+    dead = Address("bar", 59999)          # nothing listens there: refused
+    target = [dead, echo.address] if replicas else echo.address
+    stats = ace.ctx.resilience.stats
+    before = stats.snapshot()
+    failovers = ace.ctx.obs.metrics.counter("rpc.failover")
+    client = ace.client(principal="matrix")
+
+    def flow():
+        root = client.begin_trace("matrix")
+        try:
+            reply = yield from client.call(target, ACECmdLine("echo", text="hi"), policy)
+        finally:
+            client.end_trace(root)
+        return root, reply
+
+    root, reply = ace.run(flow())
+    assert reply["text"] == "hi"
+    assert failovers.value == (1 if replicas else 0)
+    after = stats.snapshot()
+    delta = {k: after[k] - before[k] for k in after if after[k] != before[k]}
+    if not with_policy:
+        assert delta == {}
+    elif replicas:
+        assert delta == {"calls": 2, "successes": 1, "failures": 1}
+    else:
+        assert delta == {"calls": 1, "successes": 1}
+    (command,) = received
+    assert (CLIENT_ID_ARG in command) == with_policy
+    rpc_spans = (["rpc:echo"] * (2 if replicas else 1)) if with_policy else []
+    hops = ace.ctx.obs.tracer.tree(root.trace_id).hops()
+    assert hops == ["matrix"] + rpc_spans + ["call:echo", "serve:echo"]
+
+
+def test_call_without_addresses_is_an_error(ace):
+    with pytest.raises(CallError, match="no addresses"):
+        ace.run(ace.client().call([], ACECmdLine("ping")))
+
+
 # -- deadlines ----------------------------------------------------------------
 
 def test_deadline_bounds_slow_call(ace_with_echo):
@@ -65,7 +126,7 @@ def test_deadline_bounds_slow_call(ace_with_echo):
 
     def scenario():
         client = ace.client(principal="deadline-tester")
-        yield from client.call_resilient(
+        yield from client.call(
             echo.address,
             ACECmdLine("slowEcho", text="x", delay=30.0),
             policy=policy,
@@ -100,7 +161,7 @@ def test_retry_recovers_after_link_heals(ace_with_echo):
 
     def scenario():
         client = ace.client(principal="retry-tester")
-        reply = yield from client.call_resilient(
+        reply = yield from client.call(
             echo.address, ACECmdLine("echo", text="hi"), policy=policy
         )
         return reply
@@ -126,7 +187,7 @@ def test_breaker_opens_sheds_and_recovers():
 
     def one_call():
         client = ace.client(principal="breaker-tester")
-        reply = yield from client.call_resilient(
+        reply = yield from client.call(
             address, ACECmdLine("echo", text="x"), policy=policy
         )
         return reply

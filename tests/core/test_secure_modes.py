@@ -69,7 +69,7 @@ def test_ssl_mode_encrypts_and_serves():
 
     def scenario():
         client = ServiceClient(ctx, net.host("infra"), principal="user:alice")
-        reply = yield from client.call_once(echo.address, ACECmdLine("echo", text="hi"))
+        reply = yield from client.call(echo.address, ACECmdLine("echo", text="hi"))
         return reply
 
     reply = sim.run_process(scenario(), timeout=30.0)
@@ -85,7 +85,7 @@ def test_ssl_keynote_denies_without_credentials():
             ctx, net.host("infra"), principal=alice.principal(), keypair=alice
         )
         with pytest.raises(CallError, match="permission denied"):
-            yield from client.call_once(echo.address, ACECmdLine("echo", text="hi"))
+            yield from client.call(echo.address, ACECmdLine("echo", text="hi"))
 
     sim.run_process(scenario(), timeout=30.0)
 
@@ -173,7 +173,7 @@ def test_credentials_via_wire_storeCredential():
 
     def scenario():
         svc_client = ServiceClient(ctx, net.host("infra"), principal="admin-tool")
-        yield from svc_client.call_once(
+        yield from svc_client.call(
             authdb.address,
             ACECmdLine(
                 "storeCredential",
@@ -184,7 +184,7 @@ def test_credentials_via_wire_storeCredential():
         client = ServiceClient(
             ctx, net.host("infra"), principal=alice.principal(), keypair=alice
         )
-        reply = yield from client.call_once(echo.address, ACECmdLine("echo", text="ok"))
+        reply = yield from client.call(echo.address, ACECmdLine("echo", text="ok"))
         return reply
 
     reply = sim.run_process(scenario(), timeout=30.0)
@@ -199,7 +199,7 @@ def test_ping_always_allowed():
         client = ServiceClient(
             ctx, net.host("infra"), principal=alice.principal(), keypair=alice
         )
-        reply = yield from client.call_once(echo.address, ACECmdLine("ping"))
+        reply = yield from client.call(echo.address, ACECmdLine("ping"))
         return reply
 
     assert sim.run_process(scenario(), timeout=30.0).name == "cmdOk"

@@ -98,9 +98,9 @@ def test_identify_failure_logged():
 
     def intrude():
         driver = env.client(fiu.host, principal="fiu-driver")
-        yield from driver.call_once(fiu.address, ACECmdLine("loadTemplates"))
+        yield from driver.call(fiu.address, ACECmdLine("loadTemplates"))
         bogus = tuple(float(v) for v in np.full(TEMPLATE_DIM, 50.0))
-        reply = yield from driver.call_once(fiu.address, ACECmdLine("scan", sample=bogus))
+        reply = yield from driver.call(fiu.address, ACECmdLine("scan", sample=bogus))
         yield env.sim.timeout(1.0)
         return reply
 

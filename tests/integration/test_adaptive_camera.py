@@ -26,10 +26,10 @@ def press_finger(env, username="john"):
 
     def go():
         driver = env.client(fiu.host, principal="driver")
-        yield from driver.call_once(fiu.address, ACECmdLine("loadTemplates"))
+        yield from driver.call(fiu.address, ACECmdLine("loadTemplates"))
         sample = noisy_sample(env.users[username].fingerprint_template,
                               env.rng.np(f"adaptive.{env.sim.now}"))
-        return (yield from driver.call_once(fiu.address, ACECmdLine("scan", sample=sample)))
+        return (yield from driver.call(fiu.address, ACECmdLine("scan", sample=sample)))
 
     reply = env.run(go())
     env.run_for(2.0)
@@ -63,9 +63,9 @@ def test_failed_identification_does_not_move_camera(camera_env):
 
     def go():
         driver = env.client(fiu.host, principal="driver")
-        yield from driver.call_once(fiu.address, ACECmdLine("loadTemplates"))
+        yield from driver.call(fiu.address, ACECmdLine("loadTemplates"))
         stranger = make_template(env.rng.np("stranger"))
-        yield from driver.call_once(fiu.address, ACECmdLine("scan", sample=stranger))
+        yield from driver.call(fiu.address, ACECmdLine("scan", sample=stranger))
 
     env.run(go())
     env.run_for(2.0)
@@ -78,7 +78,7 @@ def test_door_position_reconfigurable(camera_env):
 
     def go():
         client = env.client(env.net.host("infra"), principal="admin")
-        yield from client.call_once(
+        yield from client.call(
             cam.address, ACECmdLine("setDoorPosition", x=3.0, y=2.0, z=1.5))
 
     env.run(go())

@@ -36,10 +36,10 @@ def identify_at(env, device_name, username="john"):
 
     def go():
         driver = env.client(fiu.host, principal="driver")
-        yield from driver.call_once(fiu.address, ACECmdLine("loadTemplates"))
+        yield from driver.call(fiu.address, ACECmdLine("loadTemplates"))
         sample = noisy_sample(identity.fingerprint_template,
                               env.rng.np(f"track.{device_name}.{env.sim.now}"))
-        yield from driver.call_once(fiu.address, ACECmdLine("scan", sample=sample))
+        yield from driver.call(fiu.address, ACECmdLine("scan", sample=sample))
 
     env.run(go())
     env.run_for(1.0)
@@ -52,7 +52,7 @@ def test_tracker_follows_user_between_rooms():
 
     def where():
         client = env.client(env.net.host("infra"), principal="query")
-        return (yield from client.call_once(
+        return (yield from client.call(
             env.daemon("tracker").address, ACECmdLine("whereIsUser", username="john")))
 
     reply = env.run(where())
@@ -61,7 +61,7 @@ def test_tracker_follows_user_between_rooms():
 
     def history():
         client = env.client(env.net.host("infra"), principal="query")
-        return (yield from client.call_once(
+        return (yield from client.call(
             env.daemon("tracker").address,
             ACECmdLine("trackHistory", username="john")))
 
@@ -77,7 +77,7 @@ def test_tracker_room_occupancy():
 
     def occupancy(room):
         client = env.client(env.net.host("infra"), principal="query")
-        return (yield from client.call_once(
+        return (yield from client.call(
             env.daemon("tracker").address, ACECmdLine("roomOccupancy", room=room)))
 
     hawk = env.run(occupancy("hawk"))
@@ -93,7 +93,7 @@ def test_tracker_unknown_user():
     def go():
         client = env.client(env.net.host("infra"), principal="query")
         with pytest.raises(CallError, match="never seen"):
-            yield from client.call_once(
+            yield from client.call(
                 env.daemon("tracker").address,
                 ACECmdLine("whereIsUser", username="ghost"))
 
@@ -125,7 +125,7 @@ def test_plan_path_single_hop():
 
     def go():
         client = env.client(env.net.host("infra"), principal="apc-user")
-        return (yield from client.call_once(
+        return (yield from client.call(
             env.daemon("apc").address,
             ACECmdLine("planPath", from_fmt="f32", to_fmt="pcm16")))
 
@@ -140,7 +140,7 @@ def test_plan_path_no_route():
     def go():
         client = env.client(env.net.host("infra"), principal="apc-user")
         with pytest.raises(CallError, match="no conversion path"):
-            yield from client.call_once(
+            yield from client.call(
                 env.daemon("apc").address,
                 ACECmdLine("planPath", from_fmt="f32", to_fmt="z"))
 
@@ -165,7 +165,7 @@ def test_create_path_wires_and_streams():
 
     def go():
         client = env.client(env.net.host("infra"), principal="apc-user")
-        return (yield from client.call_once(
+        return (yield from client.call(
             env.daemon("apc").address,
             ACECmdLine("createPath", from_fmt="f32", to_fmt="pcm16",
                        source_host=src.address.host, source_port=src.address.port,
@@ -192,7 +192,7 @@ def test_plan_path_identity():
 
     def go():
         client = env.client(env.net.host("infra"), principal="apc-user")
-        return (yield from client.call_once(
+        return (yield from client.call(
             env.daemon("apc").address,
             ACECmdLine("planPath", from_fmt="f32", to_fmt="f32")))
 
@@ -220,7 +220,7 @@ def test_dial_user_rings_phone_in_their_room():
 
     def go():
         client = env.client(env.net.host("infra"), principal="caller")
-        return (yield from client.call_once(
+        return (yield from client.call(
             env.daemon("phone.hawk").address, ACECmdLine("dialUser", user="john")))
 
     reply = env.run(go())
@@ -236,7 +236,7 @@ def test_dial_user_without_location_fails():
     def go():
         client = env.client(env.net.host("infra"), principal="caller")
         with pytest.raises(CallError, match="no known location"):
-            yield from client.call_once(
+            yield from client.call(
                 env.daemon("phone.hawk").address,
                 ACECmdLine("dialUser", user="john"))
 
@@ -251,7 +251,7 @@ def test_dial_user_no_phone_in_room():
         client = env.client(env.net.host("infra"), principal="caller")
         with pytest.raises(CallError, match="no O-Phone"):
             # phone.hawk excludes itself, so there's nothing to ring.
-            yield from client.call_once(
+            yield from client.call(
                 env.daemon("phone.hawk").address,
                 ACECmdLine("dialUser", user="john"))
 

@@ -89,7 +89,7 @@ def test_sal_launch_chain_under_security(secure_env):
     admin = env.authorized_client(env.net.host("infra"), "launch-admin")
 
     def go():
-        reply = yield from admin.call_once(
+        reply = yield from admin.call(
             env.daemon("sal").address, ACECmdLine("launchApp", app="idle"))
         return reply
 
@@ -116,11 +116,11 @@ def test_notifications_flow_under_security(secure_env):
     camera = env.daemon("camera")
 
     def go():
-        yield from admin.call_once(
+        yield from admin.call(
             camera.address,
             ACECmdLine("addNotification", cmd="power", listener="sec-listener",
                        host=host.name, port=listener.port, callback="onEchoSeen"))
-        yield from admin.call_once(camera.address, ACECmdLine("power", state="off"))
+        yield from admin.call(camera.address, ACECmdLine("power", state="off"))
 
     env.run(go())
     env.run_for(3.0)

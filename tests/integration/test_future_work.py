@@ -128,7 +128,7 @@ def test_print_nearest_prefers_users_room():
 
     def go():
         client = env.client(env.net.host("infra"), principal="john")
-        return (yield from client.call_once(
+        return (yield from client.call(
             env.daemon("automation").address,
             ACECmdLine("printNearest", user="john", doc="slides.ps", pages=2),
         ))
@@ -147,7 +147,7 @@ def test_print_nearest_falls_back_without_location():
 
     def go():
         client = env.client(env.net.host("infra"), principal="john")
-        return (yield from client.call_once(
+        return (yield from client.call(
             env.daemon("automation").address,
             ACECmdLine("printNearest", user="john", doc="memo.txt"),
         ))
@@ -183,7 +183,7 @@ def test_printer_validates_pages():
     def go():
         client = env.client(env.net.host("infra"), principal="john")
         with pytest.raises(CallError, match="pages"):
-            yield from client.call_once(
+            yield from client.call(
                 env.daemon("printer.hawk").address,
                 ACECmdLine("printDocument", doc="x", pages=0),
             )
@@ -206,16 +206,16 @@ def test_voice_controls_projector():
 
     def setup():
         client = env.client(env.net.host("infra"))
-        yield from client.call_once(
+        yield from client.call(
             tts.address,
             ACECmdLine("addSink", host=s2c.address.host, port=s2c.address.port))
-        yield from client.call_once(
+        yield from client.call(
             s2c.address,
             ACECmdLine("mapCommand", word="projector_on",
                        host=projector.address.host, port=projector.address.port,
                        command="power state=on;"))
         # John says "projector on" (via the TTS as a stand-in speaker).
-        yield from client.call_once(tts.address, ACECmdLine("say", text="projector_on"))
+        yield from client.call(tts.address, ACECmdLine("say", text="projector_on"))
 
     env.run(setup())
     env.run_for(3.0)

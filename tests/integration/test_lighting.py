@@ -30,10 +30,10 @@ def identify_at(env, device, username="john"):
 
     def go():
         driver = env.client(fiu.host, principal="driver")
-        yield from driver.call_once(fiu.address, ACECmdLine("loadTemplates"))
+        yield from driver.call(fiu.address, ACECmdLine("loadTemplates"))
         sample = noisy_sample(env.users[username].fingerprint_template,
                               env.rng.np(f"light.{device}.{env.sim.now}"))
-        yield from driver.call_once(fiu.address, ACECmdLine("scan", sample=sample))
+        yield from driver.call(fiu.address, ACECmdLine("scan", sample=sample))
 
     env.run(go())
     env.run_for(1.5)
@@ -72,9 +72,9 @@ def test_room_state_query(lit_env):
 
     def go():
         client = env.client(env.net.host("infra"), principal="query")
-        occupied = yield from client.call_once(
+        occupied = yield from client.call(
             env.daemon("lighting").address, ACECmdLine("getRoomState", room="hawk"))
-        empty = yield from client.call_once(
+        empty = yield from client.call(
             env.daemon("lighting").address, ACECmdLine("getRoomState", room="office21"))
         return occupied, empty
 

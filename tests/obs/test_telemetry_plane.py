@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.core import CallPolicy
 from repro.env import ACEEnvironment
 from repro.faults.controller import ChaosController
 from repro.faults.plan import FaultPlan
@@ -53,7 +54,7 @@ def echo_burst(env, n=40, *, verb="echo", delay=0.0):
                 cmd = ACECmdLine("slowEcho", text=f"m{i}", delay=delay)
             else:
                 cmd = ACECmdLine("echo", text=f"m{i}")
-            reply = yield from client.call_resilient(target, cmd)
+            reply = yield from client.call(target, cmd, CallPolicy())
             assert is_ok(reply)
 
     env.run(flow())
@@ -87,7 +88,7 @@ def test_scrape_returns_full_snapshots():
     env.run_for(2 * INTERVAL)
     publisher = env.daemons["telem.lab1"]
     client = env.client(env.net.host("lab1"), principal="probe")
-    reply = env.run(client.call_once(publisher.address, ACECmdLine("obsScrape")))
+    reply = env.run(client.call(publisher.address, ACECmdLine("obsScrape")))
     assert is_ok(reply)
     decoded = decode_scopes(reply.get("scopes"))
     by_service = {snap.service: (mode, snap) for mode, snap in decoded}
@@ -152,8 +153,8 @@ def inject_gray_failure(env, *, duration=4.0, peak_loss=0.95):
     def flow():
         for i in range(200):
             try:
-                yield from client.call_resilient(
-                    target, ACECmdLine("echo", text=f"g{i}")
+                yield from client.call(
+                    target, ACECmdLine("echo", text=f"g{i}"), CallPolicy()
                 )
             except (CallError, ConnectionClosed, ConnectionRefused):
                 pass
@@ -206,7 +207,7 @@ def test_alert_routes_through_notification_plane():
     env.add_daemon(listener)  # post-boot add_daemon starts it
     env.run_for(0.5)
     client = env.client(env.net.host("infra"), principal="probe")
-    reply = env.run(client.call_once(
+    reply = env.run(client.call(
         aggregator.address,
         ACECmdLine("addNotification", cmd="obsAlert", listener="listener",
                    host=listener.host.name, port=listener.port,

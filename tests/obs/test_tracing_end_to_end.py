@@ -31,7 +31,7 @@ def test_one_call_yields_client_and_server_spans():
     def flow():
         root = client.begin_trace("demo")
         try:
-            reply = yield from client.call_once(echo.address, ACECmdLine("echo", text="hi"))
+            reply = yield from client.call(echo.address, ACECmdLine("echo", text="hi"))
             return root, reply
         finally:
             client.end_trace(root)
@@ -59,8 +59,8 @@ def test_span_tree_is_deterministic_across_runs():
         def flow():
             root = client.begin_trace("det")
             try:
-                yield from client.call_once(echo.address, ACECmdLine("echo", text="x"))
-                yield from client.call_once(echo.address, ACECmdLine("slowEcho", text="y", delay=0.01))
+                yield from client.call(echo.address, ACECmdLine("echo", text="x"))
+                yield from client.call(echo.address, ACECmdLine("slowEcho", text="y", delay=0.01))
             finally:
                 client.end_trace(root)
             return root
@@ -83,14 +83,14 @@ def test_notification_delivery_joins_the_trace():
     client = ace.client()
 
     def flow():
-        yield from client.call_once(
+        yield from client.call(
             echo.address,
             ACECmdLine("addNotification", cmd="echo", listener="echo2",
                        host=host2.name, port=listener.port, callback="onEchoSeen"),
         )
         root = client.begin_trace("notified")
         try:
-            yield from client.call_once(echo.address, ACECmdLine("echo", text="ping"))
+            yield from client.call(echo.address, ACECmdLine("echo", text="ping"))
         finally:
             client.end_trace(root)
         yield ace.sim.timeout(1.0)  # let the notification drain
@@ -108,7 +108,7 @@ def test_notification_delivery_joins_the_trace():
     assert deliver.parent_id == serve.span_id
 
 
-def test_call_resilient_annotates_retries():
+def test_policy_call_annotates_retries():
     ace, _ = make_echo_ace()
     client = ace.client()
     dead = Address("bar", 59999)
@@ -118,7 +118,7 @@ def test_call_resilient_annotates_retries():
     def flow():
         root = client.begin_trace("flaky")
         try:
-            yield from client.call_resilient(dead, ACECmdLine("echo", text="x"), policy=policy)
+            yield from client.call(dead, ACECmdLine("echo", text="x"), policy=policy)
         except ConnectionRefused:
             pass
         finally:
@@ -138,7 +138,7 @@ def test_untraced_requests_record_nothing():
     before = len(ace.ctx.obs.tracer.spans)
 
     def flow():
-        reply = yield from client.call_once(echo.address, ACECmdLine("echo", text="quiet"))
+        reply = yield from client.call(echo.address, ACECmdLine("echo", text="quiet"))
         return reply
 
     ace.run(flow())
@@ -154,7 +154,7 @@ def test_exporter_ships_spans_to_netlogger():
     def flow():
         root = client.begin_trace("shipped")
         try:
-            yield from client.call_once(echo.address, ACECmdLine("echo", text="hi"))
+            yield from client.call(echo.address, ACECmdLine("echo", text="hi"))
         finally:
             client.end_trace(root)
         yield ace.sim.timeout(2.0)  # two flush cycles
@@ -181,7 +181,7 @@ def test_exporter_drains_queue_on_stop():
     def flow():
         root = client.begin_trace("tail")
         try:
-            yield from client.call_once(echo.address, ACECmdLine("echo", text="hi"))
+            yield from client.call(echo.address, ACECmdLine("echo", text="hi"))
         finally:
             client.end_trace(root)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import CallPolicy
 from repro.env import ACEEnvironment
 from repro.faults.controller import ChaosController
 from repro.faults.plan import FaultPlan
@@ -28,7 +29,7 @@ def build(seed=3, *, store_replicas=2, lease=2.0):
 def test_kill_and_recover_roomdb():
     env, supervisors = build()
     client = env.client(env.daemons["asd"].host, principal="probe")
-    env.run(client.call_once(
+    env.run(client.call(
         env.ctx.roomdb_address,
         ACECmdLine("registerRoom", room="lab", building="b1", dims=(4.0, 5.0, 3.0)),
     ))
@@ -46,8 +47,8 @@ def test_kill_and_recover_roomdb():
     assert "lab" in reincarnation.rooms
     assert reincarnation.rooms["lab"].dims == (4.0, 5.0, 3.0)
     # The reincarnation serves clients again.
-    reply = env.run(client.call_resilient(
-        env.ctx.roomdb_address, ACECmdLine("lookupRoom", room="lab")
+    reply = env.run(client.call(
+        env.ctx.roomdb_address, ACECmdLine("lookupRoom", room="lab"), CallPolicy()
     ))
     assert is_ok(reply)
     sup = supervisors["infra"]
@@ -145,7 +146,7 @@ def test_asd_fences_stale_incarnation_register():
         )
         if inc:
             cmd = cmd.with_args(inc=inc)
-        return env.run(client.call_resilient(env.asd_address, cmd, check=False))
+        return env.run(client.call(env.asd_address, cmd, CallPolicy(), check=False))
 
     assert is_ok(register(2))
     stale = register(1)
@@ -174,7 +175,7 @@ def test_stamped_retry_replays_across_crash():
     stamped = ACECmdLine("registerRoom", room="dup-room").with_args(
         **{CLIENT_ID_ARG: "dup.c0", CLIENT_SEQ_ARG: 7}
     )
-    first = env.run(client.call_once(env.ctx.roomdb_address, stamped))
+    first = env.run(client.call(env.ctx.roomdb_address, stamped))
     assert is_ok(first)
     env.run_for(2.0)  # checkpoint captures the dedup entry
     env.daemons["roomdb"].kill()
@@ -182,7 +183,7 @@ def test_stamped_retry_replays_across_crash():
 
     reincarnation = env.daemons["roomdb"]
     hits_before = reincarnation._m_dedup_hits.value
-    replay = env.run(client.call_once(env.ctx.roomdb_address, stamped))
+    replay = env.run(client.call(env.ctx.roomdb_address, stamped))
     assert replay.to_string() == first.to_string()
     assert reincarnation._m_dedup_hits.value == hits_before + 1
 

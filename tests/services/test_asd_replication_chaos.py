@@ -116,7 +116,7 @@ def test_restarted_replica_resyncs_via_anti_entropy():
     # A write the dead replica never saw.
     def register_late():
         client = env.client(env.net.host("farm"), principal="late")
-        yield from client.call_once(
+        yield from client.call(
             env.asd_address,
             ACECmdLine("register", name="latecomer", host="farm", port=7,
                        room="lab", cls="Echo"),

@@ -4,6 +4,7 @@ the replica must anti-entropy-pull existing records) and
 
 import pytest
 
+from repro.core import CallPolicy
 from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
 from repro.services.asd import asd_lookup
@@ -97,10 +98,11 @@ def test_writes_replicate_to_late_replica():
     replica = env.add_asd_replica()
     env.run_for(1.0)
     client = env.client(env.daemons["asd"].host, principal="svc")
-    env.run(client.call_resilient(
+    env.run(client.call(
         env.ctx.asd_address,
         ACECmdLine("register", name="late.svc", host="svc1",
                    port=7777, room="lab", cls="ACEService/Late"),
+        CallPolicy(),
     ))
     env.run_for(2.0)
     assert lookup_names(env, replica.address, cls="Late") == ["late.svc"]

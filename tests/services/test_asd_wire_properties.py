@@ -147,13 +147,13 @@ def test_daemon_round_trip(name_suffix, host, port, room, cls):
 
     def scenario():
         client = ace.client(principal="fuzz")
-        yield from client.call_once(
+        yield from client.call(
             ace.asd.address,
             ACECmdLine("register", name=name, host=host, port=port,
                        room=room, cls=cls),
         )
         records = yield from asd_lookup(client, ace.asd.address, name=name)
-        yield from client.call_once(
+        yield from client.call(
             ace.asd.address, ACECmdLine("deregister", name=name)
         )
         return records
@@ -200,7 +200,7 @@ def _page_through(ace, command_name, **args):
             page_args = dict(args)
             if offset:
                 page_args["offset"] = offset
-            reply = yield from client.call_once(
+            reply = yield from client.call(
                 ace.asd.address, ACECmdLine(command_name, page_args)
             )
             pages.append(reply)

@@ -23,7 +23,7 @@ def aud_env():
 def call(env, name, command, **kw):
     def go():
         client = env.client(env.net.host("infra"), principal="admin")
-        return (yield from client.call_once(env.daemon(name).address, command, **kw))
+        return (yield from client.call(env.daemon(name).address, command, **kw))
 
     return env.run(go())
 
@@ -63,7 +63,7 @@ def test_aud_ibutton_lookup(aud_env):
     def go():
         client = env.client(env.net.host("infra"), principal="admin")
         with pytest.raises(CallError, match="no user with iButton"):
-            yield from client.call_once(
+            yield from client.call(
                 env.daemon("aud").address, ACECmdLine("findByIButton", serial="nope"))
 
     env.run(go())

@@ -31,7 +31,7 @@ def wire(env, source, sink_daemon):
 
     def setup():
         client = env.client(env.net.host("infra"))
-        yield from client.call_once(
+        yield from client.call(
             source.address,
             ACECmdLine("addSink", host=sink_daemon.address.host,
                        port=sink_daemon.address.port),
@@ -43,7 +43,7 @@ def wire(env, source, sink_daemon):
 def call(env, daemon, command):
     def go():
         client = env.client(env.net.host("infra"))
-        return (yield from client.call_once(daemon.address, command))
+        return (yield from client.call(daemon.address, command))
 
     return env.run(go())
 
@@ -193,7 +193,7 @@ def test_map_command_validates_command_text():
     def go():
         client = env.client(env.net.host("infra"))
         with pytest.raises(CallError, match="unparseable"):
-            yield from client.call_once(
+            yield from client.call(
                 s2c.address,
                 ACECmdLine("mapCommand", word="bad", host="h", port=1,
                            command="not a command ="),

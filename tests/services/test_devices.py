@@ -28,7 +28,7 @@ def device_env():
 def call(env, daemon, command, **kw):
     def go():
         client = env.client(env.net.host("infra"), principal="gui")
-        return (yield from client.call_once(daemon.address, command, **kw))
+        return (yield from client.call(daemon.address, command, **kw))
 
     return env.run(go())
 
@@ -96,7 +96,7 @@ def test_slew_takes_time_proportional_to_angle():
         def go():
             client = env.client(env.net.host("infra"))
             t0 = env.sim.now
-            yield from client.call_once(cam.address, ACECmdLine("setPanTilt", pan=pan, tilt=0.0))
+            yield from client.call(cam.address, ACECmdLine("setPanTilt", pan=pan, tilt=0.0))
             return env.sim.now - t0
 
         return env.run(go())

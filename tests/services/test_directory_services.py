@@ -82,7 +82,7 @@ def test_lookup_by_name_and_connect(ace_two_echoes):
     def scenario():
         client = ace.client()
         record = yield from asd_lookup_one(client, ace.ctx.asd_address, name="echo1")
-        reply = yield from client.call_once(record.address, ACECmdLine("echo", text="found"))
+        reply = yield from client.call(record.address, ACECmdLine("echo", text="found"))
         return reply
 
     assert ace.run(scenario())["text"] == "found"
@@ -102,7 +102,7 @@ def test_list_services_includes_infrastructure(ace_two_echoes):
     ace = ace_two_echoes
 
     def scenario():
-        reply = yield from ace.client().call_once(
+        reply = yield from ace.client().call(
             ace.ctx.asd_address, ACECmdLine("listServices")
         )
         return reply
@@ -120,23 +120,23 @@ def test_roomdb_rooms_and_positions(ace_two_echoes):
 
     def scenario():
         client = ace.client()
-        yield from client.call_once(
+        yield from client.call(
             ace.ctx.roomdb_address,
             ACECmdLine("registerRoom", room="hawk", building="nichols",
                        dims=(10.0, 8.0, 3.0)),
         )
-        yield from client.call_once(
+        yield from client.call(
             ace.ctx.roomdb_address,
             ACECmdLine("registerService", service="cam1", room="hawk",
                        host="host1", port=999, position=(1.0, 2.0, 2.5)),
         )
-        where = yield from client.call_once(
+        where = yield from client.call(
             ace.ctx.roomdb_address, ACECmdLine("whereIs", service="cam1")
         )
-        dims = yield from client.call_once(
+        dims = yield from client.call(
             ace.ctx.roomdb_address, ACECmdLine("roomDims", room="hawk")
         )
-        lookup = yield from client.call_once(
+        lookup = yield from client.call(
             ace.ctx.roomdb_address, ACECmdLine("lookupRoom", room="hawk")
         )
         return where, dims, lookup
@@ -156,12 +156,12 @@ def test_roomdb_relocation(ace_two_echoes):
     def scenario():
         client = ace.client()
         for room in ("hawk", "jay"):
-            yield from client.call_once(
+            yield from client.call(
                 ace.ctx.roomdb_address,
                 ACECmdLine("registerService", service="mobile", room=room,
                            host="h", port=1),
             )
-        reply = yield from client.call_once(
+        reply = yield from client.call(
             ace.ctx.roomdb_address, ACECmdLine("whereIs", service="mobile")
         )
         return reply
@@ -174,7 +174,7 @@ def test_roomdb_unknown_service(ace_two_echoes):
 
     def scenario():
         with pytest.raises(CallError, match="not placed"):
-            yield from ace.client().call_once(
+            yield from ace.client().call(
                 ace.ctx.roomdb_address, ACECmdLine("whereIs", service="ghost")
             )
 
@@ -189,16 +189,16 @@ def test_netlogger_query_and_count(ace_two_echoes):
     def scenario():
         client = ace.client()
         for i in range(3):
-            yield from client.call_once(
+            yield from client.call(
                 ace.ctx.netlogger_address,
                 ACECmdLine("logEvent", source="intruder", event="login_failed",
                            detail=f"attempt {i}"),
             )
-        count = yield from client.call_once(
+        count = yield from client.call(
             ace.ctx.netlogger_address,
             ACECmdLine("countEvents", source="intruder", event="login_failed"),
         )
-        query = yield from client.call_once(
+        query = yield from client.call(
             ace.ctx.netlogger_address,
             ACECmdLine("queryLog", source="intruder", limit=2),
         )
@@ -215,17 +215,17 @@ def test_netlogger_since_window(ace_two_echoes):
 
     def scenario():
         client = ace.client()
-        yield from client.call_once(
+        yield from client.call(
             ace.ctx.netlogger_address,
             ACECmdLine("logEvent", source="s", event="e"),
         )
         cutoff = ace.sim.now
         yield ace.sim.timeout(1.0)
-        yield from client.call_once(
+        yield from client.call(
             ace.ctx.netlogger_address,
             ACECmdLine("logEvent", source="s", event="e"),
         )
-        reply = yield from client.call_once(
+        reply = yield from client.call(
             ace.ctx.netlogger_address,
             ACECmdLine("countEvents", source="s", event="e", since=float(cutoff + 0.5)),
         )

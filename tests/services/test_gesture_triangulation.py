@@ -83,7 +83,7 @@ def gesture_env():
 def call(env, daemon, command):
     def go():
         client = env.client(env.net.host("infra"), principal="driver")
-        return (yield from client.call_once(daemon.address, command))
+        return (yield from client.call(daemon.address, command))
 
     return env.run(go())
 
@@ -122,7 +122,7 @@ def test_map_requires_enrollment():
     def go():
         client = env.client(env.net.host("infra"), principal="driver")
         with pytest.raises(CallError, match="enroll"):
-            yield from client.call_once(
+            yield from client.call(
                 daemon.address,
                 ACECmdLine("mapGesture", gesture="ghost", host="h", port=1,
                            command="ping;"))
@@ -175,7 +175,7 @@ def triangulation_env():
     def place():
         client = env.client(env.net.host("infra"), principal="installer")
         for i, (x, y) in enumerate(MICS):
-            yield from client.call_once(
+            yield from client.call(
                 env.ctx.roomdb_address,
                 ACECmdLine("registerService", service=f"mic{i}", room="hawk",
                            host="av", port=9000 + i, position=(x, y, 1.5)))
@@ -211,7 +211,7 @@ def test_daemon_requires_positioned_mics():
     def go():
         client = env.client(env.net.host("infra"), principal="mic-driver")
         with pytest.raises(CallError, match="no known position"):
-            yield from client.call_once(
+            yield from client.call(
                 daemon.address,
                 ACECmdLine("reportArrival", event="e", mic="ghostmic", time=1.0))
 
@@ -223,11 +223,11 @@ def test_locate_with_insufficient_reports():
 
     def go():
         client = env.client(env.net.host("infra"), principal="mic-driver")
-        yield from client.call_once(
+        yield from client.call(
             daemon.address,
             ACECmdLine("reportArrival", event="e2", mic="mic0", time=1.0))
         with pytest.raises(CallError, match="only 1 reports"):
-            yield from client.call_once(daemon.address, ACECmdLine("locate", event="e2"))
+            yield from client.call(daemon.address, ACECmdLine("locate", event="e2"))
 
     env.run(go())
 
@@ -244,7 +244,7 @@ def test_sound_located_notification():
 
     def go():
         client = env.client(env.net.host("infra"), principal="setup")
-        yield from client.call_once(
+        yield from client.call(
             daemon.address,
             ACECmdLine("addNotification", cmd="soundLocated", listener="listener",
                        host=listener_host.name, port=listener.port,

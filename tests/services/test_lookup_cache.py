@@ -158,7 +158,7 @@ def test_cached_lookup_tracks_directory_ground_truth(op_list):
         for op in op_list:
             if op[0] == "reg":
                 name = f"p{tag}.s{op[1]}"
-                yield from client.call_once(
+                yield from client.call(
                     ace.asd.address,
                     ACECmdLine("register", name=name, host="h", port=1,
                                room="lab", cls=cls),
@@ -168,7 +168,7 @@ def test_cached_lookup_tracks_directory_ground_truth(op_list):
                 name = f"p{tag}.s{op[1]}"
                 if name not in live:
                     continue
-                yield from client.call_once(
+                yield from client.call(
                     ace.asd.address, ACECmdLine("deregister", name=name)
                 )
                 live.discard(name)
@@ -185,7 +185,7 @@ def test_cached_lookup_tracks_directory_ground_truth(op_list):
                 assert {r.name for r in records} == live
         # Leave no live leases behind (hygiene between examples).
         for name in sorted(live):
-            yield from client.call_once(
+            yield from client.call(
                 ace.asd.address, ACECmdLine("deregister", name=name)
             )
 

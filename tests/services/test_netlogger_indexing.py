@@ -54,11 +54,11 @@ def test_query_rows_escape_pipes_over_the_wire(ace):
 
     def scenario():
         client = ace.client()
-        yield from client.call_once(
+        yield from client.call(
             ace.ctx.netlogger_address,
             ACECmdLine("logEvent", source="a|b", event="e", detail="x|y|z"),
         )
-        reply = yield from client.call_once(
+        reply = yield from client.call(
             ace.ctx.netlogger_address, ACECmdLine("queryLog", source="a|b")
         )
         return reply

@@ -26,7 +26,7 @@ def env():
 def call(env, address, command):
     def go():
         client = env.client(env.net.host("infra"), principal="tester")
-        return (yield from client.call_once(address, command))
+        return (yield from client.call(address, command))
 
     return env.run(go())
 

@@ -98,7 +98,7 @@ def test_remove_sink_stops_forwarding():
 
     def setup(command):
         client = env.client(env.net.host("infra"))
-        yield from client.call_once(dist.address, command)
+        yield from client.call(dist.address, command)
 
     env.run(setup(ACECmdLine("addSink", host=sink.address.host, port=sink.address.port)))
     push_chunks(env, dist, [MediaChunk.from_audio(np.zeros(160, np.float32), 0, 0.0)])
@@ -121,7 +121,7 @@ def test_converter_compresses_video():
 
     def setup():
         client = env.client(env.net.host("infra"))
-        yield from client.call_once(
+        yield from client.call(
             conv.address, ACECmdLine("addSink", host=sink.address.host, port=sink.address.port)
         )
 
@@ -149,7 +149,7 @@ def test_converter_audio_f32_to_pcm16():
 
     def setup():
         client = env.client(env.net.host("infra"))
-        yield from client.call_once(
+        yield from client.call(
             conv.address, ACECmdLine("addSink", host=sink.address.host, port=sink.address.port)
         )
 
@@ -183,7 +183,7 @@ def test_converter_set_conversion_over_wire():
 
     def change():
         client = env.client(env.net.host("infra"))
-        reply = yield from client.call_once(
+        reply = yield from client.call(
             conv.address, ACECmdLine("setConversion", conversion="f32:pcm16")
         )
         return reply
@@ -203,7 +203,7 @@ def test_stream_stats():
 
     def stats():
         client = env.client(env.net.host("infra"))
-        return (yield from client.call_once(dist.address, ACECmdLine("getStreamStats")))
+        return (yield from client.call(dist.address, ACECmdLine("getStreamStats")))
 
     reply = env.run(stats())
     assert reply["chunks_in"] == 1

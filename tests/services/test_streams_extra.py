@@ -22,7 +22,7 @@ def env_with(daemon_cls, name, **kw):
 def call(env, daemon, command):
     def go():
         client = env.client(env.net.host("infra"))
-        return (yield from client.call_once(daemon.address, command))
+        return (yield from client.call(daemon.address, command))
 
     return env.run(go())
 

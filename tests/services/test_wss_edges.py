@@ -17,7 +17,7 @@ def wss_env():
 def call(env, command, **kw):
     def go():
         client = env.client(env.net.host("infra"), principal="admin-gui")
-        return (yield from client.call_once(env.daemon("wss").address, command, **kw))
+        return (yield from client.call(env.daemon("wss").address, command, **kw))
 
     return env.run(go())
 

@@ -58,7 +58,7 @@ def test_destroy_removes_checkpoint(wss_store_env):
 
     def go():
         client = env.client(env.net.host("infra"), principal="admin-gui")
-        yield from client.call_once(
+        yield from client.call(
             env.daemon("wss").address,
             ACECmdLine("destroyWorkspace", user="john", name="john-default"),
         )

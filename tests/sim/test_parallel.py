@@ -60,7 +60,7 @@ def spawn_beta_lookups(env, shard, n_ops=5):
         client = env.client(env.net.host("beta"), principal="tester")
         for _ in range(n_ops):
             t0 = env.sim.now
-            yield from client.call_once(
+            yield from client.call(
                 env.ctx.asd_address, ACECmdLine("lookup", cls="AUD")
             )
             latencies.append(env.sim.now - t0)

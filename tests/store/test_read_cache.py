@@ -127,11 +127,11 @@ def test_pslist_pages_and_client_follows():
             yield from client.put(p, {})
         raw = ServiceClient(env.ctx, env.net.host("infra"), principal="raw")
         address = env.daemon("ps1").address
-        first = yield from raw.call_once(
+        first = yield from raw.call(
             address, ACECmdLine("psList", prefix="/page"))
-        middle = yield from raw.call_once(
+        middle = yield from raw.call(
             address, ACECmdLine("psList", prefix="/page", offset=first.int("next")))
-        last = yield from raw.call_once(
+        last = yield from raw.call(
             address, ACECmdLine("psList", prefix="/page", offset=middle.int("next")))
         full = yield from client.list("/page")
         return first, middle, last, full

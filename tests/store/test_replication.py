@@ -87,6 +87,27 @@ def test_survives_two_replica_crashes(store_env):
     assert env.daemon("ps3").namespace.get("/z").attrs == {"v": "solo"}
 
 
+def _store_counter(env, name):
+    return env.obs.metrics.counter(f"store.client.{name}").value
+
+
+def test_absent_read_fails_over_past_dead_replica(store_env):
+    # cmdFailed from a live replica means "absent" (None), not "try the
+    # next one"; only the dead replica in front of it counts a failover.
+    env = store_env
+    client = env.store_client(env.net.host("infra"), balance_reads=False)
+    env.net.crash_host("store1")
+
+    def scenario():
+        value = yield from client.get("/never-written")
+        return value
+
+    assert env.run(scenario()) is None
+    assert _store_counter(env, "failovers") == 1
+    assert _store_counter(env, "unavailable") == 0
+    assert env.daemon("ps2").reads == 1 and env.daemon("ps3").reads == 0
+
+
 def test_unavailable_when_all_replicas_down(store_env):
     env = store_env
     client = env.store_client(env.net.host("infra"))
@@ -98,6 +119,8 @@ def test_unavailable_when_all_replicas_down(store_env):
             yield from client.put("/x", {"v": "1"})
 
     env.run(scenario())
+    assert _store_counter(env, "failovers") == 3
+    assert _store_counter(env, "unavailable") == 1
 
 
 def test_rejoined_replica_catches_up():

@@ -102,11 +102,11 @@ def test_misrouted_request_is_forwarded():
 
     def scenario():
         client = ServiceClient(env.ctx, env.net.host("infra"), principal="stale")
-        yield from client.call_once(
+        yield from client.call(
             wrong.address,
             ACECmdLine("psPut", path=path, value=encode_attrs({"v": "1"})),
         )
-        return (yield from client.call_once(
+        return (yield from client.call(
             wrong.address, ACECmdLine("psGet", path=path)
         ))
 
@@ -125,7 +125,7 @@ def test_misrouted_request_rejected_when_forwarding_off():
 
     def scenario():
         client = ServiceClient(env.ctx, env.net.host("infra"), principal="stale")
-        yield from client.call_once(
+        yield from client.call(
             env.daemon("ps1-1").address,
             ACECmdLine("psPut", path=path, value=encode_attrs({"v": "1"})),
         )

@@ -18,7 +18,7 @@ def build(replicas=3, **kw):
 def call(env, daemon_name, command, **kw):
     def go():
         client = env.client(env.net.host("infra"), principal="probe")
-        return (yield from client.call_once(env.daemon(daemon_name).address,
+        return (yield from client.call(env.daemon(daemon_name).address,
                                             command, **kw))
 
     return env.run(go())
@@ -59,7 +59,7 @@ def test_ps_get_missing_is_cmdfailed():
 
         client = env.client(env.net.host("infra"), principal="probe")
         with pytest.raises(CallError, match="no object"):
-            yield from client.call_once(env.daemon("ps1").address,
+            yield from client.call(env.daemon("ps1").address,
                                         ACECmdLine("psGet", path="/nope"))
 
     env.run(go())
@@ -73,7 +73,7 @@ def test_ps_bad_path_rejected():
 
         client = env.client(env.net.host("infra"), principal="probe")
         with pytest.raises(CallError, match="bad object path"):
-            yield from client.call_once(env.daemon("ps1").address,
+            yield from client.call(env.daemon("ps1").address,
                                         ACECmdLine("psPut", path="not/absolute"))
 
     env.run(go())
@@ -96,8 +96,8 @@ def test_replication_disabled_keeps_writes_local():
 
     def go():
         client = env.client(env.net.host("infra"), principal="probe")
-        reply = yield from client.call_once(a.address,
-                                            ACECmdLine("psPut", path="/solo", value="v=1"))
+        reply = yield from client.call(a.address,
+                                       ACECmdLine("psPut", path="/solo", value="v=1"))
         return reply
 
     reply = env.run(go())
@@ -125,8 +125,8 @@ def test_anti_entropy_alone_converges_lazy_replication():
 
     def go():
         client = env.client(env.net.host("infra"), principal="probe")
-        yield from client.call_once(a.address,
-                                    ACECmdLine("psPut", path="/lazy", value="v=1"))
+        yield from client.call(a.address,
+                               ACECmdLine("psPut", path="/lazy", value="v=1"))
 
     env.run(go())
     env.run_for(5.0)

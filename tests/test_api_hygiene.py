@@ -106,3 +106,42 @@ def test_every_declared_command_has_handler_or_builtin():
             if not hasattr(daemon, f"cmd_{command_name}"):
                 problems.append(f"{name}: {command_name}")
     assert problems == [], f"declared commands without handlers: {problems}"
+
+
+def test_service_client_surface_is_exactly_this():
+    """One way to send a command to an address (``call``); the transport is
+    chosen by the object the caller holds — ``client``, ``client.pool``, a
+    pipe from ``pipelined``, a connection from ``connect`` — not by a
+    method name.  A new public method here needs a reason, and this list."""
+    from repro.core import ServiceClient
+
+    public = {name for name in vars(ServiceClient) if not name.startswith("_")}
+    assert public == {
+        "connect", "call", "pool", "pipelined", "close_channels",
+        "current_span", "begin_trace", "end_trace",
+    }
+
+
+RETIRED_NAMES = frozenset({
+    "call_once", "call_pooled", "call_pipelined", "call_failover",
+    "call_resilient", "batch_lease_renewals", "obs_export", "authdb_lookup",
+})
+
+
+def test_retired_names_stay_retired():
+    """No attribute, name, keyword or definition under ``src/``,
+    ``examples/`` or ``benchmarks/`` spells a retired call method or option
+    (EXPERIMENTS.md §Retired controls)."""
+    import ast
+    from pathlib import Path
+
+    repo = Path(repro.__file__).parents[2]
+    found = []
+    for top in ("src", "examples", "benchmarks"):
+        for path in sorted((repo / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                for field in ("attr", "id", "arg", "name"):
+                    if getattr(node, field, None) in RETIRED_NAMES:
+                        found.append(f"{path.relative_to(repo)}:{node.lineno}: "
+                                     f"{getattr(node, field)}")
+    assert found == [], "retired names in use:\n" + "\n".join(found)
