@@ -138,16 +138,6 @@ class AutoscalerDaemon(Checkpointable, ACEDaemon):
             description="obsAlert notification callback from the aggregator",
         )
 
-    def _respawn_kwargs(self) -> dict:
-        return {
-            "interval": self.interval, "rules": self._rules,
-            "reader": self.reader, "actuators": self.actuators,
-            "alert_window": self.alert_window,
-            "fast_burn_horizon": self.fast_burn_horizon,
-            "resubscribe": self.resubscribe,
-            "decision_log_size": self.decision_log.maxlen,
-        }
-
     def on_started(self) -> None:
         self._spawn(self._control_loop(), "control-loop")
         if self.ctx.telemetry_address is not None:

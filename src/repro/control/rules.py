@@ -304,15 +304,7 @@ class DecisionEngine:
         return restored
 
 
-def default_rules(
-    *,
-    interval: float = 1.0,
-    max_store_groups: int = 4,
-    max_asd_replicas: int = 3,
-    max_pool: int = 16,
-    p95_high: float = 0.25,
-    p95_low: float = 0.05,
-) -> Tuple[ScalingRule, ...]:
+def default_rules(*, interval: float = 1.0) -> Tuple[ScalingRule, ...]:
     """The stock policy ``env.enable_autoscaling()`` installs.
 
     Cooldowns scale with the control interval: scale-up waits out the
@@ -322,8 +314,8 @@ def default_rules(
     return (
         ScalingRule(
             "store-pressure", signal="p95_s", resource="store_groups",
-            high=p95_high, low=p95_low, min_level=1,
-            max_level=max_store_groups, up_cooldown=4.0 * interval,
+            high=0.25, low=0.05, min_level=1,
+            max_level=4, up_cooldown=4.0 * interval,
             down_cooldown=24.0 * interval, sustain=2.0 * interval,
             max_actions_per_window=3, rate_window=30.0 * interval,
         ),
@@ -333,20 +325,20 @@ def default_rules(
         ScalingRule(
             "replication-lag", signal="replication_drop_rate",
             resource="store_groups", high=2.0, low=-1.0, min_level=1,
-            max_level=max_store_groups, up_cooldown=6.0 * interval,
+            max_level=4, up_cooldown=6.0 * interval,
             down_cooldown=24.0 * interval, sustain=2.0 * interval,
             max_actions_per_window=2, rate_window=30.0 * interval,
         ),
         ScalingRule(
             "queue-pressure", signal="queue_depth", resource="asd_replicas",
-            high=8.0, low=0.5, min_level=1, max_level=max_asd_replicas,
+            high=8.0, low=0.5, min_level=1, max_level=3,
             up_cooldown=6.0 * interval, down_cooldown=30.0 * interval,
             sustain=2.0 * interval, max_actions_per_window=2,
             rate_window=40.0 * interval,
         ),
         ScalingRule(
             "dial-pressure", signal="pool_dial_rate", resource="pool_size",
-            high=40.0, low=2.0, min_level=4, max_level=max_pool, step=4,
+            high=40.0, low=2.0, min_level=4, max_level=16, step=4,
             up_cooldown=4.0 * interval, down_cooldown=20.0 * interval,
             sustain=2.0 * interval,
         ),

@@ -109,6 +109,13 @@ class ACEDaemon:
     #: this class's segment of the service-class path (subclasses override)
     service_type = "ACEService"
 
+    def __new__(cls, *args, **kwargs):
+        # Whatever the subclass, remember the keyword arguments of the
+        # outermost constructor call: respawn() rebuilds from them.
+        daemon = super().__new__(cls)
+        daemon._init_kwargs = kwargs
+        return daemon
+
     def __init__(
         self,
         ctx: DaemonContext,
@@ -278,24 +285,17 @@ class ACEDaemon:
 
     def respawn(self, incarnation: int) -> "ACEDaemon":
         """A fresh instance of this daemon on the same host and port under
-        a higher incarnation number (the supervisor restart path).  The
-        port is kept so addresses clients already hold stay valid.
-        Subclasses with extra constructor state override
-        :meth:`_respawn_kwargs`."""
-        return type(self)(
-            self.ctx,
-            self.name,
-            self.host,
-            port=self.port,
-            room=self.room,
-            authorize_commands=self.authorize_commands,
-            register_with_asd=self.register_with_asd,
-            incarnation=incarnation,
-            **self._respawn_kwargs(),
-        )
+        a higher incarnation number (the supervisor restart path), built
+        from the keyword arguments this instance was built with.  The
+        port is kept so addresses clients already hold stay valid."""
+        kwargs = {**self._init_kwargs, **self._respawn_kwargs(),
+                  "port": self.port, "incarnation": incarnation}
+        return type(self)(self.ctx, self.name, self.host, **kwargs)
 
     def _respawn_kwargs(self) -> Dict[str, Any]:
-        """Extra constructor kwargs :meth:`respawn` must carry over."""
+        """Constructor kwargs whose value has changed since construction
+        (the store's peers and shard map); :meth:`respawn` remembers the
+        rest."""
         return {}
 
     def _beat(self) -> None:

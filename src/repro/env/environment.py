@@ -112,9 +112,11 @@ class ACEEnvironment:
         #: monotonic naming serial for store groups — hosts outlive a
         #: drained group, so re-added groups need fresh host names
         self._store_group_serial = 0
-        #: SupervisorDaemon kwargs once enable_supervision() ran (None =
-        #: supervision off); late-added hosts get supervisors from these
-        self._supervision_kwargs: Optional[dict] = None
+        #: what enable_supervision() / enable_telemetry() recorded for
+        #: add_daemon to enrol by — (include, SupervisorDaemon kwargs) and
+        #: the push interval; None while the plane is off
+        self._supervision: Optional[Tuple[Optional[List[str]], dict]] = None
+        self._telemetry_interval: Optional[float] = None
 
     @property
     def obs(self):
@@ -155,6 +157,9 @@ class ACEEnvironment:
     # Daemons
     # ------------------------------------------------------------------
     def add_daemon(self, daemon: ACEDaemon, tier: int = _TIER_SERVICE) -> ACEDaemon:
+        """The one way a daemon joins: the registry, ``start()`` once the
+        environment is booted, and the planes that are on — whether it
+        arrives before they are enabled or long after."""
         if self.shard is not None and not self.shard.owns(daemon.host.name):
             # Ghost daemon: constructed (so construction-time RNG draws and
             # host state match every shard) but never registered or started
@@ -166,7 +171,25 @@ class ACEEnvironment:
         self._tiers[daemon.name] = tier
         if self._booted:
             daemon.start()
+        self._supervise(daemon)
+        self._publish_host(daemon.host)
         return daemon
+
+    def remove_daemon(self, daemon: ACEDaemon):
+        """The one way a daemon leaves (the mirror of :meth:`add_daemon`):
+        off its supervisor's watch list, every telemetry scope registered
+        at its address dropped, stopped, out of the registry.  Returns the
+        stop process."""
+        supervisor = self.ctx.supervisors.get(daemon.host.name)
+        if supervisor is not None:
+            supervisor.unwatch(daemon.name)
+        address = f"{daemon.host.name}:{daemon.port}"
+        for key in list(self.ctx.obs.telemetry_scopes):
+            if key[1] == address:
+                self.ctx.obs.telemetry_scopes.pop(key)
+        self.daemons.pop(daemon.name, None)
+        self._tiers.pop(daemon.name, None)
+        return daemon.stop()
 
     def add_device(self, daemon_class: Type[ACEDaemon], name: str, host: Host,
                    room: str = "", **kwargs) -> ACEDaemon:
@@ -272,95 +295,78 @@ class ACEEnvironment:
         suspicion_window: Optional[float] = None,
         check_interval: float = 0.5,
         checkpoint_interval: float = 2.0,
-        checkpoint_to_store: bool = True,
-        negative_ttl: float = 0.5,
-        idempotent_retries: bool = True,
         include: Optional[List[str]] = None,
-        exclude: Tuple[str, ...] = (),
-    ) -> Dict[str, "object"]:
+    ) -> Dict[str, SupervisorDaemon]:
         """Turn on the self-healing supervision plane (E26).
 
-        Creates one :class:`~repro.recovery.SupervisorDaemon` per host
-        that runs daemons, watches every daemon on it (the directory
-        replicas and watcher are exempt — they *are* the heartbeat
-        substrate), switches clients to idempotent retry stamping, and
-        configures negative lookup caching so clients chasing a dead name
-        back off during the recovery window.
+        Switches clients to idempotent retry stamping, configures
+        negative lookup caching so clients chasing a dead name back off
+        during the recovery window, and puts every daemon — those here
+        already and, through :meth:`add_daemon`, those still to come — on
+        a per-host :class:`~repro.recovery.SupervisorDaemon`.
 
-        ``include`` restricts supervision to the named daemons;
-        ``exclude`` exempts names.  Returns host name -> supervisor.
+        ``include`` restricts supervision to the named daemons.  Returns
+        host name -> supervisor (the live ``ctx.supervisors``).
         """
-        self.ctx.idempotent_retries = idempotent_retries
-        if negative_ttl > 0 and self.ctx.lookup_cache is not None:
-            self.ctx.lookup_cache.negative_ttl = negative_ttl
-        self._supervision_kwargs = {
+        self.ctx.idempotent_retries = True
+        if self.ctx.lookup_cache is not None:
+            self.ctx.lookup_cache.negative_ttl = 0.5
+        self._supervision = (include, {
             "suspicion_window": suspicion_window,
             "check_interval": check_interval,
             "checkpoint_interval": checkpoint_interval,
-            "checkpoint_to_store": checkpoint_to_store,
-        }
-        exempt = set(exclude) | {"dirwatch"}
-        supervisors: Dict[str, SupervisorDaemon] = {}
-        for name, daemon in self.daemons.items():
-            if name in exempt:
-                continue
-            if include is not None and name not in include:
-                continue
-            if isinstance(daemon, (ServiceDirectoryDaemon, DirectoryWatcherDaemon)):
-                continue
-            supervisor = self.ctx.supervisors.get(daemon.host.name)
-            if supervisor is None:
-                supervisor = SupervisorDaemon(
-                    self.ctx, daemon.host,
-                    suspicion_window=suspicion_window,
-                    check_interval=check_interval,
-                    checkpoint_interval=checkpoint_interval,
-                    checkpoint_to_store=checkpoint_to_store,
-                )
-                supervisor.on_restart(self._adopt_restart)
-            supervisor.watch(daemon)
-            supervisors[daemon.host.name] = supervisor
-        for supervisor in supervisors.values():
-            supervisor.start()
-        return supervisors
+        })
+        for daemon in self.daemons.values():
+            self._supervise(daemon)
+        return self.ctx.supervisors
 
-    def enable_telemetry(
-        self,
-        *,
-        interval: float = 1.0,
-        jitter: float = 0.2,
-        slos=None,
-        aggregator_host=None,
-        port: Optional[int] = None,
-    ) -> "ACEDaemon":
+    def _supervise(self, daemon: ACEDaemon) -> None:
+        """Put ``daemon`` on its host's supervisor, minted and started on
+        the host's first ward.  The directory replicas and watcher are
+        exempt — they *are* the heartbeat substrate."""
+        if self._supervision is None or isinstance(
+            daemon, (ServiceDirectoryDaemon, DirectoryWatcherDaemon)
+        ):
+            return
+        include, settings = self._supervision
+        if include is not None and daemon.name not in include:
+            return
+        supervisor = self.ctx.supervisors.get(daemon.host.name)
+        if supervisor is None:
+            supervisor = SupervisorDaemon(self.ctx, daemon.host, **settings)
+            supervisor.on_restart(self._adopt_restart)
+        supervisor.watch(daemon)
+        supervisor.start()
+
+    def enable_telemetry(self, *, interval: float = 1.0) -> ACEDaemon:
         """Turn on the E27 cluster telemetry plane.
 
         Adds one :class:`~repro.obs.cluster.TelemetryAggregatorDaemon`
         (well-known telemetry port, ASD-registered, supervisable like any
-        daemon) plus one per-host
+        daemon, :func:`~repro.obs.cluster.default_slos` scaled to the
+        interval) plus one per-host
         :class:`~repro.obs.cluster.TelemetryPublisherDaemon` that
         delta-pushes the host's metric scopes every ``interval`` seconds
-        (jittered).  ``slos`` defaults to
-        :func:`~repro.obs.cluster.default_slos` scaled to the interval.
-        Returns the aggregator.  When telemetry stays off, none of this
-        exists and the wire is byte-identical to pre-E27 traffic.
+        (jittered) — for the hosts that run daemons now and, through
+        :meth:`add_daemon`, for those that will.  Returns the aggregator.
+        When telemetry stays off, none of this exists and the wire is
+        byte-identical to pre-E27 traffic.
         """
         if "telemetry" in self.daemons:
             return self.daemons["telemetry"]
-        if aggregator_host is None:
-            if "asd" in self.daemons:
-                aggregator_host = self.daemons["asd"].host
-            else:
-                aggregator_host = self.net.host(sorted(self.net.hosts)[0])
-        aggregator = TelemetryAggregatorDaemon(
-            self.ctx, "telemetry", aggregator_host,
-            port=port if port is not None else WellKnownPorts.TELEMETRY,
-            interval=interval,
-            slos=tuple(slos) if slos is not None else default_slos(interval),
+        if "asd" in self.daemons:
+            aggregator_host = self.daemons["asd"].host
+        else:
+            aggregator_host = self.net.host(sorted(self.net.hosts)[0])
+        aggregator = self.add_daemon(
+            TelemetryAggregatorDaemon(
+                self.ctx, "telemetry", aggregator_host,
+                port=WellKnownPorts.TELEMETRY, interval=interval,
+                slos=default_slos(interval), topology_provider=self._topology,
+            ),
+            tier=_TIER_DATABASE,
         )
-        self.add_daemon(aggregator, tier=_TIER_DATABASE)
         self.ctx.telemetry_address = aggregator.address
-        self._supervise_if_enabled(aggregator)
 
         # The RPC plane's scope: breakers + RpcStats + client latency
         # histogram don't live under one registry prefix, so a provider
@@ -381,58 +387,42 @@ class ACEEnvironment:
 
         # One publisher per host that runs daemons (including the
         # aggregator's own host — it is just another daemon to watch).
+        self._telemetry_interval = interval
         hosts = {d.host.name: d.host for d in self.daemons.values()}
         for host_name in sorted(hosts):
-            pub_name = f"telem.{host_name}"
-            if pub_name in self.daemons:
-                continue
-            publisher = TelemetryPublisherDaemon(
-                self.ctx, pub_name, hosts[host_name],
-                interval=interval, jitter=jitter,
-            )
-            self.add_daemon(publisher, tier=_TIER_DATABASE)
-            self._supervise_if_enabled(publisher)
-
-        def topology():
-            info = {
-                "store_groups": [
-                    [d.name for d in group] for group in self._store_groups
-                ],
-                "supervisors": {
-                    host_name: supervisor.snapshot()
-                    for host_name, supervisor in sorted(self.ctx.supervisors.items())
-                },
-            }
-            if self._store_shard_map is not None:
-                info["shard_map"] = {
-                    "groups": self._store_shard_map.groups,
-                    "epoch": self._store_shard_map.epoch,
-                }
-            return info
-
-        aggregator.topology_provider = topology
+            self._publish_host(hosts[host_name])
         return aggregator
 
-    def _supervise_if_enabled(self, daemon: ACEDaemon) -> None:
-        """Enroll a late-added daemon with its host's supervisor, when the
-        supervision plane is already on (telemetry daemons are ordinary
-        wards — the aggregator's state is soft, so restart is enough).
-        Hosts minted after ``enable_supervision()`` — autoscaled store
-        groups, ASD replicas — get a fresh supervisor on the spot."""
-        supervisor = self.ctx.supervisors.get(daemon.host.name)
-        if supervisor is None:
-            if self._supervision_kwargs is None:
-                return
-            if isinstance(daemon, (ServiceDirectoryDaemon, DirectoryWatcherDaemon)):
-                return
-            supervisor = SupervisorDaemon(
-                self.ctx, daemon.host, **self._supervision_kwargs
-            )
-            supervisor.on_restart(self._adopt_restart)
-            supervisor.watch(daemon)
-            supervisor.start()
+    def _publish_host(self, host: Host) -> None:
+        """Make sure ``host`` has its telemetry publisher."""
+        if self._telemetry_interval is None or f"telem.{host.name}" in self.daemons:
             return
-        supervisor.watch(daemon)
+        self.add_daemon(
+            TelemetryPublisherDaemon(
+                self.ctx, f"telem.{host.name}", host,
+                interval=self._telemetry_interval,
+            ),
+            tier=_TIER_DATABASE,
+        )
+
+    def _topology(self) -> dict:
+        """Store groups, shard map and supervisors, as the aggregator
+        reports them in a ``ClusterSnapshot``."""
+        info = {
+            "store_groups": [
+                [d.name for d in group] for group in self._store_groups
+            ],
+            "supervisors": {
+                host_name: supervisor.snapshot()
+                for host_name, supervisor in sorted(self.ctx.supervisors.items())
+            },
+        }
+        if self._store_shard_map is not None:
+            info["shard_map"] = {
+                "groups": self._store_shard_map.groups,
+                "epoch": self._store_shard_map.epoch,
+            }
+        return info
 
     def _adopt_restart(self, old: ACEDaemon, new: ACEDaemon) -> None:
         """Supervisor restart hook: swap the reincarnation into every
@@ -456,53 +446,72 @@ class ACEEnvironment:
         )
 
     def add_persistent_store(
-        self, replicas: int = 3, *, groups: int = 1, host_prefix: str = "store",
-        sync_interval: float = 5.0, bogomips: float = 1200.0, **store_kwargs,
+        self, replicas: int = 3, *, groups: int = 1, **store_kwargs,
     ) -> List[ACEDaemon]:
         """Fig. 17: a cluster of redundant store servers on separate hosts.
 
         With ``groups > 1`` the namespace is consistent-hash sharded across
         that many replica-groups of ``replicas`` servers each; every daemon
         (and every :meth:`store_client`) shares one
-        :class:`~repro.store.sharding.ShardMap` so keys route locally."""
-        shard_map = ShardMap(groups) if groups > 1 else None
-        self._store_shard_map = shard_map
+        :class:`~repro.store.sharding.ShardMap` so keys route locally.
+        ``store_kwargs`` (``sync_interval``, ``batch_replication``, ...)
+        go to every :class:`~repro.store.server.PersistentStoreDaemon`."""
+        self._store_shard_map = ShardMap(groups) if groups > 1 else None
         self._store_groups = []
+        self._store_group_serial = 0
         daemons: List[ACEDaemon] = []
-        for g in range(groups):
-            group_daemons: List[ACEDaemon] = []
-            for i in range(replicas):
-                if groups == 1:
-                    host_name, daemon_name = f"{host_prefix}{i + 1}", f"ps{i + 1}"
-                else:
-                    host_name = f"{host_prefix}{g + 1}-{i + 1}"
-                    daemon_name = f"ps{g + 1}-{i + 1}"
-                host = self.add_workstation(
-                    host_name, room="machineroom",
-                    bogomips=bogomips, monitors=False,
-                )
-                daemon = PersistentStoreDaemon(
-                    self.ctx, daemon_name, host,
-                    port=WellKnownPorts.PERSISTENT_STORE + g * replicas + i,
-                    room="machineroom", sync_interval=sync_interval,
-                    shard_map=shard_map, group_index=g, **store_kwargs,
-                )
-                self.add_daemon(daemon, tier=_TIER_DATABASE)
-                group_daemons.append(daemon)
-                daemons.append(daemon)
-            addresses = [d.address for d in group_daemons]
-            for daemon in group_daemons:
-                daemon.set_peers(addresses)
-            self._store_groups.append(group_daemons)
-        self._store_group_serial = groups
+        for _ in range(groups):
+            daemons += self._build_store_group(
+                self._store_shard_map, replicas, **store_kwargs
+            )
         self._refresh_store_topology()
         return daemons
 
+    def _build_store_group(
+        self, shard_map: Optional[ShardMap], replicas: int, **store_kwargs,
+    ) -> List[ACEDaemon]:
+        """The next replica-group: a host and a store daemon per replica,
+        peered with each other and appended to the topology.
+
+        Named and ported by serial, not group index: a drained group's
+        hosts stay in the network, so index-based names would collide on
+        re-add.  With no drains the serial equals the index."""
+        g = len(self._store_groups)
+        serial = self._store_group_serial
+        self._store_group_serial += 1
+        group: List[ACEDaemon] = []
+        for i in range(replicas):
+            # an unsharded store is its one group: store1.., ps1..
+            tag = f"{i + 1}" if shard_map is None else f"{serial + 1}-{i + 1}"
+            host = self.add_workstation(
+                f"store{tag}", room="machineroom", bogomips=1200.0,
+                monitors=False,
+            )
+            group.append(self.add_daemon(
+                PersistentStoreDaemon(
+                    self.ctx, f"ps{tag}", host,
+                    port=WellKnownPorts.PERSISTENT_STORE + serial * replicas + i,
+                    room="machineroom", shard_map=shard_map, group_index=g,
+                    **store_kwargs,
+                ),
+                tier=_TIER_DATABASE,
+            ))
+        addresses = [d.address for d in group]
+        for daemon in group:
+            daemon.set_peers(addresses)
+        self._store_groups.append(group)
+        return group
+
+    def _store_topology(self):
+        """(shard map, per-group address lists): what a store client
+        routes on, read again on every use so it follows grown and
+        drained groups."""
+        return self._store_shard_map, [
+            [d.address for d in grp] for grp in self._store_groups
+        ]
+
     def _store_group_addresses(self) -> Dict[int, List[Address]]:
-        return {
-            g: [d.address for d in grp]
-            for g, grp in enumerate(self._store_groups)
-        }
+        return dict(enumerate(self._store_topology()[1]))
 
     def _refresh_store_topology(self) -> None:
         """Recompute ctx.store_addresses + every daemon's group map."""
@@ -515,52 +524,24 @@ class ACEEnvironment:
                 daemon.group_addresses = dict(group_addresses)
 
     def add_store_group(
-        self, replicas: Optional[int] = None, *, host_prefix: str = "store",
-        sync_interval: float = 5.0, bogomips: float = 1200.0, **store_kwargs,
+        self, replicas: Optional[int] = None, **store_kwargs,
     ) -> List[ACEDaemon]:
         """Grow the sharded store by one replica-group: a new ShardMap epoch
         is installed everywhere and existing groups stream the objects they
         no longer own to the new group (the rebalance path)."""
         if not self._store_groups:
             raise RuntimeError("add_persistent_store() first")
-        old_map = self._store_shard_map or ShardMap(1)
-        new_map = old_map.grown()
-        g = len(self._store_groups)
-        # Name by serial, not group index: a drained group's hosts stay in
-        # the network, so index-based names would collide on re-add.  With
-        # no drains the serial equals the index and names are unchanged.
-        serial = self._store_group_serial
-        self._store_group_serial += 1
+        new_map = (self._store_shard_map or ShardMap(1)).grown()
         if replicas is None:
             replicas = len(self._store_groups[0])
-        group_daemons: List[ACEDaemon] = []
-        for i in range(replicas):
-            host = self.add_workstation(
-                f"{host_prefix}{serial + 1}-{i + 1}", room="machineroom",
-                bogomips=bogomips, monitors=False,
-            )
-            daemon = PersistentStoreDaemon(
-                self.ctx, f"ps{serial + 1}-{i + 1}", host,
-                port=WellKnownPorts.PERSISTENT_STORE + serial * replicas + i,
-                room="machineroom", sync_interval=sync_interval,
-                shard_map=new_map, group_index=g, **store_kwargs,
-            )
-            self.add_daemon(daemon, tier=_TIER_DATABASE)
-            group_daemons.append(daemon)
-        addresses = [d.address for d in group_daemons]
-        for daemon in group_daemons:
-            daemon.set_peers(addresses)
-        self._store_groups.append(group_daemons)
+        group = self._build_store_group(new_map, replicas, **store_kwargs)
         self._store_shard_map = new_map
         self._refresh_store_topology()
         group_addresses = self._store_group_addresses()
         for grp in self._store_groups[:-1]:
             for daemon in grp:
                 daemon.install_shard_map(new_map, group_addresses)
-        for daemon in group_daemons:
-            self._supervise_if_enabled(daemon)
-            self._publish_host_if_telemetry(daemon.host)
-        return group_daemons
+        return group
 
     def drain_store_group(self, *, grace: float = 5.0):
         """Shrink the sharded store by its newest replica-group (the E28
@@ -601,16 +582,7 @@ class ACEEnvironment:
             if grace > 0:
                 yield self.sim.timeout(grace)
             for daemon in drained:
-                supervisor = self.ctx.supervisors.get(daemon.host.name)
-                if supervisor is not None:
-                    supervisor.unwatch(daemon.name)
-                self.ctx.obs.telemetry_scopes.pop(
-                    (daemon.name, f"{daemon.host.name}:{daemon.port}"), None
-                )
-                if daemon.running:
-                    yield daemon.stop()
-                self.daemons.pop(daemon.name, None)
-                self._tiers.pop(daemon.name, None)
+                yield self.remove_daemon(daemon)
             self.trace.emit(
                 self.sim.now, "env", "store-group-drained",
                 groups=new_map.groups, epoch=new_map.epoch,
@@ -619,21 +591,15 @@ class ACEEnvironment:
         return self.sim.process(_finish(), name="store-drain")
 
     def store_client(self, host: Host, principal: str = "store-client", **kwargs):
-        if self._store_shard_map is not None and self._store_groups:
-            kwargs.setdefault("shard_map", self._store_shard_map)
-            kwargs.setdefault(
-                "groups", [[d.address for d in grp] for grp in self._store_groups]
-            )
         if self._store_groups:
-            # Follow autoscaling topology changes (grown/drained groups)
-            # instead of routing on the map frozen at construction.  Also
-            # attached to clients of a store that is *not yet* sharded, so
-            # they pick up the shard map the moment the controller grows
-            # the single seed group.
-            kwargs.setdefault("topology_provider", lambda: (
-                self._store_shard_map,
-                [[d.address for d in grp] for grp in self._store_groups],
-            ))
+            shard_map, groups = self._store_topology()
+            if shard_map is not None:
+                kwargs.setdefault("shard_map", shard_map)
+                kwargs.setdefault("groups", groups)
+            # Also attached to clients of a store that is *not yet*
+            # sharded, so they pick up the shard map the moment the
+            # controller grows the single seed group.
+            kwargs.setdefault("topology_provider", self._store_topology)
         replicas = sorted(
             (d.address for d in self.daemons.values()
              if type(d).__name__ == "PersistentStoreDaemon"),
@@ -687,7 +653,6 @@ class ACEEnvironment:
         for daemon in existing:
             daemon.set_group(new_group)
         self.add_daemon(replica, tier=_TIER_BOOTSTRAP)
-        self._publish_host_if_telemetry(host)
         self.trace.emit(
             self.sim.now, "env", "asd-replica-added",
             name=replica.name, replicas=len(new_group),
@@ -716,13 +681,7 @@ class ACEEnvironment:
         for daemon in self._directory_daemons():
             if daemon is not victim:
                 daemon.set_group(new_group)
-        self.ctx.obs.telemetry_scopes.pop(
-            (victim.name, f"{victim.host.name}:{victim.port}"), None
-        )
-        if victim.running:
-            victim.stop()
-        self.daemons.pop(victim.name, None)
-        self._tiers.pop(victim.name, None)
+        self.remove_daemon(victim)
         self.trace.emit(
             self.sim.now, "env", "asd-replica-retired",
             name=victim.name, replicas=len(new_group),
@@ -742,21 +701,6 @@ class ACEEnvironment:
                 resized += 1
         return resized
 
-    def _publish_host_if_telemetry(self, host: Host) -> None:
-        """Hosts added after ``enable_telemetry()`` (autoscaled store
-        groups, ASD replicas) get their publisher here."""
-        if "telemetry" not in self.daemons:
-            return
-        pub_name = f"telem.{host.name}"
-        if pub_name in self.daemons:
-            return
-        aggregator = self.daemons["telemetry"]
-        publisher = TelemetryPublisherDaemon(
-            self.ctx, pub_name, host, interval=aggregator.interval,
-        )
-        self.add_daemon(publisher, tier=_TIER_DATABASE)
-        self._supervise_if_enabled(publisher)
-
     # ------------------------------------------------------------------
     # Closed-loop autoscaling (E28)
     # ------------------------------------------------------------------
@@ -765,12 +709,7 @@ class ACEEnvironment:
         *,
         interval: float = 1.0,
         rules=None,
-        host: Optional[Host] = None,
         latency_service: str = "",
-        max_store_groups: int = 4,
-        max_asd_replicas: int = 3,
-        max_pool: int = 16,
-        **daemon_kwargs,
     ) -> ACEDaemon:
         """Turn on the E28 closed-loop control plane.
 
@@ -786,8 +725,6 @@ class ACEEnvironment:
         if "autoscaler" in self.daemons:
             return self.daemons["autoscaler"]
         aggregator = self.enable_telemetry(interval=interval)
-        if host is None:
-            host = aggregator.host
 
         actuators: Dict[str, Actuator] = {}
         if self._store_groups:
@@ -816,10 +753,7 @@ class ACEEnvironment:
             ),
         )
         if rules is None:
-            rules = default_rules(
-                interval=interval, max_store_groups=max_store_groups,
-                max_asd_replicas=max_asd_replicas, max_pool=max_pool,
-            )
+            rules = default_rules(interval=interval)
         rules = tuple(r for r in rules if r.resource in actuators)
         reader = SignalReader(
             lambda: self.daemons["telemetry"],
@@ -829,13 +763,13 @@ class ACEEnvironment:
             },
             latency_service=latency_service,
         )
-        daemon = AutoscalerDaemon(
-            self.ctx, "autoscaler", host, interval=interval, rules=rules,
-            reader=reader.read, actuators=actuators, **daemon_kwargs,
+        return self.add_daemon(
+            AutoscalerDaemon(
+                self.ctx, "autoscaler", aggregator.host, interval=interval,
+                rules=rules, reader=reader.read, actuators=actuators,
+            ),
+            tier=_TIER_DATABASE,
         )
-        self.add_daemon(daemon, tier=_TIER_DATABASE)
-        self._supervise_if_enabled(daemon)
-        return daemon
 
     def add_id_devices(self, host: Host, room: str = "") -> Tuple[ACEDaemon, ACEDaemon]:
         """A fingerprint scanner + iButton reader at an access point."""

@@ -51,15 +51,13 @@ class TelemetryAggregatorDaemon(ACEDaemon):
 
     def __init__(self, ctx, name, host, *, interval: float = 1.0,
                  stale_factor: float = 1.5, slos: Tuple[SLOSpec, ...] = (),
-                 **kwargs):
+                 topology_provider=None, **kwargs):
         kwargs.setdefault("authorize_commands", False)  # infrastructure plane
         super().__init__(ctx, name, host, **kwargs)
         self.interval = interval
-        self.stale_factor = stale_factor
         #: how stale a host's push stream may get before we scrape it
         self.stale_after = stale_factor * interval
-        self._slo_specs = tuple(slos)
-        self.slo_engine = SLOEngine(self._slo_specs)
+        self.slo_engine = SLOEngine(slos)
         #: (service, address, incarnation) -> latest merged snapshot
         self.series: Dict[Tuple[str, str, int], ScopeSnapshot] = {}
         self.last_seen: Dict[Tuple[str, str, int], float] = {}
@@ -70,7 +68,7 @@ class TelemetryAggregatorDaemon(ACEDaemon):
         self.alerts: List[dict] = []
         #: optional in-process callable returning topology facts (shard
         #: map, store groups, supervisors) for ClusterSnapshot
-        self.topology_provider = None
+        self.topology_provider = topology_provider
         self._scrape_client: Optional[ServiceClient] = None
         metrics = ctx.obs.metrics
         self._m_pushes = metrics.counter("telemetry.pushes")
@@ -110,12 +108,6 @@ class TelemetryAggregatorDaemon(ACEDaemon):
     def on_started(self) -> None:
         self._spawn(self._eval_loop(), "slo")
         self._spawn(self._scrape_loop(), "scrape")
-
-    def _respawn_kwargs(self) -> dict:
-        return {
-            "interval": self.interval, "stale_factor": self.stale_factor,
-            "slos": self._slo_specs,
-        }
 
     # ------------------------------------------------------------------
     # Ingest: push + scrape fallback

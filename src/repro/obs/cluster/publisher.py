@@ -83,9 +83,6 @@ class TelemetryPublisherDaemon(ACEDaemon):
     def on_started(self) -> None:
         self._spawn(self._push_loop(), "push")
 
-    def _respawn_kwargs(self) -> dict:
-        return {"interval": self.interval, "jitter": self.jitter}
-
     # ------------------------------------------------------------------
     # Capture (with incarnation rebasing)
     # ------------------------------------------------------------------

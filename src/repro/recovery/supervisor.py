@@ -36,8 +36,7 @@ class SupervisorDaemon:
     """
 
     def __init__(self, ctx, host, *, suspicion_window: Optional[float] = None,
-                 check_interval: float = 0.5, checkpoint_interval: float = 2.0,
-                 checkpoint_to_store: bool = True):
+                 check_interval: float = 0.5, checkpoint_interval: float = 2.0):
         self.ctx = ctx
         self.host = host
         self.name = f"supervisor.{host.name}"
@@ -48,7 +47,6 @@ class SupervisorDaemon:
         self.suspicion_window = suspicion_window or ctx.lease_duration
         self.check_interval = check_interval
         self.checkpoint_interval = checkpoint_interval
-        self.checkpoint_to_store = checkpoint_to_store
         self.running = False
         #: daemon name -> current (latest incarnation) instance
         self.watched: Dict[str, object] = {}
@@ -161,7 +159,7 @@ class SupervisorDaemon:
         return dict(attrs) if attrs else None
 
     def _store_client(self):
-        if not self.checkpoint_to_store or not self.ctx.store_addresses:
+        if not self.ctx.store_addresses:
             return None
         if self._store is None:
             from repro.store.client import StoreClient

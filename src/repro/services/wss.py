@@ -178,9 +178,6 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
         except (StoreUnavailable, CallError, ConnectionClosed, ConnectionRefused):
             pass
 
-    def _respawn_kwargs(self) -> dict:
-        return {"admin_secret": self.admin_secret, "persist": self.persist}
-
     # ------------------------------------------------------------------
     # Recovery-plane checkpointing (supervisor-driven, whole-state)
     # ------------------------------------------------------------------

@@ -205,19 +205,12 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
             self.namespace.apply(obj)
 
     def _respawn_kwargs(self) -> dict:
+        # The topology a store was built into moves under it (set_peers,
+        # install_shard_map): a reincarnation joins today's, not that one.
         return {
             "peers": list(self.peers),
-            "sync_interval": self.sync_interval,
-            "replicate_writes": self.replicate_writes,
-            "batch_replication": self.batch_replication,
-            "repl_batch_size": self.repl_batch_size,
-            "repl_flush_age": self.repl_flush_age,
-            "repl_buffer_cap": self.repl_buffer_cap,
             "shard_map": self.shard_map,
-            "group_index": self.group_index,
             "group_addresses": dict(self.group_addresses),
-            "forward_misrouted": self.forward_misrouted,
-            "digest_buckets": self.namespace.buckets,
         }
 
     # ------------------------------------------------------------------

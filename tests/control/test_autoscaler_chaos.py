@@ -54,7 +54,6 @@ def test_controller_killed_mid_decision_is_exactly_once():
         actuators={"workers": Actuator("workers", lambda: state["level"], scale)},
     )
     env.add_daemon(daemon)
-    env._supervise_if_enabled(daemon)
 
     # Run until the first decision's actuation is in flight, then crash.
     while not state["started"]:
@@ -120,7 +119,6 @@ def test_store_group_crash_mid_scale_up_does_not_stop_controller():
         )},
     )
     env.add_daemon(daemon)
-    env._supervise_if_enabled(daemon)
 
     # Run until the controller has added the third group...
     while len(env._store_groups) < 3:

@@ -62,7 +62,6 @@ def build(seed=3, **daemon_kwargs):
         actuators={"workers": plant.actuator()}, **daemon_kwargs,
     )
     env.add_daemon(daemon)
-    env._supervise_if_enabled(daemon)
     return env, daemon, plant
 
 

@@ -59,7 +59,10 @@ def test_retire_follower_shrinks_group_and_stops_daemon():
     after = env.ctx.directory_addresses()
     assert len(after) == 2
     assert victim.address not in after
-    assert victim.name not in env.daemons
+    assert victim.name not in env.daemons and victim.name not in env._tiers
+    assert not victim.running
+    assert not [key for key in env.ctx.obs.telemetry_scopes
+                if key[1] == f"{victim.host.name}:{victim.port}"]
     # Survivors dropped it from their replication group.
     for name in ("asd", "asd2"):
         assert victim.address not in env.daemons[name].group

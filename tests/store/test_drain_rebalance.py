@@ -16,11 +16,12 @@ def build(seed=23, *, groups=2, replicas=2):
 
 def test_drain_moves_all_data_to_survivors():
     env = build()
+    env.enable_supervision(suspicion_window=2.5, check_interval=0.25)
     sc = env.store_client(env.daemons["asd"].host, principal="writer")
     for i in range(30):
         env.run(sc.put(f"/d/obj{i:02d}", {"v": str(i)}))
 
-    drained_names = [d.name for d in env._store_groups[-1]]
+    drained = list(env._store_groups[-1])
     proc = env.drain_store_group()
     env.run_for(15.0)
     assert proc.triggered
@@ -28,8 +29,15 @@ def test_drain_moves_all_data_to_survivors():
     # Topology shrank everywhere: map, groups, env registry.
     assert env._store_shard_map.groups == 1
     assert len(env._store_groups) == 1
-    for name in drained_names:
-        assert name not in env.daemons
+    # remove_daemon took everything with it: registry, tier, the host
+    # supervisor's ward, and *every* telemetry scope at the address
+    # (daemon.<name> and store.<name>), so no publisher reports a dead store.
+    for daemon in drained:
+        assert not daemon.running
+        assert daemon.name not in env.daemons and daemon.name not in env._tiers
+        assert daemon.name not in env.ctx.supervisors[daemon.host.name].watched
+        assert not [key for key in env.ctx.obs.telemetry_scopes
+                    if key[1] == f"{daemon.host.name}:{daemon.port}"]
 
     # Every object is readable from the survivors alone.
     reader = env.store_client(env.daemons["asd"].host, principal="reader")

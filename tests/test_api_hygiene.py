@@ -3,13 +3,17 @@ every public module and class carries a docstring; every daemon's command
 vocabulary is fully declared in its semantics.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import repro
+
+REPO = Path(repro.__file__).parents[2]
 
 
 def iter_modules():
@@ -128,20 +132,77 @@ RETIRED_NAMES = frozenset({
 })
 
 
+def _spellings(names, tops):
+    """``file:line: name`` for every attribute, name, keyword or definition
+    under the directories ``tops`` that spells one of ``names``."""
+    found = []
+    for top in tops:
+        for path in sorted((REPO / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                for field in ("attr", "id", "arg", "name"):
+                    if getattr(node, field, None) in names:
+                        found.append(f"{path.relative_to(REPO)}:{node.lineno}: "
+                                     f"{getattr(node, field)}")
+    return found
+
+
 def test_retired_names_stay_retired():
     """No attribute, name, keyword or definition under ``src/``,
     ``examples/`` or ``benchmarks/`` spells a retired call method or option
     (EXPERIMENTS.md §Retired controls)."""
-    import ast
-    from pathlib import Path
-
-    repo = Path(repro.__file__).parents[2]
-    found = []
-    for top in ("src", "examples", "benchmarks"):
-        for path in sorted((repo / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                for field in ("attr", "id", "arg", "name"):
-                    if getattr(node, field, None) in RETIRED_NAMES:
-                        found.append(f"{path.relative_to(repo)}:{node.lineno}: "
-                                     f"{getattr(node, field)}")
+    found = _spellings(RETIRED_NAMES, ("src", "examples", "benchmarks"))
     assert found == [], "retired names in use:\n" + "\n".join(found)
+
+
+#: the late-join hooks `add_daemon` replaced
+RETIRED_HOOKS = frozenset({"_supervise_if_enabled", "_publish_host_if_telemetry"})
+
+#: plane options that were constants in every caller (EXPERIMENTS.md
+#: §Retired controls)
+RETIRED_PLANE_KEYWORDS = {
+    "enable_supervision": {
+        "checkpoint_to_store", "negative_ttl", "idempotent_retries", "exclude"},
+    "enable_telemetry": {"jitter", "slos", "aggregator_host", "port"},
+    "enable_autoscaling": {
+        "host", "max_store_groups", "max_asd_replicas", "max_pool",
+        "daemon_kwargs"},
+}
+
+
+def test_a_daemon_joins_leaves_and_comes_back_one_way():
+    """The second path does not grow back: planes are reached only inside
+    ``add_daemon``, left only through ``remove_daemon``, a store group is
+    built in one place, and ``respawn`` needs no per-subclass list."""
+    from repro.env import ACEEnvironment
+
+    found = _spellings(RETIRED_HOOKS, ("src", "tests", "benchmarks", "examples"))
+    assert found == [], "late-join hooks in use:\n" + "\n".join(found)
+
+    tree = ast.parse((REPO / "src/repro/env/environment.py").read_text())
+    built = [node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    for daemon_class in ("SupervisorDaemon", "TelemetryPublisherDaemon",
+                         "PersistentStoreDaemon"):
+        assert built.count(daemon_class) == 1, daemon_class
+
+    def drops_a_scope(function):
+        return any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop"
+            and getattr(node.func.value, "attr", None) == "telemetry_scopes"
+            for node in ast.walk(function))
+
+    assert {node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and drops_a_scope(node)} \
+        == {"remove_daemon"}
+
+    src = REPO / "src"
+    assert {str(path.relative_to(src)) for path in src.rglob("*.py")
+            if any(isinstance(node, ast.FunctionDef)
+                   and node.name == "_respawn_kwargs"
+                   for node in ast.walk(ast.parse(path.read_text())))} \
+        == {"repro/core/daemon.py", "repro/store/server.py"}
+
+    for method, retired in RETIRED_PLANE_KEYWORDS.items():
+        parameters = inspect.signature(getattr(ACEEnvironment, method)).parameters
+        assert not retired & set(parameters), method
