@@ -35,7 +35,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.lang import ACECmdLine, ACELanguageError, ArgSpec, ArgType, CommandSemantics
+from repro.lang import ACECmdLine, ACELanguageError, ArgSpec, ArgType, CommandSemantics, parse_command
 from repro.lang.command import (
     CLIENT_ID_ARG,
     CLIENT_SEQ_ARG,
@@ -554,9 +554,8 @@ class ACEDaemon:
                         continue
                 request.queued_at = self.ctx.sim.now
                 reply_slot = self.ctx.sim.event()
-                try:
-                    yield self._control_queue.put((request, reply_slot))
-                except QueueClosed:
+                # Unbounded queue: the put cannot block, only find it closed.
+                if not self._control_queue.try_put((request, reply_slot)):
                     return
                 self._m_queue_depth.set(len(self._control_queue))
                 if command.get(PIPELINE_SEQ_ARG) is not None:
@@ -596,8 +595,6 @@ class ACEDaemon:
     def _parse(self, text: Any) -> ACECmdLine:
         if not isinstance(text, str):
             raise ACELanguageError(f"expected a command string, got {type(text).__name__}")
-        from repro.lang import parse_command
-
         return parse_command(text)
 
     def _safe_send(self, channel: Channel, text: str) -> Generator:

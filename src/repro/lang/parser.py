@@ -88,9 +88,10 @@ def _parse_braced(cur: _Cursor) -> Tuple:
 
 # -- fast lane ---------------------------------------------------------------
 #
-# The dominant wire form by far is flat: ``name k1=v1 k2=v2;`` with scalar
-# values and no vectors, arrays, escapes, or comma separators.  The fast
-# lane recognizes exactly that shape with two compiled regexes and builds
+# The dominant wire form by far is flat: ``name k1=v1 k2=v2;`` with each
+# value a scalar or a flat vector ``{e1,e2,...}`` of scalars, and no arrays,
+# escapes, comma separators or whitespace inside braces.  The fast
+# lane recognizes exactly that shape with compiled regexes and builds
 # the command without tokenizing; *anything* it is unsure about — including
 # every malformed input — falls back to the full tokenizer/parser so error
 # messages and accepted language are identical (property-tested).
@@ -105,19 +106,34 @@ def _parse_braced(cur: _Cursor) -> Tuple:
 #   "unexpected character" error).
 # - Quoted values are accepted only without backslashes; escape handling
 #   stays in the full parser.
+# - Vector elements are delimited by the element pattern itself, never by
+#   a brace-free run: ``v={"{"}``, ``v={"a,b","c}d"}`` and ``v={"a;b"}``
+#   are legal.  A vector mixing integers, floats and strings/words is the
+#   full parser's to reject.
 # - Command names must start with a letter/underscore here: digit-led WORDs
 #   ("3cam") are legal command names but need longest-match disambiguation
 #   against INTEGER/FLOAT, so they take the slow path.
 
+_ELEM = r"(?:\"[^\"\\]*\"|[^\s;{},\"=]+)"
+_VECTOR = r"\{" + _ELEM + r"(?:," + _ELEM + r")*\}"
 _FAST_LINE_RE = re.compile(
     r"[ \t]*([A-Za-z_][A-Za-z0-9_]*)"
-    r"((?:[ \t]+[A-Za-z0-9_]+=(?:\"[^\"\\]*\"|[^\s;{},\"=]+))*)"
+    r"((?:[ \t]+[A-Za-z0-9_]+=(?:" + _ELEM + "|" + _VECTOR + r"))*)"
     r"[ \t]*;[ \t]*\Z"
 )
-_FAST_ARG_RE = re.compile(r"([A-Za-z0-9_]+)=(?:\"([^\"\\]*)\"|([^\s;{},\"=]+))")
-_INTEGER_FULL = re.compile(r"-?\d+\Z")
-_FLOAT_FULL = re.compile(r"(?:-?(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+)\Z")
-_WORD_FULL = re.compile(r"[A-Za-z0-9_]+\Z")
+_FAST_ARG_RE = re.compile(
+    r"([A-Za-z0-9_]+)=(?:\"([^\"\\]*)\"|([^\s;{},\"=]+)|(" + _VECTOR + "))"
+)
+_FAST_ELEM_RE = re.compile(r"\"([^\"\\]*)\"|([^\s;{},\"=]+)")
+# A bare token as the lexer classifies it: the alternatives are its
+# INTEGER / FLOAT / WORD patterns, full-match, in its tie-break order;
+# ``lastindex`` says which one matched.
+_BARE_RE = re.compile(
+    r"(-?\d+)\Z"
+    r"|(-?(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+)\Z"
+    r"|([A-Za-z0-9_]+)\Z"
+)
+_BARE_TYPES = (None, int, float, str)
 
 _intern = sys.intern
 
@@ -131,20 +147,25 @@ def _parse_fast(text: str) -> Optional[ACECmdLine]:
     n_args = 0
     for match in _FAST_ARG_RE.finditer(line.group(2)):
         n_args += 1
-        quoted = match.group(2)
-        if quoted is not None:
-            value: Value = quoted
-        else:
-            bare = match.group(3)
-            if _INTEGER_FULL.match(bare):
-                value = int(bare)
-            elif _FLOAT_FULL.match(bare):
-                value = float(bare)
-            elif _WORD_FULL.match(bare):
-                value = bare
-            else:
+        key, value, bare, vector = match.groups()
+        if bare is not None:
+            kind = _BARE_RE.match(bare)
+            if kind is None:
                 return None  # e.g. "--5": the lexer rejects it with context
-        args[_intern(match.group(1))] = value
+            value = _BARE_TYPES[kind.lastindex](bare)
+        elif vector is not None:
+            items = []
+            for item, bare in _FAST_ELEM_RE.findall(vector):
+                if bare:
+                    kind = _BARE_RE.match(bare)
+                    if kind is None:
+                        return None
+                    item = _BARE_TYPES[kind.lastindex](bare)
+                items.append(item)
+            if len(set(map(type, items))) != 1:
+                return None  # mixed element types: the full parser's error
+            value = tuple(items)
+        args[_intern(key)] = value
     if len(args) != n_args:
         return None  # duplicate argument: full parser raises the exact error
     return ACECmdLine._from_normalized(_intern(line.group(1)), args)

@@ -116,8 +116,16 @@ class Host:
         """
         self.check_up()
         epoch = self._epoch
-        req = self.cpu.request()
-        yield req
+        req = self.cpu.try_acquire()
+        if req is None:
+            req = self.cpu.request()
+            try:
+                yield req
+            except BaseException:
+                # Interrupted in the run queue: give the place (or a slot
+                # granted but not yet delivered) back, or the core is lost.
+                self.cpu.release(req)
+                raise
         try:
             self.check_up()
             duration = bogomips_seconds / self.bogomips

@@ -102,9 +102,10 @@ class Connection:
         self._inbox.close()
 
     def _enqueue(self, item: Any) -> None:
-        """Called by the network at arrival time."""
+        """Called by the network at arrival time, from the delivery
+        timeout's only callback (what :meth:`Store.deliver` requires)."""
         if not self._inbox.closed:
-            self._inbox.try_put(item)
+            self._inbox.deliver(item)
 
     def _enqueue_close(self) -> None:
         if not self._inbox.closed:

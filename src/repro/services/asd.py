@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
@@ -91,12 +92,17 @@ class ServiceRecord:
     def matches_class(self, cls_query: str) -> bool:
         """True when ``cls_query`` is a segment (or suffix path) of this
         record's class path, so ``PTZCamera`` matches ``.../PTZCamera/VCC3``."""
-        segments = self.cls.split("/")
-        query = cls_query.split("/")
-        for start in range(len(segments) - len(query) + 1):
-            if segments[start : start + len(query)] == query:
-                return True
-        return False
+        return _class_matches(self.cls, cls_query)
+
+
+@lru_cache(maxsize=4096)
+def _class_matches(cls_path: str, cls_query: str) -> bool:
+    segments = cls_path.split("/")
+    query = cls_query.split("/")
+    for start in range(len(segments) - len(query) + 1):
+        if segments[start : start + len(query)] == query:
+            return True
+    return False
 
 
 @dataclass

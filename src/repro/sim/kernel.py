@@ -117,6 +117,18 @@ class Event:
         self._value = value
         self.sim._schedule(self, delay=0.0, priority=priority)
 
+    def succeed_now(self, value: Any = None) -> None:
+        """Mark the event successful and run its callbacks in the caller's
+        frame: no schedule, no sequence number.  Only for a caller that
+        knows nothing else is due before the callbacks would have run —
+        see :meth:`repro.sim.queues.Store.deliver`."""
+        if self._triggered:
+            raise SimulationError(f"{self!r} already triggered")
+        self._triggered = True
+        self._ok = True
+        self._value = value
+        self._deliver()
+
     def _deliver(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
         assert callbacks is not None

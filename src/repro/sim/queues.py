@@ -92,6 +92,26 @@ class Store:
         self._items.append(item)
         return True
 
+    def deliver(self, item: Any) -> bool:
+        """:meth:`try_put` for kernel context: a parked getter is resumed
+        inside this call instead of through a scheduled wake.
+
+        Only for a caller that is the single callback of a NORMAL-priority
+        timeout (a message arriving off the wire).  The kernel delivers
+        every URGENT occurrence due now before any NORMAL one, so nothing
+        URGENT is pending when such a callback runs, and the callback
+        schedules nothing after the hand-off: the getter's wake would have
+        been the very next delivery anyway, and resuming it here keeps
+        the order and saves the event.  A process (the resume would nest
+        inside its step) or the callback of a ready-queue event (other
+        URGENT entries may be queued ahead of the wake) has no such
+        guarantee — they use :meth:`put` / :meth:`try_put`.
+        """
+        if self._getters:  # never while closed: close() drains them
+            self._getters.popleft().succeed_now(item)
+            return True
+        return self.try_put(item)
+
     def get(self) -> Event:
         """Yieldable event that fires with the next item."""
         ev = Event(self.sim)

@@ -58,6 +58,16 @@ class Resource:
             self._queue.append(req)
         return req
 
+    def try_acquire(self) -> Optional[Request]:
+        """Non-blocking request: a granted :class:`Request` when a slot is
+        free (no event is scheduled), else None and nothing is queued."""
+        if len(self._users) >= self.capacity:
+            return None
+        req = Request(self)
+        self._users.add(req)
+        req.succeed_now()  # no value: a request holding itself is a cycle
+        return req
+
     def release(self, request: Request) -> None:
         if request in self._users:
             self._users.remove(request)

@@ -198,3 +198,35 @@ def test_commands_served_counter(ace_with_echo):
 
     ace.run(scenario())
     assert echo.commands_served == before + 1
+
+
+def test_killing_a_daemon_queued_for_the_core_leaves_the_core_usable(ace_with_echo):
+    """kill() interrupts a control thread parked in ``host.execute`` behind
+    another daemon's work; its place in the run queue must go with it, or
+    the next release grants the only core to a dead request for good."""
+    ace, survivor = ace_with_echo
+    host = survivor.host  # one core
+    victim = EchoDaemon(ace.ctx, "echo2", host, room="hawk")
+    ace.add_daemon(victim)
+    victim.start()
+    ace.sim.run(until=ace.sim.now + 1.0)
+
+    def hog():
+        yield from host.execute(1.0 * host.bogomips)  # the core, for 1 s
+
+    def doomed_call():
+        yield from ace.client().call(victim.address, ACECmdLine("echo", text="x"))
+
+    def scenario():
+        ace.sim.process(hog())
+        ace.sim.process(doomed_call()).defuse()
+        yield ace.sim.timeout(0.5)
+        assert host.run_queue_length() == 1  # the victim's control thread
+        victim.kill()
+        yield ace.sim.timeout(1.0)
+        return (yield from ace.client().call(
+            survivor.address, ACECmdLine("echo", text="still here")))
+
+    reply = ace.run(scenario(), timeout=30.0)
+    assert reply["text"] == "still here"
+    assert (host.cpu.count, host.cpu.queued) == (0, 0)

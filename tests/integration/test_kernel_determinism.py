@@ -1,9 +1,11 @@
-"""Determinism regression for the kernel's ready queues (E24).
+"""Determinism regression for the kernel's fast paths (E24).
 
-Their whole contract is "same total order, cheaper": the ready-queue/heap
-split must not perturb a single delivery.  We prove it against the
-heap-only oracle (``tests/sim/heap_only.py``) on two very different
-workloads:
+Their whole contract is "same total order, cheaper": neither the
+ready-queue/heap split nor resuming a parked reader inside a message's
+delivery may perturb a single delivery.  We prove it against two
+test-side oracles — the heap-only scheduler (``tests/sim/heap_only.py``)
+and the scheduled hand-off (``tests/sim/scheduled_handoff.py``) — on two
+very different workloads:
 
 * Scenario 1 (the §7.1 new-user story) with full tracing — the entire
   finished-span stream, serialized through the NetLogger wire format and
@@ -22,6 +24,7 @@ from repro.obs import span_to_wire
 
 from tests.core.test_chaos_recovery import run_once
 from tests.sim.heap_only import heap_only_kernel  # noqa: F401 - fixture
+from tests.sim.scheduled_handoff import scheduled_handoff  # noqa: F401 - fixture
 
 
 def _scenario1_fingerprint():
@@ -75,3 +78,33 @@ def test_chaos_run_identical_across_kernel_paths(heap_only_kernel, monkeypatch):
     assert slow_counters["events_scheduled"] == fast_counters["events_scheduled"]
     assert slow_counters["ready_hits"] == 0
     assert fast_counters["ready_hits"] > 0
+
+
+def test_scenario1_trace_identical_with_scheduled_handoff(scheduled_handoff,
+                                                          monkeypatch):
+    slow_hash, slow_n, slow_ws, slow_t, slow_counters = _scenario1_fingerprint()
+    parked = scheduled_handoff.parked_arrivals
+    monkeypatch.undo()  # back to Store.deliver
+    fast_hash, fast_n, fast_ws, fast_t, fast_counters = _scenario1_fingerprint()
+
+    assert (slow_hash, slow_n, slow_ws, slow_t) == (fast_hash, fast_n, fast_ws, fast_t)
+    # One event saved per arrival that found its reader parked, no other.
+    assert parked > 0 and scheduled_handoff.parked_arrivals == parked
+    for counter in ("events_scheduled", "events_delivered", "ready_hits"):
+        assert slow_counters[counter] - fast_counters[counter] == parked
+    assert slow_counters["heap_pushes"] == fast_counters["heap_pushes"]
+
+
+def test_chaos_run_identical_with_scheduled_handoff(scheduled_handoff,
+                                                    monkeypatch):
+    slow_rows, slow_hung, slow_counters = _chaos_fingerprint()
+    parked = scheduled_handoff.parked_arrivals
+    monkeypatch.undo()
+    fast_rows, fast_hung, fast_counters = _chaos_fingerprint()
+
+    assert len(slow_rows) > 200
+    assert slow_rows == fast_rows
+    assert slow_hung == fast_hung == 0
+    assert parked > 0
+    assert (slow_counters["events_scheduled"]
+            - fast_counters["events_scheduled"]) == parked

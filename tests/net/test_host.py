@@ -162,3 +162,76 @@ def test_epoch_bumps_on_crash():
     host.crash()
     host.restart()
     assert host.epoch == e0 + 1
+
+
+# ---------------------------------------------------------------------------
+# A process interrupted while it waits for a core must not take the core
+# with it (ACEDaemon.kill under load; a policy attempt cut at its deadline)
+# ---------------------------------------------------------------------------
+
+def _worker(host, seconds, done, tag):
+    yield from host.execute(seconds * host.bogomips)
+    done.append((tag, host.sim.now))
+
+
+def _late(sim, host, done):
+    """Asks for the core at t = 2, for one second."""
+    yield sim.timeout(2.0)
+    yield from _worker(host, 1.0, done, "c")
+
+
+def test_interrupt_while_queued_for_the_core_gives_the_place_back():
+    sim = Simulator()
+    host = make_host(sim, cores=1)
+    done = []
+    sim.process(_worker(host, 1.0, done, "a"))
+    queued = sim.process(_worker(host, 1.0, done, "b"))
+    queued.defuse()
+
+    def killer():
+        yield sim.timeout(0.5)
+        assert host.run_queue_length() == 1
+        queued.interrupt("killed")
+
+    sim.process(killer())
+    sim.process(_late(sim, host, done))     # a finished at t = 1
+    sim.run(until=10.0)
+    assert done == [("a", pytest.approx(1.0)), ("c", pytest.approx(3.0))]
+    assert (host.cpu.count, host.cpu.queued) == (0, 0)
+    assert host.utilization() == pytest.approx(0.2)   # a's and c's second
+
+
+def test_interrupt_between_grant_and_delivery_frees_the_core():
+    sim = Simulator()
+    host = make_host(sim, cores=1)
+    done = []
+    procs = {}
+
+    def holder():
+        # Holds the core directly so the interrupt and the release can be
+        # issued in one step: the kick is delivered first, while b's grant
+        # is triggered but not yet delivered.
+        slot = host.cpu.request()
+        yield sim.timeout(1.0)
+        procs["b"].interrupt("killed")
+        host.cpu.release(slot)
+        assert host.cpu.count == 1 and procs["b"].is_alive
+
+    sim.process(holder())
+    procs["b"] = sim.process(_worker(host, 1.0, done, "b"))
+    procs["b"].defuse()
+    sim.process(_late(sim, host, done))
+    sim.run(until=10.0)
+    assert done == [("c", pytest.approx(3.0))]
+    assert (host.cpu.count, host.cpu.queued) == (0, 0)
+
+
+def test_free_core_is_taken_without_an_event():
+    sim = Simulator()
+    host = make_host(sim, cores=1)
+    done = []
+    sim.process(_worker(host, 1.0, done, "a"))
+    sim.run()
+    # bootstrap + the work timeout + the process's own completion
+    assert sim.counters()["events_scheduled"] == 3
+    assert done == [("a", pytest.approx(1.0))]

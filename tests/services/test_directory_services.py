@@ -40,6 +40,21 @@ def test_record_class_matching():
     assert not rec.matches_class("Camera")  # no partial-segment matches
 
 
+def test_class_matching_is_memoised_on_the_two_strings():
+    """A directory scan asks the same (class path, query) pairs over and
+    over; records that share a class share the answer, and the memo is
+    bounded."""
+    from repro.services.asd import _class_matches
+
+    a = ServiceRecord("hrm.a", "a", 1, "lab", "ACEService/Memo/HRM")
+    b = ServiceRecord("hrm.b", "b", 2, "den", "ACEService/Memo/HRM")
+    assert a.matches_class("Memo/HRM")
+    hits = _class_matches.cache_info().hits
+    assert b.matches_class("Memo/HRM") and not b.matches_class("Memo/SRM")
+    assert _class_matches.cache_info().hits == hits + 1
+    assert _class_matches.cache_info().maxsize is not None
+
+
 # -- ASD lookups over the wire ---------------------------------------------------
 
 @pytest.fixture

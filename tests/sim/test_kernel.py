@@ -140,6 +140,28 @@ def test_event_cannot_trigger_twice():
         ev.succeed(2)
 
 
+def test_succeed_now_runs_callbacks_in_the_callers_frame():
+    sim = Simulator()
+    ev = sim.event()
+    got = []
+
+    def waiter():
+        got.append((yield ev))
+        yield sim.event()  # stay parked: finishing would schedule an event
+
+    sim.process(waiter())
+    sim.run()
+    before = sim.counters()["events_scheduled"]
+    ev.succeed_now("direct")
+    assert got == ["direct"]                  # before any run()
+    assert ev.triggered and ev.processed and ev.ok
+    assert sim.counters()["events_scheduled"] == before
+    with pytest.raises(SimulationError):
+        ev.succeed_now("again")
+    with pytest.raises(SimulationError):
+        ev.succeed("again")
+
+
 def test_yield_already_processed_event():
     sim = Simulator()
     ev = sim.event()

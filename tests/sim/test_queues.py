@@ -92,6 +92,34 @@ def test_try_put_try_get():
     assert found is False
 
 
+def test_deliver_resumes_a_parked_getter_in_place():
+    sim = Simulator()
+    store = Store(sim)
+    got = []
+
+    def reader():
+        while True:
+            got.append((yield store.get()))
+
+    sim.process(reader())
+    sim.run()
+    scheduled = sim.counters()["events_scheduled"]
+    assert store.deliver("a") is True
+    # The reader ran inside the call and is parked on its next get().
+    assert got == ["a"] and len(store) == 0
+    assert sim.counters()["events_scheduled"] == scheduled
+
+
+def test_deliver_without_a_getter_is_try_put():
+    sim = Simulator()
+    store = Store(sim, capacity=1)
+    assert store.deliver("a") is True and len(store) == 1
+    assert store.deliver("b") is False        # at capacity
+    store.close()
+    assert store.deliver("c") is False        # closed
+    assert sim.counters()["events_scheduled"] == 0
+
+
 def test_close_fails_pending_getters():
     sim = Simulator()
     store = Store(sim, name="q")

@@ -66,6 +66,22 @@ def test_release_queued_request_cancels_it():
     assert res.count == 0
 
 
+def test_try_acquire_takes_a_free_slot_without_an_event():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    held = res.try_acquire()
+    assert held is not None and held.triggered and held.processed
+    assert (res.count, res.queued) == (1, 0)
+    assert res.try_acquire() is None          # busy: nothing is queued
+    assert (res.count, res.queued) == (1, 0)
+    assert sim.counters()["events_scheduled"] == 0
+    waiter = res.request()                    # request() still queues...
+    res.release(held)                         # ...and release() promotes it
+    assert res.count == 1 and waiter.triggered
+    res.release(waiter)
+    assert res.count == 0
+
+
 def test_release_unknown_request_raises():
     sim = Simulator()
     res = Resource(sim, capacity=1)
