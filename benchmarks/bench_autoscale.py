@@ -175,7 +175,9 @@ def _check_against_baseline(report: dict) -> list:
     with open(BASELINE_PATH) as fh:
         baseline = json.load(fh)
     if report["short"] != baseline.get("short"):
-        return []
+        # a guard that compares nothing must not pass for one that held
+        return [f"no comparable baseline: {os.path.basename(BASELINE_PATH)} "
+                f"holds a short={baseline.get('short')} run"]
     problems = []
     committed = baseline.get("autoscaled", {}).get("recovered_p95_ms")
     measured = report["autoscaled"]["recovered_p95_ms"]

@@ -159,7 +159,9 @@ def _check_against_baseline(report: dict) -> list:
         baseline = json.load(fh)
     problems = []
     if report["short"] != baseline.get("short"):
-        return []
+        # a guard that compares nothing must not pass for one that held
+        return [f"no comparable baseline: {os.path.basename(BASELINE_PATH)} "
+                f"holds a short={baseline.get('short')} run"]
     for target, row in report["sweep"].items():
         committed = baseline.get("sweep", {}).get(target, {}).get("mttr_s")
         measured = row["mttr_s"]

@@ -214,6 +214,10 @@ def _check_against_baseline(report: dict) -> list:
             ("read cache", report["read_cache"]["speedup"],
              baseline.get("read_cache", {}).get("speedup")),
         ]
+    else:
+        # a guard that compares nothing must not pass for one that held
+        problems.append(f"no comparable baseline for the shard and cache ratios: "
+                        f"BENCH_E25.json holds a short={baseline.get('short')} run")
     for label, measured, committed in checks:
         if not committed:
             continue

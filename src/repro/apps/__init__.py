@@ -12,7 +12,6 @@
 
 from repro.apps.runner import (
     AppClass,
-    AppHandle,
     AppRegistry,
     AppState,
     Application,
@@ -20,7 +19,6 @@ from repro.apps.runner import (
 
 __all__ = [
     "AppClass",
-    "AppHandle",
     "AppRegistry",
     "AppState",
     "Application",

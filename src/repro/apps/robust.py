@@ -19,14 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, Optional
 
-from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics, parse_command
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
+from repro.net import ConnectionClosed, ConnectionRefused
 from repro.net.host import HostDownError
 from repro.sim import Interrupt
 
 from repro.apps.runner import Application, AppClass, _parse_kv
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
+from repro.core.notifications import CALLBACK_ARGS, ClassWatch, notification_event
 from repro.services.asd import asd_lookup
 from repro.store.client import StoreClient, StoreUnavailable
 
@@ -109,7 +110,7 @@ class RestartManagerDaemon(ACEDaemon):
         self.sweep_interval = sweep_interval
         self.managed: Dict[str, ManagedApp] = {}
         self._by_pid: Dict[int, str] = {}
-        self._watched_hals: set = set()
+        self._hals = ClassWatch(self, ("HAL",), {"appExited": "onAppExited"})
         self.recoveries = 0
 
     def build_semantics(self, sem: CommandSemantics) -> None:
@@ -124,80 +125,18 @@ class RestartManagerDaemon(ACEDaemon):
         )
         sem.define("unmanageApp", ArgSpec("app_id", ArgType.STRING))
         sem.define("getManaged", ArgSpec("app_id", ArgType.STRING))
-        sem.define(
-            "onAppExited",
-            ArgSpec("source", ArgType.STRING, required=False),
-            ArgSpec("trigger", ArgType.STRING, required=False),
-            ArgSpec("principal", ArgType.STRING, required=False),
-            ArgSpec("args", ArgType.STRING, required=False),
-        )
-        sem.define(
-            "onServiceRegistered",
-            ArgSpec("source", ArgType.STRING, required=False),
-            ArgSpec("trigger", ArgType.STRING, required=False),
-            ArgSpec("principal", ArgType.STRING, required=False),
-            ArgSpec("args", ArgType.STRING, required=False),
-        )
+        sem.define("onAppExited", *CALLBACK_ARGS)
+        sem.define("onServiceRegistered", *CALLBACK_ARGS)
 
     def on_started(self) -> None:
-        self._spawn(self._watch_asd(), "watch-asd")
-        self._spawn(self._subscribe_hals(), "subscribe-hals")
+        self._spawn(self._hals.watch_directory(), "watch-asd")
+        self._spawn(self._hals.scan(), "subscribe-hals")
         self._spawn(self._sweep_loop(), "sweeper")
 
-    # ------------------------------------------------------------------
-    # HAL subscription (notification-driven crash detection)
-    # ------------------------------------------------------------------
-    def _watch_asd(self) -> Generator:
-        if self.ctx.asd_address is None:
-            return
-        client = self._service_client()
-        try:
-            yield from client.call(
-                self.ctx.asd_address,
-                ACECmdLine("addNotification", cmd="register", listener=self.name,
-                           host=self.host.name, port=self.port,
-                           callback="onServiceRegistered"),
-            )
-        except (CallError, ConnectionClosed, ConnectionRefused):
-            pass
-
-    def _subscribe_hals(self) -> Generator:
-        client = self._service_client()
-        try:
-            hals = yield from asd_lookup(client, self.ctx.asd_address, cls="HAL")
-        except (CallError, ConnectionClosed, ConnectionRefused):
-            return
-        for hal in hals:
-            yield from self._subscribe_hal(hal.name, hal.address)
-
-    def _subscribe_hal(self, name: str, address: Address) -> Generator:
-        if name in self._watched_hals:
-            return
-        client = self._service_client()
-        try:
-            yield from client.call(
-                address,
-                ACECmdLine("addNotification", cmd="appExited", listener=self.name,
-                           host=self.host.name, port=self.port, callback="onAppExited"),
-            )
-            self._watched_hals.add(name)
-        except (CallError, ConnectionClosed, ConnectionRefused):
-            pass
-
     def cmd_onServiceRegistered(self, request: Request) -> Generator:
-        text = request.command.get("args")
-        if not text:
-            return {}
-        try:
-            event = parse_command(text)
-        except Exception:
-            return {}
-        if "HAL" not in event.str("cls", "").split("/"):
-            return {}
-        yield from self._subscribe_hal(
-            event.str("name"), Address(event.str("host"), event.int("port"))
-        )
-        return {}
+        """A HAL that registers later is watched for ``appExited`` too
+        (notification-driven crash detection)."""
+        return self._hals.on_registered(request)
 
     # ------------------------------------------------------------------
     # Launch & recover
@@ -252,12 +191,8 @@ class RestartManagerDaemon(ACEDaemon):
                 "host": managed.host, "restarts": managed.restarts}
 
     def cmd_onAppExited(self, request: Request) -> Generator:
-        text = request.command.get("args")
-        if not text:
-            return {}
-        try:
-            event = parse_command(text)
-        except Exception:
+        event = notification_event(request)
+        if event is None:
             return {}
         pid = event.int("pid", 0)
         state = event.str("state", "")

@@ -152,25 +152,6 @@ def _parse_kv(args: str) -> Dict[str, str]:
     return out
 
 
-class AppHandle:
-    """What the HAL records about a launched application."""
-
-    def __init__(self, app: Application):
-        self.app = app
-
-    @property
-    def pid(self) -> int:
-        return self.app.pid
-
-    @property
-    def name(self) -> str:
-        return self.app.name
-
-    @property
-    def running(self) -> bool:
-        return self.app.running
-
-
 AppFactory = Callable[[DaemonContext, Host, str], Application]
 
 

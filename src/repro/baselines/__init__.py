@@ -12,8 +12,8 @@
   E16 against ACE's distributed placement.
 """
 
-from repro.baselines.rmi import RMIClient, RMIEnvelope, RMIServer, rmi_roundtrip_size
-from repro.baselines.jini import JiniLookupService, JiniServiceProxy, jini_discover
+from repro.baselines.rmi import RMIClient, RMIEnvelope, RMIServer
+from repro.baselines.jini import JiniLookupService, JiniServiceProxy
 from repro.baselines.central import CentralGatewayDaemon
 
 __all__ = [
@@ -23,6 +23,4 @@ __all__ = [
     "RMIClient",
     "RMIEnvelope",
     "RMIServer",
-    "jini_discover",
-    "rmi_roundtrip_size",
 ]

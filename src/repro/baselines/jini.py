@@ -122,29 +122,6 @@ class JiniLookupService:
                 yield from self._dgram.send(source, ("proxies", tuple(matches)))
 
 
-def jini_discover(net: Network, host: Host, port: Optional[int] = None,
-                  timeout: float = 2.0) -> Generator:
-    """Multicast discovery: returns the lookup service's address.
-
-    Raises ``TimeoutError`` if no announcement arrives (lookup down or
-    partitioned away).
-    """
-    sock = net.bind_datagram(host, port)
-    try:
-        yield from sock.send_multicast(WellKnownPorts.JINI_MULTICAST, ("discover",))
-        deadline = net.sim.now + timeout
-        while net.sim.now < deadline:
-            found, item = sock.try_recv()
-            if found:
-                _source, message = item
-                if message[0] == "announce":
-                    return message[1]
-            yield net.sim.timeout(0.005)
-        raise TimeoutError("no Jini lookup service answered the multicast")
-    finally:
-        sock.close()
-
-
 class JiniParticipant:
     """Helper for services/clients speaking the lookup protocol."""
 

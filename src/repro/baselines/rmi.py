@@ -62,15 +62,6 @@ class RMIEnvelope:
         return pickle.loads(self.payload)
 
 
-def rmi_roundtrip_size(interface: str, method: str, signature: str,
-                       args: Tuple[Any, ...], kwargs: Dict[str, Any],
-                       result: Any) -> Tuple[int, int]:
-    """(call bytes, reply bytes) for one invocation — E1's byte metric."""
-    call = RMIEnvelope.call(interface, method, signature, args, kwargs)
-    reply = RMIEnvelope.reply(result)
-    return call.wire_size(), reply.wire_size()
-
-
 class RMIServer:
     """A remote object: dispatches envelope calls to registered methods."""
 

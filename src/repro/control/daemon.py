@@ -33,12 +33,11 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.core.client import CallError, ServiceClient
 from repro.core.daemon import ACEDaemon, Request
+from repro.core.notifications import CALLBACK_ARGS
 from repro.core.policy import CallPolicy
-from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
+from repro.lang import ArgSpec, ArgType, CommandSemantics
 from repro.lang.wire import join_wire, split_wire
-from repro.net import ConnectionClosed, ConnectionRefused
 from repro.obs.cluster.alerts import alert_from_payload, is_fast_burn
 from repro.services.base import Checkpointable
 
@@ -130,11 +129,7 @@ class AutoscalerDaemon(Checkpointable, ACEDaemon):
             description="active rules, recent decisions, cooldown state",
         )
         sem.define(
-            "ctlAlert",
-            ArgSpec("source", ArgType.STRING, required=False),
-            ArgSpec("trigger", ArgType.STRING, required=False),
-            ArgSpec("principal", ArgType.STRING, required=False),
-            ArgSpec("args", ArgType.STRING, required=False),
+            "ctlAlert", *CALLBACK_ARGS,
             description="obsAlert notification callback from the aggregator",
         )
 
@@ -149,24 +144,14 @@ class AutoscalerDaemon(Checkpointable, ACEDaemon):
     def _subscribe_loop(self) -> Generator:
         """Register (and periodically re-register — an aggregator restart
         loses its in-memory notification table) as an obsAlert watcher."""
-        sim = self.ctx.sim
-        client = ServiceClient(self.ctx, self.host, principal=self.name)
         policy = CallPolicy(
             deadline=self.interval * 2, attempt_timeout=self.interval,
             max_attempts=2, breaker_threshold=0,
         )
-        subscribe = ACECmdLine(
-            "addNotification", cmd="obsAlert", listener=self.name,
-            host=self.host.name, port=self.port, callback="ctlAlert",
-        )
         while self.running:
-            try:
-                yield from client.call(
-                    self.ctx.telemetry_address, subscribe, policy=policy
-                )
-            except (CallError, ConnectionClosed, ConnectionRefused):
-                pass
-            yield sim.timeout(self.resubscribe)
+            yield from self.watch(
+                self.ctx.telemetry_address, "obsAlert", "ctlAlert", policy=policy)
+            yield self.ctx.sim.timeout(self.resubscribe)
 
     def cmd_ctlAlert(self, request: Request) -> dict:
         alert = alert_from_payload(request.command.str("args", ""))

@@ -56,8 +56,8 @@ from repro.sim import Interrupt, Process, QueueClosed, Store
 
 from repro.core.client import FAILOVER_POLICY, CallError, Channel, ServiceClient, channel_binding
 from repro.core.context import DaemonContext, SecurityMode
-from repro.core.notifications import NotificationEntry, NotificationTable
-from repro.core.policy import CallPolicy, TransportError
+from repro.core.notifications import NotificationMixin, NotificationTable
+from repro.core.policy import CallPolicy
 
 #: retry shape for boot-time ASD registration: daemons launched at boot may
 #: beat the ASD onto the network (§2.6), so back off ~0.5 s → 4 s across five
@@ -103,7 +103,7 @@ class Request:
     queued_at: float = 0.0
 
 
-class ACEDaemon:
+class ACEDaemon(NotificationMixin):
     """Base class of every ACE service (root of the Fig. 6 hierarchy)."""
 
     #: this class's segment of the service-class path (subclasses override)
@@ -881,105 +881,6 @@ class ACEDaemon:
             self._commands_served += 1
             self._spawn_notifications(request)
         return reply
-
-    # -- built-in notification management ----------------------------------
-    def _builtin_add_notification(self, request: Request) -> ACECmdLine:
-        cmd = request.command
-        watched = cmd.str("cmd")
-        if watched not in self.semantics:
-            return error_reply(cmd, f"cannot watch unknown command {watched!r}")
-        entry = NotificationEntry(
-            command=watched,
-            listener=cmd.str("listener"),
-            address=Address(cmd.str("host"), cmd.int("port")),
-            callback=cmd.str("callback"),
-        )
-        added = self.notifications.add(entry)
-        return ok_reply(cmd, added=1 if added else 0)
-
-    def _builtin_remove_notification(self, request: Request) -> ACECmdLine:
-        cmd = request.command
-        removed = self.notifications.remove(
-            cmd.str("cmd"), cmd.str("listener"), cmd.str("callback", "")
-        )
-        return ok_reply(cmd, removed=removed)
-
-    def _spawn_notifications(self, request: Request) -> None:
-        entries = self.notifications.listeners(request.command.name)
-        if not entries:
-            return
-        # Strip reserved observability arguments from the forwarded payload;
-        # the delivery call carries its own (fresh) trace context.
-        payload = request.command.without_args(*RESERVED_ARGS).to_string()
-        # One delivery process + one pooled connection per *address*, not
-        # per listener: co-located listeners share the dial+attach and the
-        # channel, so fan-out cost scales with hosts, not registrations.
-        by_address: Dict[Address, List[NotificationEntry]] = {}
-        for entry in entries:
-            by_address.setdefault(entry.address, []).append(entry)
-        for address, group in by_address.items():
-            if len(group) > 1:
-                self._m_notify_batched.inc(len(group))
-            self._spawn(
-                self._deliver_notifications(address, group, request, payload),
-                "notify",
-            )
-
-    def _notification_client(self) -> ServiceClient:
-        if self._notify_client is None:
-            self._notify_client = self._service_client()
-        return self._notify_client
-
-    def _purge_listener(self, entry: NotificationEntry) -> None:
-        """Paper: dead listeners get purged so future triggers don't stall."""
-        self._m_notify_failed.inc()
-        self.notifications.remove_listener(entry.listener)
-        self.ctx.trace.emit(
-            self.ctx.sim.now, self.name, "notification-failed", listener=entry.listener
-        )
-
-    def _deliver_notifications(
-        self, address: Address, entries: List[NotificationEntry],
-        request: Request, payload: str,
-    ) -> Generator:
-        """Invoke each co-located listener's callback (Fig. 8 step 3) over
-        one pooled connection."""
-        pool = self._notification_client().pool
-        try:
-            conn = yield from pool.acquire(address)
-        except (CallError, ConnectionClosed, ConnectionRefused, HostDownError, Interrupt):
-            for entry in entries:
-                self._purge_listener(entry)
-            return
-        for i, entry in enumerate(entries):
-            notification = ACECmdLine(
-                entry.callback,
-                source=self.name,
-                trigger=request.command.name,
-                principal=request.principal,
-                args=payload,
-            )
-            try:
-                yield from conn.call(notification)
-            except (ConnectionClosed, ConnectionRefused, TransportError,
-                    HostDownError, Interrupt):
-                # Before ``CallError`` (TransportError is one): the channel
-                # is dead, so everyone still waiting behind it is purged.
-                conn.close()
-                for rest in entries[i:]:
-                    self._purge_listener(rest)
-                return
-            except CallError:
-                # The listener answered cmdFailed: channel is fine, the
-                # registration is not — purge just this listener.
-                self._purge_listener(entry)
-                continue
-            self._m_notify_sent.inc()
-            self.ctx.trace.emit(
-                self.ctx.sim.now, self.name, "notification-delivered",
-                listener=entry.listener, cmd=request.command.name,
-            )
-        pool.release(address, conn)
 
     # ------------------------------------------------------------------
     # Data thread

@@ -88,8 +88,6 @@ class CommandSpec:
     name: str
     args: Tuple[ArgSpec, ...] = ()
     description: str = ""
-    #: commands the daemon emits as notifications rather than accepts
-    notification: bool = False
 
     def arg(self, name: str) -> Optional[ArgSpec]:
         for spec in self.args:
@@ -119,11 +117,10 @@ class CommandSemantics:
         name: str,
         *args: ArgSpec,
         description: str = "",
-        notification: bool = False,
     ) -> CommandSpec:
         if name in self._commands:
             raise SemanticError(f"command {name!r} already defined")
-        spec = CommandSpec(name, tuple(args), description, notification)
+        spec = CommandSpec(name, tuple(args), description)
         self._commands[name] = spec
         self._invalidate_flat()
         return spec

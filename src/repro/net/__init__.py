@@ -21,7 +21,7 @@ from repro.net.sockets import (
     DatagramSocket,
     ListenerSocket,
 )
-from repro.net.secure import HandshakeError, SecureChannel, secure_pair
+from repro.net.secure import HandshakeError, SecureChannel
 
 __all__ = [
     "Address",
@@ -37,5 +37,4 @@ __all__ = [
     "NetworkError",
     "SecureChannel",
     "WellKnownPorts",
-    "secure_pair",
 ]

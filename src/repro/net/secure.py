@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator, Optional, Tuple, Union
+from typing import Generator, Optional, Union
 
 from repro.security.crypto import (
     Certificate,
@@ -214,30 +214,3 @@ def handshake_server(
         raise HandshakeError("client Finished verification failed")
     yield from conn.host.execute(HANDSHAKE_WORK)
     return SecureChannel(conn, cipher_key, mac_key, peer_subject="")
-
-
-def secure_pair(
-    client_conn: Connection,
-    server_conn: Connection,
-    sim,
-    rng_client: random.Random,
-    rng_server: random.Random,
-    keypair: KeyPair,
-    certificate: Certificate,
-    ca_public_key: int,
-    ca_name: str,
-) -> Tuple[SecureChannel, SecureChannel]:
-    """Test helper: run both handshake halves to completion synchronously."""
-    server_proc = sim.process(
-        handshake_server(server_conn, rng_server, keypair, certificate), name="hs-server"
-    )
-    client_chan = sim.run_process(
-        handshake_client(client_conn, rng_client, ca_public_key, ca_name), name="hs-client"
-    )
-    server_chan = sim.run_process(_await(server_proc), name="hs-join")
-    return client_chan, server_chan
-
-
-def _await(event) -> Generator:
-    value = yield event
-    return value

@@ -9,13 +9,11 @@ devices in its room and slews to the door on a positive identification.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
+from typing import Generator, Tuple
 
-from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics, parse_command
-from repro.net import ConnectionClosed, ConnectionRefused
-from repro.core.client import CallError
+from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.core.daemon import Request
-from repro.services.asd import asd_lookup
+from repro.core.notifications import CALLBACK_ARGS, ClassWatch, notification_event
 from repro.services.devices import VCC4CameraDaemon
 from repro.services.idmon import ID_DEVICE_CLASSES
 
@@ -31,16 +29,13 @@ class AdaptiveCameraDaemon(VCC4CameraDaemon):
         super().__init__(ctx, name, host, **kwargs)
         self.door_position = door_position
         self.greeted: list = []
-        self._subscribed: set = set()
+        self._devices = ClassWatch(
+            self, ID_DEVICE_CLASSES, {"identified": "onUserIdentified"}, room=self.room)
 
     def build_semantics(self, sem: CommandSemantics) -> None:
         super().build_semantics(sem)
         sem.define(
-            "onUserIdentified",
-            ArgSpec("source", ArgType.STRING, required=False),
-            ArgSpec("trigger", ArgType.STRING, required=False),
-            ArgSpec("principal", ArgType.STRING, required=False),
-            ArgSpec("args", ArgType.STRING, required=False),
+            "onUserIdentified", *CALLBACK_ARGS,
             description="someone identified at the door: look at them (§2.5)",
         )
         sem.define(
@@ -52,32 +47,9 @@ class AdaptiveCameraDaemon(VCC4CameraDaemon):
 
     def on_started(self) -> None:
         super().on_started()
-        self._spawn(self._subscribe_room_devices(), "subscribe")
-
-    def _subscribe_room_devices(self) -> Generator:
-        """Find the ID devices in *our* room and watch their 'identified'."""
-        if self.ctx.asd_address is None or not self.room:
-            return
-        client = self._service_client()
-        for cls in ID_DEVICE_CLASSES:
-            try:
-                devices = yield from asd_lookup(client, self.ctx.asd_address,
-                                                cls=cls, room=self.room)
-            except (CallError, ConnectionClosed, ConnectionRefused):
-                continue
-            for device in devices:
-                if device.name in self._subscribed:
-                    continue
-                try:
-                    yield from client.call(
-                        device.address,
-                        ACECmdLine("addNotification", cmd="identified",
-                                   listener=self.name, host=self.host.name,
-                                   port=self.port, callback="onUserIdentified"),
-                    )
-                    self._subscribed.add(device.name)
-                except (CallError, ConnectionClosed, ConnectionRefused):
-                    continue
+        if self.room:
+            # the ID devices in *our* room only
+            self._spawn(self._devices.scan(), "subscribe")
 
     def cmd_setDoorPosition(self, request: Request) -> dict:
         cmd = request.command
@@ -86,13 +58,8 @@ class AdaptiveCameraDaemon(VCC4CameraDaemon):
                 "z": self.door_position[2]}
 
     def cmd_onUserIdentified(self, request: Request) -> Generator:
-        text = request.command.get("args")
-        username: Optional[str] = None
-        if text:
-            try:
-                username = parse_command(text).str("username")
-            except Exception:
-                username = None
+        event = notification_event(request)
+        username = (event.str("username", "") if event is not None else "") or "unknown"
         if not self.powered:
             # The paper's camera is assumed on; a powered-off adaptive
             # camera wakes itself to do its job.
@@ -104,7 +71,6 @@ class AdaptiveCameraDaemon(VCC4CameraDaemon):
         yield from self.cmd_setPosition(
             Request(command=aim, principal=self.name, received_at=self.ctx.sim.now)
         )
-        self.greeted.append((self.ctx.sim.now, username or "unknown"))
-        self.ctx.trace.emit(self.ctx.sim.now, self.name, "camera-greets",
-                            user=username or "unknown")
-        return {"user": username or "unknown"}
+        self.greeted.append((self.ctx.sim.now, username))
+        self.ctx.trace.emit(self.ctx.sim.now, self.name, "camera-greets", user=username)
+        return {"user": username}

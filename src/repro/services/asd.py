@@ -45,6 +45,7 @@ from repro.core.client import CallError, ServiceClient
 from repro.core.daemon import ACEDaemon, Request, ServiceError
 from repro.core.leases import LeaseTable
 from repro.core.lookup_cache import query_key
+from repro.core.notifications import notification_event
 from repro.core.policy import CallPolicy
 
 # Backwards-compatible aliases: the escaping was born here and later
@@ -652,37 +653,19 @@ class DirectoryWatcherDaemon(ACEDaemon):
         self._spawn(self._subscribe(), "subscribe")
 
     def _subscribe(self) -> Generator:
-        client = self._service_client()
         for address in self.ctx.directory_addresses():
             for watched in ("register", "deregister"):
-                command = ACECmdLine(
-                    "addNotification",
-                    cmd=watched,
-                    listener=self.name,
-                    host=self.host.name,
-                    port=self.port,
-                    callback="dirChanged",
-                )
-                try:
-                    yield from client.call(address, command)
+                if (yield from self.watch(address, watched, "dirChanged")):
                     self.subscribed += 1
-                except (CallError, ConnectionClosed, ConnectionRefused):
+                else:
                     self.ctx.trace.emit(
                         self.ctx.sim.now, self.name, "watch-failed", asd=str(address)
                     )
 
     def cmd_dirChanged(self, request: Request) -> dict:
-        cmd = request.command
-        trigger = cmd.str("trigger")
-        payload = cmd.str("args", "")
+        trigger = request.command.str("trigger")
         cache = self.ctx.lookup_cache
-        purged = 0
-        try:
-            from repro.lang import parse_command
-
-            original = parse_command(payload)
-        except Exception:
-            original = None
+        original = notification_event(request)
         if original is None or "name" not in original:
             purged = cache.invalidate_all()
         elif trigger == "register":

@@ -9,12 +9,13 @@ trace event).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List
 
-from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics, parse_command
+from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.core.notifications import CALLBACK_ARGS, ClassWatch, notification_event
+from repro.net import ConnectionClosed, ConnectionRefused
 from repro.services.asd import asd_lookup
 
 #: identification-capable device classes the monitor subscribes to
@@ -31,29 +32,18 @@ class IDMonitorDaemon(ACEDaemon):
         super().__init__(ctx, name, host, **kwargs)
         self.auto_open_workspace = auto_open_workspace
         self.rescan_interval = rescan_interval
-        self._subscribed: set = set()
+        self._devices = ClassWatch(self, ID_DEVICE_CLASSES, {
+            "identified": "onIdentified", "identifyFailed": "onIdentifyFailed"})
         #: username -> most recent identification location
         self.last_seen: Dict[str, str] = {}
         self.identifications = 0
         self.failures = 0
 
     def build_semantics(self, sem: CommandSemantics) -> None:
-        notify_args = (
-            ArgSpec("source", ArgType.STRING, required=False),
-            ArgSpec("trigger", ArgType.STRING, required=False),
-            ArgSpec("principal", ArgType.STRING, required=False),
-            ArgSpec("args", ArgType.STRING, required=False),
-        )
-        sem.define("onIdentified", *notify_args)
-        sem.define("onIdentifyFailed", *notify_args)
-        sem.define(
-            "onServiceRegistered",
-            ArgSpec("source", ArgType.STRING, required=False),
-            ArgSpec("trigger", ArgType.STRING, required=False),
-            ArgSpec("principal", ArgType.STRING, required=False),
-            ArgSpec("args", ArgType.STRING, required=False),
-            description="ASD registration events (Fig. 9 step 4)",
-        )
+        sem.define("onIdentified", *CALLBACK_ARGS)
+        sem.define("onIdentifyFailed", *CALLBACK_ARGS)
+        sem.define("onServiceRegistered", *CALLBACK_ARGS,
+                   description="ASD registration events (Fig. 9 step 4)")
         sem.define("getLastSeen", ArgSpec("username", ArgType.STRING))
         sem.define(
             "selectorShown",
@@ -63,105 +53,26 @@ class IDMonitorDaemon(ACEDaemon):
         )
 
     def on_started(self) -> None:
-        self._spawn(self._watch_registrations(), "watch-asd")
+        self._spawn(self._devices.watch_directory(), "watch-asd")
         self._spawn(self._subscribe_loop(), "subscribe")
 
-    def _watch_registrations(self) -> Generator:
-        """Hear about new identification devices the moment they register
-        with the ASD (Fig. 9 step 4), instead of waiting for a rescan."""
-        if self.ctx.asd_address is None:
-            return
-        client = self._service_client()
-        try:
-            yield from client.call(
-                self.ctx.asd_address,
-                ACECmdLine(
-                    "addNotification", cmd="register", listener=self.name,
-                    host=self.host.name, port=self.port, callback="onServiceRegistered",
-                ),
-            )
-        except (CallError, ConnectionClosed, ConnectionRefused):
-            pass  # the periodic rescan still covers us
-
     def cmd_onServiceRegistered(self, request: Request) -> Generator:
-        event = self._parse_event(request)
-        if event is None:
-            return {}
-        cls_path = event.str("cls", "")
-        if not any(cls in cls_path.split("/") for cls in ID_DEVICE_CLASSES):
-            return {}
-        device_name = event.str("name")
-        device_addr = Address(event.str("host"), event.int("port"))
-        client = self._service_client()
-        for watched, callback in (("identified", "onIdentified"),
-                                  ("identifyFailed", "onIdentifyFailed")):
-            key = (device_name, watched)
-            if key in self._subscribed:
-                continue
-            try:
-                yield from client.call(
-                    device_addr,
-                    ACECmdLine(
-                        "addNotification", cmd=watched, listener=self.name,
-                        host=self.host.name, port=self.port, callback=callback,
-                    ),
-                )
-                self._subscribed.add(key)
-            except (CallError, ConnectionClosed, ConnectionRefused):
-                continue
-        return {}
+        return self._devices.on_registered(request)
 
     # ------------------------------------------------------------------
     def _subscribe_loop(self) -> Generator:
-        """Find identification devices via the ASD and register for their
-        ``identified``/``identifyFailed`` notifications; rescan so devices
-        added later are picked up too."""
+        """Rescan, so a device whose registration event we missed (or that
+        refused us the first time) is picked up too."""
         while self.running:
             try:
-                yield from self._subscribe_once()
+                yield from self._devices.scan()
             except Exception:
                 pass
             yield self.ctx.sim.timeout(self.rescan_interval)
 
-    def _subscribe_once(self) -> Generator:
-        if self.ctx.asd_address is None:
-            return
-        client = self._service_client()
-        for cls in ID_DEVICE_CLASSES:
-            try:
-                devices = yield from asd_lookup(client, self.ctx.asd_address, cls=cls)
-            except (CallError, ConnectionClosed, ConnectionRefused):
-                continue
-            for device in devices:
-                for watched, callback in (("identified", "onIdentified"),
-                                          ("identifyFailed", "onIdentifyFailed")):
-                    key = (device.name, watched)
-                    if key in self._subscribed:
-                        continue
-                    try:
-                        yield from client.call(
-                            device.address,
-                            ACECmdLine(
-                                "addNotification", cmd=watched, listener=self.name,
-                                host=self.host.name, port=self.port, callback=callback,
-                            ),
-                        )
-                        self._subscribed.add(key)
-                    except (CallError, ConnectionClosed, ConnectionRefused):
-                        continue
-
     # ------------------------------------------------------------------
-    def _parse_event(self, request: Request) -> Optional[ACECmdLine]:
-        text = request.command.get("args")
-        if not text:
-            return None
-        try:
-            return parse_command(text)
-        except Exception:
-            return None
-
     def cmd_onIdentified(self, request: Request) -> Generator:
-        event = self._parse_event(request)
+        event = notification_event(request)
         if event is None:
             return {}
         username = event.str("username")

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional
 
-from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics, parse_command
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
+from repro.net import ConnectionClosed, ConnectionRefused
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
+from repro.core.notifications import CALLBACK_ARGS, ClassWatch, notification_event
 from repro.services.asd import asd_lookup
 from repro.services.devices import DeviceDaemon
 from repro.services.idmon import ID_DEVICE_CLASSES
@@ -64,75 +65,20 @@ class LightingControllerDaemon(ACEDaemon):
         self.sweep_interval = sweep_interval
         #: room -> time of last identification there
         self.last_activity: Dict[str, float] = {}
-        self._subscribed: set = set()
+        self._devices = ClassWatch(self, ID_DEVICE_CLASSES, {"identified": "onIdentified"})
 
     def build_semantics(self, sem: CommandSemantics) -> None:
-        notify_args = (
-            ArgSpec("source", ArgType.STRING, required=False),
-            ArgSpec("trigger", ArgType.STRING, required=False),
-            ArgSpec("principal", ArgType.STRING, required=False),
-            ArgSpec("args", ArgType.STRING, required=False),
-        )
-        sem.define("onIdentified", *notify_args)
-        sem.define("onServiceRegistered", *notify_args)
+        sem.define("onIdentified", *CALLBACK_ARGS)
+        sem.define("onServiceRegistered", *CALLBACK_ARGS)
         sem.define("getRoomState", ArgSpec("room", ArgType.STRING))
 
     def on_started(self) -> None:
-        self._spawn(self._watch_asd(), "watch-asd")
-        self._spawn(self._subscribe_all(), "subscribe")
+        self._spawn(self._devices.watch_directory(), "watch-asd")
+        self._spawn(self._devices.scan(), "subscribe")
         self._spawn(self._sweep(), "idle-sweep")
 
-    # -- subscription plumbing ----------------------------------------------
-    def _watch_asd(self) -> Generator:
-        if self.ctx.asd_address is None:
-            return
-        client = self._service_client()
-        try:
-            yield from client.call(
-                self.ctx.asd_address,
-                ACECmdLine("addNotification", cmd="register", listener=self.name,
-                           host=self.host.name, port=self.port,
-                           callback="onServiceRegistered"))
-        except (CallError, ConnectionClosed, ConnectionRefused):
-            pass
-
-    def _subscribe_all(self) -> Generator:
-        client = self._service_client()
-        for cls in ID_DEVICE_CLASSES:
-            try:
-                devices = yield from asd_lookup(client, self.ctx.asd_address, cls=cls)
-            except (CallError, ConnectionClosed, ConnectionRefused):
-                continue
-            for device in devices:
-                yield from self._subscribe(device.name, device.address)
-
-    def _subscribe(self, name: str, address: Address) -> Generator:
-        if name in self._subscribed:
-            return
-        client = self._service_client()
-        try:
-            yield from client.call(
-                address,
-                ACECmdLine("addNotification", cmd="identified", listener=self.name,
-                           host=self.host.name, port=self.port,
-                           callback="onIdentified"))
-            self._subscribed.add(name)
-        except (CallError, ConnectionClosed, ConnectionRefused):
-            pass
-
     def cmd_onServiceRegistered(self, request: Request) -> Generator:
-        text = request.command.get("args")
-        if not text:
-            return {}
-        try:
-            event = parse_command(text)
-        except Exception:
-            return {}
-        if not any(c in event.str("cls", "").split("/") for c in ID_DEVICE_CLASSES):
-            return {}
-        yield from self._subscribe(event.str("name"),
-                                   Address(event.str("host"), event.int("port")))
-        return {}
+        return self._devices.on_registered(request)
 
     # -- the automation -------------------------------------------------------
     def _room_lights(self, room: str) -> Generator:
@@ -161,12 +107,8 @@ class LightingControllerDaemon(ACEDaemon):
         return changed
 
     def cmd_onIdentified(self, request: Request) -> Generator:
-        text = request.command.get("args")
-        if not text:
-            return {}
-        try:
-            event = parse_command(text)
-        except Exception:
+        event = notification_event(request)
+        if event is None:
             return {}
         room = event.str("location")
         self.last_activity[room] = self.ctx.sim.now

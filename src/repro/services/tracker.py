@@ -15,11 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Tuple
 
-from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics, parse_command
-from repro.net import Address, ConnectionClosed, ConnectionRefused
-from repro.core.client import CallError
+from repro.lang import ArgSpec, ArgType, CommandSemantics
 from repro.core.daemon import ACEDaemon, Request, ServiceError
-from repro.services.asd import asd_lookup
+from repro.core.notifications import CALLBACK_ARGS, ClassWatch, notification_event
 from repro.services.idmon import ID_DEVICE_CLASSES
 
 
@@ -39,17 +37,11 @@ class PersonnelTrackerDaemon(ACEDaemon):
         super().__init__(ctx, name, host, **kwargs)
         self.history_limit = history_limit
         self.histories: Dict[str, List[Sighting]] = {}
-        self._subscribed: set = set()
+        self._devices = ClassWatch(self, ID_DEVICE_CLASSES, {"identified": "onIdentified"})
 
     def build_semantics(self, sem: CommandSemantics) -> None:
-        notify_args = (
-            ArgSpec("source", ArgType.STRING, required=False),
-            ArgSpec("trigger", ArgType.STRING, required=False),
-            ArgSpec("principal", ArgType.STRING, required=False),
-            ArgSpec("args", ArgType.STRING, required=False),
-        )
-        sem.define("onIdentified", *notify_args)
-        sem.define("onServiceRegistered", *notify_args)
+        sem.define("onIdentified", *CALLBACK_ARGS)
+        sem.define("onServiceRegistered", *CALLBACK_ARGS)
         sem.define("whereIsUser", ArgSpec("username", ArgType.STRING))
         sem.define(
             "trackHistory",
@@ -59,72 +51,16 @@ class PersonnelTrackerDaemon(ACEDaemon):
         sem.define("roomOccupancy", ArgSpec("room", ArgType.STRING))
 
     def on_started(self) -> None:
-        self._spawn(self._watch_registrations(), "watch-asd")
-        self._spawn(self._initial_subscribe(), "subscribe")
-
-    # -- subscription plumbing (same pattern as the ID Monitor) -----------
-    def _watch_registrations(self) -> Generator:
-        if self.ctx.asd_address is None:
-            return
-        client = self._service_client()
-        try:
-            yield from client.call(
-                self.ctx.asd_address,
-                ACECmdLine("addNotification", cmd="register", listener=self.name,
-                           host=self.host.name, port=self.port,
-                           callback="onServiceRegistered"),
-            )
-        except (CallError, ConnectionClosed, ConnectionRefused):
-            pass
-
-    def _initial_subscribe(self) -> Generator:
-        client = self._service_client()
-        for cls in ID_DEVICE_CLASSES:
-            try:
-                devices = yield from asd_lookup(client, self.ctx.asd_address, cls=cls)
-            except (CallError, ConnectionClosed, ConnectionRefused):
-                continue
-            for device in devices:
-                yield from self._subscribe_device(device.name, device.address)
-
-    def _subscribe_device(self, name: str, address: Address) -> Generator:
-        if name in self._subscribed:
-            return
-        client = self._service_client()
-        try:
-            yield from client.call(
-                address,
-                ACECmdLine("addNotification", cmd="identified", listener=self.name,
-                           host=self.host.name, port=self.port,
-                           callback="onIdentified"),
-            )
-            self._subscribed.add(name)
-        except (CallError, ConnectionClosed, ConnectionRefused):
-            pass
+        self._spawn(self._devices.watch_directory(), "watch-asd")
+        self._spawn(self._devices.scan(), "subscribe")
 
     def cmd_onServiceRegistered(self, request: Request) -> Generator:
-        text = request.command.get("args")
-        if not text:
-            return {}
-        try:
-            event = parse_command(text)
-        except Exception:
-            return {}
-        if not any(c in event.str("cls", "").split("/") for c in ID_DEVICE_CLASSES):
-            return {}
-        yield from self._subscribe_device(
-            event.str("name"), Address(event.str("host"), event.int("port"))
-        )
-        return {}
+        return self._devices.on_registered(request)
 
     # -- tracking ----------------------------------------------------------
     def cmd_onIdentified(self, request: Request) -> dict:
-        text = request.command.get("args")
-        if not text:
-            return {}
-        try:
-            event = parse_command(text)
-        except Exception:
+        event = notification_event(request)
+        if event is None:
             return {}
         username = event.str("username")
         sighting = Sighting(

@@ -153,3 +153,39 @@ def test_recovery_latency_notification_vs_sweep(env):
     recoveries = env.trace.filter(kind="app-recovered")
     assert recoveries, "crash not recovered within 2s"
     assert recoveries[-1].time - t0 < 2.0
+
+
+def test_restarted_hal_is_watched_again():
+    """A supervised restart gives the HAL an empty notification table; its
+    re-registration makes the manager subscribe again, so a crash on the
+    reincarnation is still recovered by notification (the 30 s sweep is
+    far outside this test)."""
+    env = ACEEnvironment(seed=9, lease_duration=2.0)
+    env.add_infrastructure("infra", with_wss=False, with_idmon=False,
+                           srm_poll_interval=1.0)
+    env.add_workstation("worker1", room="lab", bogomips=800.0)
+    env.add_persistent_store(replicas=3, sync_interval=1.0)
+    env.registry.register(
+        "counter", lambda ctx, host, args: CheckpointingCounterApp(ctx, host, args)
+    )
+    mgr = env.add_daemon(
+        RestartManagerDaemon(env.ctx, "restartmgr", env.net.host("infra"),
+                             room="machineroom", sweep_interval=30.0)
+    )
+    env.enable_supervision(suspicion_window=2.5, check_interval=0.25)
+    env.boot()
+    env.run_for(3.0)
+    corpse = env.daemon("hal.worker1")
+    assert corpse.notifications.counts() == {"appExited": 1}
+
+    corpse.kill()
+    env.run_for(8.0)
+    hal = env.daemon("hal.worker1")
+    assert hal is not corpse and hal.running and hal.incarnation == 1
+    assert hal.notifications.counts() == {"appExited": 1}
+
+    reply = manage(env, cls="restart", host="worker1")
+    env.run_for(1.0)
+    hal.apps[reply["pid"]].crash()
+    env.run_for(5.0)
+    assert mgr.recoveries == 1

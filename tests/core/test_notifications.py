@@ -1,7 +1,15 @@
 """Unit tests for NotificationTable + end-to-end notification delivery."""
 
-from repro.core.notifications import NotificationEntry, NotificationTable
+from repro.core import ACEDaemon
+from repro.core.notifications import (
+    CALLBACK_ARGS,
+    ClassWatch,
+    NotificationEntry,
+    NotificationTable,
+    notification_event,
+)
 from repro.lang import ACECmdLine
+from repro.lang.command import error_reply
 from repro.net import Address
 
 from tests.core.conftest import EchoDaemon
@@ -276,3 +284,117 @@ def test_channel_death_mid_fanout_purges_everyone_behind_it(ace_with_echo):
     assert conn.closed
     assert discard.value == 0
     assert not any(notify_client.pool._idle.values())
+
+
+# -- the listening half: watch() and ClassWatch ---------------------------------
+
+class EchoWatcher(ACEDaemon):
+    """Listens to ``echo`` on every Echo service (optionally one room's)."""
+
+    service_type = "EchoWatcher"
+
+    def __init__(self, *args, only_room=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.echoes = ClassWatch(self, ("Echo",), {"echo": "onEchoSeen"}, room=only_room)
+        self.seen = []
+
+    def build_semantics(self, sem):
+        sem.define("onEchoSeen", *CALLBACK_ARGS)
+        sem.define("onServiceRegistered", *CALLBACK_ARGS)
+
+    def on_started(self):
+        self._spawn(self.echoes.watch_directory(), "watch-asd")
+        self._spawn(self.echoes.scan(), "subscribe")
+
+    def cmd_onServiceRegistered(self, request):
+        return self.echoes.on_registered(request)
+
+    def cmd_onEchoSeen(self, request):
+        self.seen.append(notification_event(request).str("text"))
+        return {}
+
+
+def start(ace, daemon, settle=1.0):
+    ace.add_daemon(daemon)
+    daemon.start()
+    ace.sim.run(until=ace.sim.now + settle)
+    return daemon
+
+
+def make_watcher(ace, **kwargs):
+    host = ace.net.make_host("host-watcher", room="hawk")
+    return start(ace, EchoWatcher(ace.ctx, "watcher", host, **kwargs))
+
+
+def make_echo(ace, name, room="hawk"):
+    host = ace.net.make_host(f"host-{name}", room=room)
+    return start(ace, EchoDaemon(ace.ctx, name, host, room=room))
+
+
+def say(ace, echo, text):
+    ace.run(ace.client().call(echo.address, ACECmdLine("echo", text=text)))
+    ace.sim.run(until=ace.sim.now + 1.0)
+
+
+def test_class_watch_subscribes_present_and_later_services(ace_with_echo):
+    ace, echo = ace_with_echo
+    watcher = make_watcher(ace)
+    assert echo.notifications.counts() == {"echo": 1}       # found by the scan
+    # EchoWatcher scans once, so only the ``register`` event can cover this.
+    late = make_echo(ace, "echo2")
+    assert late.notifications.counts() == {"echo": 1}
+    say(ace, echo, "first")
+    say(ace, late, "second")
+    assert watcher.seen == ["first", "second"]
+
+
+def test_second_register_event_adds_no_second_entry(ace_with_echo):
+    ace, echo = ace_with_echo
+    watcher = make_watcher(ace)
+    asked = ace.ctx.obs.metrics.counter("daemon.echo1.cmd.addNotification")
+    assert asked.value == 1
+    ace.run(echo._reregister())
+    ace.sim.run(until=ace.sim.now + 1.0)
+    assert asked.value == 2                  # the listener asked again ...
+    assert len(echo.notifications) == 1      # ... and the table kept one entry
+    say(ace, echo, "once")
+    assert watcher.seen == ["once"]
+
+
+def test_class_watch_room_narrows_scan_and_registrations(ace_with_echo):
+    ace, echo = ace_with_echo               # room "hawk"
+    elsewhere = make_echo(ace, "echo-dove", room="dove")
+    make_watcher(ace, only_room="hawk")
+    assert echo.notifications.counts() == {"echo": 1}
+    assert elsewhere.notifications.counts() == {}
+    assert make_echo(ace, "echo-dove2", room="dove").notifications.counts() == {}
+    assert make_echo(ace, "echo-hawk2").notifications.counts() == {"echo": 1}
+
+
+def test_next_scan_covers_a_directory_that_was_unreachable(ace_with_echo):
+    ace, echo = ace_with_echo
+    ace.asd.kill()
+    watcher = make_watcher(ace, register_with_asd=False)
+    assert echo.notifications.counts() == {}
+    start(ace, ace.asd.respawn(1), settle=6.0)   # echo1 re-registers on renewal
+    ace.run(watcher.echoes.scan())
+    assert echo.notifications.counts() == {"echo": 1}
+
+
+def test_next_scan_retries_a_service_that_refused(ace_with_echo):
+    ace, echo = ace_with_echo
+    echo._builtin_add_notification = lambda request: error_reply(request.command, "busy")
+    watcher = make_watcher(ace)
+    assert echo.notifications.counts() == {}
+    del echo._builtin_add_notification
+    ace.run(watcher.echoes.scan())
+    assert echo.notifications.counts() == {"echo": 1}
+
+
+def test_watch_reports_whether_the_far_side_accepted(ace_with_echo):
+    ace, echo = ace_with_echo
+    listener = make_listener(ace)
+    assert ace.run(listener.watch(echo.address, "echo", "onEchoSeen")) is True
+    assert ace.run(listener.watch(echo.address, "nonexistent", "onEchoSeen")) is False
+    ace.net.crash_host(echo.host.name)
+    assert ace.run(listener.watch(echo.address, "echo", "onEchoSeen")) is False

@@ -129,6 +129,7 @@ def test_service_client_surface_is_exactly_this():
 RETIRED_NAMES = frozenset({
     "call_once", "call_pooled", "call_pipelined", "call_failover",
     "call_resilient", "batch_lease_renewals", "obs_export", "authdb_lookup",
+    "AppHandle", "jini_discover", "rmi_roundtrip_size", "secure_pair",
 })
 
 
@@ -150,8 +151,12 @@ def test_retired_names_stay_retired():
     """No attribute, name, keyword or definition under ``src/``,
     ``examples/`` or ``benchmarks/`` spells a retired call method or option
     (EXPERIMENTS.md §Retired controls)."""
+    from repro.lang import CommandSemantics
+
     found = _spellings(RETIRED_NAMES, ("src", "examples", "benchmarks"))
     assert found == [], "retired names in use:\n" + "\n".join(found)
+    # never passed, never read
+    assert "notification" not in inspect.signature(CommandSemantics.define).parameters
 
 
 #: the late-join hooks `add_daemon` replaced
@@ -206,3 +211,46 @@ def test_a_daemon_joins_leaves_and_comes_back_one_way():
     for method, retired in RETIRED_PLANE_KEYWORDS.items():
         parameters = inspect.signature(getattr(ACEEnvironment, method)).parameters
         assert not retired & set(parameters), method
+
+
+#: the seven hand-rolled subscribers `watch()` / `ClassWatch` replaced
+RETIRED_LISTENER_PLUMBING = frozenset({
+    "_subscribed", "_watched_hals", "_subscribe_once", "_subscribe_all",
+    "_initial_subscribe", "_subscribe_device", "_subscribe_hal",
+    "_subscribe_room_devices", "_watch_asd", "_watch_registrations",
+    "_parse_event",
+})
+
+
+def test_fig8_has_one_listener():
+    """Under ``src/`` one place builds an ``addNotification`` command
+    (``watch``), one declares what a callback receives (``CALLBACK_ARGS``;
+    ``dirChanged`` keeps its stricter spec) and one reads the forwarded
+    payload (``notification_event``): a listener is a declaration."""
+    found = _spellings(RETIRED_LISTENER_PLUMBING, ("src",))
+    assert found == [], "hand-rolled listener plumbing:\n" + "\n".join(found)
+
+    def calls(tree, callee):
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == callee]
+
+    def first_arg(call):
+        return call.args[0].value if call.args and isinstance(call.args[0], ast.Constant) else None
+
+    src = REPO / "src"
+    subscribers, trigger_specs, parsing_callbacks = [], set(), []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        where = str(path.relative_to(src))
+        subscribers += [where for call in calls(tree, "ACECmdLine")
+                        if first_arg(call) == "addNotification"]
+        if any(first_arg(call) == "trigger" for call in calls(tree, "ArgSpec")):
+            trigger_specs.add(where)
+        parsing_callbacks += [
+            f"{where}: {node.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_on")
+            and calls(node, "parse_command")]
+    assert subscribers == ["repro/core/notifications.py"]
+    assert trigger_specs == {"repro/core/notifications.py", "repro/services/asd.py"}
+    assert parsing_callbacks == []
