@@ -12,7 +12,6 @@ from repro.core.mobile import MobileServiceConnection
 from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
 from repro.metrics import ResultTable
-from repro.net import ConnectionClosed
 from repro.core.client import CallError
 from repro.services.asd import asd_lookup
 from tests.core.conftest import EchoDaemon
@@ -69,7 +68,7 @@ def test_x1_failover_outage(benchmark, table_printer):
                 try:
                     yield from conn.call(ACECmdLine("echo", text="x"))
                     break
-                except (CallError, ConnectionClosed):
+                except CallError:
                     pass
                 listed = yield from asd_lookup(client2, env2.asd_address, cls="Echo")
                 alive = [r for r in listed if r.name != target.name]

@@ -15,7 +15,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.net import Address
 from repro.core.client import CallError
 from repro.core.daemon import Request, ServiceError
 from repro.services import dsp
@@ -88,7 +88,7 @@ class OPhoneDaemon(StreamDaemon):
                 ACECmdLine("invite", caller=self.name,
                            host=self.host.name, port=self.port),
             )
-        except (CallError, ConnectionClosed, ConnectionRefused) as exc:
+        except CallError as exc:
             self.state = "idle"
             raise ServiceError(f"call failed: {exc}")
         if reply.int("accepted", 0) != 1:
@@ -113,7 +113,7 @@ class OPhoneDaemon(StreamDaemon):
             user_reply = yield from client.call(
                 auds[0].address, ACECmdLine("getUser", username=username)
             )
-        except (CallError, ConnectionClosed, ConnectionRefused) as exc:
+        except CallError as exc:
             raise ServiceError(f"cannot resolve user {username!r}: {exc}")
         location = user_reply.str("location", "unknown")
         if location == "unknown":
@@ -163,7 +163,7 @@ class OPhoneDaemon(StreamDaemon):
             yield from client.call(
                 peer, ACECmdLine("remoteHangup", caller=self.name)
             )
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             pass
         return {"hung_up": 1}
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, Optional
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.net import ConnectionClosed, ConnectionRefused
 from repro.net.host import HostDownError
 from repro.sim import Interrupt
 
@@ -216,7 +215,7 @@ class RestartManagerDaemon(ACEDaemon):
             prefer = None
         try:
             yield from self._launch(managed, prefer)
-        except (ServiceError, CallError, ConnectionClosed, ConnectionRefused):
+        except (ServiceError, CallError):
             return
         managed.restarts += 1
         self.recoveries += 1
@@ -247,7 +246,7 @@ class RestartManagerDaemon(ACEDaemon):
         client = self._service_client()
         try:
             hals = yield from asd_lookup(client, self.ctx.asd_address, cls="HAL")
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return None
         hal = next((h for h in hals if h.host == managed.host), None)
         if hal is None:
@@ -256,6 +255,6 @@ class RestartManagerDaemon(ACEDaemon):
             reply = yield from client.call(
                 hal.address, ACECmdLine("isRunning", pid=managed.pid)
             )
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return None
         return reply.int("running") == 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, Generator
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics, parse_command
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.net import Address
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
 
@@ -63,7 +63,7 @@ class CentralGatewayDaemon(ACEDaemon):
         client = self._service_client()
         try:
             reply = yield from client.call(target, inner, attach=True)
-        except (CallError, ConnectionClosed, ConnectionRefused) as exc:
+        except CallError as exc:
             raise ServiceError(f"device {device!r} unreachable: {exc}")
         self.forwarded += 1
         # Relay the device's reply fields (prefixed to avoid clashing with

@@ -18,7 +18,7 @@ from typing import Generator, Iterable, Optional, Union
 
 from repro.lang import ACECmdLine, parse_command
 from repro.lang.command import CLIENT_ID_ARG, CLIENT_SEQ_ARG, PIPELINE_SEQ_ARG, is_error
-from repro.net import Address, Connection, ConnectionClosed, ConnectionRefused
+from repro.net import Address, Connection, ConnectionClosed, ConnectionRefused, HandshakeError
 from repro.net.host import Host
 from repro.net.secure import SecureChannel, handshake_client
 from repro.obs import CLIENT as SPAN_CLIENT
@@ -35,9 +35,9 @@ from repro.core.policy import (
     TransportError,
 )
 
-#: transport-level failures worth retrying (the endpoint may recover);
-#: plain CallError (cmdFailed) means the service answered — never retried.
-RETRYABLE = (ConnectionRefused, ConnectionClosed, TransportError, DeadlineExceeded)
+#: nobody answered (every ``repro.net`` failure is a TransportError here) —
+#: worth retrying; plain CallError (cmdFailed): the service answered — never.
+RETRYABLE = (TransportError, DeadlineExceeded)
 
 #: failures that justify moving on to the *next replica* of a replicated
 #: service: everything retryable plus an already-open breaker (no point
@@ -103,9 +103,9 @@ class ServiceConnection:
             try:
                 yield from self.channel.send(command.to_string())
                 reply_text = yield from self.channel.recv()
-            except ConnectionClosed as exc:
+            except (ConnectionClosed, HandshakeError) as exc:
                 status = "transport-error"
-                raise TransportError(f"connection lost during {command.name!r}: {exc}")
+                raise TransportError(f"connection lost during {command.name!r}: {exc}") from exc
             reply = parse_command(reply_text)
             status = "cmdFailed" if is_error(reply) else "ok"
         finally:
@@ -200,12 +200,12 @@ class PipelinedConnection:
         try:
             try:
                 yield from self._conn.channel.send(tagged.to_string())
-            except ConnectionClosed as exc:
+            except (ConnectionClosed, HandshakeError) as exc:
                 self._pending.pop(seq, None)
                 reply_ev.defuse()
-                self._fail_inflight(TransportError(f"pipeline send failed: {exc}"))
+                self._fail_inflight(f"pipeline send failed: {exc}", exc)
                 status = "transport-error"
-                raise TransportError(f"connection lost during {command.name!r}: {exc}")
+                raise TransportError(f"connection lost during {command.name!r}: {exc}") from exc
             self._m_sent.inc()
             try:
                 if timeout is None:
@@ -268,14 +268,15 @@ class PipelinedConnection:
                 self._m_matched.inc()
                 waiter.succeed(reply)
                 self._release_slot()
-        except ConnectionClosed as exc:
-            self._fail_inflight(TransportError(f"pipeline channel closed: {exc}"))
+        except (ConnectionClosed, HandshakeError) as exc:
+            self._fail_inflight(f"pipeline channel closed: {exc}", exc)
         except Interrupt:
-            self._fail_inflight(TransportError("pipeline closed locally"))
+            self._fail_inflight("pipeline closed locally")
 
-    def _fail_inflight(self, exc: TransportError) -> None:
+    def _fail_inflight(self, reason: str, cause: Optional[Exception] = None) -> None:
         """Channel death: fail the in-flight calls — and only those."""
-        self._dead = exc
+        self._dead = exc = TransportError(reason)
+        exc.__cause__ = cause   # by hand: raised later, in the callers' processes
         pending, self._pending = self._pending, {}
         for ev in pending.values():
             ev.defuse()
@@ -489,16 +490,21 @@ class ServiceClient:
         expected_subject: Optional[str] = None,
         attach: bool = True,
     ) -> Generator:
-        """Open a channel (secure when the context says so) and attach."""
-        conn = yield from self.ctx.net.connect(self.host, address)
-        channel: Channel = conn
-        if self.ctx.security.mode is not SecurityMode.NONE:
-            ca = self.ctx.security.ca
-            if ca is None:
-                raise CallError("security enabled but no CA configured")
-            channel = yield from handshake_client(
-                conn, self._rng, ca.public_key, ca.name, expected_subject
-            )
+        """Open a channel (secure when the context says so) and attach.
+
+        Nobody answering (dial refused, channel lost, handshake failed) is a
+        :class:`TransportError`: the socket error's text, the error as cause."""
+        try:
+            channel: Channel = yield from self.ctx.net.connect(self.host, address)
+            if self.ctx.security.mode is not SecurityMode.NONE:
+                ca = self.ctx.security.ca
+                if ca is None:
+                    raise CallError("security enabled but no CA configured")
+                channel = yield from handshake_client(
+                    channel, self._rng, ca.public_key, ca.name, expected_subject
+                )
+        except (ConnectionRefused, ConnectionClosed, HandshakeError) as exc:
+            raise TransportError(str(exc)) from exc
         connection = ServiceConnection(channel, self.principal, client=self)
         if attach:
             yield from self._attach(connection)
@@ -543,7 +549,8 @@ class ServiceClient:
         once — never retried or failed over: the service answered, and its
         siblings would refuse identically.  Otherwise raises
         :class:`BreakerOpen` (network untouched), :class:`DeadlineExceeded`
-        or the last transport error.  ``connect_kw`` goes to :meth:`connect`.
+        or the last :class:`TransportError` — every failure is a
+        ``CallError``.  ``connect_kw`` goes to :meth:`connect`.
         """
         if not isinstance(target, Address):
             return self._call_replicas(target, command, policy, check, connect_kw)

@@ -47,7 +47,7 @@ from repro.lang.command import (
 from repro.lang.semantics import reply_semantics
 from repro.obs import SERVER as SPAN_SERVER
 from repro.obs import extract as extract_trace
-from repro.net import Address, Connection, ConnectionClosed, ConnectionRefused, HandshakeError
+from repro.net import Address, Connection, ConnectionClosed, HandshakeError
 from repro.net.host import Host, HostDownError
 from repro.net.secure import handshake_server
 from repro.security.crypto import verify_signature
@@ -318,7 +318,7 @@ class ACEDaemon(NotificationMixin):
                     ACECmdLine("deregister", name=self.name),
                     policy=FAILOVER_POLICY,
                 )
-            except (CallError, ConnectionClosed, Exception):
+            except Exception:   # whatever it was: _teardown() must still run
                 pass  # best effort; the lease will expire anyway
         self._teardown()
 
@@ -399,7 +399,7 @@ class ACEDaemon(NotificationMixin):
                     ),
                 )
                 trace.emit(self.ctx.sim.now, self.name, "roomdb-registered", room=self.room)
-            except (CallError, ConnectionClosed, ConnectionRefused) as exc:
+            except CallError as exc:
                 trace.emit(self.ctx.sim.now, self.name, "roomdb-unavailable", error=str(exc))
         if self.register_with_asd and self.ctx.directory_addresses():
             yield from client.call(
@@ -420,7 +420,7 @@ class ACEDaemon(NotificationMixin):
                     ),
                 )
                 trace.emit(self.ctx.sim.now, self.name, "netlogger-logged")
-            except (CallError, ConnectionClosed, ConnectionRefused) as exc:
+            except CallError as exc:
                 trace.emit(self.ctx.sim.now, self.name, "netlogger-unavailable", error=str(exc))
         trace.emit(self.ctx.sim.now, self.name, "daemon-ready")
 
@@ -461,11 +461,11 @@ class ACEDaemon(NotificationMixin):
                 )
                 self._m_lease_renewals.inc()
                 self._beat()
-            except (CallError, ConnectionClosed, ConnectionRefused):
+            except CallError:
                 # Lease lapsed or ASD restarted: re-register from scratch.
                 try:
                     yield from self._reregister()
-                except (CallError, ConnectionClosed, ConnectionRefused):
+                except CallError:
                     self.ctx.trace.emit(self.ctx.sim.now, self.name, "asd-unreachable")
 
     def _reregister(self) -> Generator:
@@ -670,7 +670,7 @@ class ACEDaemon(NotificationMixin):
                 ACECmdLine("getCredentials", principal=principal),
                 attach=False,
             )
-        except (CallError, ConnectionClosed):
+        except CallError:
             return []
         from repro.services.authdb import decode_credential
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Generator, List, Optional
 
 from repro.lang import ACECmdLine
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.net import Address
 from repro.net.host import HostDownError
 
 from repro.core.client import CallError, ServiceClient, ServiceConnection
@@ -99,7 +99,7 @@ class MobileServiceConnection:
                 self._conn = yield from self.client.connect(record.address)
                 self.current = record
                 break
-            except (ConnectionRefused, ConnectionClosed, CallError) as exc:
+            except CallError as exc:
                 # The directory may briefly list an instance that just died
                 # (lease not yet expired): exclude and try the next one.
                 attempts += 1
@@ -138,8 +138,7 @@ class MobileServiceConnection:
             exc = proc.value
             if isinstance(exc, CallError) and exc.reply is not None:
                 raise exc  # semantic failure: not retryable
-            if isinstance(exc, (CallError, ConnectionClosed, ConnectionRefused,
-                                HostDownError)):
+            if isinstance(exc, (CallError, HostDownError)):
                 return False, None
             raise exc
         # Timeout won: the reply never came; abandon the stuck call.

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Dict, Generator, Iterable, List, Optional, Seq
 
 from repro.lang import ACECmdLine, ACELanguageError, ArgSpec, ArgType, parse_command
 from repro.lang.command import RESERVED_ARGS, error_reply, ok_reply
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.net import Address
 from repro.net.host import HostDownError
 from repro.sim import Interrupt
 
@@ -174,7 +174,7 @@ class NotificationMixin:
         pool = self._notification_client().pool
         try:
             conn = yield from pool.acquire(address)
-        except (CallError, ConnectionClosed, ConnectionRefused, HostDownError, Interrupt):
+        except (CallError, HostDownError, Interrupt):
             for entry in entries:
                 self._purge_listener(entry)
             return
@@ -188,8 +188,7 @@ class NotificationMixin:
             )
             try:
                 yield from conn.call(notification)
-            except (ConnectionClosed, ConnectionRefused, TransportError,
-                    HostDownError, Interrupt):
+            except (TransportError, HostDownError, Interrupt):
                 # Before ``CallError`` (TransportError is one): the channel
                 # is dead, so everyone still waiting behind it is purged.
                 conn.close()
@@ -223,7 +222,7 @@ class NotificationMixin:
         )
         try:
             yield from self._service_client().call(address, command, policy=policy)
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return False
         return True
 
@@ -291,7 +290,7 @@ class ClassWatch:
             try:
                 services = yield from asd_lookup(
                     client, ctx.asd_address, cls=cls, room=self.room)
-            except (CallError, ConnectionClosed, ConnectionRefused):
+            except CallError:
                 continue
             for service in services:
                 yield from self._subscribe(service.name, service.address)

@@ -14,9 +14,11 @@ hang.  This module is the client-side antidote, shared by every caller:
   shared :class:`~repro.metrics.RpcStats` counters, and the last-known-good
   directory-lookup cache used when the ASD itself is unreachable.
 
-:class:`CallError` lives here (re-exported by :mod:`repro.core.client` for
-compatibility) so the transport/deadline/breaker failures can subclass it —
-every existing ``except CallError`` site keeps working unchanged.
+:class:`CallError` is the one exception a :class:`ServiceClient` caller
+handles.  Exactly ``CallError``: the service answered ``cmdFailed`` (never
+retried or failed over; ``exc.reply`` set).  Its subclasses mean nobody
+answered: :class:`TransportError` (retried, failed over, counted by the
+breaker), :class:`DeadlineExceeded`, :class:`BreakerOpen`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.metrics import RpcStats
 
 
 class CallError(Exception):
-    """The service replied cmdFailed, or transport failed mid-call."""
+    """The service replied cmdFailed — or, as a subclass, nobody replied."""
 
     def __init__(self, message: str, reply: Optional[Any] = None):
         super().__init__(message)
@@ -37,7 +39,8 @@ class CallError(Exception):
 
 
 class TransportError(CallError):
-    """The connection died mid-call (reply never arrived)."""
+    """Nobody answered: dial refused, channel lost, or a handshake or
+    record check failed (the ``repro.net`` error is ``__cause__``)."""
 
 
 class DeadlineExceeded(CallError):

@@ -12,16 +12,13 @@ One :class:`Observability` hangs off every
   and fixed-bucket histograms every daemon feeds (commands by verb,
   queue wait vs service time, auth-cache hits, lease renewals), with the
   RPC layer's :class:`~repro.metrics.RpcStats` folded in as the ``rpc.*``
-  view;
-* optionally a :class:`~repro.obs.export.NetLoggerExporter` shipping
-  finished spans + snapshots to the NetworkLogger daemon.
+  view.
 
 See README's "Observability" section and EXPERIMENTS.md E22.
 """
 
 from repro.obs.context import TraceContext, extract, inject
 from repro.obs.profiling import KERNEL_COUNTERS, ProfileScope
-from repro.obs.export import METRICS_EVENT, SPAN_EVENT, NetLoggerExporter, span_from_wire, span_to_wire
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_MAX_SERIES,
@@ -41,6 +38,7 @@ from repro.obs.tracer import (
     Tracer,
     critical_path,
     critical_path_rows,
+    span_to_wire,
 )
 
 __all__ = [
@@ -53,14 +51,11 @@ __all__ = [
     "Histogram",
     "INTERNAL",
     "KERNEL_COUNTERS",
-    "METRICS_EVENT",
     "MetricsRegistry",
     "ProfileScope",
-    "NetLoggerExporter",
     "Observability",
     "PRODUCER",
     "SERVER",
-    "SPAN_EVENT",
     "Span",
     "SpanTree",
     "TelemetryScope",
@@ -70,7 +65,6 @@ __all__ = [
     "critical_path_rows",
     "extract",
     "inject",
-    "span_from_wire",
     "span_to_wire",
 ]
 

@@ -30,7 +30,7 @@ from repro.core.daemon import ACEDaemon, Request
 from repro.core.policy import CallPolicy
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.lang.wire import join_wire
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.net import Address
 from repro.obs.cluster.merge import (
     MODE_DELTA,
     MODE_SAME,
@@ -184,7 +184,7 @@ class TelemetryAggregatorDaemon(ACEDaemon):
                         self.publishers[host], ACECmdLine("obsScrape"),
                         policy=policy,
                     )
-                except (CallError, ConnectionClosed, ConnectionRefused):
+                except CallError:
                     continue
                 rows = reply.get("scopes") or ()
                 if rows:
@@ -285,7 +285,7 @@ class TelemetryAggregatorDaemon(ACEDaemon):
                 # obsAlert fires addNotification watchers on the verb.
                 try:
                     yield from self.self_execute(alert_to_command(alert))
-                except (CallError, ConnectionClosed, ConnectionRefused):
+                except CallError:
                     pass
 
     def cmd_obsAlert(self, request: Request) -> dict:

@@ -24,7 +24,6 @@ from repro.core.client import CallError, ServiceClient
 from repro.core.daemon import ACEDaemon, Request
 from repro.core.policy import CallPolicy
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.net import ConnectionClosed, ConnectionRefused
 from repro.obs.cluster.merge import (
     MODE_DELTA,
     MODE_FULL,
@@ -164,7 +163,7 @@ class TelemetryPublisherDaemon(ACEDaemon):
                 reply = yield from self._client.call(
                     target, command, policy=self._policy
                 )
-            except (CallError, ConnectionClosed, ConnectionRefused):
+            except CallError:
                 self.push_failures += 1
                 continue
             self.pushes += 1

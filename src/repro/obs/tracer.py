@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.lang.wire import join_wire
 from repro.obs.context import TraceContext
 
 #: span kinds (who recorded it, from which side of the wire)
@@ -66,6 +67,26 @@ class Span:
         )
 
 
+def span_to_wire(span: Span) -> str:
+    """One span as an escaped ``|`` row — the canonical text the
+    determinism tests and the benchmark ledger hash a span stream with."""
+    notes = ",".join(f"{k}={v}" for k, v in sorted(span.annotations.items()))
+    return join_wire(
+        (
+            span.trace_id,
+            span.span_id,
+            span.parent_id,
+            span.name,
+            span.source,
+            span.kind,
+            f"{span.start:.6f}",
+            f"{span.end:.6f}",
+            span.status,
+            notes,
+        )
+    )
+
+
 ParentLike = Optional[object]  # Span | TraceContext | None
 
 
@@ -96,8 +117,6 @@ class Tracer:
         self._span_seq = 0
         self.spans: List[Span] = []
         self.dropped = 0
-        #: optional exporter hook: called with each finished span
-        self.on_finish: Optional[Callable[[Span], None]] = None
 
     # -- creation ----------------------------------------------------------
     def _next_span_id(self) -> str:
@@ -171,8 +190,6 @@ class Tracer:
             del self.spans[:cut]
             self.dropped += cut
         self.spans.append(span)
-        if self.on_finish is not None:
-            self.on_finish(span)
         return span
 
     # -- queries -----------------------------------------------------------

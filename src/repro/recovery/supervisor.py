@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional
 
-from repro.net import ConnectionClosed, ConnectionRefused
 from repro.core.client import CallError
 from repro.core.leases import LeaseTable
 from repro.services.base import Checkpointable
@@ -14,12 +13,6 @@ CHECKPOINT_PREFIX = "/recovery/checkpoints"
 
 #: MTTR histogram bounds, milliseconds
 _MTTR_BOUNDS = (100.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
-
-def _store_errors() -> Tuple[type, ...]:
-    """Transport-shaped failures on the checkpoint persistence path."""
-    from repro.store.client import StoreUnavailable
-
-    return (StoreUnavailable, CallError, ConnectionClosed, ConnectionRefused)
 
 
 class SupervisorDaemon:
@@ -144,7 +137,7 @@ class SupervisorDaemon:
         try:
             yield from store.put(f"{CHECKPOINT_PREFIX}/{name}", payload)
             self._m_persisted.inc()
-        except _store_errors():
+        except CallError:
             pass
 
     def load_checkpoint(self, name: str) -> Generator:
@@ -154,7 +147,7 @@ class SupervisorDaemon:
             return None
         try:
             attrs = yield from store.get(f"{CHECKPOINT_PREFIX}/{name}")
-        except _store_errors():
+        except CallError:
             return None
         return dict(attrs) if attrs else None
 

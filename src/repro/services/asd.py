@@ -40,7 +40,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.lang.wire import escape_field, split_wire
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.net import Address
 from repro.core.client import CallError, ServiceClient
 from repro.core.daemon import ACEDaemon, Request, ServiceError
 from repro.core.leases import LeaseTable
@@ -49,7 +49,7 @@ from repro.core.notifications import notification_event
 from repro.core.policy import CallPolicy
 
 # Backwards-compatible aliases: the escaping was born here and later
-# promoted to repro.lang.wire so NetLogger and the obs exporter share it.
+# promoted to repro.lang.wire so NetLogger and span rows share it.
 _escape_field = escape_field
 _split_wire = split_wire
 
@@ -344,7 +344,7 @@ class ServiceDirectoryDaemon(ACEDaemon):
             self._m_forwarded.inc()
             self._leader_down_until = 0.0
             return reply
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             self._leader_down_until = self.ctx.sim.now + max(self.sync_interval, 1.0)
             self.ctx.trace.emit(
                 self.ctx.sim.now, self.name, "leader-bypass", cmd=command.name
@@ -368,7 +368,7 @@ class ServiceDirectoryDaemon(ACEDaemon):
             )
             self.replications_sent += 1
             self._m_repl_sent.inc()
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             self._m_repl_failed.inc()
 
     # ------------------------------------------------------------------
@@ -391,7 +391,7 @@ class ServiceDirectoryDaemon(ACEDaemon):
                 self._m_syncs.inc()
             except HostDownError:
                 return  # our own host died; the daemon is gone
-            except (CallError, ConnectionClosed, ConnectionRefused):
+            except CallError:
                 continue
 
     def _sync_with(self, peer: Address) -> Generator:
@@ -807,7 +807,7 @@ def asd_lookup(
             if not isinstance(nxt, int) or nxt <= offset:
                 break
             offset = nxt
-    except (CallError, ConnectionClosed, ConnectionRefused):
+    except CallError:
         cached = registry.recall_lookup(key) if use_cache else None
         if cached is None:
             raise

@@ -29,7 +29,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics, parse_command
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.net import Address
 from repro.core.client import CallError
 from repro.core.daemon import Request, ServiceError
 from repro.services import dsp
@@ -367,6 +367,6 @@ class SpeechToCommandDaemon(StreamDaemon):
         client = self._service_client()
         try:
             yield from client.call(target, parse_command(command_text))
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             self.ctx.trace.emit(self.ctx.sim.now, self.name, "voice-command-failed",
                                 word=word)

@@ -15,7 +15,6 @@ from typing import Generator, Optional, Tuple
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
-from repro.net import ConnectionClosed, ConnectionRefused
 
 
 class DeviceDaemon(ACEDaemon):
@@ -41,7 +40,7 @@ class DeviceDaemon(ACEDaemon):
             reply = yield from client.call(
                 self.ctx.roomdb_address, ACECmdLine("roomDims", room=self.room)
             )
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return
         dims = reply.get("dims")
         if dims and any(float(v) > 0 for v in dims):

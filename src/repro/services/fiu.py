@@ -19,7 +19,6 @@ import numpy as np
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.core.client import CallError
 from repro.core.daemon import Request, ServiceError
-from repro.net import ConnectionClosed, ConnectionRefused
 from repro.services.devices import DeviceDaemon
 
 #: dimensionality of the simulated fingerprint feature space
@@ -104,7 +103,7 @@ class FingerprintUnitDaemon(DeviceDaemon):
             if not auds:
                 return
             reply = yield from client.call(auds[0].address, ACECmdLine("listFingerprints"))
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return
         users = reply.get("users", ())
         templates = reply.get("templates", ())

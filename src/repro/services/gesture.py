@@ -16,7 +16,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics, parse_command
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.net import Address
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
 
@@ -170,7 +170,7 @@ class GestureRecognitionDaemon(ACEDaemon):
             client = self._service_client()
             try:
                 yield from client.call(target, parse_command(command_text))
-            except (CallError, ConnectionClosed, ConnectionRefused):
+            except CallError:
                 self.ctx.trace.emit(self.ctx.sim.now, self.name,
                                     "gesture-command-failed", gesture=name)
         return {"matched": 1, "gesture": name, "distance": round(distance, 6)}

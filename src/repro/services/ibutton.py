@@ -15,7 +15,6 @@ from typing import Generator
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.core.client import CallError
 from repro.core.daemon import Request, ServiceError
-from repro.net import ConnectionClosed, ConnectionRefused
 from repro.services.devices import DeviceDaemon
 
 
@@ -62,7 +61,7 @@ class IButtonReaderDaemon(DeviceDaemon):
             reply = yield from client.call(
                 auds[0].address, ACECmdLine("findByIButton", serial=serial)
             )
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return None
         return reply.str("username")
 

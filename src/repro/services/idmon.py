@@ -15,7 +15,6 @@ from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request
 from repro.core.notifications import CALLBACK_ARGS, ClassWatch, notification_event
-from repro.net import ConnectionClosed, ConnectionRefused
 from repro.services.asd import asd_lookup
 
 #: identification-capable device classes the monitor subscribes to
@@ -92,7 +91,7 @@ class IDMonitorDaemon(ACEDaemon):
                     auds[0].address,
                     ACECmdLine("setLocation", username=username, location=location),
                 )
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             pass
         # Scenario 3/4: bring up the workspace, or a selector for several.
         if self.auto_open_workspace:
@@ -103,7 +102,7 @@ class IDMonitorDaemon(ACEDaemon):
         client = self._service_client()
         try:
             wsses = yield from asd_lookup(client, self.ctx.asd_address, cls="WorkspaceServer")
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return
         if not wsses:
             return
@@ -116,7 +115,7 @@ class IDMonitorDaemon(ACEDaemon):
             listing = yield from client.call(
                 wss_addr, ACECmdLine("listWorkspaces", user=username)
             )
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return
         count = listing.int("count", 0)
         if count == 0:
@@ -134,7 +133,7 @@ class IDMonitorDaemon(ACEDaemon):
                 wss_addr,
                 ACECmdLine("openWorkspace", user=username, display=display),
             )
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             pass
 
     def _device_host(self, request: Request) -> Generator:
@@ -144,7 +143,7 @@ class IDMonitorDaemon(ACEDaemon):
         client = self._service_client()
         try:
             devices = yield from asd_lookup(client, self.ctx.asd_address, name=source)
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return None
         return devices[0].host if devices else None
 
@@ -159,7 +158,7 @@ class IDMonitorDaemon(ACEDaemon):
                     ACECmdLine("logEvent", source=self.name, event="invalid_identification",
                                detail=str(request.command.get("source", "?"))),
                 )
-            except (CallError, ConnectionClosed, ConnectionRefused):
+            except CallError:
                 pass
         return {}
 

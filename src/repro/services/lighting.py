@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.net import ConnectionClosed, ConnectionRefused
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
 from repro.core.notifications import CALLBACK_ARGS, ClassWatch, notification_event
@@ -86,7 +85,7 @@ class LightingControllerDaemon(ACEDaemon):
         try:
             lights = yield from asd_lookup(client, self.ctx.asd_address,
                                            cls="Light", room=room)
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return []
         return lights
 
@@ -99,7 +98,7 @@ class LightingControllerDaemon(ACEDaemon):
                 yield from client.call(
                     light.address, ACECmdLine("setLevel", level=level))
                 changed += 1
-            except (CallError, ConnectionClosed, ConnectionRefused):
+            except CallError:
                 continue
         if changed:
             self.ctx.trace.emit(self.ctx.sim.now, self.name, "lights-set",

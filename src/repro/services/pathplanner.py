@@ -24,7 +24,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 import networkx as nx
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.net import Address
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
 from repro.services.asd import ServiceRecord, asd_lookup
@@ -131,7 +131,7 @@ class PathPlannerDaemon(ACEDaemon):
                     upstream,
                     ACECmdLine("addSink", host=downstream.host, port=downstream.port),
                 )
-            except (CallError, ConnectionClosed, ConnectionRefused) as exc:
+            except CallError as exc:
                 raise ServiceError(f"wiring {upstream} -> {downstream} failed: {exc}")
         self.ctx.trace.emit(
             self.ctx.sim.now, self.name, "path-created",

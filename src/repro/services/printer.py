@@ -13,7 +13,6 @@ from collections import deque
 from typing import Generator, List, Optional
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.net import ConnectionClosed, ConnectionRefused
 from repro.core.client import CallError
 from repro.core.daemon import Request, ServiceError
 from repro.core.daemon import ACEDaemon
@@ -94,7 +93,7 @@ class TaskAutomationDaemon(ACEDaemon):
             reply = yield from client.call(
                 auds[0].address, ACECmdLine("getUser", username=username)
             )
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return None
         location = reply.str("location", "unknown")
         return None if location == "unknown" else location
@@ -122,7 +121,7 @@ class TaskAutomationDaemon(ACEDaemon):
                 ACECmdLine("printDocument", doc=cmd.str("doc"),
                            pages=cmd.int("pages", 1), user=username),
             )
-        except (CallError, ConnectionClosed, ConnectionRefused) as exc:
+        except CallError as exc:
             raise ServiceError(f"printer {printer.name!r} unreachable: {exc}")
         self.ctx.trace.emit(
             self.ctx.sim.now, self.name, "task-automated",

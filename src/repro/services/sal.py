@@ -13,7 +13,6 @@ from typing import Generator, Optional
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
-from repro.net import ConnectionClosed, ConnectionRefused
 from repro.services.asd import ServiceRecord, asd_lookup
 
 
@@ -61,7 +60,7 @@ class SystemApplicationLauncherDaemon(ACEDaemon):
         client = self._service_client()
         try:
             srms = yield from asd_lookup(client, self.ctx.asd_address, cls="SRM")
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return None
         if not srms:
             return None
@@ -70,7 +69,7 @@ class SystemApplicationLauncherDaemon(ACEDaemon):
                 srms[0].address,
                 ACECmdLine("selectHost", min_mem_mb=float(min_mem_mb)),
             )
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return None
         return reply.str("host")
 
@@ -91,7 +90,7 @@ class SystemApplicationLauncherDaemon(ACEDaemon):
                 record.address,
                 ACECmdLine("launch", app=cmd.str("app"), args=cmd.str("args", "")),
             )
-        except (CallError, ConnectionClosed, ConnectionRefused) as exc:
+        except CallError as exc:
             raise ServiceError(f"delegation to {record.name} failed: {exc}")
         self.ctx.trace.emit(
             self.ctx.sim.now, self.name, "app-placed",

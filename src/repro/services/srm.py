@@ -18,7 +18,6 @@ from typing import Dict, Generator, List, Optional
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
-from repro.net import ConnectionClosed, ConnectionRefused
 from repro.services.asd import asd_lookup
 
 
@@ -64,14 +63,14 @@ class SystemResourceMonitorDaemon(ACEDaemon):
             return
         try:
             hrms = yield from asd_lookup(client, self.ctx.asd_address, cls="HRM")
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return
         for record in hrms:
             try:
                 reply = yield from client.call(
                     record.address, ACECmdLine("getResources")
                 )
-            except (CallError, ConnectionClosed, ConnectionRefused):
+            except CallError:
                 self.reports.pop(record.host, None)
                 continue
             self.reports[reply.str("host")] = {

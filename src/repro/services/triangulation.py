@@ -18,7 +18,6 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.net import ConnectionClosed, ConnectionRefused
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
 
@@ -98,7 +97,7 @@ class SoundTriangulationDaemon(ACEDaemon):
         try:
             reply = yield from client.call(
                 self.ctx.roomdb_address, ACECmdLine("whereIs", service=mic))
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return None
         position = reply.get("position")
         if position is None:

@@ -21,7 +21,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.lang.wire import join_wire, split_wire
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.net import Address
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
 from repro.services.asd import asd_lookup
@@ -123,8 +123,6 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
         store = self._store_client()
         if store is None:
             return
-        from repro.store.client import StoreUnavailable
-
         try:
             yield from store.put(self._ws_path(record.user, record.name), {
                 "user": record.user, "name": record.name,
@@ -133,24 +131,20 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
                 "port": str(record.server_port),
             })
             self._m_persisted.inc()
-        except (StoreUnavailable, CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             pass
 
     def _unpersist_record(self, user: str, name: str) -> Generator:
         store = self._store_client()
         if store is None:
             return
-        from repro.store.client import StoreUnavailable
-
         try:
             yield from store.delete(self._ws_path(user, name))
-        except (StoreUnavailable, CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             pass
 
     def _restore_workspaces(self) -> Generator:
         store = self._store_client()
-        from repro.store.client import StoreUnavailable
-
         try:
             paths = yield from store.list("/wss/workspaces")
             for path in paths:
@@ -175,7 +169,7 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
                     self.ctx.sim.now, self.name, "workspaces-restored",
                     count=self.restored,
                 )
-        except (StoreUnavailable, CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             pass
 
     # ------------------------------------------------------------------
@@ -340,6 +334,6 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
                 ACECmdLine("destroySession", session=record.session,
                            admin=self.admin_secret),
             )
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             pass  # server already gone; the record removal is what matters
         return {"removed": 1}

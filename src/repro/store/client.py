@@ -25,9 +25,9 @@ from repro.lang import ACECmdLine
 from repro.net import Address
 from repro.net.host import Host, HostDownError
 
-from repro.core.client import FAILOVER_ERRORS, CallError, ServiceClient
+from repro.core.client import FAILOVER_ERRORS, ServiceClient
 from repro.core.context import DaemonContext
-from repro.core.policy import CallPolicy
+from repro.core.policy import CallPolicy, TransportError
 from repro.store.namespace import decode_attrs, encode_attrs
 from repro.store.sharding import ShardMap, stable_hash
 
@@ -53,7 +53,7 @@ _FAILOVER_ERRORS = FAILOVER_ERRORS + (HostDownError,)
 READ_CACHE_TTL = 5.0
 
 
-class StoreUnavailable(Exception):
+class StoreUnavailable(TransportError):
     """No replica answered."""
 
 
@@ -220,14 +220,12 @@ class StoreClient:
         return attrs
 
     def delete(self, path: str) -> Generator:
+        """False when the object was already absent."""
         self._cache.pop(path, None)
-        try:
-            yield from self._call_with_failover(
-                ACECmdLine("psDelete", path=path), self._write_order(path)
-            )
-            return True
-        except CallError:
-            return False
+        reply = yield from self._call_with_failover(
+            ACECmdLine("psDelete", path=path), self._write_order(path), absent_ok=True
+        )
+        return reply is not None
 
     def list(self, prefix: str = "/") -> Generator:
         """All matching paths, following ``next`` pages transparently and

@@ -27,11 +27,10 @@ from typing import Dict, Generator, List, Optional
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.lang.command import RESERVED_ARGS, error_reply
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.net import Address
 from repro.net.host import HostDownError
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
-from repro.core.policy import DeadlineExceeded, TransportError
 from repro.store.namespace import (
     DIGEST_BUCKETS,
     NamespaceError,
@@ -49,16 +48,6 @@ from repro.services.base import Checkpointable
 #: bounded reply size for psList/psDigest pages and psFetch batches —
 #: the store-side analogue of the ASD's LOOKUP_CHUNK.
 STORE_CHUNK = 32
-
-#: transport-shaped failures on the replication path (a peer may be down;
-#: anti-entropy repairs whatever a failed flush lost).
-_REPL_ERRORS = (
-    CallError,
-    ConnectionClosed,
-    ConnectionRefused,
-    TransportError,
-    DeadlineExceeded,
-)
 
 
 class PersistentStoreDaemon(Checkpointable, ACEDaemon):
@@ -252,7 +241,7 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
                         pipe = yield from client.pipelined(address, attach=False)
                         yield from pipe.call(command, timeout=self.sync_interval)
                         delivered = True
-                    except _REPL_ERRORS:
+                    except CallError:
                         continue
                 if delivered:
                     for obj in batch:
@@ -294,7 +283,7 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
             try:
                 conn = yield from client.connect(address, attach=False)
                 reply = yield from conn.call(command, check=False)
-            except _REPL_ERRORS as exc:
+            except CallError as exc:
                 last = exc
                 continue
             finally:
@@ -374,7 +363,7 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
                 try:
                     pipe = yield from client.pipelined(peer, attach=False)
                     yield from pipe.call(command, timeout=self.sync_interval)
-                except _REPL_ERRORS:
+                except CallError:
                     self._m_repl_failed.inc()
                     self._peer_down_until[peer] = self.ctx.sim.now + self.sync_interval
                     # Re-buffer the failed batch (newest version wins) and
@@ -403,7 +392,7 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
         if self.running and self.batch_replication and self.host.up:
             try:
                 yield from self._flush_all_pending()
-            except (HostDownError, ConnectionClosed, ConnectionRefused):
+            except HostDownError:
                 pass
         yield from super()._shutdown()
 
@@ -426,7 +415,7 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
             self.replications_sent += 1
             self._m_repl_sent.inc()
             return True
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             self._m_repl_failed.inc()
             return False
 
@@ -448,7 +437,7 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
                 self._m_syncs.inc()
             except HostDownError:
                 return  # our own host died; the daemon is gone
-            except (CallError, ConnectionClosed, ConnectionRefused):
+            except CallError:
                 continue
 
     def _sync_with(self, peer: Address) -> Generator:

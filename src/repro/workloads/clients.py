@@ -15,7 +15,7 @@ from typing import Callable, Generator, List, Optional
 from repro.lang import ACECmdLine
 from repro.core.client import CallError, ServiceClient
 from repro.metrics import LatencyRecorder
-from repro.net import Address, ConnectionClosed, ConnectionRefused
+from repro.net import Address
 
 
 def closed_loop_clients(
@@ -49,7 +49,7 @@ def closed_loop_clients(
         client = ServiceClient(env.ctx, host, principal=f"load-{index}")
         try:
             conn = yield from client.connect(target)
-        except (ConnectionRefused, ConnectionClosed, CallError):
+        except CallError:
             return
         iteration = 0
         try:
@@ -71,7 +71,7 @@ def closed_loop_clients(
                 recorder.record(sim.now - t0)
                 iteration += 1
                 yield sim.timeout(think_rng.expovariate(1.0 / think_time) if think_time > 0 else 0)
-        except (ConnectionClosed, CallError):
+        except CallError:
             return
         finally:
             conn.close()
@@ -106,7 +106,7 @@ def open_loop_arrivals(
         t0 = sim.now
         try:
             yield from client.call(target, make_command(index))
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             return
         recorder.record(sim.now - t0)
 
@@ -140,8 +140,6 @@ def store_workload(
     Returns the latency recorder; ``recorder.count`` is the completed-op
     count for throughput math.  Ops that found every replica down are not
     recorded."""
-    from repro.store.client import StoreUnavailable
-
     recorder = recorder or LatencyRecorder()
     sim = env.sim
     stop_at = sim.now + duration
@@ -162,7 +160,7 @@ def store_workload(
                     yield from client.put(path, {"v": str(iteration)})
                 else:
                     yield from client.get(path)
-            except (StoreUnavailable, CallError, ConnectionClosed, ConnectionRefused):
+            except CallError:
                 yield sim.timeout(0.1)
                 continue
             recorder.record(sim.now - t0)
@@ -203,7 +201,7 @@ def user_session_workload(
                 yield from client.call(asd, ACECmdLine("lookup", cls="HRM"))
                 if aud is not None:
                     yield from client.call(aud, ACECmdLine("listUsers"))
-            except (CallError, ConnectionClosed, ConnectionRefused):
+            except CallError:
                 yield sim.timeout(0.5)
                 continue
             recorder.record(sim.now - t0)

@@ -31,7 +31,6 @@ from typing import Generator, List, Optional, Tuple
 from repro.lang import ACECmdLine
 from repro.core.client import CallError, ServiceClient
 from repro.metrics import LatencyRecorder
-from repro.net import ConnectionClosed, ConnectionRefused
 from repro.obs.registry import Histogram
 
 _MASK64 = (1 << 64) - 1
@@ -306,7 +305,7 @@ def _session(env, state: PopulationState, uid: int, region) -> Generator:
         try:
             yield from pool.call(asd, _LOOKUP)
             yield from pool.call(aud, _LIST_USERS)
-        except (CallError, ConnectionClosed, ConnectionRefused):
+        except CallError:
             # CallError includes TransportError: a held channel died
             state.errors += 1
             yield sim.timeout(0.5)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CallError, ServiceClient
+from repro.core import CallError, ServiceClient, TransportError
 from repro.core.client import channel_binding
 from repro.lang import ACECmdLine
 from repro.net import ConnectionRefused
@@ -72,8 +72,10 @@ def test_connect_refused_propagates(ace_echo):
 
     def go():
         client = ace.client()
-        with pytest.raises(ConnectionRefused):
+        with pytest.raises(TransportError) as info:
             yield from client.connect(type(echo.address)("bar", 59999))
+        assert isinstance(info.value.__cause__, ConnectionRefused)
+        assert str(info.value) == str(info.value.__cause__)
 
     ace.run(go())
 

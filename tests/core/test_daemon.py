@@ -180,9 +180,9 @@ def test_stop_deregisters_and_closes(ace_with_echo):
 
     def scenario():
         client = ace.client()
-        from repro.net import ConnectionRefused
+        from repro.core import TransportError
 
-        with pytest.raises(ConnectionRefused):
+        with pytest.raises(TransportError):
             yield from client.connect(echo.address)
 
     ace.run(scenario())

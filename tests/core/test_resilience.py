@@ -11,10 +11,11 @@ from repro.core.policy import (
     CallPolicy,
     CircuitBreaker,
     DeadlineExceeded,
+    TransportError,
 )
 from repro.lang import ACECmdLine
 from repro.lang.command import CLIENT_ID_ARG
-from repro.net import Address, ConnectionRefused
+from repro.net import Address, ConnectionClosed, ConnectionRefused
 from repro.services.asd import asd_lookup
 
 from tests.core.conftest import AceFixture, EchoDaemon
@@ -113,6 +114,111 @@ def test_call_without_addresses_is_an_error(ace):
         ace.run(ace.client().call([], ACECmdLine("ping")))
 
 
+# -- the failure contract: a call fails one way --------------------------------
+
+ONE_TRY = CallPolicy(deadline=3.0, attempt_timeout=2.0, max_attempts=1, breaker_threshold=0)
+ENTRY_POINTS = ("connect", "call", "policy-call", "replica-call", "pool.call", "pipe.call",
+                "held conn.call")
+
+
+def _enter(client, entry, address, command, held=None):
+    """Send ``command`` to ``address`` through one ``ServiceClient`` entry
+    point (``held``: the connection ``held conn.call`` opened beforehand)."""
+    if entry == "connect":
+        conn = yield from client.connect(address)
+        conn.close()
+    elif entry == "call":
+        yield from client.call(address, command)
+    elif entry == "policy-call":
+        yield from client.call(address, command, ONE_TRY)
+    elif entry == "replica-call":
+        yield from client.call([address, address], command, ONE_TRY)
+    elif entry == "pool.call":
+        yield from client.pool.call(address, command)
+    elif entry == "pipe.call":
+        pipe = yield from client.pipelined(address)
+        yield from pipe.call(command)
+    else:
+        yield from held.call(command)
+
+
+def _dies_reading(ace, daemon, verb):
+    """``daemon`` is killed while a ``verb`` command is on the wire to it:
+    the request was sent, the process that would have answered is gone."""
+    arrive = ace.net._arrive_stream
+
+    def arrive_or_die(peer, payload):
+        if daemon.running and peer.host is daemon.host and str(payload).startswith(verb):
+            daemon.kill()
+        else:
+            arrive(peer, payload)
+
+    ace.net._arrive_stream = arrive_or_die
+
+
+@pytest.mark.parametrize("fault", ["nothing-listening", "host-crashed", "killed-mid-call"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_nobody_answering_is_a_transport_error(ace_with_echo, entry, fault):
+    """Whatever the entry point and however the endpoint went away, the
+    caller sees ``TransportError`` — the socket error is its ``__cause__``
+    and its text is in the message (a failed dial's message *is* that text)."""
+    ace, echo = ace_with_echo
+    client = ace.client(principal="contract")
+    address = echo.address
+    held = ace.run(client.connect(address)) if entry == "held conn.call" else None
+    verb = "attach" if entry == "connect" else "echo"
+    if fault == "killed-mid-call":
+        _dies_reading(ace, echo, verb)
+    elif fault == "host-crashed":
+        ace.net.crash_host("bar")
+    elif held is None:
+        address = Address("bar", 59999)
+    else:
+        echo.stop()
+        ace.sim.run(until=ace.sim.now + 1.0)
+
+    def flow():
+        with pytest.raises(CallError) as info:
+            yield from _enter(client, entry, address, ACECmdLine("echo", text="x"), held)
+        return info.value
+
+    exc = ace.run(flow())
+    assert type(exc) is TransportError and exc.reply is None
+    cause = exc.__cause__
+    # A replica call reports its last replica: dead by the time it is dialed.
+    lost = held is not None or (fault == "killed-mid-call" and entry != "replica-call")
+    if not lost:
+        assert isinstance(cause, ConnectionRefused) and str(exc) == str(cause)
+        assert str(exc) == (f"no route to {address}" if fault == "host-crashed"
+                            else f"nothing listening at {address}")
+    elif entry == "pipe.call":
+        assert isinstance(cause, ConnectionClosed)
+        assert str(exc) == f"pipeline channel closed: peer closed {address}"
+    else:
+        assert isinstance(cause, ConnectionClosed)
+        assert str(exc) == f"connection lost during {verb!r}: peer closed {address}"
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_cmd_failed_is_exactly_call_error(ace_with_echo, entry):
+    """The service answered: exactly ``CallError``, carrying the reply."""
+    ace, echo = ace_with_echo
+    client = ace.client(principal="contract")
+    held = ace.run(client.connect(echo.address)) if entry == "held conn.call" else None
+    if entry == "connect":   # the only command connect sends is the attach
+        echo._handle_attach = lambda command, channel: ("nobody", False, "intentional failure")
+
+    def flow():
+        with pytest.raises(CallError) as info:
+            yield from _enter(client, entry, echo.address, ACECmdLine("boom"), held)
+        return info.value
+
+    exc = ace.run(flow())
+    assert type(exc) is CallError
+    assert exc.reply.name == "cmdFailed" and exc.reply["reason"] == "intentional failure"
+    assert ace.ctx.obs.metrics.counter("rpc.failover").value == 0
+
+
 # -- deadlines ----------------------------------------------------------------
 
 def test_deadline_bounds_slow_call(ace_with_echo):
@@ -195,7 +301,7 @@ def test_breaker_opens_sheds_and_recovers():
     ace.net.crash_host("bar")
     stats = ace.ctx.resilience.stats
     for _ in range(2):  # threshold failures trip the breaker
-        with pytest.raises(ConnectionRefused):
+        with pytest.raises(TransportError):
             ace.run(one_call())
     assert stats.breaker_trips == 1
     breaker = ace.ctx.resilience.breaker(address, policy)

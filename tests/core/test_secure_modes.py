@@ -9,15 +9,18 @@ import random
 
 import pytest
 
-from repro.core import CallError, DaemonContext, ServiceClient
+from repro.core import CallError, CallPolicy, DaemonContext, ServiceClient, TransportError
+from repro.core.client import FAILOVER_POLICY
 from repro.core.context import SecurityMode
 from repro.lang import ACECmdLine
-from repro.net import Network
+from repro.net import HandshakeError, Network
 from repro.net.address import WellKnownPorts
+from repro.net.secure import _Record
 from repro.security.crypto import CertificateAuthority, KeyPair
 from repro.security.keynote import Assertion
 from repro.services.asd import ServiceDirectoryDaemon
 from repro.services.authdb import AuthorizationDatabaseDaemon, encode_credential
+from repro.services.printer import PrinterDaemon, TaskAutomationDaemon
 from repro.sim import RngRegistry, Simulator
 
 from tests.core.conftest import EchoDaemon
@@ -203,3 +206,124 @@ def test_ping_always_allowed():
         return reply
 
     assert sim.run_process(scenario(), timeout=30.0).name == "cmdOk"
+
+
+# -- a failed handshake or record check is a call failure, not a crash --------
+
+def _rogue(daemon):
+    """Swap the daemon's certificate for one issued by a CA nobody trusts
+    (same CA name, different key)."""
+    rogue = CertificateAuthority(random.Random(99))
+    daemon.keypair, daemon.certificate = rogue.issue_keypair(daemon.name)
+
+
+def _rpc_delta(ctx, before):
+    after = ctx.resilience.stats.snapshot()
+    return {k: after[k] - before[k] for k in after if after[k] != before[k]}
+
+
+@pytest.mark.parametrize("bad", ["wrong-subject", "rogue-ca"])
+@pytest.mark.parametrize("how", ["plain", "policy", "replicas"])
+def test_failed_handshake_is_a_transport_error(how, bad):
+    sim, net, ctx, asd, authdb, echo = build_secure_ace(SecurityMode.SSL)
+    if bad == "rogue-ca":
+        _rogue(echo)
+        connect_kw, text = {}, "untrusted certificate for 'echo1'"
+    else:
+        connect_kw = {"expected_subject": "someone.else"}
+        text = "certificate subject 'echo1' != expected 'someone.else'"
+    policy = None if how == "plain" else CallPolicy(
+        deadline=2.0, attempt_timeout=1.0, max_attempts=1, breaker_threshold=5)
+    target = [echo.address, echo.address] if how == "replicas" else echo.address
+    client = ServiceClient(ctx, net.host("infra"), principal="user:alice")
+    before = ctx.resilience.stats.snapshot()
+
+    def scenario():
+        with pytest.raises(CallError) as info:
+            yield from client.call(target, ACECmdLine("echo", text="hi"), policy, **connect_kw)
+        return info.value
+
+    exc = sim.run_process(scenario(), timeout=30.0)
+    assert type(exc) is TransportError
+    assert isinstance(exc.__cause__, HandshakeError)
+    assert str(exc) == str(exc.__cause__) == text
+    attempts = {"plain": 0, "policy": 1, "replicas": 2}[how]
+    # Booked as a failure each time — not a call with nothing beside it.
+    assert _rpc_delta(ctx, before) == (
+        {"calls": attempts, "failures": attempts} if attempts else {})
+    if policy is not None:
+        assert ctx.resilience.breaker(echo.address, policy).failures == attempts
+    assert ctx.obs.metrics.counter("rpc.failover").value == (how == "replicas")
+
+
+def test_replica_call_routes_around_a_bad_certificate():
+    sim, net, ctx, asd, authdb, bad = build_secure_ace(SecurityMode.SSL)
+    good = EchoDaemon(ctx, "echo2", net.make_host("baz", room="hawk"), room="hawk")
+    good.start()
+    sim.run(until=sim.now + 1.0)
+    _rogue(bad)
+    client = ServiceClient(ctx, net.host("infra"), principal="user:alice")
+    before = ctx.resilience.stats.snapshot()
+    reply = sim.run_process(client.call(
+        [bad.address, good.address], ACECmdLine("echo", text="hi"), policy=FAILOVER_POLICY,
+    ), timeout=30.0)
+    assert reply["by"] == "echo2"
+    assert ctx.obs.metrics.counter("rpc.failover").value == 1
+    assert _rpc_delta(ctx, before) == {"calls": 2, "failures": 1, "successes": 1}
+    assert ctx.resilience.breaker(bad.address, FAILOVER_POLICY).failures == 1
+    assert ctx.resilience.breaker(good.address, FAILOVER_POLICY).failures == 0
+
+
+def test_service_takes_its_fallback_when_its_callee_presents_a_bad_certificate():
+    """The handler's ``except CallError`` covers the handshake: the caller
+    gets the service's ``cmdFailed`` and the handler thread keeps serving."""
+    sim, net, ctx, asd, authdb, echo = build_secure_ace(SecurityMode.SSL)
+    printer = PrinterDaemon(ctx, "printer1", net.make_host("lab", room="hawk"), room="hawk")
+    tasks = TaskAutomationDaemon(ctx, "tasks", net.host("infra"))
+    printer.start()
+    tasks.start()
+    sim.run(until=sim.now + 2.0)
+    _rogue(printer)
+    client = ServiceClient(ctx, net.host("infra"), principal="user:alice")
+
+    def scenario():
+        with pytest.raises(CallError, match="'printer1' unreachable: untrusted certificate") as info:
+            yield from client.call(
+                tasks.address, ACECmdLine("printNearest", user="alice", doc="thesis.ps"))
+        assert type(info.value) is CallError   # the service answered
+        reply = yield from client.call(tasks.address, ACECmdLine("ping"))
+        return reply
+
+    assert sim.run_process(scenario(), timeout=30.0).name == "cmdOk"
+    assert tasks.commands_served == 2
+
+
+def test_replayed_record_mid_call_is_a_transport_error():
+    """A record check that fails on a held channel surfaces from
+    ``conn.call`` like any lost channel, and ``pool.call`` drops the channel."""
+    sim, net, ctx, asd, authdb, echo = build_secure_ace(SecurityMode.SSL)
+    client = ServiceClient(ctx, net.host("infra"), principal="user:alice")
+    slow = ACECmdLine("slowEcho", text="x", delay=0.5)
+
+    def replay(conn):
+        # On-path attacker: re-send the daemon's record 0 (the attach reply
+        # used that nonce) while the client waits for the real reply.
+        yield sim.timeout(0.1)
+        yield from conn.channel.conn.peer.send(_Record((0).to_bytes(8, "big"), b"x", b"y" * 16))
+
+    def scenario():
+        held = yield from client.connect(echo.address)
+        sim.process(replay(held))
+        with pytest.raises(TransportError, match="replay or reorder") as info:
+            yield from held.call(slow)
+        assert isinstance(info.value.__cause__, HandshakeError)
+
+        pool = client.pool
+        pooled = yield from pool.acquire(echo.address)
+        pool.release(echo.address, pooled)
+        sim.process(replay(pooled))
+        with pytest.raises(TransportError, match="replay or reorder"):
+            yield from pool.call(echo.address, slow)
+        assert pooled.closed and pool._idle[echo.address] == []
+
+    sim.run_process(scenario(), timeout=30.0)

@@ -140,7 +140,6 @@ def inject_gray_failure(env, *, duration=4.0, peak_loss=0.95):
     shared RPC stats' ``failures`` counter spikes while everything else
     keeps working — the classic gray failure."""
     from repro.core.client import CallError
-    from repro.net import ConnectionClosed, ConnectionRefused
 
     plan = FaultPlan().flaky_link(  # offsets are relative to start()
         "infra", "lab1", at=0.1, duration=duration,
@@ -156,7 +155,7 @@ def inject_gray_failure(env, *, duration=4.0, peak_loss=0.95):
                 yield from client.call(
                     target, ACECmdLine("echo", text=f"g{i}"), CallPolicy()
                 )
-            except (CallError, ConnectionClosed, ConnectionRefused):
+            except CallError:
                 pass
             yield env.sim.timeout(0.05)
 

@@ -59,15 +59,6 @@ def test_span_cap_drops_oldest_decile():
     assert tracer.spans[0].name == "r10"
 
 
-def test_on_finish_hook_fires():
-    tracer, _ = make_tracer()
-    got = []
-    tracer.on_finish = got.append
-    span = tracer.start_trace("req", "cli")
-    tracer.finish(span)
-    assert got == [span]
-
-
 def test_tree_walk_orders_siblings_by_start():
     tracer, clock = make_tracer()
     root = tracer.start_trace("req", "cli")

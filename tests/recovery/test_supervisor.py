@@ -87,16 +87,21 @@ def test_kill_and_recover_store_replica():
     assert any(reincarnation is d for grp in env._store_groups for d in grp)
 
 
-def test_wss_state_survives_kill():
+def plant_workspace(wss):
+    """Behind WSS's own persistence: only a checkpoint can carry it over."""
     from repro.services.wss import WorkspaceRecord
 
-    env, _ = build(seed=7)
-    wss = env.daemons["wss"]
     wss.workspaces[("ada", "ada-default")] = WorkspaceRecord(
         user="ada", name="ada-default", session="ada-default",
         password="pw42", server_service="vnc.ada-default",
         server_host="infra", server_port=7001,
     )
+
+
+def test_wss_state_survives_kill():
+    env, _ = build(seed=7)
+    wss = env.daemons["wss"]
+    plant_workspace(wss)
     env.run_for(3.0)
     wss.kill()
     env.run_for(SUSPICION + 3.0)
@@ -107,6 +112,50 @@ def test_wss_state_survives_kill():
     record = reincarnation.workspaces[("ada", "ada-default")]
     assert record.password == "pw42"
     assert record.server_port == 7001
+
+
+@pytest.mark.parametrize("store_up", [True, False], ids=["store-up", "store-down"])
+def test_a_supervisor_holding_no_copy_restores_from_the_store(store_up):
+    """``load_checkpoint``: a supervisor that itself came back has only the
+    durable copy under ``/recovery/checkpoints``.  With every store replica
+    down the restart still happens, from a blank slate — the store's
+    failure stays inside ``persist_checkpoint`` / ``load_checkpoint``."""
+    env, supervisors = build(seed=7)
+    sup = supervisors["infra"]
+    wss = env.daemons["wss"]
+    plant_workspace(wss)
+    env.run_for(3.0)   # WSS checkpoints into the store
+    stored = env.run(env.store_client(wss.host).get("/recovery/checkpoints/wss"))
+    assert stored == sup._checkpoints["wss"]
+    if not store_up:
+        for group in env._store_groups:
+            for replica in group:
+                env.net.crash_host(replica.host.name)
+        persisted = sup._m_persisted.value
+        env.run_for(2.0)   # checkpoint rounds go on; none reaches the store
+        assert sup._m_persisted.value == persisted
+    wss.kill()
+    sup._checkpoints.clear()   # the in-memory copies died with the old supervisor
+    env.run_for(SUSPICION + 3.0)
+
+    reincarnation = env.daemons["wss"]
+    assert reincarnation is not wss
+    assert reincarnation.running and reincarnation.incarnation == 1
+    restarted = env.ctx.trace.last("daemon-restarted")
+    assert restarted.detail["service"] == "wss"
+    listing = env.run(env.client(wss.host, principal="probe").call(
+        reincarnation.address, ACECmdLine("listWorkspaces", user="ada")
+    ))
+    if store_up:
+        assert restarted.detail["restored"] == 1
+        assert listing.get("workspaces") == ("ada-default",)
+    else:
+        assert restarted.detail["restored"] == 0
+        assert listing.int("count") == 0
+    # The supervisor's loops outlived the store: the next death is handled too.
+    env.daemons["roomdb"].kill()
+    env.run_for(SUSPICION + 3.0)
+    assert env.daemons["roomdb"].incarnation == 1 and sup.restarts == 2
 
 
 def test_false_suspicion_during_partition_spawns_no_second_incarnation():

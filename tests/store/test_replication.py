@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import CallError, TransportError
 from repro.env import ACEEnvironment
 from repro.store import StoreClient, StoreUnavailable
 
@@ -123,6 +124,29 @@ def test_unavailable_when_all_replicas_down(store_env):
     assert _store_counter(env, "unavailable") == 1
 
 
+@pytest.mark.parametrize("op", ["get", "put", "delete"])
+def test_every_replica_down_is_a_call_error(store_env, op):
+    """``StoreUnavailable`` is a ``TransportError``: a caller's one
+    ``except CallError`` covers the store too — and ``delete`` raises it
+    rather than reporting the object absent."""
+    env = store_env
+    client = env.store_client(env.net.host("infra"))
+    for host in ("store1", "store2", "store3"):
+        env.net.crash_host(host)
+
+    def scenario():
+        args = ({"v": "1"},) if op == "put" else ()
+        try:
+            yield from getattr(client, op)("/x", *args)
+        except CallError as exc:
+            return exc
+
+    exc = env.run(scenario())
+    assert type(exc) is StoreUnavailable and isinstance(exc, TransportError)
+    assert exc.reply is None and "all replicas failed" in str(exc)
+    assert _store_counter(env, "unavailable") == 1
+
+
 def test_rejoined_replica_catches_up():
     """Crash a replica, write while it is gone, restart it: anti-entropy
     brings it back to 'the same exact data'."""
@@ -174,6 +198,9 @@ def test_delete_replicates(store_env):
     assert value is None
     for name in ("ps1", "ps2", "ps3"):
         assert env.daemon(name).namespace.get("/x") is None
+    # Nothing left to delete: the replica answers cmdFailed, not an error.
+    assert env.run(client.delete("/x")) is False
+    assert _store_counter(env, "unavailable") == 0
 
 
 def test_concurrent_writers_converge():

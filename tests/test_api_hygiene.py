@@ -130,6 +130,8 @@ RETIRED_NAMES = frozenset({
     "call_once", "call_pooled", "call_pipelined", "call_failover",
     "call_resilient", "batch_lease_renewals", "obs_export", "authdb_lookup",
     "AppHandle", "jini_discover", "rmi_roundtrip_size", "secure_pair",
+    "_REPL_ERRORS", "_store_errors", "NetLoggerExporter", "span_from_wire",
+    "SPAN_EVENT", "METRICS_EVENT", "on_finish",
 })
 
 
@@ -254,3 +256,46 @@ def test_fig8_has_one_listener():
     assert subscribers == ["repro/core/notifications.py"]
     assert trigger_specs == {"repro/core/notifications.py", "repro/services/asd.py"}
     assert parsing_callbacks == []
+
+
+#: what ``repro.net`` raises; ``core/client.py`` turns each into a
+#: ``TransportError``, so only code holding a raw socket may name them
+SOCKET_ERRORS = frozenset({"ConnectionClosed", "ConnectionRefused", "HandshakeError"})
+RAW_SOCKET_CODE = ("repro/net/", "repro/core/client.py", "repro/core/daemon.py",
+                   "repro/baselines/rmi.py", "repro/baselines/jini.py")
+
+
+def test_a_call_fails_one_way():
+    """``CallError`` is the only exception a ``ServiceClient`` caller
+    handles: no ``except`` clause, ``isinstance`` tuple or named error tuple
+    lists one of its family beside a socket-layer exception, and under
+    ``src/`` only raw-socket code spells the socket layer's names at all."""
+    import repro.store  # noqa: F401  (StoreUnavailable joins the family)
+    from repro.core import CallError
+
+    family, pending = set(), [CallError]
+    while pending:
+        cls = pending.pop()
+        family.add(cls.__name__)
+        pending += cls.__subclasses__()
+    assert {"TransportError", "StoreUnavailable"} <= family
+
+    def spelled(node):
+        return {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+                for n in ast.walk(node)}
+
+    mixed, holders = [], set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            where = str(path.relative_to(REPO / top))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Tuple):
+                    names = spelled(node)
+                    if names & family and names & SOCKET_ERRORS:
+                        mixed.append(f"{top}/{where}:{node.lineno}")
+            if top == "src" and spelled(tree) & SOCKET_ERRORS:
+                holders.add(where)
+    assert mixed == [], "CallError beside a socket error:\n" + "\n".join(mixed)
+    stray = sorted(w for w in holders if not w.startswith(RAW_SOCKET_CODE))
+    assert stray == [], f"socket-layer exceptions named outside raw-socket code: {stray}"
