@@ -3,16 +3,16 @@
 The paper's wishlist: clients should "quickly resume their tasks with
 other service instances" when a daemon dies.  Measure the client-visible
 outage with a plain connection (must wait for the ASD lease to expire,
-re-lookup by hand) vs the mobile socket (immediate failover).
+re-lookup by hand) vs a call that names the service class (the listed
+instances are its replicas: immediate failover).
 """
 
 import pytest
 
-from repro.core.mobile import MobileServiceConnection
 from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
 from repro.metrics import ResultTable
-from repro.core.client import CallError
+from repro.core.client import FAILOVER_POLICY, CallError, Service
 from repro.services.asd import asd_lookup
 from tests.core.conftest import EchoDaemon
 
@@ -34,19 +34,18 @@ def test_x1_failover_outage(benchmark, table_printer):
     ))
 
     def run():
-        # --- mobile socket -------------------------------------------------
+        # --- a call that names the service, not an address -----------------
         env = build()
         client = env.client(env.net.host("infra"), principal="mobile")
-        mobile = MobileServiceConnection(client, env.asd_address, cls="Echo")
 
         def mobile_session():
-            yield from mobile.connect()
-            victim = env.daemons[mobile.current.name]
-            yield from mobile.call(ACECmdLine("echo", text="warm"))
+            echo = Service(cls="Echo")
+            warm = yield from client.call(
+                echo, ACECmdLine("echo", text="warm"), policy=FAILOVER_POLICY)
             t0 = env.sim.now
-            env.net.crash_host(victim.host.name)
-            yield from mobile.call(ACECmdLine("echo", text="after"))
-            mobile.close()
+            env.net.crash_host(env.daemons[warm["by"]].host.name)
+            yield from client.call(
+                echo, ACECmdLine("echo", text="after"), policy=FAILOVER_POLICY)
             return env.sim.now - t0
 
         mobile_outage = env.run(mobile_session())
@@ -86,8 +85,8 @@ def test_x1_failover_outage(benchmark, table_printer):
     mobile_outage, naive_outage = benchmark.pedantic(run, rounds=1, iterations=1)
     table.add("mobile socket", round(mobile_outage, 3))
     table.add("naive (wait for lease purge)", round(naive_outage, 3))
-    # Shape: the mobile socket recovers in ~one liveness timeout (1 s),
-    # far faster than waiting for lease expiry.
+    # Shape: the call recovers in one FAILOVER_POLICY.attempt_timeout
+    # (1 s), far faster than waiting for lease expiry.
     assert mobile_outage < 1.5
     assert naive_outage > 5.0  # roughly a lease duration
     assert mobile_outage < naive_outage / 4

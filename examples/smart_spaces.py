@@ -11,7 +11,8 @@ Run:  python examples/smart_spaces.py
 """
 
 from repro import ACECmdLine
-from repro.core.mobile import MobileServiceConnection
+from repro.core import Service
+from repro.core.client import FAILOVER_POLICY
 from repro.env.scenarios import scenario_1_new_user, standard_environment
 from repro.lang import parse_command
 from repro.services.audio import SpeechToCommandDaemon, TextToSpeechDaemon
@@ -83,19 +84,19 @@ def main() -> None:
 
     # --- mobile sockets ---------------------------------------------------------
     client = env.client(infra, principal="mobile-demo")
-    mobile = MobileServiceConnection(client, env.asd_address, cls="Printer")
 
     def mobile_demo():
-        yield from mobile.connect()
-        first = mobile.current.name
-        yield from mobile.call(ACECmdLine("getQueue"))
-        env.net.crash_host(env.daemons[first].host.name)
-        yield from mobile.call(ACECmdLine("getQueue"))
-        return first, mobile.current.name
+        # The call names the service, not an address.
+        printer = Service(cls="Printer")
+        first = yield from client.call(printer, ACECmdLine("getInfo"), FAILOVER_POLICY)
+        env.net.crash_host(first["host"])
+        t0 = env.sim.now
+        second = yield from client.call(printer, ACECmdLine("getInfo"), FAILOVER_POLICY)
+        return first["name"], second["name"], env.sim.now - t0
 
-    first, second = env.run(mobile_demo())
-    print(f"mobile socket: bound to {first}, host crashed, resumed on {second} "
-          f"in {mobile.last_failover_time * 1e3:.1f} ms")
+    first, second, outage = env.run(mobile_demo())
+    print(f"mobile socket: answered by {first}, host crashed, resumed on {second} "
+          f"in {outage * 1e3:.1f} ms")
 
 
 if __name__ == "__main__":

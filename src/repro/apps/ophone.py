@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.net import Address
-from repro.core.client import CallError
+from repro.core.client import CallError, Service
 from repro.core.daemon import Request, ServiceError
 from repro.services import dsp
 from repro.services.audio import CHUNK_PERIOD
@@ -107,11 +107,8 @@ class OPhoneDaemon(StreamDaemon):
         username = request.command.str("user")
         client = self._service_client()
         try:
-            auds = yield from asd_lookup(client, self.ctx.asd_address, name="aud")
-            if not auds:
-                raise ServiceError("no user database available")
             user_reply = yield from client.call(
-                auds[0].address, ACECmdLine("getUser", username=username)
+                Service(name="aud"), ACECmdLine("getUser", username=username)
             )
         except CallError as exc:
             raise ServiceError(f"cannot resolve user {username!r}: {exc}")

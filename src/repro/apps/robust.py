@@ -24,7 +24,7 @@ from repro.net.host import HostDownError
 from repro.sim import Interrupt
 
 from repro.apps.runner import Application, AppClass, _parse_kv
-from repro.core.client import CallError
+from repro.core.client import CallError, Service
 from repro.core.daemon import ACEDaemon, Request, ServiceError
 from repro.core.notifications import CALLBACK_ARGS, ClassWatch, notification_event
 from repro.services.asd import asd_lookup
@@ -143,14 +143,11 @@ class RestartManagerDaemon(ACEDaemon):
     def _launch(self, managed: ManagedApp, prefer_host: Optional[str]) -> Generator:
         """Place via the SAL (restart apps pin their original host)."""
         client = self._service_client()
-        sals = yield from asd_lookup(client, self.ctx.asd_address, cls="SAL")
-        if not sals:
-            raise ServiceError("no SAL to launch through")
         command = ACECmdLine(
             "launchApp", app=managed.factory, args=managed.args,
             **({"host": prefer_host} if prefer_host else {}),
         )
-        reply = yield from client.call(sals[0].address, command)
+        reply = yield from client.call(Service(cls="SAL"), command)
         managed.host = reply.str("host")
         managed.pid = reply.int("pid")
         self._by_pid[managed.pid] = managed.app_id
@@ -215,7 +212,7 @@ class RestartManagerDaemon(ACEDaemon):
             prefer = None
         try:
             yield from self._launch(managed, prefer)
-        except (ServiceError, CallError):
+        except CallError:
             return
         managed.restarts += 1
         self.recoveries += 1

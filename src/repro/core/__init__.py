@@ -20,6 +20,7 @@ from repro.core.client import (
     CallError,
     ConnectionPool,
     PipelinedConnection,
+    Service,
     ServiceClient,
     ServiceConnection,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "Request",
     "ResilienceRegistry",
     "SecurityMode",
+    "Service",
     "ServiceClient",
     "ServiceConnection",
     "ServiceError",

@@ -13,6 +13,7 @@ and parses the reply string back into an ACECmdLine.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Generator, Iterable, Optional, Union
 
@@ -55,6 +56,19 @@ FAILOVER_POLICY = CallPolicy(
 )
 
 Channel = Union[Connection, SecureChannel]
+
+
+@dataclass(frozen=True)
+class Service:
+    """A call target that names *what* is wanted, not where it runs: the
+    ``lookup`` command's three query arguments (Fig. 7)."""
+
+    name: Optional[str] = None
+    cls: Optional[str] = None
+    room: Optional[str] = None
+
+    def __str__(self) -> str:
+        return " ".join(f"{k}={v!r}" for k, v in vars(self).items() if v is not None)
 
 
 def channel_binding(channel: Channel) -> str:
@@ -523,7 +537,7 @@ class ServiceClient:
 
     def call(
         self,
-        target: Union[Address, Iterable[Address]],
+        target: Union[Address, Iterable[Address], Service],
         command: ACECmdLine,
         policy: Optional[CallPolicy] = None,
         *,
@@ -544,6 +558,9 @@ class ServiceClient:
           (``ctx.idempotent_retries``) and traced as one ``rpc:<cmd>`` span.
         * a sequence of replica addresses as ``target``: each is tried in
           turn under the same ``policy``; :data:`FAILOVER_ERRORS` move on.
+        * a :class:`Service` as ``target``: the directory is asked first and
+          the instances it lists are the replicas, one that has failed
+          since it last answered going last.
 
         With ``check`` a ``cmdFailed`` reply raises :class:`CallError` at
         once — never retried or failed over: the service answered, and its
@@ -553,6 +570,8 @@ class ServiceClient:
         ``CallError``.  ``connect_kw`` goes to :meth:`connect`.
         """
         if not isinstance(target, Address):
+            if isinstance(target, Service):
+                return self._call_service(target, command, policy, check, connect_kw)
             return self._call_replicas(target, command, policy, check, connect_kw)
         if policy is None:
             return self._dial_call_close(target, command, check, **connect_kw)
@@ -617,8 +636,32 @@ class ServiceClient:
         return command.with_args(**{CLIENT_ID_ARG: self._stamp_id, CLIENT_SEQ_ARG: seq})
 
     # ------------------------------------------------------------------
-    # The layers under call(): replica loop → policy loop → one attempt
+    # The layers under call(): directory lookup → replica loop → policy
+    # loop → one attempt
     # ------------------------------------------------------------------
+    def _call_service(
+        self, service: Service, command: ACECmdLine, policy: Optional[CallPolicy],
+        check: bool, connect_kw: dict,
+    ) -> Generator:
+        """Fig. 7 written once: ask the ASD *what*, then call *where*."""
+        from repro.services.asd import asd_lookup
+
+        records = yield from asd_lookup(
+            self, name=service.name, cls=service.cls, room=service.room
+        )
+        if not records:
+            raise CallError(f"no service matching {service}")
+        # The directory lists a corpse until its lease lapses; the breakers
+        # remember who stopped answering, so later calls try it last
+        # instead of paying its attempt timeout again.
+        addresses = sorted(
+            (record.address for record in records), key=self.ctx.resilience.suspect
+        )
+        reply = yield from self._call_replicas(
+            addresses, command, policy, check, connect_kw
+        )
+        return reply
+
     def _call_replicas(
         self, addresses, command: ACECmdLine, policy: Optional[CallPolicy],
         check: bool, connect_kw: dict,

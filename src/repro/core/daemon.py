@@ -731,7 +731,9 @@ class ACEDaemon(NotificationMixin):
             try:
                 yield from self.host.execute(self.ctx.dispatch_work)
                 reply = yield from self._execute(request)
-            except ServiceError as exc:
+            except (ServiceError, CallError) as exc:
+                # CallError: a service this handler called did not answer it
+                # (or answered cmdFailed) — this command's failure, not the daemon's
                 reply = error_reply(request.command, str(exc))
             except HostDownError:
                 obs.tracer.finish(request.span, status="host-down")

@@ -182,6 +182,11 @@ class ResilienceRegistry:
             self._breakers[address] = breaker
         return breaker
 
+    def suspect(self, address: Any) -> bool:
+        """Has ``address`` failed a policy call since it last answered one?"""
+        breaker = self._breakers.get(address)
+        return breaker is not None and (breaker.state != CLOSED or breaker.failures > 0)
+
     def breaker_states(self) -> Dict[str, str]:
         """address -> state, for traces and experiment tables."""
         return {str(addr): b.state for addr, b in self._breakers.items()}

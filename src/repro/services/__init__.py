@@ -37,7 +37,6 @@ from repro.services.asd import (
     ServiceDirectoryDaemon,
     ServiceRecord,
     asd_lookup,
-    asd_lookup_one,
 )
 from repro.services.aud import UserDatabaseDaemon, UserRecord
 from repro.services.base import DatabaseDaemon
@@ -134,7 +133,6 @@ __all__ = [
     "VCC4CameraDaemon",
     "WorkspaceServerDaemon",
     "asd_lookup",
-    "asd_lookup_one",
     "decode_credential",
     "encode_credential",
 ]

@@ -833,11 +833,3 @@ def asd_lookup(
         # register push purges this entry as soon as the name reappears.
         ctx.lookup_cache.put(key, (), ctx.sim.now, 0.0)
     return records
-
-
-def asd_lookup_one(client, asd_address=None, **query) -> Generator:
-    """Like :func:`asd_lookup` but returns exactly one record or raises."""
-    records = yield from asd_lookup(client, asd_address, **query)
-    if not records:
-        raise CallError(f"no service matching {query!r}")
-    return records[0]

@@ -17,7 +17,7 @@ from typing import Dict, Generator, Optional, Tuple
 import numpy as np
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.core.client import CallError
+from repro.core.client import CallError, Service
 from repro.core.daemon import Request, ServiceError
 from repro.services.devices import DeviceDaemon
 
@@ -91,18 +91,11 @@ class FingerprintUnitDaemon(DeviceDaemon):
             yield self.ctx.sim.timeout(self.reload_interval)
 
     def _load_templates(self) -> Generator:
-        from repro.services.asd import asd_lookup
-
-        if self.ctx.asd_address is None:
-            return
         client = self._service_client()
         try:
-            auds = yield from asd_lookup(client, self.ctx.asd_address, cls="UserDatabase")
-            if not auds:
-                auds = yield from asd_lookup(client, self.ctx.asd_address, name="aud")
-            if not auds:
-                return
-            reply = yield from client.call(auds[0].address, ACECmdLine("listFingerprints"))
+            reply = yield from client.call(
+                Service(cls="UserDatabase"), ACECmdLine("listFingerprints")
+            )
         except CallError:
             return
         users = reply.get("users", ())

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.core.client import CallError
+from repro.core.client import CallError, Service
 from repro.core.daemon import Request, ServiceError
 from repro.services.devices import DeviceDaemon
 
@@ -49,17 +49,10 @@ class IButtonReaderDaemon(DeviceDaemon):
         )
 
     def _find_user(self, serial: str) -> Generator:
-        from repro.services.asd import asd_lookup
-
-        if self.ctx.asd_address is None:
-            return None
         client = self._service_client()
         try:
-            auds = yield from asd_lookup(client, self.ctx.asd_address, name="aud")
-            if not auds:
-                return None
             reply = yield from client.call(
-                auds[0].address, ACECmdLine("findByIButton", serial=serial)
+                Service(name="aud"), ACECmdLine("findByIButton", serial=serial)
             )
         except CallError:
             return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.core.client import CallError
+from repro.core.client import CallError, Service
 from repro.core.daemon import ACEDaemon, Request
 from repro.core.notifications import CALLBACK_ARGS, ClassWatch, notification_event
 from repro.services.asd import asd_lookup
@@ -85,12 +85,10 @@ class IDMonitorDaemon(ACEDaemon):
         client = self._service_client()
         # Scenario 2: update the user's current location in the AUD.
         try:
-            auds = yield from asd_lookup(client, self.ctx.asd_address, name="aud")
-            if auds:
-                yield from client.call(
-                    auds[0].address,
-                    ACECmdLine("setLocation", username=username, location=location),
-                )
+            yield from client.call(
+                Service(name="aud"),
+                ACECmdLine("setLocation", username=username, location=location),
+            )
         except CallError:
             pass
         # Scenario 3/4: bring up the workspace, or a selector for several.

@@ -13,7 +13,7 @@ from collections import deque
 from typing import Generator, List, Optional
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.core.client import CallError
+from repro.core.client import CallError, Service
 from repro.core.daemon import Request, ServiceError
 from repro.core.daemon import ACEDaemon
 from repro.services.asd import asd_lookup
@@ -87,11 +87,8 @@ class TaskAutomationDaemon(ACEDaemon):
     def _user_location(self, username: str) -> Generator:
         client = self._service_client()
         try:
-            auds = yield from asd_lookup(client, self.ctx.asd_address, name="aud")
-            if not auds:
-                return None
             reply = yield from client.call(
-                auds[0].address, ACECmdLine("getUser", username=username)
+                Service(name="aud"), ACECmdLine("getUser", username=username)
             )
         except CallError:
             return None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.core.client import CallError
+from repro.core.client import CallError, Service
 from repro.core.daemon import ACEDaemon, Request, ServiceError
 from repro.services.asd import ServiceRecord, asd_lookup
 
@@ -59,14 +59,8 @@ class SystemApplicationLauncherDaemon(ACEDaemon):
     def _srm_choice(self, min_mem_mb: float) -> Generator:
         client = self._service_client()
         try:
-            srms = yield from asd_lookup(client, self.ctx.asd_address, cls="SRM")
-        except CallError:
-            return None
-        if not srms:
-            return None
-        try:
             reply = yield from client.call(
-                srms[0].address,
+                Service(cls="SRM"),
                 ACECmdLine("selectHost", min_mem_mb=float(min_mem_mb)),
             )
         except CallError:

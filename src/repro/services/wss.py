@@ -22,7 +22,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.lang.wire import join_wire, split_wire
 from repro.net import Address
-from repro.core.client import CallError
+from repro.core.client import CallError, Service
 from repro.core.daemon import ACEDaemon, Request, ServiceError
 from repro.services.asd import asd_lookup
 from repro.services.base import Checkpointable
@@ -220,16 +220,13 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
         session = ws_name
         service_name = vnc_service_name(session)
         # Scenario 1: ask the SAL to start a VNC server session "somewhere".
-        sals = yield from self._find_service(cls="SAL")
-        if not sals:
-            raise ServiceError("no SAL available to launch the VNC server")
         client = self._service_client()
         args = (
             f"session={session} owner={user} password={password} "
             f"secret={self.admin_secret}"
         )
         reply = yield from client.call(
-            sals[0].address, ACECmdLine("launchApp", app="vncserver", args=args)
+            Service(cls="SAL"), ACECmdLine("launchApp", app="vncserver", args=args)
         )
         server_host = reply.str("host")
         # The daemon registers with the ASD under a deterministic name;

@@ -6,6 +6,8 @@ from repro.apps.robust import CheckpointingCounterApp, RestartManagerDaemon
 from repro.apps.runner import AppState
 from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
+from repro.services.asd import asd_lookup
+from repro.services.sal import SystemApplicationLauncherDaemon
 
 
 def build_env(seed=9):
@@ -110,6 +112,37 @@ def test_robust_app_fails_over_when_host_dies(env):
     assert new_app.running
     env.run_for(2.0)
     assert new_app.count >= count_before - 1  # state survived the host loss
+
+
+@pytest.fixture
+def env_first_sal_dead(env):
+    """Two launchers; the first-listed one dies and the directory goes on
+    listing it until its 10 s lease lapses."""
+    env.add_daemon(SystemApplicationLauncherDaemon(
+        env.ctx, "sal.aux", env.add_host("aux", room="machineroom"), room="machineroom"))
+    env.run_for(1.0)
+    env.daemon("sal").kill()
+    return env
+
+
+def test_manage_launches_through_the_launcher_that_is_alive(env_first_sal_dead):
+    reply = manage(env_first_sal_dead, host="worker1")
+    assert reply["host"] == "worker1"
+    assert find_app(env_first_sal_dead, "worker1", reply["pid"]).running
+
+
+def test_robust_app_recovers_while_the_dead_launcher_is_still_listed(env_first_sal_dead):
+    env = env_first_sal_dead
+    reply = manage(env, cls="robust", host="worker1")
+    env.run_for(2.0)
+    find_app(env, "worker1", reply["pid"]).crash()
+    env.run_for(4.0)             # the exit notification and one sweep
+    listed = env.run(asd_lookup(env.client(env.net.host("infra")), cls="SAL"))
+    assert [r.name for r in listed] == ["sal", "sal.aux"]   # the corpse is still listed
+    mgr = env.daemon("restartmgr")
+    managed = mgr.managed["c1"]
+    assert (mgr.recoveries, managed.restarts) == (1, 1)
+    assert find_app(env, managed.host, managed.pid).running
 
 
 def test_intentional_stop_not_resurrected(env):

@@ -4,7 +4,10 @@ startup sequence, and the built-in command set."""
 import pytest
 
 from repro.core import CallError
-from repro.lang import ACECmdLine
+from repro.core.daemon import Request
+from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
+from repro.lang.command import CLIENT_ID_ARG, CLIENT_SEQ_ARG
+from repro.net import Address
 
 from tests.core.conftest import EchoDaemon
 
@@ -230,3 +233,64 @@ def test_killing_a_daemon_queued_for_the_core_leaves_the_core_usable(ace_with_ec
     reply = ace.run(scenario(), timeout=30.0)
     assert reply["text"] == "still here"
     assert (host.cpu.count, host.cpu.queued) == (0, 0)
+
+
+# -- a handler's dead downstream is its cmdFailed -------------------------------
+
+class RelayDaemon(EchoDaemon):
+    """Sends ``boom`` to ``downstream`` from a handler that guards nothing."""
+
+    service_type = "Relay"
+    downstream = None
+    relayed = 0
+
+    def build_semantics(self, sem: CommandSemantics) -> None:
+        super().build_semantics(sem)
+        sem.define("relay", ArgSpec("note", ArgType.STRING, required=False))
+
+    def cmd_relay(self, request: Request):
+        self.relayed += 1
+        yield from self._service_client().call(self.downstream, ACECmdLine("boom"))
+        return {}
+
+
+@pytest.mark.parametrize("downstream, reason", [
+    ("dead", "nothing listening at bar:59999"),
+    ("cmdFailed", "'boom' failed: intentional failure"),
+])
+def test_unguarded_downstream_failure_is_the_handlers_cmd_failed(
+        ace_with_echo, downstream, reason):
+    """A ``CallError`` that leaves a handler — nobody answered it, or its
+    downstream answered ``cmdFailed`` — is that handler's ``cmdFailed``:
+    counted, traced and remembered like any reply, and the daemon serves on."""
+    ace, echo = ace_with_echo
+    relay = RelayDaemon(ace.ctx, "relay", echo.host, room="hawk")
+    relay.downstream = Address("bar", 59999) if downstream == "dead" else echo.address
+    ace.add_daemon(relay)
+    relay.start()
+    ace.sim.run(until=ace.sim.now + 1.0)
+    client = ace.client(principal="caller")
+    served = relay.commands_served
+    stamped = ACECmdLine("relay", **{CLIENT_ID_ARG: "caller#1", CLIENT_SEQ_ARG: 0})
+
+    def flow():
+        root = client.begin_trace("relay")
+        try:
+            with pytest.raises(CallError) as first:
+                yield from client.call(relay.address, stamped)
+        finally:
+            client.end_trace(root)
+        with pytest.raises(CallError) as retry:
+            yield from client.call(relay.address, stamped)
+        pong = yield from client.call(relay.address, ACECmdLine("ping"))
+        return root, first.value, retry.value, pong
+
+    root, first, retry, pong = ace.run(flow())
+    assert type(first) is CallError
+    assert first.reply.name == "cmdFailed" and first.reply["reason"] == reason
+    assert pong.name == "cmdOk"
+    # the retry of the same (client_id, seq) is the remembered reply, not a re-run
+    assert retry.reply == first.reply and relay.relayed == 1
+    assert relay.commands_served == served + 2   # relay + ping; a replay is not served
+    spans = {s.name: s.status for s in ace.ctx.obs.tracer.spans_for(root.trace_id)}
+    assert spans["serve:relay"] == "cmdFailed"

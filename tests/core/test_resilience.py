@@ -3,6 +3,8 @@ breakers, lookup fallback, and credential-cache eviction."""
 
 import pytest
 
+from repro.core import Service
+from repro.core.client import FAILOVER_POLICY
 from repro.core.policy import (
     CLOSED,
     OPEN,
@@ -17,6 +19,7 @@ from repro.lang import ACECmdLine
 from repro.lang.command import CLIENT_ID_ARG
 from repro.net import Address, ConnectionClosed, ConnectionRefused
 from repro.services.asd import asd_lookup
+from repro.sim import canonical_trace_hash
 
 from tests.core.conftest import AceFixture, EchoDaemon
 
@@ -217,6 +220,111 @@ def test_cmd_failed_is_exactly_call_error(ace_with_echo, entry):
     assert type(exc) is CallError
     assert exc.reply.name == "cmdFailed" and exc.reply["reason"] == "intentional failure"
     assert ace.ctx.obs.metrics.counter("rpc.failover").value == 0
+
+
+# -- the third target shape: a Service ------------------------------------------
+
+def _two_echoes(seed=0):
+    """Two ``Echo`` instances in different rooms; returns the fixture and
+    the daemons by name."""
+    ace = AceFixture(seed=seed).boot()
+    echoes = {}
+    for name, host, room in (("echo1", "bar", "hawk"), ("echo2", "baz", "jay")):
+        echoes[name] = ace.add_daemon(
+            EchoDaemon(ace.ctx, name, ace.net.make_host(host, room=room), room=room))
+        echoes[name].start()
+    ace.sim.run(until=ace.sim.now + 1.0)
+    return ace, echoes
+
+
+def _echo_by(client, target, policy=None):
+    """Who answered an ``echo`` sent to ``target``, and how long it took."""
+    t0 = client.ctx.sim.now
+    reply = yield from client.call(target, ACECmdLine("echo", text="x"), policy)
+    return reply["by"], client.ctx.sim.now - t0
+
+
+@pytest.mark.parametrize("policy", [None, FAILOVER_POLICY], ids=["plain", "policy"])
+def test_service_target_fails_over_to_the_next_instance(policy):
+    """The first-listed instance is dead and still listed (its lease has
+    not lapsed): the call is answered by the second."""
+    ace, echoes = _two_echoes()
+    client = ace.client(principal="svc")
+    first, _ = ace.run(_echo_by(client, Service(cls="Echo"), policy))
+    echoes[first].kill()
+    second, _ = ace.run(_echo_by(client, Service(cls="Echo"), policy))
+    assert {first, second} == {"echo1", "echo2"}
+    assert ace.ctx.obs.metrics.counter("rpc.failover").value == 1
+
+
+def test_service_target_tries_a_suspect_instance_last():
+    """A crashed host refuses nothing, so the outage is one attempt
+    timeout — paid once: the breaker remembers, the corpse goes last until
+    it answers again."""
+    ace, echoes = _two_echoes()
+    client = ace.client(principal="svc")
+    echo = Service(cls="Echo")
+    first, _ = ace.run(_echo_by(client, echo, FAILOVER_POLICY))
+    victim = echoes[first]
+    ace.net.crash_host(victim.host.name)
+    survivor, outage = ace.run(_echo_by(client, echo, FAILOVER_POLICY))
+    assert survivor != first
+    assert FAILOVER_POLICY.attempt_timeout <= outage < 1.5
+    assert ace.ctx.resilience.suspect(victim.address)
+    again, took = ace.run(_echo_by(client, echo, FAILOVER_POLICY))
+    assert again == survivor and took < 0.1
+    # The host and the daemon come back and answer somebody: first again.
+    ace.net.restart_host(victim.host.name)
+    victim.respawn(1).start()
+    ace.sim.run(until=ace.sim.now + 1.0)
+    ace.run(_echo_by(client, victim.address, FAILOVER_POLICY))
+    assert not ace.ctx.resilience.suspect(victim.address)
+    assert ace.run(_echo_by(client, echo, FAILOVER_POLICY))[0] == first
+
+
+def test_service_target_failures_are_call_errors():
+    """``cmdFailed`` is exactly ``CallError`` and is not failed over; no
+    match is a plain ``CallError`` whose message names the query."""
+    ace, _ = _two_echoes()
+    client = ace.client(principal="svc")
+
+    def flow():
+        with pytest.raises(CallError) as boom:
+            yield from client.call(Service(cls="Echo"), ACECmdLine("boom"), FAILOVER_POLICY)
+        with pytest.raises(CallError, match="no service matching cls='Echo' room='attic'") as none:
+            yield from client.call(Service(cls="Echo", room="attic"), ACECmdLine("ping"))
+        return boom.value, none.value
+
+    boom, none = ace.run(flow())
+    assert type(boom) is CallError and boom.reply["reason"] == "intentional failure"
+    assert type(none) is CallError and none.reply is None
+    assert ace.ctx.obs.metrics.counter("rpc.failover").value == 0
+
+
+def test_service_target_room_narrows_the_match():
+    ace, _ = _two_echoes()
+    client = ace.client(principal="svc")
+    for room, name in (("hawk", "echo1"), ("jay", "echo2")):
+        assert ace.run(_echo_by(client, Service(cls="Echo", room=room)))[0] == name
+
+
+def test_service_target_is_lookup_then_call_on_the_wire():
+    """On a succeeding path a ``Service`` target leaves the trace and the
+    wire that the hand-written find-then-call leaves."""
+    def written_once(client):
+        yield from client.call(Service(name="echo1"), ACECmdLine("echo", text="x"))
+
+    def by_hand(client):
+        records = yield from asd_lookup(client, client.ctx.asd_address, name="echo1")
+        yield from client.call(records[0].address, ACECmdLine("echo", text="x"))
+
+    seen = []
+    for flow in (written_once, by_hand):
+        ace, _ = _two_echoes(seed=7)
+        ace.run(flow(ace.client(principal="svc")))
+        seen.append((canonical_trace_hash(ace.ctx.trace.records), ace.net.stats.snapshot(),
+                     ace.sim.now))
+    assert seen[0] == seen[1]
 
 
 # -- deadlines ----------------------------------------------------------------

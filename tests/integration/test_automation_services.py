@@ -147,6 +147,29 @@ def test_plan_path_no_route():
     env.run(go())
 
 
+def test_plan_path_with_the_directory_dead_is_cmd_failed_and_the_planner_serves_on():
+    """The handler's directory lookup is unguarded and has no remembered
+    answer to fall back on: the lookup's deadline is this command's
+    ``cmdFailed``, and the planner answers the next command."""
+    env = apc_env()
+    env.daemon("asd").kill()
+
+    def go():
+        client = env.client(env.net.host("infra"), principal="apc-user")
+        apc = env.daemon("apc").address
+        t0 = env.sim.now
+        with pytest.raises(CallError, match="nothing listening at") as err:
+            yield from client.call(apc, ACECmdLine("planPath", from_fmt="f32", to_fmt="pcm16"))
+        took = env.sim.now - t0
+        pong = yield from client.call(apc, ACECmdLine("ping"))
+        return err.value, took, pong
+
+    exc, took, pong = env.run(go())
+    assert type(exc) is CallError and exc.reply.name == "cmdFailed"
+    assert took < 3.0            # inside LOOKUP_POLICY's deadline
+    assert pong.name == "cmdOk"
+
+
 def test_create_path_wires_and_streams():
     """APC wires source → converter → sink and data actually flows,
     converted."""

@@ -3,7 +3,8 @@ voice device control."""
 
 import pytest
 
-from repro.core.mobile import MobileServiceConnection, NoInstanceAvailable
+from repro.core import CallError, Service
+from repro.core.client import FAILOVER_POLICY
 from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
 from repro.services import dsp
@@ -14,7 +15,7 @@ from tests.core.conftest import EchoDaemon
 
 
 # ---------------------------------------------------------------------------
-# Mobile sockets
+# Mobile sockets: a call that names a service, not an address
 # ---------------------------------------------------------------------------
 
 def mobile_env():
@@ -27,77 +28,54 @@ def mobile_env():
     return env
 
 
-def test_mobile_connection_survives_instance_death():
+def test_service_call_survives_instance_death_before_lease_expiry():
+    """The ASD still lists the dead instance (lease not expired); the call
+    pays one attempt timeout on it and is answered by the live one."""
     env = mobile_env()
     client = env.client(env.net.host("infra"), principal="mobile-user")
-    mobile = MobileServiceConnection(client, env.asd_address, cls="Echo")
 
     def session():
-        yield from mobile.connect()
-        first = mobile.current.name
-        reply1 = yield from mobile.call(ACECmdLine("echo", text="before"))
-        # Kill whichever instance we're bound to.
-        env.net.crash_host(env.daemons[first].host.name)
-        reply2 = yield from mobile.call(ACECmdLine("echo", text="after"))
-        mobile.close()
-        return first, reply1["by"], reply2["by"]
+        echo = Service(cls="Echo")
+        first = yield from client.call(echo, ACECmdLine("echo", text="before"),
+                                       policy=FAILOVER_POLICY)
+        env.net.crash_host(env.daemons[first["by"]].host.name)
+        t0 = env.sim.now
+        second = yield from client.call(echo, ACECmdLine("echo", text="after"),
+                                        policy=FAILOVER_POLICY)
+        return first["by"], second["by"], env.sim.now - t0
 
-    first, by1, by2 = env.run(session())
-    assert by1 == first
-    assert by2 != first            # resumed on the other instance
-    assert mobile.failovers == 1
-    assert mobile.last_failover_time < 2.0
+    by1, by2, outage = env.run(session())
+    assert {by1, by2} == {"echo1", "echo2"}    # resumed on the other instance
+    assert outage < 2.0 < env.ctx.lease_duration
+    assert env.ctx.obs.metrics.counter("rpc.failover").value == 1
 
 
-def test_mobile_connection_fast_failover_before_lease_expiry():
-    """The ASD may still list the dead instance (lease not expired);
-    the mobile socket skips it and finds the live one anyway."""
+def test_service_call_no_instances():
     env = mobile_env()
     client = env.client(env.net.host("infra"), principal="mobile-user")
-    mobile = MobileServiceConnection(client, env.asd_address, cls="Echo")
 
     def session():
-        yield from mobile.connect()
-        victim = mobile.current.name
-        env.net.crash_host(env.daemons[victim].host.name)
-        # Immediately (ASD still lists the dead one for up to 5 s):
-        reply = yield from mobile.call(ACECmdLine("echo", text="x"))
-        mobile.close()
-        return victim, reply["by"]
-
-    victim, by = env.run(session())
-    assert by != victim
-    assert by.startswith("echo")
-
-
-def test_mobile_connection_no_instances():
-    env = mobile_env()
-    client = env.client(env.net.host("infra"), principal="mobile-user")
-    mobile = MobileServiceConnection(client, env.asd_address, cls="NoSuchClass")
-
-    def session():
-        with pytest.raises(NoInstanceAvailable):
-            yield from mobile.connect()
+        with pytest.raises(CallError, match="no service matching cls='NoSuchClass'") as err:
+            yield from client.call(Service(cls="NoSuchClass"), ACECmdLine("ping"),
+                                   policy=FAILOVER_POLICY)
+        assert type(err.value) is CallError and err.value.reply is None
 
     env.run(session())
 
 
-def test_mobile_semantic_errors_not_retried():
+def test_service_call_semantic_errors_not_failed_over():
     """cmdFailed replies must raise, not trigger failover storms."""
     env = mobile_env()
-    from repro.core import CallError
-
     client = env.client(env.net.host("infra"), principal="mobile-user")
-    mobile = MobileServiceConnection(client, env.asd_address, cls="Echo")
 
     def session():
-        yield from mobile.connect()
-        with pytest.raises(CallError):
-            yield from mobile.call(ACECmdLine("boom"))
-        mobile.close()
+        with pytest.raises(CallError) as err:
+            yield from client.call(Service(cls="Echo"), ACECmdLine("boom"),
+                                   policy=FAILOVER_POLICY)
+        assert type(err.value) is CallError and err.value.reply is not None
 
     env.run(session())
-    assert mobile.failovers == 0
+    assert env.ctx.obs.metrics.counter("rpc.failover").value == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 
 from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
-from repro.services.fiu import FingerprintUnitDaemon, make_template
+from repro.services.aud import UserDatabaseDaemon
+from repro.services.fiu import FingerprintUnitDaemon, make_template, noisy_sample
 from repro.services.srm import SystemResourceMonitorDaemon
 
 
@@ -159,3 +160,24 @@ def test_fiu_match_dimension_mismatch():
     fiu._templates = np.zeros((1, 16))
     user, _ = fiu.match((0.0, 1.0))  # wrong dimension
     assert user is None
+
+
+def test_fiu_identifies_with_the_first_of_two_user_databases_dead():
+    """"Find the user database" names the class, so a dead first-listed
+    instance (still holding its lease) costs nothing but the fail-over."""
+    env = ACEEnvironment(seed=203)
+    env.add_infrastructure("infra", with_wss=False, with_idmon=False)
+    door = env.add_workstation("door", room="hawk", monitors=False)
+    env.add_daemon(FingerprintUnitDaemon(env.ctx, "fiu", door, room="hawk"))
+    second = env.add_daemon(UserDatabaseDaemon(
+        env.ctx, "aud.second", env.add_host("aux", room="machineroom"), room="machineroom"))
+    env.boot()
+    john = env.create_identity("john")
+    env.register_user_direct(john)
+    second.users.update(env.daemon("aud").users)
+    env.daemon("aud").kill()
+    assert call(env, "fiu", ACECmdLine("loadTemplates"))["count"] == 1
+    sample = noisy_sample(john.fingerprint_template, env.rng.np("press"))
+    reply = call(env, "fiu", ACECmdLine("scan", sample=sample))
+    assert (reply["matched"], reply["username"]) == (1, "john")
+    assert env.ctx.obs.metrics.counter("rpc.failover").value == 1

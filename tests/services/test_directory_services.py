@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core import CallError
+from repro.core import CallError, Service
 from repro.lang import ACECmdLine
-from repro.services.asd import ServiceRecord, asd_lookup, asd_lookup_one
+from repro.services.asd import ServiceRecord, asd_lookup
 from repro.services.authdb import decode_credential, encode_credential
 
 from tests.core.conftest import AceFixture, EchoDaemon
@@ -95,20 +95,19 @@ def test_lookup_by_name_and_connect(ace_two_echoes):
     ace = ace_two_echoes
 
     def scenario():
-        client = ace.client()
-        record = yield from asd_lookup_one(client, ace.ctx.asd_address, name="echo1")
-        reply = yield from client.call(record.address, ACECmdLine("echo", text="found"))
-        return reply
+        return (yield from ace.client().call(
+            Service(name="echo1"), ACECmdLine("echo", text="found")))
 
-    assert ace.run(scenario())["text"] == "found"
+    reply = ace.run(scenario())
+    assert (reply["text"], reply["by"]) == ("found", "echo1")
 
 
 def test_lookup_one_raises_when_absent(ace_two_echoes):
     ace = ace_two_echoes
 
     def scenario():
-        with pytest.raises(CallError, match="no service matching"):
-            yield from asd_lookup_one(ace.client(), ace.ctx.asd_address, name="ghost")
+        with pytest.raises(CallError, match="no service matching name='ghost'"):
+            yield from ace.client().call(Service(name="ghost"), ACECmdLine("ping"))
 
     ace.run(scenario())
 

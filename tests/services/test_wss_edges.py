@@ -54,6 +54,17 @@ def test_open_on_host_without_hal(wss_env):
         call(env, ACECmdLine("openWorkspace", user="john", display="mars"))
 
 
+def test_create_with_the_sal_dead_is_cmd_failed_and_the_wss_serves_on(wss_env):
+    """The handler calls the SAL unguarded: nobody answering it is this
+    command's ``cmdFailed``, not the end of the control thread (or the run)."""
+    env = wss_env
+    env.daemon("sal").kill()
+    with pytest.raises(CallError, match="nothing listening at") as err:
+        call(env, ACECmdLine("createWorkspace", user="john", name="second"))
+    assert type(err.value) is CallError and err.value.reply.name == "cmdFailed"
+    assert call(env, ACECmdLine("ping")).name == "cmdOk"
+
+
 def test_destroy_workspace_removes_session(wss_env):
     env = wss_env
     wss = env.daemon("wss")

@@ -132,6 +132,7 @@ RETIRED_NAMES = frozenset({
     "AppHandle", "jini_discover", "rmi_roundtrip_size", "secure_pair",
     "_REPL_ERRORS", "_store_errors", "NetLoggerExporter", "span_from_wire",
     "SPAN_EVENT", "METRICS_EVENT", "on_finish",
+    "MobileServiceConnection", "NoInstanceAvailable", "asd_lookup_one",
 })
 
 
@@ -299,3 +300,41 @@ def test_a_call_fails_one_way():
     assert mixed == [], "CallError beside a socket error:\n" + "\n".join(mixed)
     stray = sorted(w for w in holders if not w.startswith(RAW_SOCKET_CODE))
     assert stray == [], f"socket-layer exceptions named outside raw-socket code: {stray}"
+
+
+#: the two functions that hold a looked-up address for a reason: two calls
+#: to one WSS, and HALs filtered by host after the lookup
+FIRST_ADDRESS_HOLDERS = {
+    "repro/services/idmon.py:_open_workspace", "repro/services/wss.py:cmd_openWorkspace",
+}
+
+
+def test_find_then_call_is_written_once():
+    """Fig. 7's find-then-call lives in ``client.call(Service(...), ...)``:
+    no other function under ``src/`` takes ``<records>[0].address``, and
+    ``repro.core`` imports nothing from ``repro.services`` at module level."""
+    import repro.services
+
+    def first_address(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "address"
+                and isinstance(node.value, ast.Subscript)
+                and isinstance(node.value.slice, ast.Constant)
+                and node.value.slice.value == 0)
+
+    holders, upward = set(), []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        where = str(path.relative_to(REPO / "src"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(first_address(node) for node in ast.walk(function)):
+                    holders.add(f"{where}:{function.name}")
+        if where.startswith("repro/core/"):
+            upward += [
+                f"{where}:{node.lineno}" for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and any(name.startswith("repro.services") for name in
+                        [getattr(node, "module", None) or ""] + [a.name for a in node.names])]
+    assert holders == FIRST_ADDRESS_HOLDERS
+    assert upward == [], f"repro.core imports repro.services at module level: {upward}"
+    assert not RETIRED_NAMES & set(repro.services.__all__)
