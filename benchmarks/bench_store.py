@@ -19,9 +19,9 @@ def build_env(replicas, seed=50, sync_interval=2.0):
     env = ACEEnvironment(seed=seed)
     env.add_infrastructure("infra", with_wss=False, with_idmon=False)
     # A2's write-latency-vs-replicas shape (and E11's read-your-write
-    # phases) assume the original per-object synchronous push; that path
-    # is kept as the A/B control.  E25 (bench_store_scale) measures the
-    # batched default.
+    # phases) assume the paper's synchronous push: the write awaits its
+    # own one-entry batch to every peer.  E25 (bench_store_scale)
+    # measures the batched default.
     env.add_persistent_store(replicas=replicas, sync_interval=sync_interval,
                              batch_replication=False)
     env.boot()

@@ -9,7 +9,7 @@ machine-independent):
   throughput grows with the number of groups the consistent-hash map
   spreads keys over.
 * **batched vs per-object replication** — write-only workload on one
-  3-replica group.  The per-object A/B control holds the coordinator's
+  3-replica group.  ``batch_replication=False`` holds the coordinator's
   control thread for a full peer round trip per write; the batched
   default acknowledges immediately and ships `psReplicateBatch` RPCs in
   the background.

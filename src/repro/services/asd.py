@@ -15,10 +15,11 @@ client-side :class:`~repro.core.lookup_cache.LookupCache`.
 
 Scale-out (§5.3 "robust applications", same pattern as ``repro.store``):
 
-* **Replica group** — 2–3 directories share one logical registry.  Client
-  writes hitting a follower are forwarded to the leader (``group[0]``);
-  the coordinator stamps each mutation with a ``(seq, site)`` version,
-  applies it locally, and pushes it to its peers asynchronously
+* **Replica group** — 2–3 directories share one logical registry, a
+  :mod:`repro.core.replication` map like the store's.  Client writes
+  hitting a follower are forwarded to the leader (``group[0]``); the
+  coordinator stamps each mutation with a ``(seq, site)`` version, writes
+  it to its table, and pushes it to its peers asynchronously
   (``dirReplicate``).  When the leader is unreachable the follower
   coordinates the write itself — availability beats strict ordering, and
   last-writer-wins on ``(seq, site)`` keeps replicas convergent.
@@ -39,7 +40,7 @@ from functools import lru_cache
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.lang.wire import escape_field, split_wire
+from repro.lang.wire import join_wire, split_wire
 from repro.net import Address
 from repro.core.client import CallError, ServiceClient
 from repro.core.daemon import ACEDaemon, Request, ServiceError
@@ -47,11 +48,7 @@ from repro.core.leases import LeaseTable
 from repro.core.lookup_cache import query_key
 from repro.core.notifications import notification_event
 from repro.core.policy import CallPolicy
-
-# Backwards-compatible aliases: the escaping was born here and later
-# promoted to repro.lang.wire so NetLogger and span rows share it.
-_escape_field = escape_field
-_split_wire = split_wire
+from repro.core.replication import ReplicaMixin, ReplicatedMap, wanted
 
 
 @dataclass(frozen=True)
@@ -79,11 +76,11 @@ class ServiceRecord:
             # First-life records keep the legacy 5-field form so the wire
             # stays byte-identical when the recovery plane is off.
             parts.append(self.inc)
-        return "|".join(_escape_field(str(part)) for part in parts)
+        return join_wire(parts)
 
     @classmethod
     def from_wire(cls, text: str) -> "ServiceRecord":
-        fields = _split_wire(text)
+        fields = split_wire(text)
         if len(fields) == 5:
             name, host, port, room, klass = fields
             return cls(name, host, int(port), room, klass)
@@ -119,25 +116,22 @@ class DirEntry:
     renewals: int = field(default=0, compare=False)
 
     @property
+    def key(self) -> str:
+        return self.record.name
+
+    @property
     def version(self) -> Tuple[int, str]:
         return (self.seq, self.site)
 
     def to_wire(self) -> str:
-        return "|".join(
-            _escape_field(part)
-            for part in (
-                self.record.to_wire(),
-                repr(self.expires_at),
-                str(self.seq),
-                self.site,
-                "1" if self.deleted else "0",
-                str(self.renewals),
-            )
-        )
+        return join_wire((
+            self.record.to_wire(), repr(self.expires_at), self.seq, self.site,
+            int(self.deleted), self.renewals,
+        ))
 
     @classmethod
     def from_wire(cls, text: str) -> "DirEntry":
-        record, expires, seq, site, deleted, renewals = _split_wire(text)
+        record, expires, seq, site, deleted, renewals = split_wire(text)
         return cls(
             record=ServiceRecord.from_wire(record),
             expires_at=float(expires),
@@ -148,7 +142,7 @@ class DirEntry:
         )
 
 
-class ServiceDirectoryDaemon(ACEDaemon):
+class ServiceDirectoryDaemon(ReplicaMixin, ACEDaemon):
     """One replica of the directory group (a 'robust application', §5.3)."""
 
     service_type = "ServiceDirectory"
@@ -156,6 +150,11 @@ class ServiceDirectoryDaemon(ACEDaemon):
     #: bounded reply size: at most this many records per lookup/listServices
     #: reply (and per dirFetch batch) — the E2 jumbo-reply fix.
     LOOKUP_CHUNK = 32
+    REPLICATE = "dirReplicate"
+    FETCH = ("dirFetch", "names", "entries")
+    CHUNK = LOOKUP_CHUNK
+    _encode = staticmethod(DirEntry.to_wire)
+    _decode = staticmethod(DirEntry.from_wire)
 
     def __init__(self, ctx, name, host, *, group: Optional[List[Address]] = None,
                  sync_interval: float = 5.0, **kwargs):
@@ -167,14 +166,12 @@ class ServiceDirectoryDaemon(ACEDaemon):
         #: every group member's address, leader first; empty = standalone
         self.group: List[Address] = list(group or [])
         self.sync_interval = sync_interval
-        self._entries: Dict[str, DirEntry] = {}
-        self._names: List[str] = []   # sorted index maintained on mutation
-        self._seq = 0
+        #: name -> newest DirEntry, tombstones included; ``records``,
+        #: ``_names`` and ``leases`` are derived from it in _entry_changed
+        self.table = ReplicatedMap(name, on_change=self._entry_changed)
+        self._names: List[str] = []   # sorted index of ``records``
         #: forward cooldown: until this time, writes bypass the leader
         self._leader_down_until = 0.0
-        self.replications_sent = 0
-        self.replications_applied = 0
-        self.syncs_completed = 0
         self.forwarded_writes = 0
         self.coordinated_writes = 0
         self.fenced_registers = 0
@@ -246,28 +243,27 @@ class ServiceDirectoryDaemon(ACEDaemon):
     # ------------------------------------------------------------------
     # Registry state (sorted index + lease bookkeeping)
     # ------------------------------------------------------------------
+    def _entry_changed(self, old: Optional[DirEntry], new: Optional[DirEntry]) -> None:
+        """The one place the table's derived state moves: a live entry
+        holds a record, an index slot and a lease on its replicated
+        horizon; a tombstone, a lapsed or a forgotten entry holds none."""
+        name = (new or old).key
+        if new is None or new.deleted or not new.expires_at > self.ctx.sim.now:
+            if self.records.pop(name, None) is not None:
+                del self._names[bisect.bisect_left(self._names, name)]
+            self.leases.release(name)
+        else:
+            if name not in self.records:
+                bisect.insort(self._names, name)
+            self.records[name] = new.record
+            self.leases.grant_until(name, new.expires_at, renewals=new.renewals)
+
     def _lease_expired(self, name: str) -> None:
         # Expiry is deterministic across replicas: ``expires_at`` is part
         # of the replicated entry, so every replica purges on its own sweep
         # without any cross-replica message.
-        if self.records.pop(name, None) is not None:
-            self._index_remove(name)
-        self._entries.pop(name, None)
+        self.table.forget(name)
         self.ctx.trace.emit(self.ctx.sim.now, self.name, "lease-expired", service=name)
-
-    def _index_add(self, name: str) -> None:
-        pos = bisect.bisect_left(self._names, name)
-        if pos == len(self._names) or self._names[pos] != name:
-            self._names.insert(pos, name)
-
-    def _index_remove(self, name: str) -> None:
-        pos = bisect.bisect_left(self._names, name)
-        if pos < len(self._names) and self._names[pos] == name:
-            del self._names[pos]
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     def _sweep_loop(self) -> Generator:
         """Purge lapsed leases even when no queries arrive."""
@@ -279,14 +275,17 @@ class ServiceDirectoryDaemon(ACEDaemon):
             self._prune_tombstones(now)
 
     def _prune_tombstones(self, now: float) -> None:
+        """Drop what holds no record — a tombstone, or an entry that had
+        already lapsed when it arrived — once every replica has had three
+        lease durations to learn of it."""
         horizon = 3 * self.ctx.lease_duration
         stale = [
             name
-            for name, entry in self._entries.items()
-            if entry.deleted and now - entry.expires_at > horizon
+            for name, entry in self.table.entries.items()
+            if name not in self.records and now - entry.expires_at > horizon
         ]
         for name in stale:
-            del self._entries[name]
+            self.table.forget(name)
 
     def _fresh_names(self) -> List[str]:
         """The sorted live-service index, after a lazy lease sweep.  No
@@ -300,25 +299,6 @@ class ServiceDirectoryDaemon(ACEDaemon):
     # ------------------------------------------------------------------
     # Mutations (coordinator side)
     # ------------------------------------------------------------------
-    def _apply_entry(self, entry: DirEntry) -> bool:
-        """LWW-apply a (possibly remote) entry; True when it won."""
-        name = entry.record.name
-        existing = self._entries.get(name)
-        if existing is not None and existing.version >= entry.version:
-            return False
-        self._seq = max(self._seq, entry.seq)
-        self._entries[name] = entry
-        if entry.deleted or not entry.expires_at > self.ctx.sim.now:
-            if self.records.pop(name, None) is not None:
-                self._index_remove(name)
-            self.leases.release(name)
-        else:
-            if name not in self.records:
-                self._index_add(name)
-            self.records[name] = entry.record
-            self.leases.grant_until(name, entry.expires_at, renewals=entry.renewals)
-        return True
-
     def _forward_to_leader(self, command: ACECmdLine) -> Generator:
         """Send a client write to the leader; None when it is unreachable
         (the caller then coordinates locally — availability first).
@@ -351,72 +331,26 @@ class ServiceDirectoryDaemon(ACEDaemon):
             )
             return None
 
-    def _replicate_entries(self, entries: List[DirEntry]) -> None:
-        """Asynchronously push mutations to every peer (best effort; the
-        anti-entropy loop repairs whatever a crashed peer misses)."""
-        if not entries or not self.peers:
-            return
-        wires = tuple(e.to_wire() for e in entries)
-        for peer in self.peers:
-            self._spawn(self._push_to_peer(peer, wires), "replicate")
+    def _coordinate(self, entry: DirEntry) -> None:
+        """Commit a mutation this replica coordinates and push it to every
+        peer asynchronously (best effort; the anti-entropy loop repairs
+        whatever a crashed peer misses)."""
+        self.table.write(entry)
+        peers = self.peers
+        if peers:
+            wires = (entry.to_wire(),)
+            for peer in peers:
+                self._spawn(self._push_to_peer(peer, wires), "replicate")
 
-    def _push_to_peer(self, peer: Address, wires: tuple) -> Generator:
-        client = self._service_client()
-        try:
-            yield from client.call(
-                peer, ACECmdLine("dirReplicate", entries=wires), attach=False
-            )
-            self.replications_sent += 1
-            self._m_repl_sent.inc()
-        except CallError:
-            self._m_repl_failed.inc()
-
-    # ------------------------------------------------------------------
-    # Anti-entropy (restart convergence)
-    # ------------------------------------------------------------------
-    def _anti_entropy_loop(self) -> Generator:
-        from repro.net.host import HostDownError
-
-        index = 0
-        while self.running:
-            yield self.ctx.sim.timeout(self.sync_interval)
-            peers = self.peers
-            if not peers or not self.running:
-                continue
-            peer = peers[index % len(peers)]
-            index += 1
-            try:
-                yield from self._sync_with(peer)
-                self.syncs_completed += 1
-                self._m_syncs.inc()
-            except HostDownError:
-                return  # our own host died; the daemon is gone
-            except CallError:
-                continue
-
-    def _sync_with(self, peer: Address) -> Generator:
-        """Pull anything the peer has that is newer than our copy."""
-        client = self._service_client()
-        conn = yield from client.connect(peer, attach=False)
-        try:
-            digest_reply = yield from conn.call(ACECmdLine("dirDigest"))
-            listing = digest_reply.get("entries", ())
-            wanted: List[str] = []
-            for line in listing if isinstance(listing, tuple) else ():
-                name, seq, site = _split_wire(line)
-                ours = self._entries.get(name)
-                if ours is None or ours.version < (int(seq), site):
-                    wanted.append(name)
-            for start in range(0, len(wanted), self.LOOKUP_CHUNK):
-                batch = tuple(wanted[start : start + self.LOOKUP_CHUNK])
-                reply = yield from conn.call(ACECmdLine("dirFetch", names=batch))
-                wires = reply.get("entries", ())
-                for wire in wires if isinstance(wires, tuple) else ():
-                    if self._apply_entry(DirEntry.from_wire(wire)):
-                        self.replications_applied += 1
-                        self._m_repl_applied.inc()
-        finally:
-            conn.close()
+    def _wanted_from(self, conn) -> Generator:
+        """The directory's digest dialect: one flat ``dirDigest`` listing."""
+        reply = yield from conn.call(ACECmdLine("dirDigest"))
+        listing = reply.get("entries", ())
+        lines = map(split_wire, listing if isinstance(listing, tuple) else ())
+        return wanted(
+            self.table.digest(),
+            ((name, (int(seq), site)) for name, seq, site in lines),
+        )
 
     # ------------------------------------------------------------------
     # Handlers: writes
@@ -437,7 +371,7 @@ class ServiceDirectoryDaemon(ACEDaemon):
                 return reply
         # Incarnation fence: a stale pre-crash incarnation resurfacing
         # after a partition heal must not clobber its live replacement.
-        existing = self._entries.get(record.name)
+        existing = self.table.entries.get(record.name)
         if (
             existing is not None
             and not existing.deleted
@@ -454,21 +388,16 @@ class ServiceDirectoryDaemon(ACEDaemon):
                 f"incarnation {existing.record.inc} is live"
             )
         self.coordinated_writes += 1
-        lease = self.leases.grant(record.name, self.ctx.sim.now)
-        entry = DirEntry(
-            record=record, expires_at=lease.expires_at,
-            seq=self._next_seq(), site=self.name,
-        )
-        self._entries[record.name] = entry
-        if record.name not in self.records:
-            self._index_add(record.name)
-        self.records[record.name] = record
-        self._replicate_entries([entry])
+        seq, site = self.table.next_version()
+        self._coordinate(DirEntry(
+            record=record, expires_at=self.ctx.sim.now + self.leases.duration,
+            seq=seq, site=site,
+        ))
         self.ctx.trace.emit(
             self.ctx.sim.now, self.name, "service-registered",
             service=record.name, cls=record.cls,
         )
-        return {"lease": float(lease.duration)}
+        return {"lease": float(self.leases.duration)}
 
     def cmd_deregister(self, request: Request) -> Generator:
         cmd = request.command
@@ -478,20 +407,14 @@ class ServiceDirectoryDaemon(ACEDaemon):
             if reply is not None:
                 return reply
         self.coordinated_writes += 1
-        existed = self.leases.release(name)
-        previous = self._entries.get(name)
-        record = self.records.pop(name, None)
-        if record is not None:
-            self._index_remove(name)
-        elif previous is not None:
-            record = previous.record
-        if record is not None:
-            tombstone = DirEntry(
-                record=record, expires_at=self.ctx.sim.now,
-                seq=self._next_seq(), site=self.name, deleted=True,
-            )
-            self._entries[name] = tombstone
-            self._replicate_entries([tombstone])
+        existed = name in self.leases  # read before the tombstone releases it
+        previous = self.table.entries.get(name)
+        if previous is not None:
+            seq, site = self.table.next_version()
+            self._coordinate(DirEntry(
+                record=previous.record, expires_at=self.ctx.sim.now,
+                seq=seq, site=site, deleted=True,
+            ))
         if existed:
             self.ctx.trace.emit(self.ctx.sim.now, self.name, "service-deregistered", service=name)
         return {"removed": 1 if existed else 0}
@@ -506,16 +429,16 @@ class ServiceDirectoryDaemon(ACEDaemon):
         now = self.ctx.sim.now
         self.leases.expire(now)
         name = cmd.str("name")
-        lease = self.leases.renew(name, now)
-        entry = self._entries.get(name)
-        if lease is None or entry is None or entry.deleted:
+        entry = self.table.entries.get(name)
+        if name not in self.leases or entry is None or entry.deleted:
             raise ServiceError(f"no active lease for {name!r}; re-register")
-        entry.expires_at = lease.expires_at
-        entry.renewals = lease.renewals
-        entry.seq = self._next_seq()
-        entry.site = self.name
-        self._replicate_entries([entry])
-        return {"lease": float(lease.duration), "renewals": lease.renewals}
+        seq, site = self.table.next_version()
+        renewed = DirEntry(
+            record=entry.record, expires_at=now + self.leases.duration,
+            seq=seq, site=site, renewals=entry.renewals + 1,
+        )
+        self._coordinate(renewed)
+        return {"lease": float(self.leases.duration), "renewals": renewed.renewals}
 
     # ------------------------------------------------------------------
     # Handlers: queries (paged)
@@ -530,10 +453,9 @@ class ServiceDirectoryDaemon(ACEDaemon):
         if chunk:
             now = self.ctx.sim.now
             result["services"] = tuple(r.to_wire() for r in chunk)
+            entries = self.table.entries
             horizons = [
-                self._entries[r.name].expires_at
-                for r in chunk
-                if r.name in self._entries
+                entries[r.name].expires_at for r in chunk if r.name in entries
             ]
             if horizons:
                 result["ttl"] = float(max(min(horizons) - now, 0.0))
@@ -569,28 +491,15 @@ class ServiceDirectoryDaemon(ACEDaemon):
     # Handlers: replication protocol
     # ------------------------------------------------------------------
     def cmd_dirReplicate(self, request: Request) -> dict:
-        wires = request.command.vector("entries")
-        applied = 0
-        for wire in wires:
-            try:
-                entry = DirEntry.from_wire(wire)
-            except (ValueError, IndexError):
-                continue
-            if self._apply_entry(entry):
-                applied += 1
-                self.replications_applied += 1
-                self._m_repl_applied.inc()
-        return {"applied": applied}
+        return {"applied": self._take(request.command.vector("entries"))}
 
     def cmd_dirDigest(self, request: Request) -> dict:
         now = self.ctx.sim.now
         self.leases.expire(now)
         self._prune_tombstones(now)
         listing = tuple(
-            "|".join(
-                (_escape_field(name), str(entry.seq), _escape_field(entry.site))
-            )
-            for name, entry in sorted(self._entries.items())
+            join_wire((name, entry.seq, entry.site))
+            for name, entry in sorted(self.table.entries.items())
         )
         result: dict = {"count": len(listing)}
         if listing:
@@ -598,21 +507,12 @@ class ServiceDirectoryDaemon(ACEDaemon):
         return result
 
     def cmd_dirFetch(self, request: Request) -> dict:
-        names = request.command.vector("names")
-        found = tuple(
-            self._entries[name].to_wire()
-            for name in names[: self.LOOKUP_CHUNK]
-            if name in self._entries
-        )
-        result: dict = {"count": len(found)}
-        if found:
-            result["entries"] = found
-        return result
+        return self._fetch_reply(request.command.vector("names"))
 
     def cmd_dirStats(self, request: Request) -> dict:
         return {
             "services": len(self.records),
-            "entries": len(self._entries),
+            "entries": len(self.table.entries),
             "leader": 1 if self.is_leader else 0,
             "forwarded": self.forwarded_writes,
             "coordinated": self.coordinated_writes,

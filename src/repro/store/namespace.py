@@ -11,9 +11,10 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.lang.wire import join_wire, split_wire
+from repro.core.replication import ReplicatedMap, Version
 from repro.store.sharding import bucket_of, stable_hash
 
 _PATH_RE = re.compile(r"^(/[A-Za-z0-9_.\-]+)+$")
@@ -22,27 +23,8 @@ _PATH_RE = re.compile(r"^(/[A-Za-z0-9_.\-]+)+$")
 DIGEST_BUCKETS = 32
 
 
-class NamespaceError(Exception):
+class NamespaceError(ValueError):
     """Bad path or malformed attribute encoding."""
-
-
-@dataclass(frozen=True, order=True)
-class Version:
-    """Monotonic (counter, site) pair; totally ordered for LWW."""
-
-    counter: int
-    site: str
-
-    def to_wire(self) -> str:
-        return f"{self.counter}@{self.site}"
-
-    @classmethod
-    def from_wire(cls, text: str) -> "Version":
-        counter, _, site = text.partition("@")
-        return cls(int(counter), site)
-
-
-ZERO_VERSION = Version(0, "")
 
 
 @dataclass
@@ -51,6 +33,10 @@ class StoredObject:
     attrs: Dict[str, str]
     version: Version
     deleted: bool = False  # tombstone so deletes replicate
+
+    @property
+    def key(self) -> str:
+        return self.path
 
 
 def check_path(path: str) -> str:
@@ -113,12 +99,15 @@ def encode_object(obj: StoredObject) -> str:
 
 
 def decode_object(text: str) -> StoredObject:
+    """Inverse of :func:`encode_object`; ``ValueError`` (a bad counter, or
+    :class:`NamespaceError` for the rest) on anything ``psPut`` would not
+    have stored."""
     fields = split_wire(text)
     if len(fields) != 4:
         raise NamespaceError(f"malformed object record {text!r}")
     path, attrs_text, version_text, deleted = fields
     return StoredObject(
-        path,
+        check_path(path),
         decode_attrs(attrs_text),
         Version.from_wire(version_text),
         deleted=deleted == "1",
@@ -143,14 +132,12 @@ def _split_unescaped(text: str, sep: str) -> List[str]:
     return out
 
 
-class ObjectNamespace:
+class ObjectNamespace(ReplicatedMap):
     """One replica's object table."""
 
     def __init__(self, site: str, *, buckets: int = DIGEST_BUCKETS):
-        self.site = site
+        super().__init__(site, on_change=self._rehash)
         self.buckets = buckets
-        self._objects: Dict[str, StoredObject] = {}
-        self._clock = 0
         # Incrementally-maintained XOR of per-object tokens, one slot per
         # hash bucket, so anti-entropy can compare O(buckets) values and
         # only walk buckets that differ.
@@ -160,53 +147,34 @@ class ObjectNamespace:
     def _token(obj: StoredObject) -> int:
         return stable_hash(f"{obj.path}|{obj.version.to_wire()}|{int(obj.deleted)}")
 
-    def _store(self, obj: StoredObject) -> None:
-        slot = bucket_of(obj.path, self.buckets)
-        old = self._objects.get(obj.path)
-        if old is not None:
-            self._bucket_hash[slot] ^= self._token(old)
-        self._bucket_hash[slot] ^= self._token(obj)
-        self._objects[obj.path] = obj
+    def _rehash(self, old: Optional[StoredObject], new: Optional[StoredObject]) -> None:
+        slot = bucket_of((new or old).path, self.buckets)
+        for obj in (old, new):
+            if obj is not None:
+                self._bucket_hash[slot] ^= self._token(obj)
 
     def __len__(self) -> int:
-        return sum(1 for o in self._objects.values() if not o.deleted)
+        return sum(1 for o in self.entries.values() if not o.deleted)
 
     # -- local writes (coordinator side) ------------------------------------
-    def next_version(self) -> Version:
-        self._clock += 1
-        return Version(self._clock, self.site)
-
-    def _observe(self, version: Version) -> None:
-        self._clock = max(self._clock, version.counter)
-
     def put(self, path: str, attrs: Dict[str, str]) -> StoredObject:
         check_path(path)
         obj = StoredObject(path, dict(attrs), self.next_version())
-        self._store(obj)
+        self.write(obj)
         return obj
 
     def delete(self, path: str) -> Optional[StoredObject]:
         check_path(path)
-        existing = self._objects.get(path)
+        existing = self.entries.get(path)
         if existing is None or existing.deleted:
             return None
         tombstone = StoredObject(path, {}, self.next_version(), deleted=True)
-        self._store(tombstone)
+        self.write(tombstone)
         return tombstone
-
-    # -- replica application (LWW) ----------------------------------------------
-    def apply(self, obj: StoredObject) -> bool:
-        """Apply a remote write; returns True when it won (was newer)."""
-        self._observe(obj.version)
-        existing = self._objects.get(obj.path)
-        if existing is not None and existing.version >= obj.version:
-            return False
-        self._store(obj)
-        return True
 
     # -- reads --------------------------------------------------------------------
     def get(self, path: str) -> Optional[StoredObject]:
-        obj = self._objects.get(path)
+        obj = self.entries.get(path)
         if obj is None or obj.deleted:
             return None
         return obj
@@ -214,15 +182,11 @@ class ObjectNamespace:
     def list(self, prefix: str = "/") -> List[str]:
         return sorted(
             path
-            for path, obj in self._objects.items()
+            for path, obj in self.entries.items()
             if not obj.deleted and path.startswith(prefix)
         )
 
     # -- anti-entropy -----------------------------------------------------------------
-    def digest(self) -> Dict[str, Version]:
-        """path → version of everything including tombstones."""
-        return {path: obj.version for path, obj in self._objects.items()}
-
     def bucket_hashes(self) -> List[int]:
         """One XOR token per bucket; equal slots need no path-level exchange."""
         return list(self._bucket_hash)
@@ -231,7 +195,7 @@ class ObjectNamespace:
         """path → version for one hash bucket only (including tombstones)."""
         return {
             path: obj.version
-            for path, obj in self._objects.items()
+            for path, obj in self.entries.items()
             if bucket_of(path, self.buckets) == bucket
         }
 
@@ -243,31 +207,14 @@ class ObjectNamespace:
         """
         lines = sorted(
             f"{path}|{obj.version.to_wire()}|{int(obj.deleted)}"
-            for path, obj in self._objects.items()
+            for path, obj in self.entries.items()
         )
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
-    def newer_than(self, remote: Dict[str, Version]) -> List[StoredObject]:
-        """Objects the remote is missing or holds older versions of."""
-        out = []
-        for path, obj in self._objects.items():
-            theirs = remote.get(path)
-            if theirs is None or theirs < obj.version:
-                out.append(obj)
-        return sorted(out, key=lambda o: o.path)
-
     def raw(self, path: str) -> Optional[StoredObject]:
         """Including tombstones (replication internals)."""
-        return self._objects.get(path)
+        return self.entries.get(path)
 
     def all_objects(self) -> List[StoredObject]:
         """Every record including tombstones, path-sorted (rebalance)."""
-        return [self._objects[path] for path in sorted(self._objects)]
-
-    def drop(self, path: str) -> Optional[StoredObject]:
-        """Forget a record entirely — no tombstone.  Rebalance uses this to
-        release objects handed off to another shard group."""
-        obj = self._objects.pop(path, None)
-        if obj is not None:
-            self._bucket_hash[bucket_of(path, self.buckets)] ^= self._token(obj)
-        return obj
+        return [self.entries[path] for path in sorted(self.entries)]

@@ -6,24 +6,23 @@ Each replica:
 * on a client write, applies locally then replicates the versioned object
   to every peer in its replica-group (the paper's "constant data
   synchronization") — by default coalesced into per-peer buffers flushed
-  as one ``psReplicateBatch`` (many objects per RPC, pipelined), with the
-  original per-object synchronous push kept behind
-  ``batch_replication=False`` as the A/B control;
-* runs an anti-entropy loop: periodically compares per-bucket namespace
-  hashes with a peer and pulls only the buckets that differ, so a
-  crashed-and-restarted replica converges back to "the same exact data
-  ... within each of their individual storage areas" at a cost
+  as one ``psReplicateBatch`` (many objects per RPC, pipelined); with
+  ``batch_replication=False`` the write awaits its own one-entry batch
+  to every peer (the paper's synchronous push; ``replicas`` counts acks);
+* runs the anti-entropy loop of :mod:`repro.core.replication`: compares
+  per-bucket namespace hashes with a peer and pulls only the buckets that
+  differ, so a crashed-and-restarted replica converges back to "the same
+  exact data ... within each of their individual storage areas" at a cost
   proportional to what changed, not to the whole namespace;
 * when a :class:`~repro.store.sharding.ShardMap` is installed, owns only
-  its shard of the path space — misrouted commands are forwarded to (or
-  rejected with a pointer at) the owning group, and
-  :meth:`install_shard_map` streams misplaced objects out when the map
-  grows.
+  its shard of the path space — misrouted commands are forwarded to the
+  owning group, and :meth:`install_shard_map` streams misplaced objects
+  out when the map grows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.lang.command import RESERVED_ARGS, error_reply
@@ -31,8 +30,8 @@ from repro.net import Address
 from repro.net.host import HostDownError
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
+from repro.core.replication import ReplicaMixin, wanted
 from repro.store.namespace import (
-    DIGEST_BUCKETS,
     NamespaceError,
     ObjectNamespace,
     StoredObject,
@@ -50,29 +49,38 @@ from repro.services.base import Checkpointable
 STORE_CHUNK = 32
 
 
-class PersistentStoreDaemon(Checkpointable, ACEDaemon):
+def _digest_line(line: str) -> Tuple[str, Version]:
+    """One ``path|version`` element of a ``psDigest`` page."""
+    path, _, version = line.rpartition("|")
+    return path, Version.from_wire(version)
+
+
+class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
     """One replica of the Fig. 17 persistent-store cluster."""
 
     service_type = "PersistentStore"
+    REPLICATE = "psReplicateBatch"
+    FETCH = ("psFetch", "paths", "objects")
+    CHUNK = STORE_CHUNK
+    _encode = staticmethod(encode_object)
+    _decode = staticmethod(decode_object)
     #: the store's checkpoint *is* its namespace; writing it back into the
     #: store would re-capture itself on every round (supervisor memory is
     #: the checkpoint medium — anti-entropy from peers covers durability)
     checkpoint_to_store = False
 
     def __init__(self, ctx, name, host, *, peers: Optional[List[Address]] = None,
-                 sync_interval: float = 5.0, replicate_writes: bool = True,
+                 sync_interval: float = 5.0,
                  batch_replication: bool = True, repl_batch_size: int = 16,
                  repl_flush_age: float = 0.05, repl_buffer_cap: int = 512,
                  shard_map: Optional[ShardMap] = None, group_index: int = 0,
                  group_addresses: Optional[Dict[int, List[Address]]] = None,
-                 forward_misrouted: bool = True,
-                 digest_buckets: int = DIGEST_BUCKETS, **kwargs):
+                 **kwargs):
         kwargs.setdefault("authorize_commands", False)  # robust core service
         super().__init__(ctx, name, host, **kwargs)
-        self.namespace = ObjectNamespace(site=name, buckets=digest_buckets)
+        self.namespace = self.table = ObjectNamespace(site=name)
         self.peers: List[Address] = list(peers or [])
         self.sync_interval = sync_interval
-        self.replicate_writes = replicate_writes
         self.batch_replication = batch_replication
         self.repl_batch_size = repl_batch_size
         self.repl_flush_age = repl_flush_age
@@ -80,12 +88,8 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
         self.shard_map = shard_map
         self.group_index = group_index
         self.group_addresses: Dict[int, List[Address]] = dict(group_addresses or {})
-        self.forward_misrouted = forward_misrouted
         self.writes = 0
         self.reads = 0
-        self.replications_sent = 0
-        self.replications_applied = 0
-        self.syncs_completed = 0
         # Per-peer replication buffers: path -> newest StoredObject, in
         # insertion order so the cap drops the oldest entry first.
         self._repl_buffers: Dict[Address, Dict[str, StoredObject]] = {}
@@ -134,17 +138,9 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
             ArgSpec("offset", ArgType.INTEGER, required=False, default=0),
         )
         sem.define(
-            "psReplicate",
-            ArgSpec("path", ArgType.STRING),
-            ArgSpec("value", ArgType.STRING, required=False, default=""),
-            ArgSpec("version", ArgType.STRING),
-            ArgSpec("deleted", ArgType.INTEGER, required=False, default=0),
-            description="peer-to-peer versioned write propagation",
-        )
-        sem.define(
             "psReplicateBatch",
             ArgSpec("entries", ArgType.VECTOR),
-            description="batched versioned write propagation (one RPC, many objects)",
+            description="versioned write propagation (one RPC, many objects)",
         )
         sem.define(
             "psDigest",
@@ -189,7 +185,7 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
         for line in lines:
             try:
                 obj = decode_object(line)
-            except NamespaceError:
+            except ValueError:
                 continue
             self.namespace.apply(obj)
 
@@ -232,7 +228,7 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
             for start in range(0, len(objs), self.repl_batch_size):
                 batch = objs[start:start + self.repl_batch_size]
                 command = ACECmdLine(
-                    "psReplicateBatch",
+                    self.REPLICATE,
                     entries=tuple(encode_object(o) for o in batch),
                 )
                 delivered = False
@@ -245,7 +241,7 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
                         continue
                 if delivered:
                     for obj in batch:
-                        self.namespace.drop(obj.path)
+                        self.namespace.forget(obj.path)
                     moved += len(batch)
                     self._m_rebalanced.inc(len(batch))
         return moved
@@ -267,10 +263,6 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
             raise ServiceError(
                 f"shard loop: group {self.group_index} does not own this path "
                 f"(owner group {owner})"
-            )
-        if not self.forward_misrouted:
-            raise ServiceError(
-                f"misrouted: group {owner} owns this path, not {self.group_index}"
             )
         addresses = self.group_addresses.get(owner, ())
         if not addresses:
@@ -304,15 +296,18 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
 
     def _replicate(self, obj: StoredObject) -> Generator:
         """Propagate one committed write: enqueue for a batched flush, or
-        (A/B control) push synchronously to every peer in parallel."""
-        if not self.replicate_writes or not self.peers:
+        await its own one-entry batch to every peer in parallel; returns
+        the number of acks."""
+        if not self.peers:
             return 0
         if self.batch_replication:
             self._enqueue_replication(obj)
             return 0
-        procs = []
-        for peer in self.peers:
-            procs.append(self._spawn(self._push_to_peer(peer, obj), "replicate"))
+        wires = (encode_object(obj),)
+        procs = [
+            self._spawn(self._push_to_peer(peer, wires), "replicate")
+            for peer in self.peers
+        ]
         results = yield self.ctx.sim.all_of(procs)
         return sum(1 for v in results.values() if v)
 
@@ -357,7 +352,7 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
                     return
                 batch = [buf.pop(path) for path in list(buf)[: self.repl_batch_size]]
                 command = ACECmdLine(
-                    "psReplicateBatch",
+                    self.REPLICATE,
                     entries=tuple(encode_object(o) for o in batch),
                 )
                 try:
@@ -401,100 +396,46 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
             self._repl_client.close_channels()
         super()._teardown()
 
-    def _push_to_peer(self, peer: Address, obj: StoredObject) -> Generator:
-        client = self._service_client()
-        command = ACECmdLine(
-            "psReplicate",
-            path=obj.path,
-            value=encode_attrs(obj.attrs),
-            version=obj.version.to_wire(),
-            deleted=1 if obj.deleted else 0,
-        )
-        try:
-            yield from client.call(peer, command, attach=False)
-            self.replications_sent += 1
-            self._m_repl_sent.inc()
-            return True
-        except CallError:
-            self._m_repl_failed.inc()
-            return False
-
     # ------------------------------------------------------------------
-    # Anti-entropy
+    # Anti-entropy: the store's digest dialect
     # ------------------------------------------------------------------
-    def _anti_entropy_loop(self) -> Generator:
-        """Round-robin digest exchange with peers."""
-        index = 0
-        while self.running:
-            yield self.ctx.sim.timeout(self.sync_interval)
-            if not self.peers or not self.running:
-                continue
-            peer = self.peers[index % len(self.peers)]
-            index += 1
-            try:
-                yield from self._sync_with(peer)
-                self.syncs_completed += 1
-                self._m_syncs.inc()
-            except HostDownError:
-                return  # our own host died; the daemon is gone
-            except CallError:
-                continue
-
-    def _sync_with(self, peer: Address) -> Generator:
-        """Pull anything the peer has that is newer than our copy, touching
-        only the hash buckets whose summaries differ."""
-        client = self._service_client()
-        conn = yield from client.connect(peer, attach=False)
-        try:
-            reply = yield from conn.call(ACECmdLine("psDigestBuckets"))
-            hashes = reply.get("hashes", ())
-            remote = (
-                [int(h, 16) for h in hashes] if isinstance(hashes, tuple) else []
-            )
-            mine = self.namespace.bucket_hashes()
-            if len(remote) == len(mine):
-                changed = [i for i, (a, b) in enumerate(zip(mine, remote)) if a != b]
-            else:
-                # Bucket-scheme mismatch (mixed configs): fall back to a
-                # full walk rather than silently skipping divergence.
-                changed = list(range(self.namespace.buckets))
-            self._m_ae_checked.inc(len(mine))
-            self._m_ae_changed.inc(len(changed))
-            if not changed:
-                return
-            local = self.namespace.digest()
-            wanted: List[str] = []
-            for bucket in changed:
-                offset = 0
-                while True:
-                    dreply = yield from conn.call(
-                        ACECmdLine("psDigest", bucket=bucket, offset=offset)
-                    )
-                    entries = dreply.get("entries", ())
-                    for entry in entries if isinstance(entries, tuple) else ():
-                        path, _, version = entry.rpartition("|")
-                        theirs = Version.from_wire(version)
-                        ours = local.get(path)
-                        if ours is None or ours < theirs:
-                            wanted.append(path)
-                    nxt = dreply.get("next")
-                    if not isinstance(nxt, int) or nxt <= offset:
-                        break
-                    offset = nxt
-            for start in range(0, len(wanted), STORE_CHUNK):
-                chunk = tuple(wanted[start:start + STORE_CHUNK])
-                freply = yield from conn.call(ACECmdLine("psFetch", paths=chunk))
-                objects = freply.get("objects", ())
-                for encoded in objects if isinstance(objects, tuple) else ():
-                    try:
-                        obj = decode_object(encoded)
-                    except NamespaceError:
-                        continue
-                    if self.namespace.apply(obj):
-                        self.replications_applied += 1
-                        self._m_repl_applied.inc()
-        finally:
-            conn.close()
+    def _wanted_from(self, conn) -> Generator:
+        """Compare bucket hashes, then page ``psDigest`` for only the
+        buckets whose summaries differ."""
+        reply = yield from conn.call(ACECmdLine("psDigestBuckets"))
+        hashes = reply.get("hashes", ())
+        remote = [int(h, 16) for h in hashes] if isinstance(hashes, tuple) else []
+        mine = self.namespace.bucket_hashes()
+        if len(remote) == len(mine):
+            changed = [i for i, (a, b) in enumerate(zip(mine, remote)) if a != b]
+        else:
+            # Bucket-scheme mismatch (the peer's reply is not ours to
+            # trust): a full walk rather than silently skipping divergence.
+            changed = list(range(self.namespace.buckets))
+        self._m_ae_checked.inc(len(mine))
+        self._m_ae_changed.inc(len(changed))
+        if not changed:
+            return []
+        # Every page is compared against the table as it stood before the
+        # first one: an object a push delivers while we page is fetched
+        # anyway (the ledger's store_mix hashes pin that traffic).
+        local = self.namespace.digest()
+        keys: List[str] = []
+        for bucket in changed:
+            offset = 0
+            while True:
+                dreply = yield from conn.call(
+                    ACECmdLine("psDigest", bucket=bucket, offset=offset)
+                )
+                entries = dreply.get("entries", ())
+                keys += wanted(local, map(
+                    _digest_line, entries if isinstance(entries, tuple) else ()
+                ))
+                nxt = dreply.get("next")
+                if not isinstance(nxt, int) or nxt <= offset:
+                    break
+                offset = nxt
+        return keys
 
     # ------------------------------------------------------------------
     # Handlers
@@ -562,34 +503,9 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
             result["next"] = offset + STORE_CHUNK
         return result
 
-    def cmd_psReplicate(self, request: Request) -> dict:
-        cmd = request.command
-        obj = StoredObject(
-            cmd.str("path"),
-            decode_attrs(cmd.str("value", "")),
-            Version.from_wire(cmd.str("version")),
-            deleted=bool(cmd.int("deleted", 0)),
-        )
-        won = self.namespace.apply(obj)
-        if won:
-            self.replications_applied += 1
-            self._m_repl_applied.inc()
-        return {"applied": 1 if won else 0}
-
     def cmd_psReplicateBatch(self, request: Request) -> dict:
-        applied = 0
         entries = request.command.vector("entries")
-        for encoded in entries:
-            try:
-                obj = decode_object(encoded)
-            except NamespaceError:
-                continue
-            if self.namespace.apply(obj):
-                applied += 1
-        if applied:
-            self.replications_applied += applied
-            self._m_repl_applied.inc(applied)
-        return {"count": len(entries), "applied": applied}
+        return {"count": len(entries), "applied": self._take(entries)}
 
     def cmd_psDigest(self, request: Request) -> dict:
         bucket = request.command.int("bucket", -1)
@@ -618,16 +534,7 @@ class PersistentStoreDaemon(Checkpointable, ACEDaemon):
         }
 
     def cmd_psFetch(self, request: Request) -> dict:
-        paths = request.command.vector("paths")
-        found = []
-        for path in paths[:STORE_CHUNK]:
-            obj = self.namespace.raw(path)
-            if obj is not None:
-                found.append(encode_object(obj))
-        result: dict = {"count": len(found)}
-        if found:
-            result["objects"] = tuple(found)
-        return result
+        return self._fetch_reply(request.command.vector("paths"))
 
     def cmd_psStats(self, request: Request) -> dict:
         return {

@@ -7,9 +7,18 @@ on the lone survivor, and a restarted replica re-converges through
 anti-entropy — all bit-for-bit reproducible from the seed.
 """
 
+import pytest
+
+from repro.core import ACEDaemon
 from repro.env import ACEEnvironment
-from repro.lang import ACECmdLine
-from repro.services.asd import ServiceDirectoryDaemon, asd_lookup
+from repro.lang import ACECmdLine, ArgSpec, ArgType
+from repro.services.asd import (
+    DirEntry,
+    ServiceDirectoryDaemon,
+    ServiceRecord,
+    asd_lookup,
+)
+from repro.sim import canonical_trace_hash
 
 from tests.core.conftest import EchoDaemon
 
@@ -152,3 +161,99 @@ def test_crash_workload_is_deterministic():
     first = run_crash_workload(build_env(seed=17))
     second = run_crash_workload(build_env(seed=17))
     assert first == second
+
+
+def test_directory_group_wire_is_pinned():
+    """The replica group's wire is on no ``bench/`` workload; this is its
+    ledger entry (taken at a54542c, before the group moved onto
+    ``core/replication.py``)."""
+    env = build_env(seed=3)
+    run_crash_workload(env)
+    env.net.crash_host("spare")
+    env.run_for(LEASE + 2.0)
+    records = env.ctx.trace.records
+    assert len(records) == 544
+    assert canonical_trace_hash(records) == (
+        "c81c514f0416e5a5e17f457470121ce487201f760b0f8b5ea2a46bf0338c4a08"
+    )
+
+
+def ask(env, replica, command):
+    def go():
+        client = env.client(env.net.host("farm"), principal="prober")
+        return (yield from client.call(env.daemon(replica).address, command))
+
+    return env.run(go())
+
+
+def test_lapsed_entry_does_not_outlive_three_lease_durations():
+    """An entry already past its horizon when it arrives (a late push over
+    a degraded link) holds no record and no lease; it must still leave the
+    table, or every digest lists it and every peer fetches it back."""
+    env = build_env()
+    env.run_for(2 * SYNC)
+    ghost = DirEntry(
+        record=ServiceRecord("ghost", "farm", 9, "lab", "Echo"),
+        expires_at=env.sim.now - 0.001, seq=1, site="late",
+    )
+    reply = ask(env, "asd2", ACECmdLine("dirReplicate", entries=(ghost.to_wire(),)))
+    assert reply["applied"] == 1
+    env.run_for(SYNC * 3)
+    assert "ghost" in env.daemon("asd3").table.entries   # it did spread
+
+    env.run_for(4 * LEASE)
+    live = {f"svc{i}" for i in range(N_SERVICES)} | {"victim"}
+    for name in ("asd", "asd2", "asd3"):
+        replica = env.daemon(name)
+        assert "ghost" not in replica.table.entries, name
+        listing = ask(env, name, ACECmdLine("dirDigest"))["entries"]
+        assert not [line for line in listing if line.startswith("ghost|")], name
+        stats = ask(env, name, ACECmdLine("dirStats"))
+        assert stats["entries"] == stats["services"], name
+        assert live <= set(replica.records), name          # live entries untouched
+
+
+class GarbledPeer(ACEDaemon):
+    """A group member whose ``dirFetch`` reply carries ``self.wire``."""
+
+    service_type = "GarbledPeer"
+    wire = ""
+
+    def build_semantics(self, sem):
+        sem.define("dirDigest")
+        sem.define("dirFetch", ArgSpec("names", ArgType.VECTOR))
+
+    def cmd_dirDigest(self, request):
+        return {"count": 1, "entries": ("ghost|7|peer",)}
+
+    def cmd_dirFetch(self, request):
+        return {"count": 1, "entries": (self.wire,)}
+
+
+GHOST = "ghost\\|farm\\|9\\|lab\\|Echo"     # a record, escaped as a field
+MALFORMED_ENTRIES = {
+    "wrong-field-count": f"{GHOST}|1.0|7",
+    "bad-seq": f"{GHOST}|1e9|notanint|peer|0|0",
+    "bad-horizon": f"{GHOST}|soon|7|peer|0|0",
+    "bad-record": "ghost\\|farm\\|9|1e9|7|peer|0|0",
+}
+
+
+@pytest.mark.parametrize("wire", MALFORMED_ENTRIES.values(), ids=MALFORMED_ENTRIES)
+def test_malformed_fetched_entry_is_skipped_by_the_repair(wire):
+    env = ACEEnvironment(seed=3, lease_duration=LEASE)
+    infra = env.add_infrastructure(
+        "infra", with_wss=False, with_idmon=False, asd_sync_interval=SYNC,
+    )
+    peer = GarbledPeer(env.ctx, "garbled", infra, room="machineroom",
+                       authorize_commands=False, register_with_asd=False)
+    peer.wire = wire
+    env.add_daemon(peer)
+    asd = env.daemon("asd")
+    asd.set_group([asd.address, peer.address])
+    env.boot()
+    env.run_for(3 * SYNC)
+    assert asd.syncs_completed >= 2            # asked, fetched, kept going
+    assert asd.replications_applied == 0
+    assert "ghost" not in asd.table.entries
+    assert asd.running

@@ -3,7 +3,7 @@ misroute forwarding for stale-map clients, and group-growth rebalancing."""
 
 import pytest
 
-from repro.core import CallError, ServiceClient
+from repro.core import ServiceClient
 from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
 from repro.store import DIGEST_BUCKETS, ShardMap, bucket_of, stable_hash
@@ -116,22 +116,6 @@ def test_misrouted_request_is_forwarded():
     env.run_for(0.5)
     assert env.daemon("ps2-1").namespace.get(path) is not None
     assert env.daemon("ps1-1").namespace.get(path) is None
-
-
-def test_misrouted_request_rejected_when_forwarding_off():
-    env = build_sharded_env(forward_misrouted=False)
-    smap = env._store_shard_map
-    path = next(p for p in PATHS if smap.shard_for(p) == 1)
-
-    def scenario():
-        client = ServiceClient(env.ctx, env.net.host("infra"), principal="stale")
-        yield from client.call(
-            env.daemon("ps1-1").address,
-            ACECmdLine("psPut", path=path, value=encode_attrs({"v": "1"})),
-        )
-
-    with pytest.raises(CallError, match="misrouted"):
-        env.run(scenario())
 
 
 def test_add_store_group_rebalances():

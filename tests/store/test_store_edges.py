@@ -79,55 +79,70 @@ def test_ps_bad_path_rejected():
     env.run(go())
 
 
-def test_replication_disabled_keeps_writes_local():
-    env = ACEEnvironment(seed=271)
-    env.add_infrastructure("infra", with_wss=False, with_idmon=False)
-    host1 = env.add_workstation("s1", room="dc", monitors=False)
-    host2 = env.add_workstation("s2", room="dc", monitors=False)
-    a = PersistentStoreDaemon(env.ctx, "psa", host1, room="dc",
-                              replicate_writes=False, sync_interval=1000.0)
-    b = PersistentStoreDaemon(env.ctx, "psb", host2, room="dc",
-                              replicate_writes=False, sync_interval=1000.0)
-    env.add_daemon(a)
-    env.add_daemon(b)
-    a.set_peers([b.address])
-    b.set_peers([a.address])
-    env.boot()
-
-    def go():
-        client = env.client(env.net.host("infra"), principal="probe")
-        reply = yield from client.call(a.address,
-                                       ACECmdLine("psPut", path="/solo", value="v=1"))
-        return reply
-
-    reply = env.run(go())
-    assert reply["replicas"] == 1  # nothing pushed
-    env.run_for(2.0)
-    assert b.namespace.get("/solo") is None
-
-
 def test_anti_entropy_alone_converges_lazy_replication():
-    """With synchronous replication off, the digest exchange still brings
-    replicas together (eventual consistency mode)."""
+    """A write no push carried still reaches the peer: the digest exchange
+    alone brings replicas together (eventual consistency mode)."""
     env = ACEEnvironment(seed=272)
     env.add_infrastructure("infra", with_wss=False, with_idmon=False)
     host1 = env.add_workstation("s1", room="dc", monitors=False)
     host2 = env.add_workstation("s2", room="dc", monitors=False)
-    a = PersistentStoreDaemon(env.ctx, "psa", host1, room="dc",
-                              replicate_writes=False, sync_interval=1.0)
-    b = PersistentStoreDaemon(env.ctx, "psb", host2, room="dc",
-                              replicate_writes=False, sync_interval=1.0)
+    a = PersistentStoreDaemon(env.ctx, "psa", host1, room="dc", sync_interval=1.0)
+    b = PersistentStoreDaemon(env.ctx, "psb", host2, room="dc", sync_interval=1.0)
     env.add_daemon(a)
     env.add_daemon(b)
     a.set_peers([b.address])
     b.set_peers([a.address])
     env.boot()
 
-    def go():
-        client = env.client(env.net.host("infra"), principal="probe")
-        yield from client.call(a.address,
-                               ACECmdLine("psPut", path="/lazy", value="v=1"))
-
-    env.run(go())
+    a.namespace.put("/lazy", {"v": "1"})
     env.run_for(5.0)
     assert b.namespace.get("/lazy") is not None
+    assert a.replications_sent == 0
+
+
+# -- replication intake says no one way ---------------------------------------
+
+MALFORMED_OBJECTS = {
+    "bad-counter": "/x|v=1|notanint@s|0",
+    "bad-attrs-pair": "/x|novalue|5@s|0",
+    "wrong-field-count": "/x|v=1|5@s",
+    "bad-path": "not a path|v=1|5@s|0",
+}
+
+
+def assert_still_serving(env, daemon_name):
+    ps = env.daemon(daemon_name)
+    assert ps.namespace.entries == {}
+    assert ps.replications_applied == 0
+    assert call(env, daemon_name, ACECmdLine("ping")).name == "cmdOk"
+
+
+@pytest.mark.parametrize("wire", MALFORMED_OBJECTS.values(), ids=MALFORMED_OBJECTS)
+def test_malformed_batch_entry_is_skipped(wire):
+    env = build(replicas=1)
+    reply = call(env, "ps1", ACECmdLine("psReplicateBatch", entries=(wire,)))
+    assert (reply["count"], reply["applied"]) == (1, 0)
+    assert_still_serving(env, "ps1")
+
+
+def test_per_object_replicate_command_is_gone():
+    """``psReplicate`` built its object from unchecked arguments; the batch
+    intake is the only way in."""
+    from repro.core import CallError
+
+    env = build(replicas=1)
+    probe = ACECmdLine("psReplicate", path="/x", value="novalue", version="abc")
+    with pytest.raises(CallError, match="unknown command 'psReplicate'"):
+        call(env, "ps1", probe)
+    assert_still_serving(env, "ps1")
+
+
+@pytest.mark.parametrize("wire", MALFORMED_OBJECTS.values(), ids=MALFORMED_OBJECTS)
+def test_malformed_fetched_or_checkpointed_object_is_skipped(wire):
+    """The repair's fetch reply and a checkpoint line go through the same
+    decode as a push."""
+    env = build(replicas=1)
+    ps = env.daemon("ps1")
+    assert ps._take((wire,)) == 0
+    ps.restore_state([wire])
+    assert_still_serving(env, "ps1")

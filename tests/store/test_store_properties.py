@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.replication import wanted
 from repro.store.namespace import (
     ObjectNamespace,
     StoredObject,
@@ -70,14 +71,14 @@ def test_replica_convergence_order_independent(ops, replay_order):
 @given(st.lists(st.tuples(paths, attr_dicts), min_size=1, max_size=20))
 @settings(max_examples=50, deadline=None)
 def test_anti_entropy_pull_reaches_fixpoint(ops):
-    """newer_than() against a digest, applied, leaves nothing newer."""
+    """wanted() against a digest, fetched and applied, leaves nothing wanted."""
     source = ObjectNamespace("src")
     target = ObjectNamespace("dst")
     for path, attrs in ops:
         source.put(path, attrs)
-    for obj in source.newer_than(target.digest()):
-        target.apply(obj)
-    assert source.newer_than(target.digest()) == []
+    for path in wanted(target.digest(), source.digest().items()):
+        target.apply(source.raw(path))
+    assert wanted(target.digest(), source.digest().items()) == []
     assert target.digest() == source.digest()
 
 

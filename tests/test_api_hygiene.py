@@ -133,6 +133,8 @@ RETIRED_NAMES = frozenset({
     "_REPL_ERRORS", "_store_errors", "NetLoggerExporter", "span_from_wire",
     "SPAN_EVENT", "METRICS_EVENT", "on_finish",
     "MobileServiceConnection", "NoInstanceAvailable", "asd_lookup_one",
+    "_apply_entry", "_index_add", "_index_remove", "cmd_psReplicate",
+    "newer_than", "replicate_writes", "forward_misrouted", "digest_buckets",
 })
 
 
@@ -257,6 +259,48 @@ def test_fig8_has_one_listener():
     assert subscribers == ["repro/core/notifications.py"]
     assert trigger_specs == {"repro/core/notifications.py", "repro/services/asd.py"}
     assert parsing_callbacks == []
+
+
+def test_one_replicated_map():
+    """The directory and the store keep their copies in step with one
+    table, one intake and one repair loop (``core/replication.py``): the
+    LWW comparison, ``_anti_entropy_loop`` and ``_sync_with`` are written
+    once, and the per-object push and the options nobody set stay gone."""
+    from repro.core.replication import ReplicaMixin, ReplicatedMap
+    from repro.services.asd import ServiceDirectoryDaemon
+    from repro.store import ObjectNamespace, PersistentStoreDaemon
+
+    def lww_comparison(node):
+        return (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.GtE)
+                and getattr(node.left, "attr", None) == "version")
+
+    src = REPO / "src"
+    written = {"_anti_entropy_loop": [], "_sync_with": [], ".version >=": []}
+    declared = []
+    for path in sorted(src.rglob("*.py")):
+        where = str(path.relative_to(src))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in written:
+                written[node.name].append(where)
+            if lww_comparison(node):
+                written[".version >="].append(where)
+            if isinstance(node, ast.Constant) and node.value == "psReplicate":
+                declared.append(where)
+    for what, where in written.items():
+        assert where == ["repro/core/replication.py"], what
+    assert declared == []
+
+    for daemon in (ServiceDirectoryDaemon, PersistentStoreDaemon):
+        assert issubclass(daemon, ReplicaMixin)
+        for shared in ("_anti_entropy_loop", "_sync_with", "_take", "_fetch_reply",
+                       "_push_to_peer"):
+            assert shared not in vars(daemon), f"{daemon.__name__}.{shared}"
+    assert issubclass(ObjectNamespace, ReplicatedMap)
+    # the pipeline's tag counter in core/client.py is a live ``_next_seq``,
+    # so the directory's retired one is checked here, not by spelling
+    assert not hasattr(ServiceDirectoryDaemon, "_next_seq")
+    keywords = set(inspect.signature(PersistentStoreDaemon.__init__).parameters)
+    assert not keywords & {"replicate_writes", "forward_misrouted", "digest_buckets"}
 
 
 #: what ``repro.net`` raises; ``core/client.py`` turns each into a
