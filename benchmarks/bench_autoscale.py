@@ -17,24 +17,22 @@ One seeded store workload, run three ways on the DES clock:
   ticking, the supervisor must restart the replica, and no acknowledged
   write may be lost.
 
-Results (including the full decision log — the CI artifact operators
-diff when a rollout changes scaling behaviour) go to ``BENCH_E28.json``
-(``ACE_BENCH_ARTIFACT_DIR`` in CI, repo root otherwise).  Under
-``ACE_BENCH_GUARD=1`` the run fails if the recovered p95 grows more
-than 20% over the committed baseline or the decision-id sequence
-drifts (the controller is deterministic: same seed, same decisions).
-``ACE_BENCH_SHORT=1`` shrinks the phases.
+The report is ``BENCH_E28.json``, with the full decision log beside it
+in ``decision-log.json`` (the CI artifact operators diff when a rollout
+changes scaling behaviour).  Its guard (``benchmarks/conftest.py:record``)
+flags a recovered p95 more than 20% over the committed baseline or a
+drifted decision-id sequence (the controller is deterministic: same
+seed, same decisions).  ``ACE_BENCH_SHORT=1`` shrinks the phases.
 """
 
-import json
 import os
-
-import pytest
 
 from repro.control import ScalingRule, replay_decisions
 from repro.env import ACEEnvironment
 from repro.metrics import ResultTable
 from repro.store.client import StoreUnavailable
+
+from benchmarks.conftest import record, write_artifact
 
 SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
 WARM_S = 4.0 if SHORT else 6.0       # pre-spike baseline window
@@ -43,9 +41,6 @@ BASE_CLIENTS, BASE_THINK = 4, 0.10
 SPIKE_CLIENTS, SPIKE_THINK = 20, 0.02
 INTERVAL = 0.5                       # control + telemetry interval (sim-s)
 
-GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E28.json")
 
 #: the bench policy: one rule, store groups driven by control-queue
 #: backlog.  Deliberately aggressive cooldowns so the controller
@@ -169,34 +164,6 @@ def run_flash_crowd(seed, *, autoscale: bool, chaos: bool = False) -> dict:
     return out
 
 
-def _check_against_baseline(report: dict) -> list:
-    if not os.path.exists(BASELINE_PATH):
-        return []
-    with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
-    if report["short"] != baseline.get("short"):
-        # a guard that compares nothing must not pass for one that held
-        return [f"no comparable baseline: {os.path.basename(BASELINE_PATH)} "
-                f"holds a short={baseline.get('short')} run"]
-    problems = []
-    committed = baseline.get("autoscaled", {}).get("recovered_p95_ms")
-    measured = report["autoscaled"]["recovered_p95_ms"]
-    if committed:
-        growth = (measured - committed) / committed
-        if growth > 0.20:
-            problems.append(
-                f"autoscaled recovered p95 {measured:.3f}ms is "
-                f"{growth:.0%} above the committed {committed:.3f}ms"
-            )
-    committed_ids = baseline.get("autoscaled", {}).get("live_ids")
-    if committed_ids is not None and committed_ids != report["autoscaled"]["live_ids"]:
-        problems.append(
-            "scaling decision sequence drifted from the committed baseline: "
-            f"{committed_ids} -> {report['autoscaled']['live_ids']}"
-        )
-    return problems
-
-
 def test_e28_autoscale(benchmark, table_printer):
     def run():
         return {
@@ -245,24 +212,8 @@ def test_e28_autoscale(benchmark, table_printer):
     assert chaos["recovered_ratio"] <= 2.0 * 1.5, (
         f"chaos recovered p95 is {chaos['recovered_ratio']:.1f}x baseline")
 
-    problems = _check_against_baseline(report)
-    if problems and GUARD:
-        pytest.fail("regression vs committed BENCH_E28.json:\n  "
-                    + "\n  ".join(problems))
-    for problem in problems:
-        print(f"\nWARNING (perf): {problem}")
-
-    artifact_dir = os.environ.get("ACE_BENCH_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        out_path = os.path.join(artifact_dir, "BENCH_E28.json")
-        with open(os.path.join(artifact_dir, "decision-log.json"), "w") as fh:
-            json.dump({run_name: report[run_name].get("decision_log", [])
-                       for run_name in ("autoscaled", "chaos")},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        out_path = BASELINE_PATH
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    record(report, grows=["autoscaled.recovered_p95_ms"],
+           equal=["autoscaled.live_ids"])
+    write_artifact("decision-log.json", {
+        run_name: report[run_name].get("decision_log", [])
+        for run_name in ("autoscaled", "chaos")})

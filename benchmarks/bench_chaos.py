@@ -32,8 +32,6 @@ from repro.lang import ArgSpec, ArgType, CommandSemantics
 from repro.metrics import ResultTable
 from repro.workloads import run_chaos_workload
 
-from benchmarks.conftest import run_once
-
 SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
 N_CLIENTS = 4 if SHORT else 8
 
@@ -125,7 +123,8 @@ def phase_windows(t0):
 def test_e21_gray_failure_recovery(benchmark, table_printer):
     """Resilient mode: availability dips under injected gray failure and
     returns after heal; breakers shed load; every call stays bounded."""
-    env, result, t0 = run_once(benchmark, lambda: chaos_run(seed=210, resilient=True))
+    env, result, t0 = benchmark.pedantic(
+        lambda: chaos_run(seed=210, resilient=True), rounds=1, iterations=1)
     stats = env.ctx.resilience.stats
 
     table = table_printer(ResultTable(
@@ -184,7 +183,7 @@ def test_e21_resilient_vs_naive(benchmark, table_printer):
         env, resilient, rt0 = chaos_run(seed=211, resilient=True)
         return env, naive, nt0, resilient, rt0
 
-    env, naive, nt0, resilient, rt0 = run_once(benchmark, run)
+    env, naive, nt0, resilient, rt0 = benchmark.pedantic(run, rounds=1, iterations=1)
 
     table = table_printer(ResultTable(
         "E21: resilient vs naive clients under the same chaos schedule",

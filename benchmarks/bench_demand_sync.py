@@ -25,20 +25,16 @@ Pinned in ``BENCH_E30.json``:
 Critical-path CPU (max per-shard CPU + coordinator CPU) is reported as a
 diagnostic only; host-speed claims are ``python3 -m bench``'s job.
 
-Results go to ``BENCH_E30.json`` (``ACE_BENCH_ARTIFACT_DIR`` when set,
-else the committed copy at the repo root).  ``ACE_BENCH_GUARD=1`` turns
-an invariance-hash change into a failure.  ``ACE_BENCH_SHORT=1`` runs
-CI-sized populations (the invariance profile is deliberately
-SHORT-independent).
+The report is ``BENCH_E30.json``; its guard
+(``benchmarks/conftest.py:record``) flags an invariance-hash change.
+``ACE_BENCH_SHORT=1`` runs CI-sized populations (the invariance profile
+is deliberately SHORT-independent).
 """
 
 import functools
-import json
 import os
 import time
 import tracemalloc
-
-import pytest
 
 from repro.env import build_campus, campus_100k_profile, campus_shard_map
 from repro.metrics import ResultTable, cores_available
@@ -50,11 +46,9 @@ from repro.workloads import (
     start_population,
 )
 
-SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
-GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E30.json")
+from benchmarks.conftest import record
 
+SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
 REGIONS = 4
 SEED = 29
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -255,21 +249,6 @@ def run_100k() -> dict:
     return row
 
 
-def _check_against_baseline(report: dict) -> list:
-    """Invariance-hash drift vs the committed baseline."""
-    if not os.path.exists(BASELINE_PATH):
-        return []
-    with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
-    pinned = baseline.get("invariance", {}).get("merged_trace_sha256")
-    current = report["invariance"]["merged_trace_sha256"]
-    if pinned and pinned != current:
-        return [f"invariance-run merged-trace hash changed: committed "
-                f"{pinned[:16]}…, measured {current[:16]}… — the sharded "
-                f"kernel no longer reproduces the committed trace"]
-    return []
-
-
 def test_e30_demand_sync(benchmark, table_printer):
     def run():
         return {
@@ -305,19 +284,4 @@ def test_e30_demand_sync(benchmark, table_printer):
                   round(max(big["maxrss_kb"]) / 1024, 1),
                   big["bookkeeping_bytes_per_user"])
 
-    problems = _check_against_baseline(report)
-    if problems and GUARD:
-        pytest.fail("regression vs committed BENCH_E30.json:\n  "
-                    + "\n  ".join(problems))
-    for problem in problems:
-        print(f"\nWARNING (perf): {problem}")
-
-    artifact_dir = os.environ.get("ACE_BENCH_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        out_path = os.path.join(artifact_dir, "BENCH_E30.json")
-    else:
-        out_path = BASELINE_PATH
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    record(report, equal=["invariance.merged_trace_sha256"])

@@ -14,8 +14,8 @@ Four claims:
 * **rpc** — connection pooling and pipelining raise cross-segment
   lookup-style ops/s by a measured factor over dial-per-call.
 
-Set ``ACE_BENCH_SHORT=1`` for a CI-sized run.  Set
-``ACE_DIR_ARTIFACT_DIR`` to also write the scaling table to disk (CI
+Set ``ACE_BENCH_SHORT=1`` for a CI-sized run.  The scaling table is
+written as ``e23_directory_scale.txt`` to ``ACE_BENCH_ARTIFACT_DIR`` (CI
 uploads it as a build artifact).
 """
 
@@ -25,6 +25,7 @@ from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
 from repro.metrics import ResultTable, summarize
 from repro.services.asd import asd_lookup
+from benchmarks.conftest import write_artifact
 from tests.core.conftest import EchoDaemon
 
 SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
@@ -115,12 +116,7 @@ def test_e23_users_x_replicas_sweep(benchmark, table_printer):
     assert one_replica[-1][2] > one_replica[0][2]
     assert one_replica[-1][3] <= one_replica[0][2]
 
-    artifact_dir = os.environ.get("ACE_DIR_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        with open(os.path.join(artifact_dir, "e23_directory_scale.txt"),
-                  "w", encoding="utf-8") as fh:
-            fh.write(table.render() + "\n")
+    write_artifact("e23_directory_scale.txt", table.render() + "\n")
 
 
 def test_e23_cached_lookup_is_10x(benchmark, table_printer):

@@ -20,22 +20,16 @@ their performance to a machine-readable baseline:
 * **Scenario-1 macro run** — the §7.1 new-user story end to end, with the
   kernel counters showing the ready queues carried the run.
 
-Results are written to ``BENCH_E24.json`` (to ``ACE_BENCH_ARTIFACT_DIR``
-when set — the CI artifact — else to the repo root, which is the committed
-perf trajectory).  The regression guard compares the measured codec
-*speedup ratio* against the committed baseline — ratios are
-machine-independent, absolute rates are not — and fails the run under
-``ACE_BENCH_GUARD=1`` when it drops more than 20% below the baseline;
-otherwise it warns.
+The report is ``BENCH_E24.json``.  The regression guard
+(``benchmarks/conftest.py:record``) compares the measured codec *speedup
+ratio* against the committed baseline — ratios are machine-independent,
+absolute rates are not — and flags a drop of more than 20%.
 
 Set ``ACE_BENCH_SHORT=1`` for a CI-sized run.
 """
 
-import json
 import os
 import time
-
-import pytest
 
 from repro.env.scenarios import scenario_1_new_user, standard_environment
 from repro.lang import ACECmdLine
@@ -44,6 +38,8 @@ from repro.metrics import ResultTable
 from repro.obs import ProfileScope
 from repro.sim import Interrupt, Simulator
 from repro.sim.kernel import NORMAL
+
+from benchmarks.conftest import record
 
 SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
 BALLAST = 1000 if SHORT else 4000
@@ -58,10 +54,6 @@ SIZES = {
 #: acceptance target (ISSUE 4); the committed baseline must clear it, and
 #: it doubles as the in-test floor
 PARSE_SPEEDUP_MIN = 2.0
-
-GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E24.json")
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +280,6 @@ def run_scenario1_macro() -> dict:
 # The experiment
 # ---------------------------------------------------------------------------
 
-def _check_against_baseline(report: dict) -> list:
-    """Compare the measured codec speedup ratio with the committed
-    baseline; returns a list of regression messages (empty when clean or
-    no baseline)."""
-    if not os.path.exists(BASELINE_PATH):
-        return []
-    with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
-    measured = report["codec"]["flat_aggregate"]["speedup"]
-    committed = baseline.get("codec", {}).get("flat_aggregate", {}).get("speedup")
-    if committed and (committed - measured) / committed > 0.20:
-        return [f"codec flat aggregate speedup {measured:.2f}x is "
-                f"{(committed - measured) / committed:.0%} below the "
-                f"committed baseline {committed:.2f}x"]
-    return []
-
-
 def test_e24_hotpath(benchmark, table_printer):
     def run():
         return {
@@ -356,21 +331,4 @@ def test_e24_hotpath(benchmark, table_printer):
     assert vec["speedup"] > 0.7, f"fallback regressed arrays: {vec}"
 
     # Perf-regression guard against the committed trajectory.
-    problems = _check_against_baseline(report)
-    if problems and GUARD:
-        pytest.fail("perf regression vs committed BENCH_E24.json:\n  "
-                    + "\n  ".join(problems))
-    for problem in problems:
-        print(f"\nWARNING (perf): {problem}")
-
-    # Persist the report: CI artifact dir when set, else the committed
-    # trajectory file at the repo root.
-    artifact_dir = os.environ.get("ACE_BENCH_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        out_path = os.path.join(artifact_dir, "BENCH_E24.json")
-    else:
-        out_path = BASELINE_PATH
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    record(report, drops=["codec.flat_aggregate.speedup"])

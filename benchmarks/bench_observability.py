@@ -13,9 +13,9 @@ Three claims:
   carries the retry/breaker annotations, i.e. the trace *names* the hop
   that ate the latency.
 
-Set ``ACE_BENCH_SHORT=1`` for a CI-sized run.  Set ``ACE_OBS_ARTIFACT_DIR``
-to also write the scenario span tree + critical-path table to disk (CI
-uploads it as a build artifact).
+Set ``ACE_BENCH_SHORT=1`` for a CI-sized run.  The scenario span tree +
+critical-path table is written as ``critical_path_s1.txt`` to
+``ACE_BENCH_ARTIFACT_DIR`` (CI uploads it as a build artifact).
 """
 
 import os
@@ -29,6 +29,7 @@ from repro.lang import ACECmdLine
 from repro.metrics import ResultTable
 from repro.obs import critical_path, critical_path_rows
 from repro.workloads import closed_loop_clients
+from benchmarks.conftest import write_artifact
 from tests.core.conftest import EchoDaemon
 
 SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
@@ -148,11 +149,8 @@ def test_e22_scenario_1_critical_path(benchmark, table_printer):
     # The longest pole is the workspace placement, not the AUD insert.
     assert any("ensureDefaultWorkspace" in r[0] for r in rows)
 
-    artifact_dir = os.environ.get("ACE_OBS_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        with open(os.path.join(artifact_dir, "critical_path_s1.txt"), "w") as fh:
-            fh.write(tree.render() + "\n\n" + table.render() + "\n")
+    write_artifact("critical_path_s1.txt",
+                   tree.render() + "\n\n" + table.render() + "\n")
 
 
 def test_e22_critical_path_under_faults(benchmark, table_printer):

@@ -15,16 +15,12 @@ deterministic sim time:
   cache (hit counter +1), proving the retry replayed instead of
   re-executing.
 
-Results go to ``BENCH_E26.json`` (``ACE_BENCH_ARTIFACT_DIR`` in CI, repo
-root otherwise).  Under ``ACE_BENCH_GUARD=1`` an MTTR more than 20% above
-the committed baseline fails the run.  ``ACE_BENCH_SHORT=1`` shrinks the
-workloads.
+The report is ``BENCH_E26.json``; its guard
+(``benchmarks/conftest.py:record``) flags an MTTR more than 20% above the
+committed baseline.  ``ACE_BENCH_SHORT=1`` shrinks the workloads.
 """
 
-import json
 import os
-
-import pytest
 
 from repro.core.policy import CallPolicy
 from repro.env import ACEEnvironment
@@ -33,6 +29,8 @@ from repro.faults.plan import FaultPlan
 from repro.lang import ACECmdLine
 from repro.lang.command import CLIENT_ID_ARG, CLIENT_SEQ_ARG, is_ok
 from repro.metrics import ResultTable
+
+from benchmarks.conftest import record
 
 SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
 DURATION = 12.0 if SHORT else 20.0
@@ -54,9 +52,6 @@ WORKLOAD_POLICY = CallPolicy(
     backoff_base=0.05, backoff_max=0.4, breaker_threshold=0,
 )
 
-GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E26.json")
 
 #: the kill-sweep: daemon name -> liveness command aimed at it
 SWEEP = {
@@ -152,30 +147,6 @@ def run_kill(target: str, probe: ACECmdLine, seed: int) -> dict:
     }
 
 
-def _check_against_baseline(report: dict) -> list:
-    if not os.path.exists(BASELINE_PATH):
-        return []
-    with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
-    problems = []
-    if report["short"] != baseline.get("short"):
-        # a guard that compares nothing must not pass for one that held
-        return [f"no comparable baseline: {os.path.basename(BASELINE_PATH)} "
-                f"holds a short={baseline.get('short')} run"]
-    for target, row in report["sweep"].items():
-        committed = baseline.get("sweep", {}).get(target, {}).get("mttr_s")
-        measured = row["mttr_s"]
-        if not committed or measured is None:
-            continue
-        growth = (measured - committed) / committed
-        if growth > 0.20:
-            problems.append(
-                f"{target} MTTR {measured:.2f}s is {growth:.0%} above the "
-                f"committed baseline {committed:.2f}s"
-            )
-    return problems
-
-
 def test_e26_recovery(benchmark, table_printer):
     def run():
         return {
@@ -216,19 +187,4 @@ def test_e26_recovery(benchmark, table_printer):
             f"{target}: post-restart replay re-executed instead of "
             f"answering from the checkpointed dedup cache")
 
-    problems = _check_against_baseline(report)
-    if problems and GUARD:
-        pytest.fail("perf regression vs committed BENCH_E26.json:\n  "
-                    + "\n  ".join(problems))
-    for problem in problems:
-        print(f"\nWARNING (perf): {problem}")
-
-    artifact_dir = os.environ.get("ACE_BENCH_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        out_path = os.path.join(artifact_dir, "BENCH_E26.json")
-    else:
-        out_path = BASELINE_PATH
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    record(report, grows=["sweep.*.mttr_s"])

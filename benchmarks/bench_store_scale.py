@@ -20,20 +20,18 @@ machine-independent):
   to the *identical* ``namespace_hash()`` — checked on both replication
   modes.
 
-Results go to ``BENCH_E25.json`` (``ACE_BENCH_ARTIFACT_DIR`` in CI, repo
-root otherwise — the committed perf trajectory).  Under
-``ACE_BENCH_GUARD=1`` a >20% drop of any speedup ratio vs the committed
-baseline fails the run.  ``ACE_BENCH_SHORT=1`` shrinks the workloads.
+The report is ``BENCH_E25.json``; its guard
+(``benchmarks/conftest.py:record``) flags a >20% drop of any speedup ratio
+vs the committed baseline.  ``ACE_BENCH_SHORT=1`` shrinks the workloads.
 """
 
-import json
 import os
-
-import pytest
 
 from repro.env import ACEEnvironment
 from repro.metrics import ResultTable
 from repro.workloads import store_workload
+
+from benchmarks.conftest import record
 
 SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
 DURATION = 5.0 if SHORT else 12.0
@@ -45,10 +43,6 @@ CONV_OBJECTS = 15 if SHORT else 30
 SHARD_SPEEDUP_MIN = 2.0      # 4 groups vs 1 group, aggregate ops/s
 BATCH_SPEEDUP_MIN = 2.0      # batched vs per-object write throughput
 CACHE_SPEEDUP_MIN = 10.0     # cached re-reads vs wire re-reads
-
-GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E25.json")
 
 
 def build_env(groups=1, replicas=2, seed=55, sync_interval=2.0, **store_kwargs):
@@ -193,43 +187,6 @@ def run_convergence() -> dict:
 # The experiment
 # ---------------------------------------------------------------------------
 
-def _check_against_baseline(report: dict) -> list:
-    if not os.path.exists(BASELINE_PATH):
-        return []
-    with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
-    problems = []
-    # The replication A/B ratio is workload-size independent, so it is
-    # always comparable.  The shard and cache ratios scale with the run
-    # size (warmup fraction, number of re-reads), so a SHORT CI run is
-    # only compared against a SHORT baseline.
-    checks = [
-        ("batched replication", report["replication"]["speedup"],
-         baseline.get("replication", {}).get("speedup")),
-    ]
-    if report["short"] == baseline.get("short"):
-        checks += [
-            ("shard 4-vs-1", report["shards"]["speedup_4_vs_1"],
-             baseline.get("shards", {}).get("speedup_4_vs_1")),
-            ("read cache", report["read_cache"]["speedup"],
-             baseline.get("read_cache", {}).get("speedup")),
-        ]
-    else:
-        # a guard that compares nothing must not pass for one that held
-        problems.append(f"no comparable baseline for the shard and cache ratios: "
-                        f"BENCH_E25.json holds a short={baseline.get('short')} run")
-    for label, measured, committed in checks:
-        if not committed:
-            continue
-        drop = (committed - measured) / committed
-        if drop > 0.20:
-            problems.append(
-                f"{label} speedup {measured:.2f}x is {drop:.0%} below the "
-                f"committed baseline {committed:.2f}x"
-            )
-    return problems
-
-
 def test_e25_store_scale(benchmark, table_printer):
     def run():
         return {
@@ -303,19 +260,7 @@ def test_e25_store_scale(benchmark, table_printer):
             == report["convergence"]["sync"]["hash"]), (
         "batched and sync runs of the same workload disagree on the data")
 
-    problems = _check_against_baseline(report)
-    if problems and GUARD:
-        pytest.fail("perf regression vs committed BENCH_E25.json:\n  "
-                    + "\n  ".join(problems))
-    for problem in problems:
-        print(f"\nWARNING (perf): {problem}")
-
-    artifact_dir = os.environ.get("ACE_BENCH_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        out_path = os.path.join(artifact_dir, "BENCH_E25.json")
-    else:
-        out_path = BASELINE_PATH
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # The shard and cache ratios scale with the run size (warmup fraction,
+    # number of re-reads), so only a run of the committed length compares.
+    record(report, drops=["replication.speedup", "shards.speedup_4_vs_1",
+                          "read_cache.speedup"])

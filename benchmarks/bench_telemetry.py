@@ -13,21 +13,18 @@ Three claims, measured in deterministic sim time:
   burn-rate alert within two push intervals of the bad counters landing
   at the aggregator.
 * **wire silence** — with telemetry off the span stream is byte-identical
-  run-to-run, and its sha256 is recorded in ``BENCH_E27.json``; under
-  ``ACE_BENCH_GUARD=1`` a hash drift vs the committed baseline fails the
-  run (the telemetry-off wire must stay exactly as it was before E27).
+  run-to-run, and its sha256 is recorded in ``BENCH_E27.json``; the guard
+  flags a hash drift vs the committed baseline (the telemetry-off wire
+  must stay exactly as it was before E27).
 
-Results go to ``BENCH_E27.json`` (``ACE_BENCH_ARTIFACT_DIR`` in CI, repo
-root otherwise).  The guard also fails if the telemetry-on mean latency
-grows more than 20% over the committed baseline.  ``ACE_BENCH_SHORT=1``
-shrinks the workloads.
+The report is ``BENCH_E27.json``.  Its guard
+(``benchmarks/conftest.py:record``) also flags telemetry-on mean latency
+more than 20% over the committed baseline.  ``ACE_BENCH_SHORT=1`` shrinks
+the workloads.
 """
 
 import hashlib
-import json
 import os
-
-import pytest
 
 from repro.env import ACEEnvironment
 from repro.faults.controller import ChaosController
@@ -37,6 +34,7 @@ from repro.metrics import ResultTable
 from repro.obs import span_to_wire
 from repro.workloads import closed_loop_clients
 
+from benchmarks.conftest import record
 from tests.core.conftest import EchoDaemon
 
 SHORT = bool(os.environ.get("ACE_BENCH_SHORT"))
@@ -44,10 +42,6 @@ DURATION = 8.0 if SHORT else 16.0
 N_CLIENTS = 4 if SHORT else 8
 THINK_TIME = 0.05
 INTERVAL = 0.5  # telemetry push interval (sim-s)
-
-GUARD = os.environ.get("ACE_BENCH_GUARD") == "1"
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_E27.json")
 
 
 def build_env(seed, *, telemetry: bool):
@@ -138,34 +132,6 @@ def run_detection(seed) -> dict:
     }
 
 
-def _check_against_baseline(report: dict) -> list:
-    if not os.path.exists(BASELINE_PATH):
-        return []
-    with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
-    if report["short"] != baseline.get("short"):
-        # a guard that compares nothing must not pass for one that held
-        return [f"no comparable baseline: {os.path.basename(BASELINE_PATH)} "
-                f"holds a short={baseline.get('short')} run"]
-    problems = []
-    committed = baseline.get("telemetry_on", {}).get("mean_s")
-    measured = report["telemetry_on"]["mean_s"]
-    if committed:
-        growth = (measured - committed) / committed
-        if growth > 0.20:
-            problems.append(
-                f"telemetry-on mean latency {measured * 1e3:.3f}ms is "
-                f"{growth:.0%} above the committed {committed * 1e3:.3f}ms"
-            )
-    committed_hash = baseline.get("telemetry_off", {}).get("wire_hash")
-    if committed_hash and committed_hash != report["telemetry_off"]["wire_hash"]:
-        problems.append(
-            "telemetry-off span-stream hash drifted from the committed "
-            "baseline — the off path is no longer byte-identical"
-        )
-    return problems
-
-
 def test_e27_telemetry(benchmark, table_printer):
     def run():
         off = run_workload(seed=77, telemetry=False)
@@ -224,19 +190,5 @@ def test_e27_telemetry(benchmark, table_printer):
         f"(bound: {2 * INTERVAL:.2f}s)")
     assert det["slo"] == "rpc-availability"
 
-    problems = _check_against_baseline(report)
-    if problems and GUARD:
-        pytest.fail("regression vs committed BENCH_E27.json:\n  "
-                    + "\n  ".join(problems))
-    for problem in problems:
-        print(f"\nWARNING (perf): {problem}")
-
-    artifact_dir = os.environ.get("ACE_BENCH_ARTIFACT_DIR")
-    if artifact_dir:
-        os.makedirs(artifact_dir, exist_ok=True)
-        out_path = os.path.join(artifact_dir, "BENCH_E27.json")
-    else:
-        out_path = BASELINE_PATH
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    record(report, grows=["telemetry_on.mean_s"],
+           equal=["telemetry_off.wire_hash"])

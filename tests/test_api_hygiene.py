@@ -135,6 +135,7 @@ RETIRED_NAMES = frozenset({
     "MobileServiceConnection", "NoInstanceAvailable", "asd_lookup_one",
     "_apply_entry", "_index_add", "_index_remove", "cmd_psReplicate",
     "newer_than", "replicate_writes", "forward_misrouted", "digest_buckets",
+    "run_once", "_check_against_baseline",
 })
 
 
@@ -382,3 +383,35 @@ def test_find_then_call_is_written_once():
     assert holders == FIRST_ADDRESS_HOLDERS
     assert upward == [], f"repro.core imports repro.services at module level: {upward}"
     assert not RETIRED_NAMES & set(repro.services.__all__)
+
+
+def test_benchmarks_record_once():
+    """``benchmarks/conftest.py`` holds the one baseline guard and the one
+    artifact writer (``_check_against_baseline`` is a retired name): no
+    other file under ``benchmarks/`` names a baseline path or dumps JSON, the retired artifact-directory variables are gone
+    from the repo, and an experiment file reads the environment only for
+    ``ACE_BENCH_SHORT``."""
+    def reads_short(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and getattr(node.func.value, "attr", None) == "environ"
+                and [getattr(a, "value", None) for a in node.args] == ["ACE_BENCH_SHORT"])
+
+    strays = []
+    for path in sorted((REPO / "benchmarks").glob("bench_*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        strays += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in nodes
+                   if getattr(node, "id", None) == "BASELINE_PATH"
+                   or (isinstance(node, ast.Attribute) and node.attr == "dump"
+                       and getattr(node.value, "id", None) == "json")]
+        environ = sum(getattr(node, "attr", None) == "environ" for node in nodes)
+        if environ != sum(map(reads_short, nodes)):
+            strays.append(f"{path.name}: reads os.environ beyond ACE_BENCH_SHORT")
+    assert strays == [], "guard code outside benchmarks/conftest.py:\n" + "\n".join(strays)
+
+    retired = ("ACE_OBS_" + "ARTIFACT_DIR", "ACE_DIR_" + "ARTIFACT_DIR")
+    files = [path for top in ("src", "benchmarks", "bench", "examples", "tests", ".github")
+             for path in (REPO / top).rglob("*") if path.suffix in (".py", ".yml", ".md")]
+    files += [REPO / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md")]
+    spelled = sorted(str(path.relative_to(REPO)) for path in files
+                     if any(name in path.read_text() for name in retired))
+    assert spelled == [], f"retired artifact-directory variables in: {spelled}"
