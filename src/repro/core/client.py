@@ -7,8 +7,9 @@ performs the identity *attach*, and exposes a call-style API::
     conn = yield from client.connect(addr)
     reply = yield from conn.call(ACECmdLine("setPosition", x=1.0, y=2.0))
 
-``call`` serializes the command (Fig. 5's CmdLine → string), transmits,
-and parses the reply string back into an ACECmdLine.
+``call`` sends the immutable command itself, charged its wire size, and
+the receiver holds Fig. 5's exact copy; only an SSL record or a shard
+pipe turns it into text.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Generator, Iterable, Optional, Union
 
-from repro.lang import ACECmdLine, parse_command
+from repro.lang import ACECmdLine, ACELanguageError, parse_command
 from repro.lang.command import CLIENT_ID_ARG, CLIENT_SEQ_ARG, PIPELINE_SEQ_ARG, is_error
 from repro.net import Address, Connection, ConnectionClosed, ConnectionRefused, HandshakeError
 from repro.net.host import Host
@@ -79,6 +80,16 @@ def channel_binding(channel: Channel) -> str:
     return f"{channel.local}|{channel.remote}"
 
 
+def received_command(payload) -> ACECmdLine:
+    """What a channel delivered, as a command: a command object as is,
+    text (an SSL record, a hand-written notice) parsed."""
+    if isinstance(payload, ACECmdLine):
+        return payload
+    if not isinstance(payload, str):
+        raise ACELanguageError(f"expected a command, got {type(payload).__name__}")
+    return parse_command(payload)
+
+
 def _cmd_failed(command: ACECmdLine, reply: ACECmdLine) -> CallError:
     """The error a checked call raises for a ``cmdFailed`` reply."""
     return CallError(f"{command.name!r} failed: {reply.get('reason', 'unknown')}", reply)
@@ -115,12 +126,12 @@ class ServiceConnection:
         status = "interrupted"  # overwritten on any non-interrupt exit
         try:
             try:
-                yield from self.channel.send(command.to_string())
-                reply_text = yield from self.channel.recv()
+                yield from self.channel.send(command)
+                payload = yield from self.channel.recv()
             except (ConnectionClosed, HandshakeError) as exc:
                 status = "transport-error"
                 raise TransportError(f"connection lost during {command.name!r}: {exc}") from exc
-            reply = parse_command(reply_text)
+            reply = received_command(payload)
             status = "cmdFailed" if is_error(reply) else "ok"
         finally:
             if span is not None:
@@ -213,7 +224,7 @@ class PipelinedConnection:
         status = "interrupted"
         try:
             try:
-                yield from self._conn.channel.send(tagged.to_string())
+                yield from self._conn.channel.send(tagged)
             except (ConnectionClosed, HandshakeError) as exc:
                 self._pending.pop(seq, None)
                 reply_ev.defuse()
@@ -261,9 +272,9 @@ class PipelinedConnection:
         """Route each incoming reply to the call that owns its tag."""
         try:
             while True:
-                text = yield from self._conn.channel.recv()
+                payload = yield from self._conn.channel.recv()
                 try:
-                    reply = parse_command(text)
+                    reply = received_command(payload)
                 except Exception:
                     self._m_discarded.inc()
                     continue

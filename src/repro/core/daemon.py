@@ -33,9 +33,9 @@ from __future__ import annotations
 import inspect
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple, Union
 
-from repro.lang import ACECmdLine, ACELanguageError, ArgSpec, ArgType, CommandSemantics, parse_command
+from repro.lang import ACECmdLine, ACELanguageError, ArgSpec, ArgType, CommandSemantics
 from repro.lang.command import (
     CLIENT_ID_ARG,
     CLIENT_SEQ_ARG,
@@ -54,7 +54,9 @@ from repro.security.crypto import verify_signature
 from repro.security.keynote import ComplianceChecker, parse_assertion
 from repro.sim import Interrupt, Process, QueueClosed, Store
 
-from repro.core.client import FAILOVER_POLICY, CallError, Channel, ServiceClient, channel_binding
+from repro.core.client import (
+    FAILOVER_POLICY, CallError, Channel, ServiceClient, channel_binding, received_command,
+)
 from repro.core.context import DaemonContext, SecurityMode
 from repro.core.notifications import NotificationMixin, NotificationTable
 from repro.core.policy import CallPolicy
@@ -505,14 +507,14 @@ class ACEDaemon(NotificationMixin):
         attached = False
         while self.running:
             try:
-                text = yield from channel.recv()
+                payload = yield from channel.recv()
             except (ConnectionClosed, HandshakeError):
                 return
             except Interrupt:
                 channel.close()
                 return
             try:
-                command = self.semantics.validate(self._parse(text))
+                command = self.semantics.validate(received_command(payload))
             except ACELanguageError as exc:
                 yield from self._safe_send(channel, f'cmdFailed cmd=parse reason="{_clean(exc)}";')
                 continue
@@ -523,7 +525,7 @@ class ACEDaemon(NotificationMixin):
                     if problem is None
                     else error_reply(command, problem)
                 )
-                yield from self._safe_send(channel, self._tag_reply(command, reply).to_string())
+                yield from self._safe_send(channel, self._tag_reply(command, reply))
                 continue
             request = Request(
                 command=command,
@@ -548,9 +550,7 @@ class ACEDaemon(NotificationMixin):
                     if not allowed:
                         obs.tracer.finish(request.span, status="denied")
                         denied = error_reply(command, f"permission denied: {reason}")
-                        yield from self._safe_send(
-                            channel, self._tag_reply(command, denied).to_string()
-                        )
+                        yield from self._safe_send(channel, self._tag_reply(command, denied))
                         continue
                 request.queued_at = self.ctx.sim.now
                 reply_slot = self.ctx.sim.event()
@@ -577,11 +577,11 @@ class ACEDaemon(NotificationMixin):
                 obs.set_ambient(prev_ambient)
             if reply is None:
                 continue
-            yield from self._safe_send(channel, self._tag_reply(command, reply).to_string())
+            yield from self._safe_send(channel, self._tag_reply(command, reply))
 
     def _pipelined_reply(self, channel: Channel, command: ACECmdLine, reply_slot) -> Generator:
         reply = yield reply_slot
-        yield from self._safe_send(channel, self._tag_reply(command, reply).to_string())
+        yield from self._safe_send(channel, self._tag_reply(command, reply))
 
     @staticmethod
     def _tag_reply(request: ACECmdLine, reply: ACECmdLine) -> ACECmdLine:
@@ -592,14 +592,9 @@ class ACEDaemon(NotificationMixin):
             return reply
         return reply.with_args(**{PIPELINE_SEQ_ARG: seq})
 
-    def _parse(self, text: Any) -> ACECmdLine:
-        if not isinstance(text, str):
-            raise ACELanguageError(f"expected a command string, got {type(text).__name__}")
-        return parse_command(text)
-
-    def _safe_send(self, channel: Channel, text: str) -> Generator:
+    def _safe_send(self, channel: Channel, payload: Union[ACECmdLine, str]) -> Generator:
         try:
-            yield from channel.send(text)
+            yield from channel.send(payload)
         except (ConnectionClosed, HostDownError):
             pass
 

@@ -1,9 +1,10 @@
 """The ACE service command language (§2.2 of the paper).
 
 Every command issued to an ACE service is built as an
-:class:`~repro.lang.command.ACECmdLine` object, serialized to a string,
-transmitted, and re-parsed on the receiving side against that daemon's
-*command semantics* (Fig. 5).  The grammar is the paper's, verbatim::
+:class:`~repro.lang.command.ACECmdLine` object, transmitted (as itself on a
+plain link, as text where bytes are real), and checked on the receiving
+side against that daemon's *command semantics* (Fig. 5).  The grammar is
+the paper's, verbatim::
 
     <CMND>     := <CMNDNAME><space>[<ARGLIST>];
     <ARGUMENT> := <ARGNAME>'='<ARGVALUE>
@@ -11,9 +12,9 @@ transmitted, and re-parsed on the receiving side against that daemon's
     <VECTOR>   := {v1,v2,...}          (homogeneous element types)
     <ARRAY>    := {<VECTOR>,<VECTOR>,...}
 
-The implementation guarantees ``parse(serialize(cmd)) == cmd`` (verified by
-property tests), which is what lets the two daemons in Fig. 5 reconstruct
-an *exact copy* of the sender's ACECmdLine.
+The implementation guarantees ``parse(serialize(cmd)) == cmd`` with every
+value's type (verified by property tests), which is what lets the two
+daemons in Fig. 5 hold an *exact copy* of the sender's ACECmdLine either way.
 """
 
 from repro.lang.command import ACECmdLine

@@ -3,7 +3,9 @@
 Commands are immutable once built.  ``str(cmd)`` is the wire form; commands
 compare equal iff their names and argument mappings (including value types:
 ``1`` is an INTEGER, ``1.0`` a FLOAT) are equal, which is exactly the
-"exact copy" the paper's Fig. 5 promises the receiving daemon.
+"exact copy" the paper's Fig. 5 promises the receiving daemon.  Being
+immutable, a command crosses a simulated link as itself; it becomes text
+only where bytes are real (an SSL record, a pickle between processes).
 """
 
 from __future__ import annotations
@@ -197,6 +199,20 @@ class ACECmdLine:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ACECmdLine({self.to_string()!r})"
+
+    def __reduce__(self):
+        # Across a process boundary (a shard pipe) a command travels as its
+        # wire text; a command that was sent already holds it.
+        return _from_wire, (self._text or self.to_string(),)
+
+
+def _from_wire(text: str) -> ACECmdLine:
+    """Unpickle a command from its wire text.  Not ``parse_command`` by
+    reference: pickle finds a function through its module attribute, and a
+    profiler or test that wraps that attribute would break every pickle."""
+    from repro.lang.parser import parse_command
+
+    return parse_command(text)
 
 
 # Conventional reply commands every daemon understands (§2.2: "return

@@ -88,8 +88,23 @@ def scalar_kind(value: Scalar) -> str:
     return "word" if is_word(value) else "string"
 
 
+#: the exact builtin each scalar subclass is on the wire
+_EXACT = ((int, int.__int__), (float, float.__float__), (str, str.__str__))
+#: a vector element's bucket by its (exact, normalized) type
+_BUCKETS = {int: "integer", float: "float", str: "string"}
+
+
 def normalize_value(value: Any) -> Value:
-    """Coerce lists to tuples and validate homogeneity of vectors/arrays."""
+    """Coerce lists to tuples, scalars to their exact builtin type, and
+    validate homogeneity of vectors/arrays.
+
+    A subclass (an ``IntEnum`` member, a ``str`` subclass) becomes the
+    ``int`` / ``float`` / ``str`` its wire text parses back to, so a command
+    equals the receiver's copy whether it crossed a link as text or as
+    itself."""
+    kind = type(value)
+    if kind is str or kind is int or kind is float:
+        return value
     if isinstance(value, (list, tuple)):
         items = tuple(normalize_value(v) for v in value)
         if not items:
@@ -107,17 +122,17 @@ def normalize_value(value: Any) -> Value:
         return items
     if isinstance(value, bool):
         raise ACELanguageError("booleans are not an ACE type; use words on/off")
-    if isinstance(value, (int, float, str)):
-        return value
+    for base, exact in _EXACT:
+        if isinstance(value, base):
+            return exact(value)
     raise ACELanguageError(f"unsupported ACE value type {type(value).__name__}")
 
 
 def _element_bucket(value: Scalar) -> str:
     """Vectors are homogeneous by ACE type; words and strings share STRING's
     bucket (the paper's grammar allows {WORD,...} | {STRING,...} and every
-    word is a string)."""
-    kind = scalar_kind(value)
-    return "string" if kind in ("word", "string") else kind
+    word is a string), so a normalized element's type is its bucket."""
+    return _BUCKETS[type(value)]
 
 
 def _vector_kind(vector: Tuple) -> str:

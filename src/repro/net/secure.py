@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Generator, Optional, Union
 
+from repro.lang.command import ACECmdLine
 from repro.security.crypto import (
     Certificate,
     KeyPair,
@@ -64,7 +65,7 @@ class _Record:
         return len(self.ciphertext) + len(self.nonce) + len(self.mac) + 5
 
 
-Payload = Union[str, bytes]
+Payload = Union[str, bytes, ACECmdLine]
 
 
 class SecureChannel:
@@ -97,7 +98,10 @@ class SecureChannel:
         return self.conn.remote
 
     def send(self, payload: Payload) -> Generator:
-        """Encrypt, MAC, and transmit ``payload`` (str or bytes)."""
+        """Encrypt, MAC, and transmit ``payload`` (str or bytes; a command
+        goes as its wire text, which the receiver gets back as a str)."""
+        if isinstance(payload, ACECmdLine):
+            payload = payload.to_string()
         if isinstance(payload, str):
             plaintext = b"s" + payload.encode("utf-8")
         elif isinstance(payload, bytes):

@@ -10,8 +10,11 @@ Sub-operations that take simulated time are generators used with
 ``yield from`` inside a simulation process::
 
     conn = yield from net.connect(host, Address("bar", 5000))
-    yield from conn.send(command_string)
+    yield from conn.send(command)
     reply = yield from conn.recv()
+
+A payload crosses as the object it is and is charged its :func:`wire_size`,
+so an immutable command needs no encode on one side and parse on the other.
 """
 
 from __future__ import annotations
@@ -215,7 +218,8 @@ def wire_size(payload: Any) -> int:
     """Bytes a payload occupies on the wire.
 
     Strings/bytes count their encoded length; objects may advertise a
-    ``wire_size`` attribute (ACE command strings and framed records do);
+    ``wire_size`` attribute (ACE commands — their text's length — and
+    framed records do);
     anything else is charged by its ``repr`` as a rough envelope.
     """
     size = getattr(payload, "wire_size", None)

@@ -1,22 +1,26 @@
 """What one round trip costs, pinned as exact counts (ROADMAP item 1).
 
 Counts are noise-free where host times are not: the kernel's
-``events_scheduled`` is exact per seed, and whether a wire line took the
-codec's fast lane is a property of its text.  Two budgets:
+``events_scheduled`` is exact per seed, and so is how often a command is
+parsed.  Two budgets:
 
 * one command over a held connection to an idle daemon schedules **7**
   kernel events (11 before the hand-offs became single resumes) at an
   unchanged simulated latency;
-* the lines the ledger workloads send by the thousand — class-lookup
+* the commands the ledger workloads send by the thousand — class-lookup
   replies, replication batches, anti-entropy digests and fetches,
-  telemetry pushes — never reach the tokenizer.
+  telemetry pushes — are never parsed over a plain link, and under SSL
+  they never reach the tokenizer.
 """
 
 from collections import Counter
 
 import pytest
 
+import repro.core.client as client_module
+import repro.core.daemon as daemon_module
 import repro.lang.parser as parser
+from repro.core.context import SecurityMode
 from repro.env import ACEEnvironment
 from repro.env.scenarios import standard_environment
 from repro.lang import ACECmdLine
@@ -55,54 +59,67 @@ def test_held_connection_round_trip_schedules_seven_events():
 
 
 # ---------------------------------------------------------------------------
-# Slow-lane budget
+# Parse budget
 # ---------------------------------------------------------------------------
+
+def _key(command):
+    if command.name in ("cmdOk", "cmdFailed"):
+        return f"{command.name}:{command.get('cmd')}"
+    return command.name
+
 
 def _may_take_the_slow_lane(text: str) -> bool:
     """What may still reach the tokenizer, by what makes it ineligible: a
     backslash (escaped strings: notification payloads carrying a quoted
     command line, checkpoint and store entries with escaped ``|``) or an
-    array ``{{...}}``.  Nothing in the miniature below has either."""
+    array ``{{...}}``."""
     return "\\" in text or "{{" in text
 
 
 @pytest.fixture
-def lanes(monkeypatch):
-    """Count parses by lane: ``fast`` and ``slow`` map a command name (a
-    reply is keyed ``cmdOk:<cmd>``) to how often it was parsed there."""
-    fast, slow, slow_texts = Counter(), Counter(), []
+def parses(monkeypatch):
+    """Count by command name (a reply is keyed ``cmdOk:<cmd>``): what a
+    channel delivered to a client or daemon (``received``), which of those
+    arrived as text and were parsed (``hop``), and every parse anywhere
+    (``total``: the hops plus text nested inside a command); ``slow`` lists
+    the texts that reached the tokenizer."""
+    received, hop, total, slow = Counter(), Counter(), Counter(), []
 
-    def key(command):
-        if command.name in ("cmdOk", "cmdFailed"):
-            return f"{command.name}:{command.get('cmd')}"
-        return command.name
+    def counting(counter, function):
+        def wrapper(payload):
+            command = function(payload)
+            counter[_key(command)] += 1
+            return command
+        return wrapper
 
+    receive = counting(received, client_module.received_command)
+    monkeypatch.setattr(client_module, "received_command", receive)
+    monkeypatch.setattr(daemon_module, "received_command", receive)
+    monkeypatch.setattr(client_module, "parse_command",
+                        counting(hop, client_module.parse_command))
     fast_lane, full = parser._parse_fast, parser.parse_command_full
 
     def counting_fast(text):
         command = fast_lane(text)
         if command is not None:
-            fast[key(command)] += 1
+            total[_key(command)] += 1
         return command
 
     def counting_full(text):
-        command = full(text)
-        slow[key(command)] += 1
-        slow_texts.append(text)
-        return command
+        slow.append(text)
+        return full(text)
 
     monkeypatch.setattr(parser, "_parse_fast", counting_fast)
-    monkeypatch.setattr(parser, "parse_command_full", counting_full)
-    return fast, slow, slow_texts
+    monkeypatch.setattr(parser, "parse_command_full", counting(total, counting_full))
+    return received, hop, total, slow
 
 
-def test_ledger_traffic_stays_on_the_fast_lane(lanes):
+def _ledger_miniature(security):
     """A miniature of each ledger workload's traffic: ``room_planes``'
     traced class lookup over a held connection and a telemetry push,
     ``store_mix``'s put / get with a replication flush and an anti-entropy
     round that has something to fetch."""
-    fast, slow, slow_texts = lanes
-    env = ACEEnvironment(seed=29, lease_duration=4.0)
+    env = ACEEnvironment(seed=29, lease_duration=4.0, security=security)
     env.add_infrastructure()
     env.add_persistent_store(replicas=2, groups=1, sync_interval=1.0)
     lab = env.add_workstation("lab1", room="lab", monitors=False)
@@ -128,9 +145,33 @@ def test_ledger_traffic_stays_on_the_fast_lane(lanes):
 
     assert env.run(drive()) == {"v": "2"}
 
-    for shape in ("cmdOk:lookup", "psReplicateBatch", "obsPush",
-                  "psDigestBuckets", "cmdOk:psDigestBuckets", "psDigest",
-                  "cmdOk:psDigest", "psFetch", "cmdOk:psFetch"):
-        assert fast[shape] >= 1, f"{shape} never seen: the miniature is stale"
-        assert slow[shape] == 0, f"{shape} reached the tokenizer"
-    assert [t for t in slow_texts if not _may_take_the_slow_lane(t)] == []
+
+LEDGER_SHAPES = ("cmdOk:lookup", "psReplicateBatch", "obsPush", "psDigestBuckets",
+                 "cmdOk:psDigestBuckets", "psDigest", "cmdOk:psDigest", "psFetch",
+                 "cmdOk:psFetch")
+
+
+def test_ledger_traffic_is_never_parsed(parses):
+    """Over plain links a command arrives as the object that was sent: no
+    hop parses, and the only text parsed is the command each directory
+    notification carries in its arguments."""
+    received, hop, total, _ = parses
+    _ledger_miniature(SecurityMode.NONE)
+    for shape in LEDGER_SHAPES:
+        assert received[shape] >= 1, f"{shape} never seen: the miniature is stale"
+    assert hop == Counter()
+    assert received["onServiceRegistered"] >= 1
+    assert total == Counter({"register": received["onServiceRegistered"]})
+
+
+def test_ssl_hops_still_parse(parses):
+    """Under SSL every hop is an encrypted record of the command's text, so
+    every command a channel delivers is parsed on arrival, and the fast
+    lane still takes everything a backslash or an array does not bar."""
+    received, hop, total, slow = parses
+    _ledger_miniature(SecurityMode.SSL)
+    for shape in LEDGER_SHAPES:
+        assert received[shape] >= 1, f"{shape} never seen: the miniature is stale"
+    assert hop == received
+    assert total == hop + Counter({"register": received["onServiceRegistered"]})
+    assert [text for text in slow if not _may_take_the_slow_lane(text)] == []

@@ -1,15 +1,26 @@
 """Property-based tests: the command language round-trips exactly.
 
 The paper's Fig. 5 claims the receiving daemon reconstructs "an exact copy
-of the ACECmdLine object"; hypothesis hunts for counterexamples.
+of the ACECmdLine object"; hypothesis hunts for counterexamples.  A plain
+link hands the receiver the sent object itself and a shard pipe pickles
+it, so the text, the object and the pickle must all be one command: equal,
+with the same value types, the same text and the same wire size.  Every
+suite is ``derandomize=True`` so CI is reproducible.
 """
 
 import math
+import pickle
+from enum import IntEnum
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.lang
+import repro.lang.parser as parser
 from repro.lang import ACECmdLine, parse_command
 from repro.lang.values import format_value, normalize_value
+
+SETTINGS = dict(deadline=None, derandomize=True)
 
 names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,15}", fullmatch=True)
 
@@ -26,7 +37,26 @@ printable = st.text(
     max_size=30,
 )
 
-scalars = st.one_of(ints, floats, words, printable)
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Ratio(float):
+    """A float subclass, as a unit-carrying type might be."""
+
+
+class Label(str):
+    """A str subclass, as a tagged identifier might be."""
+
+
+#: scalar subclasses: on the wire each is the builtin it derives from
+subclassed = st.one_of(
+    st.sampled_from(Level), floats.map(Ratio), words.map(Label), printable.map(Label)
+)
+
+scalars = st.one_of(ints, floats, words, printable, subclassed)
 
 
 def homogeneous_vector(element):
@@ -38,6 +68,7 @@ vectors = st.one_of(
     homogeneous_vector(floats),
     homogeneous_vector(words),
     homogeneous_vector(printable),
+    homogeneous_vector(printable.map(Label)),
 )
 
 arrays = st.one_of(
@@ -57,13 +88,22 @@ def commands(draw):
 
 
 @given(commands())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, **SETTINGS)
 def test_roundtrip_is_identity(cmd):
-    assert parse_command(cmd.to_string()) == cmd
+    parsed = parse_command(cmd.to_string())
+    assert parsed == cmd
+    assert _types(parsed) == _types(cmd)
+
+
+def _types(cmd):
+    """Every value's exact type, through vectors and arrays."""
+    def of(value):
+        return (tuple, tuple(map(of, value))) if isinstance(value, tuple) else type(value)
+    return {key: of(value) for key, value in cmd}
 
 
 @given(commands())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, **SETTINGS)
 def test_serialization_is_stable(cmd):
     once = cmd.to_string()
     again = parse_command(once).to_string()
@@ -71,7 +111,7 @@ def test_serialization_is_stable(cmd):
 
 
 @given(values)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, **SETTINGS)
 def test_value_format_parse_roundtrip(value):
     normalized = normalize_value(value)
     cmd = ACECmdLine("probe", v=normalized)
@@ -81,7 +121,7 @@ def test_value_format_parse_roundtrip(value):
 
 
 @given(floats)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, **SETTINGS)
 def test_float_values_roundtrip_bit_exact(x):
     parsed = parse_command(ACECmdLine("c", v=x).to_string())["v"]
     assert isinstance(parsed, float)
@@ -89,19 +129,48 @@ def test_float_values_roundtrip_bit_exact(x):
 
 
 @given(st.integers())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, **SETTINGS)
 def test_arbitrary_precision_integers(n):
     assert parse_command(ACECmdLine("c", v=n).to_string())["v"] == n
 
 
 @given(commands())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, **SETTINGS)
 def test_wire_size_positive_and_consistent(cmd):
     assert cmd.wire_size == len(cmd.to_string().encode("utf-8")) > 0
 
 
+@given(commands())
+@settings(max_examples=200, **SETTINGS)
+def test_pickle_is_the_same_command(cmd):
+    """What a shard pipe delivers: equal, same types, same text."""
+    again = pickle.loads(pickle.dumps(cmd))
+    assert again == cmd
+    assert _types(again) == _types(cmd)
+    assert again.to_string() == cmd.to_string()
+
+
+@given(commands())
+@settings(max_examples=50, **SETTINGS)
+def test_pickle_survives_a_wrapped_parser(cmd):
+    """A profiler counting parses swaps ``parse_command`` for a local
+    wrapper in every module that names it; a command must still pickle
+    (pickle refuses a function whose module attribute is another object)."""
+    original = parser.parse_command
+
+    def wrapper(text):
+        return original(text)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (parser, repro.lang):
+            patch.setattr(module, "parse_command", wrapper)
+        again = pickle.loads(pickle.dumps(cmd))
+    assert again == cmd
+    assert again.to_string() == cmd.to_string()
+
+
 @given(st.text(max_size=40))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, **SETTINGS)
 def test_parser_never_crashes_unexpectedly(text):
     """Arbitrary garbage either parses or raises a language error."""
     from repro.lang import ACELanguageError

@@ -95,3 +95,24 @@ def test_bool_rejected_everywhere():
         normalize_value(True)
     with pytest.raises(ACELanguageError):
         format_value([True])
+
+
+def test_scalar_subclasses_are_their_builtin():
+    """An ``IntEnum`` member or a ``str`` subclass is the builtin its text
+    parses back to, so the command a link hands over as itself equals the
+    one the receiver would have parsed."""
+    from enum import IntEnum
+
+    from repro.lang import ACECmdLine, parse_command
+
+    class Kind(IntEnum):
+        A = 3
+
+    class Tag(str):
+        pass
+
+    cmd = ACECmdLine("x", k=Kind.A, t=Tag("room_1"), v=[Kind.A, 4], w=(Tag("a b"), "c"))
+    assert cmd == parse_command(cmd.to_string())
+    assert cmd.to_string() == 'x k=3 t=room_1 v={3,4} w={"a b",c};'
+    assert [type(cmd[key]) for key in "ktvw"] == [int, str, tuple, tuple]
+    assert {type(v) for v in cmd["v"] + cmd["w"]} == {int, str}

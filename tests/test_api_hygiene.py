@@ -415,3 +415,32 @@ def test_benchmarks_record_once():
     spelled = sorted(str(path.relative_to(REPO)) for path in files
                      if any(name in path.read_text() for name in retired))
     assert spelled == [], f"retired artifact-directory variables in: {spelled}"
+
+
+def test_a_hop_parses_nothing():
+    """A command crosses a link as the object it is: nothing under
+    ``repro/core/`` hands ``send`` / ``_safe_send`` a ``.to_string()``, and
+    the client and daemon name ``parse_command`` only in the one receive
+    helper (text from an SSL record or a hand-written notice) and in
+    ``import_dedup`` (checkpoint lines)."""
+    def encodes(call):
+        return any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "to_string"
+                   for arg in call.args for node in ast.walk(arg))
+
+    core = REPO / "src/repro/core"
+    sends, parsers = [], set()
+    for path in sorted(core.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        where = str(path.relative_to(core))
+        sends += [f"{where}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  in ("send", "_safe_send") and encodes(node)]
+        if where in ("client.py", "daemon.py"):
+            for function in ast.walk(tree):
+                if isinstance(function, ast.FunctionDef) and any(
+                        isinstance(node, ast.Name) and node.id == "parse_command"
+                        for node in ast.walk(function)):
+                    parsers.add(f"{where}:{function.name}")
+    assert sends == [], "a send encodes its command:\n" + "\n".join(sends)
+    assert parsers == {"client.py:received_command", "daemon.py:import_dedup"}
