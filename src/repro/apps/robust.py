@@ -123,7 +123,6 @@ class RestartManagerDaemon(ACEDaemon):
             description="launch and keep alive",
         )
         sem.define("unmanageApp", ArgSpec("app_id", ArgType.STRING))
-        sem.define("getManaged", ArgSpec("app_id", ArgType.STRING))
         sem.define("onAppExited", *CALLBACK_ARGS)
         sem.define("onServiceRegistered", *CALLBACK_ARGS)
 
@@ -178,13 +177,6 @@ class RestartManagerDaemon(ACEDaemon):
             raise ServiceError(f"unknown app_id {app_id!r}")
         managed.stopped = True
         return {"app_id": app_id}
-
-    def cmd_getManaged(self, request: Request) -> dict:
-        managed = self.managed.get(request.command.str("app_id"))
-        if managed is None:
-            raise ServiceError("unknown app_id")
-        return {"app_id": managed.app_id, "pid": managed.pid,
-                "host": managed.host, "restarts": managed.restarts}
 
     def cmd_onAppExited(self, request: Request) -> Generator:
         event = notification_event(request)

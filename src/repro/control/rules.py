@@ -336,10 +336,4 @@ def default_rules(*, interval: float = 1.0) -> Tuple[ScalingRule, ...]:
             sustain=2.0 * interval, max_actions_per_window=2,
             rate_window=40.0 * interval,
         ),
-        ScalingRule(
-            "dial-pressure", signal="pool_dial_rate", resource="pool_size",
-            high=40.0, low=2.0, min_level=4, max_level=16, step=4,
-            up_cooldown=4.0 * interval, down_cooldown=20.0 * interval,
-            sustain=2.0 * interval,
-        ),
     )

@@ -25,8 +25,6 @@ Signals produced each read:
 * ``breakers_open`` — circuit breakers currently open in the rpc scope;
 * ``replication_drop_rate`` — per-second rate of the store plane's
   ``replication_lag_dropped`` counter;
-* ``pool_dial_rate`` — per-second rate of connection-pool dials (the
-  pressure signal for pool resizing);
 * plus whatever the optional ``extra`` callable overlays (the
   autoscaler daemon injects alert-derived signals this way).
 """
@@ -109,9 +107,6 @@ class SignalReader:
             "replication_lag_dropped",
             aggregator.rollup_counter("replication_lag_dropped", "store"),
             dt,
-        )
-        signals["pool_dial_rate"] = self._rate(
-            "pool.dial", aggregator.rollup_counter("pool.dial", "rpc"), dt
         )
         if self.extra is not None:
             signals.update(self.extra())

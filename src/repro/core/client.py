@@ -56,6 +56,9 @@ FAILOVER_POLICY = CallPolicy(
     backoff_max=0.2,
 )
 
+#: idle connections a :class:`ConnectionPool` keeps per address
+POOL_MAX_IDLE = 4
+
 Channel = Union[Connection, SecureChannel]
 
 
@@ -334,10 +337,7 @@ class ConnectionPool:
 
     def __init__(self, client: "ServiceClient"):
         self._client = client
-        self.max_idle_per_address = client.ctx.pool_max_idle
-        # Registered (weakly) so the E28 control plane can resize every
-        # live pool when it turns the pool_size knob.
-        client.ctx._connection_pools.add(self)
+        self.max_idle_per_address = POOL_MAX_IDLE
         # Keyed by the Address itself (a frozen dataclass): hashing two
         # small fields beats formatting "host:port" on every acquire/release.
         self._idle: dict = {}   # Address -> list[ServiceConnection]
@@ -371,14 +371,6 @@ class ConnectionPool:
             conn = yield from self._client.connect(address, **connect_kw)
             self._m_dial.inc()
         return conn
-
-    def resize(self, max_idle_per_address: int) -> None:
-        """Change the idle cap in place; shrinking closes excess idles."""
-        self.max_idle_per_address = max_idle_per_address
-        for bucket in self._idle.values():
-            while len(bucket) > max_idle_per_address:
-                bucket.pop().close()
-                self._m_discard.inc()
 
     def release(self, address: Address, connection: ServiceConnection) -> None:
         """Return a healthy connection for reuse."""

@@ -9,7 +9,6 @@ security configuration (certificates, principal keys, KeyNote policies).
 from __future__ import annotations
 
 import enum
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -85,9 +84,6 @@ class DaemonContext:
     #: ``env.enable_supervision()``); daemons beat into their host's
     #: supervisor on every successful lease renewal
     supervisors: Dict[str, object] = field(default_factory=dict)
-    #: default idle-connection cap per address for new ConnectionPools;
-    #: the E28 control plane resizes it (and every live pool) at runtime
-    pool_max_idle: int = 4
     #: causal tracer + metrics registry (built in __post_init__ when unset)
     obs: Optional[Observability] = None
     #: shared client-side directory cache (built in __post_init__ when unset)
@@ -100,9 +96,6 @@ class DaemonContext:
         self.obs.metrics.register_view("rpc", self.resilience.stats.snapshot)
         if self.lookup_cache is None:
             self.lookup_cache = LookupCache(metrics=self.obs.metrics)
-        #: every live ConnectionPool (weakly held) so the control plane
-        #: can resize them in place
-        self._connection_pools = weakref.WeakSet()
         #: monotonically minted client ids for idempotency stamps
         self._client_id_counter = 0
 

@@ -755,15 +755,6 @@ class ACEDaemon(NotificationMixin):
             )
             if stamp is not None:
                 self._dedup_remember(stamp, reply)
-                # Optional durability barrier (Checkpointable, eager mode):
-                # persist the dedup entry before the reply leaves, so a
-                # crash between execute and reply cannot re-execute.
-                barrier = self._commit_barrier(request, reply)
-                if barrier is not None:
-                    try:
-                        yield from barrier
-                    except (HostDownError, Interrupt):
-                        return
             if not reply_slot.triggered:
                 reply_slot.succeed(reply)
             if reply.name == "cmdOk":
@@ -789,12 +780,6 @@ class ACEDaemon(NotificationMixin):
         while len(cache) > self.dedup_window:
             cache.popitem(last=False)
             self._m_dedup_evicted.inc()
-
-    def _commit_barrier(self, request: Request, reply: ACECmdLine) -> Optional[Generator]:
-        """Hook run after a stamped command commits, before its reply is
-        released.  Checkpointable daemons in eager mode return a generator
-        that persists the checkpoint; the default is a no-op."""
-        return None
 
     def export_dedup(self) -> Tuple[str, ...]:
         """The idempotency window as wire-safe lines (oldest first) for

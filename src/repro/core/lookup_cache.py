@@ -153,12 +153,6 @@ class LookupCache:
         self.invalidations += len(stale)
         return purged
 
-    def invalidate_all(self) -> int:
-        count = len(self._entries)
-        self._entries.clear()
-        self.invalidations += count
-        return count
-
     # ------------------------------------------------------------------
     @property
     def hit_rate(self) -> float:

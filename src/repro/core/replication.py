@@ -129,6 +129,8 @@ class ReplicaMixin:
         returns how many won."""
         applied = 0
         for wire in wires if isinstance(wires, tuple) else ():
+            if not isinstance(wire, str):
+                continue
             try:
                 entry = self._decode(wire)
             except ValueError:

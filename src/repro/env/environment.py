@@ -354,8 +354,10 @@ class ACEEnvironment:
         """
         if "telemetry" in self.daemons:
             return self.daemons["telemetry"]
-        if "asd" in self.daemons:
-            aggregator_host = self.daemons["asd"].host
+        # Placed from the topology, not from the daemons this environment
+        # owns: every shard of a sharded run must name the same host.
+        if self.ctx.asd_address is not None:
+            aggregator_host = self.net.host(self.ctx.asd_address.host)
         else:
             aggregator_host = self.net.host(sorted(self.net.hosts)[0])
         aggregator = self.add_daemon(
@@ -439,7 +441,7 @@ class ACEEnvironment:
         group's register/deregister notifications and purges the shared
         :class:`~repro.core.lookup_cache.LookupCache` entries they touch."""
         if host is None:
-            host = self.daemons["asd"].host
+            host = self.net.host(self.ctx.asd_address.host)
         return self.add_daemon(
             DirectoryWatcherDaemon(self.ctx, "dirwatch", host, room=host.room),
             tier=_TIER_DATABASE,
@@ -688,19 +690,6 @@ class ACEEnvironment:
         )
         return victim
 
-    def resize_connection_pools(self, max_idle_per_address: int) -> int:
-        """Retarget every live connection pool's idle cap (plus the
-        default new pools inherit); returns how many pools changed."""
-        if max_idle_per_address < 1:
-            raise ValueError("pool size must be >= 1")
-        self.ctx.pool_max_idle = max_idle_per_address
-        resized = 0
-        for pool in list(self.ctx._connection_pools):
-            if pool.max_idle_per_address != max_idle_per_address:
-                pool.resize(max_idle_per_address)
-                resized += 1
-        return resized
-
     # ------------------------------------------------------------------
     # Closed-loop autoscaling (E28)
     # ------------------------------------------------------------------
@@ -716,9 +705,8 @@ class ACEEnvironment:
         Requires telemetry (enabled on demand).  Builds one
         :class:`~repro.control.AutoscalerDaemon` wired to this
         environment's scale knobs — store groups
-        (:meth:`add_store_group` / :meth:`drain_store_group`), directory
-        replicas (:meth:`add_asd_replica` / :meth:`retire_asd_replica`),
-        and connection-pool sizing (:meth:`resize_connection_pools`) —
+        (:meth:`add_store_group` / :meth:`drain_store_group`) and directory
+        replicas (:meth:`add_asd_replica` / :meth:`retire_asd_replica`) —
         and registers it like any daemon: ASD-discoverable, traced, and
         supervised when the recovery plane is on.  ``rules`` defaults to
         :func:`~repro.control.default_rules` scaled to the interval."""
@@ -736,7 +724,7 @@ class ACEEnvironment:
                     else self.drain_store_group()
                 ),
             )
-        if "asd" in self.daemons:
+        if self.ctx.asd_address is not None:
             actuators["asd_replicas"] = Actuator(
                 "asd_replicas",
                 level=lambda: max(1, len(self.ctx.directory_addresses())),
@@ -745,13 +733,6 @@ class ACEEnvironment:
                     else self.retire_asd_replica()
                 ),
             )
-        actuators["pool_size"] = Actuator(
-            "pool_size",
-            level=lambda: self.ctx.pool_max_idle,
-            scale=lambda decision: self.resize_connection_pools(
-                decision.to_level
-            ),
-        )
         if rules is None:
             rules = default_rules(interval=interval)
         rules = tuple(r for r in rules if r.resource in actuators)

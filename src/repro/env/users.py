@@ -18,10 +18,3 @@ class UserIdentity:
     fingerprint_template: Tuple[float, ...] = ()
     ibutton_serial: str = ""
     keypair: Optional[KeyPair] = None
-
-    @property
-    def principal(self) -> str:
-        """KeyNote principal id (the key when present, else the username)."""
-        if self.keypair is not None:
-            return self.keypair.principal()
-        return f"user:{self.username}"

@@ -89,12 +89,6 @@ class CommandSpec:
     args: Tuple[ArgSpec, ...] = ()
     description: str = ""
 
-    def arg(self, name: str) -> Optional[ArgSpec]:
-        for spec in self.args:
-            if spec.name == name:
-                return spec
-        return None
-
 
 class CommandSemantics:
     """The full command vocabulary of a daemon (extensible by inheritance)."""

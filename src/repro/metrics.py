@@ -182,9 +182,6 @@ class ResultTable:
             lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(row))))
         return "\n".join(lines)
 
-    def show(self) -> None:
-        print("\n" + self.render() + "\n")
-
 
 def _fmt(value) -> str:
     if isinstance(value, float):

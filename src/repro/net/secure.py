@@ -90,10 +90,6 @@ class SecureChannel:
         return self.conn.closed
 
     @property
-    def local(self):
-        return self.conn.local
-
-    @property
     def remote(self):
         return self.conn.remote
 

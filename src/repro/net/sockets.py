@@ -82,14 +82,6 @@ class Connection:
                 raise ConnectionClosed(f"peer closed {self.remote}")
             return item
 
-    def try_recv(self) -> tuple[bool, Any]:
-        """Non-blocking receive; returns ``(found, payload)``."""
-        found, item = self._inbox.try_get()
-        if found and item is _CLOSE:
-            self._mark_closed()
-            raise ConnectionClosed(f"peer closed {self.remote}")
-        return found, item
-
     def pending(self) -> int:
         return len(self._inbox)
 

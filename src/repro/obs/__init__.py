@@ -131,10 +131,6 @@ class Observability:
         """Every registered scope published from ``host_name``."""
         return [s for s in self.telemetry_scopes.values() if s.host == host_name]
 
-    @property
-    def enabled(self) -> bool:
-        return self.tracer.enabled
-
     def set_sampling(self, sample_rate: float) -> None:
         self.tracer.sample_rate = sample_rate
 

@@ -17,8 +17,8 @@ notification plane, and serves the whole picture to operators as a
 (``python -m repro.obs.status``).
 
 Everything rides the existing wire protocol (``obsPush``/``obsScrape``/
-``obsSummary``/``obsAlert`` commands with :mod:`repro.lang.wire` encoded
-rows); with telemetry off nothing here is constructed and the wire is
+``obsAlert`` commands with :mod:`repro.lang.wire` encoded rows); with
+telemetry off nothing here is constructed and the wire is
 byte-identical to pre-E27 traffic.
 """
 

@@ -16,9 +16,7 @@ fallback for hosts whose pushes go stale.  On top of it:
 * **SLO engine** — burn-rate evaluation each tick; alerts are recorded,
   counted, and re-emitted as self-executed ``obsAlert`` commands, so the
   existing notification plane (``addNotification obsAlert ...``) fans
-  them out to any listener daemon;
-* **obsSummary** — a wire-level operator view (the programmatic one is
-  :class:`~repro.obs.cluster.snapshot.ClusterSnapshot`).
+  them out to any listener daemon.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from repro.core.client import CallError, ServiceClient
 from repro.core.daemon import ACEDaemon, Request
 from repro.core.policy import CallPolicy
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.lang.wire import join_wire
 from repro.net import Address
 from repro.obs.cluster.merge import (
     MODE_DELTA,
@@ -86,11 +83,6 @@ class TelemetryAggregatorDaemon(ACEDaemon):
             ArgSpec("seq", ArgType.INTEGER),
             ArgSpec("scopes", ArgType.VECTOR),
             description="delta-encoded metric scope push from a publisher",
-        )
-        sem.define(
-            "obsSummary",
-            ArgSpec("topk", ArgType.INTEGER, required=False, default=5),
-            description="cluster rollups, SLO burn, and top-k slow ops",
         )
         sem.define(
             "obsAlert",
@@ -292,33 +284,3 @@ class TelemetryAggregatorDaemon(ACEDaemon):
         # The alert event itself: state lives with the SLO engine; this
         # exists so the command validates, executes, and notifies.
         return {}
-
-    # ------------------------------------------------------------------
-    # Operator wire surface
-    # ------------------------------------------------------------------
-    def cmd_obsSummary(self, request: Request) -> dict:
-        k = request.command.int("topk", 5)
-        rows = []
-        for name in self.histogram_names():
-            merged = self.rollup_histogram(name)
-            if merged is None or merged.count == 0:
-                continue
-            rows.append(join_wire((
-                "R", name, str(merged.count), repr(merged.mean),
-                repr(merged.percentile(0.50)), repr(merged.percentile(0.95)),
-                repr(merged.percentile(0.99)),
-            )))
-        for slo in self.slo_engine.status_rows():
-            rows.append(join_wire((
-                "O", slo["slo"], repr(slo["burn_long"]), repr(slo["burn_short"]),
-                str(int(slo["alerting"])), str(slo["fired"]),
-            )))
-        for row in self.top_slow(k=k):
-            rows.append(join_wire((
-                "T", row["service"], row["address"], str(row["incarnation"]),
-                repr(row["p99"]), row["exemplar"],
-            )))
-        out = {"series": len(self.series), "alerts": len(self.alerts)}
-        if rows:
-            out["rows"] = tuple(rows)
-        return out

@@ -60,13 +60,6 @@ class SLOSpec:
         if self.short_window >= self.long_window:
             raise ValueError("short_window must be below long_window")
 
-    def matches(self, service: str) -> bool:
-        return (
-            not self.service
-            or service == self.service
-            or service.startswith(self.service + ".")
-        )
-
 
 def split_histogram(bounds: Tuple[float, ...], counts, threshold: float) -> Tuple[int, int]:
     """(good, bad) observation counts at an exact bucket-bound split."""
@@ -152,10 +145,6 @@ class SLOEngine:
             if spec.name in self.states:
                 raise ValueError(f"duplicate SLO name {spec.name!r}")
             self.states[spec.name] = SLOState(spec)
-
-    @property
-    def specs(self) -> List[SLOSpec]:
-        return [state.spec for state in self.states.values()]
 
     def evaluate(
         self, now: float,

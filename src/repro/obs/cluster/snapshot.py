@@ -97,9 +97,6 @@ class ClusterSnapshot:
     def __getitem__(self, key):
         return self.data[key]
 
-    def get(self, key, default=None):
-        return self.data.get(key, default)
-
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.data, indent=indent, sort_keys=True)
 

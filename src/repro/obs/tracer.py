@@ -199,10 +199,6 @@ class Tracer:
     def tree(self, trace_id: str) -> "SpanTree":
         return SpanTree(self.spans_for(trace_id))
 
-    def clear(self) -> None:
-        self.spans.clear()
-        self.dropped = 0
-
 
 class SpanTree:
     """The causal tree of one trace, rebuilt from its finished spans."""
@@ -270,11 +266,6 @@ class CriticalHop:
 
     span: Span
     self_time: float
-
-    @property
-    def share(self) -> float:
-        total = self.span.duration
-        return self.self_time / total if total > 0 else 0.0
 
 
 def critical_path(tree: SpanTree) -> List[CriticalHop]:

@@ -58,9 +58,6 @@ class LicPrincipal:
     def value(self, ratings: Mapping[str, int], floor: int) -> int:
         return ratings.get(self.name, floor)
 
-    def principals(self) -> Iterable[str]:
-        yield self.name
-
 
 class LicAnd:
     """Conjunction: every operand must reach the value (min)."""
@@ -73,10 +70,6 @@ class LicAnd:
     def value(self, ratings: Mapping[str, int], floor: int) -> int:
         return min(p.value(ratings, floor) for p in self.parts)
 
-    def principals(self) -> Iterable[str]:
-        for p in self.parts:
-            yield from p.principals()
-
 
 class LicOr:
     """Alternatives: the best operand decides (max)."""
@@ -88,10 +81,6 @@ class LicOr:
 
     def value(self, ratings: Mapping[str, int], floor: int) -> int:
         return max(p.value(ratings, floor) for p in self.parts)
-
-    def principals(self) -> Iterable[str]:
-        for p in self.parts:
-            yield from p.principals()
 
 
 class LicThreshold:
@@ -108,10 +97,6 @@ class LicThreshold:
     def value(self, ratings: Mapping[str, int], floor: int) -> int:
         vals = sorted((p.value(ratings, floor) for p in self.parts), reverse=True)
         return vals[self.k - 1]
-
-    def principals(self) -> Iterable[str]:
-        for p in self.parts:
-            yield from p.principals()
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +448,6 @@ class Assertion:
             body += f"\nSignature: sig-schnorr:{self.signature[0]:x}:{self.signature[1]:x}"
         return body
 
-    def wire_size(self) -> int:
-        return len(self.to_text())
-
 
 def parse_assertion(text: str) -> Assertion:
     """Parse the RFC-2704-style textual form produced by ``to_text``."""
@@ -522,14 +504,6 @@ class ComplianceValue:
             raise KeyNoteError("need at least two compliance values")
         self.values = tuple(values)
         self.index = {v: i for i, v in enumerate(values)}
-
-    @property
-    def minimum(self) -> str:
-        return self.values[0]
-
-    @property
-    def maximum(self) -> str:
-        return self.values[-1]
 
     def rank(self, value: str) -> int:
         try:

@@ -567,8 +567,8 @@ class DirectoryWatcherDaemon(ACEDaemon):
         cache = self.ctx.lookup_cache
         original = notification_event(request)
         if original is None or "name" not in original:
-            purged = cache.invalidate_all()
-        elif trigger == "register":
+            raise ServiceError("no directory event in the callback")
+        if trigger == "register":
             record = ServiceRecord(
                 name=original.str("name"),
                 host=original.str("host", ""),

@@ -48,22 +48,10 @@ class AudioCaptureDaemon(StreamDaemon):
         self.capturing = False
         self.seq = 0
         self._pending: deque = deque()  # queued numpy signals
-        self._rng = ctx.rng.np(f"audio.{name}")
 
     def build_semantics(self, sem: CommandSemantics) -> None:
         super().build_semantics(sem)
         sem.define("startCapture")
-        sem.define("stopCapture")
-        sem.define(
-            "speakWord",
-            ArgSpec("word", ArgType.WORD),
-            description="someone utters a command word at this microphone",
-        )
-        sem.define(
-            "speakNoise",
-            ArgSpec("duration", ArgType.NUMBER),
-            description="someone talks (speech-like signal) for duration s",
-        )
 
     # -- signal injection (the simulated acoustic world) --------------------
     def queue_signal(self, signal: np.ndarray) -> None:
@@ -77,24 +65,9 @@ class AudioCaptureDaemon(StreamDaemon):
             self._spawn(self._capture_loop(), "capture")
         return {"capturing": 1}
 
-    def cmd_stopCapture(self, request: Request) -> dict:
-        self.capturing = False
-        return {"capturing": 0}
-
-    def cmd_speakWord(self, request: Request) -> dict:
-        word = request.command.str("word")
-        self.queue_signal(dsp.synth_word(word))
-        return {"word": word, "queued_chunks": len(self._pending)}
-
-    def cmd_speakNoise(self, request: Request) -> dict:
-        duration = request.command.float("duration")
-        n = int(duration * dsp.SAMPLE_RATE)
-        self.queue_signal(dsp.speech_like(n, self._rng))
-        return {"queued_chunks": len(self._pending)}
-
     def _capture_loop(self) -> Generator:
         silence = np.zeros(dsp.CHUNK_SAMPLES, dtype=np.float32)
-        while self.running and self.capturing:
+        while self.running:
             block = self._pending.popleft() if self._pending else silence
             chunk = MediaChunk.from_audio(block, self.seq, self.ctx.sim.now)
             self.seq += 1

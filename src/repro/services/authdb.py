@@ -59,8 +59,6 @@ class AuthorizationDatabaseDaemon(DatabaseDaemon):
             description="store an encoded KeyNote assertion for a principal",
         )
         sem.define("getCredentials", ArgSpec("principal", ArgType.STRING))
-        sem.define("revokeCredentials", ArgSpec("principal", ArgType.STRING))
-        sem.define("listPrincipals")
 
     # -- plain-Python API used by the environment builder -------------------
     def install(self, principal: str, assertion: Assertion) -> None:
@@ -84,14 +82,4 @@ class AuthorizationDatabaseDaemon(DatabaseDaemon):
         result: dict = {"count": len(texts)}
         if texts:
             result["credentials"] = tuple(encode_credential(t) for t in texts)
-        return result
-
-    def cmd_revokeCredentials(self, request: Request) -> dict:
-        removed = len(self._credentials.pop(request.command.str("principal"), []))
-        return {"revoked": removed}
-
-    def cmd_listPrincipals(self, request: Request) -> dict:
-        result: dict = {"count": len(self._credentials)}
-        if self._credentials:
-            result["principals"] = tuple(sorted(self._credentials))
         return result

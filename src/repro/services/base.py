@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.daemon import ACEDaemon
 
@@ -31,16 +31,8 @@ class Checkpointable:
       encoding the subclass likes; :func:`repro.lang.wire.join_wire` is the
       house idiom);
     * :meth:`restore_state` — the inverse.
-
-    Setting ``checkpoint_eager = True`` turns on the exactly-once
-    durability barrier: a fresh checkpoint is persisted *before* the reply
-    of every stamped (idempotent) command is released, so a crash between
-    execution and reply can never lose the dedup record that makes the
-    client's retry a replay instead of a re-execution.
     """
 
-    #: persist a checkpoint before releasing each stamped command's reply
-    checkpoint_eager = False
     #: write checkpoints to the persistent store as well as the supervisor
     #: (the store daemon itself opts out — its checkpoint *contains* the
     #: namespace, so storing it back would compound on every round)
@@ -77,21 +69,6 @@ class Checkpointable:
             self.import_dedup(dedup)
         self.restore_state(tuple(state))
         return len(state)
-
-    # -- the exactly-once durability barrier ----------------------------
-    def _commit_barrier(self, request, reply) -> Optional[Generator]:
-        if not self.checkpoint_eager:
-            return None
-        return self._checkpoint_now()
-
-    def _checkpoint_now(self) -> Generator:
-        supervisor = self.ctx.supervisors.get(self.host.name)
-        if supervisor is None:
-            return
-        payload = self.compose_checkpoint()
-        supervisor.store_checkpoint(self.name, payload)
-        if self.checkpoint_to_store:
-            yield from supervisor.persist_checkpoint(self.name, payload)
 
 
 def _indexed_lines(payload: Dict[str, str], prefix: str) -> list:

@@ -119,7 +119,6 @@ class GestureRecognitionDaemon(ACEDaemon):
         )
         sem.define("gestureRecognized", ArgSpec("gesture", ArgType.WORD),
                    ArgSpec("distance", ArgType.NUMBER, required=False, default=0.0))
-        sem.define("listGestures")
 
     def cmd_enrollGesture(self, request: Request) -> dict:
         cmd = request.command
@@ -138,10 +137,6 @@ class GestureRecognitionDaemon(ACEDaemon):
         self.mappings[cmd.str("gesture")] = (
             Address(cmd.str("host"), cmd.int("port")), cmd.str("command"))
         return {"mapped": len(self.mappings)}
-
-    def cmd_listGestures(self, request: Request) -> dict:
-        names = tuple(sorted(self._templates))
-        return {"count": len(names), **({"gestures": names} if names else {})}
 
     def classify(self, stroke: np.ndarray) -> Tuple[Optional[str], float]:
         if not self._templates:

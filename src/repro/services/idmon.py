@@ -9,7 +9,7 @@ trace event).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List
+from typing import Generator
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.core.client import CallError, Service
@@ -33,8 +33,6 @@ class IDMonitorDaemon(ACEDaemon):
         self.rescan_interval = rescan_interval
         self._devices = ClassWatch(self, ID_DEVICE_CLASSES, {
             "identified": "onIdentified", "identifyFailed": "onIdentifyFailed"})
-        #: username -> most recent identification location
-        self.last_seen: Dict[str, str] = {}
         self.identifications = 0
         self.failures = 0
 
@@ -43,7 +41,6 @@ class IDMonitorDaemon(ACEDaemon):
         sem.define("onIdentifyFailed", *CALLBACK_ARGS)
         sem.define("onServiceRegistered", *CALLBACK_ARGS,
                    description="ASD registration events (Fig. 9 step 4)")
-        sem.define("getLastSeen", ArgSpec("username", ArgType.STRING))
         sem.define(
             "selectorShown",
             ArgSpec("username", ArgType.STRING),
@@ -77,7 +74,6 @@ class IDMonitorDaemon(ACEDaemon):
         username = event.str("username")
         location = event.str("location")
         self.identifications += 1
-        self.last_seen[username] = location
         self.ctx.trace.emit(
             self.ctx.sim.now, self.name, "user-identified",
             user=username, location=location, device=request.command.get("source", "?"),
@@ -159,10 +155,6 @@ class IDMonitorDaemon(ACEDaemon):
             except CallError:
                 pass
         return {}
-
-    def cmd_getLastSeen(self, request: Request) -> dict:
-        username = request.command.str("username")
-        return {"username": username, "location": self.last_seen.get(username, "unknown")}
 
     def cmd_selectorShown(self, request: Request) -> dict:
         return {"username": request.command.str("username")}

@@ -90,7 +90,6 @@ class RoomDatabaseDaemon(Checkpointable, DatabaseDaemon):
             ArgSpec("position", ArgType.VECTOR, required=False),
             description="place a service in a room (Fig. 9 step 2)",
         )
-        sem.define("removeService", ArgSpec("service", ArgType.STRING))
         sem.define("lookupRoom", ArgSpec("room", ArgType.STRING))
         sem.define("whereIs", ArgSpec("service", ArgType.STRING))
         sem.define("listRooms")
@@ -132,16 +131,11 @@ class RoomDatabaseDaemon(Checkpointable, DatabaseDaemon):
         )
         return {"room": room.name}
 
-    def _drop_service(self, service: str) -> bool:
+    def _drop_service(self, service: str) -> None:
         for room in self.rooms.values():
             if service in room.services:
                 del room.services[service]
-                return True
-        return False
-
-    def cmd_removeService(self, request: Request) -> dict:
-        removed = self._drop_service(request.command.str("service"))
-        return {"removed": 1 if removed else 0}
+                return
 
     def cmd_lookupRoom(self, request: Request) -> dict:
         room = self._room(request.command.str("room"))

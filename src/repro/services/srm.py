@@ -42,7 +42,6 @@ class SystemResourceMonitorDaemon(ACEDaemon):
             ArgSpec("exclude", ArgType.STRING, required=False, default=""),
             description="pick the least-loaded suitable host (Fig. 11)",
         )
-        sem.define("refresh", description="poll all HRMs now")
 
     def on_started(self) -> None:
         self._spawn(self._poll_loop(), "poller")
@@ -111,10 +110,6 @@ class SystemResourceMonitorDaemon(ACEDaemon):
         return min(candidates)[1]
 
     # ------------------------------------------------------------------
-    def cmd_refresh(self, request: Request):
-        yield from self._poll_once()
-        return {"hosts": len(self.reports)}
-
     def cmd_getSystemResources(self, request: Request) -> dict:
         result: dict = {"count": len(self.reports)}
         if self.reports:

@@ -295,7 +295,8 @@ class Process(Event):
 
 
 class _Condition(Event):
-    """Base for AnyOf/AllOf: waits on several events at once."""
+    """Base for AnyOf/AllOf: waits on several events at once.  A subclass
+    defines ``_observe(ev)`` and ``_finalize_if_done()``."""
 
     __slots__ = ("events", "_pending")
 
@@ -321,12 +322,6 @@ class _Condition(Event):
             self._finalize_if_done()
         elif not ev._ok:
             ev.defuse()
-
-    def _observe(self, ev: Event) -> None:
-        raise NotImplementedError
-
-    def _finalize_if_done(self) -> None:
-        raise NotImplementedError
 
     def results(self) -> dict[Event, Any]:
         """Values of all child events that have completed successfully."""

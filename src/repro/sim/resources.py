@@ -23,9 +23,6 @@ class Request(Event):
         super().__init__(resource.sim)
         self.resource = resource
 
-    def release(self) -> None:
-        self.resource.release(self)
-
 
 class Resource:
     """A resource with ``capacity`` identical slots and a FIFO wait queue."""

@@ -106,7 +106,7 @@ def test_default_rules_construct_and_are_distinct():
     names = [r.name for r in rules]
     assert len(set(names)) == len(names)
     resources = {r.resource for r in rules}
-    assert {"store_groups", "asd_replicas", "pool_size"} <= resources
+    assert resources == {"store_groups", "asd_replicas"}
     # Scale-down is always the slower direction (capacity is cheap to
     # hold, expensive to miss).
     for rule in rules:

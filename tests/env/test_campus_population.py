@@ -71,6 +71,28 @@ class TestCampusShardMap:
         with pytest.raises(ValueError, match="not a campus host"):
             campus_shard_map(4, 2)("lab1")
 
+    def test_telemetry_aggregator_is_placed_from_the_topology(self):
+        """Every shard names the same aggregator address — the directory's
+        host, owned by one shard — so no shard's publishers push to a host
+        where nothing listens."""
+        sim = ShardedSimulator(build_campus, n_shards=2,
+                               host_to_shard=campus_shard_map(4, 2), mode="local")
+        with sim:
+            placed = sim.spawn(_enable_telemetry)
+            sim.boot(settle=0.5)
+            running = sim.collect(_aggregator_running)
+        assert placed == ["r0-infra:5020", "r0-infra:5020"]
+        assert running == [True, False]
+
+
+def _enable_telemetry(env, shard):
+    env.enable_telemetry(interval=0.5)
+    return str(env.ctx.telemetry_address)
+
+
+def _aggregator_running(env, shard):
+    return "telemetry" in env.daemons and env.daemons["telemetry"].running
+
 
 # ---------------------------------------------------------------------------
 # Arrival schedules

@@ -125,7 +125,7 @@ class TestMemoryFootprint:
         warm.close_channels()
         env.run_for(0.5)
         pool = ServiceClient(env.ctx, host, principal="holder").pool
-        pool.resize(n)
+        pool.max_idle_per_address = n
         gc.collect()
         tracemalloc.start()
         try:

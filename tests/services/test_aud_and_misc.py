@@ -1,5 +1,5 @@
 """Remaining unit coverage: AUD details, SRM scoring, secure replay,
-FIU matcher edges."""
+FIU matcher edges, the iButton reader."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
 from repro.services.aud import UserDatabaseDaemon
 from repro.services.fiu import FingerprintUnitDaemon, make_template, noisy_sample
+from repro.services.ibutton import IButtonReaderDaemon
 from repro.services.srm import SystemResourceMonitorDaemon
 
 
@@ -181,3 +182,48 @@ def test_fiu_identifies_with_the_first_of_two_user_databases_dead():
     reply = call(env, "fiu", ACECmdLine("scan", sample=sample))
     assert (reply["matched"], reply["username"]) == (1, "john")
     assert env.ctx.obs.metrics.counter("rpc.failover").value == 1
+
+
+# -- iButton reader (§4.9) -----------------------------------------------------------
+
+@pytest.fixture
+def door_env():
+    """The ID monitor plus one iButton reader at the 'hawk' door."""
+    env = ACEEnvironment(seed=204)
+    env.add_infrastructure("infra", with_wss=False)
+    door = env.add_workstation("door", room="hawk", monitors=False)
+    env.add_daemon(IButtonReaderDaemon(env.ctx, "ibutton", door, room="hawk"))
+    env.boot()
+    env.register_user_direct(env.create_identity("john"))
+    return env
+
+
+def test_ibutton_touch_identifies_and_locates_the_user(door_env):
+    env = door_env
+    serial = env.users["john"].ibutton_serial
+    reply = call(env, "ibutton", ACECmdLine("read", serial=serial))
+    assert (reply["matched"], reply["username"]) == (1, "john")
+    env.run_for(1.0)
+    assert env.daemon("idmon").identifications == 1
+    assert env.daemon("aud").users["john"].location == "hawk"
+
+
+def test_ibutton_unknown_serial_fails_identification(door_env):
+    env = door_env
+    assert call(env, "ibutton", ACECmdLine("read", serial="ib-unknown"))["matched"] == 0
+    env.run_for(1.0)
+    assert env.daemon("idmon").failures == 1
+    assert env.daemon("aud").users["john"].location == ""
+
+
+def test_ibutton_read_fails_when_the_user_database_is_dead(door_env):
+    """No AUD answering is the read's failure, not an invalid
+    identification, and the reader keeps serving."""
+    env = door_env
+    env.daemon("aud").kill()
+    reply = call(env, "ibutton", ACECmdLine("read", serial=env.users["john"].ibutton_serial),
+                 check=False)
+    assert reply.name == "cmdFailed"
+    assert call(env, "ibutton", ACECmdLine("ping")).name == "cmdOk"
+    env.run_for(1.0)
+    assert env.daemon("idmon").failures == 0

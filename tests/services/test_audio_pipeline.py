@@ -176,7 +176,7 @@ def test_speech_command_ignores_plain_speech():
     wire(env, cap, s2c)
     call(env, s2c, ACECmdLine(
         "mapCommand", word="record", host=cap.address.host, port=cap.address.port,
-        command="stopCapture;",
+        command="startCapture;",
     ))
     call(env, cap, ACECmdLine("startCapture"))
     cap.queue_signal(dsp.speech_like(2 * dsp.SAMPLE_RATE, env.rng.np("chatter")))

@@ -67,6 +67,15 @@ def test_srm_sees_all_hosts(env):
     assert set(srm.reports) >= {"infra", "fast", "slow"}
 
 
+def test_srm_reports_the_system_wide_view(env):
+    """§4.2: one row per host the SRM has polled, fields as its reports."""
+    reply = call(env, env.daemon("srm").address, ACECmdLine("getSystemResources"))
+    rows = {row.split("|")[0]: row.split("|")[1:] for row in reply["hosts"]}
+    assert reply["count"] == len(rows) == 3
+    assert set(rows) == {"infra", "fast", "slow"}
+    assert float(rows["fast"][0]) == 1600.0
+
+
 def test_srm_select_prefers_fast_idle_host(env):
     reply = call(env, env.daemon("srm").address, ACECmdLine("selectHost"))
     assert reply["host"] == "fast"

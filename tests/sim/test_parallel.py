@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
-from repro.net.address import WellKnownPorts
+from repro.net.address import Address, WellKnownPorts
 from repro.services.asd import ServiceDirectoryDaemon
 from repro.services.aud import UserDatabaseDaemon
 from repro.sim import SimulationError
@@ -50,10 +50,33 @@ def build_pair(shard=None, lan_latency=None, same_segment=False):
     return env
 
 
+#: the UDP port of the beta -> alpha datagram probe
+PROBE_PORT = 7000
+
+
 def spawn_beta_lookups(env, shard, n_ops=5):
-    """Client on beta calling the ASD on alpha — cross-shard when split."""
+    """Client on beta calling the ASD on alpha, plus one UDP datagram from
+    beta to alpha — both cross-shard when split."""
+    env._test_arrivals = []
+    if shard is None or shard.owns("alpha"):
+        inbox = env.net.bind_datagram(env.net.host("alpha"), PROBE_PORT)
+
+        def receive():
+            source, payload = yield from inbox.recv()
+            env._test_arrivals.append(env.sim.now)
+            env.trace.emit(env.sim.now, "alpha", "probe-arrived",
+                           sender=str(source), payload=payload)
+
+        env.sim.process(receive(), name="probe-receiver")
     if shard is not None and not shard.owns("beta"):
         return 0
+
+    def send_probe():
+        sock = env.net.bind_datagram(env.net.host("beta"), PROBE_PORT)
+        yield env.sim.timeout(0.1)
+        yield from sock.send(Address("alpha", PROBE_PORT), "probe")
+
+    env.sim.process(send_probe(), name="probe-sender")
     latencies = []
 
     def proc():
@@ -73,6 +96,10 @@ def spawn_beta_lookups(env, shard, n_ops=5):
 
 def collect_latencies(env, shard):
     return list(getattr(env, "_test_latencies", []))
+
+
+def collect_arrivals(env, shard):
+    return list(getattr(env, "_test_arrivals", []))
 
 
 def spawn_crasher(env, shard, at=0.5):
@@ -112,9 +139,10 @@ def _run_pair(n_shards, mode="local"):
         sim.spawn(spawn_beta_lookups, n_ops=5)
         sim.run(sim.now + 4.0)
         latencies = [s for r in sim.collect(collect_latencies) for s in r]
+        arrivals = [t for r in sim.collect(collect_arrivals) for t in r]
         counters = sim.counters()
         trace_hash = sim.merged_trace().hash()
-    return sorted(latencies), counters, trace_hash
+    return sorted(latencies), counters, trace_hash, arrivals
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +151,11 @@ def _run_pair(n_shards, mode="local"):
 
 class TestEquivalence:
     def test_two_shards_match_single_kernel(self):
-        lat1, c1, h1 = _run_pair(1)
-        lat2, c2, h2 = _run_pair(2)
+        lat1, c1, h1, dgram1 = _run_pair(1)
+        lat2, c2, h2, dgram2 = _run_pair(2)
         assert lat1 and lat1 == lat2
+        # the datagram crossed the boundary and landed when it did on one kernel
+        assert len(dgram1) == 1 and dgram1 == dgram2
         assert h1 == h2
         # the split run really did cross the boundary
         assert c1["boundary.msgs_out"] == 0
@@ -133,7 +163,7 @@ class TestEquivalence:
         assert c2["sync.rounds"] > 0
 
     def test_cross_shard_latency_includes_backbone(self):
-        lat, _, _ = _run_pair(2)
+        lat, *_ = _run_pair(2)
         # alpha and beta sit on different segments: every lookup pays at
         # least two backbone+lan crossings (connect reuse aside).
         assert min(lat) >= 2 * (250e-6 + 2e-3)

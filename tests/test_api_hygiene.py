@@ -112,6 +112,42 @@ def test_every_declared_command_has_handler_or_builtin():
     assert problems == [], f"declared commands without handlers: {problems}"
 
 
+def test_every_defined_command_has_a_sender():
+    """A daemon's vocabulary is what the system sends (Fig. 5 / §2.2):
+    every name ``sem.define``\\ d under ``src/`` appears as a string
+    constant under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``
+    somewhere other than a ``define`` or a docstring.  A command nothing
+    sends is deleted, or given a test that sends it."""
+    def defined_name(node):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "define" and node.args
+                and isinstance(node.args[0], ast.Constant)):
+            return node.args[0]
+        return None
+
+    defined, sent = {}, set()
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            if path == Path(__file__):
+                continue
+            tree = ast.parse(path.read_text())
+            skip = {id(node.body[0].value) for node in ast.walk(tree)
+                    if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None}
+            for node in ast.walk(tree):
+                name = defined_name(node)
+                if name is not None:
+                    skip.add(id(name))
+                    if top == "src":
+                        defined.setdefault(name.value, f"{path.relative_to(REPO)}:{node.lineno}")
+                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and id(node) not in skip):
+                    sent.add(node.value)
+    unsent = sorted(f"{where}: {name}" for name, where in defined.items() if name not in sent)
+    assert unsent == [], "defined commands nothing sends:\n" + "\n".join(unsent)
+
+
 def test_service_client_surface_is_exactly_this():
     """One way to send a command to an address (``call``); the transport is
     chosen by the object the caller holds — ``client``, ``client.pool``, a
@@ -136,7 +172,36 @@ RETIRED_NAMES = frozenset({
     "_apply_entry", "_index_add", "_index_remove", "cmd_psReplicate",
     "newer_than", "replicate_writes", "forward_misrouted", "digest_buckets",
     "run_once", "_check_against_baseline",
+    "cmd_getLastSeen", "cmd_getManaged", "cmd_refresh", "cmd_listGestures",
+    "cmd_listPrincipals", "cmd_revokeCredentials", "cmd_obsSummary",
+    "cmd_removeService", "cmd_speakWord", "cmd_speakNoise", "cmd_stopCapture",
+    "resize_connection_pools", "pool_max_idle", "_connection_pools",
+    "invalidate_all", "checkpoint_eager", "_commit_barrier", "_checkpoint_now",
 })
+
+#: deleted methods whose names other classes still define
+RETIRED_METHODS = {
+    ("repro.core.client", "ConnectionPool"): {"resize"},
+    ("repro.env.users", "UserIdentity"): {"principal"},
+    ("repro.lang.semantics", "CommandSpec"): {"arg"},
+    ("repro.metrics", "ResultTable"): {"show"},
+    ("repro.net.secure", "SecureChannel"): {"local"},
+    ("repro.net.sockets", "Connection"): {"try_recv"},
+    ("repro.obs", "Observability"): {"enabled"},
+    ("repro.obs.cluster.slo", "SLOEngine"): {"specs"},
+    ("repro.obs.cluster.slo", "SLOSpec"): {"matches"},
+    ("repro.obs.cluster.snapshot", "ClusterSnapshot"): {"get"},
+    ("repro.obs.tracer", "CriticalHop"): {"share"},
+    ("repro.obs.tracer", "Tracer"): {"clear"},
+    ("repro.security.keynote", "Assertion"): {"wire_size"},
+    ("repro.security.keynote", "ComplianceValue"): {"minimum", "maximum"},
+    ("repro.security.keynote", "LicAnd"): {"principals"},
+    ("repro.security.keynote", "LicOr"): {"principals"},
+    ("repro.security.keynote", "LicPrincipal"): {"principals"},
+    ("repro.security.keynote", "LicThreshold"): {"principals"},
+    ("repro.sim.kernel", "_Condition"): {"_observe", "_finalize_if_done"},
+    ("repro.sim.resources", "Request"): {"release"},
+}
 
 
 def _spellings(names, tops):
@@ -161,6 +226,8 @@ def test_retired_names_stay_retired():
 
     found = _spellings(RETIRED_NAMES, ("src", "examples", "benchmarks"))
     assert found == [], "retired names in use:\n" + "\n".join(found)
+    for (module, cls), names in RETIRED_METHODS.items():
+        assert not names & set(vars(getattr(importlib.import_module(module), cls))), cls
     # never passed, never read
     assert "notification" not in inspect.signature(CommandSemantics.define).parameters
 
