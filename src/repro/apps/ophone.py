@@ -107,16 +107,18 @@ class OPhoneDaemon(StreamDaemon):
         username = request.command.str("user")
         client = self._service_client()
         try:
-            user_reply = yield from client.call(
-                Service(name="aud"), ACECmdLine("getUser", username=username)
-            )
+            with client:
+                user_reply = yield from client.call(
+                    Service(name="aud"), ACECmdLine("getUser", username=username)
+                )
         except CallError as exc:
             raise ServiceError(f"cannot resolve user {username!r}: {exc}")
         location = user_reply.str("location", "unknown")
         if location == "unknown":
             raise ServiceError(f"user {username!r} has no known location")
-        phones = yield from asd_lookup(client, self.ctx.asd_address,
-                                       cls="OPhone", room=location)
+        with client:
+            phones = yield from asd_lookup(client, self.ctx.asd_address,
+                                           cls="OPhone", room=location)
         phones = [p for p in phones if p.name != self.name]
         if not phones:
             raise ServiceError(f"no O-Phone in room {location!r}")

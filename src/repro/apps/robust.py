@@ -57,8 +57,8 @@ class CheckpointingCounterApp(Application):
     def _store(self) -> Generator:
         from repro.core.client import ServiceClient
 
-        client = ServiceClient(self.ctx, self.host, principal=f"app:{self.app_id}")
-        replicas = yield from asd_lookup(client, self.ctx.asd_address, cls="PersistentStore")
+        with ServiceClient(self.ctx, self.host, principal=f"app:{self.app_id}") as client:
+            replicas = yield from asd_lookup(client, self.ctx.asd_address, cls="PersistentStore")
         if not replicas:
             return None
         return StoreClient(
@@ -141,12 +141,12 @@ class RestartManagerDaemon(ACEDaemon):
     # ------------------------------------------------------------------
     def _launch(self, managed: ManagedApp, prefer_host: Optional[str]) -> Generator:
         """Place via the SAL (restart apps pin their original host)."""
-        client = self._service_client()
         command = ACECmdLine(
             "launchApp", app=managed.factory, args=managed.args,
             **({"host": prefer_host} if prefer_host else {}),
         )
-        reply = yield from client.call(Service(cls="SAL"), command)
+        with self._service_client() as client:
+            reply = yield from client.call(Service(cls="SAL"), command)
         managed.host = reply.str("host")
         managed.pid = reply.int("pid")
         self._by_pid[managed.pid] = managed.app_id
@@ -234,7 +234,8 @@ class RestartManagerDaemon(ACEDaemon):
             return False
         client = self._service_client()
         try:
-            hals = yield from asd_lookup(client, self.ctx.asd_address, cls="HAL")
+            with client:
+                hals = yield from asd_lookup(client, self.ctx.asd_address, cls="HAL")
         except CallError:
             return None
         hal = next((h for h in hals if h.host == managed.host), None)

@@ -20,7 +20,9 @@ from typing import Generator, Iterable, Optional, Union
 
 from repro.lang import ACECmdLine, ACELanguageError, parse_command
 from repro.lang.command import CLIENT_ID_ARG, CLIENT_SEQ_ARG, PIPELINE_SEQ_ARG, is_error
-from repro.net import Address, Connection, ConnectionClosed, ConnectionRefused, HandshakeError
+from repro.net import (
+    Address, Connection, ConnectionClosed, ConnectionRefused, ConnectionReset, HandshakeError,
+)
 from repro.net.host import Host
 from repro.net.secure import SecureChannel, handshake_client
 from repro.obs import CLIENT as SPAN_CLIENT
@@ -323,64 +325,83 @@ class PipelinedConnection:
         self._conn.close()
 
 
-class ConnectionPool:
-    """Attached connections reused across calls, keyed by address.
+def _pool_key(address: Address, attach: bool = True, expected_subject: Optional[str] = None):
+    """What a pooled channel was opened with: an attached channel with no
+    pinned subject — nearly every one — is keyed by its address alone; any
+    other is keyed with its ``connect`` options, so (say) a channel dialled
+    with ``attach=False`` never serves a caller that needs its principal."""
+    if attach and expected_subject is None:
+        return address
+    return (address, attach, expected_subject)
 
-    :meth:`ServiceClient.call` dials for *every* command (connect → attach
-    → call → close); at scale the dial+attach dominates, so long-lived
-    callers (population sessions, the notification fan-out) go through a
-    pool instead.  The pool checks idle connections out exclusively (a
-    plain channel cannot interleave two request/reply exchanges), so
-    concurrent callers to one address either reuse distinct pooled
-    channels or dial new ones.
+
+class ConnectionPool:
+    """Attached connections reused across calls, keyed by address and by
+    the ``connect`` options they were opened with.
+
+    Every policy call (:meth:`ServiceClient.call` with a :class:`CallPolicy`)
+    and every long-lived caller (population sessions, the notification
+    fan-out) goes through the pool, so the dial+attach round trips are paid
+    once per connection, not once per command; only ``call(policy=None)``
+    dials for its one command.  The pool checks idle connections out
+    exclusively (a plain channel cannot interleave two request/reply
+    exchanges), so concurrent callers to one address either reuse distinct
+    pooled channels or dial new ones.
     """
 
     def __init__(self, client: "ServiceClient"):
         self._client = client
         self.max_idle_per_address = POOL_MAX_IDLE
-        # Keyed by the Address itself (a frozen dataclass): hashing two
-        # small fields beats formatting "host:port" on every acquire/release.
-        self._idle: dict = {}   # Address -> list[ServiceConnection]
+        # Keyed by the Address itself (a frozen dataclass) for the common
+        # attached channel: hashing two small fields beats formatting
+        # "host:port" on every acquire/release (see _pool_key).
+        self._idle: dict = {}   # key -> list[ServiceConnection]
         metrics = client.ctx.obs.metrics
         self._m_reuse = metrics.counter("rpc.pool.reuse")
         self._m_dial = metrics.counter("rpc.pool.dial")
         self._m_discard = metrics.counter("rpc.pool.discard")
 
-    def _take_idle(self, address: Address) -> Optional[ServiceConnection]:
-        """Pop a reusable idle connection to ``address``, or ``None``.
+    def _take_idle(self, key) -> Optional[ServiceConnection]:
+        """Pop a reusable idle connection under ``key``, or ``None``.
 
         A strict request/reply channel has nothing to read while idle, so
         anything queued on it — the peer's EOF (``closed`` stays False until
         somebody reads it), a stray late reply — means the next exchange
         would fail or mis-pair: such a connection is closed and discarded.
         """
-        bucket = self._idle.get(address)
+        bucket = self._idle.get(key)
         while bucket:
             conn = bucket.pop()
             if not conn.closed and not conn.channel.pending():
                 self._m_reuse.inc()
                 return conn
-            conn.close()
-            self._m_discard.inc()
+            self._discard(conn)
         return None
+
+    def _discard(self, connection: ServiceConnection) -> None:
+        connection.close()
+        self._m_discard.inc()
 
     def acquire(self, address: Address, **connect_kw) -> Generator:
         """Check out an attached connection (reused when one is idle)."""
-        conn = self._take_idle(address)
+        conn = self._take_idle(_pool_key(address, **connect_kw))
         if conn is None:
             conn = yield from self._client.connect(address, **connect_kw)
             self._m_dial.inc()
         return conn
 
-    def release(self, address: Address, connection: ServiceConnection) -> None:
-        """Return a healthy connection for reuse."""
+    def release(self, address: Address, connection: ServiceConnection, **connect_kw) -> None:
+        """Return a healthy connection for reuse (``connect_kw`` as it was
+        acquired with)."""
+        self._release(_pool_key(address, **connect_kw), connection)
+
+    def _release(self, key, connection: ServiceConnection) -> None:
         if connection.closed:
             self._m_discard.inc()
             return
-        bucket = self._idle.setdefault(address, [])
+        bucket = self._idle.setdefault(key, [])
         if len(bucket) >= self.max_idle_per_address:
-            self._m_discard.inc()
-            connection.close()
+            self._discard(connection)
             return
         bucket.append(connection)
 
@@ -389,28 +410,39 @@ class ConnectionPool:
     ) -> Generator:
         """One command over a pooled channel: the dial+attach round trips
         are paid once per connection, not once per command.  Only a miss
-        runs the ``connect`` generator; a hit goes straight to the call."""
-        conn = self._take_idle(address)
-        if conn is None:
-            conn = yield from self._client.connect(address, **connect_kw)
-            self._m_dial.inc()
-        try:
-            reply = yield from conn.call(command, check=check)
-        except RETRYABLE:
-            conn.close()   # transport is suspect: never pool it again
-            raise
-        except CallError:
-            self.release(address, conn)   # daemon answered: channel is fine
-            raise
-        except Exception:
-            # Interrupt, host death, a garbled reply: the exchange stopped
-            # half way, so the channel's state is unknown.  Closing it also
-            # lets the daemon's command thread see EOF instead of parking.
-            conn.close()
-            self._m_discard.inc()
-            raise
-        self.release(address, conn)
-        return reply
+        runs the ``connect`` generator; a hit goes straight to the call.
+
+        A reused channel whose far end was reset — its host crashed and came
+        back since the channel went idle, so the command reached nobody — is
+        redialled once, to the host's new incarnation.  Any other failure
+        closes and discards the channel and is raised."""
+        key = _pool_key(address, **connect_kw)
+        conn = self._take_idle(key)
+        reused = conn is not None
+        while True:
+            if conn is None:
+                conn = yield from self._client.connect(address, **connect_kw)
+                self._m_dial.inc()
+            try:
+                reply = yield from conn.call(command, check=check)
+            except RETRYABLE as exc:
+                self._discard(conn)   # transport is suspect: never pool it again
+                if reused and isinstance(exc.__cause__, ConnectionReset):
+                    conn, reused = None, False
+                    continue
+                raise
+            except CallError:
+                self._release(key, conn)   # daemon answered: channel is fine
+                raise
+            except Exception:
+                # Interrupt (a policy attempt that lost its race), host
+                # death, a garbled reply: the exchange stopped half way, so
+                # the channel's state is unknown.  Closing it also lets the
+                # daemon's command thread see EOF instead of parking.
+                self._discard(conn)
+                raise
+            self._release(key, conn)
+            return reply
 
     def close_all(self) -> None:
         for bucket in self._idle.values():
@@ -440,7 +472,7 @@ class ServiceClient:
         #: span is the fallback.  One client serves one logical flow.
         self._span_stack: list = []
         self._pool: Optional[ConnectionPool] = None
-        self._pipelines: dict = {}   # Address -> PipelinedConnection
+        self._pipelines: dict = {}   # pool key -> PipelinedConnection
         #: idempotency stamp state (``ctx.idempotent_retries``): a unique
         #: client id minted on first use plus a per-logical-call sequence
         self._stamp_id: Optional[str] = None
@@ -553,7 +585,9 @@ class ServiceClient:
         * ``policy=None``: one plain attempt — dial, attach, exchange,
           close.  No deadline: a stalled endpoint stalls the caller.
         * a :class:`CallPolicy` hardens the call for gray failure: every
-          attempt races ``attempt_timeout``; transport failures and
+          attempt is a :meth:`ConnectionPool.call` on this client's
+          :attr:`pool` (a connection is dialled once and reused) and races
+          ``attempt_timeout``; transport failures and
           timeouts are retried with jittered backoff until ``max_attempts``
           or ``deadline`` runs out; a per-address circuit breaker (shared
           through ``ctx.resilience``) sheds calls to endpoints that keep
@@ -583,8 +617,8 @@ class ServiceClient:
     def _dial_call_close(
         self, address: Address, command: ACECmdLine, check: bool = True, **connect_kw
     ) -> Generator:
-        """One attempt; closes its connection however it ends (a policy
-        attempt that lost its race is interrupted in here)."""
+        """``call(policy=None)``: dial, attach, one exchange, close —
+        however it ends."""
         connection = yield from self.connect(address, **connect_kw)
         try:
             reply = yield from connection.call(command, check=check)
@@ -605,13 +639,15 @@ class ServiceClient:
     def pipelined(
         self, address: Address, max_inflight: int = 8, **connect_kw
     ) -> Generator:
-        """The shared pipelined channel to ``address``, dialing (or
-        re-dialing after a transport death) when needed."""
-        pipe = self._pipelines.get(address)
+        """The shared pipelined channel to ``address`` (one per set of
+        ``connect`` options, as in the pool), dialing (or re-dialing after a
+        transport death) when needed."""
+        key = _pool_key(address, **connect_kw)
+        pipe = self._pipelines.get(key)
         if pipe is None or pipe.closed:
             connection = yield from self.connect(address, **connect_kw)
             pipe = PipelinedConnection(self, connection, max_inflight=max_inflight)
-            self._pipelines[address] = pipe
+            self._pipelines[key] = pipe
         return pipe
 
     def close_channels(self) -> None:
@@ -621,6 +657,18 @@ class ServiceClient:
         for pipe in self._pipelines.values():
             pipe.close()
         self._pipelines.clear()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        """A flow that makes its own client (``with ... as client:``) hangs
+        up its pooled channels when it ends, so no daemon keeps a command
+        thread parked on a connection nobody will use again.  Not when the
+        flow's generator is being garbage-collected: a hang-up scheduled
+        then would make the run depend on when the collector ran."""
+        if exc_type is not GeneratorExit:
+            self.close_channels()
 
     # ------------------------------------------------------------------
     # Idempotency stamping (the recovery plane's exactly-once half)
@@ -699,7 +747,12 @@ class ServiceClient:
         self, address: Address, command: ACECmdLine, policy: CallPolicy,
         check: bool, connect_kw: dict,
     ) -> Generator:
-        """Deadline + retry + circuit breaker around :meth:`_dial_call_close`."""
+        """Deadline + retry + circuit breaker around pooled attempts.
+
+        Each attempt is :meth:`ConnectionPool.call` in its own process, raced
+        against its budget; an attempt that loses the race is interrupted,
+        and the pool closes and discards the connection it held, so a late
+        reply can never reach a later call."""
         registry = self.ctx.resilience
         stats = registry.stats
         breaker = registry.breaker(address, policy)
@@ -733,7 +786,7 @@ class ServiceClient:
                     )
                 # its own process, so the attempt can race its budget
                 proc = sim.process(
-                    self._dial_call_close(address, command, check, **connect_kw),
+                    self.pool.call(address, command, check=check, **connect_kw),
                     name=f"rpc.{self.principal}",
                 )
                 try:

@@ -314,12 +314,12 @@ class ACEDaemon(NotificationMixin):
         self.running = False
         if self.register_with_asd and self.ctx.directory_addresses() and self.host.up:
             try:
-                client = self._service_client()
-                yield from client.call(
-                    self.ctx.directory_addresses(),
-                    ACECmdLine("deregister", name=self.name),
-                    policy=FAILOVER_POLICY,
-                )
+                with self._service_client() as client:
+                    yield from client.call(
+                        self.ctx.directory_addresses(),
+                        ACECmdLine("deregister", name=self.name),
+                        policy=FAILOVER_POLICY,
+                    )
             except Exception:   # whatever it was: _teardown() must still run
                 pass  # best effort; the lease will expire anyway
         self._teardown()
@@ -355,10 +355,12 @@ class ACEDaemon(NotificationMixin):
             self._spawn(self._accept_loop(), "accept")
             self._spawn(self._control_thread(), "control")
             self._spawn(self._data_thread(), "data")
-            yield from self._startup_sequence()
-            self.on_started()
-            self._beat()
-            yield from self._lease_loop()
+            # one client for this thread's one flow: start-up, then leases
+            with self._service_client() as client:
+                yield from self._startup_sequence(client)
+                self.on_started()
+                self._beat()
+                yield from self._lease_loop(client)
         except (HostDownError, Interrupt):
             self.running = False
             self._teardown()
@@ -383,11 +385,10 @@ class ACEDaemon(NotificationMixin):
     def on_started(self) -> None:
         """Subclass hook: called once initialization completes."""
 
-    def _startup_sequence(self) -> Generator:
+    def _startup_sequence(self, client: ServiceClient) -> Generator:
         """Fig. 9: RoomDB (2) → ASD register (3) → NetLogger (5)."""
         trace = self.ctx.trace
         trace.emit(self.ctx.sim.now, self.name, "daemon-launch", host=self.host.name)
-        client = self._service_client()
         if self.ctx.roomdb_address is not None and self.room:
             try:
                 yield from client.call(
@@ -404,11 +405,12 @@ class ACEDaemon(NotificationMixin):
             except CallError as exc:
                 trace.emit(self.ctx.sim.now, self.name, "roomdb-unavailable", error=str(exc))
         if self.register_with_asd and self.ctx.directory_addresses():
-            yield from client.call(
-                self.ctx.directory_addresses(),
-                self._registration_command(),
-                policy=STARTUP_REGISTRATION_POLICY,
-            )
+            with client:   # hang up the pooled channel: nothing reuses it
+                yield from client.call(
+                    self.ctx.directory_addresses(),
+                    self._registration_command(),
+                    policy=STARTUP_REGISTRATION_POLICY,
+                )
             trace.emit(self.ctx.sim.now, self.name, "asd-registered", cls=self.class_path())
         if self.ctx.netlogger_address is not None:
             try:
@@ -441,10 +443,9 @@ class ACEDaemon(NotificationMixin):
             command = command.with_args(inc=self.incarnation)
         return command
 
-    def _lease_loop(self) -> Generator:
+    def _lease_loop(self, client: ServiceClient) -> Generator:
         """Renew the ASD lease at the configured fraction of its duration."""
         interval = self.ctx.lease_duration * self.ctx.lease_renew_fraction
-        client = self._service_client()
         while self.running:
             yield self.ctx.sim.timeout(interval)
             if not self.running:
@@ -472,11 +473,11 @@ class ACEDaemon(NotificationMixin):
 
     def _reregister(self) -> Generator:
         """Push our registration at the directory group again."""
-        client = self._service_client()
-        yield from client.call(
-            self.ctx.directory_addresses(), self._registration_command(),
-            policy=FAILOVER_POLICY,
-        )
+        with self._service_client() as client:
+            yield from client.call(
+                self.ctx.directory_addresses(), self._registration_command(),
+                policy=FAILOVER_POLICY,
+            )
         self.ctx.trace.emit(self.ctx.sim.now, self.name, "asd-reregistered")
 
     # ------------------------------------------------------------------

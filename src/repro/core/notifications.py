@@ -221,7 +221,8 @@ class NotificationMixin:
             host=self.host.name, port=self.port, callback=callback,
         )
         try:
-            yield from self._service_client().call(address, command, policy=policy)
+            with self._service_client() as client:
+                yield from client.call(address, command, policy=policy)
         except CallError:
             return False
         return True
@@ -285,11 +286,11 @@ class ClassWatch:
         ctx = self.daemon.ctx
         if ctx.asd_address is None:
             return
-        client = self.daemon._service_client()
         for cls in self.classes:
             try:
-                services = yield from asd_lookup(
-                    client, ctx.asd_address, cls=cls, room=self.room)
+                with self.daemon._service_client() as client:
+                    services = yield from asd_lookup(
+                        client, ctx.asd_address, cls=cls, room=self.room)
             except CallError:
                 continue
             for service in services:

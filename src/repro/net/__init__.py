@@ -18,6 +18,7 @@ from repro.net.sockets import (
     Connection,
     ConnectionClosed,
     ConnectionRefused,
+    ConnectionReset,
     DatagramSocket,
     ListenerSocket,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "Connection",
     "ConnectionClosed",
     "ConnectionRefused",
+    "ConnectionReset",
     "DatagramSocket",
     "HandshakeError",
     "Host",

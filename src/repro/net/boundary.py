@@ -26,6 +26,10 @@ refusal on the RST return leg and mints the client's ephemeral port at
 the shape a refusing shard can reproduce — the SYN-NAK rides back one
 leg after SYN arrival and the port was already allocated sender-side.
 
+A stream endpoint dies with its host's incarnation here too: the shard
+that owns the host refuses a segment for a stale endpoint, and the reset
+rides back to the sender's shard as a ``CLOSE`` message with a reset flag.
+
 Deviations from the single-kernel fabric (all fault-path only):
 
 * reachability/partition checks run sender-side against ghost state, so a
@@ -92,10 +96,8 @@ class BoundaryConnection(Connection):
         self.conn_id = conn_id
         self._peer_last_arrival = 0.0
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        super().close()
+    def _mark_closed(self) -> None:
+        super()._mark_closed()
         self.net._boundary_conns.pop(self.conn_id, None)
 
 
@@ -336,23 +338,31 @@ class BoundaryNetwork(Network):
         if conn is None or conn.closed or not conn.host.up:
             self.stats.dropped += 1
             return
+        if conn.epoch != conn.host.epoch:
+            # The owning shard fences a stale endpoint as the base fabric does.
+            self.stats.dropped += 1
+            conn._reset()
+            return
         conn._enqueue(payload)
 
-    def _stream_close_notify(self, conn: Connection) -> None:
+    def _stream_close_notify(self, conn: Connection, reset: bool = False) -> None:
         if not isinstance(conn, BoundaryConnection):
-            super()._stream_close_notify(conn)
+            super()._stream_close_notify(conn, reset)
             return
         dst_host = self.hosts.get(conn.remote.host)
         if dst_host is None or not self._reachable(conn.host, dst_host):
             return
         lat = self._path_latency(conn.host, dst_host)
-        self.post(conn.remote.host, CLOSE, self.sim.now + lat, (conn.conn_id,))
+        # a reset rides the close message with a flag; a plain close's data
+        # stays one field
+        data = (conn.conn_id, True) if reset else (conn.conn_id,)
+        self.post(conn.remote.host, CLOSE, self.sim.now + lat, data)
 
-    def _arrive_close(self, conn_id: str) -> None:
+    def _arrive_close(self, conn_id: str, reset: bool = False) -> None:
         conn = self._boundary_conns.pop(conn_id, None)
         if conn is None or conn.closed or not conn.host.up:
             return
-        conn._enqueue_close()
+        conn._enqueue_close(reset)
 
     # ------------------------------------------------------------------
     # Datagrams across the boundary

@@ -16,8 +16,12 @@ paper makes against centralized clusters (§8.1).
 
 Fault model
 -----------
-* ``Host.crash()`` — endpoints on the host are closed; in-flight traffic to
-  it is dropped at arrival time; peers discover EOF (streams) or silence.
+* ``Host.crash()`` — listeners and datagram sockets on the host are
+  closed; in-flight traffic to it is dropped at arrival time.  Established
+  streams die with the host's incarnation: while it is down a segment to
+  one is dropped (silence), and once it is back the segment is refused
+  with a reset, so a peer that held the connection sees EOF one latency
+  later and a parked reader on the stale end wakes to EOF.
 * ``set_partition(groups)`` — traffic between groups is dropped; connects
   across the cut raise ``ConnectionRefused`` after the connect timeout.
 * ``loss_rate`` — i.i.d. datagram loss from the ``net.loss`` RNG stream
@@ -142,7 +146,10 @@ class Network:
             raise NetworkError(f"unknown host {name!r}")
 
     def crash_host(self, name: str) -> None:
-        """Crash a host and close all of its endpoints."""
+        """Crash a host and close its listeners and datagram sockets.
+
+        Its established streams are fenced by the host's crash epoch
+        instead (:meth:`_arrive_stream`): nothing reaches them again."""
         host = self.host(name)
         host.crash()
         for addr, listener in list(self._listeners.items()):
@@ -334,12 +341,18 @@ class Network:
         delivery.callbacks.append(lambda _ev, p=peer, m=payload: self._arrive_stream(p, m))
 
     def _arrive_stream(self, peer: Connection, payload: Any) -> None:
-        if not peer.host.up or peer.closed:
+        host = peer.host
+        if not host.up or peer.closed:
             self.stats.dropped += 1
+            return
+        if peer.epoch != host.epoch:
+            # An endpoint of the host's previous life: refused with a reset.
+            self.stats.dropped += 1
+            peer._reset()
             return
         peer._enqueue(payload)
 
-    def _stream_close_notify(self, conn: Connection) -> None:
+    def _stream_close_notify(self, conn: Connection, reset: bool = False) -> None:
         peer = conn.peer
         if peer is None or peer.closed:
             return
@@ -347,7 +360,7 @@ class Network:
             return  # peer never learns; it will discover on its own
         lat = self._path_latency(conn.host, peer.host)
         delivery = self.sim.timeout(lat)
-        delivery.callbacks.append(lambda _ev, p=peer: p._enqueue_close())
+        delivery.callbacks.append(lambda _ev, p=peer, r=reset: p._enqueue_close(r))
 
     # ------------------------------------------------------------------
     # Datagram sockets

@@ -34,19 +34,33 @@ class ConnectionClosed(Exception):
     """recv() on a closed connection / send() into a closed connection."""
 
 
+class ConnectionReset(ConnectionClosed):
+    """The peer endpoint belonged to an earlier incarnation of its host: the
+    segment was refused and the connection aborted (TCP's RST)."""
+
+
 class ConnectionRefused(Exception):
     """connect() to an address nobody is listening on (or unreachable)."""
 
 
 _CLOSE = object()  # in-band control marker for orderly shutdown
+_RESET = object()  # in-band control marker for an aborted connection
 
 
 class Connection:
-    """One endpoint of an established stream connection."""
+    """One endpoint of an established stream connection.
+
+    An endpoint lives and dies with its host's incarnation: it remembers
+    the host's crash epoch, and a segment that reaches it after the host
+    crashed and came back is refused with a reset (see
+    :meth:`Network._arrive_stream`) — a restarted host answers nothing on
+    its previous life's connections.
+    """
 
     def __init__(self, net: "Network", host: "Host", local: Address, remote: Address):
         self.net = net
         self.host = host
+        self.epoch = host.epoch
         self.local = local
         self.remote = remote
         self.peer: Optional["Connection"] = None  # set by Network at setup
@@ -80,6 +94,9 @@ class Connection:
             if item is _CLOSE:
                 self._mark_closed()
                 raise ConnectionClosed(f"peer closed {self.remote}")
+            if item is _RESET:
+                self._mark_closed()
+                raise ConnectionReset(f"connection reset by {self.remote}")
             return item
 
     def pending(self) -> int:
@@ -92,6 +109,13 @@ class Connection:
         self._mark_closed()
         self.net._stream_close_notify(self)
 
+    def _reset(self) -> None:
+        """Refuse a segment meant for an earlier incarnation of this host:
+        close at once (a reader parked on this end sees EOF) and the peer
+        sees a reset one network latency later."""
+        self._mark_closed()
+        self.net._stream_close_notify(self, reset=True)
+
     def _mark_closed(self) -> None:
         self._closed = True
         self._inbox.close()
@@ -102,9 +126,9 @@ class Connection:
         if not self._inbox.closed:
             self._inbox.deliver(item)
 
-    def _enqueue_close(self) -> None:
+    def _enqueue_close(self, reset: bool = False) -> None:
         if not self._inbox.closed:
-            self._inbox.try_put(_CLOSE)
+            self._inbox.try_put(_RESET if reset else _CLOSE)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "closed" if self._closed else "open"

@@ -315,11 +315,11 @@ class ServiceDirectoryDaemon(ReplicaMixin, ACEDaemon):
             return None
         leader = self.group[0]
         forward = command.without_args(*RESERVED_ARGS).with_args(fwd=1)
-        client = self._service_client()
         try:
-            reply = yield from client.call(
-                leader, forward, policy=FORWARD_POLICY, check=False, attach=False
-            )
+            with self._service_client() as client:
+                reply = yield from client.call(
+                    leader, forward, policy=FORWARD_POLICY, check=False, attach=False
+                )
             self.forwarded_writes += 1
             self._m_forwarded.inc()
             self._leader_down_until = 0.0

@@ -91,11 +91,11 @@ class FingerprintUnitDaemon(DeviceDaemon):
             yield self.ctx.sim.timeout(self.reload_interval)
 
     def _load_templates(self) -> Generator:
-        client = self._service_client()
         try:
-            reply = yield from client.call(
-                Service(cls="UserDatabase"), ACECmdLine("listFingerprints")
-            )
+            with self._service_client() as client:
+                reply = yield from client.call(
+                    Service(cls="UserDatabase"), ACECmdLine("listFingerprints")
+                )
         except CallError:
             return
         users = reply.get("users", ())

@@ -51,11 +51,11 @@ class IButtonReaderDaemon(DeviceDaemon):
     def _find_user(self, serial: str) -> Generator:
         """The serial's owner, or None when the AUD knows no such serial.
         An AUD that does not answer raises: that is no failed identification."""
-        client = self._service_client()
         try:
-            reply = yield from client.call(
-                Service(name="aud"), ACECmdLine("findByIButton", serial=serial)
-            )
+            with self._service_client() as client:
+                reply = yield from client.call(
+                    Service(name="aud"), ACECmdLine("findByIButton", serial=serial)
+                )
         except CallError as exc:
             if exc.reply is None:
                 raise

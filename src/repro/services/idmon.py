@@ -78,13 +78,13 @@ class IDMonitorDaemon(ACEDaemon):
             self.ctx.sim.now, self.name, "user-identified",
             user=username, location=location, device=request.command.get("source", "?"),
         )
-        client = self._service_client()
         # Scenario 2: update the user's current location in the AUD.
         try:
-            yield from client.call(
-                Service(name="aud"),
-                ACECmdLine("setLocation", username=username, location=location),
-            )
+            with self._service_client() as client:
+                yield from client.call(
+                    Service(name="aud"),
+                    ACECmdLine("setLocation", username=username, location=location),
+                )
         except CallError:
             pass
         # Scenario 3/4: bring up the workspace, or a selector for several.
@@ -95,7 +95,8 @@ class IDMonitorDaemon(ACEDaemon):
     def _open_workspace(self, username: str, request: Request) -> Generator:
         client = self._service_client()
         try:
-            wsses = yield from asd_lookup(client, self.ctx.asd_address, cls="WorkspaceServer")
+            with client:
+                wsses = yield from asd_lookup(client, self.ctx.asd_address, cls="WorkspaceServer")
         except CallError:
             return
         if not wsses:
@@ -134,9 +135,9 @@ class IDMonitorDaemon(ACEDaemon):
         source = request.command.get("source")
         if not source:
             return None
-        client = self._service_client()
         try:
-            devices = yield from asd_lookup(client, self.ctx.asd_address, name=source)
+            with self._service_client() as client:
+                devices = yield from asd_lookup(client, self.ctx.asd_address, name=source)
         except CallError:
             return None
         return devices[0].host if devices else None

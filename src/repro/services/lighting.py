@@ -81,10 +81,10 @@ class LightingControllerDaemon(ACEDaemon):
 
     # -- the automation -------------------------------------------------------
     def _room_lights(self, room: str) -> Generator:
-        client = self._service_client()
         try:
-            lights = yield from asd_lookup(client, self.ctx.asd_address,
-                                           cls="Light", room=room)
+            with self._service_client() as client:
+                lights = yield from asd_lookup(client, self.ctx.asd_address,
+                                               cls="Light", room=room)
         except CallError:
             return []
         return lights

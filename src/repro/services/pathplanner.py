@@ -65,8 +65,8 @@ class PathPlannerDaemon(ACEDaemon):
         directly with ``getInfo`` and parse our naming convention, falling
         back to probing.
         """
-        client = self._service_client()
-        records = yield from asd_lookup(client, self.ctx.asd_address, cls="Converter")
+        with self._service_client() as client:
+            records = yield from asd_lookup(client, self.ctx.asd_address, cls="Converter")
         converters: List[Tuple[ServiceRecord, str, str]] = []
         for record in records:
             # Naming convention first: "conv.<from>-<to>" or "...<from>2<to>".

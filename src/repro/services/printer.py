@@ -85,19 +85,19 @@ class TaskAutomationDaemon(ACEDaemon):
         )
 
     def _user_location(self, username: str) -> Generator:
-        client = self._service_client()
         try:
-            reply = yield from client.call(
-                Service(name="aud"), ACECmdLine("getUser", username=username)
-            )
+            with self._service_client() as client:
+                reply = yield from client.call(
+                    Service(name="aud"), ACECmdLine("getUser", username=username)
+                )
         except CallError:
             return None
         location = reply.str("location", "unknown")
         return None if location == "unknown" else location
 
     def _pick_printer(self, room: Optional[str]) -> Generator:
-        client = self._service_client()
-        printers = yield from asd_lookup(client, self.ctx.asd_address, cls="Printer")
+        with self._service_client() as client:
+            printers = yield from asd_lookup(client, self.ctx.asd_address, cls="Printer")
         if not printers:
             raise ServiceError("no printers registered in this ACE")
         if room is not None:

@@ -42,8 +42,8 @@ class SystemApplicationLauncherDaemon(ACEDaemon):
 
     # ------------------------------------------------------------------
     def _find_hals(self) -> Generator:
-        client = self._service_client()
-        records = yield from asd_lookup(client, self.ctx.asd_address, cls="HAL")
+        with self._service_client() as client:
+            records = yield from asd_lookup(client, self.ctx.asd_address, cls="HAL")
         return records
 
     def _pick_hal(self, hals, target_host: Optional[str]) -> Optional[ServiceRecord]:
@@ -57,12 +57,12 @@ class SystemApplicationLauncherDaemon(ACEDaemon):
         return hals[self._placement_rng.randrange(len(hals))]
 
     def _srm_choice(self, min_mem_mb: float) -> Generator:
-        client = self._service_client()
         try:
-            reply = yield from client.call(
-                Service(cls="SRM"),
-                ACECmdLine("selectHost", min_mem_mb=float(min_mem_mb)),
-            )
+            with self._service_client() as client:
+                reply = yield from client.call(
+                    Service(cls="SRM"),
+                    ACECmdLine("selectHost", min_mem_mb=float(min_mem_mb)),
+                )
         except CallError:
             return None
         return reply.str("host")

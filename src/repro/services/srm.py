@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.core.client import CallError
+from repro.core.client import CallError, ServiceClient
 from repro.core.daemon import ACEDaemon, Request, ServiceError
 from repro.services.asd import asd_lookup
 
@@ -48,16 +48,17 @@ class SystemResourceMonitorDaemon(ACEDaemon):
 
     # ------------------------------------------------------------------
     def _poll_loop(self) -> Generator:
-        while self.running:
-            try:
-                yield from self._poll_once()
-            except Exception:
-                pass
-            yield self.ctx.sim.timeout(self.poll_interval)
+        # one client for the loop: every poll's lookup reuses its channel
+        with self._service_client() as client:
+            while self.running:
+                try:
+                    yield from self._poll_once(client)
+                except Exception:
+                    pass
+                yield self.ctx.sim.timeout(self.poll_interval)
 
-    def _poll_once(self) -> Generator:
+    def _poll_once(self, client: ServiceClient) -> Generator:
         """"Regular communications ... with all the HRMs" (§7.1)."""
-        client = self._service_client()
         if self.ctx.asd_address is None:
             return
         try:

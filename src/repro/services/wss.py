@@ -206,8 +206,8 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
 
     def _find_service(self, cls: Optional[str] = None, name: Optional[str] = None,
                       host: Optional[str] = None) -> Generator:
-        client = self._service_client()
-        records = yield from asd_lookup(client, self.ctx.asd_address, cls=cls, name=name)
+        with self._service_client() as client:
+            records = yield from asd_lookup(client, self.ctx.asd_address, cls=cls, name=name)
         if host is not None:
             records = [r for r in records if r.host == host]
         return records
@@ -220,14 +220,14 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
         session = ws_name
         service_name = vnc_service_name(session)
         # Scenario 1: ask the SAL to start a VNC server session "somewhere".
-        client = self._service_client()
         args = (
             f"session={session} owner={user} password={password} "
             f"secret={self.admin_secret}"
         )
-        reply = yield from client.call(
-            Service(cls="SAL"), ACECmdLine("launchApp", app="vncserver", args=args)
-        )
+        with self._service_client() as client:
+            reply = yield from client.call(
+                Service(cls="SAL"), ACECmdLine("launchApp", app="vncserver", args=args)
+            )
         server_host = reply.str("host")
         # The daemon registers with the ASD under a deterministic name;
         # poll briefly until registration lands.

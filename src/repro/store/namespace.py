@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from repro.lang.wire import join_wire, split_wire
@@ -147,11 +148,23 @@ class ObjectNamespace(ReplicatedMap):
     def _token(obj: StoredObject) -> int:
         return stable_hash(f"{obj.path}|{obj.version.to_wire()}|{int(obj.deleted)}")
 
+    @cached_property
+    def _slots(self) -> Dict[str, int]:
+        """path → digest bucket, hashed once: when :meth:`_rehash` first
+        sees the path (dropped with it)."""
+        return {}
+
     def _rehash(self, old: Optional[StoredObject], new: Optional[StoredObject]) -> None:
-        slot = bucket_of((new or old).path, self.buckets)
+        path = (new or old).path
+        slots = self._slots
+        slot = slots.get(path)
+        if slot is None:
+            slot = slots[path] = bucket_of(path, self.buckets)
         for obj in (old, new):
             if obj is not None:
                 self._bucket_hash[slot] ^= self._token(obj)
+        if new is None:
+            del slots[path]
 
     def __len__(self) -> int:
         return sum(1 for o in self.entries.values() if not o.deleted)
@@ -193,10 +206,11 @@ class ObjectNamespace(ReplicatedMap):
 
     def bucket_digest(self, bucket: int) -> Dict[str, Version]:
         """path → version for one hash bucket only (including tombstones)."""
+        entries = self.entries
         return {
-            path: obj.version
-            for path, obj in self.entries.items()
-            if bucket_of(path, self.buckets) == bucket
+            path: entries[path].version
+            for path, slot in self._slots.items()
+            if slot == bucket
         }
 
     def namespace_hash(self) -> str:

@@ -253,6 +253,9 @@ def test_pool_reuses_channels_and_discards_suspects(ace_with_echo):
     ace, echo = ace_with_echo
     dial = _counter(ace, "rpc.pool.dial")
     reuse = _counter(ace, "rpc.pool.reuse")
+    discard = _counter(ace, "rpc.pool.discard")
+    # the daemons' registrations went through their own pools at boot
+    dials, reuses = dial.value, reuse.value
 
     def scenario():
         client = ace.client(principal="pooled")
@@ -264,18 +267,21 @@ def test_pool_reuses_channels_and_discards_suspects(ace_with_echo):
         return client
 
     client = ace.run(scenario())
-    assert dial.value == 1            # one dial+attach...
-    assert reuse.value == 4           # ...amortised over the other calls
+    assert dial.value - dials == 1    # one dial+attach...
+    assert reuse.value - reuses == 4  # ...amortised over the other calls
+    assert len(client.pool._idle[echo.address]) == 1
 
     # A transport failure poisons the channel: it must never be re-pooled.
     ace.net.crash_host("bar")
+    discards = discard.value
 
     def failing():
-        with pytest.raises((TransportError, Exception)):
+        with pytest.raises(TransportError):
             yield from client.pool.call(echo.address, ACECmdLine("echo", text="x"))
 
     ace.run(failing())
-    assert client.pool._idle.get(str(echo.address), []) == []
+    assert client.pool._idle[echo.address] == []
+    assert discard.value == discards + 1
 
 
 def _redial_after_peer_close(sim, ctx, client, address):

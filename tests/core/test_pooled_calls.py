@@ -1,0 +1,266 @@
+"""Policy calls ride the client's connection pool, and no connection
+outlives its host's incarnation.
+
+* a policy call dials a replica once and reuses the channel after that;
+* an attempt that loses its race against ``attempt_timeout`` leaves no
+  idle channel behind, and the daemon's command thread sees EOF;
+* a channel opened with ``attach=False`` never serves an attaching caller;
+* after a host crash + restart the new incarnation answers — through
+  ``pool.call``, a policy call and a pipeline — never a zombie of the old
+  one, within a round trip of the reset;
+* a replica whose host died (no restart) costs one attempt timeout before
+  the call fails over, and its channel is discarded;
+* every connection the pool drops is counted in ``rpc.pool.discard``;
+* a daemon flow that makes its own client leaves no channel parked.
+"""
+
+import pytest
+
+from repro.core.policy import CallPolicy, DeadlineExceeded, TransportError
+from repro.env import ACEEnvironment
+from repro.lang import ACECmdLine
+from tests.core.conftest import EchoDaemon
+
+ONE_TRY = CallPolicy(deadline=2.0, attempt_timeout=0.5, max_attempts=1,
+                     breaker_threshold=0)
+
+
+def _counter(ace, name):
+    return ace.ctx.obs.metrics.counter(name)
+
+
+def _recording(client):
+    """Record every channel ``client`` dials (its ``connect`` calls)."""
+    dialled = []
+    connect = client.connect
+
+    def recording_connect(*args, **kw):
+        conn = yield from connect(*args, **kw)
+        dialled.append((conn, kw))
+        return conn
+
+    client.connect = recording_connect
+    return dialled
+
+
+def _echo(client, address, text, **kw):
+    reply = yield from client.call(address, ACECmdLine("echo", text=text), **kw)
+    return reply
+
+
+def test_ten_policy_calls_to_one_replica_dial_once(ace_with_echo):
+    ace, echo = ace_with_echo
+    client = ace.client(principal="pooled")
+    dialled = _recording(client)
+    reuse = _counter(ace, "rpc.pool.reuse")
+    reuses = reuse.value
+
+    def scenario():
+        for i in range(10):
+            reply = yield from _echo(client, echo.address, f"m{i}", policy=ONE_TRY)
+            assert reply.get("text") == f"m{i}"
+
+    ace.run(scenario())
+    assert len(dialled) == 1
+    assert reuse.value - reuses == 9
+    assert len(client.pool._idle[echo.address]) == 1
+
+
+def test_call_without_a_policy_still_dials_per_call(ace_with_echo):
+    ace, echo = ace_with_echo
+    client = ace.client(principal="plain")
+    dialled = _recording(client)
+
+    def scenario():
+        for i in range(3):
+            yield from _echo(client, echo.address, f"m{i}")
+
+    ace.run(scenario())
+    assert len(dialled) == 3
+    assert all(conn.closed for conn, _ in dialled)
+    assert client._pool is None
+
+
+def test_an_attempt_that_loses_its_race_leaves_no_idle_channel(ace_with_echo):
+    ace, echo = ace_with_echo
+    client = ace.client(principal="racer")
+    dialled = _recording(client)
+    discard = _counter(ace, "rpc.pool.discard")
+    discards = discard.value
+
+    def scenario():
+        with pytest.raises(DeadlineExceeded):
+            yield from client.call(
+                echo.address, ACECmdLine("slowEcho", text="late", delay=2.0),
+                policy=ONE_TRY)
+
+    ace.run(scenario())
+    ((conn, _),) = dialled
+    server_side = conn.channel.peer
+    assert conn.closed
+    assert not any(client.pool._idle.values())
+    assert discard.value == discards + 1
+    ace.sim.run(until=ace.sim.now + 0.01)      # > one path latency
+    assert server_side.pending() == 1          # the EOF, queued behind the handler
+    ace.sim.run(until=ace.sim.now + 3.0)       # slowEcho done, the thread reads EOF
+    assert server_side.closed
+
+
+def test_an_unattached_channel_never_serves_an_attaching_caller(ace_with_echo):
+    ace, echo = ace_with_echo
+    client = ace.client(principal="mixed")
+    dialled = _recording(client)
+
+    def scenario():
+        yield from _echo(client, echo.address, "bare", policy=ONE_TRY, attach=False)
+        yield from _echo(client, echo.address, "attached", policy=ONE_TRY)
+        yield from _echo(client, echo.address, "bare again", policy=ONE_TRY, attach=False)
+        yield from _echo(client, echo.address, "attached again", policy=ONE_TRY)
+
+    ace.run(scenario())
+    assert [kw.get("attach", True) for _, kw in dialled] == [False, True]
+    idle = client.pool._idle
+    (bare,) = idle[(echo.address, False, None)]
+    (attached,) = idle[echo.address]
+    assert bare is dialled[0][0] and attached is dialled[1][0]
+
+
+# ----------------------------------------------------------------------
+# Crash + restart: the new incarnation answers
+# ----------------------------------------------------------------------
+def _reincarnate(ace, echo):
+    """Crash the echo's host, bring it straight back and start a fresh
+    daemon on the same port; the old daemon's threads never notice."""
+    ace.net.crash_host("bar")
+    ace.net.restart_host("bar")
+    reborn = EchoDaemon(ace.ctx, "echo1b", echo.host, room="hawk", port=echo.address.port)
+    ace.add_daemon(reborn)
+    reborn.start()
+    ace.sim.run(until=ace.sim.now + 1.0)
+    return reborn
+
+
+def _timed(ace, gen):
+    def run():
+        t0 = ace.sim.now
+        reply = yield from gen
+        return reply, ace.sim.now - t0
+    return ace.run(run())
+
+
+def _reset_and_redial(ace, reborn):
+    """What a reset reused channel costs: one round trip to hear the reset,
+    then what a fresh client pays for dial + attach + the call."""
+    fresh = ace.client(principal="fresh")
+    _, dial_and_call = _timed(ace, _echo(fresh, reborn.address, "warm", policy=ONE_TRY))
+    return 2 * ace.net.lan_latency + dial_and_call
+
+
+
+def test_pool_call_after_a_restart_reaches_the_new_incarnation(ace_with_echo):
+    ace, echo = ace_with_echo
+    client = ace.client(principal="pooled")
+    command = ACECmdLine("echo", text="who")
+    assert ace.run(client.pool.call(echo.address, command)).get("by") == "echo1"
+    reborn = _reincarnate(ace, echo)
+    expected = _reset_and_redial(ace, reborn)
+    dial = _counter(ace, "rpc.pool.dial")
+    dials = dial.value
+    reply, elapsed = _timed(ace, client.pool.call(echo.address, command))
+    assert reply.get("by") == "echo1b"
+    assert elapsed == pytest.approx(expected, rel=0.05)
+    assert dial.value == dials + 1     # the reused channel was reset: redialled once
+
+
+def test_policy_call_after_a_restart_reaches_the_new_incarnation(ace_with_echo):
+    ace, echo = ace_with_echo
+    client = ace.client(principal="policy")
+    assert ace.run(_echo(client, echo.address, "who", policy=ONE_TRY)).get("by") == "echo1"
+    expected = _reset_and_redial(ace, _reincarnate(ace, echo))
+    reply, elapsed = _timed(ace, _echo(client, echo.address, "who", policy=ONE_TRY))
+    assert reply.get("by") == "echo1b"
+    assert elapsed == pytest.approx(expected, rel=0.05)
+    assert ace.ctx.resilience.stats.retries == 0   # the pool redialled, not the policy
+
+
+def test_pipeline_after_a_restart_reaches_the_new_incarnation(ace_with_echo):
+    ace, echo = ace_with_echo
+    client = ace.client(principal="piped")
+    command = ACECmdLine("echo", text="who")
+
+    def call():
+        pipe = yield from client.pipelined(echo.address)
+        reply = yield from pipe.call(command)
+        return reply
+
+    assert ace.run(call()).get("by") == "echo1"
+    _reincarnate(ace, echo)
+
+    def stale():
+        with pytest.raises(TransportError, match="reset"):
+            yield from call()
+
+    _, elapsed = _timed(ace, stale())
+    assert elapsed == pytest.approx(2 * ace.net.lan_latency, rel=0.05)   # the reset
+    assert ace.run(call()).get("by") == "echo1b"
+
+
+def test_a_dead_replica_costs_one_attempt_then_fails_over(ace_with_echo):
+    ace, echo = ace_with_echo
+    twin = EchoDaemon(ace.ctx, "echo2", ace.net.make_host("baz", room="hawk"), room="hawk")
+    ace.add_daemon(twin)
+    twin.start()
+    ace.sim.run(until=ace.sim.now + 1.0)
+    client = ace.client(principal="failover")
+    replicas = [echo.address, twin.address]
+    assert ace.run(_echo(client, replicas, "warm", policy=ONE_TRY)).get("by") == "echo1"
+    ace.net.crash_host("bar")
+    discard = _counter(ace, "rpc.pool.discard")
+    discards = discard.value
+    reply, elapsed = _timed(ace, _echo(client, replicas, "who", policy=ONE_TRY))
+    assert reply.get("by") == "echo2"
+    assert ONE_TRY.attempt_timeout <= elapsed < ONE_TRY.attempt_timeout + 0.01
+    assert client.pool._idle[echo.address] == []
+    assert discard.value == discards + 1
+
+
+def test_the_pool_counts_a_connection_dropped_on_a_transport_error(ace_with_echo):
+    ace, echo = ace_with_echo
+    client = ace.client(principal="dropped")
+    dialled = _recording(client)
+    discard = _counter(ace, "rpc.pool.discard")
+
+    def scenario():
+        yield from client.pool.call(echo.address, ACECmdLine("echo", text="warm"))
+        discards = discard.value
+        call = ace.sim.process(client.pool.call(
+            echo.address, ACECmdLine("slowEcho", text="x", delay=1.0)))
+        yield ace.sim.timeout(0.1)
+        ((conn, _),) = dialled
+        conn.channel.peer.close()     # the daemon's end hangs up mid-exchange
+        with pytest.raises(TransportError):
+            yield call
+        return discards
+
+    discards = ace.run(scenario())
+    assert discard.value == discards + 1
+    assert client.pool._idle[echo.address] == []
+
+
+def test_a_daemon_flow_that_makes_its_own_client_leaves_nothing_parked():
+    """The SRM polls the directory, handlers look services up: each such
+    flow hangs up its pooled channel (or holds one for its life), so the
+    directory's count of live command threads stays flat."""
+    env = ACEEnvironment(seed=5)
+    env.add_infrastructure()
+    env.boot(settle=2.0)
+    asd = env.daemons["asd"]
+
+    def parked():
+        return sum(1 for proc in asd._child_procs
+                   if proc.is_alive and ".cmd:" in proc.name)
+
+    env.run_for(20.0)
+    before = parked()
+    env.run_for(60.0)
+    assert parked() == before

@@ -253,12 +253,16 @@ HELD_PROFILE = PopulationProfile(n_users=120, duration=6.0, process="mmpp",
 
 
 def _pool_counts(env, shard=None):
-    """Pool counters, plus the open client-side cross-shard connections."""
+    """Pool counters and the lease renewals (each one pooled call), plus
+    the open client-side cross-shard connections."""
     metrics = env.ctx.obs.metrics
     held = [conn for conn in getattr(env.net, "_boundary_conns", {}).values()
             if not conn.closed and conn.host.name.endswith("-clients")]
+    renewals = sum(value for name, value in metrics.snapshot("daemon.").items()
+                   if name.endswith(".lease_renewals"))
     return {"dial": metrics.counter("rpc.pool.dial").value,
             "reuse": metrics.counter("rpc.pool.reuse").value,
+            "renewals": renewals,
             "cross_shard_held": len(held)}
 
 
@@ -272,6 +276,8 @@ def _run_held(n_shards):
     with sim:
         sim.boot(settle=2.0)
         booted = sim.counters()["events_delivered"]
+        # the daemons' registrations dial through their own pools at boot
+        boot_pools = sim.collect(_pool_counts)
         sim.spawn(start_population, profile=HELD_PROFILE)
         sim.run(sim.now + HELD_PROFILE.duration / 2)
         mid = sim.collect(_pool_counts)
@@ -287,7 +293,8 @@ def _run_held(n_shards):
         "cross_shard_held": sum(m["cross_shard_held"] for m in mid),
         **{key: sum(r[key] for r in reports)
            for key in ("ops", "errors", "roams", "sessions_started")},
-        **{key: sum(p[key] for p in pools) for key in ("dial", "reuse")},
+        **{key: sum(p[key] for p in pools) - sum(p[key] for p in boot_pools)
+           for key in ("dial", "reuse", "renewals")},
     }
 
 
@@ -306,7 +313,9 @@ class TestSessionsHoldConnections:
         sessions, regions = single["sessions_started"], 4
         assert single["dial"] <= sessions * regions + sessions
         assert single["reuse"] > single["dial"]
-        assert single["dial"] + single["reuse"] == 2 * single["ops"]
+        # two pooled calls per op, one per lease renewal in the window
+        assert single["renewals"] > 0
+        assert single["dial"] + single["reuse"] == 2 * single["ops"] + single["renewals"]
 
     def test_two_shards_match_with_cross_shard_connections_held(self, single):
         split = _run_held(2)
@@ -314,7 +323,7 @@ class TestSessionsHoldConnections:
         # mid-run, roamers park connections whose far end is another kernel
         assert split["cross_shard_held"] > 0 and split["roams"] > 0
         for key in ("ops", "errors", "roams", "samples", "trace_hash",
-                    "dial", "reuse"):
+                    "dial", "reuse", "renewals"):
             assert split[key] == single[key], key
 
     def test_sessions_outlive_a_directory_restart(self):

@@ -6,6 +6,7 @@ from repro.net import (
     Address,
     ConnectionClosed,
     ConnectionRefused,
+    ConnectionReset,
     Network,
     NetworkError,
 )
@@ -312,3 +313,110 @@ def test_address_parse():
     assert Address.parse("bar:1234") == Address("bar", 1234)
     with pytest.raises(ValueError):
         Address.parse("no-port")
+
+
+def test_a_connection_dies_with_its_hosts_incarnation():
+    """A segment that reaches an endpoint of a host's previous life is
+    refused with a reset: the stale end closes at once (its parked reader
+    wakes to EOF, never to the segment) and the sender sees the reset one
+    latency later.  While the host is down the segment is only dropped."""
+    sim, net = make_net()
+    listener = net.listen(net.host("beta"), 5000)
+    lan = net.lan_latency
+    seen = []
+
+    def zombie():
+        conn = yield from listener.accept()
+        try:
+            while True:
+                seen.append((yield from conn.recv()))
+        except ConnectionClosed:
+            seen.append("eof")
+
+    def client():
+        conn = yield from net.connect(net.host("alpha"), Address("beta", 5000))
+        yield from conn.send("one")
+        yield sim.timeout(0.1)
+        net.crash_host("beta")
+        yield from conn.send("while-down")
+        yield sim.timeout(0.1)
+        assert conn.pending() == 0 and seen == ["one"]     # dropped: silence
+        net.restart_host("beta")
+        sent_at = sim.now
+        yield from conn.send("after-restart")
+        with pytest.raises(ConnectionReset):
+            yield from conn.recv()
+        return sim.now - sent_at
+
+    sim.process(zombie())
+    elapsed = sim.run_process(client())
+    assert seen == ["one", "eof"]
+    assert elapsed == pytest.approx(2 * lan, rel=0.05)   # there and back
+    assert net.stats.dropped == 2
+
+
+def test_a_restarted_host_serves_new_connections():
+    sim, net = make_net()
+    net.crash_host("beta")
+    net.restart_host("beta")
+    sim.process(server_echo(net, "beta", 5000)())
+
+    def client():
+        conn = yield from net.connect(net.host("alpha"), Address("beta", 5000))
+        yield from conn.send("hello")
+        return (yield from conn.recv())
+
+    assert sim.run_process(client()) == ("echo", "hello")
+
+
+def test_the_owning_shard_fences_a_stale_boundary_endpoint():
+    """Across a shard boundary the host's owner refuses the segment and
+    the reset rides back as a close message; the sender's shard sees it
+    as a reset, the stale end's reader as EOF."""
+    from repro.net.boundary import BoundaryNetwork
+    from repro.sim.parallel import ShardContext
+
+    owner = {"alpha": 0, "beta": 1}.__getitem__
+    nets = []
+    for index in range(2):
+        shard_net = BoundaryNetwork(Simulator(), shard=ShardContext(index, 2, owner))
+        shard_net.make_host("alpha")
+        shard_net.make_host("beta")
+        nets.append(shard_net)
+    near, far = nets
+    listener = far.listen(far.host("beta"), 5000)
+    seen, outcome = [], {}
+
+    def zombie():
+        conn = yield from listener.accept()
+        try:
+            while True:
+                seen.append((yield from conn.recv()))
+        except ConnectionClosed:
+            seen.append("eof")
+
+    def client():
+        conn = yield from near.connect(near.host("alpha"), Address("beta", 5000))
+        yield from conn.send("one")
+        yield near.sim.timeout(0.1)
+        far.crash_host("beta")
+        far.restart_host("beta")
+        yield from conn.send("after-restart")
+        try:
+            yield from conn.recv()
+        except ConnectionReset:
+            outcome["reset_at"] = near.sim.now
+
+    far.sim.process(zombie())
+    near.sim.process(client())
+    # Relay the boundary by hand, one window (< the lookahead) at a time.
+    step = near.lan_latency / 2
+    for k in range(1, 2000):
+        for shard_net in nets:
+            shard_net.sim.run(until=k * step)
+        for src, dst in ((near, far), (far, near)):
+            for messages in src.drain_outbox().values():
+                dst.inject(messages)
+    assert seen == ["one", "eof"]
+    assert "reset_at" in outcome
+    assert not far._boundary_conns and not near._boundary_conns

@@ -165,16 +165,17 @@ def test_crash_workload_is_deterministic():
 
 def test_directory_group_wire_is_pinned():
     """The replica group's wire is on no ``bench/`` workload; this is its
-    ledger entry (taken at a54542c, before the group moved onto
-    ``core/replication.py``)."""
+    ledger entry (re-taken when policy calls moved onto the client's
+    connection pool: lease renewals stopped dialling, so 91 ``connect``
+    records went and nothing else moved)."""
     env = build_env(seed=3)
     run_crash_workload(env)
     env.net.crash_host("spare")
     env.run_for(LEASE + 2.0)
     records = env.ctx.trace.records
-    assert len(records) == 544
+    assert len(records) == 453
     assert canonical_trace_hash(records) == (
-        "c81c514f0416e5a5e17f457470121ce487201f760b0f8b5ea2a46bf0338c4a08"
+        "974d516f68526feb0494e1193c244f237160756df363ffab952f9c226b199ce7"
     )
 
 

@@ -114,3 +114,29 @@ def test_decode_empty():
 def test_decode_malformed():
     with pytest.raises(NamespaceError):
         decode_attrs("noequalsign")
+
+
+def test_bucket_digest_hashes_no_path_again(monkeypatch):
+    """A path's digest bucket is hashed once, when the table first sees the
+    path: a ``psDigest`` page hashes nothing, and still equals the
+    brute-force filter over every entry (tombstones and forgotten paths
+    included)."""
+    import repro.store.namespace as namespace
+    from repro.store.sharding import bucket_of
+
+    ns = ObjectNamespace("s1", buckets=8)
+    for i in range(40):
+        ns.put(f"/p/{i % 25}", {"v": str(i)})
+    ns.delete("/p/3")
+    ns.forget("/p/4")
+    ns.apply(StoredObject("/remote/x", {}, Version(99, "s2")))
+    calls = []
+    real = namespace.stable_hash
+    monkeypatch.setattr(namespace, "stable_hash", lambda text: calls.append(text) or real(text))
+    monkeypatch.setattr(namespace, "bucket_of", lambda *a: calls.append(a) or bucket_of(*a))
+    digests = [ns.bucket_digest(b) for b in range(ns.buckets)]
+    assert calls == []
+    for bucket, digest in enumerate(digests):
+        assert digest == {path: obj.version for path, obj in ns.entries.items()
+                          if bucket_of(path, ns.buckets) == bucket}
+    assert sum(map(len, digests)) == len(ns.entries) == 25

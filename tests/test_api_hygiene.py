@@ -511,3 +511,31 @@ def test_a_hop_parses_nothing():
                     parsers.add(f"{where}:{function.name}")
     assert sends == [], "a send encodes its command:\n" + "\n".join(sends)
     assert parsers == {"client.py:received_command", "daemon.py:import_dedup"}
+
+
+def test_only_a_plain_call_dials_per_command():
+    """Every policy attempt rides the client's connection pool: under
+    ``src/`` the dial-call-close helper is named by one function,
+    ``ServiceClient.call``, in its ``policy is None`` branch."""
+    def spells(node):
+        return "_dial_call_close" in (getattr(node, "attr", None), getattr(node, "id", None))
+
+    def is_plain(test):
+        return (isinstance(test, ast.Compare) and isinstance(test.ops[0], ast.Is)
+                and getattr(test.left, "id", None) == "policy"
+                and getattr(test.comparators[0], "value", 0) is None)
+
+    callers, plain = [], []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if function.name == "_dial_call_close":
+                continue
+            if any(spells(node) for node in ast.walk(function)):
+                callers.append((str(path.relative_to(REPO / "src")), function.name))
+            plain += [node for branch in ast.walk(function)
+                      if isinstance(branch, ast.If) and is_plain(branch.test)
+                      for stmt in branch.body for node in ast.walk(stmt) if spells(node)]
+    assert callers == [("repro/core/client.py", "call")]
+    assert len(plain) == 1
