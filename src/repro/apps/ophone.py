@@ -81,9 +81,8 @@ class OPhoneDaemon(StreamDaemon):
         peer = Address(cmd.str("host"), cmd.int("port"))
         self.state = "dialing"
         t0 = self.ctx.sim.now
-        client = self._service_client()
         try:
-            reply = yield from client.call(
+            reply = yield from self.client.call(
                 peer,
                 ACECmdLine("invite", caller=self.name,
                            host=self.host.name, port=self.port),
@@ -105,20 +104,17 @@ class OPhoneDaemon(StreamDaemon):
         from repro.services.asd import asd_lookup
 
         username = request.command.str("user")
-        client = self._service_client()
         try:
-            with client:
-                user_reply = yield from client.call(
-                    Service(name="aud"), ACECmdLine("getUser", username=username)
-                )
+            user_reply = yield from self.client.call(
+                Service(name="aud"), ACECmdLine("getUser", username=username)
+            )
         except CallError as exc:
             raise ServiceError(f"cannot resolve user {username!r}: {exc}")
         location = user_reply.str("location", "unknown")
         if location == "unknown":
             raise ServiceError(f"user {username!r} has no known location")
-        with client:
-            phones = yield from asd_lookup(client, self.ctx.asd_address,
-                                           cls="OPhone", room=location)
+        phones = yield from asd_lookup(self.client, self.ctx.asd_address,
+                                       cls="OPhone", room=location)
         phones = [p for p in phones if p.name != self.name]
         if not phones:
             raise ServiceError(f"no O-Phone in room {location!r}")
@@ -157,9 +153,8 @@ class OPhoneDaemon(StreamDaemon):
             return {"hung_up": 0}
         peer, self.peer = self.peer, None
         self.state = "idle"
-        client = self._service_client()
         try:
-            yield from client.call(
+            yield from self.client.call(
                 peer, ACECmdLine("remoteHangup", caller=self.name)
             )
         except CallError:

@@ -145,8 +145,7 @@ class RestartManagerDaemon(ACEDaemon):
             "launchApp", app=managed.factory, args=managed.args,
             **({"host": prefer_host} if prefer_host else {}),
         )
-        with self._service_client() as client:
-            reply = yield from client.call(Service(cls="SAL"), command)
+        reply = yield from self.client.call(Service(cls="SAL"), command)
         managed.host = reply.str("host")
         managed.pid = reply.int("pid")
         self._by_pid[managed.pid] = managed.app_id
@@ -232,17 +231,15 @@ class RestartManagerDaemon(ACEDaemon):
         host_obj = self.ctx.net.hosts.get(managed.host)
         if host_obj is not None and not host_obj.up:
             return False
-        client = self._service_client()
         try:
-            with client:
-                hals = yield from asd_lookup(client, self.ctx.asd_address, cls="HAL")
+            hals = yield from asd_lookup(self.client, self.ctx.asd_address, cls="HAL")
         except CallError:
             return None
         hal = next((h for h in hals if h.host == managed.host), None)
         if hal is None:
             return False
         try:
-            reply = yield from client.call(
+            reply = yield from self.client.call(
                 hal.address, ACECmdLine("isRunning", pid=managed.pid)
             )
         except CallError:

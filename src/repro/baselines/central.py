@@ -60,9 +60,8 @@ class CentralGatewayDaemon(ACEDaemon):
             inner = parse_command(cmd.str("command"))
         except Exception as exc:
             raise ServiceError(f"unparseable inner command: {exc}")
-        client = self._service_client()
         try:
-            reply = yield from client.call(target, inner, attach=True)
+            reply = yield from self.client.call(target, inner, attach=True)
         except CallError as exc:
             raise ServiceError(f"device {device!r} unreachable: {exc}")
         self.forwarded += 1

@@ -103,11 +103,11 @@ def _cmd_failed(command: ACECmdLine, reply: ACECmdLine) -> CallError:
 class ServiceConnection:
     """An attached, ready-to-use channel to one daemon.
 
-    When the owning :class:`ServiceClient` has a current span (an explicit
-    root started with :meth:`ServiceClient.begin_trace`, the ``rpc:`` span
-    of a policy call, or the ambient per-process span), every :meth:`call`
-    records a ``client`` span and injects its trace context into the
-    outgoing command, so the far daemon's execution joins the same tree.
+    When the calling process has an ambient span (a root started with
+    :meth:`ServiceClient.begin_trace`, the ``rpc:`` span of a policy call,
+    or the request a daemon is serving), every :meth:`call` records a
+    ``client`` span and injects its trace context into the outgoing
+    command, so the far daemon's execution joins the same tree.
     """
 
     def __init__(self, channel: Channel, principal: str, client: Optional["ServiceClient"] = None):
@@ -452,7 +452,13 @@ class ConnectionPool:
 
 
 class ServiceClient:
-    """Factory of attached connections for one principal on one host."""
+    """Attached connections for one principal on one host.
+
+    A client holds no per-flow state: its pool and pipelines are checked
+    out exclusively or shared by design, and the span a call parents under
+    is the calling process's ambient span.  So one client serves any
+    number of concurrent flows — a daemon holds one for its incarnation
+    (:attr:`~repro.core.daemon.ACEDaemon.client`)."""
 
     def __init__(
         self,
@@ -468,9 +474,6 @@ class ServiceClient:
         #: client-observed policy-call latency, shared env-wide; traced
         #: calls pin their trace id as the bucket exemplar
         self._m_latency = ctx.obs.metrics.histogram("rpc.latency_s")
-        #: explicit span stack (roots, ``rpc:`` spans); the ambient per-process
-        #: span is the fallback.  One client serves one logical flow.
-        self._span_stack: list = []
         self._pool: Optional[ConnectionPool] = None
         self._pipelines: dict = {}   # pool key -> PipelinedConnection
         #: idempotency stamp state (``ctx.idempotent_retries``): a unique
@@ -496,34 +499,35 @@ class ServiceClient:
     # Tracing (repro.obs)
     # ------------------------------------------------------------------
     def current_span(self):
-        """The span new calls should parent under: the top of this
-        client's explicit stack, else the ambient per-process span."""
-        if self._span_stack:
-            return self._span_stack[-1]
+        """The span new calls parent under: the calling process's ambient
+        span."""
         return self.ctx.obs.ambient_span()
 
     def begin_trace(self, name: str, **annotations):
-        """Start (and make current) a root span for an end-to-end request
-        issued by this client; returns None when unsampled/disabled."""
+        """Start a root span for an end-to-end request and make it the
+        calling process's ambient span, so every call the process makes
+        until :meth:`end_trace` (and every process it spawns) parents under
+        it; returns None when unsampled/disabled."""
         span = self.ctx.obs.tracer.start_trace(name, self.principal, **annotations)
         if span is not None:
-            self._span_stack.append(span)
+            span.outer = self.ctx.obs.set_ambient(span)
         return span
 
     def end_trace(self, span, status: str = "ok", **annotations):
-        """Finish a span from :meth:`begin_trace` (None-safe)."""
+        """Finish a span from :meth:`begin_trace` (None-safe) and give the
+        process back the ambient span it displaced."""
         if span is None:
             return None
-        if self._span_stack and self._span_stack[-1] is span:
-            self._span_stack.pop()
-        return self.ctx.obs.tracer.finish(span, status=status, **annotations)
+        obs = self.ctx.obs
+        if obs.ambient_span() is span:
+            obs.set_ambient(span.outer)
+        return obs.tracer.finish(span, status=status, **annotations)
 
     def _open_span(self, prefix: str, source: str, command: ACECmdLine, **annotations):
-        """Open a ``<prefix>:<command>`` client span under the current span
+        """Open a ``<prefix>:<command>`` client span under the ambient span
         and inject its context into ``command``; ``(None, command)`` when
-        nothing is being traced.  :meth:`current_span` is inlined: every
-        exchange on every transport passes through here."""
-        parent = self._span_stack[-1] if self._span_stack else self.ctx.obs.ambient_span()
+        nothing is being traced."""
+        parent = self.ctx.obs.ambient_span()
         if parent is None:
             return None, command
         span = self.ctx.obs.tracer.start_span(
@@ -763,7 +767,8 @@ class ServiceClient:
             kind=SPAN_CLIENT, address=str(address),
         )
         if span is not None:
-            self._span_stack.append(span)
+            # the attempt processes spawned below inherit it
+            span.outer = self.ctx.obs.set_ambient(span)
         status = "interrupted"
         started = sim.now
         deadline_at = sim.now + policy.deadline

@@ -33,6 +33,7 @@ from __future__ import annotations
 import inspect
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.lang import ACECmdLine, ACELanguageError, ArgSpec, ArgType, CommandSemantics
@@ -185,8 +186,6 @@ class ACEDaemon(NotificationMixin):
         self._m_notify_sent = metrics.counter(f"daemon.{name}.notifications.delivered")
         self._m_notify_failed = metrics.counter(f"daemon.{name}.notifications.failed")
         self._m_notify_batched = metrics.counter(f"daemon.{name}.notifications.batched")
-        #: lazy long-lived client whose pool carries notification deliveries
-        self._notify_client: Optional[ServiceClient] = None
         self._m_cmd_counters: Dict[str, Any] = {}
         metrics.register_view(f"daemon.{name}.watchers", self.notifications.counts)
         # Telemetry identity: everything under ``daemon.<name>.*`` belongs
@@ -314,19 +313,17 @@ class ACEDaemon(NotificationMixin):
         self.running = False
         if self.register_with_asd and self.ctx.directory_addresses() and self.host.up:
             try:
-                with self._service_client() as client:
-                    yield from client.call(
-                        self.ctx.directory_addresses(),
-                        ACECmdLine("deregister", name=self.name),
-                        policy=FAILOVER_POLICY,
-                    )
+                yield from self.client.call(
+                    self.ctx.directory_addresses(),
+                    ACECmdLine("deregister", name=self.name),
+                    policy=FAILOVER_POLICY,
+                )
             except Exception:   # whatever it was: _teardown() must still run
                 pass  # best effort; the lease will expire anyway
         self._teardown()
 
     def _teardown(self) -> None:
-        if self._notify_client is not None:
-            self._notify_client.close_channels()
+        self.client.close_channels()
         if self._listener is not None:
             self._listener.close()
         if self._datagram is not None:
@@ -336,7 +333,11 @@ class ACEDaemon(NotificationMixin):
         for proc in self._child_procs:
             proc.interrupt("daemon stopped")
 
-    def _service_client(self) -> ServiceClient:
+    @cached_property
+    def client(self) -> ServiceClient:
+        """The one client this incarnation calls other services through:
+        every flow shares its pooled channels, and :meth:`_teardown` hangs
+        them up."""
         # Under SSL_KEYNOTE the daemon's identity is its key principal (the
         # one POLICY assertions license); elsewhere the service name reads
         # better in traces.
@@ -355,12 +356,10 @@ class ACEDaemon(NotificationMixin):
             self._spawn(self._accept_loop(), "accept")
             self._spawn(self._control_thread(), "control")
             self._spawn(self._data_thread(), "data")
-            # one client for this thread's one flow: start-up, then leases
-            with self._service_client() as client:
-                yield from self._startup_sequence(client)
-                self.on_started()
-                self._beat()
-                yield from self._lease_loop(client)
+            yield from self._startup_sequence()
+            self.on_started()
+            self._beat()
+            yield from self._lease_loop()
         except (HostDownError, Interrupt):
             self.running = False
             self._teardown()
@@ -385,13 +384,13 @@ class ACEDaemon(NotificationMixin):
     def on_started(self) -> None:
         """Subclass hook: called once initialization completes."""
 
-    def _startup_sequence(self, client: ServiceClient) -> Generator:
+    def _startup_sequence(self) -> Generator:
         """Fig. 9: RoomDB (2) → ASD register (3) → NetLogger (5)."""
         trace = self.ctx.trace
         trace.emit(self.ctx.sim.now, self.name, "daemon-launch", host=self.host.name)
         if self.ctx.roomdb_address is not None and self.room:
             try:
-                yield from client.call(
+                yield from self.client.call(
                     self.ctx.roomdb_address,
                     ACECmdLine(
                         "registerService",
@@ -405,16 +404,15 @@ class ACEDaemon(NotificationMixin):
             except CallError as exc:
                 trace.emit(self.ctx.sim.now, self.name, "roomdb-unavailable", error=str(exc))
         if self.register_with_asd and self.ctx.directory_addresses():
-            with client:   # hang up the pooled channel: nothing reuses it
-                yield from client.call(
-                    self.ctx.directory_addresses(),
-                    self._registration_command(),
-                    policy=STARTUP_REGISTRATION_POLICY,
-                )
+            yield from self.client.call(
+                self.ctx.directory_addresses(),
+                self._registration_command(),
+                policy=STARTUP_REGISTRATION_POLICY,
+            )
             trace.emit(self.ctx.sim.now, self.name, "asd-registered", cls=self.class_path())
         if self.ctx.netlogger_address is not None:
             try:
-                yield from client.call(
+                yield from self.client.call(
                     self.ctx.netlogger_address,
                     ACECmdLine(
                         "logEvent",
@@ -443,7 +441,7 @@ class ACEDaemon(NotificationMixin):
             command = command.with_args(inc=self.incarnation)
         return command
 
-    def _lease_loop(self, client: ServiceClient) -> Generator:
+    def _lease_loop(self) -> Generator:
         """Renew the ASD lease at the configured fraction of its duration."""
         interval = self.ctx.lease_duration * self.ctx.lease_renew_fraction
         while self.running:
@@ -456,7 +454,7 @@ class ACEDaemon(NotificationMixin):
                 self._beat()
                 continue
             try:
-                yield from client.call(
+                yield from self.client.call(
                     addresses,
                     ACECmdLine("renewLease", name=self.name),
                     policy=FAILOVER_POLICY,
@@ -473,11 +471,10 @@ class ACEDaemon(NotificationMixin):
 
     def _reregister(self) -> Generator:
         """Push our registration at the directory group again."""
-        with self._service_client() as client:
-            yield from client.call(
-                self.ctx.directory_addresses(), self._registration_command(),
-                policy=FAILOVER_POLICY,
-            )
+        yield from self.client.call(
+            self.ctx.directory_addresses(), self._registration_command(),
+            policy=FAILOVER_POLICY,
+        )
         self.ctx.trace.emit(self.ctx.sim.now, self.name, "asd-reregistered")
 
     # ------------------------------------------------------------------
@@ -660,8 +657,7 @@ class ACEDaemon(NotificationMixin):
         if authdb_addr is None:
             return []
         try:
-            client = self._service_client()
-            reply = yield from client.call(
+            reply = yield from self.client.call(
                 authdb_addr,
                 ACECmdLine("getCredentials", principal=principal),
                 attach=False,

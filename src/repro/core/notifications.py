@@ -28,7 +28,7 @@ from repro.net import Address
 from repro.net.host import HostDownError
 from repro.sim import Interrupt
 
-from repro.core.client import CallError, ServiceClient
+from repro.core.client import CallError
 from repro.core.policy import CallPolicy, TransportError
 
 if TYPE_CHECKING:
@@ -105,8 +105,9 @@ class NotificationMixin:
     :meth:`watch` for asking the same of somebody else.
 
     :class:`~repro.core.daemon.ACEDaemon` is the one user; its ``__init__``
-    creates ``notifications``, ``_notify_client`` and the ``_m_notify_*``
-    instruments (their position in the registry is ``obsPush`` row order).
+    creates ``notifications`` and the ``_m_notify_*`` instruments (their
+    position in the registry is ``obsPush`` row order), and its ``client``
+    carries the deliveries.
     """
 
     # -- served: built-in notification management --------------------------
@@ -152,11 +153,6 @@ class NotificationMixin:
                 "notify",
             )
 
-    def _notification_client(self) -> ServiceClient:
-        if self._notify_client is None:
-            self._notify_client = self._service_client()
-        return self._notify_client
-
     def _purge_listener(self, entry: NotificationEntry) -> None:
         """Paper: dead listeners get purged so future triggers don't stall."""
         self._m_notify_failed.inc()
@@ -171,7 +167,7 @@ class NotificationMixin:
     ) -> Generator:
         """Invoke each co-located listener's callback (Fig. 8 step 3) over
         one pooled connection."""
-        pool = self._notification_client().pool
+        pool = self.client.pool
         try:
             conn = yield from pool.acquire(address)
         except (CallError, HostDownError, Interrupt):
@@ -221,8 +217,7 @@ class NotificationMixin:
             host=self.host.name, port=self.port, callback=callback,
         )
         try:
-            with self._service_client() as client:
-                yield from client.call(address, command, policy=policy)
+            yield from self.client.call(address, command, policy=policy)
         except CallError:
             return False
         return True
@@ -288,9 +283,8 @@ class ClassWatch:
             return
         for cls in self.classes:
             try:
-                with self.daemon._service_client() as client:
-                    services = yield from asd_lookup(
-                        client, ctx.asd_address, cls=cls, room=self.room)
+                services = yield from asd_lookup(
+                    self.daemon.client, ctx.asd_address, cls=cls, room=self.room)
             except CallError:
                 continue
             for service in services:

@@ -112,9 +112,8 @@ class ReplicaMixin:
 
     def _push_to_peer(self, peer: Address, wires: tuple) -> Generator:
         """Best effort; anti-entropy repairs whatever a dead peer misses."""
-        client = self._service_client()
         try:
-            yield from client.call(
+            yield from self.client.call(
                 peer, ACECmdLine(self.REPLICATE, entries=wires), attach=False
             )
         except CallError:
@@ -173,8 +172,7 @@ class ReplicaMixin:
     def _sync_with(self, peer: Address) -> Generator:
         """Pull anything the peer has that is newer than our copy."""
         command, argument, field = self.FETCH
-        client = self._service_client()
-        conn = yield from client.connect(peer, attach=False)
+        conn = yield from self.client.connect(peer, attach=False)
         try:
             keys = yield from self._wanted_from(conn)
             for start in range(0, len(keys), self.CHUNK):

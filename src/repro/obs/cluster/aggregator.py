@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.core.client import CallError, ServiceClient
+from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request
 from repro.core.policy import CallPolicy
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
@@ -66,7 +66,6 @@ class TelemetryAggregatorDaemon(ACEDaemon):
         #: optional in-process callable returning topology facts (shard
         #: map, store groups, supervisors) for ClusterSnapshot
         self.topology_provider = topology_provider
-        self._scrape_client: Optional[ServiceClient] = None
         metrics = ctx.obs.metrics
         self._m_pushes = metrics.counter("telemetry.pushes")
         self._m_rows = metrics.counter("telemetry.rows")
@@ -167,12 +166,8 @@ class TelemetryAggregatorDaemon(ACEDaemon):
             for host in stale:
                 if not self.running:
                     return
-                if self._scrape_client is None:
-                    self._scrape_client = ServiceClient(
-                        self.ctx, self.host, principal=self.name
-                    )
                 try:
-                    reply = yield from self._scrape_client.call(
+                    reply = yield from self.client.call(
                         self.publishers[host], ACECmdLine("obsScrape"),
                         policy=policy,
                     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.core.client import CallError, ServiceClient
+from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request
 from repro.core.policy import CallPolicy
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
@@ -54,7 +54,6 @@ class TelemetryPublisherDaemon(ACEDaemon):
         self.jitter = jitter
         self._push_rng = ctx.rng.py(f"telemetry.push.{host.name}")
         self._policy = _push_policy(interval)
-        self._client: Optional[ServiceClient] = None
         #: series key -> last snapshot the aggregator acknowledged
         self._acked: Dict[Tuple[str, str, int], ScopeSnapshot] = {}
         #: scope (service, address) -> (incarnation, base, last raw capture)
@@ -150,17 +149,13 @@ class TelemetryPublisherDaemon(ACEDaemon):
             rows, pending = self._collect()
             if not rows:
                 continue
-            if self._client is None:
-                self._client = ServiceClient(
-                    self.ctx, self.host, principal=self.name
-                )
             self._seq += 1
             command = ACECmdLine(
                 "obsPush", host=self.host.name, port=self.port,
                 seq=self._seq, scopes=tuple(rows),
             )
             try:
-                reply = yield from self._client.call(
+                reply = yield from self.client.call(
                     target, command, policy=self._policy
                 )
             except CallError:

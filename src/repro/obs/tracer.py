@@ -42,6 +42,8 @@ class Span:
     end: float = math.nan
     status: str = "ok"
     annotations: Dict[str, Any] = field(default_factory=dict)
+    #: the ambient span this one displaced while current (never on the wire)
+    outer: Optional["Span"] = field(default=None, repr=False, compare=False)
 
     @property
     def context(self) -> TraceContext:

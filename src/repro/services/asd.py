@@ -316,10 +316,9 @@ class ServiceDirectoryDaemon(ReplicaMixin, ACEDaemon):
         leader = self.group[0]
         forward = command.without_args(*RESERVED_ARGS).with_args(fwd=1)
         try:
-            with self._service_client() as client:
-                reply = yield from client.call(
-                    leader, forward, policy=FORWARD_POLICY, check=False, attach=False
-                )
+            reply = yield from self.client.call(
+                leader, forward, policy=FORWARD_POLICY, check=False, attach=False
+            )
             self.forwarded_writes += 1
             self._m_forwarded.inc()
             self._leader_down_until = 0.0

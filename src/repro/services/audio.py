@@ -337,9 +337,8 @@ class SpeechToCommandDaemon(StreamDaemon):
         yield from self.host.execute(2.0)  # recognition work
         yield from self.self_execute(ACECmdLine("commandRecognized", word=word))
         target, command_text = self.mappings[word]
-        client = self._service_client()
         try:
-            yield from client.call(target, parse_command(command_text))
+            yield from self.client.call(target, parse_command(command_text))
         except CallError:
             self.ctx.trace.emit(self.ctx.sim.now, self.name, "voice-command-failed",
                                 word=word)

@@ -35,9 +35,8 @@ class DeviceDaemon(ACEDaemon):
         """Ask the RoomDB for our room's geometry (spatial awareness)."""
         if self.ctx.roomdb_address is None or not self.room:
             return
-        client = self._service_client()
         try:
-            reply = yield from client.call(
+            reply = yield from self.client.call(
                 self.ctx.roomdb_address, ACECmdLine("roomDims", room=self.room)
             )
         except CallError:

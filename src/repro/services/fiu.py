@@ -92,10 +92,9 @@ class FingerprintUnitDaemon(DeviceDaemon):
 
     def _load_templates(self) -> Generator:
         try:
-            with self._service_client() as client:
-                reply = yield from client.call(
-                    Service(cls="UserDatabase"), ACECmdLine("listFingerprints")
-                )
+            reply = yield from self.client.call(
+                Service(cls="UserDatabase"), ACECmdLine("listFingerprints")
+            )
         except CallError:
             return
         users = reply.get("users", ())

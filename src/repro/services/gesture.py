@@ -162,9 +162,8 @@ class GestureRecognitionDaemon(ACEDaemon):
         mapping = self.mappings.get(name)
         if mapping is not None:
             target, command_text = mapping
-            client = self._service_client()
             try:
-                yield from client.call(target, parse_command(command_text))
+                yield from self.client.call(target, parse_command(command_text))
             except CallError:
                 self.ctx.trace.emit(self.ctx.sim.now, self.name,
                                     "gesture-command-failed", gesture=name)

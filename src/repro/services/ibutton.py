@@ -52,10 +52,9 @@ class IButtonReaderDaemon(DeviceDaemon):
         """The serial's owner, or None when the AUD knows no such serial.
         An AUD that does not answer raises: that is no failed identification."""
         try:
-            with self._service_client() as client:
-                reply = yield from client.call(
-                    Service(name="aud"), ACECmdLine("findByIButton", serial=serial)
-                )
+            reply = yield from self.client.call(
+                Service(name="aud"), ACECmdLine("findByIButton", serial=serial)
+            )
         except CallError as exc:
             if exc.reply is None:
                 raise

@@ -80,11 +80,10 @@ class IDMonitorDaemon(ACEDaemon):
         )
         # Scenario 2: update the user's current location in the AUD.
         try:
-            with self._service_client() as client:
-                yield from client.call(
-                    Service(name="aud"),
-                    ACECmdLine("setLocation", username=username, location=location),
-                )
+            yield from self.client.call(
+                Service(name="aud"),
+                ACECmdLine("setLocation", username=username, location=location),
+            )
         except CallError:
             pass
         # Scenario 3/4: bring up the workspace, or a selector for several.
@@ -93,10 +92,8 @@ class IDMonitorDaemon(ACEDaemon):
         return {"username": username}
 
     def _open_workspace(self, username: str, request: Request) -> Generator:
-        client = self._service_client()
         try:
-            with client:
-                wsses = yield from asd_lookup(client, self.ctx.asd_address, cls="WorkspaceServer")
+            wsses = yield from asd_lookup(self.client, self.ctx.asd_address, cls="WorkspaceServer")
         except CallError:
             return
         if not wsses:
@@ -107,7 +104,7 @@ class IDMonitorDaemon(ACEDaemon):
         if display is None:
             return
         try:
-            listing = yield from client.call(
+            listing = yield from self.client.call(
                 wss_addr, ACECmdLine("listWorkspaces", user=username)
             )
         except CallError:
@@ -124,7 +121,7 @@ class IDMonitorDaemon(ACEDaemon):
             )
             return
         try:
-            yield from client.call(
+            yield from self.client.call(
                 wss_addr,
                 ACECmdLine("openWorkspace", user=username, display=display),
             )
@@ -136,8 +133,7 @@ class IDMonitorDaemon(ACEDaemon):
         if not source:
             return None
         try:
-            with self._service_client() as client:
-                devices = yield from asd_lookup(client, self.ctx.asd_address, name=source)
+            devices = yield from asd_lookup(self.client, self.ctx.asd_address, name=source)
         except CallError:
             return None
         return devices[0].host if devices else None
@@ -146,9 +142,8 @@ class IDMonitorDaemon(ACEDaemon):
         self.failures += 1
         self.ctx.trace.emit(self.ctx.sim.now, self.name, "identify-failed")
         if self.ctx.netlogger_address is not None:
-            client = self._service_client()
             try:
-                yield from client.call(
+                yield from self.client.call(
                     self.ctx.netlogger_address,
                     ACECmdLine("logEvent", source=self.name, event="invalid_identification",
                                detail=str(request.command.get("source", "?"))),

@@ -82,20 +82,18 @@ class LightingControllerDaemon(ACEDaemon):
     # -- the automation -------------------------------------------------------
     def _room_lights(self, room: str) -> Generator:
         try:
-            with self._service_client() as client:
-                lights = yield from asd_lookup(client, self.ctx.asd_address,
-                                               cls="Light", room=room)
+            lights = yield from asd_lookup(self.client, self.ctx.asd_address,
+                                           cls="Light", room=room)
         except CallError:
             return []
         return lights
 
     def _set_room_level(self, room: str, level: int) -> Generator:
         lights = yield from self._room_lights(room)
-        client = self._service_client()
         changed = 0
         for light in lights:
             try:
-                yield from client.call(
+                yield from self.client.call(
                     light.address, ACECmdLine("setLevel", level=level))
                 changed += 1
             except CallError:

@@ -65,8 +65,7 @@ class PathPlannerDaemon(ACEDaemon):
         directly with ``getInfo`` and parse our naming convention, falling
         back to probing.
         """
-        with self._service_client() as client:
-            records = yield from asd_lookup(client, self.ctx.asd_address, cls="Converter")
+        records = yield from asd_lookup(self.client, self.ctx.asd_address, cls="Converter")
         converters: List[Tuple[ServiceRecord, str, str]] = []
         for record in records:
             # Naming convention first: "conv.<from>-<to>" or "...<from>2<to>".
@@ -124,10 +123,9 @@ class PathPlannerDaemon(ACEDaemon):
         sink = Address(cmd.str("sink_host"), cmd.int("sink_port"))
         # Wire: source -> hop1 -> hop2 -> ... -> sink.
         endpoints: List[Address] = [source] + [h.address for h in hops] + [sink]
-        client = self._service_client()
         for upstream, downstream in zip(endpoints, endpoints[1:]):
             try:
-                yield from client.call(
+                yield from self.client.call(
                     upstream,
                     ACECmdLine("addSink", host=downstream.host, port=downstream.port),
                 )

@@ -86,18 +86,16 @@ class TaskAutomationDaemon(ACEDaemon):
 
     def _user_location(self, username: str) -> Generator:
         try:
-            with self._service_client() as client:
-                reply = yield from client.call(
-                    Service(name="aud"), ACECmdLine("getUser", username=username)
-                )
+            reply = yield from self.client.call(
+                Service(name="aud"), ACECmdLine("getUser", username=username)
+            )
         except CallError:
             return None
         location = reply.str("location", "unknown")
         return None if location == "unknown" else location
 
     def _pick_printer(self, room: Optional[str]) -> Generator:
-        with self._service_client() as client:
-            printers = yield from asd_lookup(client, self.ctx.asd_address, cls="Printer")
+        printers = yield from asd_lookup(self.client, self.ctx.asd_address, cls="Printer")
         if not printers:
             raise ServiceError("no printers registered in this ACE")
         if room is not None:
@@ -111,9 +109,8 @@ class TaskAutomationDaemon(ACEDaemon):
         username = cmd.str("user")
         room = yield from self._user_location(username)
         printer, why = yield from self._pick_printer(room)
-        client = self._service_client()
         try:
-            reply = yield from client.call(
+            reply = yield from self.client.call(
                 printer.address,
                 ACECmdLine("printDocument", doc=cmd.str("doc"),
                            pages=cmd.int("pages", 1), user=username),

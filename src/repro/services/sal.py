@@ -42,8 +42,7 @@ class SystemApplicationLauncherDaemon(ACEDaemon):
 
     # ------------------------------------------------------------------
     def _find_hals(self) -> Generator:
-        with self._service_client() as client:
-            records = yield from asd_lookup(client, self.ctx.asd_address, cls="HAL")
+        records = yield from asd_lookup(self.client, self.ctx.asd_address, cls="HAL")
         return records
 
     def _pick_hal(self, hals, target_host: Optional[str]) -> Optional[ServiceRecord]:
@@ -58,11 +57,10 @@ class SystemApplicationLauncherDaemon(ACEDaemon):
 
     def _srm_choice(self, min_mem_mb: float) -> Generator:
         try:
-            with self._service_client() as client:
-                reply = yield from client.call(
-                    Service(cls="SRM"),
-                    ACECmdLine("selectHost", min_mem_mb=float(min_mem_mb)),
-                )
+            reply = yield from self.client.call(
+                Service(cls="SRM"),
+                ACECmdLine("selectHost", min_mem_mb=float(min_mem_mb)),
+            )
         except CallError:
             return None
         return reply.str("host")
@@ -78,9 +76,8 @@ class SystemApplicationLauncherDaemon(ACEDaemon):
             raise ServiceError(
                 f"no HAL available on {target_host!r}" if target_host else "no HALs registered"
             )
-        client = self._service_client()
         try:
-            reply = yield from client.call(
+            reply = yield from self.client.call(
                 record.address,
                 ACECmdLine("launch", app=cmd.str("app"), args=cmd.str("args", "")),
             )

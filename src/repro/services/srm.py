@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
-from repro.core.client import CallError, ServiceClient
+from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
 from repro.services.asd import asd_lookup
 
@@ -48,26 +48,24 @@ class SystemResourceMonitorDaemon(ACEDaemon):
 
     # ------------------------------------------------------------------
     def _poll_loop(self) -> Generator:
-        # one client for the loop: every poll's lookup reuses its channel
-        with self._service_client() as client:
-            while self.running:
-                try:
-                    yield from self._poll_once(client)
-                except Exception:
-                    pass
-                yield self.ctx.sim.timeout(self.poll_interval)
+        while self.running:
+            try:
+                yield from self._poll_once()
+            except Exception:
+                pass
+            yield self.ctx.sim.timeout(self.poll_interval)
 
-    def _poll_once(self, client: ServiceClient) -> Generator:
+    def _poll_once(self) -> Generator:
         """"Regular communications ... with all the HRMs" (§7.1)."""
         if self.ctx.asd_address is None:
             return
         try:
-            hrms = yield from asd_lookup(client, self.ctx.asd_address, cls="HRM")
+            hrms = yield from asd_lookup(self.client, self.ctx.asd_address, cls="HRM")
         except CallError:
             return
         for record in hrms:
             try:
-                reply = yield from client.call(
+                reply = yield from self.client.call(
                     record.address, ACECmdLine("getResources")
                 )
             except CallError:

@@ -3,10 +3,10 @@
 
 Microphone daemons around a room timestamp the arrival of a sound event;
 the triangulation daemon collects reports for the same event and solves
-the TDOA (time-difference-of-arrival) multilateration problem with
-least squares (scipy) against the microphone positions it fetches from
-the Room Database — the spatial-awareness machinery of §4.11 doing real
-work.
+the TDOA (time-difference-of-arrival) multilateration problem by
+Levenberg–Marquardt least squares against the microphone positions it
+fetches from the Room Database — the spatial-awareness machinery of
+§4.11 doing real work.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.core.client import CallError
@@ -29,26 +28,48 @@ def solve_tdoa(mic_positions: np.ndarray, arrival_times: np.ndarray,
     """Estimate the 2D source position from arrival times at >= 3 mics.
 
     Solves for (x, y, t0) minimizing ``|source - mic_i| - speed*(t_i - t0)``
-    residuals.  Returns (position, rms residual in metres).
+    residuals by Levenberg–Marquardt from the microphones' centroid.
+    Returns (position, rms residual in metres).
     """
     mic_positions = np.asarray(mic_positions, dtype=float)[:, :2]
     arrival_times = np.asarray(arrival_times, dtype=float)
     if len(mic_positions) < 3:
         raise ValueError("need at least 3 microphones for 2D TDOA")
-
-    t_ref = arrival_times.min()
+    delays = arrival_times - arrival_times.min()
 
     def residuals(params):
-        x, y, t0 = params
-        dists = np.hypot(mic_positions[:, 0] - x, mic_positions[:, 1] - y)
-        return dists - speed * (arrival_times - t_ref + t0)
+        offsets = params[:2] - mic_positions
+        dists = np.hypot(offsets[:, 0], offsets[:, 1])
+        return dists - speed * (delays + params[2]), offsets, dists
 
-    start = np.array([mic_positions[:, 0].mean(), mic_positions[:, 1].mean(),
-                      0.001])
-    result = least_squares(residuals, start)
-    position = result.x[:2]
-    rms = float(np.sqrt(np.mean(result.fun ** 2)))
-    return position, rms
+    params = np.array([*mic_positions.mean(axis=0), 0.001])
+    res, offsets, dists = residuals(params)
+    cost = res @ res
+    damping = 1e-3
+    # each parameter is damped by its own curvature (Marquardt); a step that
+    # does not lower the cost is retried with more damping
+    for _ in range(200):
+        jac = np.empty((len(res), 3))
+        jac[:, :2] = offsets / np.maximum(dists, 1e-12)[:, None]
+        jac[:, 2] = -speed
+        normal = jac.T @ jac
+        step = np.linalg.solve(
+            normal + damping * np.diag(np.diag(normal) + 1e-12), -(jac.T @ res))
+        trial = residuals(params + step)
+        trial_cost = trial[0] @ trial[0]
+        if trial_cost < cost:
+            params = params + step
+            res, offsets, dists = trial
+            converged = cost - trial_cost <= 1e-15 * (1.0 + cost)
+            cost = trial_cost
+            damping = max(damping * 0.1, 1e-9)
+            if converged or np.abs(step).max() <= 1e-12 * (1.0 + np.abs(params).max()):
+                break
+        else:
+            damping *= 10.0
+            if damping > 1e12:
+                break
+    return params[:2], float(np.sqrt(np.mean(res ** 2)))
 
 
 @dataclass
@@ -93,9 +114,8 @@ class SoundTriangulationDaemon(ACEDaemon):
         """Where is this microphone?  Ask the Room Database (§4.11)."""
         if self.ctx.roomdb_address is None:
             return None
-        client = self._service_client()
         try:
-            reply = yield from client.call(
+            reply = yield from self.client.call(
                 self.ctx.roomdb_address, ACECmdLine("whereIs", service=mic))
         except CallError:
             return None

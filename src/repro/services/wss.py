@@ -206,8 +206,7 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
 
     def _find_service(self, cls: Optional[str] = None, name: Optional[str] = None,
                       host: Optional[str] = None) -> Generator:
-        with self._service_client() as client:
-            records = yield from asd_lookup(client, self.ctx.asd_address, cls=cls, name=name)
+        records = yield from asd_lookup(self.client, self.ctx.asd_address, cls=cls, name=name)
         if host is not None:
             records = [r for r in records if r.host == host]
         return records
@@ -224,10 +223,9 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
             f"session={session} owner={user} password={password} "
             f"secret={self.admin_secret}"
         )
-        with self._service_client() as client:
-            reply = yield from client.call(
-                Service(cls="SAL"), ACECmdLine("launchApp", app="vncserver", args=args)
-            )
+        reply = yield from self.client.call(
+            Service(cls="SAL"), ACECmdLine("launchApp", app="vncserver", args=args)
+        )
         server_host = reply.str("host")
         # The daemon registers with the ASD under a deterministic name;
         # poll briefly until registration lands.
@@ -301,12 +299,11 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
         hals = yield from self._find_service(cls="HAL", host=display)
         if not hals:
             raise ServiceError(f"no HAL on display host {display!r}")
-        client = self._service_client()
         args = (
             f"server={record.server_host}:{record.server_port} "
             f"session={record.session} password={record.password}"
         )
-        reply = yield from client.call(
+        reply = yield from self.client.call(
             hals[0].address, ACECmdLine("launch", app="vncviewer", args=args)
         )
         record.viewers += 1
@@ -324,9 +321,8 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
         if record is None:
             raise ServiceError(f"no workspace {key[1]!r} for user {key[0]!r}")
         yield from self._unpersist_record(key[0], key[1])
-        client = self._service_client()
         try:
-            yield from client.call(
+            yield from self.client.call(
                 record.server_address,
                 ACECmdLine("destroySession", session=record.session,
                            admin=self.admin_secret),

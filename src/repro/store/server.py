@@ -95,7 +95,6 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
         self._repl_buffers: Dict[Address, Dict[str, StoredObject]] = {}
         self._flushing: Dict[Address, bool] = {}
         self._peer_down_until: Dict[Address, float] = {}
-        self._repl_client = None
         metrics = ctx.obs.metrics
         self._m_repl_sent = metrics.counter(f"store.{name}.replications_sent")
         self._m_repl_applied = metrics.counter(f"store.{name}.replications_applied")
@@ -219,7 +218,6 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
             if owner != self.group_index:
                 by_owner.setdefault(owner, []).append(obj)
         moved = 0
-        client = self._replication_client()
         for owner in sorted(by_owner):
             addresses = self.group_addresses.get(owner, ())
             if not addresses:
@@ -234,7 +232,7 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
                 delivered = False
                 for address in addresses:
                     try:
-                        pipe = yield from client.pipelined(address, attach=False)
+                        pipe = yield from self.client.pipelined(address, attach=False)
                         yield from pipe.call(command, timeout=self.sync_interval)
                         delivered = True
                     except CallError:
@@ -268,12 +266,11 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
         if not addresses:
             raise ServiceError(f"no known addresses for owner group {owner}")
         command = request.command.without_args(*RESERVED_ARGS).with_args(fwd=1)
-        client = self._service_client()
         last: Optional[Exception] = None
         for address in addresses:
             conn = None
             try:
-                conn = yield from client.connect(address, attach=False)
+                conn = yield from self.client.connect(address, attach=False)
                 reply = yield from conn.call(command, check=False)
             except CallError as exc:
                 last = exc
@@ -288,12 +285,6 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
     # ------------------------------------------------------------------
     # Replication
     # ------------------------------------------------------------------
-    def _replication_client(self):
-        """One long-lived client whose pipelined channels carry batches."""
-        if self._repl_client is None:
-            self._repl_client = self._service_client()
-        return self._repl_client
-
     def _replicate(self, obj: StoredObject) -> Generator:
         """Propagate one committed write: enqueue for a batched flush, or
         await its own one-entry batch to every peer in parallel; returns
@@ -343,7 +334,6 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
             return
         self._flushing[peer] = True
         try:
-            client = self._replication_client()
             while True:
                 buf = self._repl_buffers.get(peer)
                 if not buf:
@@ -356,7 +346,7 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
                     entries=tuple(encode_object(o) for o in batch),
                 )
                 try:
-                    pipe = yield from client.pipelined(peer, attach=False)
+                    pipe = yield from self.client.pipelined(peer, attach=False)
                     yield from pipe.call(command, timeout=self.sync_interval)
                 except CallError:
                     self._m_repl_failed.inc()
@@ -390,11 +380,6 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
             except HostDownError:
                 pass
         yield from super()._shutdown()
-
-    def _teardown(self) -> None:
-        if self._repl_client is not None:
-            self._repl_client.close_channels()
-        super()._teardown()
 
     # ------------------------------------------------------------------
     # Anti-entropy: the store's digest dialect

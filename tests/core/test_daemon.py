@@ -250,7 +250,7 @@ class RelayDaemon(EchoDaemon):
 
     def cmd_relay(self, request: Request):
         self.relayed += 1
-        yield from self._service_client().call(self.downstream, ACECmdLine("boom"))
+        yield from self.client.call(self.downstream, ACECmdLine("boom"))
         return {}
 
 

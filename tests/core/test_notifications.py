@@ -245,7 +245,7 @@ def test_channel_death_mid_fanout_purges_everyone_behind_it(ace_with_echo):
     nothing dead is handed back to the pool."""
     ace, echo = ace_with_echo
     listener = make_listener(ace)
-    notify_client = echo._notification_client()
+    notify_client = echo.client
     connect, dialled = notify_client.connect, []
 
     def hang_up_on_delivery(request):
@@ -255,9 +255,10 @@ def test_channel_death_mid_fanout_purges_everyone_behind_it(ace_with_echo):
 
     listener.cmd_onEchoSeen = hang_up_on_delivery
 
-    def recording_connect(*args, **kw):
-        conn = yield from connect(*args, **kw)
-        dialled.append(conn)
+    def recording_connect(address, **kw):
+        conn = yield from connect(address, **kw)
+        if address == listener.address:   # the daemon's other flows dial too
+            dialled.append(conn)
         return conn
 
     notify_client.connect = recording_connect
@@ -283,7 +284,7 @@ def test_channel_death_mid_fanout_purges_everyone_behind_it(ace_with_echo):
     (conn,) = dialled
     assert conn.closed
     assert discard.value == 0
-    assert not any(notify_client.pool._idle.values())
+    assert not notify_client.pool._idle.get(listener.address)
 
 
 # -- the listening half: watch() and ClassWatch ---------------------------------

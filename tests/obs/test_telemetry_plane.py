@@ -97,6 +97,23 @@ def test_scrape_returns_full_snapshots():
     assert echo_scope.counters["cmd.echo"] == 10
 
 
+def test_a_stopped_publisher_hangs_up_its_push_channel():
+    """A daemon's held client goes with it: once a host's publisher stops,
+    the aggregator's command thread for its ``obsPush`` channel sees the
+    hang-up and exits instead of staying parked for good."""
+    env, aggregator, _ = build()
+    env.run_for(4 * INTERVAL)
+
+    def parked():
+        return sum(1 for proc in aggregator._child_procs
+                   if proc.is_alive and ".cmd:" in proc.name)
+
+    before = parked()
+    env.daemons["telem.lab1"].stop()
+    env.run_for(4 * INTERVAL)
+    assert parked() == before - 1
+
+
 def test_incarnation_seam_survives_restart():
     """Satellite 3: a supervised restart starts a *new* series — the old
     incarnation's numbers freeze, the new one starts near zero."""

@@ -6,7 +6,11 @@ vocabulary is fully declared in its semantics.
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -177,6 +181,8 @@ RETIRED_NAMES = frozenset({
     "cmd_removeService", "cmd_speakWord", "cmd_speakNoise", "cmd_stopCapture",
     "resize_connection_pools", "pool_max_idle", "_connection_pools",
     "invalidate_all", "checkpoint_eager", "_commit_barrier", "_checkpoint_now",
+    "_span_stack", "_notify_client", "_notification_client", "_repl_client",
+    "_replication_client", "_scrape_client",
 })
 
 #: deleted methods whose names other classes still define
@@ -539,3 +545,35 @@ def test_only_a_plain_call_dials_per_command():
                       for stmt in branch.body for node in ast.walk(stmt) if spells(node)]
     assert callers == [("repro/core/client.py", "call")]
     assert len(plain) == 1
+
+
+def test_a_daemon_makes_its_client_in_one_place():
+    """A daemon holds one client for its incarnation: nothing under ``src/``
+    names the per-flow ``_service_client``, and the one ``ServiceClient(...)``
+    that an ``ACEDaemon`` subclass — or a class one inherits from — builds
+    is ``ACEDaemon.client``'s."""
+    from repro.core.daemon import ACEDaemon
+
+    assert _spellings({"_service_client"}, ("src",)) == []
+    classes = {klass for module in iter_modules() for daemon in vars(module).values()
+               if inspect.isclass(daemon) and issubclass(daemon, ACEDaemon)
+               for klass in daemon.__mro__ if klass.__module__.startswith("repro.")}
+    makers = set()
+    for klass in classes:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(klass)))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ServiceClient"
+                    for node in ast.walk(function)):
+                makers.add(f"{klass.__qualname__}.{function.name}")
+    assert makers == {"ACEDaemon.client"}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """``pyproject.toml`` declares numpy alone, so the package must import
+    with nothing else installed: here, with scipy made unimportable."""
+    code = "import sys; sys.modules['scipy'] = None; import repro.env"
+    result = subprocess.run([sys.executable, "-c", code], cwd=REPO, capture_output=True,
+                            text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert result.returncode == 0, result.stderr
