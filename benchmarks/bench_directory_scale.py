@@ -188,9 +188,9 @@ def test_e23_pooled_pipelined_ops_factor(benchmark, table_printer):
         def dial_per_call():
             t0 = env.sim.now
             for i in range(k):
-                reply = yield from client.call(
-                    echo.address, ACECmdLine("echo", text=f"d{i}")
-                )
+                conn = yield from client.connect(echo.address)
+                reply = yield from conn.call(ACECmdLine("echo", text=f"d{i}"))
+                conn.close()
                 assert reply.get("text") == f"d{i}"
             return env.sim.now - t0
 

@@ -57,8 +57,13 @@ class CheckpointingCounterApp(Application):
     def _store(self) -> Generator:
         from repro.core.client import ServiceClient
 
-        with ServiceClient(self.ctx, self.host, principal=f"app:{self.app_id}") as client:
+        client = ServiceClient(self.ctx, self.host, principal=f"app:{self.app_id}")
+        try:
             replicas = yield from asd_lookup(client, self.ctx.asd_address, cls="PersistentStore")
+        except Exception:   # not GeneratorExit: a hang-up then would wait on the collector
+            client.close_channels()
+            raise
+        client.close_channels()
         if not replicas:
             return None
         return StoreClient(

@@ -4,12 +4,11 @@ A :class:`ServiceClient` is held by anything that issues commands — user
 GUIs, other daemons, scenario drivers.  It opens (optionally SSL) channels,
 performs the identity *attach*, and exposes a call-style API::
 
-    conn = yield from client.connect(addr)
-    reply = yield from conn.call(ACECmdLine("setPosition", x=1.0, y=2.0))
+    reply = yield from client.call(addr, ACECmdLine("setPosition", x=1.0, y=2.0))
 
-``call`` sends the immutable command itself, charged its wire size, and
-the receiver holds Fig. 5's exact copy; only an SSL record or a shard
-pipe turns it into text.
+Every call rides a pooled channel under a deadline; a held session opens
+its own with ``connect``.  ``call`` sends the immutable command itself,
+charged its wire size; only an SSL record or a shard pipe turns it into text.
 """
 
 from __future__ import annotations
@@ -57,6 +56,11 @@ FAILOVER_POLICY = CallPolicy(
     backoff_base=0.05,
     backoff_max=0.2,
 )
+
+#: a call that names no policy: one attempt, breaker off, and a deadline
+#: over ten times the longest answered call in the test and benchmark
+#: suites (8.0 s, E6's ``launch`` on a loaded host)
+PLAIN_POLICY = CallPolicy(deadline=90.0, attempt_timeout=90.0, max_attempts=1, breaker_threshold=0)
 
 #: idle connections a :class:`ConnectionPool` keeps per address
 POOL_MAX_IDLE = 4
@@ -339,11 +343,10 @@ class ConnectionPool:
     """Attached connections reused across calls, keyed by address and by
     the ``connect`` options they were opened with.
 
-    Every policy call (:meth:`ServiceClient.call` with a :class:`CallPolicy`)
-    and every long-lived caller (population sessions, the notification
-    fan-out) goes through the pool, so the dial+attach round trips are paid
-    once per connection, not once per command; only ``call(policy=None)``
-    dials for its one command.  The pool checks idle connections out
+    Every :meth:`ServiceClient.call` to an address and every long-lived
+    caller (population sessions, the notification fan-out) goes through
+    the pool, so the dial+attach round trips are paid once per connection,
+    not once per command.  The pool checks idle connections out
     exclusively (a plain channel cannot interleave two request/reply
     exchanges), so concurrent callers to one address either reuse distinct
     pooled channels or dial new ones.
@@ -474,7 +477,6 @@ class ServiceClient:
         #: client-observed policy-call latency, shared env-wide; traced
         #: calls pin their trace id as the bucket exemplar
         self._m_latency = ctx.obs.metrics.histogram("rpc.latency_s")
-        self._pool: Optional[ConnectionPool] = None
         self._pipelines: dict = {}   # pool key -> PipelinedConnection
         #: idempotency stamp state (``ctx.idempotent_retries``): a unique
         #: client id minted on first use plus a per-logical-call sequence
@@ -586,17 +588,15 @@ class ServiceClient:
         """Send ``command`` to an address and return the reply — the one
         way to call a daemon this client holds no channel to.
 
-        * ``policy=None``: one plain attempt — dial, attach, exchange,
-          close.  No deadline: a stalled endpoint stalls the caller.
-        * a :class:`CallPolicy` hardens the call for gray failure: every
-          attempt is a :meth:`ConnectionPool.call` on this client's
-          :attr:`pool` (a connection is dialled once and reused) and races
-          ``attempt_timeout``; transport failures and
-          timeouts are retried with jittered backoff until ``max_attempts``
-          or ``deadline`` runs out; a per-address circuit breaker (shared
-          through ``ctx.resilience``) sheds calls to endpoints that keep
-          failing.  The logical call is stamped for exactly-once execution
-          (``ctx.idempotent_retries``) and traced as one ``rpc:<cmd>`` span.
+        Every attempt is a :meth:`ConnectionPool.call` on this client's
+        :attr:`pool` and races ``attempt_timeout``; transport failures and
+        timeouts are retried with jittered backoff until ``max_attempts``
+        or ``deadline`` runs out; a per-address circuit breaker (shared
+        through ``ctx.resilience``) sheds calls to endpoints that keep
+        failing.  ``policy`` defaults to :data:`PLAIN_POLICY`.  The logical
+        call is stamped for exactly-once execution
+        (``ctx.idempotent_retries``) and traced as one ``rpc:<cmd>`` span.
+
         * a sequence of replica addresses as ``target``: each is tried in
           turn under the same ``policy``; :data:`FAILOVER_ERRORS` move on.
         * a :class:`Service` as ``target``: the directory is asked first and
@@ -610,35 +610,20 @@ class ServiceClient:
         or the last :class:`TransportError` — every failure is a
         ``CallError``.  ``connect_kw`` goes to :meth:`connect`.
         """
-        if not isinstance(target, Address):
-            if isinstance(target, Service):
-                return self._call_service(target, command, policy, check, connect_kw)
-            return self._call_replicas(target, command, policy, check, connect_kw)
-        if policy is None:
-            return self._dial_call_close(target, command, check, **connect_kw)
-        return self._call_with_policy(target, command, policy, check, connect_kw)
-
-    def _dial_call_close(
-        self, address: Address, command: ACECmdLine, check: bool = True, **connect_kw
-    ) -> Generator:
-        """``call(policy=None)``: dial, attach, one exchange, close —
-        however it ends."""
-        connection = yield from self.connect(address, **connect_kw)
-        try:
-            reply = yield from connection.call(command, check=check)
-        finally:
-            connection.close()
-        return reply
+        policy = policy or PLAIN_POLICY
+        if isinstance(target, Address):
+            return self._call_with_policy(target, command, policy, check, connect_kw)
+        if isinstance(target, Service):
+            return self._call_service(target, command, policy, check, connect_kw)
+        return self._call_replicas(target, command, policy, check, connect_kw)
 
     # ------------------------------------------------------------------
     # Pooled + pipelined paths (the scale-out RPC plane)
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def pool(self) -> ConnectionPool:
-        """This client's connection pool (created on first use)."""
-        if self._pool is None:
-            self._pool = ConnectionPool(self)
-        return self._pool
+        """This client's connection pool: every call to an address rides it."""
+        return ConnectionPool(self)
 
     def pipelined(
         self, address: Address, max_inflight: int = 8, **connect_kw
@@ -656,23 +641,10 @@ class ServiceClient:
 
     def close_channels(self) -> None:
         """Drop every pooled/pipelined channel (e.g. at client shutdown)."""
-        if self._pool is not None:
-            self._pool.close_all()
+        self.pool.close_all()
         for pipe in self._pipelines.values():
             pipe.close()
         self._pipelines.clear()
-
-    def __enter__(self) -> "ServiceClient":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        """A flow that makes its own client (``with ... as client:``) hangs
-        up its pooled channels when it ends, so no daemon keeps a command
-        thread parked on a connection nobody will use again.  Not when the
-        flow's generator is being garbage-collected: a hang-up scheduled
-        then would make the run depend on when the collector ran."""
-        if exc_type is not GeneratorExit:
-            self.close_channels()
 
     # ------------------------------------------------------------------
     # Idempotency stamping (the recovery plane's exactly-once half)
@@ -695,7 +667,7 @@ class ServiceClient:
     # loop → one attempt
     # ------------------------------------------------------------------
     def _call_service(
-        self, service: Service, command: ACECmdLine, policy: Optional[CallPolicy],
+        self, service: Service, command: ACECmdLine, policy: CallPolicy,
         check: bool, connect_kw: dict,
     ) -> Generator:
         """Fig. 7 written once: ask the ASD *what*, then call *where*."""
@@ -718,7 +690,7 @@ class ServiceClient:
         return reply
 
     def _call_replicas(
-        self, addresses, command: ACECmdLine, policy: Optional[CallPolicy],
+        self, addresses, command: ACECmdLine, policy: CallPolicy,
         check: bool, connect_kw: dict,
     ) -> Generator:
         """Try each replica until one answers (§5.3's robust-application
@@ -727,8 +699,7 @@ class ServiceClient:
         addrs = list(addresses)
         if not addrs:
             raise CallError(f"no addresses to call {command.name!r} against")
-        if policy is not None:
-            command = self._stamp(command)   # one stamp for every replica
+        command = self._stamp(command)   # one stamp for every replica
         failovers = self.ctx.obs.metrics.counter("rpc.failover")
         last_exc: Optional[Exception] = None
         for i, address in enumerate(addrs):
@@ -754,9 +725,9 @@ class ServiceClient:
         """Deadline + retry + circuit breaker around pooled attempts.
 
         Each attempt is :meth:`ConnectionPool.call` in its own process, raced
-        against its budget; an attempt that loses the race is interrupted,
-        and the pool closes and discards the connection it held, so a late
-        reply can never reach a later call."""
+        against its budget; an attempt that loses the race, or whose caller
+        is interrupted, is interrupted, and the pool closes and discards the
+        connection it held, so a late reply can never reach a later call."""
         registry = self.ctx.resilience
         stats = registry.stats
         breaker = registry.breaker(address, policy)
@@ -794,8 +765,9 @@ class ServiceClient:
                     self.pool.call(address, command, check=check, **connect_kw),
                     name=f"rpc.{self.principal}",
                 )
+                race = sim.any_of([proc, sim.timeout(budget)])
                 try:
-                    outcome = yield sim.any_of([proc, sim.timeout(budget)])
+                    outcome = yield race
                     if proc not in outcome:
                         proc.interrupt("rpc attempt deadline")
                         raise DeadlineExceeded(
@@ -821,6 +793,10 @@ class ServiceClient:
                     delay = policy.backoff_delay(attempt, self._retry_rng)
                     yield sim.timeout(min(delay, max(deadline_at - sim.now, 0.0)))
                     continue
+                except Interrupt:   # the caller stopped: so does its attempt
+                    race.defuse()
+                    proc.interrupt("rpc caller interrupted")
+                    raise
                 except CallError:
                     # The service answered (cmdFailed): healthy transport.
                     if breaker.record_success():

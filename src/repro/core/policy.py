@@ -57,8 +57,9 @@ class CallPolicy:
 
     ``deadline`` bounds the whole call including retries and backoff;
     ``attempt_timeout`` bounds each individual connect+call+reply attempt.
-    A ``breaker_threshold`` of 0 disables the circuit breaker (used during
-    daemon startup, where many services race the ASD onto the network).
+    A ``breaker_threshold`` of 0 keeps the call off the shared circuit
+    breaker (used during daemon startup, where many services race the ASD
+    onto the network).
     """
 
     deadline: float = 5.0
@@ -175,7 +176,11 @@ class ResilienceRegistry:
         self._restart_listeners: list = []
 
     def breaker(self, address: Any, policy: CallPolicy) -> CircuitBreaker:
-        """The shared breaker for ``address`` (created on first use)."""
+        """The shared breaker for ``address`` (created on first use); a
+        disabled one of its own for a policy with its breaker off, which
+        must neither create, consult nor feed the shared one."""
+        if not policy.breaker_threshold:
+            return CircuitBreaker(0, 0.0)
         breaker = self._breakers.get(address)
         if breaker is None:
             breaker = CircuitBreaker(policy.breaker_threshold, policy.breaker_reset)

@@ -17,6 +17,11 @@ from repro.lang import ACECmdLine
 from repro.net import Address
 from repro.net.host import HostDownError
 from repro.core.client import CallError
+from repro.core.policy import CallPolicy
+
+#: a best-effort push: one attempt, well inside the store client's attempt
+#: budget (a synchronous write waits on it; a crashed peer answers nothing)
+PUSH_POLICY = CallPolicy(deadline=1.0, attempt_timeout=1.0, max_attempts=1, breaker_threshold=0)
 
 
 class Version(NamedTuple):
@@ -114,7 +119,7 @@ class ReplicaMixin:
         """Best effort; anti-entropy repairs whatever a dead peer misses."""
         try:
             yield from self.client.call(
-                peer, ACECmdLine(self.REPLICATE, entries=wires), attach=False
+                peer, ACECmdLine(self.REPLICATE, entries=wires), PUSH_POLICY, attach=False
             )
         except CallError:
             self._m_repl_failed.inc()

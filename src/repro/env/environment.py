@@ -891,6 +891,7 @@ class ACEEnvironment:
                 ACECmdLine("registerRoom", room=name, building=building,
                            dims=tuple(dims) if any(dims) else (1.0, 1.0, 1.0)),
             )
+        client.close_channels()
 
     def client(self, host: Host, principal: str = "anonymous",
                keypair: Optional[KeyPair] = None) -> ServiceClient:

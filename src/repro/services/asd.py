@@ -583,7 +583,8 @@ class DirectoryWatcherDaemon(ACEDaemon):
 
 
 #: Lookups are latency-sensitive but easy to retry: short attempts, tight
-#: deadline, and the shared per-address breaker sheds load from a dead ASD.
+#: deadline, and the shared per-address breaker sheds load from a dead ASD
+#: (a policy with its breaker off, as boot registration's is, never shapes it).
 LOOKUP_POLICY = CallPolicy(
     deadline=3.0,
     attempt_timeout=1.0,
@@ -639,7 +640,6 @@ def asd_lookup(
     name: Optional[str] = None,
     cls: Optional[str] = None,
     room: Optional[str] = None,
-    policy: Optional[CallPolicy] = None,
     use_cache: bool = True,
 ) -> Generator:
     """Convenience: query the directory, return :class:`ServiceRecord`\\ s.
@@ -680,9 +680,7 @@ def asd_lookup(
     targets = _directory_targets(client, asd_address)
     if not targets:
         raise CallError("no directory address configured")
-    per_replica = policy or (
-        LOOKUP_FAILOVER_POLICY if len(targets) > 1 else LOOKUP_POLICY
-    )
+    per_replica = LOOKUP_FAILOVER_POLICY if len(targets) > 1 else LOOKUP_POLICY
     records: List[ServiceRecord] = []
     ttl: Optional[float] = None
     offset = 0

@@ -18,6 +18,7 @@ from typing import Dict, Generator, List, Optional
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
+from repro.core.policy import CallPolicy
 from repro.services.asd import asd_lookup
 
 
@@ -29,6 +30,9 @@ class SystemResourceMonitorDaemon(ACEDaemon):
     def __init__(self, ctx, name, host, *, poll_interval: float = 5.0, **kwargs):
         super().__init__(ctx, name, host, **kwargs)
         self.poll_interval = poll_interval
+        #: a host that has not answered by the next poll is dropped
+        self._poll_policy = CallPolicy(deadline=poll_interval, attempt_timeout=poll_interval,
+                                       max_attempts=1, breaker_threshold=0)
         #: host name -> latest HRM report
         self.reports: Dict[str, dict] = {}
         self._report_times: Dict[str, float] = {}
@@ -66,7 +70,7 @@ class SystemResourceMonitorDaemon(ACEDaemon):
         for record in hrms:
             try:
                 reply = yield from self.client.call(
-                    record.address, ACECmdLine("getResources")
+                    record.address, ACECmdLine("getResources"), self._poll_policy
                 )
             except CallError:
                 self.reports.pop(record.host, None)

@@ -67,7 +67,6 @@ class StoreClient:
         replicas: List[Address],
         principal: str = "store-client",
         balance_reads: bool = True,
-        policy: Optional[CallPolicy] = None,
         shard_map: Optional[ShardMap] = None,
         groups: Optional[Sequence[Sequence[Address]]] = None,
         cache_reads: bool = False,
@@ -79,7 +78,6 @@ class StoreClient:
         self.ctx = ctx
         self.replicas = list(replicas)
         self.balance_reads = balance_reads
-        self.policy = policy or STORE_CALL_POLICY
         self.shard_map = shard_map
         self.groups: List[List[Address]] = [list(g) for g in (groups or [])]
         if shard_map is not None and len(self.groups) != shard_map.groups:
@@ -149,7 +147,7 @@ class StoreClient:
         for replica in order:
             try:
                 reply = yield from self._client.call(
-                    replica, command, policy=self.policy, check=not absent_ok, attach=False
+                    replica, command, STORE_CALL_POLICY, check=not absent_ok, attach=False
                 )
             except _FAILOVER_ERRORS as exc:
                 last_error = exc

@@ -266,21 +266,12 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
         if not addresses:
             raise ServiceError(f"no known addresses for owner group {owner}")
         command = request.command.without_args(*RESERVED_ARGS).with_args(fwd=1)
-        last: Optional[Exception] = None
-        for address in addresses:
-            conn = None
-            try:
-                conn = yield from self.client.connect(address, attach=False)
-                reply = yield from conn.call(command, check=False)
-            except CallError as exc:
-                last = exc
-                continue
-            finally:
-                if conn is not None:
-                    conn.close()
-            self._m_forwards.inc()
-            return reply.without_args(*RESERVED_ARGS)
-        raise ServiceError(f"owner group {owner} unreachable: {last}")
+        try:
+            reply = yield from self.client.call(addresses, command, check=False, attach=False)
+        except CallError as exc:
+            raise ServiceError(f"owner group {owner} unreachable: {exc}")
+        self._m_forwards.inc()
+        return reply.without_args(*RESERVED_ARGS)
 
     # ------------------------------------------------------------------
     # Replication

@@ -8,8 +8,9 @@ modes share the same traffic shape so runs are comparable:
 * **resilient** — :meth:`~repro.core.client.ServiceClient.call` under a
   :class:`~repro.core.policy.CallPolicy` (deadline, retries, circuit
   breaker);
-* **naive** — the same call with ``policy=None``: no deadline, the
-  pre-policy behaviour: a stalled stream hangs the client forever.
+* **naive** — the pre-policy client, spelled out as an ablation baseline:
+  dial, attach, one exchange, close, with no deadline — a stalled stream
+  hangs the client forever.
 
 Every completed call is timestamped into an
 :class:`~repro.metrics.AvailabilityRecorder`; calls still in flight when
@@ -123,7 +124,7 @@ def run_chaos_workload(
         availability=AvailabilityRecorder(bucket=bucket),
     )
     in_flight: Dict[Tuple[int, int], float] = {}
-    policy = (policy or CallPolicy()) if resilient else None
+    policy = policy or CallPolicy()
 
     def one_call(client: ServiceClient, index: int, iteration: int) -> Generator:
         command = make_command(index, iteration)
@@ -132,7 +133,14 @@ def run_chaos_workload(
         ok = False
         for target in targets:
             try:
-                yield from client.call(target, command, policy=policy)
+                if resilient:
+                    yield from client.call(target, command, policy=policy)
+                else:   # the baseline: dial, attach, one exchange, close
+                    conn = yield from client.connect(target)
+                    try:
+                        yield from conn.call(command)
+                    finally:
+                        conn.close()
                 ok = True
                 break
             except FAILOVER_ERRORS as exc:

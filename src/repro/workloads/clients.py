@@ -105,7 +105,11 @@ def open_loop_arrivals(
         client = ServiceClient(env.ctx, host, principal=f"arrival-{index}")
         t0 = sim.now
         try:
-            yield from client.call(target, make_command(index))
+            conn = yield from client.connect(target)
+            try:
+                yield from conn.call(make_command(index))
+            finally:
+                conn.close()
         except CallError:
             return
         recorder.record(sim.now - t0)
@@ -206,6 +210,7 @@ def user_session_workload(
                 continue
             recorder.record(sim.now - t0)
             yield sim.timeout(think_rng.expovariate(1.0))  # ~1 op/s/user
+        client.close_channels()
 
     for i in range(n_users):
         sim.process(one_user(i), name=f"user-{i}")

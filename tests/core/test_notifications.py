@@ -377,7 +377,9 @@ def test_next_scan_covers_a_directory_that_was_unreachable(ace_with_echo):
     ace.asd.kill()
     watcher = make_watcher(ace, register_with_asd=False)
     assert echo.notifications.counts() == {}
-    start(ace, ace.asd.respawn(1), settle=6.0)   # echo1 re-registers on renewal
+    reborn = ace.asd.respawn(1)
+    ace.ctx.resilience.notify_restart(reborn.address)   # as a supervisor would
+    start(ace, reborn, settle=6.0)   # echo1 re-registers on renewal
     ace.run(watcher.echoes.scan())
     assert echo.notifications.counts() == {"echo": 1}
 

@@ -1,9 +1,13 @@
-"""Policy calls ride the client's connection pool, and no connection
-outlives its host's incarnation.
+"""Every call rides the client's connection pool under a deadline, and no
+connection outlives its host's incarnation.
 
-* a policy call dials a replica once and reuses the channel after that;
+* a policy call dials a replica once and reuses the channel after that,
+  and so does a call that names no policy;
+* a call that names no policy to a handler that never answers ends at
+  ``PLAIN_POLICY``'s deadline;
 * an attempt that loses its race against ``attempt_timeout`` leaves no
-  idle channel behind, and the daemon's command thread sees EOF;
+  idle channel behind, and the daemon's command thread sees EOF; nor
+  does one whose caller is interrupted;
 * a channel opened with ``attach=False`` never serves an attaching caller;
 * after a host crash + restart the new incarnation answers — through
   ``pool.call``, a policy call and a pipeline — never a zombie of the old
@@ -16,9 +20,12 @@ outlives its host's incarnation.
 
 import pytest
 
+from repro.core.client import PLAIN_POLICY
 from repro.core.policy import CallPolicy, DeadlineExceeded, TransportError
 from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
+from repro.sim import Interrupt
+from repro.workloads import user_session_workload
 from tests.core.conftest import EchoDaemon
 
 ONE_TRY = CallPolicy(deadline=2.0, attempt_timeout=0.5, max_attempts=1,
@@ -66,19 +73,36 @@ def test_ten_policy_calls_to_one_replica_dial_once(ace_with_echo):
     assert len(client.pool._idle[echo.address]) == 1
 
 
-def test_call_without_a_policy_still_dials_per_call(ace_with_echo):
+def test_ten_calls_without_a_policy_dial_once(ace_with_echo):
     ace, echo = ace_with_echo
     client = ace.client(principal="plain")
     dialled = _recording(client)
 
     def scenario():
-        for i in range(3):
-            yield from _echo(client, echo.address, f"m{i}")
+        for i in range(10):
+            reply = yield from _echo(client, echo.address, f"m{i}")
+            assert reply.get("text") == f"m{i}"
 
     ace.run(scenario())
-    assert len(dialled) == 3
-    assert all(conn.closed for conn, _ in dialled)
-    assert client._pool is None
+    ((conn, _),) = dialled
+    assert client.pool._idle[echo.address] == [conn]
+
+
+def test_a_call_without_a_policy_ends_at_the_plain_deadline(ace_with_echo):
+    ace, echo = ace_with_echo
+    client = ace.client(principal="stalled")
+    elapsed = []
+
+    def scenario():
+        t0 = ace.sim.now
+        never = ACECmdLine("slowEcho", text="never", delay=10 * PLAIN_POLICY.deadline)
+        with pytest.raises(DeadlineExceeded):
+            yield from client.call(echo.address, never)
+        elapsed.append(ace.sim.now - t0)
+
+    ace.sim.process(scenario())
+    ace.sim.run(until=ace.sim.now + 2 * PLAIN_POLICY.deadline)
+    assert elapsed == [pytest.approx(PLAIN_POLICY.deadline)]
 
 
 def test_an_attempt_that_loses_its_race_leaves_no_idle_channel(ace_with_echo):
@@ -104,6 +128,29 @@ def test_an_attempt_that_loses_its_race_leaves_no_idle_channel(ace_with_echo):
     assert server_side.pending() == 1          # the EOF, queued behind the handler
     ace.sim.run(until=ace.sim.now + 3.0)       # slowEcho done, the thread reads EOF
     assert server_side.closed
+
+
+def test_an_interrupted_caller_leaves_no_idle_channel(ace_with_echo):
+    """A daemon's flow stopped mid-call (its daemon died) stops the call's
+    attempt too: the pool closes the channel rather than parking it."""
+    ace, echo = ace_with_echo
+    client = ace.client(principal="stopped")
+    dialled = _recording(client)
+    stopped = []
+
+    def caller():
+        try:
+            yield from client.call(echo.address, ACECmdLine("slowEcho", text="x", delay=1.0))
+        except Interrupt:
+            stopped.append(ace.sim.now)
+
+    proc = ace.sim.process(caller())
+    ace.sim.run(until=ace.sim.now + 0.1)
+    proc.interrupt("daemon stopped")
+    ace.sim.run(until=ace.sim.now + 2.0)
+    ((conn, _),) = dialled
+    assert len(stopped) == 1 and conn.closed
+    assert not any(client.pool._idle.values())
 
 
 def test_an_unattached_channel_never_serves_an_attaching_caller(ace_with_echo):
@@ -247,20 +294,29 @@ def test_the_pool_counts_a_connection_dropped_on_a_transport_error(ace_with_echo
     assert client.pool._idle[echo.address] == []
 
 
+def _parked(daemon):
+    """Live command threads: one per channel some client holds open."""
+    return sum(1 for proc in daemon._child_procs if proc.is_alive and ".cmd:" in proc.name)
+
+
 def test_a_daemon_flow_that_makes_its_own_client_leaves_nothing_parked():
-    """The SRM polls the directory, handlers look services up: each such
-    flow hangs up its pooled channel (or holds one for its life), so the
-    directory's count of live command threads stays flat."""
-    env = ACEEnvironment(seed=5)
-    env.add_infrastructure()
-    env.boot(settle=2.0)
-    asd = env.daemons["asd"]
+    """The SRM polls the directory, handlers look services up, boot
+    registers the rooms, E18's users look services and users up: each such
+    flow hangs up its pooled channels (or holds one for its life), so the
+    count of live command threads stays flat."""
+    def booted(*rooms):
+        env = ACEEnvironment(seed=5)
+        env.add_infrastructure()
+        for room in rooms:
+            env.add_room(room, building="nichols")
+        env.boot(settle=2.0)
+        return env
 
-    def parked():
-        return sum(1 for proc in asd._child_procs
-                   if proc.is_alive and ".cmd:" in proc.name)
-
+    env = booted("hawk", "office21")
+    assert _parked(env.daemons["roomdb"]) == _parked(booted().daemons["roomdb"])
+    watched = [env.daemons["asd"], env.daemons["aud"]]
     env.run_for(20.0)
-    before = parked()
+    before = [_parked(daemon) for daemon in watched]
+    user_session_workload(env, n_users=3, duration=5.0)
     env.run_for(60.0)
-    assert parked() == before
+    assert [_parked(daemon) for daemon in watched] == before

@@ -18,7 +18,7 @@ from repro.core.policy import (
 from repro.lang import ACECmdLine
 from repro.lang.command import CLIENT_ID_ARG
 from repro.net import Address, ConnectionClosed, ConnectionRefused
-from repro.services.asd import asd_lookup
+from repro.services.asd import LOOKUP_POLICY, asd_lookup
 from repro.sim import canonical_trace_hash
 
 from tests.core.conftest import AceFixture, EchoDaemon
@@ -63,8 +63,9 @@ def test_backoff_delay_grows_and_caps():
 @pytest.mark.parametrize("with_policy", [False, True], ids=["plain", "policy"])
 @pytest.mark.parametrize("replicas", [False, True], ids=["one-address", "first-replica-dead"])
 def test_call_layers_compose(ace_with_echo, replicas, with_policy):
-    """``client.call``: a policy adds stamp + ``rpc:`` span + RpcStats, a
-    sequence of addresses adds the replica loop — independently."""
+    """``client.call``: named or not, a policy stamps the call, traces it
+    as an ``rpc:`` span and counts it in RpcStats; a sequence of addresses
+    adds the replica loop."""
     ace, echo = ace_with_echo
     ace.ctx.idempotent_retries = True
     received = []
@@ -99,15 +100,13 @@ def test_call_layers_compose(ace_with_echo, replicas, with_policy):
     assert failovers.value == (1 if replicas else 0)
     after = stats.snapshot()
     delta = {k: after[k] - before[k] for k in after if after[k] != before[k]}
-    if not with_policy:
-        assert delta == {}
-    elif replicas:
+    if replicas:
         assert delta == {"calls": 2, "successes": 1, "failures": 1}
     else:
         assert delta == {"calls": 1, "successes": 1}
     (command,) = received
-    assert (CLIENT_ID_ARG in command) == with_policy
-    rpc_spans = (["rpc:echo"] * (2 if replicas else 1)) if with_policy else []
+    assert CLIENT_ID_ARG in command
+    rpc_spans = ["rpc:echo"] * (2 if replicas else 1)
     hops = ace.ctx.obs.tracer.tree(root.trace_id).hops()
     assert hops == ["matrix"] + rpc_spans + ["call:echo", "serve:echo"]
 
@@ -431,6 +430,34 @@ def test_breaker_opens_sheds_and_recovers():
     assert reply["text"] == "x"
     assert breaker.state == CLOSED
     assert stats.breaker_resets >= 1
+
+
+def test_a_policy_without_a_breaker_leaves_the_address_breaker_to_the_rest():
+    """Boot registration reaches the directory first, under a policy with
+    its breaker off; that must not switch the directory's shared breaker
+    off, so lookups against a stopped directory trip it within
+    ``LOOKUP_POLICY``'s threshold."""
+    from repro.env import ACEEnvironment
+
+    env = ACEEnvironment(seed=29)
+    env.add_infrastructure()
+    env.boot()
+    asd = env.daemons["asd"]
+    assert env.ctx.resilience.breaker(asd.address, LOOKUP_POLICY).enabled
+    asd.kill()
+    client = env.client(env.net.host("infra"), principal="prober")
+
+    def probe():
+        failures = []
+        while len(failures) < LOOKUP_POLICY.breaker_threshold:
+            try:
+                yield from client.call(
+                    asd.address, ACECmdLine("lookup", cls="SRM"), policy=LOOKUP_POLICY)
+            except CallError as exc:
+                failures.append(type(exc))
+        return failures
+
+    assert BreakerOpen in env.run(probe())
 
 
 # -- ASD lookup fallback ------------------------------------------------------

@@ -247,10 +247,9 @@ def test_failed_handshake_is_a_transport_error(how, bad):
     assert type(exc) is TransportError
     assert isinstance(exc.__cause__, HandshakeError)
     assert str(exc) == str(exc.__cause__) == text
-    attempts = {"plain": 0, "policy": 1, "replicas": 2}[how]
+    attempts = {"plain": 1, "policy": 1, "replicas": 2}[how]
     # Booked as a failure each time — not a call with nothing beside it.
-    assert _rpc_delta(ctx, before) == (
-        {"calls": attempts, "failures": attempts} if attempts else {})
+    assert _rpc_delta(ctx, before) == {"calls": attempts, "failures": attempts}
     if policy is not None:
         assert ctx.resilience.breaker(echo.address, policy).failures == attempts
     assert ctx.obs.metrics.counter("rpc.failover").value == (how == "replicas")

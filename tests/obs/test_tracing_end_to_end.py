@@ -39,14 +39,15 @@ def test_one_call_yields_client_and_server_spans():
     assert reply.str("text") == "hi"
     tree = ace.ctx.obs.tracer.tree(root.trace_id)
     assert len(tree.roots) == 1
-    assert tree.hops() == ["demo", "call:echo", "serve:echo"]
+    assert tree.hops() == ["demo", "rpc:echo", "call:echo", "serve:echo"]
     serve = tree.spans[-1]
     assert serve.source == "echo1"
     assert "queue_wait_ms" in serve.annotations
     assert serve.annotations["principal"] == "tester"
-    # Client span fully covers the server span; root covers both.
-    call = tree.spans[1]
-    assert call.start <= serve.start and serve.end <= call.end <= tree.root.end
+    # Client spans fully cover the server span; root covers them all.
+    rpc, call = tree.spans[1:3]
+    assert rpc.start <= call.start <= serve.start
+    assert serve.end <= call.end <= rpc.end <= tree.root.end
 
 
 def test_span_tree_is_deterministic_across_runs():
@@ -99,7 +100,7 @@ def test_notification_delivery_joins_the_trace():
     assert listener.seen_notifications
     tree = ace.ctx.obs.tracer.tree(root.trace_id)
     hops = tree.hops()
-    assert hops[:3] == ["notified", "call:echo", "serve:echo"]
+    assert hops[:4] == ["notified", "rpc:echo", "call:echo", "serve:echo"]
     assert "call:onEchoSeen" in hops and "serve:onEchoSeen" in hops
     # The delivery hangs off the *server* span that triggered it.
     serve = next(s for s in tree.spans if s.name == "serve:echo")

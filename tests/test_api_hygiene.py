@@ -182,12 +182,13 @@ RETIRED_NAMES = frozenset({
     "resize_connection_pools", "pool_max_idle", "_connection_pools",
     "invalidate_all", "checkpoint_eager", "_commit_barrier", "_checkpoint_now",
     "_span_stack", "_notify_client", "_notification_client", "_repl_client",
-    "_replication_client", "_scrape_client",
+    "_replication_client", "_scrape_client", "_dial_call_close",
 })
 
 #: deleted methods whose names other classes still define
 RETIRED_METHODS = {
     ("repro.core.client", "ConnectionPool"): {"resize"},
+    ("repro.core.client", "ServiceClient"): {"__enter__", "__exit__"},
     ("repro.env.users", "UserIdentity"): {"principal"},
     ("repro.lang.semantics", "CommandSpec"): {"arg"},
     ("repro.metrics", "ResultTable"): {"show"},
@@ -519,32 +520,47 @@ def test_a_hop_parses_nothing():
     assert parsers == {"client.py:received_command", "daemon.py:import_dedup"}
 
 
-def test_only_a_plain_call_dials_per_command():
-    """Every policy attempt rides the client's connection pool: under
-    ``src/`` the dial-call-close helper is named by one function,
-    ``ServiceClient.call``, in its ``policy is None`` branch."""
-    def spells(node):
-        return "_dial_call_close" in (getattr(node, "attr", None), getattr(node, "id", None))
+#: the functions under ``src/`` that open a channel of their own with
+#: ``ServiceClient.connect``: the pool and the pipeline, a multi-exchange
+#: anti-entropy session, the held sessions, and the two ablation baselines
+#: that model dialling on purpose (E21's naive client, open-loop arrivals)
+CONNECT_CALLERS = {
+    "repro/core/client.py:ConnectionPool.acquire",
+    "repro/core/client.py:ConnectionPool.call",
+    "repro/core/client.py:ServiceClient.pipelined",
+    "repro/core/replication.py:ReplicaMixin._sync_with",
+    "repro/apps/controlgui.py:ACEControlGUI.select",
+    "repro/apps/vnc.py:VNCViewer.attach",
+    "repro/env/scenarios.py:scenario_5_devices",
+    "repro/workloads/clients.py:closed_loop_clients.one_client",
+    "repro/workloads/chaos.py:run_chaos_workload.one_call",
+    "repro/workloads/clients.py:open_loop_arrivals.one_shot",
+}
 
-    def is_plain(test):
-        return (isinstance(test, ast.Compare) and isinstance(test.ops[0], ast.Is)
-                and getattr(test.left, "id", None) == "policy"
-                and getattr(test.comparators[0], "value", 0) is None)
 
-    callers, plain = [], []
+def test_nothing_under_src_dials_per_command():
+    """A call to an address has one path, the client's pool under a
+    deadline (``_dial_call_close`` and ``ServiceClient.__enter__`` are
+    retired): under ``src/`` only :data:`CONNECT_CALLERS` dial with
+    ``ServiceClient.connect`` — a ``net.connect`` is the transport's own."""
+    def callers(node, where, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from callers(child, where, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "connect":
+                receiver = ast.unparse(child.func.value)
+                if not (receiver.endswith("net") or receiver == "super()"):
+                    yield f"{where}:{'.'.join(scope)}"
+            yield from callers(child, where, scope)
+
+    found = set()
     for path in sorted((REPO / "src").rglob("*.py")):
-        for function in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if function.name == "_dial_call_close":
-                continue
-            if any(spells(node) for node in ast.walk(function)):
-                callers.append((str(path.relative_to(REPO / "src")), function.name))
-            plain += [node for branch in ast.walk(function)
-                      if isinstance(branch, ast.If) and is_plain(branch.test)
-                      for stmt in branch.body for node in ast.walk(stmt) if spells(node)]
-    assert callers == [("repro/core/client.py", "call")]
-    assert len(plain) == 1
+        found |= set(callers(ast.parse(path.read_text()), str(path.relative_to(REPO / "src")), []))
+    assert found == CONNECT_CALLERS
+    client = ast.parse((REPO / "src/repro/core/client.py").read_text())
+    assert not [node for node in ast.walk(client) if isinstance(node, ast.Compare)
+                and getattr(node.left, "id", None) == "policy"], "a path chosen by policy"
 
 
 def test_a_daemon_makes_its_client_in_one_place():
