@@ -109,6 +109,9 @@ class ACEEnvironment:
         #: persistent-store topology (replica-groups + consistent-hash map)
         self._store_groups: List[List[ACEDaemon]] = []
         self._store_shard_map = None
+        #: (shard map, per-group address lists) a store client routes on;
+        #: rebuilt by _refresh_store_topology whenever the groups change
+        self._store_route = None
         #: monotonic naming serial for store groups — hosts outlive a
         #: drained group, so re-added groups need fresh host names
         self._store_group_serial = 0
@@ -506,17 +509,22 @@ class ACEEnvironment:
 
     def _store_topology(self):
         """(shard map, per-group address lists): what a store client
-        routes on, read again on every use so it follows grown and
-        drained groups."""
-        return self._store_shard_map, [
-            [d.address for d in grp] for grp in self._store_groups
-        ]
+        routes on, read on every use so it follows grown and drained
+        groups.  It is the same tuple until the groups change, and a
+        client compares the map by identity, so a steady op builds
+        nothing."""
+        return self._store_route
 
     def _store_group_addresses(self) -> Dict[int, List[Address]]:
-        return dict(enumerate(self._store_topology()[1]))
+        return dict(enumerate(self._store_route[1]))
 
     def _refresh_store_topology(self) -> None:
-        """Recompute ctx.store_addresses + every daemon's group map."""
+        """Rebuild the store route, then ctx.store_addresses + every
+        daemon's group map from it: the one place a group is added,
+        grown or drained."""
+        self._store_route = (self._store_shard_map, [
+            [d.address for d in grp] for grp in self._store_groups
+        ])
         group_addresses = self._store_group_addresses()
         self.ctx.store_addresses = sorted(
             (a for addrs in group_addresses.values() for a in addrs), key=str

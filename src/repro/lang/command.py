@@ -4,8 +4,9 @@ Commands are immutable once built.  ``str(cmd)`` is the wire form; commands
 compare equal iff their names and argument mappings (including value types:
 ``1`` is an INTEGER, ``1.0`` a FLOAT) are equal, which is exactly the
 "exact copy" the paper's Fig. 5 promises the receiving daemon.  Being
-immutable, a command crosses a simulated link as itself; it becomes text
-only where bytes are real (an SSL record, a pickle between processes).
+immutable, a command crosses a simulated link as itself, charged a
+``wire_size`` counted without printing it; it becomes text only where bytes
+are real (an SSL record, a pickle between processes, a checkpoint).
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import sys
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.lang.errors import ACELanguageError, SemanticError
-from repro.lang.values import Value, format_normalized, normalize_value
+from repro.lang.values import (
+    Value, format_normalized, normalize_value, normalized_size,
+)
 
 _NAME_OK = re.compile(r"^[A-Za-z0-9_]+$")
 _intern = sys.intern
@@ -175,9 +178,17 @@ class ACECmdLine:
 
     @property
     def wire_size(self) -> int:
-        if self._wire_size is None:
-            self._wire_size = len(self.to_string().encode("utf-8"))
-        return self._wire_size
+        """``len(self.to_string().encode("utf-8"))``, counted without
+        building the text: a command that only crosses simulated links is
+        never printed.  Names are ASCII, so each argument costs its name
+        plus ``" "`` and ``"="``, and the line its name plus ``";"``."""
+        size = self._wire_size
+        if size is None:
+            size = len(self._name) + 1
+            for key, value in self._args.items():
+                size += len(key) + 2 + normalized_size(value)
+            self._wire_size = size
+        return size
 
     # -- equality ---------------------------------------------------------------
     def _key(self) -> Tuple:
@@ -217,13 +228,19 @@ def _from_wire(text: str) -> ACECmdLine:
 
 # Conventional reply commands every daemon understands (§2.2: "return
 # commands are used to reply on the status of the attempted command").
+# Both start from the request's name, already checked and interned; only the
+# handler's results pay for validation (a ``cmd=`` among them wins, in first
+# position).
 
 def ok_reply(request: ACECmdLine, **results: Any) -> ACECmdLine:
-    return ACECmdLine("cmdOk", {"cmd": request.name, **results})
+    reply = ACECmdLine._from_normalized("cmdOk", {"cmd": request._name})
+    return reply.with_args(**results) if results else reply
 
 
 def error_reply(request: ACECmdLine, reason: str, **extra: Any) -> ACECmdLine:
-    return ACECmdLine("cmdFailed", {"cmd": request.name, "reason": reason, **extra})
+    return ACECmdLine._from_normalized(
+        "cmdFailed", {"cmd": request._name}
+    ).with_args(reason=reason, **extra)
 
 
 def is_ok(reply: ACECmdLine) -> bool:

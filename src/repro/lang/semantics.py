@@ -60,6 +60,14 @@ _COMPATIBLE = {
     ArgType.ARRAY: {ArgType.ARRAY},
 }
 
+#: the declared types a value's exact type satisfies on its own; a WORD
+#: must have its text looked at, and a rejection names the inferred type
+_ACCEPTED_BY_TYPE = {
+    str: (ArgType.STRING,),
+    int: (ArgType.INTEGER, ArgType.FLOAT, ArgType.NUMBER),
+    float: (ArgType.FLOAT, ArgType.NUMBER),
+}
+
 
 @dataclass(frozen=True)
 class ArgSpec:
@@ -71,12 +79,13 @@ class ArgSpec:
     default: Optional[Value] = None
 
     def check(self, command_name: str, value: Value) -> None:
-        if self.type is ArgType.ANY:
+        expected = self.type
+        if expected is ArgType.ANY or expected in _ACCEPTED_BY_TYPE.get(type(value), ()):
             return
         actual = infer_type(value)
-        if actual not in _COMPATIBLE[self.type]:
+        if actual not in _COMPATIBLE[expected]:
             raise SemanticError(
-                f"{command_name}: argument {self.name!r} expects {self.type.value}, "
+                f"{command_name}: argument {self.name!r} expects {expected.value}, "
                 f"got {actual.value} ({value!r})"
             )
 
@@ -186,7 +195,7 @@ class CommandSemantics:
                 if fills is None:
                     fills = {}
                 fills[arg_name] = arg_spec.default
-        if self.strict:
+        if self.strict and matched < len(present):
             n_reserved = sum(1 for r in RESERVED_ARGS if r in present)
             if matched + n_reserved < len(present):
                 declared = {s.name for s in spec.args}

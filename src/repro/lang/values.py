@@ -73,9 +73,13 @@ def _format_scalar(value: Scalar) -> str:
 _format_scalar_cached = lru_cache(maxsize=4096, typed=True)(_format_scalar)
 
 
+#: the characters a string may not carry: C0 controls and DEL (anything
+#: else survives quoting)
+_CONTROL_RE = re.compile(r"[\x00-\x1f\x7f]")
+
+
 def _printable(text: str) -> bool:
-    # Only control characters are banned; anything else survives quoting.
-    return all(ch not in "\n\r\t" and (ord(ch) >= 32 and ord(ch) != 127) for ch in text)
+    return _CONTROL_RE.search(text) is None
 
 
 def scalar_kind(value: Scalar) -> str:
@@ -159,3 +163,14 @@ def format_normalized(value: Value) -> str:
             return "{" + ",".join(format_normalized(v) for v in value) + "}"
         return "{" + ",".join(_format_scalar_cached(v) for v in value) + "}"
     return _format_scalar_cached(value)
+
+
+def normalized_size(value: Value) -> int:
+    """``len(format_normalized(value).encode("utf-8"))``, counted from the
+    cached scalar texts without joining them — what a command's
+    ``wire_size`` charges a value.  Raises where formatting would."""
+    if isinstance(value, tuple):
+        # "{" + ",".join(items) + "}": two braces and len - 1 commas
+        return sum(map(normalized_size, value)) + len(value) + 1
+    text = _format_scalar_cached(value)
+    return len(text) if text.isascii() else len(text.encode("utf-8"))

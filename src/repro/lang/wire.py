@@ -19,6 +19,8 @@ def escape_field(value: str) -> str:
 
 def split_wire(text: str) -> List[str]:
     """Split on unescaped ``|`` and undo the escaping."""
+    if "\\" not in text:
+        return text.split("|")
     fields: List[str] = []
     current: List[str] = []
     it = iter(text)

@@ -78,6 +78,8 @@ def _unescape_value(value: str) -> str:
     # mis-decodes values where an escaped backslash precedes a literal
     # 'a'/'e' (encode("\\a") -> "\\\\a", whose tail "\\a" a later replace
     # would wrongly turn back into "&").
+    if "\\" not in value:
+        return value
     out: List[str] = []
     i = 0
     while i < len(value):
@@ -116,6 +118,8 @@ def decode_object(text: str) -> StoredObject:
 
 
 def _split_unescaped(text: str, sep: str) -> List[str]:
+    if "\\" not in text:
+        return text.split(sep)
     out, buf, i = [], [], 0
     while i < len(text):
         ch = text[i]

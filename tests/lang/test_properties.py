@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import repro.lang
 import repro.lang.parser as parser
-from repro.lang import ACECmdLine, parse_command
+from repro.lang import ACECmdLine, ACELanguageError, parse_command
+from repro.lang.command import error_reply, ok_reply
 from repro.lang.values import format_value, normalize_value
 
 SETTINGS = dict(deadline=None, derandomize=True)
@@ -134,10 +135,73 @@ def test_arbitrary_precision_integers(n):
     assert parse_command(ACECmdLine("c", v=n).to_string())["v"] == n
 
 
-@given(commands())
-@settings(max_examples=100, **SETTINGS)
+#: strings the quoting rules treat specially: quotes and backslashes are
+#: escaped, characters outside the BMP take four UTF-8 bytes, and a
+#: numeric-looking word ("42", "1e5") must be quoted to stay a string
+quoted = st.text(
+    alphabet=st.sampled_from(
+        ['"', "\\", "a", "Z", "_", "1", "e", " ", "\u00e9", "\U0001f600", "\U00010348"]
+    ),
+    max_size=12,
+)
+numeric_words = st.one_of(
+    st.sampled_from(["42", "1e5", "0", "007", "1E10", "12e34"]),
+    st.integers(min_value=0).map(str),
+)
+sized_scalars = st.one_of(scalars, quoted, numeric_words)
+sized_values = st.one_of(
+    sized_scalars,
+    homogeneous_vector(st.one_of(quoted, numeric_words)),
+    st.lists(homogeneous_vector(quoted), min_size=1, max_size=3).map(tuple),
+    vectors,
+    arrays,
+)
+
+
+@st.composite
+def sized_commands(draw):
+    """A fresh command, or one derived the ways a daemon derives them."""
+    name = draw(names)
+    arg_names = draw(st.lists(names, max_size=5, unique=True))
+    cmd = ACECmdLine(name, {a: draw(sized_values) for a in arg_names})
+    results = {a: draw(sized_values) for a in draw(st.lists(names, max_size=3, unique=True))}
+    how = draw(st.sampled_from(["new", "with", "without", "ok", "ok_cmd", "error"]))
+    if how == "new":
+        return cmd
+    if how == "with":
+        return cmd.with_args(**results)
+    if how == "without":
+        return cmd.without_args(*draw(st.lists(st.sampled_from(arg_names or ["x"]))))
+    if how == "ok":
+        return ok_reply(cmd, **results)
+    if how == "ok_cmd":
+        return ok_reply(cmd, **{**results, "cmd": draw(sized_values)})
+    results.pop("reason", None)
+    return error_reply(cmd, draw(sized_scalars), **results)
+
+
+@given(sized_commands())
+@settings(max_examples=300, **SETTINGS)
 def test_wire_size_positive_and_consistent(cmd):
-    assert cmd.wire_size == len(cmd.to_string().encode("utf-8")) > 0
+    """The size a link charges is the printed length, counted without
+    printing: a command that only crosses simulated links is never text."""
+    size = cmd.wire_size
+    assert cmd._text is None
+    assert size == len(cmd.to_string().encode("utf-8")) > 0
+
+
+@pytest.mark.parametrize(
+    "value", ["a\x00b", "tab\there", "two\nlines", "del\x7f", "\x1b[0m", ("ok", "bad\r")]
+)
+def test_wire_size_refuses_a_control_character(value):
+    """Sizing fails where printing does, so a send still fails where it
+    did when the size was taken from the text."""
+    cmd = ACECmdLine("probe", v=value)
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ACELanguageError, match="non-printable"):
+            cmd.wire_size
+    with pytest.raises(ACELanguageError, match="non-printable"):
+        cmd.to_string()
 
 
 @given(commands())
@@ -179,3 +243,14 @@ def test_parser_never_crashes_unexpectedly(text):
         parse_command(text)
     except ACELanguageError:
         pass
+
+
+def test_a_reply_keeps_a_handler_cmd_first():
+    """A handler that names ``cmd=`` itself wins, in first position, as
+    when the reply was built from ``{"cmd": request.name, **results}``."""
+    request = ACECmdLine("psPut", path="/a")
+    assert ok_reply(request, v=1).to_string() == "cmdOk cmd=psPut v=1;"
+    assert ok_reply(request, v=1, cmd="other").to_string() == "cmdOk cmd=other v=1;"
+    assert ok_reply(request).to_string() == "cmdOk cmd=psPut;"
+    failed = error_reply(request, "no such path", cmd="psGet", code=4)
+    assert failed.to_string() == 'cmdFailed cmd=psGet reason="no such path" code=4;'

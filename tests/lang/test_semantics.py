@@ -126,3 +126,84 @@ def test_reply_semantics_standard_vocabulary():
     sem = reply_semantics()
     sem.validate(ACECmdLine("cmdOk", cmd="setPosition"))
     sem.validate(ACECmdLine("cmdFailed", cmd="setPosition", reason="denied"))
+
+
+# -- checks that decide by exact type ----------------------------------------
+
+#: what ``ArgSpec.check`` accepted when every value went through
+#: ``infer_type``; the exact-type shortcut must agree with it everywhere
+_INFERRED_OK = {
+    ArgType.INTEGER: {ArgType.INTEGER},
+    ArgType.FLOAT: {ArgType.FLOAT, ArgType.INTEGER},
+    ArgType.NUMBER: {ArgType.INTEGER, ArgType.FLOAT},
+    ArgType.WORD: {ArgType.WORD},
+    ArgType.STRING: {ArgType.WORD, ArgType.STRING},
+    ArgType.VECTOR: {ArgType.VECTOR},
+    ArgType.ARRAY: {ArgType.ARRAY},
+}
+
+VALUES = {
+    "int": 7,
+    "float": 2.5,
+    "word": "on",
+    "numeric-looking": "42",
+    "string": "two words",
+    "vector": (1, 2),
+    "array": ((1.0,), (2.0,)),
+    "bool": True,
+}
+
+
+def _oracle(expected, value):
+    """The error text the infer_type-based check raised, or None."""
+    if expected is ArgType.ANY:
+        return None
+    try:
+        actual = infer_type(value)
+    except SemanticError as exc:
+        return str(exc)
+    if actual in _INFERRED_OK[expected]:
+        return None
+    return (
+        f"probe: argument 'v' expects {expected.value}, "
+        f"got {actual.value} ({value!r})"
+    )
+
+
+def _outcome(run):
+    try:
+        run()
+    except SemanticError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("expected", list(ArgType), ids=lambda t: t.value)
+@pytest.mark.parametrize("kind", list(VALUES))
+def test_check_matches_the_inferred_type_oracle(expected, kind):
+    value = VALUES[kind]
+    want = _oracle(expected, value)
+    assert _outcome(lambda: ArgSpec("v", expected).check("probe", value)) == want
+    if kind != "bool":  # a command cannot carry a bool
+        sem = CommandSemantics()
+        sem.define("probe", ArgSpec("v", expected))
+        got = _outcome(lambda: sem.validate(ACECmdLine("probe", v=value)))
+        assert got == want
+
+
+def test_strict_command_whose_only_extras_are_reserved():
+    sem = ptz_semantics()
+    cmd = ACECmdLine("power", state="on", o_tc="t1_s2", o_seq=3, o_cid="c1", o_cseq=4)
+    assert sem.validate(cmd) is cmd
+
+
+def test_strict_command_with_an_unknown_argument_names_only_it():
+    sem = ptz_semantics()
+    with pytest.raises(SemanticError) as info:
+        sem.validate(ACECmdLine("power", state="on", o_seq=3, zz=1, extra=2))
+    assert str(info.value) == "power: unknown argument(s) extra, zz"
+    # a reserved name in a spec slot counts as absent, never as a match
+    sem.define("echo", ArgSpec("o_seq", ArgType.INTEGER, required=False), ArgSpec("x"))
+    assert sem.validate(ACECmdLine("echo", x=1, o_seq=2))["o_seq"] == 2
+    with pytest.raises(SemanticError, match=r"unknown argument\(s\) y$"):
+        sem.validate(ACECmdLine("echo", x=1, o_seq=2, y=3))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.lang.errors import ACELanguageError
 from repro.lang.values import (
+    _printable,
     format_value,
     is_word,
     normalize_value,
@@ -82,6 +83,17 @@ def test_format_rejects_control_characters():
         format_value("line1\nline2")
     with pytest.raises(ACELanguageError, match="non-printable"):
         format_value("tab\there")
+
+
+def test_printable_is_the_old_predicate_on_every_code_point():
+    """One regex replaced a per-character loop; they agree on every code
+    point, so exactly the same strings are refused."""
+    differ = [
+        c for c in range(0x110000) if _printable(chr(c)) != (c >= 32 and c != 127)
+    ]
+    assert differ == []
+    assert _printable("a long printable string \U0001f600 " * 8)
+    assert not _printable("a long printable string" * 8 + "\x7f" + "tail")
 
 
 def test_format_vector_and_array():

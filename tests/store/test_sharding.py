@@ -4,6 +4,7 @@ misroute forwarding for stale-map clients, and group-growth rebalancing."""
 import pytest
 
 from repro.core import ServiceClient
+from repro.core.daemon import ACEDaemon
 from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
 from repro.store import DIGEST_BUCKETS, ShardMap, bucket_of, stable_hash
@@ -157,3 +158,68 @@ def test_add_store_group_rebalances():
         return out
 
     assert all(v is not None for v in env.run(readall()))
+
+    # The client made before the growth routes its next put straight to
+    # the new group: the owner applies it and no old group forwards it.
+    fresh = next(
+        p for p in (f"/grow/n{i}" for i in range(100)) if new_map.shard_for(p) == 2
+    )
+    forwards = _forwards(env)
+    env.run(client.put(fresh, {"v": "new"}))
+    assert env.daemon("ps3-1").namespace.get(fresh).attrs == {"v": "new"}
+    assert _forwards(env) == forwards
+
+
+def _forwards(env):
+    return sum(
+        env.ctx.obs.metrics.counter(f"store.ps{g}-{i}.forwards").value
+        for g in (1, 2) for i in (1, 2)
+    )
+
+
+def test_store_route_is_one_object_until_the_groups_change(monkeypatch):
+    """A store op reads the route the environment keeps; it builds no
+    address list.  Growth and drain each install a new route."""
+    env = build_sharded_env()
+    client = env.store_client(env.net.host("infra"))
+    env.run(client.put("/route/a", {"v": "1"}))
+    env.run_for(1.0)  # the replicas apply the batch
+
+    provider, seen, reads, inside = client.topology_provider, [], [0], [False]
+    address = ACEDaemon.address
+
+    def counted(daemon):
+        reads[0] += inside[0]
+        return address.fget(daemon)
+
+    def watched():
+        inside[0] = True
+        try:
+            seen.append(provider())
+        finally:
+            inside[0] = False
+        return seen[-1]
+
+    monkeypatch.setattr(ACEDaemon, "address", property(counted))
+    client.topology_provider = watched
+
+    def gets():
+        for _ in range(100):
+            assert (yield from client.get("/route/a")) == {"v": "1"}
+
+    env.run(gets())
+    assert len(seen) >= 100
+    assert all(route is seen[0] for route in seen)
+    assert reads[0] == 0
+
+    before = env._store_topology()
+    env.add_store_group()
+    grown = env._store_topology()
+    assert grown is not before
+    assert grown[0] is env._store_shard_map and len(grown[1]) == 3
+    assert env._store_topology() is grown
+
+    env.drain_store_group(grace=0.0)
+    drained = env._store_topology()
+    assert drained is not grown
+    assert drained[0] is env._store_shard_map and len(drained[1]) == 2
