@@ -66,6 +66,7 @@ class Application:
         if self.state is AppState.RUNNING:
             return self
         self.state = AppState.RUNNING
+        self.host.residents[self] = None
         self._proc = self.ctx.sim.process(self._run(), name=f"app:{self.name}:{self.pid}")
         return self
 
@@ -77,6 +78,11 @@ class Application:
         """Fault injection: make the app die as if it hit a bug."""
         if self.state is AppState.RUNNING and self._proc is not None:
             self._proc.interrupt("crash")
+
+    def kill(self) -> None:
+        """Its host crashed: the app ends ``CRASHED`` / ``"host down"``."""
+        if self.state is AppState.RUNNING and self._proc is not None:
+            self._proc.interrupt("host down")
 
     def on_exit(self, callback: Callable[["Application"], None]) -> None:
         self._exit_callbacks.append(callback)
@@ -97,18 +103,16 @@ class Application:
             self.state = AppState.STOPPED
             self.exit_reason = "completed"
         except Interrupt as intr:
-            if intr.cause == "crash":
-                self.state = AppState.CRASHED
-                self.exit_reason = "injected crash"
-            else:
-                self.state = AppState.STOPPED
-                self.exit_reason = str(intr.cause)
+            crash = {"crash": "injected crash", "host down": "host down"}.get(intr.cause)
+            self.state = AppState.STOPPED if crash is None else AppState.CRASHED
+            self.exit_reason = crash or str(intr.cause)
         except HostDownError:
             self.state = AppState.CRASHED
             self.exit_reason = "host down"
         except Exception as exc:  # noqa: BLE001 - app bugs become crashes
             self.state = AppState.CRASHED
             self.exit_reason = f"exception: {exc}"
+        self.host.residents.pop(self, None)
         self.ctx.trace.emit(
             self.ctx.sim.now, f"app:{self.name}", "app-exit",
             pid=self.pid, state=self.state.value, reason=self.exit_reason,

@@ -168,7 +168,7 @@ class ACEDaemon(NotificationMixin):
         self._datagram = None
         self._control_queue: Optional[Store] = None
         self._main_proc: Optional[Process] = None
-        self._child_procs: List[Process] = []
+        self._child_procs: Dict[Process, None] = {}   # the live ones
         self._credential_cache: Dict[str, tuple[float, list]] = {}
         self._credential_sweep_at = 0.0
         self._commands_served = 0
@@ -265,19 +265,21 @@ class ACEDaemon(NotificationMixin):
         if self.running:
             raise ServiceError(f"daemon {self.name!r} already running")
         self.running = True
+        self.host.residents[self] = None
         self._main_proc = self.ctx.sim.process(self._main_thread(), name=f"{self.name}.main")
         return self._main_proc
 
     def stop(self) -> Process:
-        """Graceful shutdown: deregister from the ASD, close sockets."""
-        return self.ctx.sim.process(self._shutdown(), name=f"{self.name}.stop")
+        """Graceful shutdown: deregister from the ASD, close sockets (a
+        child thread, so a crash of the host ends it too)."""
+        return self._spawn(self._shutdown(), "stop")
 
     def kill(self) -> None:
-        """Abrupt process death (fault injection): no deregistration, no
-        lease release — exactly the wreckage a real crash leaves behind.
-        The ASD lease lapses on its own; a supervisor notices the missed
-        heartbeats."""
-        if not self.running:
+        """Abrupt process death (fault injection, or its host's crash): no
+        deregistration, no lease release — exactly the wreckage a real
+        crash leaves behind.  The ASD lease lapses on its own; a supervisor
+        notices the missed heartbeats.  It also cuts a graceful stop short."""
+        if self not in self.host.residents:
             return
         self.running = False
         self._teardown()
@@ -311,7 +313,7 @@ class ACEDaemon(NotificationMixin):
         if not self.running:
             return
         self.running = False
-        if self.register_with_asd and self.ctx.directory_addresses() and self.host.up:
+        if self.register_with_asd and self.ctx.directory_addresses():
             try:
                 yield from self.client.call(
                     self.ctx.directory_addresses(),
@@ -323,6 +325,7 @@ class ACEDaemon(NotificationMixin):
         self._teardown()
 
     def _teardown(self) -> None:
+        self.host.residents.pop(self, None)
         self.client.close_channels()
         if self._listener is not None:
             self._listener.close()
@@ -368,18 +371,19 @@ class ACEDaemon(NotificationMixin):
 
     def _spawn(self, gen: Generator, tag: str) -> Process:
         proc = self.ctx.sim.process(self._guard(gen), name=f"{self.name}.{tag}")
-        self._child_procs.append(proc)
+        self._child_procs[proc] = None
         return proc
 
-    @staticmethod
-    def _guard(gen: Generator) -> Generator:
+    def _guard(self, gen: Generator) -> Generator:
         """Child threads die quietly on shutdown interrupts / host death /
-        closed queues; real bugs still crash loudly."""
+        closed queues, and leave ``_child_procs``; real bugs crash loudly."""
         try:
             result = yield from gen
             return result
         except (Interrupt, HostDownError, QueueClosed):
             return None
+        finally:
+            self._child_procs.pop(self.ctx.sim.active_process, None)
 
     def on_started(self) -> None:
         """Subclass hook: called once initialization completes."""

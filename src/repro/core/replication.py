@@ -15,7 +15,6 @@ from typing import Callable, Dict, Generator, Iterable, List, NamedTuple, Option
 
 from repro.lang import ACECmdLine
 from repro.net import Address
-from repro.net.host import HostDownError
 from repro.core.client import CallError
 from repro.core.policy import CallPolicy
 
@@ -169,8 +168,6 @@ class ReplicaMixin:
                 yield from self._sync_with(peer)
                 self.syncs_completed += 1
                 self._m_syncs.inc()
-            except HostDownError:
-                return  # our own host died; the daemon is gone
             except CallError:
                 continue
 

@@ -33,9 +33,8 @@ class ChaosController:
         self.net = net
         self.sim = net.sim
         self.plan = plan
-        #: daemon lookup for ``kill`` faults: a dict (e.g. ``env.daemons``,
-        #: consulted live so reincarnations are found) or a ``name ->
-        #: daemon`` callable
+        #: name -> daemon for ``kill`` faults (e.g. ``env.daemons``,
+        #: consulted live so reincarnations are found)
         self.daemons = daemons
         self.started_at: float = 0.0
         #: (sim_time, description) log of applied/healed faults
@@ -82,24 +81,15 @@ class ChaosController:
         self._note("heal", spec, host=host)
 
     def _run_kill(self, spec: FaultSpec) -> Generator:
-        name, kill = spec.params
-        if kill is None:
-            daemon = self._find_daemon(name)
-            if daemon is None:
-                self._note("skip", spec, daemon=name)
-                return
-            kill = daemon.kill
-        kill()
+        (name,) = spec.params
+        daemon = (self.daemons or {}).get(name)
+        if daemon is None:
+            self._note("skip", spec, daemon=name)
+            return
+        daemon.kill()
         self._note("inject", spec, daemon=name)
         return
         yield  # pragma: no cover — keeps this handler a generator
-
-    def _find_daemon(self, name: str):
-        if self.daemons is None:
-            return None
-        if callable(self.daemons):
-            return self.daemons(name)
-        return self.daemons.get(name)
 
     def _run_partition(self, spec: FaultSpec) -> Generator:
         (groups,) = spec.params

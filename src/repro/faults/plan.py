@@ -71,18 +71,12 @@ class FaultPlan:
         later, invoking ``relaunch()`` (e.g. to re-start its daemons)."""
         return self._add(FaultSpec("crash", at, restart_after, (host, relaunch)))
 
-    def kill_daemon(
-        self,
-        name: str,
-        at: float,
-        kill: Optional[Callable[[], None]] = None,
-    ) -> "FaultPlan":
+    def kill_daemon(self, name: str, at: float) -> "FaultPlan":
         """Abruptly kill one daemon (not its host): no deregistration, no
-        lease release — the supervision plane's detection target.  ``kill``
-        overrides the default action (the controller's daemon lookup +
-        ``.kill()``); the lookup resolves at fire time, so killing the same
-        name twice hits the *latest* incarnation."""
-        return self._add(FaultSpec("kill", at, None, (name, kill)))
+        lease release — the supervision plane's detection target.  The
+        controller looks the name up at fire time, so killing the same name
+        twice hits the *latest* incarnation."""
+        return self._add(FaultSpec("kill", at, None, (name,)))
 
     def partition(
         self, groups: Sequence[Sequence[str]], at: float, heal_after: float

@@ -20,7 +20,7 @@ from repro.lang.values import (
     Value, format_normalized, normalize_value, normalized_size,
 )
 
-_NAME_OK = re.compile(r"^[A-Za-z0-9_]+$")
+_NAME_OK = re.compile(r"[A-Za-z0-9_]+\Z")
 _intern = sys.intern
 
 #: the reserved argument carrying the repro.obs trace context (a WORD like

@@ -26,7 +26,7 @@ from typing import Any, Sequence, Tuple, Union
 
 from repro.lang.errors import ACELanguageError
 
-_WORD_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_WORD_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 # Word-shaped strings the lexer would read back as numbers ("42", "1e5"):
 # these must be quoted to survive the round trip as strings.
 _NUMERIC_AMBIGUOUS_RE = re.compile(r"^\d+(?:[eE]\d+)?$")

@@ -26,9 +26,10 @@ refusal on the RST return leg and mints the client's ephemeral port at
 the shape a refusing shard can reproduce — the SYN-NAK rides back one
 leg after SYN arrival and the port was already allocated sender-side.
 
-A stream endpoint dies with its host's incarnation here too: the shard
-that owns the host refuses a segment for a stale endpoint, and the reset
-rides back to the sender's shard as a ``CLOSE`` message with a reset flag.
+A stream endpoint dies with its host's incarnation here too: the owning
+shard refuses a segment for a stale endpoint (one its crash closed stays in
+the table for that), the reset rides back as a ``CLOSE`` with a reset flag,
+and the EOF for a peer of a still-down host is posted one lookahead early.
 
 Deviations from the single-kernel fabric (all fault-path only):
 
@@ -98,7 +99,8 @@ class BoundaryConnection(Connection):
 
     def _mark_closed(self) -> None:
         super()._mark_closed()
-        self.net._boundary_conns.pop(self.conn_id, None)
+        if self.epoch == self.host.epoch:   # a dead host's end stays to be fenced
+            self.net._boundary_conns.pop(self.conn_id, None)
 
 
 class BoundaryNetwork(Network):
@@ -335,12 +337,13 @@ class BoundaryNetwork(Network):
 
     def _arrive_stream_boundary(self, conn_id: str, payload: Any) -> None:
         conn = self._boundary_conns.get(conn_id)
-        if conn is None or conn.closed or not conn.host.up:
+        if conn is None or not conn.host.up:   # a live end leaves when it closes
             self.stats.dropped += 1
             return
         if conn.epoch != conn.host.epoch:
             # The owning shard fences a stale endpoint as the base fabric does.
             self.stats.dropped += 1
+            del self._boundary_conns[conn_id]
             conn._reset()
             return
         conn._enqueue(payload)
@@ -348,6 +351,12 @@ class BoundaryNetwork(Network):
     def _stream_close_notify(self, conn: Connection, reset: bool = False) -> None:
         if not isinstance(conn, BoundaryConnection):
             super()._stream_close_notify(conn, reset)
+            return
+        if not reset and conn.epoch != conn.host.epoch:
+            # The base fabric's rule, decided one lookahead early to land on time.
+            lead = self.compute_lookahead_row()[self.shard.shard_of(conn.remote.host)]
+            self.sim.timeout(self.connect_timeout - lead).callbacks.append(
+                lambda _ev: self._abort_dead(conn, lead))
             return
         dst_host = self.hosts.get(conn.remote.host)
         if dst_host is None or not self._reachable(conn.host, dst_host):
@@ -357,6 +366,10 @@ class BoundaryNetwork(Network):
         # stays one field
         data = (conn.conn_id, True) if reset else (conn.conn_id,)
         self.post(conn.remote.host, CLOSE, self.sim.now + lat, data)
+
+    def _abort_dead(self, conn: BoundaryConnection, lead: float) -> None:
+        if not conn.host.up and self._boundary_conns.pop(conn.conn_id, None) is not None:
+            self.post(conn.remote.host, CLOSE, self.sim.now + lead, (conn.conn_id,))
 
     def _arrive_close(self, conn_id: str, reset: bool = False) -> None:
         conn = self._boundary_conns.pop(conn_id, None)

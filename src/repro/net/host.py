@@ -10,7 +10,7 @@ window so the HRM/SRM (§4.1–4.2) can report meaningful load figures.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Any, Dict, Generator, Optional
 
 from repro.sim import Container, Resource, Simulator
 
@@ -54,6 +54,8 @@ class Host:
         self._busy_mark: Optional[float] = None
         self._window_start = 0.0
         self._epoch = 0  # bumped on each crash so stale work notices
+        #: what runs here (daemons, apps), in start order: a crash kills them
+        self.residents: Dict[Any, None] = {}
         # Gray-failure degradation: >1 means this host's NIC/stack is slower.
         self.latency_mult = 1.0
         self.bandwidth_mult = 1.0
@@ -68,13 +70,15 @@ class Host:
         return self._epoch
 
     def crash(self) -> None:
-        """Take the host down.  The network drops its traffic; daemons on it
-        stop making progress (their next ``execute`` raises)."""
+        """Take the host down and ``kill()`` what runs on it, in start
+        order; the network drops its traffic, and its streams die with it."""
         self._up = False
         self._epoch += 1
+        for resident in list(self.residents):
+            resident.kill()
 
     def restart(self) -> None:
-        """Bring a crashed host back (empty: daemons must be relaunched)."""
+        """Bring a crashed host back, empty: only a relaunch starts daemons."""
         self._up = True
         self._busy_accum = 0.0
         self._busy_mark = None

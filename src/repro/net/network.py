@@ -16,12 +16,12 @@ paper makes against centralized clusters (§8.1).
 
 Fault model
 -----------
-* ``Host.crash()`` — listeners and datagram sockets on the host are
-  closed; in-flight traffic to it is dropped at arrival time.  Established
-  streams die with the host's incarnation: while it is down a segment to
-  one is dropped (silence), and once it is back the segment is refused
-  with a reset, so a peer that held the connection sees EOF one latency
-  later and a parked reader on the stale end wakes to EOF.
+* ``Host.crash()`` — what runs on the host is killed and its sockets are
+  closed; in-flight traffic to it is dropped at arrival time.  A stream
+  endpoint dies with the host's incarnation and sends nothing on close:
+  a peer still waiting a connect timeout later sees EOF if the host is
+  still down, and once it is back a segment is refused with a reset (the
+  peer sees EOF one latency later, a reader on the stale end sees EOF).
 * ``set_partition(groups)`` — traffic between groups is dropped; connects
   across the cut raise ``ConnectionRefused`` after the connect timeout.
 * ``loss_rate`` — i.i.d. datagram loss from the ``net.loss`` RNG stream
@@ -342,11 +342,12 @@ class Network:
 
     def _arrive_stream(self, peer: Connection, payload: Any) -> None:
         host = peer.host
-        if not host.up or peer.closed:
+        stale = peer.epoch != host.epoch
+        if not host.up or (peer.closed and not stale):
             self.stats.dropped += 1
             return
-        if peer.epoch != host.epoch:
-            # An endpoint of the host's previous life: refused with a reset.
+        if stale:
+            # An endpoint of the host's previous life, closed or not: reset.
             self.stats.dropped += 1
             peer._reset()
             return
@@ -355,6 +356,11 @@ class Network:
     def _stream_close_notify(self, conn: Connection, reset: bool = False) -> None:
         peer = conn.peer
         if peer is None or peer.closed:
+            return
+        if not reset and conn.epoch != conn.host.epoch:
+            # A dead host sends nothing: EOF when a dial to it would fail.
+            self.sim.timeout(self.connect_timeout).callbacks.append(
+                lambda _ev: None if conn.host.up else peer._enqueue_close())
             return
         if not self._reachable(conn.host, peer.host):
             return  # peer never learns; it will discover on its own

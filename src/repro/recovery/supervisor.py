@@ -77,14 +77,20 @@ class SupervisorDaemon:
         if self.running:
             return self
         self.running = True
-        self.ctx.sim.process(self._watch_loop(), name=f"{self.name}.watch")
-        self.ctx.sim.process(
-            self._checkpoint_loop(), name=f"{self.name}.checkpoint"
-        )
+        self.host.residents[self] = None
+        self._loops = [
+            self.ctx.sim.process(self._watch_loop(), name=f"{self.name}.watch"),
+            self.ctx.sim.process(self._checkpoint_loop(), name=f"{self.name}.checkpoint"),
+        ]
         return self
 
-    def stop(self) -> None:
+    def kill(self) -> None:
+        """It dies with its wards' host; a ward's ``add_daemon`` restarts it."""
         self.running = False
+        self.host.residents.pop(self, None)
+        for proc in self._loops:
+            proc.defuse()   # the Interrupt is its death, not a bug
+            proc.interrupt("host down")
 
     def on_restart(self, callback: Callable) -> None:
         """Register a ``callback(old, new)`` run after each restart."""
@@ -204,11 +210,6 @@ class SupervisorDaemon:
             self.ctx.trace.emit(
                 now, self.name, "false-suspicion", service=name
             )
-            return
-        if not self.host.up:
-            # Whole-host crash: a dead host cannot run the reincarnation;
-            # host relaunch is the chaos plan / restart manager's job.
-            self.leases.grant(name, now)
             return
         yield from self._restart(name, daemon)
 

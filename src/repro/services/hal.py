@@ -62,7 +62,7 @@ class HostApplicationLauncherDaemon(ACEDaemon):
     def _on_app_exit(self, app: Application) -> None:
         """Emit ``appExited`` through our own dispatch so watcher services
         registered via addNotification hear about it (§5.2)."""
-        if not self.running or not self.host.up:
+        if not self.running:
             return
         from repro.lang import ACECmdLine
 

@@ -27,7 +27,6 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
 from repro.lang.command import RESERVED_ARGS, error_reply
 from repro.net import Address
-from repro.net.host import HostDownError
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
 from repro.core.replication import ReplicaMixin, wanted
@@ -365,11 +364,8 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
                 yield from self._flush_peer(peer)
 
     def _shutdown(self) -> Generator:
-        if self.running and self.batch_replication and self.host.up:
-            try:
-                yield from self._flush_all_pending()
-            except HostDownError:
-                pass
+        if self.running and self.batch_replication:
+            yield from self._flush_all_pending()
         yield from super()._shutdown()
 
     # ------------------------------------------------------------------

@@ -105,6 +105,39 @@ def test_crashed_service_purged_after_lease(ace_with_echo):
     assert "echo1" not in ace.asd.leases
 
 
+def test_a_crash_ends_the_old_incarnation_even_when_the_host_is_back_at_once(ace_with_echo):
+    """Leases purge a crashed service only if it stops renewing.  A host
+    that crashes and is back within one lease period runs nothing of its
+    earlier life: the old daemon never renews again, and the directory
+    drops its record within one lease duration plus one sweep."""
+    ace, echo = ace_with_echo
+    renewals = ace.ctx.obs.metrics.counter("daemon.echo1.lease_renewals")
+    sweep = ace.ctx.lease_duration * 0.25
+    crashed_at = ace.sim.now
+    ace.net.crash_host("bar")
+    renewed = renewals.value
+    ace.sim.run(until=crashed_at + 0.5)
+    ace.net.restart_host("bar")
+    ace.sim.run(until=crashed_at + ace.ctx.lease_duration + sweep)
+    assert renewals.value == renewed
+    assert "echo1" not in ace.asd.records
+    assert not echo.running and not echo._main_proc.is_alive
+    assert echo._child_procs == {}
+    assert echo not in echo.host.residents
+
+
+def test_a_crash_cuts_a_graceful_stop_short(ace_with_echo):
+    """A stop still deregistering when its host crashes ends with the host
+    instead of waiting out its call from a dead host."""
+    ace, echo = ace_with_echo
+    stop = echo.stop()
+    ace.sim.run(until=ace.sim.now + 1e-4)    # the deregister is in flight
+    ace.net.crash_host("bar")
+    ace.sim.run(until=ace.sim.now + 1e-4)
+    assert not stop.is_alive
+    assert echo not in echo.host.residents
+
+
 def test_live_service_stays_registered_across_many_leases(ace_with_echo):
     ace, echo = ace_with_echo
     ace.sim.run(until=ace.sim.now + ace.ctx.lease_duration * 5)

@@ -271,6 +271,23 @@ def test_a_dead_replica_costs_one_attempt_then_fails_over(ace_with_echo):
     assert discard.value == discards + 1
 
 
+def test_a_plain_call_to_a_crashed_host_fails_at_the_connect_timeout(ace_with_echo):
+    """A crash closes the daemon's end of a pooled channel without a word.
+    A call that waits on it fails when a dial to the down host would have
+    been refused, not at the plain policy's deadline."""
+    ace, echo = ace_with_echo
+    client = ace.client(principal="plain")
+    assert ace.run(_echo(client, echo.address, "warm")).get("by") == "echo1"
+    ace.net.crash_host("bar")
+
+    def lost():
+        with pytest.raises(TransportError):
+            yield from _echo(client, echo.address, "lost")
+
+    _, elapsed = _timed(ace, lost())
+    assert elapsed == pytest.approx(ace.net.connect_timeout, abs=1e-9)
+
+
 def test_the_pool_counts_a_connection_dropped_on_a_transport_error(ace_with_echo):
     ace, echo = ace_with_echo
     client = ace.client(principal="dropped")

@@ -190,6 +190,27 @@ def test_wire_size_positive_and_consistent(cmd):
     assert size == len(cmd.to_string().encode("utf-8")) > 0
 
 
+@given(words, names)
+@settings(max_examples=100, **SETTINGS)
+def test_a_trailing_newline_is_refused_or_round_trips(word, name):
+    """A word or name that ends in a newline is not a word or a name, so
+    it never prints bare: such a command is refused, or what it prints
+    parses back to it."""
+    builds = (
+        lambda: ACECmdLine("c", v=word + "\n"),
+        lambda: ACECmdLine(name + "\n"),
+        lambda: ACECmdLine("c", {name + "\n": word}),
+        lambda: ok_reply(ACECmdLine("c"), **{name + "\n": word}),
+    )
+    for build in builds:
+        try:
+            cmd = build()
+            text = cmd.to_string()
+        except ACELanguageError:
+            continue
+        assert parse_command(text) == cmd
+
+
 @pytest.mark.parametrize(
     "value", ["a\x00b", "tab\there", "two\nlines", "del\x7f", "\x1b[0m", ("ok", "bad\r")]
 )

@@ -369,10 +369,8 @@ def test_a_restarted_host_serves_new_connections():
     assert sim.run_process(client()) == ("echo", "hello")
 
 
-def test_the_owning_shard_fences_a_stale_boundary_endpoint():
-    """Across a shard boundary the host's owner refuses the segment and
-    the reset rides back as a close message; the sender's shard sees it
-    as a reset, the stale end's reader as EOF."""
+def _two_shards():
+    """alpha on shard 0, beta on shard 1, each shard with the full topology."""
     from repro.net.boundary import BoundaryNetwork
     from repro.sim.parallel import ShardContext
 
@@ -383,7 +381,26 @@ def test_the_owning_shard_fences_a_stale_boundary_endpoint():
         shard_net.make_host("alpha")
         shard_net.make_host("beta")
         nets.append(shard_net)
-    near, far = nets
+    return nets
+
+
+def _relay(near, far, until):
+    """Run both shards to ``until``, relaying the boundary by hand one
+    window (< the lookahead) at a time."""
+    step = near.lan_latency / 2
+    for k in range(1, round(until / step) + 1):
+        for shard_net in (near, far):
+            shard_net.sim.run(until=k * step)
+        for src, dst in ((near, far), (far, near)):
+            for messages in src.drain_outbox().values():
+                dst.inject(messages)
+
+
+def test_the_owning_shard_fences_a_stale_boundary_endpoint():
+    """Across a shard boundary the host's owner refuses the segment and
+    the reset rides back as a close message; the sender's shard sees it
+    as a reset, the stale end's reader as EOF."""
+    near, far = _two_shards()
     listener = far.listen(far.host("beta"), 5000)
     seen, outcome = [], {}
 
@@ -409,14 +426,74 @@ def test_the_owning_shard_fences_a_stale_boundary_endpoint():
 
     far.sim.process(zombie())
     near.sim.process(client())
-    # Relay the boundary by hand, one window (< the lookahead) at a time.
-    step = near.lan_latency / 2
-    for k in range(1, 2000):
-        for shard_net in nets:
-            shard_net.sim.run(until=k * step)
-        for src, dst in ((near, far), (far, near)):
-            for messages in src.drain_outbox().values():
-                dst.inject(messages)
+    _relay(near, far, 1999 * near.lan_latency / 2)
     assert seen == ["one", "eof"]
     assert "reset_at" in outcome
+    assert not far._boundary_conns and not near._boundary_conns
+
+
+def _crash_closes_the_far_end(near, far, restart):
+    """alpha holds a stream to beta; at 0.1 s beta crashes, and its crash
+    closes beta's end, as a resident's ``kill()`` does.  With ``restart``
+    beta is back at once and alpha sends again at 0.2 s.  Returns how
+    alpha's read ended, and when."""
+    listener = far.listen(far.host("beta"), 5000)
+    outcome = []
+
+    class Server:
+        """A resident of beta holding the far end."""
+
+        def kill(self):
+            self.conn.close()
+
+    server = Server()
+    far.host("beta").residents[server] = None
+
+    def accept():
+        server.conn = yield from listener.accept()
+
+    def crash():
+        yield far.sim.timeout(0.1)
+        far.crash_host("beta")
+        if restart:
+            far.restart_host("beta")
+
+    def client():
+        conn = yield from near.connect(near.host("alpha"), Address("beta", 5000))
+        yield near.sim.timeout(0.2)
+        if restart:
+            yield from conn.send("after-restart")
+        try:
+            yield from conn.recv()
+        except ConnectionClosed as exc:
+            outcome.append((type(exc), near.sim.now))
+
+    far.sim.process(accept())
+    far.sim.process(crash())
+    near.sim.process(client())
+    return outcome
+
+
+@pytest.mark.parametrize("restart", [False, True], ids=["still-down", "restarted-first"])
+def test_an_endpoint_its_crash_closed_ends_alike_on_one_kernel_and_two_shards(restart):
+    """A dead host's endpoint sends nothing when its crash closes it.  A
+    peer still waiting one connect timeout later sees EOF if the host is
+    still down; if the host came back first, the peer's next segment is
+    reset.  The owning shard of a 2-shard fabric gives the same ends at
+    the same instants."""
+    sim, net = make_net()
+    alone = _crash_closes_the_far_end(net, net, restart)
+    sim.run(until=1.5)
+    near, far = _two_shards()
+    sharded = _crash_closes_the_far_end(near, far, restart)
+    _relay(near, far, 1.5)
+
+    ((kind, at),) = alone
+    if restart:
+        assert kind is ConnectionReset
+        assert at == pytest.approx(0.2 + 2 * net.lan_latency, rel=0.05)
+    else:
+        assert kind is ConnectionClosed
+        assert at == pytest.approx(0.1 + net.connect_timeout, abs=1e-9)
+    assert [(k, pytest.approx(t, abs=1e-9)) for k, t in sharded] == alone
     assert not far._boundary_conns and not near._boundary_conns

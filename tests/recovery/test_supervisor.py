@@ -26,6 +26,36 @@ def build(seed=3, *, store_replicas=2, lease=2.0):
     return env, supervisors
 
 
+def test_a_crash_ends_everything_its_host_ran():
+    """A host that crashes and is back within one lease runs nothing of
+    its earlier epoch: its daemons, their threads, the apps they launched
+    and the host's supervisor all ended at the crash, and none of them
+    comes back unless something relaunches it."""
+    env, supervisors = build(store_replicas=0)
+    host = env.add_workstation("w1", room="lab")
+    env.run_for(1.0)
+    daemons = [env.daemons["hrm.w1"], env.daemons["hal.w1"]]
+    app = daemons[1].launch("idle")
+    supervisor = supervisors["w1"]
+    hrm, hal = daemons
+    assert list(host.residents) == [hrm, supervisor, hal, app]   # start order
+
+    env.net.crash_host("w1")
+    env.run_for(0.5)
+    env.net.restart_host("w1")
+    env.run_for(env.ctx.lease_duration + 1.0)
+
+    assert host.residents == {}
+    for daemon in daemons:
+        assert not daemon.running and not daemon._main_proc.is_alive
+        assert daemon._child_procs == {}
+        assert env.daemons[daemon.name] is daemon
+    assert (app.state.value, app.exit_reason) == ("crashed", "host down")
+    assert not supervisor.running
+    assert not any(proc.is_alive for proc in supervisor._loops)
+    assert supervisor.restarts == 0
+
+
 def test_kill_and_recover_roomdb():
     env, supervisors = build()
     client = env.client(env.daemons["asd"].host, principal="probe")

@@ -34,6 +34,26 @@ def test_write_replicates_to_all(store_env):
         assert obj is not None and obj.attrs["fullname"] == "John Doe"
 
 
+def test_a_replica_holds_only_its_live_children(store_env):
+    """Each replication push, command thread and notification is a child
+    of its daemon; once finished it is dropped, so a replica's children
+    are the ones still running, however many writes it has served."""
+    env = store_env
+    client = env.store_client(env.net.host("infra"))
+    replicas = [env.daemon(name) for name in ("ps1", "ps2", "ps3")]
+
+    def scenario():
+        for i in range(40):
+            yield from client.put(f"/k{i}", {"v": str(i)})
+
+    env.run(scenario())
+    env.run_for(0.5)
+    assert sum(replica.replications_sent for replica in replicas) >= 2 * 40
+    for replica in replicas:
+        assert all(proc.is_alive for proc in replica._child_procs)
+        assert len(replica._child_procs) < 20
+
+
 def test_read_from_any_replica(store_env):
     env = store_env
     client = env.store_client(env.net.host("infra"))

@@ -183,6 +183,7 @@ RETIRED_NAMES = frozenset({
     "invalidate_all", "checkpoint_eager", "_commit_barrier", "_checkpoint_now",
     "_span_stack", "_notify_client", "_notification_client", "_repl_client",
     "_replication_client", "_scrape_client", "_dial_call_close",
+    "_find_daemon",
 })
 
 #: deleted methods whose names other classes still define
@@ -200,6 +201,7 @@ RETIRED_METHODS = {
     ("repro.obs.cluster.snapshot", "ClusterSnapshot"): {"get"},
     ("repro.obs.tracer", "CriticalHop"): {"share"},
     ("repro.obs.tracer", "Tracer"): {"clear"},
+    ("repro.recovery.supervisor", "SupervisorDaemon"): {"stop"},
     ("repro.security.keynote", "Assertion"): {"wire_size"},
     ("repro.security.keynote", "ComplianceValue"): {"minimum", "maximum"},
     ("repro.security.keynote", "LicAnd"): {"principals"},
@@ -291,6 +293,30 @@ def test_a_daemon_joins_leaves_and_comes_back_one_way():
     for method, retired in RETIRED_PLANE_KEYWORDS.items():
         parameters = inspect.signature(getattr(ACEEnvironment, method)).parameters
         assert not retired & set(parameters), method
+
+
+def test_a_process_dies_one_way():
+    """A host's crash kills what runs on it, so no code outside ``net/``
+    reads ``self.host.up`` to guess whether it is a zombie, and only
+    ``Host.crash`` and the fault controller call a resident's ``kill()``."""
+    src = REPO / "src/repro"
+    guards, killers = [], set()
+    for path in sorted(src.rglob("*.py")):
+        where = str(path.relative_to(src))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "up"
+                    and getattr(node.value, "attr", None) == "host"
+                    and getattr(node.value.value, "id", None) == "self"
+                    and not where.startswith("net/")):
+                guards.append(f"{where}:{node.lineno}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "kill"):
+                killers.add(where)
+    assert guards == [], "zombie guards: " + ", ".join(guards)
+    assert killers == {"net/host.py", "faults/controller.py"}
+    # a kill fault names its daemon; the controller does the rest
+    from repro.faults import FaultPlan
+    assert list(inspect.signature(FaultPlan.kill_daemon).parameters) == ["self", "name", "at"]
 
 
 #: the seven hand-rolled subscribers `watch()` / `ClassWatch` replaced
