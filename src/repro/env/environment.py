@@ -32,13 +32,8 @@ from repro.core.client import ServiceClient
 from repro.core.context import DaemonContext, SecurityMode
 from repro.core.daemon import ACEDaemon
 from repro.env.users import UserIdentity
-from repro.obs.cluster import (
-    TelemetryAggregatorDaemon,
-    TelemetryPublisherDaemon,
-    default_slos,
-)
-from repro.obs.cluster.snapshot import BREAKER_LEVELS
-from repro.recovery import SupervisorDaemon
+from repro.obs.cluster import TelemetryPlane
+from repro.recovery import SupervisionPlane, SupervisorDaemon
 from repro.services.asd import DirectoryWatcherDaemon, ServiceDirectoryDaemon
 from repro.services.aud import UserDatabaseDaemon
 from repro.services.authdb import AuthorizationDatabaseDaemon
@@ -115,11 +110,9 @@ class ACEEnvironment:
         #: monotonic naming serial for store groups — hosts outlive a
         #: drained group, so re-added groups need fresh host names
         self._store_group_serial = 0
-        #: what enable_supervision() / enable_telemetry() recorded for
-        #: add_daemon to enrol by — (include, SupervisorDaemon kwargs) and
-        #: the push interval; None while the plane is off
-        self._supervision: Optional[Tuple[Optional[List[str]], dict]] = None
-        self._telemetry_interval: Optional[float] = None
+        #: the planes that are on, in the order they were enabled; each
+        #: has ``attach(daemon)`` and ``detach(daemon)``
+        self._planes: list = []
 
     @property
     def obs(self):
@@ -174,22 +167,16 @@ class ACEEnvironment:
         self._tiers[daemon.name] = tier
         if self._booted:
             daemon.start()
-        self._supervise(daemon)
-        self._publish_host(daemon.host)
+        for plane in self._planes:
+            plane.attach(daemon)
         return daemon
 
     def remove_daemon(self, daemon: ACEDaemon):
         """The one way a daemon leaves (the mirror of :meth:`add_daemon`):
-        off its supervisor's watch list, every telemetry scope registered
-        at its address dropped, stopped, out of the registry.  Returns the
-        stop process."""
-        supervisor = self.ctx.supervisors.get(daemon.host.name)
-        if supervisor is not None:
-            supervisor.unwatch(daemon.name)
-        address = f"{daemon.host.name}:{daemon.port}"
-        for key in list(self.ctx.obs.telemetry_scopes):
-            if key[1] == address:
-                self.ctx.obs.telemetry_scopes.pop(key)
+        off the planes, newest first, then stopped and out of the
+        registry.  Returns the stop process."""
+        for plane in reversed(self._planes):
+            plane.detach(daemon)
         self.daemons.pop(daemon.name, None)
         self._tiers.pop(daemon.name, None)
         return daemon.stop()
@@ -298,136 +285,40 @@ class ACEEnvironment:
         suspicion_window: Optional[float] = None,
         check_interval: float = 0.5,
         checkpoint_interval: float = 2.0,
-        include: Optional[List[str]] = None,
     ) -> Dict[str, SupervisorDaemon]:
-        """Turn on the self-healing supervision plane (E26).
-
-        Switches clients to idempotent retry stamping, configures
-        negative lookup caching so clients chasing a dead name back off
-        during the recovery window, and puts every daemon — those here
-        already and, through :meth:`add_daemon`, those still to come — on
-        a per-host :class:`~repro.recovery.SupervisorDaemon`.
-
-        ``include`` restricts supervision to the named daemons.  Returns
-        host name -> supervisor (the live ``ctx.supervisors``).
-        """
-        self.ctx.idempotent_retries = True
-        if self.ctx.lookup_cache is not None:
-            self.ctx.lookup_cache.negative_ttl = 0.5
-        self._supervision = (include, {
-            "suspicion_window": suspicion_window,
-            "check_interval": check_interval,
-            "checkpoint_interval": checkpoint_interval,
-        })
-        for daemon in self.daemons.values():
-            self._supervise(daemon)
+        """Turn on the self-healing supervision plane (E26,
+        :class:`~repro.recovery.SupervisionPlane`) for the daemons here
+        and those still to come.  Returns host name -> supervisor (the
+        live ``ctx.supervisors``)."""
+        self._enable(
+            SupervisionPlane(
+                self.ctx, self._adopt_restart,
+                suspicion_window=suspicion_window, check_interval=check_interval,
+                checkpoint_interval=checkpoint_interval,
+            ),
+            list(self.daemons.values()),
+        )
         return self.ctx.supervisors
 
-    def _supervise(self, daemon: ACEDaemon) -> None:
-        """Put ``daemon`` on its host's supervisor, minted and started on
-        the host's first ward.  The directory replicas and watcher are
-        exempt — they *are* the heartbeat substrate."""
-        if self._supervision is None or isinstance(
-            daemon, (ServiceDirectoryDaemon, DirectoryWatcherDaemon)
-        ):
-            return
-        include, settings = self._supervision
-        if include is not None and daemon.name not in include:
-            return
-        supervisor = self.ctx.supervisors.get(daemon.host.name)
-        if supervisor is None:
-            supervisor = SupervisorDaemon(self.ctx, daemon.host, **settings)
-            supervisor.on_restart(self._adopt_restart)
-        supervisor.watch(daemon)
-        supervisor.start()
-
     def enable_telemetry(self, *, interval: float = 1.0) -> ACEDaemon:
-        """Turn on the E27 cluster telemetry plane.
-
-        Adds one :class:`~repro.obs.cluster.TelemetryAggregatorDaemon`
-        (well-known telemetry port, ASD-registered, supervisable like any
-        daemon, :func:`~repro.obs.cluster.default_slos` scaled to the
-        interval) plus one per-host
-        :class:`~repro.obs.cluster.TelemetryPublisherDaemon` that
-        delta-pushes the host's metric scopes every ``interval`` seconds
-        (jittered) — for the hosts that run daemons now and, through
-        :meth:`add_daemon`, for those that will.  Returns the aggregator.
-        When telemetry stays off, none of this exists and the wire is
-        byte-identical to pre-E27 traffic.
-        """
+        """Turn on the E27 cluster telemetry plane
+        (:class:`~repro.obs.cluster.TelemetryPlane`), pushing every
+        ``interval`` seconds, for the hosts that run daemons now and those
+        that will.  Returns the aggregator.  When telemetry stays off,
+        none of it exists and the wire is byte-identical to pre-E27
+        traffic."""
         if "telemetry" in self.daemons:
             return self.daemons["telemetry"]
-        # Placed from the topology, not from the daemons this environment
-        # owns: every shard of a sharded run must name the same host.
-        if self.ctx.asd_address is not None:
-            aggregator_host = self.net.host(self.ctx.asd_address.host)
-        else:
-            aggregator_host = self.net.host(sorted(self.net.hosts)[0])
-        aggregator = self.add_daemon(
-            TelemetryAggregatorDaemon(
-                self.ctx, "telemetry", aggregator_host,
-                port=WellKnownPorts.TELEMETRY, interval=interval,
-                slos=default_slos(interval), topology_provider=self._topology,
-            ),
-            tier=_TIER_DATABASE,
-        )
-        self.ctx.telemetry_address = aggregator.address
+        plane = TelemetryPlane(self, interval=interval, tier=_TIER_DATABASE)
+        # publishers start in host-name order, whatever order hosts joined in
+        self._enable(plane, sorted(self.daemons.values(), key=lambda d: d.host.name))
+        return plane.aggregator
 
-        # The RPC plane's scope: breakers + RpcStats + client latency
-        # histogram don't live under one registry prefix, so a provider
-        # assembles them (published from the aggregator's host).
-        resilience = self.ctx.resilience
-        metrics = self.ctx.obs.metrics
-
-        def rpc_provider():
-            counters, gauges, histograms = metrics.export_scope("rpc.")
-            counters.update(resilience.stats.snapshot())
-            for address, state in resilience.breaker_states().items():
-                gauges[f"breaker.{address}"] = float(BREAKER_LEVELS.get(state, 0))
-            return counters, gauges, histograms
-
-        self.ctx.obs.register_scope(
-            "rpc", "rpc:0", aggregator_host.name, provider=rpc_provider
-        )
-
-        # One publisher per host that runs daemons (including the
-        # aggregator's own host — it is just another daemon to watch).
-        self._telemetry_interval = interval
-        hosts = {d.host.name: d.host for d in self.daemons.values()}
-        for host_name in sorted(hosts):
-            self._publish_host(hosts[host_name])
-        return aggregator
-
-    def _publish_host(self, host: Host) -> None:
-        """Make sure ``host`` has its telemetry publisher."""
-        if self._telemetry_interval is None or f"telem.{host.name}" in self.daemons:
-            return
-        self.add_daemon(
-            TelemetryPublisherDaemon(
-                self.ctx, f"telem.{host.name}", host,
-                interval=self._telemetry_interval,
-            ),
-            tier=_TIER_DATABASE,
-        )
-
-    def _topology(self) -> dict:
-        """Store groups, shard map and supervisors, as the aggregator
-        reports them in a ``ClusterSnapshot``."""
-        info = {
-            "store_groups": [
-                [d.name for d in group] for group in self._store_groups
-            ],
-            "supervisors": {
-                host_name: supervisor.snapshot()
-                for host_name, supervisor in sorted(self.ctx.supervisors.items())
-            },
-        }
-        if self._store_shard_map is not None:
-            info["shard_map"] = {
-                "groups": self._store_shard_map.groups,
-                "epoch": self._store_shard_map.epoch,
-            }
-        return info
+    def _enable(self, plane, present: List[ACEDaemon]) -> None:
+        """Put ``plane`` on the list and attach the daemons ``present``."""
+        self._planes.append(plane)
+        for daemon in present:
+            plane.attach(daemon)
 
     def _adopt_restart(self, old: ACEDaemon, new: ACEDaemon) -> None:
         """Supervisor restart hook: swap the reincarnation into every

@@ -16,8 +16,8 @@ notification plane, and serves the whole picture to operators as a
 :class:`~repro.obs.cluster.snapshot.ClusterSnapshot`
 (``python -m repro.obs.status``).
 
-Everything rides the existing wire protocol (``obsPush``/``obsScrape``/
-``obsAlert`` commands with :mod:`repro.lang.wire` encoded rows); with
+Everything rides the existing wire protocol (``obsPush``/``obsAlert``
+commands with :mod:`repro.lang.wire` encoded rows); with
 telemetry off nothing here is constructed and the wire is
 byte-identical to pre-E27 traffic.
 """
@@ -36,7 +36,7 @@ from repro.obs.cluster.merge import (
     encode_scope,
     merge_histograms,
 )
-from repro.obs.cluster.publisher import TelemetryPublisherDaemon
+from repro.obs.cluster.publisher import TelemetryPlane, TelemetryPublisherDaemon
 from repro.obs.cluster.aggregator import TelemetryAggregatorDaemon
 from repro.obs.cluster.slo import SLOEngine, SLOSpec, default_slos
 from repro.obs.cluster.snapshot import ClusterSnapshot
@@ -49,6 +49,7 @@ __all__ = [
     "SLOSpec",
     "ScopeSnapshot",
     "TelemetryAggregatorDaemon",
+    "TelemetryPlane",
     "TelemetryPublisherDaemon",
     "alert_from_command",
     "alert_from_payload",

@@ -7,8 +7,7 @@ gets ``resync=1`` on its next push and re-sends full snapshots, so the
 blind spot is bounded by one push interval).
 
 State is the series map ``(service, address, incarnation) ->
-ScopeSnapshot``, fed by ``obsPush`` deltas with an ``obsScrape`` pull
-fallback for hosts whose pushes go stale.  On top of it:
+ScopeSnapshot``, fed by ``obsPush`` deltas.  On top of it:
 
 * **rollups** — exact cross-daemon histogram merges (identical bounds,
   summed buckets) for cluster p50/p95/p99, with trace-exemplar ids
@@ -25,8 +24,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request
-from repro.core.policy import CallPolicy
-from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
+from repro.lang import ArgSpec, ArgType, CommandSemantics
 from repro.net import Address
 from repro.obs.cluster.merge import (
     MODE_DELTA,
@@ -40,6 +38,9 @@ from repro.obs.cluster.merge import (
 from repro.obs.cluster.alerts import alert_to_command
 from repro.obs.cluster.slo import SLOEngine, SLOSpec, split_histogram
 
+#: a series is fresh while its last push is under this many intervals old
+STALE_FACTOR = 1.5
+
 
 class TelemetryAggregatorDaemon(ACEDaemon):
     """Collects per-daemon metric scopes into cluster-wide rollups."""
@@ -47,21 +48,19 @@ class TelemetryAggregatorDaemon(ACEDaemon):
     service_type = "TelemetryAggregator"
 
     def __init__(self, ctx, name, host, *, interval: float = 1.0,
-                 stale_factor: float = 1.5, slos: Tuple[SLOSpec, ...] = (),
-                 topology_provider=None, **kwargs):
+                 slos: Tuple[SLOSpec, ...] = (), topology_provider=None,
+                 **kwargs):
         kwargs.setdefault("authorize_commands", False)  # infrastructure plane
         super().__init__(ctx, name, host, **kwargs)
         self.interval = interval
-        #: how stale a host's push stream may get before we scrape it
-        self.stale_after = stale_factor * interval
+        self.stale_after = STALE_FACTOR * interval
         self.slo_engine = SLOEngine(slos)
         #: (service, address, incarnation) -> latest merged snapshot
         self.series: Dict[Tuple[str, str, int], ScopeSnapshot] = {}
         self.last_seen: Dict[Tuple[str, str, int], float] = {}
-        #: publisher host name -> (publisher address, last push seq)
+        #: publisher host name -> publisher address
         self.publishers: Dict[str, Address] = {}
         self._pub_seq: Dict[str, int] = {}
-        self.last_push: Dict[str, float] = {}
         self.alerts: List[dict] = []
         #: optional in-process callable returning topology facts (shard
         #: map, store groups, supervisors) for ClusterSnapshot
@@ -70,7 +69,6 @@ class TelemetryAggregatorDaemon(ACEDaemon):
         self._m_pushes = metrics.counter("telemetry.pushes")
         self._m_rows = metrics.counter("telemetry.rows")
         self._m_resyncs = metrics.counter("telemetry.resyncs")
-        self._m_scrapes = metrics.counter("telemetry.scrapes")
         self._m_alerts = metrics.counter("telemetry.alerts")
         self._m_series = metrics.gauge("telemetry.series")
 
@@ -98,10 +96,9 @@ class TelemetryAggregatorDaemon(ACEDaemon):
 
     def on_started(self) -> None:
         self._spawn(self._eval_loop(), "slo")
-        self._spawn(self._scrape_loop(), "scrape")
 
     # ------------------------------------------------------------------
-    # Ingest: push + scrape fallback
+    # Ingest
     # ------------------------------------------------------------------
     def _apply(self, decoded, now: float) -> int:
         """Apply decoded (mode, snapshot) pairs; returns resync flag."""
@@ -143,44 +140,11 @@ class TelemetryAggregatorDaemon(ACEDaemon):
         if expected is not None and seq != expected + 1:
             resync = 1  # gap: deltas were lost in between
         self._pub_seq[host] = seq
-        self.last_push[host] = now
         self._m_pushes.inc()
         self._m_rows.inc(len(cmd.get("scopes") or ()))
         if resync:
             self._m_resyncs.inc()
         return {"resync": resync}
-
-    def _scrape_loop(self) -> Generator:
-        """Pull fallback: scrape publishers whose push stream went stale."""
-        sim = self.ctx.sim
-        policy = CallPolicy(
-            deadline=self.interval, attempt_timeout=self.interval / 2,
-            max_attempts=2, breaker_threshold=0,
-        )
-        while self.running:
-            yield sim.timeout(self.interval)
-            stale = [
-                host for host, at in self.last_push.items()
-                if sim.now - at > self.stale_after
-            ]
-            for host in stale:
-                if not self.running:
-                    return
-                try:
-                    reply = yield from self.client.call(
-                        self.publishers[host], ACECmdLine("obsScrape"),
-                        policy=policy,
-                    )
-                except CallError:
-                    continue
-                rows = reply.get("scopes") or ()
-                if rows:
-                    try:
-                        self._apply(decode_scopes(rows), sim.now)
-                    except (MergeError, ValueError):
-                        continue
-                    self.last_push[host] = sim.now
-                    self._m_scrapes.inc()
 
     # ------------------------------------------------------------------
     # Rollups

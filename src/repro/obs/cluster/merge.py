@@ -4,7 +4,7 @@ The unit of transfer is the *scope snapshot*: every instrument under one
 :class:`~repro.obs.TelemetryScope`, captured with values frozen, keyed by
 ``(service, address, incarnation)``.  Snapshots encode to ``|``-escaped
 :mod:`repro.lang.wire` rows carried as a VECTOR argument of the
-``obsPush``/``obsScrape`` commands:
+``obsPush`` command:
 
 * ``S|service|address|incarnation|mode`` — scope header
   (``full``/``delta``/``same``; ``same`` is a header-only heartbeat)

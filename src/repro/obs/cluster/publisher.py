@@ -1,4 +1,5 @@
-"""Per-host telemetry publisher: delta push + scrape endpoint.
+"""Per-host telemetry publisher (delta push), and the telemetry plane that
+places the aggregator and gives every host that runs daemons its publisher.
 
 One :class:`TelemetryPublisherDaemon` runs on every host that runs
 daemons.  On a jittered interval it captures the host's registered
@@ -10,10 +11,6 @@ aggregator replies ``resync=1`` when it cannot apply a delta (it
 restarted, or missed pushes across a partition); the publisher then
 forgets its ack state and the very next push carries full snapshots —
 which bounds the post-failure blind spot to about one push interval.
-
-``obsScrape`` is the pull fallback: it returns full scope snapshots and
-is side-effect free, so the aggregator can scrape hosts whose pushes
-have gone stale without disturbing the delta stream.
 """
 
 from __future__ import annotations
@@ -21,9 +18,11 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.client import CallError
-from repro.core.daemon import ACEDaemon, Request
+from repro.core.daemon import ACEDaemon
 from repro.core.policy import CallPolicy
-from repro.lang import ACECmdLine, ArgSpec, ArgType, CommandSemantics
+from repro.lang import ACECmdLine
+from repro.net.address import WellKnownPorts
+from repro.obs.cluster.aggregator import TelemetryAggregatorDaemon
 from repro.obs.cluster.merge import (
     MODE_DELTA,
     MODE_FULL,
@@ -31,6 +30,8 @@ from repro.obs.cluster.merge import (
     ScopeSnapshot,
     encode_scope,
 )
+from repro.obs.cluster.slo import default_slos
+from repro.obs.cluster.snapshot import BREAKER_LEVELS
 
 #: push RPC budget: strictly best-effort, never longer than one interval,
 #: breaker disabled so telemetry cannot poison the shared breaker table
@@ -72,12 +73,6 @@ class TelemetryPublisherDaemon(ACEDaemon):
             "seq": self._seq,
         }
 
-    def build_semantics(self, sem: CommandSemantics) -> None:
-        sem.define(
-            "obsScrape",
-            description="pull full telemetry scope snapshots for this host",
-        )
-
     def on_started(self) -> None:
         self._spawn(self._push_loop(), "push")
 
@@ -103,14 +98,6 @@ class TelemetryPublisherDaemon(ACEDaemon):
             self._bases[scope.key] = (scope.incarnation, base, raw)
             out.append(raw.rebase(base) if base is not None else raw)
         return out
-
-    def cmd_obsScrape(self, request: Request) -> dict:
-        rows: List[str] = []
-        for snap in self._capture():
-            rows.extend(encode_scope(snap, MODE_FULL))
-        if not rows:
-            return {"count": 0}
-        return {"count": len(rows), "scopes": tuple(rows)}
 
     # ------------------------------------------------------------------
     # Delta push loop
@@ -169,3 +156,93 @@ class TelemetryPublisherDaemon(ACEDaemon):
                 self.resyncs += 1
             else:
                 self._acked.update(pending)
+
+
+class TelemetryPlane:
+    """The cluster telemetry plane as the environment's lifecycle sees it.
+
+    Construction places one :class:`TelemetryAggregatorDaemon` (well-known
+    telemetry port, ASD-registered, supervisable like any daemon,
+    :func:`~repro.obs.cluster.slo.default_slos` scaled to the interval)
+    and registers the RPC plane's scope on its host.  ``attach`` gives the
+    host of every daemon that joins its publisher, which delta-pushes the
+    host's metric scopes every ``interval`` seconds (jittered); ``detach``
+    drops every scope at the leaving daemon's address, and the host's
+    publisher leaves with the host's last other daemon.  Daemons join at
+    boot ``tier``."""
+
+    def __init__(self, env, *, interval: float, tier: int):
+        self.env = env
+        self.interval = interval
+        self.tier = tier
+        ctx = env.ctx
+        # Placed from the topology, not from the daemons this environment
+        # owns: every shard of a sharded run must name the same host.
+        if ctx.asd_address is not None:
+            host = env.net.host(ctx.asd_address.host)
+        else:
+            host = env.net.host(sorted(env.net.hosts)[0])
+        self.aggregator = env.add_daemon(
+            TelemetryAggregatorDaemon(
+                ctx, "telemetry", host, port=WellKnownPorts.TELEMETRY,
+                interval=interval, slos=default_slos(interval),
+                topology_provider=self._topology,
+            ),
+            tier=tier,
+        )
+        ctx.telemetry_address = self.aggregator.address
+
+        # The RPC plane's scope: breakers + RpcStats + client latency
+        # histogram don't live under one registry prefix, so a provider
+        # assembles them (published from the aggregator's host).
+        resilience = ctx.resilience
+        metrics = ctx.obs.metrics
+
+        def rpc_provider():
+            counters, gauges, histograms = metrics.export_scope("rpc.")
+            counters.update(resilience.stats.snapshot())
+            for address, state in resilience.breaker_states().items():
+                gauges[f"breaker.{address}"] = float(BREAKER_LEVELS.get(state, 0))
+            return counters, gauges, histograms
+
+        ctx.obs.register_scope("rpc", "rpc:0", host.name, provider=rpc_provider)
+
+    def attach(self, daemon: ACEDaemon) -> None:
+        name = f"telem.{daemon.host.name}"
+        if name not in self.env.daemons:
+            self.env.add_daemon(
+                TelemetryPublisherDaemon(
+                    self.env.ctx, name, daemon.host, interval=self.interval,
+                ),
+                tier=self.tier,
+            )
+
+    def detach(self, daemon: ACEDaemon) -> None:
+        obs = self.env.ctx.obs
+        address = f"{daemon.host.name}:{daemon.port}"
+        for key in [key for key in obs.telemetry_scopes if key[1] == address]:
+            obs.telemetry_scopes.pop(key)
+        publisher = self.env.daemons.get(f"telem.{daemon.host.name}")
+        if publisher is None or publisher is daemon:
+            return
+        if not any(d.host is daemon.host and d is not daemon and d is not publisher
+                   for d in self.env.daemons.values()):
+            self.env.remove_daemon(publisher)
+
+    def _topology(self) -> dict:
+        """Store groups, shard map and supervisors, as the aggregator
+        reports them in a ``ClusterSnapshot``."""
+        env = self.env
+        info = {
+            "store_groups": [[d.name for d in group] for group in env._store_groups],
+            "supervisors": {
+                host_name: supervisor.snapshot()
+                for host_name, supervisor in sorted(env.ctx.supervisors.items())
+            },
+        }
+        if env._store_shard_map is not None:
+            info["shard_map"] = {
+                "groups": env._store_shard_map.groups,
+                "epoch": env._store_shard_map.epoch,
+            }
+        return info

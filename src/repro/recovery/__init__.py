@@ -35,6 +35,10 @@ retry into a **replay** instead of a re-execution: exactly-once across
 the restart.
 """
 
-from repro.recovery.supervisor import CHECKPOINT_PREFIX, SupervisorDaemon
+from repro.recovery.supervisor import (
+    CHECKPOINT_PREFIX,
+    SupervisionPlane,
+    SupervisorDaemon,
+)
 
-__all__ = ["CHECKPOINT_PREFIX", "SupervisorDaemon"]
+__all__ = ["CHECKPOINT_PREFIX", "SupervisionPlane", "SupervisorDaemon"]

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, Optional
 
 from repro.core.client import CallError
 from repro.core.leases import LeaseTable
+from repro.services.asd import DirectoryWatcherDaemon, ServiceDirectoryDaemon
 from repro.services.base import Checkpointable
 
 #: store path prefix for durable daemon checkpoints
 CHECKPOINT_PREFIX = "/recovery/checkpoints"
+
+#: (service, address) of the plane's one telemetry scope
+RECOVERY_SCOPE = ("recovery", "recovery:0")
 
 #: MTTR histogram bounds, milliseconds
 _MTTR_BOUNDS = (100.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0)
@@ -28,7 +32,8 @@ class SupervisorDaemon:
     daemons and lease batchers on the host find it with one dict lookup.
     """
 
-    def __init__(self, ctx, host, *, suspicion_window: Optional[float] = None,
+    def __init__(self, ctx, host, *, adopt: Callable,
+                 suspicion_window: Optional[float] = None,
                  check_interval: float = 0.5, checkpoint_interval: float = 2.0):
         self.ctx = ctx
         self.host = host
@@ -49,8 +54,8 @@ class SupervisorDaemon:
         self.restarts = 0
         self.suspicions = 0
         self.false_suspicions = 0
-        #: ``callback(old_daemon, new_daemon)`` after each restart
-        self._on_restart: List[Callable] = []
+        #: ``adopt(old_daemon, new_daemon)`` after each restart
+        self.adopt = adopt
         self._last_beat: Dict[str, float] = {}
         self._checkpoints: Dict[str, Dict[str, str]] = {}
         self._store = None
@@ -62,12 +67,7 @@ class SupervisorDaemon:
         self._m_persisted = metrics.counter("recovery.checkpoints_persisted")
         self._m_mttr = metrics.histogram("recovery.mttr_ms", _MTTR_BOUNDS)
         metrics.register_view(f"recovery.{host.name}", self.snapshot)
-        # ``recovery.*`` instruments are shared across all supervisors, so
-        # the plane exports exactly one telemetry scope (last registration
-        # wins — same instruments either way) feeding the MTTR-budget SLO.
-        ctx.obs.register_scope(
-            "recovery", "recovery:0", host.name, prefix="recovery.",
-        )
+        self.export_scope()
         ctx.supervisors[host.name] = self
 
     # ------------------------------------------------------------------
@@ -84,17 +84,23 @@ class SupervisorDaemon:
         ]
         return self
 
+    def export_scope(self) -> None:
+        """Publish the plane's one telemetry scope, feeding the MTTR-budget
+        SLO, from this host.  ``recovery.*`` instruments are shared across
+        all supervisors, so the last registration wins with the same
+        numbers."""
+        self.ctx.obs.register_scope(
+            *RECOVERY_SCOPE, self.host.name, prefix="recovery.",
+        )
+
     def kill(self) -> None:
-        """It dies with its wards' host; a ward's ``add_daemon`` restarts it."""
+        """It dies with its wards' host (a ward's ``add_daemon`` restarts
+        it) or when the plane takes its last ward away."""
         self.running = False
         self.host.residents.pop(self, None)
         for proc in self._loops:
             proc.defuse()   # the Interrupt is its death, not a bug
             proc.interrupt("host down")
-
-    def on_restart(self, callback: Callable) -> None:
-        """Register a ``callback(old, new)`` run after each restart."""
-        self._on_restart.append(callback)
 
     # ------------------------------------------------------------------
     # Watching & heartbeats
@@ -249,8 +255,7 @@ class SupervisorDaemon:
             incarnation=incarnation, restored=restored,
             mttr_ms=round(mttr_ms, 3),
         )
-        for callback in list(self._on_restart):
-            callback(daemon, replacement)
+        self.adopt(daemon, replacement)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, float]:
@@ -261,3 +266,53 @@ class SupervisorDaemon:
             "false_suspicions": self.false_suspicions,
             "checkpoints": len(self._checkpoints),
         }
+
+
+class SupervisionPlane:
+    """The supervision plane as the environment's lifecycle sees it: a
+    daemon that joins goes on its host's :class:`SupervisorDaemon`, minted
+    and started on the host's first ward, and one that leaves comes off
+    it.  The directory replicas and watcher are exempt — they *are* the
+    heartbeat substrate.
+
+    Turning the plane on switches clients to idempotent retry stamping and
+    negative lookup caching, so a client chasing a dead name backs off
+    during the recovery window.  ``adopt(old, new)`` runs after each
+    restart; ``settings`` go to every supervisor."""
+
+    def __init__(self, ctx, adopt: Callable, **settings):
+        self.ctx = ctx
+        self.adopt = adopt
+        self.settings = settings
+        ctx.idempotent_retries = True
+        if ctx.lookup_cache is not None:
+            ctx.lookup_cache.negative_ttl = 0.5
+
+    def attach(self, daemon) -> None:
+        if isinstance(daemon, (ServiceDirectoryDaemon, DirectoryWatcherDaemon)):
+            return
+        supervisor = self.ctx.supervisors.get(daemon.host.name)
+        if supervisor is None:
+            supervisor = SupervisorDaemon(
+                self.ctx, daemon.host, adopt=self.adopt, **self.settings
+            )
+        supervisor.watch(daemon)
+        supervisor.start()
+
+    def detach(self, daemon) -> None:
+        """Unwatch ``daemon``; a supervisor left with no ward is killed and
+        forgotten, and a survivor takes over the plane's scope if the
+        emptied host published it."""
+        supervisors = self.ctx.supervisors
+        supervisor = supervisors.get(daemon.host.name)
+        if supervisor is None:
+            return
+        supervisor.unwatch(daemon.name)
+        if supervisor.watched:
+            return
+        if supervisor.running:
+            supervisor.kill()
+        del supervisors[daemon.host.name]
+        scope = self.ctx.obs.telemetry_scopes[RECOVERY_SCOPE]
+        if supervisors and scope.host == daemon.host.name:
+            list(supervisors.values())[-1].export_scope()

@@ -1,12 +1,15 @@
 """One life cycle: a daemon joins through ``add_daemon`` (and reaches the
-planes whether it arrives before they are enabled or after), and comes
-back through ``ACEDaemon.respawn`` built the way its corpse was."""
+planes whether it arrives before they are enabled or after), leaves
+through ``remove_daemon`` (and the planes leave an emptied host with it),
+and comes back through ``ACEDaemon.respawn`` built the way its corpse
+was."""
 
 import pytest
 
 from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
 from repro.obs.cluster import ClusterSnapshot, TelemetryPublisherDaemon
+from repro.recovery.supervisor import RECOVERY_SCOPE
 from repro.services.asd import ServiceDirectoryDaemon
 from repro.store.server import PersistentStoreDaemon
 from tests.core.conftest import EchoDaemon
@@ -34,12 +37,22 @@ def booted(seed=5):
     return env
 
 
-def enable_planes(env, include=None):
-    env.enable_supervision(
-        suspicion_window=SUSPICION, check_interval=0.25,
-        checkpoint_interval=1.0, include=include,
-    )
-    env.enable_telemetry(interval=0.5)
+#: which planes are on, in the order every caller enables them
+PLANES = {
+    "all": ("supervision", "telemetry"),
+    "supervision": ("supervision",),
+    "telemetry": ("telemetry",),
+}
+
+
+def enable_planes(env, planes=PLANES["all"]):
+    if "supervision" in planes:
+        env.enable_supervision(
+            suspicion_window=SUSPICION, check_interval=0.25,
+            checkpoint_interval=1.0,
+        )
+    if "telemetry" in planes:
+        env.enable_telemetry(interval=0.5)
 
 
 def plane_membership(env):
@@ -52,12 +65,11 @@ def plane_membership(env):
     return wards, publishers
 
 
-@pytest.mark.parametrize("include", [None, ["roomdb", "hal.lab1"]],
-                         ids=["all", "include"])
+@pytest.mark.parametrize("planes", sorted(PLANES))
 @pytest.mark.parametrize("route", sorted(GROWTH))
-def test_late_joiners_reach_the_planes(route, include):
+def test_late_joiners_reach_the_planes(route, planes):
     late = booted()
-    enable_planes(late, include)
+    enable_planes(late, PLANES[planes])
     before = set(late.daemons)
     GROWTH[route](late)
 
@@ -66,22 +78,46 @@ def test_late_joiners_reach_the_planes(route, include):
             if not isinstance(d, TelemetryPublisherDaemon)]
     for daemon in newcomers:
         supervisor = late.ctx.supervisors.get(daemon.host.name)
-        exempt = isinstance(daemon, ServiceDirectoryDaemon) or (
-            include is not None and daemon.name not in include)
+        exempt = (isinstance(daemon, ServiceDirectoryDaemon)
+                  or "supervision" not in PLANES[planes])
         watched = supervisor is not None and daemon.name in supervisor.watched
         assert watched is not exempt, daemon.name
         if supervisor is not None:
             assert supervisor.running
     wards, publishers = plane_membership(late)
     for host in {d.host.name for d in newcomers}:
-        assert publishers.count((f"telem.{host}", host)) == 1
+        assert publishers.count((f"telem.{host}", host)) == \
+            ("telemetry" in PLANES[planes])
 
     # ...and that is exactly what the same topology looks like when it is
     # grown first and the planes are switched on afterwards.
     early = booted()
     GROWTH[route](early)
-    enable_planes(early, include)
+    enable_planes(early, PLANES[planes])
     assert (wards, publishers) == plane_membership(early)
+
+
+def test_a_drained_host_is_left_empty():
+    """The planes leave a host with its last daemon: once a store group is
+    drained, its hosts run no publisher and no supervisor, and the
+    supervision plane's scope is still published from a live host."""
+    env = booted()
+    enable_planes(env)
+    # the group grown last hosts the newest supervisors, so the plane's
+    # scope is published from one of its hosts until the drain
+    hosts = [d.host for d in env.add_store_group()]
+    env.run_for(5.0)
+    assert env.ctx.obs.telemetry_scopes[RECOVERY_SCOPE].host == hosts[-1].name
+    env.drain_store_group()
+    env.run_for(15.0)
+
+    supervisors = env.ctx.supervisors
+    for host in hosts:
+        assert host.residents == {}, host.name
+        assert f"telem.{host.name}" not in env.daemons
+        assert host.name not in supervisors or not supervisors[host.name].running
+    recovery = env.ctx.obs.telemetry_scopes[RECOVERY_SCOPE]
+    assert f"telem.{recovery.host}" in env.daemons
 
 
 def loaded():

@@ -197,7 +197,6 @@ def test_false_suspicion_during_partition_spawns_no_second_incarnation():
     env.boot()
     supervisors = env.enable_supervision(
         suspicion_window=SUSPICION, check_interval=0.25,
-        include=["hrm.ws1", "hal.ws1"],
     )
     sup = supervisors["ws1"]
     daemon = env.daemons["hrm.ws1"]

@@ -51,6 +51,7 @@ def test_late_replica_pulls_existing_records():
 
 def test_retire_follower_shrinks_group_and_stops_daemon():
     env, _ = build(asd_replicas=3)
+    env.enable_telemetry(interval=0.5)
     before = env.ctx.directory_addresses()
     assert len(before) == 3
 
@@ -61,8 +62,10 @@ def test_retire_follower_shrinks_group_and_stops_daemon():
     assert victim.address not in after
     assert victim.name not in env.daemons and victim.name not in env._tiers
     assert not victim.running
+    # the telemetry plane dropped its scopes, and its host's publisher
     assert not [key for key in env.ctx.obs.telemetry_scopes
                 if key[1] == f"{victim.host.name}:{victim.port}"]
+    assert f"telem.{victim.host.name}" not in env.daemons
     # Survivors dropped it from their replication group.
     for name in ("asd", "asd2"):
         assert victim.address not in env.daemons[name].group

@@ -17,6 +17,7 @@ def build(seed=23, *, groups=2, replicas=2):
 def test_drain_moves_all_data_to_survivors():
     env = build()
     env.enable_supervision(suspicion_window=2.5, check_interval=0.25)
+    env.enable_telemetry(interval=0.5)
     sc = env.store_client(env.daemons["asd"].host, principal="writer")
     for i in range(30):
         env.run(sc.put(f"/d/obj{i:02d}", {"v": str(i)}))
@@ -30,12 +31,14 @@ def test_drain_moves_all_data_to_survivors():
     assert env._store_shard_map.groups == 1
     assert len(env._store_groups) == 1
     # remove_daemon took everything with it: registry, tier, the host
-    # supervisor's ward, and *every* telemetry scope at the address
-    # (daemon.<name> and store.<name>), so no publisher reports a dead store.
+    # supervisor's ward (the supervisor itself goes with its last ward),
+    # and *every* telemetry scope at the address (daemon.<name> and
+    # store.<name>), so no publisher reports a dead store.
     for daemon in drained:
         assert not daemon.running
         assert daemon.name not in env.daemons and daemon.name not in env._tiers
-        assert daemon.name not in env.ctx.supervisors[daemon.host.name].watched
+        supervisor = env.ctx.supervisors.get(daemon.host.name)
+        assert supervisor is None or daemon.name not in supervisor.watched
         assert not [key for key in env.ctx.obs.telemetry_scopes
                     if key[1] == f"{daemon.host.name}:{daemon.port}"]
 

@@ -183,7 +183,8 @@ RETIRED_NAMES = frozenset({
     "invalidate_all", "checkpoint_eager", "_commit_barrier", "_checkpoint_now",
     "_span_stack", "_notify_client", "_notification_client", "_repl_client",
     "_replication_client", "_scrape_client", "_dial_call_close",
-    "_find_daemon",
+    "_find_daemon", "cmd_obsScrape", "_scrape_loop", "stale_factor",
+    "last_push",
 })
 
 #: deleted methods whose names other classes still define
@@ -201,7 +202,7 @@ RETIRED_METHODS = {
     ("repro.obs.cluster.snapshot", "ClusterSnapshot"): {"get"},
     ("repro.obs.tracer", "CriticalHop"): {"share"},
     ("repro.obs.tracer", "Tracer"): {"clear"},
-    ("repro.recovery.supervisor", "SupervisorDaemon"): {"stop"},
+    ("repro.recovery.supervisor", "SupervisorDaemon"): {"stop", "on_restart"},
     ("repro.security.keynote", "Assertion"): {"wire_size"},
     ("repro.security.keynote", "ComplianceValue"): {"minimum", "maximum"},
     ("repro.security.keynote", "LicAnd"): {"principals"},
@@ -241,14 +242,18 @@ def test_retired_names_stay_retired():
     assert "notification" not in inspect.signature(CommandSemantics.define).parameters
 
 
-#: the late-join hooks `add_daemon` replaced
-RETIRED_HOOKS = frozenset({"_supervise_if_enabled", "_publish_host_if_telemetry"})
+#: the per-plane hooks the environment's list of planes replaced
+RETIRED_HOOKS = frozenset({
+    "_supervise_if_enabled", "_publish_host_if_telemetry", "_supervise",
+    "_publish_host",
+})
 
 #: plane options that were constants in every caller (EXPERIMENTS.md
 #: §Retired controls)
 RETIRED_PLANE_KEYWORDS = {
     "enable_supervision": {
-        "checkpoint_to_store", "negative_ttl", "idempotent_retries", "exclude"},
+        "checkpoint_to_store", "negative_ttl", "idempotent_retries", "exclude",
+        "include"},
     "enable_telemetry": {"jitter", "slos", "aggregator_host", "port"},
     "enable_autoscaling": {
         "host", "max_store_groups", "max_asd_replicas", "max_pool",
@@ -263,14 +268,18 @@ def test_a_daemon_joins_leaves_and_comes_back_one_way():
     from repro.env import ACEEnvironment
 
     found = _spellings(RETIRED_HOOKS, ("src", "tests", "benchmarks", "examples"))
-    assert found == [], "late-join hooks in use:\n" + "\n".join(found)
+    assert found == [], "per-plane hooks in use:\n" + "\n".join(found)
 
-    tree = ast.parse((REPO / "src/repro/env/environment.py").read_text())
-    built = [node.func.id for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
-    for daemon_class in ("SupervisorDaemon", "TelemetryPublisherDaemon",
-                         "PersistentStoreDaemon"):
-        assert built.count(daemon_class) == 1, daemon_class
+    src = REPO / "src"
+    for module, daemon_class in (
+            ("repro/recovery/supervisor.py", "SupervisorDaemon"),
+            ("repro/obs/cluster/publisher.py", "TelemetryPublisherDaemon"),
+            ("repro/env/environment.py", "PersistentStoreDaemon")):
+        built = [path for path in src.rglob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == daemon_class]
+        assert [str(path.relative_to(src)) for path in built] == [module], daemon_class
 
     def drops_a_scope(function):
         return any(
@@ -279,11 +288,12 @@ def test_a_daemon_joins_leaves_and_comes_back_one_way():
             and getattr(node.func.value, "attr", None) == "telemetry_scopes"
             for node in ast.walk(function))
 
-    assert {node.name for node in ast.walk(tree)
+    assert {(str(path.relative_to(src)), node.name)
+            for path in src.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.FunctionDef) and drops_a_scope(node)} \
-        == {"remove_daemon"}
+        == {("repro/obs/cluster/publisher.py", "detach")}
 
-    src = REPO / "src"
     assert {str(path.relative_to(src)) for path in src.rglob("*.py")
             if any(isinstance(node, ast.FunctionDef)
                    and node.name == "_respawn_kwargs"
@@ -295,10 +305,30 @@ def test_a_daemon_joins_leaves_and_comes_back_one_way():
         assert not retired & set(parameters), method
 
 
+def test_no_lifecycle_method_names_a_plane():
+    """The environment's lifecycle loops over its list of planes: no
+    method a daemon joins, boots, leaves or comes back through names a
+    plane's daemon or the index a plane keeps."""
+    tree = ast.parse((REPO / "src/repro/env/environment.py").read_text())
+    lifecycle = {"add_daemon", "remove_daemon", "boot", "boot_async",
+                 "_adopt_restart"}
+    plane_names = {"SupervisorDaemon", "TelemetryPublisherDaemon",
+                   "supervisors", "telemetry_scopes"}
+    found = sorted(
+        f"{function.name}:{node.lineno}: {getattr(node, field)}"
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name in lifecycle
+        for node in ast.walk(function)
+        for field in ("attr", "id")
+        if getattr(node, field, None) in plane_names)
+    assert found == [], "lifecycle methods name a plane:\n" + "\n".join(found)
+
+
 def test_a_process_dies_one_way():
     """A host's crash kills what runs on it, so no code outside ``net/``
     reads ``self.host.up`` to guess whether it is a zombie, and only
-    ``Host.crash`` and the fault controller call a resident's ``kill()``."""
+    ``Host.crash``, the fault controller and the supervision plane (ending
+    a supervisor left with no ward) call a resident's ``kill()``."""
     src = REPO / "src/repro"
     guards, killers = [], set()
     for path in sorted(src.rglob("*.py")):
@@ -313,7 +343,8 @@ def test_a_process_dies_one_way():
                     and node.func.attr == "kill"):
                 killers.add(where)
     assert guards == [], "zombie guards: " + ", ".join(guards)
-    assert killers == {"net/host.py", "faults/controller.py"}
+    assert killers == {"net/host.py", "faults/controller.py",
+                       "recovery/supervisor.py"}
     # a kill fault names its daemon; the controller does the rest
     from repro.faults import FaultPlan
     assert list(inspect.signature(FaultPlan.kill_daemon).parameters) == ["self", "name", "at"]
