@@ -329,6 +329,32 @@ class PipelinedConnection:
         self._conn.close()
 
 
+class _AttemptBudget:
+    """The budget timer's callback for one policy attempt, and the token
+    it interrupts the attempt's caller with.
+
+    ``disarm`` (the attempt's ``finally``) lets go of the caller and
+    revokes a kick not yet delivered, so a timer left in the heap keeps
+    only this token alive, and a reply landing at the timer's instant is
+    never followed by a stray :class:`~repro.sim.Interrupt`."""
+
+    __slots__ = ("proc", "kick")
+
+    def __init__(self, proc):
+        self.proc = proc
+        self.kick = None
+
+    def __call__(self, _timer) -> None:
+        if self.proc is not None:
+            self.kick = self.proc.interrupt(self)
+
+    def disarm(self) -> None:
+        self.proc = None
+        if self.kick is not None:
+            self.kick.cancelled = True
+            self.kick = None
+
+
 def _pool_key(address: Address, attach: bool = True, expected_subject: Optional[str] = None):
     """What a pooled channel was opened with: an attached channel with no
     pinned subject — nearly every one — is keyed by its address alone; any
@@ -438,10 +464,11 @@ class ConnectionPool:
                 self._release(key, conn)   # daemon answered: channel is fine
                 raise
             except Exception:
-                # Interrupt (a policy attempt that lost its race), host
-                # death, a garbled reply: the exchange stopped half way, so
-                # the channel's state is unknown.  Closing it also lets the
-                # daemon's command thread see EOF instead of parking.
+                # Interrupt (a policy attempt whose budget ran out, or whose
+                # caller was stopped), host death, a garbled reply: the
+                # exchange stopped half way, so the channel's state is
+                # unknown.  Closing it also lets the daemon's command
+                # thread see EOF instead of parking.
                 self._discard(conn)
                 raise
             self._release(key, conn)
@@ -589,7 +616,7 @@ class ServiceClient:
         way to call a daemon this client holds no channel to.
 
         Every attempt is a :meth:`ConnectionPool.call` on this client's
-        :attr:`pool` and races ``attempt_timeout``; transport failures and
+        :attr:`pool`, cut off at ``attempt_timeout``; transport failures and
         timeouts are retried with jittered backoff until ``max_attempts``
         or ``deadline`` runs out; a per-address circuit breaker (shared
         through ``ctx.resilience``) sheds calls to endpoints that keep
@@ -724,10 +751,13 @@ class ServiceClient:
     ) -> Generator:
         """Deadline + retry + circuit breaker around pooled attempts.
 
-        Each attempt is :meth:`ConnectionPool.call` in its own process, raced
-        against its budget; an attempt that loses the race, or whose caller
-        is interrupted, is interrupted, and the pool closes and discards the
-        connection it held, so a late reply can never reach a later call."""
+        Each attempt is :meth:`ConnectionPool.call` run inline in the
+        caller's process under one budget timer (:class:`_AttemptBudget`).
+        A timer that fires first interrupts the caller with its own token,
+        which becomes :class:`DeadlineExceeded`; any other interrupt is
+        re-raised unchanged.  Either way the pool closes and discards the
+        connection the attempt held, so a late reply can never reach a
+        later call."""
         registry = self.ctx.resilience
         stats = registry.stats
         breaker = registry.breaker(address, policy)
@@ -738,7 +768,7 @@ class ServiceClient:
             kind=SPAN_CLIENT, address=str(address),
         )
         if span is not None:
-            # the attempt processes spawned below inherit it
+            # the attempts below run in this process, under this span
             span.outer = self.ctx.obs.set_ambient(span)
         status = "interrupted"
         started = sim.now
@@ -760,20 +790,21 @@ class ServiceClient:
                     raise DeadlineExceeded(
                         f"{command.name!r} to {address} exceeded {policy.deadline:.3f}s deadline"
                     )
-                # its own process, so the attempt can race its budget
-                proc = sim.process(
-                    self.pool.call(address, command, check=check, **connect_kw),
-                    name=f"rpc.{self.principal}",
-                )
-                race = sim.any_of([proc, sim.timeout(budget)])
+                timer = _AttemptBudget(sim.active_process)
+                sim.timeout(budget).callbacks.append(timer)
                 try:
-                    outcome = yield race
-                    if proc not in outcome:
-                        proc.interrupt("rpc attempt deadline")
+                    try:
+                        reply = yield from self.pool.call(
+                            address, command, check=check, **connect_kw
+                        )
+                    except Interrupt as exc:
+                        if exc.cause is not timer:
+                            raise   # the caller stopped, and so did its attempt
                         raise DeadlineExceeded(
                             f"{command.name!r} to {address} exceeded {budget:.3f}s attempt budget"
-                        )
-                    reply = outcome[proc]
+                        ) from None
+                    finally:
+                        timer.disarm()
                 except RETRYABLE as exc:
                     if isinstance(exc, DeadlineExceeded):
                         stats.deadline_expired += 1
@@ -793,10 +824,6 @@ class ServiceClient:
                     delay = policy.backoff_delay(attempt, self._retry_rng)
                     yield sim.timeout(min(delay, max(deadline_at - sim.now, 0.0)))
                     continue
-                except Interrupt:   # the caller stopped: so does its attempt
-                    race.defuse()
-                    proc.interrupt("rpc caller interrupted")
-                    raise
                 except CallError:
                     # The service answered (cmdFailed): healthy transport.
                     if breaker.record_success():

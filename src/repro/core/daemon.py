@@ -271,7 +271,9 @@ class ACEDaemon(NotificationMixin):
 
     def stop(self) -> Process:
         """Graceful shutdown: deregister from the ASD, close sockets (a
-        child thread, so a crash of the host ends it too)."""
+        child thread, so a crash of the host ends it too).  The metrics
+        registry stops reading this daemon's watcher counts at once."""
+        self.ctx.obs.metrics.unregister_view(f"daemon.{self.name}.watchers")
         return self._spawn(self._shutdown(), "stop")
 
     def kill(self) -> None:

@@ -146,6 +146,18 @@ class TelemetryAggregatorDaemon(ACEDaemon):
             self._m_resyncs.inc()
         return {"resync": resync}
 
+    def forget_host(self, host: str) -> None:
+        """Drop a departed host's publisher and every series published
+        from it (the telemetry plane calls this when the host's publisher
+        leaves)."""
+        self.publishers.pop(host, None)
+        self._pub_seq.pop(host, None)
+        prefix = f"{host}:"
+        for key in [key for key in self.series if key[1].startswith(prefix)]:
+            del self.series[key]
+            self.last_seen.pop(key, None)
+        self._m_series.set(len(self.series))
+
     # ------------------------------------------------------------------
     # Rollups
     # ------------------------------------------------------------------

@@ -168,8 +168,9 @@ class TelemetryPlane:
     host of every daemon that joins its publisher, which delta-pushes the
     host's metric scopes every ``interval`` seconds (jittered); ``detach``
     drops every scope at the leaving daemon's address, and the host's
-    publisher leaves with the host's last other daemon.  Daemons join at
-    boot ``tier``."""
+    publisher leaves with the host's last other daemon, and the aggregator
+    forgets the host's series once it has stopped.  Daemons join at boot
+    ``tier``."""
 
     def __init__(self, env, *, interval: float, tier: int):
         self.env = env
@@ -222,12 +223,16 @@ class TelemetryPlane:
         address = f"{daemon.host.name}:{daemon.port}"
         for key in [key for key in obs.telemetry_scopes if key[1] == address]:
             obs.telemetry_scopes.pop(key)
-        publisher = self.env.daemons.get(f"telem.{daemon.host.name}")
+        host = daemon.host.name
+        publisher = self.env.daemons.get(f"telem.{host}")
         if publisher is None or publisher is daemon:
             return
         if not any(d.host is daemon.host and d is not daemon and d is not publisher
                    for d in self.env.daemons.values()):
-            self.env.remove_daemon(publisher)
+            stopped = self.env.remove_daemon(publisher)
+            obs.metrics.unregister_view(f"telemetry.pub.{host}")
+            # once it has stopped, so no push of its own lands afterwards
+            stopped.callbacks.append(lambda _stopped: self.aggregator.forget_host(host))
 
     def _topology(self) -> dict:
         """Store groups, shard map and supervisors, as the aggregator

@@ -243,6 +243,10 @@ class MetricsRegistry:
         time (e.g. the RPC layer's RpcStats)."""
         self._views[name] = fn
 
+    def unregister_view(self, name: str) -> None:
+        """Stop folding the view registered as ``name`` (its owner left)."""
+        self._views.pop(name, None)
+
     # -- reading -----------------------------------------------------------
     def snapshot(self, prefix: str = "") -> Dict[str, Any]:
         """Flat name → value dict (histograms flatten to ``name.count`` /

@@ -313,6 +313,7 @@ class SupervisionPlane:
         if supervisor.running:
             supervisor.kill()
         del supervisors[daemon.host.name]
+        self.ctx.obs.metrics.unregister_view(f"recovery.{daemon.host.name}")
         scope = self.ctx.obs.telemetry_scopes[RECOVERY_SCOPE]
         if supervisors and scope.host == daemon.host.name:
             list(supervisors.values())[-1].export_scope()

@@ -150,7 +150,8 @@ class _Resume:
     in :meth:`Process.__init__`, the relay for already-processed yields in
     :meth:`Process._step`, and the kick in :meth:`Process.interrupt` —
     with one small record and a deque append.  ``cancelled`` lets
-    :meth:`Process._throw` revoke a pending resume.
+    :meth:`Process._throw` revoke a pending resume, and the holder of a
+    kick revoke the interrupt.
     """
 
     __slots__ = ("proc", "ok", "value", "kick", "cancelled")
@@ -226,11 +227,17 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
+    def interrupt(self, cause: Any = None) -> Optional[_Resume]:
+        """Throw :class:`Interrupt` into the process at the current time.
+
+        Returns the scheduled kick (``None`` when the process has already
+        finished): setting its ``cancelled`` revokes the interrupt if it
+        has not been delivered yet."""
         if self._triggered:
-            return  # already finished; interrupting is a no-op
-        self.sim._schedule_record(_Resume(self, True, cause, kick=True), URGENT)
+            return None  # already finished; interrupting is a no-op
+        record = _Resume(self, True, cause, kick=True)
+        self.sim._schedule_record(record, URGENT)
+        return record
 
     # -- internal --------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -265,9 +272,11 @@ class Process(Event):
             try:
                 target = call(arg)
             except StopIteration as stop:
+                self._resume_cb = None   # break the self-cycle: refcounting frees it
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
+                self._resume_cb = None
                 self.fail(exc)
                 return
             if not isinstance(target, Event):

@@ -5,7 +5,7 @@ connection outlives its host's incarnation.
   and so does a call that names no policy;
 * a call that names no policy to a handler that never answers ends at
   ``PLAIN_POLICY``'s deadline;
-* an attempt that loses its race against ``attempt_timeout`` leaves no
+* an attempt whose ``attempt_timeout`` runs out first leaves no
   idle channel behind, and the daemon's command thread sees EOF; nor
   does one whose caller is interrupted;
 * a channel opened with ``attach=False`` never serves an attaching caller;

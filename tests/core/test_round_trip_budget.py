@@ -7,6 +7,8 @@ parsed.  Two budgets:
 * one command over a held connection to an idle daemon schedules **7**
   kernel events (11 before the hand-offs became single resumes) at an
   unchanged simulated latency;
+* a pooled policy call adds one: its budget timer (**8**; 11 while the
+  attempt was a process raced against the timer by an ``AnyOf``);
 * the commands the ledger workloads send by the thousand — class-lookup
   replies, replication batches, anti-entropy digests and fetches,
   telemetry pushes — are never parsed over a plain link, and under SSL
@@ -32,29 +34,49 @@ from repro.lang import ACECmdLine
 ROUND_TRIP_EVENTS = 7
 
 
-def test_held_connection_round_trip_schedules_seven_events():
+def _ping_and_lookup(open_channel):
+    """Kernel events and simulated ms of a ``ping`` and a class ``lookup``
+    to an idle ASD, each sent through the ``call`` that ``open_channel(
+    client, address)`` returns once its dial has drained."""
     env = standard_environment(seed=29).boot()
     client = env.client(env.net.host("podium"), principal="probe")
     seen = []
 
     def drive():
-        conn = yield from client.connect(env.daemon("asd").address)
+        call = yield from open_channel(client, env.daemon("asd").address)
         yield env.sim.timeout(0.01)  # the dial's own wake-ups have drained
         for command in (ACECmdLine("ping"), ACECmdLine("lookup", cls="PTZCamera")):
             before, t0 = env.sim.counters()["events_scheduled"], env.sim.now
-            reply = yield from conn.call(command)
+            reply = yield from call(command)
             seen.append((
                 env.sim.counters()["events_scheduled"] - before,
                 round((env.sim.now - t0) * 1e3, 4),
             ))
             assert reply.name == "cmdOk"
-        conn.close()
 
     env.run(drive())
-    (ping_events, ping_ms), (lookup_events, _) = seen
+    return seen
+
+
+def test_held_connection_round_trip_schedules_seven_events():
+    def held(client, address):
+        conn = yield from client.connect(address)
+        return conn.call
+
+    (ping_events, ping_ms), (lookup_events, _) = _ping_and_lookup(held)
     assert (ping_events, lookup_events) == (ROUND_TRIP_EVENTS, ROUND_TRIP_EVENTS)
     # The simulated latency it had with eleven events: the four that went
     # were zero-delay hand-offs.
+    assert ping_ms == 1.7534
+
+
+def test_pooled_policy_call_schedules_the_round_trip_and_its_budget_timer():
+    def pooled(client, address):
+        yield from client.call(address, ACECmdLine("ping"))   # dials the pool
+        return lambda command: client.call(address, command)
+
+    (ping_events, ping_ms), (lookup_events, _) = _ping_and_lookup(pooled)
+    assert (ping_events, lookup_events) == (ROUND_TRIP_EVENTS + 1,) * 2
     assert ping_ms == 1.7534
 
 

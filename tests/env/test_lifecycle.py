@@ -120,6 +120,42 @@ def test_a_drained_host_is_left_empty():
     assert f"telem.{recovery.host}" in env.daemons
 
 
+def test_a_drained_host_leaves_the_aggregator_and_the_registry():
+    """A store grown to two groups at seed 5, then drained: the aggregator
+    drops the departed publishers and every series they pushed, and the
+    metrics registry drops the supervisor, publisher and daemon views of
+    the drained hosts."""
+    env = ACEEnvironment(seed=5, lease_duration=4.0)
+    env.add_infrastructure(srm_poll_interval=1.0)
+    env.add_persistent_store(replicas=2, groups=1)
+    env.add_workstation("lab1", room="lab")
+    env.boot()
+    enable_planes(env)
+    hosts = [d.host.name for d in env.add_store_group()]
+    assert hosts == ["store2-1", "store2-2"]
+    env.run_for(5.0)
+    aggregator = env.daemon("telemetry")
+    views = env.ctx.obs.metrics._views
+    assert set(hosts) <= set(ClusterSnapshot.capture(aggregator)["publishers"])
+    assert {f"recovery.{h}" for h in hosts} <= set(views)
+
+    env.drain_store_group()
+    env.run_for(15.0)
+
+    publishers = ClusterSnapshot.capture(aggregator)["publishers"]
+    assert [h for h in publishers if h.startswith("store2-")] == []
+    assert set(publishers) == {"infra", "lab1", "store1", "store2"}
+    departed = ("ps2-", "store.ps2-", "telem.store2-")
+    assert [key for key in aggregator.series if key[0].startswith(departed)] == []
+    assert any(key[0] == "ps2" for key in aggregator.series)   # a namesake stays
+    for host in hosts:
+        assert f"recovery.{host}" not in views
+        assert f"telemetry.pub.{host}" not in views
+        assert f"daemon.telem.{host}.watchers" not in views
+    assert [v for v in views if v.startswith("daemon.ps2-")] == []
+    assert "recovery.store2" in views and "telemetry.pub.store2" in views
+
+
 def loaded():
     env = booted(seed=9)
     env.add_id_devices(env.net.host("lab1"))

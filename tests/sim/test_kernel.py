@@ -314,3 +314,45 @@ def test_process_is_alive():
     assert p.is_alive
     sim.run()
     assert not p.is_alive
+
+
+def test_interrupt_returns_a_kick_that_can_be_revoked():
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        try:
+            yield sim.timeout(2.0)
+            log.append(("woke", sim.now))
+        except Interrupt as exc:
+            log.append(("interrupted", exc.cause, sim.now))
+
+    p = sim.process(sleeper())
+    sim.run(until=1.0)
+    kick = p.interrupt("revoked")
+    kick.cancelled = True
+    sim.run()
+    assert log == [("woke", 2.0)]
+    assert p.interrupt("too late") is None   # finished: nothing scheduled
+
+
+def test_a_finished_process_is_freed_without_the_collector():
+    import gc
+    import weakref
+
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(1.0)
+        return "done"
+
+    p = sim.process(proc())
+    generator = weakref.ref(p.generator)
+    sim.run()
+    assert p.value == "done" and generator() is not None
+    gc.disable()
+    try:
+        del p
+        assert generator() is None   # no cycle left for the collector
+    finally:
+        gc.enable()
