@@ -28,10 +28,8 @@ class OPhoneDaemon(StreamDaemon):
 
     service_type = "OPhone"
 
-    def __init__(self, ctx, name, host, *, auto_answer: bool = True,
-                 jitter_chunks: int = 3, **kwargs):
+    def __init__(self, ctx, name, host, *, jitter_chunks: int = 3, **kwargs):
         super().__init__(ctx, name, host, **kwargs)
-        self.auto_answer = auto_answer
         self.jitter_chunks = jitter_chunks
         self.state = "idle"  # idle | dialing | in_call
         self.peer: Optional[Address] = None
@@ -131,7 +129,7 @@ class OPhoneDaemon(StreamDaemon):
 
     def cmd_invite(self, request: Request) -> dict:
         cmd = request.command
-        if self.state != "idle" or not self.auto_answer:
+        if self.state != "idle":
             return {"accepted": 0}
         peer = Address(cmd.str("host"), cmd.int("port"))
         self._begin_call(peer, cmd.str("caller"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.net import Address, Network
 from repro.net.address import WellKnownPorts
@@ -21,6 +21,9 @@ from repro.sim import RngRegistry, Simulator, TraceRecorder
 from repro.core.lookup_cache import LookupCache
 from repro.core.policy import ResilienceRegistry
 from repro.obs import Observability
+
+if TYPE_CHECKING:
+    from repro.store.sharding import StoreRoute
 
 
 class SecurityMode(enum.Enum):
@@ -65,8 +68,9 @@ class DaemonContext:
     authdb_address: Optional[Address] = None
     #: the E27 telemetry aggregator (None until ``env.enable_telemetry()``)
     telemetry_address: Optional[Address] = None
-    #: every persistent-store replica (all groups, sorted); empty = no store
-    store_addresses: List[Address] = field(default_factory=list)
+    #: where every store path lives (``repro.store.sharding.StoreRoute``:
+    #: shard map, per-group and sorted flat addresses); None = no store
+    store_route: Optional["StoreRoute"] = None
     #: lease the ASD grants to registered services, seconds (§2.4)
     lease_duration: float = 30.0
     #: renew after this fraction of the lease has elapsed

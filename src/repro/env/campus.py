@@ -56,7 +56,6 @@ def build_campus(
     regions: int = 4,
     lease_duration: float = 15.0,
     trace: bool = True,
-    client_monitors: bool = False,
 ) -> ACEEnvironment:
     """Build the campus; identical topology at every shard count.
 
@@ -84,7 +83,7 @@ def build_campus(
             client_host="r0-clients",
         )
     ]
-    env.add_workstation("r0-clients", segment="lan", monitors=client_monitors)
+    env.add_workstation("r0-clients", segment="lan", monitors=False)
     for r in range(1, regions):
         segment = f"r{r}"
         infra = env.add_workstation(
@@ -103,9 +102,7 @@ def build_campus(
             ),
             tier=_TIER_DATABASE,
         )
-        env.add_workstation(
-            f"r{r}-clients", segment=segment, monitors=client_monitors
-        )
+        env.add_workstation(f"r{r}-clients", segment=segment, monitors=False)
         region_infos.append(
             CampusRegion(
                 index=r,

@@ -49,7 +49,7 @@ from repro.services.srm import SystemResourceMonitorDaemon
 from repro.services.wss import WorkspaceServerDaemon
 from repro.store.client import StoreClient
 from repro.store.server import PersistentStoreDaemon
-from repro.store.sharding import ShardMap
+from repro.store.sharding import ShardMap, StoreRoute
 
 #: boot tiers: daemons start tier by tier (Fig. 9 dependencies)
 _TIER_BOOTSTRAP = 0   # ASD, RoomDB, NetLogger
@@ -101,12 +101,9 @@ class ACEEnvironment:
         self.rooms: List[Tuple[str, str, Tuple[float, float, float]]] = []
         self._booted = False
         self._admin_keypair: Optional[KeyPair] = None
-        #: persistent-store topology (replica-groups + consistent-hash map)
+        #: persistent-store replica-groups; ``ctx.store_route`` is their
+        #: addresses and shard map, republished whenever they change
         self._store_groups: List[List[ACEDaemon]] = []
-        self._store_shard_map = None
-        #: (shard map, per-group address lists) a store client routes on;
-        #: rebuilt by _refresh_store_topology whenever the groups change
-        self._store_route = None
         #: monotonic naming serial for store groups — hosts outlive a
         #: drained group, so re-added groups need fresh host names
         self._store_group_serial = 0
@@ -348,23 +345,21 @@ class ACEEnvironment:
 
         With ``groups > 1`` the namespace is consistent-hash sharded across
         that many replica-groups of ``replicas`` servers each; every daemon
-        (and every :meth:`store_client`) shares one
-        :class:`~repro.store.sharding.ShardMap` so keys route locally.
+        and every :meth:`store_client` routes on the one
+        :class:`~repro.store.sharding.StoreRoute` published as
+        ``ctx.store_route``, so keys route locally.
         ``store_kwargs`` (``sync_interval``, ``batch_replication``, ...)
         go to every :class:`~repro.store.server.PersistentStoreDaemon`."""
-        self._store_shard_map = ShardMap(groups) if groups > 1 else None
         self._store_groups = []
         self._store_group_serial = 0
         daemons: List[ACEDaemon] = []
         for _ in range(groups):
-            daemons += self._build_store_group(
-                self._store_shard_map, replicas, **store_kwargs
-            )
-        self._refresh_store_topology()
+            daemons += self._build_store_group(replicas, groups > 1, **store_kwargs)
+        self._publish_store_route(ShardMap(groups) if groups > 1 else None)
         return daemons
 
     def _build_store_group(
-        self, shard_map: Optional[ShardMap], replicas: int, **store_kwargs,
+        self, replicas: int, sharded: bool, **store_kwargs,
     ) -> List[ACEDaemon]:
         """The next replica-group: a host and a store daemon per replica,
         peered with each other and appended to the topology.
@@ -378,7 +373,7 @@ class ACEEnvironment:
         group: List[ACEDaemon] = []
         for i in range(replicas):
             # an unsharded store is its one group: store1.., ps1..
-            tag = f"{i + 1}" if shard_map is None else f"{serial + 1}-{i + 1}"
+            tag = f"{serial + 1}-{i + 1}" if sharded else f"{i + 1}"
             host = self.add_workstation(
                 f"store{tag}", room="machineroom", bogomips=1200.0,
                 monitors=False,
@@ -387,8 +382,7 @@ class ACEEnvironment:
                 PersistentStoreDaemon(
                     self.ctx, f"ps{tag}", host,
                     port=WellKnownPorts.PERSISTENT_STORE + serial * replicas + i,
-                    room="machineroom", shard_map=shard_map, group_index=g,
-                    **store_kwargs,
+                    room="machineroom", group_index=g, **store_kwargs,
                 ),
                 tier=_TIER_DATABASE,
             ))
@@ -398,85 +392,58 @@ class ACEEnvironment:
         self._store_groups.append(group)
         return group
 
-    def _store_topology(self):
-        """(shard map, per-group address lists): what a store client
-        routes on, read on every use so it follows grown and drained
-        groups.  It is the same tuple until the groups change, and a
-        client compares the map by identity, so a steady op builds
-        nothing."""
-        return self._store_route
-
-    def _store_group_addresses(self) -> Dict[int, List[Address]]:
-        return dict(enumerate(self._store_route[1]))
-
-    def _refresh_store_topology(self) -> None:
-        """Rebuild the store route, then ctx.store_addresses + every
-        daemon's group map from it: the one place a group is added,
-        grown or drained."""
-        self._store_route = (self._store_shard_map, [
+    def _publish_store_route(self, shard_map: Optional[ShardMap]) -> StoreRoute:
+        """The one place the store's route changes: ``shard_map`` over
+        today's groups, published as ``ctx.store_route`` for every store
+        client and daemon to read on their next use."""
+        self.ctx.store_route = StoreRoute(shard_map, [
             [d.address for d in grp] for grp in self._store_groups
         ])
-        group_addresses = self._store_group_addresses()
-        self.ctx.store_addresses = sorted(
-            (a for addrs in group_addresses.values() for a in addrs), key=str
-        )
-        for grp in self._store_groups:
-            for daemon in grp:
-                daemon.group_addresses = dict(group_addresses)
+        return self.ctx.store_route
 
     def add_store_group(
         self, replicas: Optional[int] = None, **store_kwargs,
     ) -> List[ACEDaemon]:
-        """Grow the sharded store by one replica-group: a new ShardMap epoch
-        is installed everywhere and existing groups stream the objects they
-        no longer own to the new group (the rebalance path)."""
+        """Grow the sharded store by one replica-group: a route with the
+        next ShardMap epoch is published and existing groups stream the
+        objects they no longer own to the new group (the rebalance path)."""
         if not self._store_groups:
             raise RuntimeError("add_persistent_store() first")
-        new_map = (self._store_shard_map or ShardMap(1)).grown()
+        shard_map = self.ctx.store_route.shard_map or ShardMap(1)
         if replicas is None:
             replicas = len(self._store_groups[0])
-        group = self._build_store_group(new_map, replicas, **store_kwargs)
-        self._store_shard_map = new_map
-        self._refresh_store_topology()
-        group_addresses = self._store_group_addresses()
+        group = self._build_store_group(replicas, True, **store_kwargs)
+        self._publish_store_route(shard_map.grown())
         for grp in self._store_groups[:-1]:
             for daemon in grp:
-                daemon.install_shard_map(new_map, group_addresses)
+                daemon.rebalance()
         return group
 
     def drain_store_group(self, *, grace: float = 5.0):
         """Shrink the sharded store by its newest replica-group (the E28
         scale-down path, the mirror of :meth:`add_store_group`).
 
-        The surviving groups adopt the shrunk map first, then the
-        departing group does — its rebalance streams *everything* it
-        holds to the new owners, while writes that still land on it
-        (stale clients, in-flight commands) ride the misroute-forward
-        path and never apply locally.  After the handoff the departing
-        daemons stay up for ``grace`` seconds as pure forwarders, so
-        straggler clients still holding the old map drain off before the
-        sockets close.  Returns the drain process, which completes after
-        the grace window when the drained daemons are stopped and
-        removed from the environment."""
+        The route with the shrunk map is published, the surviving groups
+        rebalance on it, and the departing group — which owns no path
+        from then on — streams *everything* it holds to the new owners,
+        while writes that still land on it (pinned-list clients,
+        in-flight commands) ride the misroute-forward path and never
+        apply locally.  After the handoff the departing daemons stay up
+        for ``grace`` seconds as pure forwarders, so straggler commands
+        drain off before the sockets close.  Returns the drain process,
+        which completes after the grace window when the drained daemons
+        are stopped and removed from the environment."""
         if len(self._store_groups) <= 1:
             raise RuntimeError("cannot drain the last store group")
-        if self._store_shard_map is None:
-            raise RuntimeError("store is not sharded")
-        new_map = self._store_shard_map.shrunk()
-        drained = self._store_groups[-1]
-        self._store_groups = self._store_groups[:-1]
-        self._store_shard_map = new_map
-        # New clients (and topology-provider clients) route away from the
-        # drained group from this instant.
-        self._refresh_store_topology()
-        group_addresses = self._store_group_addresses()
+        drained = self._store_groups.pop()
+        route = self._publish_store_route(self.ctx.store_route.shard_map.shrunk())
         for grp in self._store_groups:
             for daemon in grp:
-                daemon.install_shard_map(new_map, group_addresses)
-        handoffs = [
-            daemon.install_shard_map(new_map, group_addresses)
-            for daemon in drained
-        ]
+                daemon.rebalance()
+        handoffs = []
+        for daemon in drained:
+            daemon.group_index = -1    # owns nothing, whatever groups come next
+            handoffs.append(daemon.rebalance())
 
         def _finish() -> Generator:
             yield self.sim.all_of(handoffs)
@@ -486,27 +453,15 @@ class ACEEnvironment:
                 yield self.remove_daemon(daemon)
             self.trace.emit(
                 self.sim.now, "env", "store-group-drained",
-                groups=new_map.groups, epoch=new_map.epoch,
+                groups=route.shard_map.groups, epoch=route.shard_map.epoch,
             )
 
         return self.sim.process(_finish(), name="store-drain")
 
     def store_client(self, host: Host, principal: str = "store-client", **kwargs):
-        if self._store_groups:
-            shard_map, groups = self._store_topology()
-            if shard_map is not None:
-                kwargs.setdefault("shard_map", shard_map)
-                kwargs.setdefault("groups", groups)
-            # Also attached to clients of a store that is *not yet*
-            # sharded, so they pick up the shard map the moment the
-            # controller grows the single seed group.
-            kwargs.setdefault("topology_provider", self._store_topology)
-        replicas = sorted(
-            (d.address for d in self.daemons.values()
-             if type(d).__name__ == "PersistentStoreDaemon"),
-            key=str,
-        )
-        return StoreClient(self.ctx, host, replicas, principal=principal, **kwargs)
+        """A :class:`~repro.store.client.StoreClient` routing on
+        ``ctx.store_route``."""
+        return StoreClient(self.ctx, host, principal=principal, **kwargs)
 
     # ------------------------------------------------------------------
     # Directory scale knobs (E28)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
-from repro.sim import Container, Resource, Simulator
+from repro.sim import Resource, Simulator
 
 
 class HostDownError(Exception):
@@ -47,8 +47,9 @@ class Host:
         self.room = room
         self.segment = segment
         self.cpu = Resource(sim, capacity=cores, name=f"{name}.cpu")
-        self.memory = Container(sim, capacity=memory_mb, init=memory_mb, name=f"{name}.mem")
-        self.disk = Container(sim, capacity=disk_mb, init=disk_mb, name=f"{name}.disk")
+        #: free memory and disk the HRM reports (§4.1); nothing allocates them
+        self.memory_mb = memory_mb
+        self.disk_mb = disk_mb
         self._up = True
         self._busy_accum = 0.0
         self._busy_mark: Optional[float] = None

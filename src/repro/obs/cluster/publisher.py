@@ -245,9 +245,7 @@ class TelemetryPlane:
                 for host_name, supervisor in sorted(env.ctx.supervisors.items())
             },
         }
-        if env._store_shard_map is not None:
-            info["shard_map"] = {
-                "groups": env._store_shard_map.groups,
-                "epoch": env._store_shard_map.epoch,
-            }
+        shard_map = env.ctx.store_route and env.ctx.store_route.shard_map
+        if shard_map is not None:
+            info["shard_map"] = {"groups": shard_map.groups, "epoch": shard_map.epoch}
         return info

@@ -164,15 +164,12 @@ class SupervisorDaemon:
         return dict(attrs) if attrs else None
 
     def _store_client(self):
-        if not self.ctx.store_addresses:
+        if self.ctx.store_route is None:
             return None
         if self._store is None:
             from repro.store.client import StoreClient
 
-            self._store = StoreClient(
-                self.ctx, self.host, list(self.ctx.store_addresses),
-                principal=self.name,
-            )
+            self._store = StoreClient(self.ctx, self.host, principal=self.name)
         return self._store
 
     def _checkpoint_loop(self) -> Generator:

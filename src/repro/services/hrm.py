@@ -45,8 +45,8 @@ class HostResourceMonitorDaemon(ACEDaemon):
             "cores": host.cores,
             "cpu_load": round(host.utilization(), 6),
             "run_queue": host.run_queue_length(),
-            "mem_free_mb": round(host.memory.level, 3),
-            "disk_free_mb": round(host.disk.level, 3),
+            "mem_free_mb": round(host.memory_mb, 3),
+            "disk_free_mb": round(host.disk_mb, 3),
         }
 
     def _sample_loop(self) -> Generator:

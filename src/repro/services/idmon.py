@@ -26,10 +26,8 @@ class IDMonitorDaemon(ACEDaemon):
 
     service_type = "IDMonitor"
 
-    def __init__(self, ctx, name, host, *, auto_open_workspace: bool = True,
-                 rescan_interval: float = 10.0, **kwargs):
+    def __init__(self, ctx, name, host, *, rescan_interval: float = 10.0, **kwargs):
         super().__init__(ctx, name, host, **kwargs)
-        self.auto_open_workspace = auto_open_workspace
         self.rescan_interval = rescan_interval
         self._devices = ClassWatch(self, ID_DEVICE_CLASSES, {
             "identified": "onIdentified", "identifyFailed": "onIdentifyFailed"})
@@ -87,8 +85,7 @@ class IDMonitorDaemon(ACEDaemon):
         except CallError:
             pass
         # Scenario 3/4: bring up the workspace, or a selector for several.
-        if self.auto_open_workspace:
-            yield from self._open_workspace(username, request)
+        yield from self._open_workspace(username, request)
         return {"username": username}
 
     def _open_workspace(self, username: str, request: Request) -> Generator:

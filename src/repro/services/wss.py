@@ -8,10 +8,11 @@ Passwords are generated and held by the WSS and written straight into the
 VNC server ("the VNC password files were directly accessed and modified by
 the WSS"), so identification via FIU/iButton is all a user ever does.
 
-When the environment has a persistent store (``ctx.store_addresses``),
-workspace records are checkpointed under ``/wss/workspaces/...`` and
-restored at startup, so a restarted WSS still knows every live session
-(§5.2's restart-application recipe applied to a core service).
+When the environment has a persistent store (``ctx.store_route``),
+workspace records are checkpointed under ``/wss/workspaces/...`` — each
+path in its owner group when the store is sharded — and restored at
+startup from every group, so a restarted WSS still knows every live
+session (§5.2's restart-application recipe applied to a core service).
 """
 
 from __future__ import annotations
@@ -55,14 +56,12 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
     service_type = "WorkspaceServer"
 
     def __init__(self, ctx, name, host, *, admin_secret: str = "wss-secret",
-                 persist: bool = True, **kwargs):
+                 **kwargs):
         super().__init__(ctx, name, host, **kwargs)
         self.admin_secret = admin_secret
         #: (user, workspace-name) -> record
         self.workspaces: Dict[Tuple[str, str], WorkspaceRecord] = {}
         self._pw_rng = ctx.rng.py(f"wss.{name}.passwords")
-        #: checkpoint records in the persistent store (when one exists)
-        self.persist = persist
         self.restored = 0
         self._store = None
         self._m_persisted = ctx.obs.metrics.counter(f"wss.{name}.persisted")
@@ -102,7 +101,7 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
             self._spawn(self._restore_workspaces(), "restore")
 
     def _store_client(self):
-        if not self.persist or not self.ctx.store_addresses:
+        if self.ctx.store_route is None:
             return None
         if self._store is None:
             from repro.store.client import StoreClient
@@ -110,8 +109,7 @@ class WorkspaceServerDaemon(Checkpointable, ACEDaemon):
             # cache_reads: the WSS re-reads its own checkpoints (restore,
             # repeated lookups) far more often than anyone else writes them.
             self._store = StoreClient(
-                self.ctx, self.host, list(self.ctx.store_addresses),
-                principal=f"wss.{self.name}", cache_reads=True,
+                self.ctx, self.host, principal=f"wss.{self.name}", cache_reads=True,
             )
         return self._store
 

@@ -27,8 +27,8 @@ from repro.sim.kernel import (
     NORMAL,
     LOW,
 )
-from repro.sim.queues import PriorityStore, QueueClosed, Store
-from repro.sim.resources import Container, Resource
+from repro.sim.queues import QueueClosed, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import (
     MergedTrace,
@@ -42,14 +42,12 @@ from repro.sim.trace import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Event",
     "Interrupt",
     "LOW",
     "MergedTrace",
     "MergedTraceRecord",
     "NORMAL",
-    "PriorityStore",
     "Process",
     "QueueClosed",
     "Resource",

@@ -277,7 +277,9 @@ class Process(Event):
                 return
             except BaseException as exc:
                 self._resume_cb = None
-                self.fail(exc)
+                # The traceback's first frame is this one, which holds the
+                # process: without it a failed process is freed by refcount.
+                self.fail(exc.with_traceback(exc.__traceback__.tb_next))
                 return
             if not isinstance(target, Event):
                 err = SimulationError(f"process {self.name!r} yielded non-event {target!r}")

@@ -14,7 +14,6 @@ three, and an empty ``deque`` is ~0.75 KB.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Optional
 
@@ -160,68 +159,3 @@ class Store:
             self._items.append(item)   # a deque: the caller just popped from it
             ev.succeed(priority=URGENT)
 
-
-class PriorityStore(Store):
-    """A store that hands out the smallest item first.
-
-    Items must be orderable; ties are broken by insertion order (a stable
-    sequence number keeps the heap deterministic).
-    """
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = ""):
-        super().__init__(sim, capacity, name)
-        self._pq: list[tuple[Any, int, Any]] = []
-        self._counter = 0
-
-    def __len__(self) -> int:
-        return len(self._pq)
-
-    def put(self, item: Any) -> Event:
-        if self._closed:
-            ev = Event(self.sim)
-            ev.defuse()
-            ev.fail(QueueClosed(self.name), priority=URGENT)
-            return ev
-        ev = Event(self.sim)
-        if self._getters:
-            # A waiter exists and the heap is empty (invariant), so the new
-            # item is trivially the minimum: hand it straight over.
-            self._getters.popleft().succeed(item, priority=URGENT)
-        else:
-            self._push(item)
-        ev.succeed(priority=URGENT)
-        return ev
-
-    def try_put(self, item: Any) -> bool:
-        if self._closed:
-            return False
-        if self._getters:
-            self._getters.popleft().succeed(item, priority=URGENT)
-        else:
-            self._push(item)
-        return True
-
-    def get(self) -> Event:
-        ev = Event(self.sim)
-        if self._pq:
-            ev.succeed(self._pop(), priority=URGENT)
-        elif self._closed:
-            ev.defuse()
-            ev.fail(QueueClosed(self.name), priority=URGENT)
-        else:
-            if self._getters is _UNUSED:
-                self._getters = deque()
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> tuple[bool, Any]:
-        if self._pq:
-            return True, self._pop()
-        return False, None
-
-    def _push(self, item: Any) -> None:
-        self._counter += 1
-        heapq.heappush(self._pq, (item, self._counter, item))
-
-    def _pop(self) -> Any:
-        return heapq.heappop(self._pq)[2]

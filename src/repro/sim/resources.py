@@ -1,9 +1,8 @@
-"""Shared-resource primitives: counted resources and continuous containers.
+"""Shared-resource primitives: counted resources.
 
 :class:`Resource` models things like CPU execution slots on a simulated host
 (a host with one core serializes daemon work; an SMP host runs the four
 daemon threads genuinely concurrently, which experiment E20 measures).
-:class:`Container` models divisible quantities such as memory or disk.
 """
 
 from __future__ import annotations
@@ -80,76 +79,3 @@ class Resource:
             self._users.add(nxt)
             nxt.succeed(nxt, priority=URGENT)
 
-
-class Container:
-    """A continuous quantity with bounded level (memory, disk, battery)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-        name: str = "",
-    ):
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise SimulationError(f"init {init} outside [0, {capacity}]")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._level = init
-        self._getters: deque[tuple[Event, float]] = deque()
-        self._putters: deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError("negative put amount")
-        ev = Event(self.sim)
-        if self._level + amount <= self.capacity:
-            self._level += amount
-            ev.succeed(priority=URGENT)
-            self._drain()
-        else:
-            self._putters.append((ev, amount))
-        return ev
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError("negative get amount")
-        if amount > self.capacity:
-            raise SimulationError(f"get {amount} exceeds capacity {self.capacity}")
-        ev = Event(self.sim)
-        if amount <= self._level:
-            self._level -= amount
-            ev.succeed(priority=URGENT)
-            self._drain()
-        else:
-            self._getters.append((ev, amount))
-        return ev
-
-    def try_get(self, amount: float) -> bool:
-        if 0 <= amount <= self._level:
-            self._level -= amount
-            self._drain()
-            return True
-        return False
-
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._getters and self._getters[0][1] <= self._level:
-                ev, amount = self._getters.popleft()
-                self._level -= amount
-                ev.succeed(priority=URGENT)
-                progressed = True
-            if self._putters and self._level + self._putters[0][1] <= self.capacity:
-                ev, amount = self._putters.popleft()
-                self._level += amount
-                ev.succeed(priority=URGENT)
-                progressed = True

@@ -25,7 +25,7 @@ from repro.store.namespace import (
     encode_attrs,
     encode_object,
 )
-from repro.store.sharding import ShardMap, bucket_of, stable_hash
+from repro.store.sharding import ShardMap, StoreRoute, bucket_of, stable_hash
 from repro.store.server import STORE_CHUNK, PersistentStoreDaemon
 from repro.store.client import StoreClient, StoreUnavailable
 
@@ -37,6 +37,7 @@ __all__ = [
     "STORE_CHUNK",
     "ShardMap",
     "StoreClient",
+    "StoreRoute",
     "StoreUnavailable",
     "StoredObject",
     "Version",

@@ -1,13 +1,15 @@
 """Client-side access to the persistent store cluster.
 
-A :class:`StoreClient` knows the replica addresses and:
+A :class:`StoreClient` routes on the environment's
+:class:`~repro.store.sharding.StoreRoute` (``ctx.store_route``), read on
+every call, or on a replica list pinned at construction, and:
 
 * **writes** to the first reachable replica (which replicates onward);
 * **reads** with failover — and optional round-robin balancing across
   replicas, the property that removes the single-server bottleneck;
-* **routes per key** when the cluster is sharded: a
-  :class:`~repro.store.sharding.ShardMap` plus per-group address lists
-  send each path straight to its owning replica-group;
+* **routes per key** when the cluster is sharded: the route's shard map
+  sends each path straight to its owning replica-group, and follows
+  groups the environment adds or drains;
 * optionally **caches reads**: ``psGet`` results are kept keyed by
   ``(path, version)`` with a TTL, write-through on ``put`` and
   invalidation on ``delete``, so re-reads cost ~0 RPCs (the data-plane
@@ -29,7 +31,7 @@ from repro.core.client import FAILOVER_ERRORS, ServiceClient
 from repro.core.context import DaemonContext
 from repro.core.policy import CallPolicy, TransportError
 from repro.store.namespace import decode_attrs, encode_attrs
-from repro.store.sharding import ShardMap, stable_hash
+from repro.store.sharding import stable_hash
 
 
 #: Per-replica call policy.  ``max_attempts=1`` because failover across
@@ -58,44 +60,41 @@ class StoreUnavailable(TransportError):
 
 
 class StoreClient:
-    """One principal's handle on the replicated (optionally sharded) store."""
+    """One principal's handle on the replicated (optionally sharded) store.
+
+    Without ``replicas`` the client routes every call on
+    ``ctx.store_route``, the one topology the environment publishes, so it
+    sends each path to its owner group and follows grown and drained
+    groups.  A ``replicas`` list pins the client to those addresses for
+    every path (a directory answer, a test aiming at one replica); a
+    sharded store forwards what such a client sends to the wrong group.
+    """
 
     def __init__(
         self,
         ctx: DaemonContext,
         host: Host,
-        replicas: List[Address],
+        replicas: Optional[Sequence[Address]] = None,
         principal: str = "store-client",
         balance_reads: bool = True,
-        shard_map: Optional[ShardMap] = None,
-        groups: Optional[Sequence[Sequence[Address]]] = None,
         cache_reads: bool = False,
         cache_ttl: float = READ_CACHE_TTL,
-        topology_provider=None,
     ):
-        if not replicas:
-            raise ValueError("need at least one replica address")
         self.ctx = ctx
-        self.replicas = list(replicas)
+        #: the pinned replica list; empty = route on ``ctx.store_route``
+        self.replicas: List[Address] = list(replicas or ())
+        if not self.replicas and ctx.store_route is None:
+            raise ValueError("need at least one replica address")
         self.balance_reads = balance_reads
-        self.shard_map = shard_map
-        self.groups: List[List[Address]] = [list(g) for g in (groups or [])]
-        if shard_map is not None and len(self.groups) != shard_map.groups:
-            raise ValueError(
-                f"shard map expects {shard_map.groups} groups, got {len(self.groups)}"
-            )
-        #: optional ``() -> (shard_map, [[Address, ...], ...])`` callable;
-        #: when set it is consulted per call, so clients handed out by the
-        #: environment follow autoscaling topology changes (added/drained
-        #: groups) instead of routing on a map frozen at construction
-        self.topology_provider = topology_provider
         self.cache_reads = cache_reads
         self.cache_ttl = cache_ttl
         self._cache: Dict[str, Tuple[str, Dict[str, str], float]] = {}
         self._client = ServiceClient(ctx, host, principal=principal)
         # Seed the round-robin start from the principal so a fleet of cold
         # clients spreads across replicas instead of herding onto replica 0.
-        self._read_index = stable_hash(principal) % len(self.replicas)
+        self._read_index = stable_hash(principal) % len(
+            self.replicas or ctx.store_route.addresses
+        )
         metrics = ctx.obs.metrics
         self._m_failovers = metrics.counter("store.client.failovers")
         self._m_unavailable = metrics.counter("store.client.unavailable")
@@ -105,40 +104,26 @@ class StoreClient:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _refresh_topology(self) -> None:
-        if self.topology_provider is None:
-            return
-        shard_map, groups = self.topology_provider()
-        if shard_map is not self.shard_map:
-            self.shard_map = shard_map
-            self.groups = [list(g) for g in (groups or [])]
-            self.replicas = sorted(
-                (a for group in self.groups for a in group), key=str
-            ) or self.replicas
-
-    def _group_replicas(self, path: Optional[str]) -> List[Address]:
+    def _group_replicas(self, path: Optional[str]) -> Sequence[Address]:
         """The addresses that can serve ``path`` (all, when unsharded)."""
-        self._refresh_topology()
-        if path is None or self.shard_map is None or not self.groups:
+        if self.replicas:
             return self.replicas
-        return self.groups[self.shard_map.shard_for(path)]
+        route = self.ctx.store_route
+        return route.addresses if path is None else route.group_for(path)
 
-    def _rotated(self, base: List[Address]) -> List[Address]:
+    def _rotated(self, base: Sequence[Address]) -> List[Address]:
         if not self.balance_reads or len(base) < 2:
             return list(base)
         start = self._read_index % len(base)
         self._read_index += 1
         return list(base[start:]) + list(base[:start])
 
-    def _write_order(self, path: Optional[str] = None) -> List[Address]:
-        return list(self._group_replicas(path))
-
     def _read_order(self, path: Optional[str] = None) -> List[Address]:
         return self._rotated(self._group_replicas(path))
 
     # ------------------------------------------------------------------
     def _call_with_failover(
-        self, command: ACECmdLine, order: List[Address], absent_ok: bool = False
+        self, command: ACECmdLine, order: Sequence[Address], absent_ok: bool = False
     ) -> Generator:
         """The first reply any replica in ``order`` gives.  A ``cmdFailed``
         reply raises ``CallError`` — or, with ``absent_ok``, means the
@@ -192,7 +177,7 @@ class StoreClient:
     def put(self, path: str, attrs: Dict[str, str]) -> Generator:
         reply = yield from self._call_with_failover(
             ACECmdLine("psPut", path=path, value=encode_attrs(attrs)),
-            self._write_order(path),
+            self._group_replicas(path),
         )
         version = reply.str("version")
         # Write-through: our own write is the freshest value we can know.
@@ -221,24 +206,24 @@ class StoreClient:
         """False when the object was already absent."""
         self._cache.pop(path, None)
         reply = yield from self._call_with_failover(
-            ACECmdLine("psDelete", path=path), self._write_order(path), absent_ok=True
+            ACECmdLine("psDelete", path=path), self._group_replicas(path), absent_ok=True
         )
         return reply is not None
 
     def list(self, prefix: str = "/") -> Generator:
         """All matching paths, following ``next`` pages transparently and
         merging across shard groups."""
-        self._refresh_topology()
-        if self.shard_map is not None and self.groups:
-            merged: List[str] = []
-            for group in self.groups:
-                paths = yield from self._list_pages(prefix, self._rotated(group))
-                merged.extend(paths)
-            return sorted(set(merged))
-        paths = yield from self._list_pages(prefix, self._read_order())
-        return sorted(set(paths))
+        route = None if self.replicas else self.ctx.store_route
+        if route is None or route.shard_map is None:
+            paths = yield from self._list_pages(prefix, self._read_order())
+            return sorted(set(paths))
+        merged: List[str] = []
+        for group in route.groups:
+            paths = yield from self._list_pages(prefix, self._rotated(group))
+            merged.extend(paths)
+        return sorted(set(merged))
 
-    def _list_pages(self, prefix: str, order: List[Address]) -> Generator:
+    def _list_pages(self, prefix: str, order: Sequence[Address]) -> Generator:
         results: List[str] = []
         offset = 0
         while True:

@@ -14,10 +14,10 @@ Each replica:
   differ, so a crashed-and-restarted replica converges back to "the same
   exact data ... within each of their individual storage areas" at a cost
   proportional to what changed, not to the whole namespace;
-* when a :class:`~repro.store.sharding.ShardMap` is installed, owns only
-  its shard of the path space — misrouted commands are forwarded to the
-  owning group, and :meth:`install_shard_map` streams misplaced objects
-  out when the map grows.
+* when the environment's route (``ctx.store_route``) carries a
+  :class:`~repro.store.sharding.ShardMap`, owns only its shard of the
+  path space — misrouted commands are forwarded to the owning group, and
+  :meth:`rebalance` streams misplaced objects out when the route changes.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.store.namespace import (
     encode_attrs,
     encode_object,
 )
-from repro.store.sharding import ShardMap
 from repro.services.base import Checkpointable
 
 #: bounded reply size for psList/psDigest pages and psFetch batches —
@@ -72,9 +71,7 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
                  sync_interval: float = 5.0,
                  batch_replication: bool = True, repl_batch_size: int = 16,
                  repl_flush_age: float = 0.05, repl_buffer_cap: int = 512,
-                 shard_map: Optional[ShardMap] = None, group_index: int = 0,
-                 group_addresses: Optional[Dict[int, List[Address]]] = None,
-                 **kwargs):
+                 group_index: int = 0, **kwargs):
         kwargs.setdefault("authorize_commands", False)  # robust core service
         super().__init__(ctx, name, host, **kwargs)
         self.namespace = self.table = ObjectNamespace(site=name)
@@ -84,9 +81,7 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
         self.repl_batch_size = repl_batch_size
         self.repl_flush_age = repl_flush_age
         self.repl_buffer_cap = repl_buffer_cap
-        self.shard_map = shard_map
         self.group_index = group_index
-        self.group_addresses: Dict[int, List[Address]] = dict(group_addresses or {})
         self.writes = 0
         self.reads = 0
         # Per-peer replication buffers: path -> newest StoredObject, in
@@ -188,39 +183,34 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
             self.namespace.apply(obj)
 
     def _respawn_kwargs(self) -> dict:
-        # The topology a store was built into moves under it (set_peers,
-        # install_shard_map): a reincarnation joins today's, not that one.
-        return {
-            "peers": list(self.peers),
-            "shard_map": self.shard_map,
-            "group_addresses": dict(self.group_addresses),
-        }
+        # The peers and group a store was built into move under it
+        # (set_peers, a drain): a reincarnation joins today's, not those.
+        return {"peers": list(self.peers), "group_index": self.group_index}
 
     # ------------------------------------------------------------------
     # Sharding
     # ------------------------------------------------------------------
-    def install_shard_map(self, shard_map: ShardMap,
-                          group_addresses: Dict[int, List[Address]]):
-        """Adopt a (grown) map and stream misplaced objects to their new
-        owner groups; returns the rebalance process."""
-        self.shard_map = shard_map
-        self.group_addresses = dict(group_addresses)
+    def rebalance(self):
+        """Stream the objects this group no longer owns under today's
+        route to their owner groups; returns the rebalance process."""
         return self._spawn(self._rebalance(), "rebalance")
 
     def _rebalance(self) -> Generator:
         """Hand off every object this group no longer owns, then drop it."""
-        if self.shard_map is None:
-            return 0
+        shard_map = self.ctx.store_route.shard_map
         by_owner: Dict[int, List[StoredObject]] = {}
         for obj in self.namespace.all_objects():
-            owner = self.shard_map.shard_for(obj.path)
+            owner = shard_map.shard_for(obj.path)
             if owner != self.group_index:
                 by_owner.setdefault(owner, []).append(obj)
         moved = 0
         for owner in sorted(by_owner):
-            addresses = self.group_addresses.get(owner, ())
-            if not addresses:
+            # today's route: a group drained since the hand-off began is
+            # skipped, and its objects stay here for the next rebalance
+            groups = self.ctx.store_route.groups
+            if owner >= len(groups):
                 continue
+            addresses = groups[owner]
             objs = by_owner[owner]
             for start in range(0, len(objs), self.repl_batch_size):
                 batch = objs[start:start + self.repl_batch_size]
@@ -244,14 +234,15 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
         return moved
 
     def _misroute_owner(self, path: str) -> Optional[int]:
-        if self.shard_map is None:
+        route = self.ctx.store_route
+        if route is None or route.shard_map is None:
             return None
-        if self.shard_map.groups == 1 and self.group_index == 0:
-            # Unsharded fast path.  A *draining* daemon (group_index
-            # beyond the map, e.g. shrunk back to one group) must still
-            # fall through and forward — it owns nothing anymore.
+        shard_map = route.shard_map
+        if shard_map.groups == 1 and self.group_index == 0:
+            # Unsharded fast path.  A drained daemon (group_index -1)
+            # must still fall through and forward: it owns nothing.
             return None
-        owner = self.shard_map.shard_for(path)
+        owner = shard_map.shard_for(path)
         return None if owner == self.group_index else owner
 
     def _forward(self, request: Request, owner: int) -> Generator:
@@ -261,9 +252,7 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
                 f"shard loop: group {self.group_index} does not own this path "
                 f"(owner group {owner})"
             )
-        addresses = self.group_addresses.get(owner, ())
-        if not addresses:
-            raise ServiceError(f"no known addresses for owner group {owner}")
+        addresses = self.ctx.store_route.groups[owner]
         command = request.command.without_args(*RESERVED_ARGS).with_args(fwd=1)
         try:
             reply = yield from self.client.call(addresses, command, check=False, attach=False)

@@ -1,11 +1,13 @@
 """Consistent-hash sharding of the store namespace (Dynamo-style).
 
 A :class:`ShardMap` partitions object paths across N replica-groups via a
-ring of virtual nodes.  Every client and every store daemon holds the same
-map, so routing is computed locally — no lookup service in the hot path.
-Growing the map (`grown`) adds one group's vnodes to the ring; only keys
-whose ring successor is now a new vnode move, which keeps rebalancing
-proportional to 1/N of the namespace.
+ring of virtual nodes, so routing is computed locally — no lookup service
+in the hot path.  Growing the map (`grown`) adds one group's vnodes to the
+ring; only keys whose ring successor is now a new vnode move, which keeps
+rebalancing proportional to 1/N of the namespace.
+
+A :class:`StoreRoute` is the map plus each group's addresses: the one
+topology every store client and store daemon routes on.
 
 All hashing goes through :func:`stable_hash` (blake2b) because Python's
 builtin ``hash`` is salted per process and would give every replica a
@@ -16,7 +18,10 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.net import Address
 
 
 def stable_hash(text: str) -> int:
@@ -75,25 +80,35 @@ class ShardMap:
             raise ValueError("cannot shrink below one group")
         return ShardMap(self.groups - 1, vnodes=self.vnodes, epoch=self.epoch + 1)
 
-    def moved_paths(self, paths: Sequence[str], new_map: "ShardMap") -> List[str]:
-        """Paths whose owner changes between this map and ``new_map``."""
-        return [p for p in paths if self.shard_for(p) != new_map.shard_for(p)]
-
-    def to_wire(self) -> str:
-        return f"{self.groups}:{self.vnodes}:{self.epoch}"
-
-    @classmethod
-    def from_wire(cls, text: str) -> "ShardMap":
-        groups, vnodes, epoch = (int(part) for part in text.split(":"))
-        return cls(groups, vnodes=vnodes, epoch=epoch)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ShardMap)
-            and self.groups == other.groups
-            and self.vnodes == other.vnodes
-            and self.epoch == other.epoch
-        )
-
     def __repr__(self) -> str:
         return f"ShardMap(groups={self.groups}, vnodes={self.vnodes}, epoch={self.epoch})"
+
+
+class StoreRoute:
+    """Where every store path lives: the shard map (``None`` when the
+    store is unsharded), each replica-group's addresses in group order,
+    and all of them as one list sorted by address.
+
+    Immutable.  The environment publishes a new one as ``ctx.store_route``
+    whenever a group is added, grown or drained; store clients and store
+    daemons read it on every use, so a steady operation builds nothing
+    and every reader follows the same topology."""
+
+    __slots__ = ("shard_map", "groups", "addresses")
+
+    def __init__(self, shard_map: Optional[ShardMap],
+                 groups: Sequence[Sequence["Address"]]):
+        self.shard_map = shard_map
+        self.groups: Tuple[Tuple["Address", ...], ...] = tuple(
+            tuple(group) for group in groups
+        )
+        self.addresses: Tuple["Address", ...] = tuple(
+            sorted((a for group in self.groups for a in group), key=str)
+        )
+
+    def group_for(self, path: str) -> Tuple["Address", ...]:
+        """The addresses that serve ``path``: its owner group's, or every
+        replica's when the store is unsharded."""
+        if self.shard_map is None:
+            return self.addresses
+        return self.groups[self.shard_map.shard_for(path)]

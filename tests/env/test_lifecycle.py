@@ -172,13 +172,9 @@ def test_respawn_rebuilds_every_daemon_from_its_constructor_keywords():
         expected = dict(daemon._init_kwargs, port=daemon.port,
                         incarnation=daemon.incarnation + 1)
         if isinstance(daemon, PersistentStoreDaemon):
-            # ...except the topology, which is today's: ps1-* and ps2-*
-            # were built into a two-group map that has since grown
-            expected.update(
-                peers=daemon.peers, shard_map=env._store_shard_map,
-                group_addresses=env._store_group_addresses(),
-            )
-            assert twin.shard_map.groups == 3 and len(twin.group_addresses) == 3
+            # ...except its peers and group, which are today's; the shard
+            # map it routes on is the environment's, not a keyword
+            expected.update(peers=daemon.peers, group_index=daemon.group_index)
         assert twin._init_kwargs == expected, daemon.name
         assert type(twin) is type(daemon) and twin.address == daemon.address
     assert env.daemons["hal.lab1"].respawn(1).registry is env.registry

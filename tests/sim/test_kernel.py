@@ -356,3 +356,28 @@ def test_a_finished_process_is_freed_without_the_collector():
         assert generator() is None   # no cycle left for the collector
     finally:
         gc.enable()
+
+
+def test_a_failed_process_is_freed_without_the_collector():
+    import gc
+    import weakref
+
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(1.0)
+        raise ValueError("boom")
+
+    p = sim.process(proc())
+    p.defuse()
+    generator = weakref.ref(p.generator)
+    sim.run()
+    assert isinstance(p.value, ValueError) and generator() is not None
+    # the traceback keeps the generator's own frame, for whoever reads it
+    assert p.value.__traceback__.tb_frame.f_code is proc.__code__
+    gc.disable()
+    try:
+        del p
+        assert generator() is None   # the traceback holds no frame that holds it
+    finally:
+        gc.enable()

@@ -1,8 +1,8 @@
-"""Unit tests for Store / PriorityStore."""
+"""Unit tests for Store."""
 
 import pytest
 
-from repro.sim import PriorityStore, QueueClosed, Simulator, Store
+from repro.sim import QueueClosed, Simulator, Store
 
 
 def test_put_then_get_fifo():
@@ -153,53 +153,6 @@ def test_put_after_close_fails():
 
     sim.run_process(proc())
     assert store.try_put("x") is False
-
-
-def test_priority_store_orders_items():
-    sim = Simulator()
-    store = PriorityStore(sim)
-
-    def proc():
-        for value in [5, 1, 3]:
-            yield store.put(value)
-        out = []
-        for _ in range(3):
-            out.append((yield store.get()))
-        return out
-
-    assert sim.run_process(proc()) == [1, 3, 5]
-
-
-def test_priority_store_stable_on_ties():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    a = (1, "first")
-    b = (1, "second")
-
-    def proc():
-        yield store.put(a)
-        yield store.put(b)
-        return [(yield store.get()), (yield store.get())]
-
-    assert sim.run_process(proc()) == [a, b]
-
-
-def test_priority_store_serves_waiting_getter():
-    sim = Simulator()
-    store = PriorityStore(sim)
-    got = []
-
-    def getter():
-        got.append((yield store.get()))
-
-    def putter():
-        yield sim.timeout(1.0)
-        yield store.put(9)
-
-    sim.process(getter())
-    sim.process(putter())
-    sim.run()
-    assert got == [9]
 
 
 def test_len_reflects_buffered_items():

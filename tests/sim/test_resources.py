@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Container."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Resource, SimulationError, Simulator
+from repro.sim import Resource, SimulationError, Simulator
 
 
 def test_resource_grants_up_to_capacity():
@@ -96,77 +96,3 @@ def test_bad_capacity_rejected():
     with pytest.raises(SimulationError):
         Resource(sim, capacity=0)
 
-
-def test_container_put_get():
-    sim = Simulator()
-    tank = Container(sim, capacity=100.0, init=50.0)
-
-    def proc():
-        yield tank.get(20.0)
-        yield tank.put(5.0)
-        return tank.level
-
-    assert sim.run_process(proc()) == 35.0
-
-
-def test_container_get_blocks_until_level():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0, init=0.0)
-    log = []
-
-    def getter():
-        yield tank.get(5.0)
-        log.append(("got", sim.now))
-
-    def filler():
-        yield sim.timeout(2.0)
-        yield tank.put(3.0)
-        yield sim.timeout(2.0)
-        yield tank.put(3.0)
-
-    sim.process(getter())
-    sim.process(filler())
-    sim.run()
-    assert log == [("got", 4.0)]
-    assert tank.level == 1.0
-
-
-def test_container_put_blocks_at_capacity():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0, init=9.0)
-    log = []
-
-    def putter():
-        yield tank.put(5.0)
-        log.append(("put", sim.now))
-
-    def drainer():
-        yield sim.timeout(3.0)
-        yield tank.get(6.0)
-
-    sim.process(putter())
-    sim.process(drainer())
-    sim.run()
-    assert log == [("put", 3.0)]
-    assert tank.level == 8.0
-
-
-def test_container_try_get():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0, init=4.0)
-    assert tank.try_get(3.0) is True
-    assert tank.try_get(3.0) is False
-    assert tank.level == 1.0
-
-
-def test_container_validation():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Container(sim, capacity=0.0)
-    with pytest.raises(SimulationError):
-        Container(sim, capacity=5.0, init=6.0)
-    tank = Container(sim, capacity=5.0)
-    with pytest.raises(SimulationError):
-        tank.get(6.0)
-    with pytest.raises(SimulationError):
-        tank.put(-1.0)

@@ -1,6 +1,6 @@
-"""``Store`` / ``PriorityStore`` against the three-deque oracle.
+"""``Store`` against the three-deque oracle.
 
-The stores allocate their containers on first use; whatever the sequence
+The store allocates its containers on first use; whatever the sequence
 of operations, a caller must see what an eager three-deque store shows:
 the same return values, the same ``QueueClosed`` failures, the same
 lengths, and every event delivered in the order it was triggered.
@@ -11,7 +11,7 @@ pending, as its contract requires — minus the parked getter's wake event.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import PriorityStore, Simulator, Store
+from repro.sim import Simulator, Store
 
 from tests.sim.three_deque_store import ThreeDequeStore
 
@@ -23,13 +23,13 @@ _OPS = st.lists(st.one_of(
 
 
 @pytest.mark.parametrize("capacity", [None, 1, 3])
-@pytest.mark.parametrize("cls", [Store, PriorityStore])
+@pytest.mark.parametrize("cls", [Store])
 @settings(max_examples=150, deadline=None)
 @given(ops=_OPS)
 def test_any_sequence_matches_the_oracle(cls, capacity, ops):
     sim = Simulator()
     store = cls(sim, capacity)
-    oracle = ThreeDequeStore(capacity, priority=cls is PriorityStore)
+    oracle = ThreeDequeStore(capacity)
     delivered = []
     wakes_saved = 0
 

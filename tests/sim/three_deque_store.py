@@ -1,8 +1,6 @@
 """Three-deque store oracle: items, parked getters and parked putters are
 plain deques built up front; ``fired`` lists ``(waiter, outcome)`` in trigger
-order, which is the order the kernel must deliver a store's events in.
-``priority=True`` pops the smallest item and, like ``PriorityStore``, never
-parks a put."""
+order, which is the order the kernel must deliver a store's events in."""
 
 from collections import deque
 
@@ -10,15 +8,10 @@ from repro.sim.queues import QueueClosed
 
 
 class ThreeDequeStore:
-    def __init__(self, capacity=None, priority=False):
-        self.capacity, self.priority = (None if priority else capacity), priority
+    def __init__(self, capacity=None):
+        self.capacity = capacity
         self.items, self.getters, self.putters = deque(), deque(), deque()
         self.closed, self.fired = False, []
-
-    def _push(self, item):
-        self.items.append(item)
-        if self.priority:
-            self.items = deque(sorted(self.items))
 
     def try_put(self, item):
         if self.closed or (not self.getters and self.capacity is not None
@@ -27,7 +20,7 @@ class ThreeDequeStore:
         if self.getters:
             self.fired.append((self.getters.popleft(), item))
         else:
-            self._push(item)
+            self.items.append(item)
         return True
 
     def put(self, item, who):
@@ -46,7 +39,7 @@ class ThreeDequeStore:
             self.fired.append((who, item))
         if self.putters:
             putter, held = self.putters.popleft()
-            self._push(held)
+            self.items.append(held)
             self.fired.append((putter, None))
         return True, item
 

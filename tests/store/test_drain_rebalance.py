@@ -1,9 +1,9 @@
 """Scale-down coverage for the sharded store: ``env.drain_store_group()``
-under concurrent writes (the knob E28's controller turns that no suite
-exercised before this PR), plus client topology refresh across both
-scale directions."""
+under concurrent writes (the knob E28's controller turns), plus clients
+following ``ctx.store_route`` across both scale directions."""
 
 from repro.env import ACEEnvironment
+from repro.store import StoreClient
 
 
 def build(seed=23, *, groups=2, replicas=2):
@@ -28,7 +28,7 @@ def test_drain_moves_all_data_to_survivors():
     assert proc.triggered
 
     # Topology shrank everywhere: map, groups, env registry.
-    assert env._store_shard_map.groups == 1
+    assert env.ctx.store_route.shard_map.groups == 1
     assert len(env._store_groups) == 1
     # remove_daemon took everything with it: registry, tier, the host
     # supervisor's ward (the supervisor itself goes with its last ward),
@@ -52,15 +52,17 @@ def test_drain_moves_all_data_to_survivors():
 def test_drain_under_concurrent_writes_loses_nothing():
     """Writes keep flowing *during* the handoff and every one survives.
 
-    Two write paths are exercised at once: a topology-provider client
-    (refreshes to the survivors immediately) and a client still holding
-    the **pre-drain** map, whose writes land on the draining group and
-    must ride the misroute-forward path to the new owners instead of
-    being applied to a namespace that is being emptied."""
+    Two write paths are exercised at once: a route client (routes to the
+    survivors from the drain's instant) and a client pinned to the
+    departing group's **pre-drain** replica list, whose writes land on
+    the draining group and must ride the misroute-forward path to the new
+    owners instead of being applied to a namespace that is being
+    emptied."""
     env = build(seed=29)
-    stale = env.store_client(env.daemons["asd"].host, principal="stale")
-    stale.topology_provider = None      # pinned to the pre-drain map
-    fresh = env.store_client(env.daemons["asd"].host, principal="fresh")
+    host = env.daemons["asd"].host
+    departing = [d.address for d in env._store_groups[-1]]
+    stale = StoreClient(env.ctx, host, departing, principal="stale")
+    fresh = env.store_client(host, principal="fresh")
     for i in range(30):
         env.run(fresh.put(f"/w/pre{i:02d}", {"v": str(i)}))
 
@@ -75,20 +77,21 @@ def test_drain_under_concurrent_writes_loses_nothing():
 
     def stale_burst():
         # Fired right at drain start, while the draining daemons are
-        # still up: the old map routes some of these at them, and the
-        # shrunk map they just installed makes them forward everything.
+        # still up: the pinned list sends every one of these at them,
+        # and owning nothing under the shrunk route they forward them.
         for i in range(8):
             path = f"/w/stale{i}"
             yield from stale.put(path, {"v": str(i)})
             written.append(path)
 
     writer_proc = env.sim.process(fresh_writer(), name="fresh-writer")
-    env.run_for(0.35)             # a few provider writes land pre-drain
+    env.run_for(0.35)             # a few route writes land pre-drain
     drain = env.drain_store_group()
     burst_proc = env.sim.process(stale_burst(), name="stale-burst")
     env.run_for(25.0)
     assert drain.triggered and writer_proc.triggered and burst_proc.triggered
     assert len(written) == 28
+    assert env.ctx.obs.metrics.counter("store.ps2-1.forwards").value >= 8
 
     # Every pre-, mid-, and stale-burst write is on the survivors.
     reader = env.store_client(env.daemons["asd"].host, principal="reader")
@@ -101,24 +104,37 @@ def test_drain_under_concurrent_writes_loses_nothing():
 
 
 def test_topology_provider_follows_grow_and_drain():
-    """One long-lived client routes correctly across add -> drain."""
+    """One long-lived client routes on ``ctx.store_route`` across add ->
+    drain: each put goes straight to its owner group, none forwarded."""
     env = build(seed=31)
     sc = env.store_client(env.daemons["asd"].host, principal="longlived")
     env.run(sc.put("/t/a", {"v": "1"}))
-    assert len(sc.groups) == 2
 
     env.add_store_group()
     env.run_for(10.0)
-    env.run(sc.put("/t/b", {"v": "2"}))
-    assert len(sc.groups) == 3          # provider refreshed on use
+    forwards = _forwards(env)
+    for i in range(12):
+        env.run(sc.put(f"/t/b{i}", {"v": "2"}))
+    assert len(env.ctx.store_route.groups) == 3
+    assert _forwards(env) == forwards
 
     drain = env.drain_store_group()
     env.run_for(15.0)
     assert drain.triggered
-    env.run(sc.put("/t/c", {"v": "3"}))
-    assert len(sc.groups) == 2
-    for path, v in [("/t/a", "1"), ("/t/b", "2"), ("/t/c", "3")]:
-        assert env.run(sc.get(path)) == {"v": v}
+    for i in range(12):
+        env.run(sc.put(f"/t/c{i}", {"v": "3"}))
+    assert len(env.ctx.store_route.groups) == 2
+    assert _forwards(env) == forwards
+    assert env.run(sc.get("/t/a")) == {"v": "1"}
+    for i in range(12):
+        assert env.run(sc.get(f"/t/b{i}")) == {"v": "2"}
+        assert env.run(sc.get(f"/t/c{i}")) == {"v": "3"}
+
+
+def _forwards(env):
+    """Every forward any store daemon made, drained ones included."""
+    return sum(value for name, value in env.ctx.obs.metrics.snapshot("store.ps").items()
+               if name.endswith(".forwards"))
 
 
 def test_drain_then_regrow_reuses_no_host_names():
@@ -129,7 +145,7 @@ def test_drain_then_regrow_reuses_no_host_names():
     regrown = env.add_store_group()
     assert all(d.name not in ("ps1-1", "ps1-2") for d in regrown)
     env.run_for(8.0)
-    assert env._store_shard_map.groups == 2
+    assert env.ctx.store_route.shard_map.groups == 2
     sc = env.store_client(env.daemons["asd"].host)
     env.run(sc.put("/r/x", {"v": "y"}))
     assert env.run(sc.get("/r/x")) == {"v": "y"}

@@ -27,6 +27,8 @@ def test_shard_map_balance_and_determinism():
     for p in paths:
         counts[m1.shard_for(p)] += 1
     assert min(counts) > 100  # vnode ring keeps every group loaded
+    with pytest.raises(ValueError):
+        ShardMap(0)
 
 
 def test_shard_map_growth_moves_a_minority():
@@ -34,21 +36,13 @@ def test_shard_map_growth_moves_a_minority():
     new = old.grown()
     assert new.groups == 5 and new.epoch == old.epoch + 1
     paths = [f"/obj/{i}" for i in range(1000)]
-    moved = set(old.moved_paths(paths, new))
+    moved = {p for p in paths if old.shard_for(p) != new.shard_for(p)}
     assert 0 < len(moved) < 500  # ~1/5 expected; never a full reshuffle
     for p in paths:
         if p not in moved:
             assert old.shard_for(p) == new.shard_for(p)
         else:
             assert new.shard_for(p) == 4  # growth only hands keys to the newcomer
-
-
-def test_shard_map_wire_roundtrip():
-    m = ShardMap(3, vnodes=16, epoch=7)
-    assert ShardMap.from_wire(m.to_wire()) == m
-    assert ShardMap(1) != m
-    with pytest.raises(ValueError):
-        ShardMap(0)
 
 
 # -- Sharded environment ------------------------------------------------------
@@ -84,7 +78,7 @@ def test_sharded_put_get_list():
     values, listed = env.run(scenario())
     assert values == [{"v": str(i)} for i in range(len(PATHS))]
     assert listed == sorted(PATHS)
-    smap = env._store_shard_map
+    smap = env.ctx.store_route.shard_map
     assert {smap.shard_for(p) for p in PATHS} == {0, 1}
     # Every object lives in (only) its owner group.
     for p in PATHS:
@@ -97,7 +91,7 @@ def test_misrouted_request_is_forwarded():
     """A client with a stale (or missing) map hits the wrong group; the
     daemon relays the command to the owner and returns its reply."""
     env = build_sharded_env()
-    smap = env._store_shard_map
+    smap = env.ctx.store_route.shard_map
     path = next(p for p in PATHS if smap.shard_for(p) == 1)
     wrong = env.daemon("ps1-1")  # group 0 does not own `path`
 
@@ -132,11 +126,11 @@ def test_add_store_group_rebalances():
 
     env.run(fill())
     env.run_for(1.0)
-    old_map = env._store_shard_map
+    old_map = env.ctx.store_route.shard_map
     env.add_store_group()
-    new_map = env._store_shard_map
+    new_map = env.ctx.store_route.shard_map
     assert new_map.groups == 3 and new_map.epoch == old_map.epoch + 1
-    moved = set(old_map.moved_paths(paths, new_map))
+    moved = {p for p in paths if old_map.shard_for(p) != new_map.shard_for(p)}
     assert moved
     env.run_for(5.0)
     rebalanced = sum(
@@ -178,48 +172,41 @@ def _forwards(env):
 
 
 def test_store_route_is_one_object_until_the_groups_change(monkeypatch):
-    """A store op reads the route the environment keeps; it builds no
-    address list.  Growth and drain each install a new route."""
+    """A store op reads the route the environment publishes; it builds no
+    address list.  Growth and drain each publish a new route."""
     env = build_sharded_env()
     client = env.store_client(env.net.host("infra"))
     env.run(client.put("/route/a", {"v": "1"}))
     env.run_for(1.0)  # the replicas apply the batch
 
-    provider, seen, reads, inside = client.topology_provider, [], [0], [False]
+    route, reads = env.ctx.store_route, [0]
     address = ACEDaemon.address
 
     def counted(daemon):
-        reads[0] += inside[0]
+        reads[0] += 1
         return address.fget(daemon)
 
-    def watched():
-        inside[0] = True
-        try:
-            seen.append(provider())
-        finally:
-            inside[0] = False
-        return seen[-1]
-
     monkeypatch.setattr(ACEDaemon, "address", property(counted))
-    client.topology_provider = watched
 
     def gets():
         for _ in range(100):
             assert (yield from client.get("/route/a")) == {"v": "1"}
 
     env.run(gets())
-    assert len(seen) >= 100
-    assert all(route is seen[0] for route in seen)
+    assert env.ctx.store_route is route
     assert reads[0] == 0
+    monkeypatch.undo()
 
-    before = env._store_topology()
+    assert len(route.groups) == 2 and route.shard_map.groups == 2
+    assert list(route.addresses) == sorted(
+        (a for group in route.groups for a in group), key=str)
     env.add_store_group()
-    grown = env._store_topology()
-    assert grown is not before
-    assert grown[0] is env._store_shard_map and len(grown[1]) == 3
-    assert env._store_topology() is grown
+    grown = env.ctx.store_route
+    assert grown is not route
+    assert grown.shard_map.groups == 3 and len(grown.groups) == 3
+    assert grown.shard_map.epoch == route.shard_map.epoch + 1
 
     env.drain_store_group(grace=0.0)
-    drained = env._store_topology()
+    drained = env.ctx.store_route
     assert drained is not grown
-    assert drained[0] is env._store_shard_map and len(drained[1]) == 2
+    assert drained.shard_map.groups == 2 and drained.groups == route.groups

@@ -176,6 +176,11 @@ RETIRED_NAMES = frozenset({
     "_apply_entry", "_index_add", "_index_remove", "cmd_psReplicate",
     "newer_than", "replicate_writes", "forward_misrouted", "digest_buckets",
     "run_once", "_check_against_baseline",
+    "store_addresses", "_store_shard_map", "_store_route", "_store_topology",
+    "_store_group_addresses", "_refresh_store_topology", "_refresh_topology",
+    "group_addresses", "install_shard_map", "moved_paths",
+    "persist", "auto_open_workspace", "auto_answer", "client_monitors",
+    "PriorityStore", "Container",
     "cmd_getLastSeen", "cmd_getManaged", "cmd_refresh", "cmd_listGestures",
     "cmd_listPrincipals", "cmd_revokeCredentials", "cmd_obsSummary",
     "cmd_removeService", "cmd_speakWord", "cmd_speakNoise", "cmd_stopCapture",
@@ -240,6 +245,29 @@ def test_retired_names_stay_retired():
         assert not names & set(vars(getattr(importlib.import_module(module), cls))), cls
     # never passed, never read
     assert "notification" not in inspect.signature(CommandSemantics.define).parameters
+
+
+def test_the_store_has_one_route():
+    """``ctx.store_route`` is the only place a store client or daemon
+    learns the shard map and the groups: neither takes them as options,
+    and no module outside the environment reads a private ``_store_*``
+    name of it."""
+    from repro.store import PersistentStoreDaemon, StoreClient
+
+    retired = {"shard_map", "groups", "group_addresses", "topology_provider"}
+    for cls in (StoreClient, PersistentStoreDaemon):
+        assert not retired & set(inspect.signature(cls).parameters), cls.__name__
+    found = [
+        f"{path.relative_to(REPO)}:{node.lineno}: {node.attr}"
+        for path in sorted((REPO / "src").rglob("*.py"))
+        if path != REPO / "src/repro/env/environment.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_store_")
+        and getattr(node.value, "id", None) != "self"
+        # the telemetry snapshot names each group's daemons
+        and node.attr != "_store_groups"
+    ]
+    assert found == [], "private store names read outside the environment:\n" + "\n".join(found)
 
 
 #: the per-plane hooks the environment's list of planes replaced
