@@ -1,5 +1,5 @@
 """E23 — the scale-out discovery plane (replicated ASD + client lookup
-caches + pooled/pipelined RPC).
+caches + pooled RPC).
 
 Four claims:
 
@@ -11,8 +11,9 @@ Four claims:
   uncached wire path (a cache hit never touches the wire at all);
 * **availability** — with 3 replicas, crashing the primary mid-sweep
   fails zero lookups: clients fail over to a surviving replica;
-* **rpc** — connection pooling and pipelining raise cross-segment
-  lookup-style ops/s by a measured factor over dial-per-call.
+* **rpc** — connection pooling, and concurrent flows each on its own
+  pooled channel, raise cross-segment lookup-style ops/s by a measured
+  factor over dial-per-call.
 
 Set ``ACE_BENCH_SHORT=1`` for a CI-sized run.  The scaling table is
 written as ``e23_directory_scale.txt`` to ``ACE_BENCH_ARTIFACT_DIR`` (CI
@@ -172,12 +173,12 @@ def test_e23_replica_crash_zero_failed_lookups(benchmark, table_printer):
     assert failovers > 0                          # survivors really answered
 
 
-def test_e23_pooled_pipelined_ops_factor(benchmark, table_printer):
+def test_e23_pooled_concurrent_ops_factor(benchmark, table_printer):
     table = table_printer(ResultTable(
         "E23: RPC plane ops/s, cross-segment client (16 echo calls)",
         ["mode", "sim_s", "ops_per_s", "factor_vs_dial"],
     ))
-    k = 16
+    k, flows = 16, 8
 
     def run():
         env = build_env(1, with_watcher=False, n_services=1)
@@ -203,21 +204,22 @@ def test_e23_pooled_pipelined_ops_factor(benchmark, table_printer):
                 assert reply.get("text") == f"q{i}"
             return env.sim.now - t0
 
-        def pipelined():
-            pipe = yield from client.pipelined(echo.address, max_inflight=8)
-
-            def one(i):
-                reply = yield from pipe.call(ACECmdLine("echo", text=f"p{i}"))
-                assert reply.get("text") == f"p{i}"
+        def concurrent_flows():
+            def flow(f):
+                for i in range(f, k, flows):
+                    reply = yield from client.call(
+                        echo.address, ACECmdLine("echo", text=f"c{i}")
+                    )
+                    assert reply.get("text") == f"c{i}"
 
             t0 = env.sim.now
-            yield env.sim.all_of([env.sim.process(one(i)) for i in range(k)])
+            yield env.sim.all_of([env.sim.process(flow(f)) for f in range(flows)])
             return env.sim.now - t0
 
         return {
             "dial-per-call": env.run(dial_per_call()),
             "pooled": env.run(pooled()),
-            "pooled+pipelined": env.run(pipelined()),
+            f"pooled, {flows} concurrent flows": env.run(concurrent_flows()),
         }
 
     times = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -225,7 +227,9 @@ def test_e23_pooled_pipelined_ops_factor(benchmark, table_printer):
     for mode, t in times.items():
         table.add(mode, round(t, 4), round(k / t, 1), round(t_dial / t, 2))
     # The measured, documented factors: pooling drops the per-call
-    # dial+attach round trips; pipelining overlaps the remaining ones.
+    # dial+attach round trips; concurrent flows, each on its own pooled
+    # channel, overlap the remaining ones.
+    concurrent = times[f"pooled, {flows} concurrent flows"]
     assert times["pooled"] < t_dial / 1.5
-    assert times["pooled+pipelined"] < t_dial / 3.0
-    assert times["pooled+pipelined"] < times["pooled"]
+    assert concurrent < t_dial / 3.0
+    assert concurrent < times["pooled"]

@@ -209,8 +209,7 @@ CODEC_CALLS = [
      ACECmdLine("psReplicateBatch",
                 entries=("/bench/c0/o31|v=0|696@ps1-1|0",
                          "/bench/c7/o2|v=12|697@ps1-1|0",
-                         "/bench/c19/o60|v=3|698@ps1-1|0"),
-                o_seq=387),
+                         "/bench/c19/o60|v=3|698@ps1-1|0")),
      "vector"),
     ("calibration-matrix",
      ACECmdLine("calibrate", m=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),

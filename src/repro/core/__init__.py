@@ -19,7 +19,6 @@ from repro.core.daemon import ACEDaemon, Request, ServiceError
 from repro.core.client import (
     CallError,
     ConnectionPool,
-    PipelinedConnection,
     Service,
     ServiceClient,
     ServiceConnection,
@@ -48,7 +47,6 @@ __all__ = [
     "Lease",
     "LeaseTable",
     "LookupCache",
-    "PipelinedConnection",
     "query_key",
     "NotificationEntry",
     "NotificationTable",

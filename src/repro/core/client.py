@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Generator, Iterable, Optional, Union
 
 from repro.lang import ACECmdLine, ACELanguageError, parse_command
-from repro.lang.command import CLIENT_ID_ARG, CLIENT_SEQ_ARG, PIPELINE_SEQ_ARG, is_error
+from repro.lang.command import CLIENT_ID_ARG, CLIENT_SEQ_ARG, is_error
 from repro.net import (
     Address, Connection, ConnectionClosed, ConnectionRefused, ConnectionReset, HandshakeError,
 )
@@ -114,7 +114,7 @@ class ServiceConnection:
     command, so the far daemon's execution joins the same tree.
     """
 
-    def __init__(self, channel: Channel, principal: str, client: Optional["ServiceClient"] = None):
+    def __init__(self, channel: Channel, principal: str, client: "ServiceClient"):
         self.channel = channel
         self.principal = principal
         self._client = client
@@ -129,9 +129,16 @@ class ServiceConnection:
         With ``check`` (default) a ``cmdFailed`` reply raises
         :class:`CallError`; otherwise the reply is returned either way.
         """
+        obs = self._client.ctx.obs
         span = None
-        if self._client is not None and command.name != "attach":
-            span, command = self._client._open_span("call", self.principal, command)
+        if command.name != "attach":
+            parent = obs.ambient_span()
+            if parent is not None:
+                span = obs.tracer.start_span(
+                    f"call:{command.name}", self.principal, parent, kind=SPAN_CLIENT
+                )
+                if span is not None:
+                    command = inject(command, span.context)
         status = "interrupted"  # overwritten on any non-interrupt exit
         try:
             try:
@@ -144,189 +151,13 @@ class ServiceConnection:
             status = "cmdFailed" if is_error(reply) else "ok"
         finally:
             if span is not None:
-                self._client.ctx.obs.tracer.finish(span, status=status)
+                obs.tracer.finish(span, status=status)
         if check and status == "cmdFailed":
             raise _cmd_failed(command, reply)
         return reply
 
     def close(self) -> None:
         self.channel.close()
-
-
-class PipelinedConnection:
-    """One attached channel carrying up to ``max_inflight`` tagged commands.
-
-    Plain :meth:`ServiceConnection.call` is strictly request/reply: every
-    command pays a full round trip before the next may start.  A pipelined
-    connection tags each outgoing command with a ``o_seq`` sequence number
-    (echoed by the daemon on the matching reply) and runs a single reader
-    process that routes replies back to their callers, so several commands
-    — even from *different* simulation processes sharing this object — can
-    be in flight on one channel at once.
-
-    Failure semantics (regression-tested): when the channel dies, only the
-    calls currently in flight fail (with :class:`TransportError`); calls
-    already answered keep their replies, and a fresh pipeline to the same
-    address works immediately.  A reply whose tag was forgotten (the caller
-    timed out) is discarded, never mis-paired.
-    """
-
-    def __init__(
-        self,
-        client: "ServiceClient",
-        connection: ServiceConnection,
-        max_inflight: int = 8,
-    ):
-        if max_inflight <= 0:
-            raise ValueError(f"max_inflight must be positive, got {max_inflight}")
-        self._client = client
-        self._conn = connection
-        self.max_inflight = max_inflight
-        self._next_seq = 0
-        self._pending: dict = {}          # seq -> Event awaiting the reply
-        self._slot_waiters: list = []     # Events of calls queued for a slot
-        self._reader = None
-        self._dead: Optional[BaseException] = None
-        metrics = client.ctx.obs.metrics
-        self._m_sent = metrics.counter("rpc.pipeline.sent")
-        self._m_matched = metrics.counter("rpc.pipeline.matched")
-        self._m_discarded = metrics.counter("rpc.pipeline.discarded")
-        self._m_depth = metrics.histogram(
-            "rpc.pipeline.depth", bounds=(1, 2, 4, 8, 16, 32)
-        )
-
-    @property
-    def closed(self) -> bool:
-        return self._dead is not None or self._conn.closed
-
-    @property
-    def inflight(self) -> int:
-        return len(self._pending)
-
-    # ------------------------------------------------------------------
-    def call(
-        self, command: ACECmdLine, *, check: bool = True, timeout: Optional[float] = None
-    ) -> Generator:
-        """Issue ``command`` without waiting for earlier calls' replies.
-
-        Blocks only while all ``max_inflight`` slots are taken.  With
-        ``timeout`` the call raises :class:`DeadlineExceeded` when the
-        tagged reply has not arrived in time (a late reply is discarded).
-        """
-        sim = self._client.ctx.sim
-        while self._dead is None and len(self._pending) >= self.max_inflight:
-            slot = sim.event()
-            self._slot_waiters.append(slot)
-            yield slot
-        if self._dead is not None:
-            raise TransportError(f"pipeline to {self._conn.channel.remote} is closed: {self._dead}")
-        seq = self._next_seq
-        self._next_seq += 1
-        span, command = self._client._open_span(
-            "pipeline", self._conn.principal, command, seq=seq
-        )
-        tagged = command.with_args(**{PIPELINE_SEQ_ARG: seq})
-        reply_ev = sim.event()
-        self._pending[seq] = reply_ev
-        self._m_depth.observe(len(self._pending))
-        self._ensure_reader()
-        status = "interrupted"
-        try:
-            try:
-                yield from self._conn.channel.send(tagged)
-            except (ConnectionClosed, HandshakeError) as exc:
-                self._pending.pop(seq, None)
-                reply_ev.defuse()
-                self._fail_inflight(f"pipeline send failed: {exc}", exc)
-                status = "transport-error"
-                raise TransportError(f"connection lost during {command.name!r}: {exc}") from exc
-            self._m_sent.inc()
-            try:
-                if timeout is None:
-                    reply = yield reply_ev
-                else:
-                    timer = sim.timeout(timeout)
-                    outcome = yield sim.any_of([reply_ev, timer])
-                    if reply_ev in outcome:
-                        reply = outcome[reply_ev]
-                    else:
-                        self._pending.pop(seq, None)
-                        reply_ev.defuse()
-                        self._release_slot()
-                        status = "deadline"
-                        raise DeadlineExceeded(
-                            f"pipelined {command.name!r} reply not seen in {timeout:.3f}s"
-                        )
-            except TransportError:
-                status = "transport-error"
-                raise
-            reply = reply.without_args(PIPELINE_SEQ_ARG)
-            status = "cmdFailed" if is_error(reply) else "ok"
-        finally:
-            if span is not None:
-                self._client.ctx.obs.tracer.finish(span, status=status)
-        if check and status == "cmdFailed":
-            raise _cmd_failed(command, reply)
-        return reply
-
-    # ------------------------------------------------------------------
-    def _ensure_reader(self) -> None:
-        if self._reader is None or not self._reader.is_alive:
-            sim = self._client.ctx.sim
-            self._reader = sim.process(
-                self._reader_loop(), name=f"pipeline.{self._conn.principal}"
-            )
-
-    def _reader_loop(self) -> Generator:
-        """Route each incoming reply to the call that owns its tag."""
-        try:
-            while True:
-                payload = yield from self._conn.channel.recv()
-                try:
-                    reply = received_command(payload)
-                except Exception:
-                    self._m_discarded.inc()
-                    continue
-                seq = reply.get(PIPELINE_SEQ_ARG)
-                waiter = None
-                if isinstance(seq, int) and not isinstance(seq, bool):
-                    waiter = self._pending.pop(seq, None)
-                elif self._pending:
-                    # Untagged reply (e.g. a parse-error notice the daemon
-                    # could not attribute): give it to the oldest caller
-                    # rather than deadlocking every slot.
-                    waiter = self._pending.pop(min(self._pending))
-                if waiter is None:
-                    self._m_discarded.inc()   # late reply after caller timeout
-                    continue
-                self._m_matched.inc()
-                waiter.succeed(reply)
-                self._release_slot()
-        except (ConnectionClosed, HandshakeError) as exc:
-            self._fail_inflight(f"pipeline channel closed: {exc}", exc)
-        except Interrupt:
-            self._fail_inflight("pipeline closed locally")
-
-    def _fail_inflight(self, reason: str, cause: Optional[Exception] = None) -> None:
-        """Channel death: fail the in-flight calls — and only those."""
-        self._dead = exc = TransportError(reason)
-        exc.__cause__ = cause   # by hand: raised later, in the callers' processes
-        pending, self._pending = self._pending, {}
-        for ev in pending.values():
-            ev.defuse()
-            ev.fail(exc)
-        waiters, self._slot_waiters = self._slot_waiters, []
-        for ev in waiters:
-            ev.succeed()  # wake queued callers so they observe the death
-
-    def _release_slot(self) -> None:
-        while self._slot_waiters and len(self._pending) < self.max_inflight:
-            self._slot_waiters.pop(0).succeed()
-
-    def close(self) -> None:
-        if self._reader is not None and self._reader.is_alive:
-            self._reader.interrupt("pipeline closed")
-        self._conn.close()
 
 
 class _AttemptBudget:
@@ -484,10 +315,10 @@ class ConnectionPool:
 class ServiceClient:
     """Attached connections for one principal on one host.
 
-    A client holds no per-flow state: its pool and pipelines are checked
-    out exclusively or shared by design, and the span a call parents under
-    is the calling process's ambient span.  So one client serves any
-    number of concurrent flows — a daemon holds one for its incarnation
+    A client holds no per-flow state: its pooled channels are checked
+    out exclusively, and the span a call parents under is the calling
+    process's ambient span.  So one client serves any number of
+    concurrent flows — a daemon holds one for its incarnation
     (:attr:`~repro.core.daemon.ACEDaemon.client`)."""
 
     def __init__(
@@ -504,7 +335,6 @@ class ServiceClient:
         #: client-observed policy-call latency, shared env-wide; traced
         #: calls pin their trace id as the bucket exemplar
         self._m_latency = ctx.obs.metrics.histogram("rpc.latency_s")
-        self._pipelines: dict = {}   # pool key -> PipelinedConnection
         #: idempotency stamp state (``ctx.idempotent_retries``): a unique
         #: client id minted on first use plus a per-logical-call sequence
         self._stamp_id: Optional[str] = None
@@ -551,20 +381,6 @@ class ServiceClient:
         if obs.ambient_span() is span:
             obs.set_ambient(span.outer)
         return obs.tracer.finish(span, status=status, **annotations)
-
-    def _open_span(self, prefix: str, source: str, command: ACECmdLine, **annotations):
-        """Open a ``<prefix>:<command>`` client span under the ambient span
-        and inject its context into ``command``; ``(None, command)`` when
-        nothing is being traced."""
-        parent = self.ctx.obs.ambient_span()
-        if parent is None:
-            return None, command
-        span = self.ctx.obs.tracer.start_span(
-            f"{prefix}:{command.name}", source, parent, kind=SPAN_CLIENT, **annotations
-        )
-        if span is not None:
-            command = inject(command, span.context)
-        return span, command
 
     def connect(
         self,
@@ -645,33 +461,16 @@ class ServiceClient:
         return self._call_replicas(target, command, policy, check, connect_kw)
 
     # ------------------------------------------------------------------
-    # Pooled + pipelined paths (the scale-out RPC plane)
+    # The pool (the scale-out RPC plane)
     # ------------------------------------------------------------------
     @cached_property
     def pool(self) -> ConnectionPool:
         """This client's connection pool: every call to an address rides it."""
         return ConnectionPool(self)
 
-    def pipelined(
-        self, address: Address, max_inflight: int = 8, **connect_kw
-    ) -> Generator:
-        """The shared pipelined channel to ``address`` (one per set of
-        ``connect`` options, as in the pool), dialing (or re-dialing after a
-        transport death) when needed."""
-        key = _pool_key(address, **connect_kw)
-        pipe = self._pipelines.get(key)
-        if pipe is None or pipe.closed:
-            connection = yield from self.connect(address, **connect_kw)
-            pipe = PipelinedConnection(self, connection, max_inflight=max_inflight)
-            self._pipelines[key] = pipe
-        return pipe
-
     def close_channels(self) -> None:
-        """Drop every pooled/pipelined channel (e.g. at client shutdown)."""
+        """Drop every pooled channel (e.g. at client shutdown)."""
         self.pool.close_all()
-        for pipe in self._pipelines.values():
-            pipe.close()
-        self._pipelines.clear()
 
     # ------------------------------------------------------------------
     # Idempotency stamping (the recovery plane's exactly-once half)

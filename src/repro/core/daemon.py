@@ -40,7 +40,6 @@ from repro.lang import ACECmdLine, ACELanguageError, ArgSpec, ArgType, CommandSe
 from repro.lang.command import (
     CLIENT_ID_ARG,
     CLIENT_SEQ_ARG,
-    PIPELINE_SEQ_ARG,
     RESERVED_ARGS,
     error_reply,
     ok_reply,
@@ -130,7 +129,6 @@ class ACEDaemon(NotificationMixin):
         authorize_commands: Optional[bool] = None,
         register_with_asd: bool = True,
         incarnation: int = 0,
-        dedup_window: int = DEDUP_WINDOW,
     ):
         self.ctx = ctx
         self.name = name
@@ -142,7 +140,6 @@ class ACEDaemon(NotificationMixin):
         #: a supervisor; registrations carry it so the ASD can fence a
         #: stale incarnation that resurfaces after a partition heals
         self.incarnation = incarnation
-        self.dedup_window = dedup_window
         #: idempotency window: ``(client_id, seq) -> reply`` in LRU order;
         #: checkpointed and restored across restarts so a retry that spans
         #: a crash replays the old reply instead of re-executing
@@ -529,7 +526,7 @@ class ACEDaemon(NotificationMixin):
                     if problem is None
                     else error_reply(command, problem)
                 )
-                yield from self._safe_send(channel, self._tag_reply(command, reply))
+                yield from self._safe_send(channel, reply)
                 continue
             request = Request(
                 command=command,
@@ -554,7 +551,7 @@ class ACEDaemon(NotificationMixin):
                     if not allowed:
                         obs.tracer.finish(request.span, status="denied")
                         denied = error_reply(command, f"permission denied: {reason}")
-                        yield from self._safe_send(channel, self._tag_reply(command, denied))
+                        yield from self._safe_send(channel, denied)
                         continue
                 request.queued_at = self.ctx.sim.now
                 reply_slot = self.ctx.sim.event()
@@ -562,39 +559,10 @@ class ACEDaemon(NotificationMixin):
                 if not self._control_queue.try_put((request, reply_slot)):
                     return
                 self._m_queue_depth.set(len(self._control_queue))
-                if command.get(PIPELINE_SEQ_ARG) is not None:
-                    # Pipelined command: a spawned responder sends the
-                    # tagged reply when it's ready while this thread goes
-                    # straight back to reading — that is what lets k
-                    # tagged commands from one channel actually share the
-                    # daemon's command queue instead of serialising on
-                    # this read loop.  Untagged commands keep the strict
-                    # request/reply rhythm plain connections rely on.
-                    self._spawn(
-                        self._pipelined_reply(channel, command, reply_slot),
-                        "pipelined-reply",
-                    )
-                    reply = None
-                else:
-                    reply = yield reply_slot
+                reply = yield reply_slot
             finally:
                 obs.set_ambient(prev_ambient)
-            if reply is None:
-                continue
-            yield from self._safe_send(channel, self._tag_reply(command, reply))
-
-    def _pipelined_reply(self, channel: Channel, command: ACECmdLine, reply_slot) -> Generator:
-        reply = yield reply_slot
-        yield from self._safe_send(channel, self._tag_reply(command, reply))
-
-    @staticmethod
-    def _tag_reply(request: ACECmdLine, reply: ACECmdLine) -> ACECmdLine:
-        """Echo the request's pipeline tag (if any) so a client with
-        several commands in flight can pair this reply to its call."""
-        seq = request.get(PIPELINE_SEQ_ARG)
-        if seq is None:
-            return reply
-        return reply.with_args(**{PIPELINE_SEQ_ARG: seq})
+            yield from self._safe_send(channel, reply)
 
     def _safe_send(self, channel: Channel, payload: Union[ACECmdLine, str]) -> Generator:
         try:
@@ -780,7 +748,7 @@ class ACEDaemon(NotificationMixin):
         cache = self._dedup_cache
         cache[key] = reply
         cache.move_to_end(key)
-        while len(cache) > self.dedup_window:
+        while len(cache) > DEDUP_WINDOW:
             cache.popitem(last=False)
             self._m_dedup_evicted.inc()
 

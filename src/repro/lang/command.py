@@ -27,11 +27,6 @@ _intern = sys.intern
 #: ``t3_s12_s11``); reserved arguments ride on any command without being
 #: part of its declared semantics — validation skips them.
 OBS_TRACE_ARG = "o_tc"
-#: the reserved argument tagging pipelined requests (an INTEGER sequence
-#: number); daemons echo it on the matching reply so a client with several
-#: commands in flight on one channel can pair replies to calls even when a
-#: lossy link swallows one of them.
-PIPELINE_SEQ_ARG = "o_seq"
 #: reserved arguments carrying the client's idempotency stamp (§ recovery
 #: plane): a per-client id plus a per-logical-call sequence number.  A
 #: daemon that sees the same ``(o_cid, o_cseq)`` twice replays its cached
@@ -39,9 +34,7 @@ PIPELINE_SEQ_ARG = "o_seq"
 #: retries into effectively exactly-once across a daemon restart.
 CLIENT_ID_ARG = "o_cid"
 CLIENT_SEQ_ARG = "o_cseq"
-RESERVED_ARGS = frozenset(
-    {OBS_TRACE_ARG, PIPELINE_SEQ_ARG, CLIENT_ID_ARG, CLIENT_SEQ_ARG}
-)
+RESERVED_ARGS = frozenset({OBS_TRACE_ARG, CLIENT_ID_ARG, CLIENT_SEQ_ARG})
 
 
 class ACECmdLine:

@@ -6,9 +6,11 @@ Each replica:
 * on a client write, applies locally then replicates the versioned object
   to every peer in its replica-group (the paper's "constant data
   synchronization") — by default coalesced into per-peer buffers flushed
-  as one ``psReplicateBatch`` (many objects per RPC, pipelined); with
+  as one ``psReplicateBatch`` (many objects per RPC); with
   ``batch_replication=False`` the write awaits its own one-entry batch
-  to every peer (the paper's synchronous push; ``replicas`` counts acks);
+  to every peer (the paper's synchronous push; ``replicas`` counts acks).
+  Either way a batch is one pooled call under ``PUSH_POLICY``, the same
+  call the directory group pushes with;
 * runs the anti-entropy loop of :mod:`repro.core.replication`: compares
   per-bucket namespace hashes with a peer and pulls only the buckets that
   differ, so a crashed-and-restarted replica converges back to "the same
@@ -29,7 +31,7 @@ from repro.lang.command import RESERVED_ARGS, error_reply
 from repro.net import Address
 from repro.core.client import CallError
 from repro.core.daemon import ACEDaemon, Request, ServiceError
-from repro.core.replication import ReplicaMixin, wanted
+from repro.core.replication import PUSH_POLICY, ReplicaMixin, wanted
 from repro.store.namespace import (
     NamespaceError,
     ObjectNamespace,
@@ -221,8 +223,7 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
                 delivered = False
                 for address in addresses:
                     try:
-                        pipe = yield from self.client.pipelined(address, attach=False)
-                        yield from pipe.call(command, timeout=self.sync_interval)
+                        yield from self.client.call(address, command, PUSH_POLICY, attach=False)
                         delivered = True
                     except CallError:
                         continue
@@ -320,15 +321,8 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
                 if self.ctx.sim.now < self._peer_down_until.get(peer, 0.0):
                     return
                 batch = [buf.pop(path) for path in list(buf)[: self.repl_batch_size]]
-                command = ACECmdLine(
-                    self.REPLICATE,
-                    entries=tuple(encode_object(o) for o in batch),
-                )
-                try:
-                    pipe = yield from self.client.pipelined(peer, attach=False)
-                    yield from pipe.call(command, timeout=self.sync_interval)
-                except CallError:
-                    self._m_repl_failed.inc()
+                wires = tuple(encode_object(o) for o in batch)
+                if not (yield from self._push_to_peer(peer, wires)):
                     self._peer_down_until[peer] = self.ctx.sim.now + self.sync_interval
                     # Re-buffer the failed batch (newest version wins) and
                     # re-apply the cap so a dead peer's lag stays bounded.
@@ -340,8 +334,6 @@ class PersistentStoreDaemon(Checkpointable, ReplicaMixin, ACEDaemon):
                         buf.pop(next(iter(buf)))
                         self._m_repl_dropped.inc()
                     return
-                self.replications_sent += len(batch)
-                self._m_repl_sent.inc(len(batch))
                 self._m_repl_batches.inc()
         finally:
             self._flushing[peer] = False

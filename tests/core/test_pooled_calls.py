@@ -9,9 +9,12 @@ connection outlives its host's incarnation.
   idle channel behind, and the daemon's command thread sees EOF; nor
   does one whose caller is interrupted;
 * a channel opened with ``attach=False`` never serves an attaching caller;
+* the pool reuses attached channels and never hands out a suspect one: a
+  channel that saw a transport error, one whose peer hung up while it sat
+  idle (plain or SSL), one whose caller was interrupted mid-call;
 * after a host crash + restart the new incarnation answers — through
-  ``pool.call``, a policy call and a pipeline — never a zombie of the old
-  one, within a round trip of the reset;
+  ``pool.call`` and a policy call — never a zombie of the old one, within
+  a round trip of the reset;
 * a replica whose host died (no restart) costs one attempt timeout before
   the call fails over, and its channel is discarded;
 * every connection the pool drops is counted in ``rpc.pool.discard``;
@@ -230,28 +233,6 @@ def test_policy_call_after_a_restart_reaches_the_new_incarnation(ace_with_echo):
     assert ace.ctx.resilience.stats.retries == 0   # the pool redialled, not the policy
 
 
-def test_pipeline_after_a_restart_reaches_the_new_incarnation(ace_with_echo):
-    ace, echo = ace_with_echo
-    client = ace.client(principal="piped")
-    command = ACECmdLine("echo", text="who")
-
-    def call():
-        pipe = yield from client.pipelined(echo.address)
-        reply = yield from pipe.call(command)
-        return reply
-
-    assert ace.run(call()).get("by") == "echo1"
-    _reincarnate(ace, echo)
-
-    def stale():
-        with pytest.raises(TransportError, match="reset"):
-            yield from call()
-
-    _, elapsed = _timed(ace, stale())
-    assert elapsed == pytest.approx(2 * ace.net.lan_latency, rel=0.05)   # the reset
-    assert ace.run(call()).get("by") == "echo1b"
-
-
 def test_a_dead_replica_costs_one_attempt_then_fails_over(ace_with_echo):
     ace, echo = ace_with_echo
     twin = EchoDaemon(ace.ctx, "echo2", ace.net.make_host("baz", room="hawk"), room="hawk")
@@ -337,3 +318,123 @@ def test_a_daemon_flow_that_makes_its_own_client_leaves_nothing_parked():
     user_session_workload(env, n_users=3, duration=5.0)
     env.run_for(60.0)
     assert [_parked(daemon) for daemon in watched] == before
+
+
+# ----------------------------------------------------------------------
+# Reuse, and the channels the pool must never hand out again
+# ----------------------------------------------------------------------
+def test_pool_reuses_channels_and_discards_suspects(ace_with_echo):
+    ace, echo = ace_with_echo
+    dial = _counter(ace, "rpc.pool.dial")
+    reuse = _counter(ace, "rpc.pool.reuse")
+    discard = _counter(ace, "rpc.pool.discard")
+    # the daemons' registrations went through their own pools at boot
+    dials, reuses = dial.value, reuse.value
+
+    def scenario():
+        client = ace.client(principal="pooled")
+        for i in range(5):
+            reply = yield from client.pool.call(
+                echo.address, ACECmdLine("echo", text=f"p{i}")
+            )
+            assert reply.get("text") == f"p{i}"
+        return client
+
+    client = ace.run(scenario())
+    assert dial.value - dials == 1    # one dial+attach...
+    assert reuse.value - reuses == 4  # ...amortised over the other calls
+    assert len(client.pool._idle[echo.address]) == 1
+
+    # A transport failure poisons the channel: it must never be re-pooled.
+    ace.net.crash_host("bar")
+    discards = discard.value
+
+    def failing():
+        with pytest.raises(TransportError):
+            yield from client.pool.call(echo.address, ACECmdLine("echo", text="x"))
+
+    ace.run(failing())
+    assert client.pool._idle[echo.address] == []
+    assert discard.value == discards + 1
+
+
+def _redial_after_peer_close(sim, ctx, client, address):
+    """A pooled ``ping``; the daemon's end of that idle channel closes and
+    the EOF reaches (but is not read by) the client; the next pooled
+    ``ping`` must discard the stale channel and dial afresh."""
+    dial = ctx.obs.metrics.counter("rpc.pool.dial")
+    discard = ctx.obs.metrics.counter("rpc.pool.discard")
+
+    def ping():
+        reply = yield from client.pool.call(address, ACECmdLine("ping"))
+        return reply.name
+
+    assert sim.run_process(ping(), timeout=30.0) == "cmdOk"
+    (held,) = client.pool._idle[address]
+    transport = getattr(held.channel, "conn", held.channel)
+    transport.peer.close()
+    sim.run(until=sim.now + 0.5)
+    assert not held.closed and held.channel.pending() == 1   # unread EOF
+    dials, discards = dial.value, discard.value
+
+    assert sim.run_process(ping(), timeout=30.0) == "cmdOk"
+    assert discard.value == discards + 1     # the stale one, thrown away...
+    assert dial.value == dials + 1           # ...and replaced by a fresh dial
+    assert held.closed
+    assert client.pool._idle[address] != [held]
+
+
+def test_pool_discards_idle_connection_whose_peer_closed(ace_with_echo):
+    # ``closed`` only flips once somebody reads the EOF, so the pool must
+    # look at what is queued on an idle channel before handing it out.
+    ace, echo = ace_with_echo
+    _redial_after_peer_close(
+        ace.sim, ace.ctx, ace.client(principal="pooled"), echo.address)
+
+
+def test_pool_discards_stale_secure_channel():
+    from repro.core import ServiceClient
+    from repro.core.context import SecurityMode
+    from tests.core.test_secure_modes import build_secure_ace
+
+    sim, net, ctx, _asd, _authdb, echo = build_secure_ace(SecurityMode.SSL)
+    client = ServiceClient(ctx, net.host("infra"), principal="user:alice")
+    _redial_after_peer_close(sim, ctx, client, echo.address)
+
+
+def test_pool_closes_connection_when_call_is_interrupted(ace_with_echo):
+    # An exchange cut short by anything but a transport error or a
+    # cmdFailed (here: the caller is interrupted mid-call) leaves a
+    # channel in an unknown state: closed, counted, never pooled — and the
+    # daemon's command thread sees EOF instead of parking on it forever.
+    ace, echo = ace_with_echo
+    discard = _counter(ace, "rpc.pool.discard")
+    client = ace.client(principal="pooled")
+    dialled = []
+    connect = client.connect
+
+    def recording_connect(*args, **kw):
+        conn = yield from connect(*args, **kw)
+        dialled.append(conn)
+        return conn
+
+    client.connect = recording_connect
+
+    def caller():
+        yield from client.pool.call(
+            echo.address, ACECmdLine("slowEcho", text="x", delay=5.0))
+
+    proc = ace.sim.process(caller(), name="caller")
+    proc.defuse()
+    ace.sim.run(until=ace.sim.now + 1.0)       # dialled, attached, waiting
+    (conn,) = dialled
+    server_side = conn.channel.peer
+    assert not conn.closed and server_side.pending() == 0
+    proc.interrupt("supervisor kill")
+    ace.sim.run(until=ace.sim.now + 0.05)      # > one path latency
+    assert not proc.is_alive
+    assert conn.closed and server_side.pending() == 1    # EOF delivered
+    assert discard.value == 1
+    assert not any(client.pool._idle.values())
+    ace.sim.run(until=ace.sim.now + 6.0)       # slowEcho done, thread reads EOF
+    assert server_side.closed

@@ -119,8 +119,7 @@ def test_call_without_addresses_is_an_error(ace):
 # -- the failure contract: a call fails one way --------------------------------
 
 ONE_TRY = CallPolicy(deadline=3.0, attempt_timeout=2.0, max_attempts=1, breaker_threshold=0)
-ENTRY_POINTS = ("connect", "call", "policy-call", "replica-call", "pool.call", "pipe.call",
-                "held conn.call")
+ENTRY_POINTS = ("connect", "call", "policy-call", "replica-call", "pool.call", "held conn.call")
 
 
 def _enter(client, entry, address, command, held=None):
@@ -137,9 +136,6 @@ def _enter(client, entry, address, command, held=None):
         yield from client.call([address, address], command, ONE_TRY)
     elif entry == "pool.call":
         yield from client.pool.call(address, command)
-    elif entry == "pipe.call":
-        pipe = yield from client.pipelined(address)
-        yield from pipe.call(command)
     else:
         yield from held.call(command)
 
@@ -193,9 +189,6 @@ def test_nobody_answering_is_a_transport_error(ace_with_echo, entry, fault):
         assert isinstance(cause, ConnectionRefused) and str(exc) == str(cause)
         assert str(exc) == (f"no route to {address}" if fault == "host-crashed"
                             else f"nothing listening at {address}")
-    elif entry == "pipe.call":
-        assert isinstance(cause, ConnectionClosed)
-        assert str(exc) == f"pipeline channel closed: peer closed {address}"
     else:
         assert isinstance(cause, ConnectionClosed)
         assert str(exc) == f"connection lost during {verb!r}: peer closed {address}"

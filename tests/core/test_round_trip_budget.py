@@ -9,6 +9,9 @@ parsed.  Two budgets:
   unchanged simulated latency;
 * a pooled policy call adds one: its budget timer (**8**; 11 while the
   attempt was a process raced against the timer by an ``AnyOf``);
+* a store's replication flush to an idle peer is that pooled policy call
+  (**8**; 12 while it rode a tagged pipeline with its own reader process,
+  reply timer and a responder spawned on the peer);
 * the commands the ledger workloads send by the thousand — class-lookup
   replies, replication batches, anti-entropy digests and fetches,
   telemetry pushes — are never parsed over a plain link, and under SSL
@@ -78,6 +81,36 @@ def test_pooled_policy_call_schedules_the_round_trip_and_its_budget_timer():
     (ping_events, ping_ms), (lookup_events, _) = _ping_and_lookup(pooled)
     assert (ping_events, lookup_events) == (ROUND_TRIP_EVENTS + 1,) * 2
     assert ping_ms == 1.7534
+
+
+def test_replication_flush_to_an_idle_peer_is_one_pooled_policy_call():
+    """One ``psReplicateBatch`` flush, its channel already pooled by the
+    first flush, costs exactly what a pooled policy call does."""
+    env = ACEEnvironment(seed=29, lease_duration=30.0)
+    env.add_infrastructure()
+    # no age flush and no anti-entropy round inside the probe
+    env.add_persistent_store(replicas=2, groups=1, sync_interval=600.0,
+                             repl_flush_age=600.0)
+    env.boot(settle=2.0)
+    ps1, ps2 = env.daemon("ps1"), env.daemon("ps2")
+    seen = []
+
+    def drive():
+        for i in range(3):   # the first flush dials the pool
+            ps1._enqueue_replication(ps1.namespace.put(f"/probe/o{i}", {"v": str(i)}))
+            before, t0 = env.sim.counters()["events_scheduled"], env.sim.now
+            yield from ps1._flush_peer(ps2.address)
+            seen.append((
+                env.sim.counters()["events_scheduled"] - before,
+                round((env.sim.now - t0) * 1e3, 4),
+            ))
+            yield env.sim.timeout(0.01)
+
+    env.run(drive())
+    assert seen[1:] == [(ROUND_TRIP_EVENTS + 1, 2.1743)] * 2
+    assert [ps2.namespace.get(f"/probe/o{i}").attrs for i in range(3)] == [
+        {"v": str(i)} for i in range(3)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Idempotency-window edges: stamping, dedup cache, bounded eviction."""
 
+import repro.core.daemon as daemon_module
 from repro.env import ACEEnvironment
 from repro.lang import ACECmdLine
 from repro.lang.command import (
@@ -11,11 +12,10 @@ from repro.lang.command import (
 from repro.services.roomdb import RoomDatabaseDaemon
 
 
-def make_daemon(window=None):
+def make_daemon():
     env = ACEEnvironment(seed=0)
     host = env.add_host("h1")
-    kwargs = {} if window is None else {"dedup_window": window}
-    return env, RoomDatabaseDaemon(env.ctx, "roomdb", host, **kwargs)
+    return env, RoomDatabaseDaemon(env.ctx, "roomdb", host)
 
 
 def test_reserved_args_cover_stamps():
@@ -41,8 +41,9 @@ def test_stamped_key_and_default_seq():
     assert daemon._dedup_key(only_id) == ("c.c0", 0)
 
 
-def test_window_evicts_oldest_first():
-    _, daemon = make_daemon(window=3)
+def test_window_evicts_oldest_first(monkeypatch):
+    monkeypatch.setattr(daemon_module, "DEDUP_WINDOW", 3)
+    _, daemon = make_daemon()
     reply = ok_reply(ACECmdLine("x"))
     for seq in range(5):
         daemon._dedup_remember(("c", seq), reply)
@@ -51,8 +52,9 @@ def test_window_evicts_oldest_first():
     assert daemon._m_dedup_evicted.value == 2
 
 
-def test_replay_refreshes_lru_position():
-    _, daemon = make_daemon(window=2)
+def test_replay_refreshes_lru_position(monkeypatch):
+    monkeypatch.setattr(daemon_module, "DEDUP_WINDOW", 2)
+    _, daemon = make_daemon()
     reply = ok_reply(ACECmdLine("x"))
     daemon._dedup_remember(("c", 0), reply)
     daemon._dedup_remember(("c", 1), reply)

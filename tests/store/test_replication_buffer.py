@@ -1,5 +1,6 @@
 """Batched-replication buffer edges (E25): shutdown flush, bounded lag
-under a dead peer, and batched-vs-sync convergence at both shard counts."""
+under a dead peer, a flush to a peer whose host came back, and
+batched-vs-sync convergence at both shard counts."""
 
 import pytest
 
@@ -78,6 +79,39 @@ def test_dead_peer_lag_is_bounded_and_repaired():
     assert new_ps2.namespace.namespace_hash() == ps1.namespace.namespace_hash()
     for i in range(30):
         assert new_ps2.namespace.get(f"/lag/o{i}").attrs == {"v": str(i)}
+
+
+def test_flush_after_a_peer_restart_reaches_the_new_incarnation():
+    """The flush's pooled channel to a peer whose host crashed and came
+    back was reset: the pool redials the new incarnation, and the batch
+    lands there on that flush — nothing re-buffered, no cooldown."""
+    # anti-entropy out of reach: only a flush can carry the writes
+    env = build_env(replicas=2, sync_interval=600.0)
+    client = env.store_client(env.net.host("infra"))
+    ps1, ps2 = env.daemon("ps1"), env.daemon("ps2")
+
+    def put(prefix):
+        for i in range(5):
+            yield from client.put(f"/{prefix}/o{i}", {"v": str(i)})
+
+    env.run(put("before"))
+    env.run_for(0.5)
+    assert ps2.namespace.get("/before/o4").attrs == {"v": "4"}
+    env.net.crash_host("store2")
+    env.net.restart_host("store2")
+    reborn = env.daemons["ps2"] = ps2.respawn(incarnation=1)
+    reborn.start()
+    env.run_for(1.0)
+    sent = ps1.replications_sent
+
+    env.run(put("after"))
+    env.run_for(0.5)
+    for i in range(5):
+        assert reborn.namespace.get(f"/after/o{i}").attrs == {"v": str(i)}
+    assert ps1.replications_sent == sent + 5
+    assert env.ctx.obs.metrics.counter("store.ps1.replications_failed").value == 0
+    assert ps1._peer_down_until == {}
+    assert not ps1._repl_buffers[reborn.address]
 
 
 @pytest.mark.parametrize("groups", [1, 2])

@@ -155,13 +155,13 @@ def test_every_defined_command_has_a_sender():
 def test_service_client_surface_is_exactly_this():
     """One way to send a command to an address (``call``); the transport is
     chosen by the object the caller holds — ``client``, ``client.pool``, a
-    pipe from ``pipelined``, a connection from ``connect`` — not by a
-    method name.  A new public method here needs a reason, and this list."""
+    connection from ``connect`` — not by a method name.  A new public
+    method here needs a reason, and this list."""
     from repro.core import ServiceClient
 
     public = {name for name in vars(ServiceClient) if not name.startswith("_")}
     assert public == {
-        "connect", "call", "pool", "pipelined", "close_channels",
+        "connect", "call", "pool", "close_channels",
         "current_span", "begin_trace", "end_trace",
     }
 
@@ -190,6 +190,8 @@ RETIRED_NAMES = frozenset({
     "_replication_client", "_scrape_client", "_dial_call_close",
     "_find_daemon", "cmd_obsScrape", "_scrape_loop", "stale_factor",
     "last_push",
+    "PipelinedConnection", "PIPELINE_SEQ_ARG", "_pipelined_reply", "_tag_reply",
+    "max_inflight", "o_seq", "dedup_window",
 })
 
 #: deleted methods whose names other classes still define
@@ -606,13 +608,12 @@ def test_a_hop_parses_nothing():
 
 
 #: the functions under ``src/`` that open a channel of their own with
-#: ``ServiceClient.connect``: the pool and the pipeline, a multi-exchange
-#: anti-entropy session, the held sessions, and the two ablation baselines
+#: ``ServiceClient.connect``: the pool, a multi-exchange anti-entropy
+#: session, the held sessions, and the two ablation baselines
 #: that model dialling on purpose (E21's naive client, open-loop arrivals)
 CONNECT_CALLERS = {
     "repro/core/client.py:ConnectionPool.acquire",
     "repro/core/client.py:ConnectionPool.call",
-    "repro/core/client.py:ServiceClient.pipelined",
     "repro/core/replication.py:ReplicaMixin._sync_with",
     "repro/apps/controlgui.py:ACEControlGUI.select",
     "repro/apps/vnc.py:VNCViewer.attach",
