@@ -8,7 +8,8 @@ performs the identity *attach*, and exposes a call-style API::
 
 Every call rides a pooled channel under a deadline; a held session opens
 its own with ``connect``.  ``call`` sends the immutable command itself,
-charged its wire size; only an SSL record or a shard pipe turns it into text.
+charged its wire size; only an SSL record turns it into text (a shard pipe
+pickles its name and arguments).
 """
 
 from __future__ import annotations

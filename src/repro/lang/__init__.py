@@ -24,7 +24,7 @@ from repro.lang.errors import (
     SemanticError,
 )
 from repro.lang.lexer import Token, TokenKind, tokenize
-from repro.lang.parser import CommandParser, parse_command
+from repro.lang.parser import parse_command
 from repro.lang.semantics import ArgSpec, ArgType, CommandSemantics, infer_type
 from repro.lang.values import format_value
 
@@ -33,7 +33,6 @@ __all__ = [
     "ACELanguageError",
     "ArgSpec",
     "ArgType",
-    "CommandParser",
     "CommandSemantics",
     "ParseError",
     "SemanticError",

@@ -6,7 +6,8 @@ compare equal iff their names and argument mappings (including value types:
 "exact copy" the paper's Fig. 5 promises the receiving daemon.  Being
 immutable, a command crosses a simulated link as itself, charged a
 ``wire_size`` counted without printing it; it becomes text only where bytes
-are real (an SSL record, a pickle between processes, a checkpoint).
+are real (an SSL record, a checkpoint); between processes it is pickled as
+its name and arguments.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class ACECmdLine:
     def _from_normalized(cls, name: str, args: Dict[str, Value]) -> "ACECmdLine":
         """Internal constructor bypass for callers that guarantee ``name``
         and every key/value in ``args`` are already validated, interned and
-        normalized (the fast-lane parser, ``with_args``/``without_args``).
+        normalized (``with_args``/``without_args``, unpickling).
         ``args`` ownership transfers to the new command."""
         cmd = cls.__new__(cls)
         cmd._name = name
@@ -206,17 +207,15 @@ class ACECmdLine:
 
     def __reduce__(self):
         # Across a process boundary (a shard pipe) a command travels as its
-        # wire text; a command that was sent already holds it.
-        return _from_wire, (self._text or self.to_string(),)
+        # name and its normalized arguments; nothing is printed or parsed.
+        return _unpickle, (self._name, self._args)
 
 
-def _from_wire(text: str) -> ACECmdLine:
-    """Unpickle a command from its wire text.  Not ``parse_command`` by
-    reference: pickle finds a function through its module attribute, and a
-    profiler or test that wraps that attribute would break every pickle."""
-    from repro.lang.parser import parse_command
-
-    return parse_command(text)
+def _unpickle(name: str, args: Dict[str, Value]) -> ACECmdLine:
+    """Rebuild a pickled command.  Unpickled strings are not interned, so
+    this interns the name and the argument names again."""
+    return ACECmdLine._from_normalized(
+        _intern(name), {_intern(key): value for key, value in args.items()})
 
 
 # Conventional reply commands every daemon understands (§2.2: "return

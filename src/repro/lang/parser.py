@@ -1,12 +1,11 @@
 """Recursive-descent parser: command string → ACECmdLine (Fig. 5's
-"CmdParser"), with optional semantic checking against a daemon's
+"CmdParser").  A receiving daemon checks the result against its
 :class:`~repro.lang.semantics.CommandSemantics`.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from typing import List, Optional, Tuple
 
 from repro.lang.command import ACECmdLine
@@ -86,106 +85,8 @@ def _parse_braced(cur: _Cursor) -> Tuple:
     return tuple(items)
 
 
-# -- fast lane ---------------------------------------------------------------
-#
-# The dominant wire form by far is flat: ``name k1=v1 k2=v2;`` with each
-# value a scalar or a flat vector ``{e1,e2,...}`` of scalars, and no arrays,
-# escapes, comma separators or whitespace inside braces.  The fast
-# lane recognizes exactly that shape with compiled regexes and builds
-# the command without tokenizing; *anything* it is unsure about — including
-# every malformed input — falls back to the full tokenizer/parser so error
-# messages and accepted language are identical (property-tested).
-#
-# Equivalence notes, mirroring the lexer's rules:
-# - Bare values are classified with the lexer's own INTEGER/FLOAT/WORD
-#   regexes (fullmatch, in the lexer's tie-break order INTEGER before WORD,
-#   FLOAT before WORD so ``2e3`` stays a FLOAT) — never with Python's more
-#   permissive ``int()``/``float()`` acceptance.
-# - The bare-token charset excludes *all* whitespace (the lexer only skips
-#   space/tab; a NBSP or newline must keep falling through to the lexer's
-#   "unexpected character" error).
-# - Quoted values are accepted only without backslashes; escape handling
-#   stays in the full parser.
-# - Vector elements are delimited by the element pattern itself, never by
-#   a brace-free run: ``v={"{"}``, ``v={"a,b","c}d"}`` and ``v={"a;b"}``
-#   are legal.  A vector mixing integers, floats and strings/words is the
-#   full parser's to reject.
-# - Command names must start with a letter/underscore here: digit-led WORDs
-#   ("3cam") are legal command names but need longest-match disambiguation
-#   against INTEGER/FLOAT, so they take the slow path.
-
-_ELEM = r"(?:\"[^\"\\]*\"|[^\s;{},\"=]+)"
-_VECTOR = r"\{" + _ELEM + r"(?:," + _ELEM + r")*\}"
-_FAST_LINE_RE = re.compile(
-    r"[ \t]*([A-Za-z_][A-Za-z0-9_]*)"
-    r"((?:[ \t]+[A-Za-z0-9_]+=(?:" + _ELEM + "|" + _VECTOR + r"))*)"
-    r"[ \t]*;[ \t]*\Z"
-)
-_FAST_ARG_RE = re.compile(
-    r"([A-Za-z0-9_]+)=(?:\"([^\"\\]*)\"|([^\s;{},\"=]+)|(" + _VECTOR + "))"
-)
-_FAST_ELEM_RE = re.compile(r"\"([^\"\\]*)\"|([^\s;{},\"=]+)")
-# A bare token as the lexer classifies it: the alternatives are its
-# INTEGER / FLOAT / WORD patterns, full-match, in its tie-break order;
-# ``lastindex`` says which one matched.
-_BARE_RE = re.compile(
-    r"(-?\d+)\Z"
-    r"|(-?(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+)\Z"
-    r"|([A-Za-z0-9_]+)\Z"
-)
-_BARE_TYPES = (None, int, float, str)
-
-_intern = sys.intern
-
-
-def _parse_fast(text: str) -> Optional[ACECmdLine]:
-    """Parse the flat form, or return None to defer to the full parser."""
-    line = _FAST_LINE_RE.match(text)
-    if line is None:
-        return None
-    args: dict = {}
-    n_args = 0
-    for match in _FAST_ARG_RE.finditer(line.group(2)):
-        n_args += 1
-        key, value, bare, vector = match.groups()
-        if bare is not None:
-            kind = _BARE_RE.match(bare)
-            if kind is None:
-                return None  # e.g. "--5": the lexer rejects it with context
-            value = _BARE_TYPES[kind.lastindex](bare)
-        elif vector is not None:
-            items = []
-            for item, bare in _FAST_ELEM_RE.findall(vector):
-                if bare:
-                    kind = _BARE_RE.match(bare)
-                    if kind is None:
-                        return None
-                    item = _BARE_TYPES[kind.lastindex](bare)
-                items.append(item)
-            if len(set(map(type, items))) != 1:
-                return None  # mixed element types: the full parser's error
-            value = tuple(items)
-        args[_intern(key)] = value
-    if len(args) != n_args:
-        return None  # duplicate argument: full parser raises the exact error
-    return ACECmdLine._from_normalized(_intern(line.group(1)), args)
-
-
 def parse_command(text: str) -> ACECmdLine:
-    """Parse one command string, e.g. ``setPosition x=1.0 y=2.0 z=0.5;``
-
-    Tries the flat-form fast lane first and falls back to
-    :func:`parse_command_full` for everything else (vectors, arrays,
-    escaped strings, comma separators, and all malformed input).
-    """
-    command = _parse_fast(text)
-    if command is not None:
-        return command
-    return parse_command_full(text)
-
-
-def parse_command_full(text: str) -> ACECmdLine:
-    """The complete tokenizer + recursive-descent path (every construct)."""
+    """Parse one command string, e.g. ``setPosition x=1.0 y=2.0 z=0.5;``"""
     cur = _Cursor(tokenize(text))
     name_tok = cur.peek()
     if name_tok.kind is not TokenKind.WORD:
@@ -215,23 +116,3 @@ def parse_command_full(text: str) -> ACECmdLine:
     except Exception as exc:  # value normalization errors carry positions poorly
         raise ParseError(str(exc))
 
-
-class CommandParser:
-    """A parser bound to a daemon's semantics (checks as it parses).
-
-    This mirrors the paper's description: "This parser ... checks the
-    incoming string for syntactic and semantic correctness (against those
-    parameters defined within the receiving daemon/service)".
-    """
-
-    def __init__(self, semantics: Optional["CommandSemantics"] = None):
-        self.semantics = semantics
-
-    def parse(self, text: str) -> ACECmdLine:
-        command = parse_command(text)
-        if self.semantics is not None:
-            command = self.semantics.validate(command)
-        return command
-
-
-from repro.lang.semantics import CommandSemantics  # noqa: E402  (cycle-breaking)

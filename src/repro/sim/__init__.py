@@ -16,7 +16,6 @@ Determinism rules
 
 from repro.sim.kernel import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -41,7 +40,6 @@ from repro.sim.trace import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
     "Interrupt",
     "LOW",

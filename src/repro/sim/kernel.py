@@ -6,8 +6,9 @@ subscribing to whatever event the generator yields; the :class:`Simulator`
 owns the event heap and the virtual clock.
 
 Only the pieces ACE needs are implemented: timeouts, process spawning and
-interruption, and ``AnyOf``/``AllOf`` composition.  The scheduling order is
-total and deterministic: ``(time, priority, sequence-number)``.
+interruption, and ``AllOf`` (waiting for every one of several events).  The
+scheduling order is total and deterministic: ``(time, priority,
+sequence-number)``.
 
 Hot path (E24)
 --------------
@@ -305,11 +306,12 @@ class Process(Event):
             sim.active_process = prev_active
 
 
-class _Condition(Event):
-    """Base for AnyOf/AllOf: waits on several events at once.  A subclass
-    defines ``_observe(ev)`` and ``_finalize_if_done()``."""
+class AllOf(Event):
+    """Waits on several events at once: fires with ``{event: value}`` when
+    every child has been processed, and fails with the first child failure
+    (a child failing after that is defused)."""
 
-    __slots__ = ("events", "_pending")
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
@@ -317,67 +319,24 @@ class _Condition(Event):
         for ev in self.events:
             if ev.sim is not sim:
                 raise SimulationError("condition mixes simulators")
-        self._pending = 0
         for ev in self.events:
-            if ev.callbacks is None:
-                self._observe(ev)
-            else:
-                self._pending += 1
+            if ev.callbacks is not None:
                 ev.callbacks.append(self._on_child)
-        self._finalize_if_done()
+            elif not ev._ok and not self._triggered:
+                ev.defuse()
+                self.fail(ev._value)
+        self._succeed_if_done()
 
     def _on_child(self, ev: Event) -> None:
-        self._pending -= 1
-        if not self._triggered:
-            self._observe(ev)
-            self._finalize_if_done()
-        elif not ev._ok:
-            ev.defuse()
-
-    def results(self) -> dict[Event, Any]:
-        """Values of all child events that have completed successfully."""
-        return {
-            ev: ev._value
-            for ev in self.events
-            if ev._triggered and ev._ok and ev.callbacks is None
-        }
-
-
-class AnyOf(_Condition):
-    """Fires when the first child event fires (success or failure)."""
-
-    __slots__ = ()
-
-    def _observe(self, ev: Event) -> None:
-        if self._triggered:
-            return
         if ev._ok:
-            self.succeed({ev: ev._value})
+            self._succeed_if_done()
         else:
             ev.defuse()
-            self.fail(ev._value)
+            if not self._triggered:
+                self.fail(ev._value)
 
-    def _finalize_if_done(self) -> None:
-        if not self._triggered and not self.events:
-            self.succeed({})
-
-
-class AllOf(_Condition):
-    """Fires when every child has fired; fails fast on any child failure."""
-
-    __slots__ = ()
-
-    def _observe(self, ev: Event) -> None:
-        if self._triggered:
-            return
-        if not ev._ok:
-            ev.defuse()
-            self.fail(ev._value)
-
-    def _finalize_if_done(self) -> None:
-        if self._triggered:
-            return
-        if all(ev._triggered and ev.callbacks is None for ev in self.events):
+    def _succeed_if_done(self) -> None:
+        if not self._triggered and all(ev.callbacks is None for ev in self.events):
             self.succeed({ev: ev._value for ev in self.events})
 
 
@@ -420,9 +379,6 @@ class Simulator:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Spawn a new process from a generator."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -1,5 +1,5 @@
 """A policy attempt runs inline in its caller's process, under one budget
-timer: no attempt process, no ``AnyOf`` race.
+timer: no attempt process, no race of the attempt against the timer.
 
 * an attempt that outruns its budget raises ``DeadlineExceeded`` at the
   instant its budget ends, and its channel is discarded, so the late
@@ -13,7 +13,7 @@ timer: no attempt process, no ``AnyOf`` race.
   stray ``Interrupt`` behind, and a disarmed timer revokes a kick it has
   already scheduled;
 * the heap-only oracle gives the same trace on a run with expiries;
-* ``_call_with_policy`` spawns no process and builds no ``AnyOf``.
+* ``_call_with_policy`` spawns no process and names no ``any_of``.
 """
 
 import inspect
@@ -271,7 +271,6 @@ def test_a_policy_call_spawns_no_process_and_builds_no_any_of(ace_with_echo, mon
         yield from client.call(echo.address, ACECmdLine("echo", text="warm"), policy=ONE_TRY)
         yield ace.sim.timeout(0.01)
         counting(kernel.Process)
-        counting(kernel.AnyOf)
         reply = yield from client.call(echo.address, ACECmdLine("echo", text="hot"),
                                        policy=ONE_TRY)
         with pytest.raises(DeadlineExceeded):

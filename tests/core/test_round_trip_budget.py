@@ -14,10 +14,11 @@ parsed.  Two budgets:
   reply timer and a responder spawned on the peer);
 * the commands the ledger workloads send by the thousand — class-lookup
   replies, replication batches, anti-entropy digests and fetches,
-  telemetry pushes — are never parsed over a plain link, and under SSL
-  they never reach the tokenizer.
+  telemetry pushes — are never parsed over a plain link; under SSL every
+  hop is parsed.
 """
 
+import sys
 from collections import Counter
 
 import pytest
@@ -123,22 +124,13 @@ def _key(command):
     return command.name
 
 
-def _may_take_the_slow_lane(text: str) -> bool:
-    """What may still reach the tokenizer, by what makes it ineligible: a
-    backslash (escaped strings: notification payloads carrying a quoted
-    command line, checkpoint and store entries with escaped ``|``) or an
-    array ``{{...}}``."""
-    return "\\" in text or "{{" in text
-
-
 @pytest.fixture
 def parses(monkeypatch):
     """Count by command name (a reply is keyed ``cmdOk:<cmd>``): what a
     channel delivered to a client or daemon (``received``), which of those
-    arrived as text and were parsed (``hop``), and every parse anywhere
-    (``total``: the hops plus text nested inside a command); ``slow`` lists
-    the texts that reached the tokenizer."""
-    received, hop, total, slow = Counter(), Counter(), Counter(), []
+    arrived as text and were parsed (``hop``), and every ``parse_command``
+    anywhere (``total``: the hops plus text nested inside a command)."""
+    received, hop, total = Counter(), Counter(), Counter()
 
     def counting(counter, function):
         def wrapper(payload):
@@ -150,23 +142,14 @@ def parses(monkeypatch):
     receive = counting(received, client_module.received_command)
     monkeypatch.setattr(client_module, "received_command", receive)
     monkeypatch.setattr(daemon_module, "received_command", receive)
-    monkeypatch.setattr(client_module, "parse_command",
-                        counting(hop, client_module.parse_command))
-    fast_lane, full = parser._parse_fast, parser.parse_command_full
-
-    def counting_fast(text):
-        command = fast_lane(text)
-        if command is not None:
-            total[_key(command)] += 1
-        return command
-
-    def counting_full(text):
-        slow.append(text)
-        return full(text)
-
-    monkeypatch.setattr(parser, "_parse_fast", counting_fast)
-    monkeypatch.setattr(parser, "parse_command_full", counting(total, counting_full))
-    return received, hop, total, slow
+    # parse_command is imported by name all over repro: wrap every binding
+    original = parser.parse_command
+    parse = counting(total, original)
+    for module in list(sys.modules.values()):
+        if vars(module).get("parse_command") is original:
+            monkeypatch.setattr(module, "parse_command", parse)
+    monkeypatch.setattr(client_module, "parse_command", counting(hop, parse))
+    return received, hop, total
 
 
 def _ledger_miniature(security):
@@ -210,7 +193,7 @@ def test_ledger_traffic_is_never_parsed(parses):
     """Over plain links a command arrives as the object that was sent: no
     hop parses, and the only text parsed is the command each directory
     notification carries in its arguments."""
-    received, hop, total, _ = parses
+    received, hop, total = parses
     _ledger_miniature(SecurityMode.NONE)
     for shape in LEDGER_SHAPES:
         assert received[shape] >= 1, f"{shape} never seen: the miniature is stale"
@@ -221,12 +204,10 @@ def test_ledger_traffic_is_never_parsed(parses):
 
 def test_ssl_hops_still_parse(parses):
     """Under SSL every hop is an encrypted record of the command's text, so
-    every command a channel delivers is parsed on arrival, and the fast
-    lane still takes everything a backslash or an array does not bar."""
-    received, hop, total, slow = parses
+    every command a channel delivers is parsed on arrival."""
+    received, hop, total = parses
     _ledger_miniature(SecurityMode.SSL)
     for shape in LEDGER_SHAPES:
         assert received[shape] >= 1, f"{shape} never seen: the miniature is stale"
     assert hop == received
     assert total == hop + Counter({"register": received["onServiceRegistered"]})
-    assert [text for text in slow if not _may_take_the_slow_lane(text)] == []

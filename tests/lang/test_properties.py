@@ -239,17 +239,25 @@ def test_pickle_is_the_same_command(cmd):
 @settings(max_examples=50, **SETTINGS)
 def test_pickle_survives_a_wrapped_parser(cmd):
     """A profiler counting parses swaps ``parse_command`` for a local
-    wrapper in every module that names it; a command must still pickle
-    (pickle refuses a function whose module attribute is another object)."""
-    original = parser.parse_command
+    wrapper in every module that names it, and counts ``to_string`` too; a
+    command must still pickle, and a pickle neither prints nor parses."""
+    original, to_string = parser.parse_command, ACECmdLine.to_string
+    calls = []
 
     def wrapper(text):
+        calls.append("parse_command")
         return original(text)
+
+    def printing(self):
+        calls.append("to_string")
+        return to_string(self)
 
     with pytest.MonkeyPatch.context() as patch:
         for module in (parser, repro.lang):
             patch.setattr(module, "parse_command", wrapper)
+        patch.setattr(ACECmdLine, "to_string", printing)
         again = pickle.loads(pickle.dumps(cmd))
+    assert calls == []
     assert again == cmd
     assert again.to_string() == cmd.to_string()
 

@@ -6,10 +6,10 @@ from repro.lang import (
     ACECmdLine,
     ArgSpec,
     ArgType,
-    CommandParser,
     CommandSemantics,
     SemanticError,
     infer_type,
+    parse_command,
 )
 from repro.lang.semantics import reply_semantics
 
@@ -115,11 +115,13 @@ def test_string_type_accepts_words():
 
 
 def test_parser_bound_to_semantics():
-    parser = CommandParser(ptz_semantics())
-    cmd = parser.parse("setPosition x=1.0 y=2.0;")
+    """What a receiving daemon does: parse, then check against its
+    semantics (Fig. 5's CmdParser)."""
+    semantics = ptz_semantics()
+    cmd = semantics.validate(parse_command("setPosition x=1.0 y=2.0;"))
     assert cmd["z"] == 0.0
     with pytest.raises(SemanticError):
-        parser.parse("badCmd;")
+        semantics.validate(parse_command("badCmd;"))
 
 
 def test_reply_semantics_standard_vocabulary():

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Interrupt,
     SimulationError,
     Simulator,
@@ -251,18 +249,6 @@ def test_interrupted_process_can_rewait():
     sim.process(interrupter())
     sim.run()
     assert log == [("intr", 3.0), ("woke", 10.0)]
-
-
-def test_any_of_first_wins():
-    sim = Simulator()
-
-    def proc():
-        fast = sim.timeout(1.0, value="fast")
-        slow = sim.timeout(5.0, value="slow")
-        result = yield sim.any_of([fast, slow])
-        return list(result.values())
-
-    assert sim.run_process(proc()) == ["fast"]
 
 
 def test_all_of_waits_for_all():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 
 
 def test_peek_and_step():
@@ -12,27 +12,6 @@ def test_peek_and_step():
     assert sim.peek() == 3.0
     sim.step()
     assert sim.now == 3.0
-
-
-def test_any_of_fails_fast_on_child_failure():
-    sim = Simulator()
-    caught = []
-    bad = sim.event()
-
-    def proc():
-        try:
-            yield sim.any_of([bad, sim.timeout(10.0)])
-        except RuntimeError:
-            caught.append(sim.now)
-
-    def failer():
-        yield sim.timeout(1.0)
-        bad.fail(RuntimeError("child died"))
-
-    sim.process(proc())
-    sim.process(failer())
-    sim.run()
-    assert caught == [1.0]
 
 
 def test_all_of_fails_fast():
@@ -54,20 +33,6 @@ def test_all_of_fails_fast():
     sim.process(failer())
     sim.run()
     assert caught == [2.0]
-
-
-def test_condition_results_partial():
-    sim = Simulator()
-
-    def proc():
-        fast = sim.timeout(1.0, value="f")
-        slow = sim.timeout(5.0, value="s")
-        cond = sim.any_of([fast, slow])
-        yield cond
-        return cond.results()
-
-    results = sim.run_process(proc())
-    assert list(results.values()) == ["f"]
 
 
 def test_event_value_before_trigger_raises():

@@ -184,25 +184,6 @@ def test_yield_processed_failure_nobody_catches(sim):
 # Conditions over mixed processed/pending children
 # ---------------------------------------------------------------------------
 
-def _mixed_any(sim):
-    early = sim.event()
-    early.succeed("early")
-    sim.run(until=0.0)
-    late = sim.timeout(5.0, "late")
-
-    def waiter():
-        got = yield sim.any_of([early, late])
-        return {("early" if k is early else "late"): v for k, v in got.items()}
-
-    value = sim.run_process(waiter())
-    return value, sim.now
-
-
-def test_any_of_mixed_processed_and_pending(both):
-    slow, fast = both(_mixed_any)
-    assert slow == fast == ({"early": "early"}, 0.0)
-
-
 def _mixed_all(sim):
     early = sim.event()
     early.succeed(1)

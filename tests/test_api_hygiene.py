@@ -192,6 +192,8 @@ RETIRED_NAMES = frozenset({
     "last_push",
     "PipelinedConnection", "PIPELINE_SEQ_ARG", "_pipelined_reply", "_tag_reply",
     "max_inflight", "o_seq", "dedup_window",
+    "AnyOf", "any_of", "_Condition",
+    "_parse_fast", "parse_command_full", "_from_wire", "CommandParser",
 })
 
 #: deleted methods whose names other classes still define
@@ -216,7 +218,7 @@ RETIRED_METHODS = {
     ("repro.security.keynote", "LicOr"): {"principals"},
     ("repro.security.keynote", "LicPrincipal"): {"principals"},
     ("repro.security.keynote", "LicThreshold"): {"principals"},
-    ("repro.sim.kernel", "_Condition"): {"_observe", "_finalize_if_done"},
+    ("repro.sim.kernel", "AllOf"): {"_observe", "_finalize_if_done", "results"},
     ("repro.sim.resources", "Request"): {"release"},
 }
 
@@ -583,7 +585,11 @@ def test_a_hop_parses_nothing():
     ``repro/core/`` hands ``send`` / ``_safe_send`` a ``.to_string()``, and
     the client and daemon name ``parse_command`` only in the one receive
     helper (text from an SSL record or a hand-written notice) and in
-    ``import_dedup`` (checkpoint lines)."""
+    ``import_dedup`` (checkpoint lines).  Between shards a command is
+    pickled as its name and arguments: neither ``__reduce__`` nor
+    ``_unpickle`` prints or parses it."""
+    from repro.lang import command as command_module
+
     def encodes(call):
         return any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "to_string"
                    for arg in call.args for node in ast.walk(arg))
@@ -605,6 +611,10 @@ def test_a_hop_parses_nothing():
                     parsers.add(f"{where}:{function.name}")
     assert sends == [], "a send encodes its command:\n" + "\n".join(sends)
     assert parsers == {"client.py:received_command", "daemon.py:import_dedup"}
+    for function in (command_module.ACECmdLine.__reduce__, command_module._unpickle):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+        named = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+        assert not named & {"to_string", "parse_command"}, function.__qualname__
 
 
 #: the functions under ``src/`` that open a channel of their own with
