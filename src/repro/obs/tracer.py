@@ -2,10 +2,17 @@
 
 The :class:`Tracer` is the per-environment home of causal spans: client
 calls, server command executions, queue waits, replication pushes,
-notification deliveries.  Spans are cheap mutable records; ids are
-deterministic counters (``t<n>`` / ``s<n>``) so span trees are identical
-across runs with the same seed — scenario tests assert hop ordering
-exactly.
+notification deliveries.  A live span (from ``start_*`` to ``finish``) is
+a cheap mutable :class:`Span`; ids are deterministic counters (``t<n>`` /
+``s<n>``) so span trees are identical across runs with the same seed —
+scenario tests assert hop ordering exactly.
+
+``finish`` files a span into the tracer's :class:`SpanLog`, which keeps
+finished spans as columns (one list per field, annotations flat), not as
+objects: a traced run finishes three spans per op, and as objects they
+were nearly all the objects the cyclic collector had to walk, a quarter
+of a traced run's host time (EXPERIMENTS.md, "E22 follow-up").  Every
+read of the log builds a fresh :class:`Span`.
 
 Analysis lives here too: :class:`SpanTree` rebuilds the causal tree of one
 trace and :func:`critical_path` walks the longest-pole chain to answer
@@ -15,8 +22,9 @@ trace and :func:`critical_path` walks the longest-pole chain to answer
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.lang.wire import join_wire
 from repro.obs.context import TraceContext
@@ -89,11 +97,145 @@ def span_to_wire(span: Span) -> str:
     )
 
 
+def _same_spans(a: Sequence, b: object) -> Any:
+    if not isinstance(b, Sequence) or isinstance(b, (str, bytes)):
+        return NotImplemented
+    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
+
+
+class SpanLog(Sequence):
+    """Finished spans, filed as columns.
+
+    Each of a span's nine scalar fields has its own list; annotations are
+    one flat key list and one flat value list, plus each span's end offset
+    into them.  Filing a span appends strings, floats and the annotation
+    values themselves, none of which adds an object the cyclic collector
+    tracks, so a traced run's spans cost the collector nothing.
+
+    Reads look like a list of spans: ``len``, indexing (negative too),
+    iteration and ``==`` against any sequence.  Every read builds a fresh
+    :class:`Span` with ``outer=None``, so ``is`` never holds between a
+    read and the live span.  A slice is a lazy view over filing positions:
+    it builds a span only when one is read, and reading a span the cap has
+    since dropped raises :class:`IndexError`.
+
+    The log holds what a span had when it was finished: annotating the
+    live span afterwards does not reach it.  No caller does — the client
+    and the daemon annotate before ``finish``.
+    """
+
+    __slots__ = (
+        "trace_ids", "span_ids", "parent_ids", "names", "sources", "kinds",
+        "starts", "ends", "statuses", "note_keys", "note_values", "note_ends",
+        "dropped",
+    )
+
+    def __init__(self) -> None:
+        self.trace_ids: List[str] = []
+        self.span_ids: List[str] = []
+        self.parent_ids: List[str] = []
+        self.names: List[str] = []
+        self.sources: List[str] = []
+        self.kinds: List[str] = []
+        self.starts: List[float] = []
+        self.ends: List[float] = []
+        self.statuses: List[str] = []
+        self.note_keys: List[str] = []
+        self.note_values: List[Any] = []
+        #: one past each span's last annotation in ``note_keys``
+        self.note_ends: List[int] = []
+        #: spans dropped from the front by :meth:`drop_oldest`
+        self.dropped = 0
+
+    def drop_oldest(self, n: int) -> None:
+        """Drop the ``n`` oldest spans from every column."""
+        n = min(n, len(self.span_ids))
+        if n <= 0:
+            return
+        for column in (self.trace_ids, self.span_ids, self.parent_ids,
+                       self.names, self.sources, self.kinds, self.starts,
+                       self.ends, self.statuses):
+            del column[:n]
+        cut = self.note_ends[n - 1]
+        del self.note_keys[:cut], self.note_values[:cut]
+        self.note_ends = [end - cut for end in self.note_ends[n:]]
+        self.dropped += n
+
+    def _span(self, i: int) -> Span:
+        offsets = self.note_ends
+        lo = offsets[i - 1] if i else 0
+        hi = offsets[i]
+        return Span(
+            self.trace_ids[i], self.span_ids[i], self.parent_ids[i],
+            self.names[i], self.sources[i], self.kinds[i], self.starts[i],
+            self.ends[i], self.statuses[i],
+            dict(zip(self.note_keys[lo:hi], self.note_values[lo:hi])),
+        )
+
+    def of_trace(self, trace_id: str) -> List[Span]:
+        """One trace's spans, in filing order: a scan of the trace-id
+        column that builds only the matches."""
+        return [self._span(i) for i, t in enumerate(self.trace_ids) if t == trace_id]
+
+    def __len__(self) -> int:
+        return len(self.span_ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            first = self.dropped
+            return _SpanView(self, range(first, first + len(self))[key])
+        return self._span(range(len(self.span_ids))[key])
+
+    def __iter__(self) -> Iterator[Span]:
+        for i in range(len(self.span_ids)):
+            yield self._span(i)
+
+    __eq__ = _same_spans
+
+    def __repr__(self) -> str:
+        return f"<SpanLog: {len(self)} spans, {self.dropped} dropped>"
+
+
+class _SpanView(Sequence):
+    """A lazy slice of a :class:`SpanLog`: a range of filing positions
+    (counted from the log's first span ever, dropped ones included)."""
+
+    __slots__ = ("_log", "_seqs")
+
+    def __init__(self, log: SpanLog, seqs: range):
+        self._log = log
+        self._seqs = seqs
+
+    def _span(self, seq: int) -> Span:
+        i = seq - self._log.dropped
+        if i < 0:
+            raise IndexError("span dropped by the log's cap")
+        return self._log._span(i)
+
+    def __len__(self) -> int:
+        return len(self._seqs)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return _SpanView(self._log, self._seqs[key])
+        return self._span(self._seqs[key])
+
+    def __iter__(self) -> Iterator[Span]:
+        for seq in self._seqs:
+            yield self._span(seq)
+
+    __eq__ = _same_spans
+
+    def __repr__(self) -> str:
+        return f"<SpanLog view: {len(self)} spans>"
+
+
 ParentLike = Optional[object]  # Span | TraceContext | None
 
 
 class Tracer:
-    """Deterministic span factory + bounded finished-span store.
+    """Deterministic span factory + bounded finished-span store
+    (:attr:`spans`, a :class:`SpanLog`).
 
     ``sample_rate`` gates *root* spans only: an unsampled root returns
     ``None`` and every downstream ``start_span(parent=None)`` is a no-op,
@@ -117,8 +259,12 @@ class Tracer:
         self._rng = rng
         self._trace_seq = 0
         self._span_seq = 0
-        self.spans: List[Span] = []
-        self.dropped = 0
+        self.spans = SpanLog()
+
+    @property
+    def dropped(self) -> int:
+        """Finished spans the ``max_spans`` cap has dropped."""
+        return self.spans.dropped
 
     # -- creation ----------------------------------------------------------
     def _next_span_id(self) -> str:
@@ -186,17 +332,33 @@ class Tracer:
         span.status = status
         if annotations:
             span.annotations.update(annotations)
-        if len(self.spans) >= self.max_spans:
+        log = self.spans
+        if len(log.span_ids) >= self.max_spans:
             # Keep the newest work: drop the oldest decile in one slice.
-            cut = max(self.max_spans // 10, 1)
-            del self.spans[:cut]
-            self.dropped += cut
-        self.spans.append(span)
+            log.drop_oldest(max(self.max_spans // 10, 1))
+        # File the span as it is now, straight into each column: this runs
+        # for every span, and a helper call or a loop over the fields here
+        # costs more than the appends themselves.
+        log.trace_ids.append(span.trace_id)
+        log.span_ids.append(span.span_id)
+        log.parent_ids.append(span.parent_id)
+        log.names.append(span.name)
+        log.sources.append(span.source)
+        log.kinds.append(span.kind)
+        log.starts.append(span.start)
+        log.ends.append(span.end)
+        log.statuses.append(status)
+        notes = span.annotations
+        if notes:
+            log.note_keys.extend(notes)
+            log.note_values.extend(notes.values())
+        log.note_ends.append(len(log.note_keys))
         return span
 
     # -- queries -----------------------------------------------------------
     def spans_for(self, trace_id: str) -> List[Span]:
-        return [s for s in self.spans if s.trace_id == trace_id]
+        """One trace's finished spans, in filing order (fresh objects)."""
+        return self.spans.of_trace(trace_id)
 
     def tree(self, trace_id: str) -> "SpanTree":
         return SpanTree(self.spans_for(trace_id))

@@ -5,7 +5,8 @@ with callbacks; a :class:`Process` wraps a generator and drives it by
 subscribing to whatever event the generator yields; the :class:`Simulator`
 owns the event heap and the virtual clock.
 
-Only the pieces ACE needs are implemented: timeouts, process spawning and
+Only the pieces ACE needs are implemented: timeouts (which
+:meth:`Simulator.cancel` can take back), process spawning and
 interruption, and ``AllOf`` (waiting for every one of several events).  The
 scheduling order is total and deterministic: ``(time, priority,
 sequence-number)``.
@@ -180,19 +181,27 @@ class _Resume:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` simulated seconds after creation."""
+    """An event that fires ``delay`` simulated seconds after creation,
+    unless :meth:`Simulator.cancel` takes it back first."""
 
-    __slots__ = ("delay",)
+    __slots__ = ("delay", "cancelled")
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None, priority: int = NORMAL):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
         super().__init__(sim)
         self.delay = delay
+        self.cancelled = False
         self._triggered = True
         self._ok = True
         self._value = value
         sim._schedule(self, delay=delay, priority=priority)
+
+
+def _uncount(timer: Timeout) -> None:
+    """A cancelled timeout's one callback: popped before a sweep took it
+    out, it is no longer in the heap to be counted."""
+    timer.sim._n_cancelled -= 1
 
 
 class Process(Event):
@@ -340,6 +349,12 @@ class AllOf(Event):
             self.succeed({ev: ev._value for ev in self.events})
 
 
+#: The heap is swept of cancelled timeouts once they number more than
+#: this and more than half of it: asyncio's rule for its timer heap
+#: (``_MIN_SCHEDULED_TIMER_HANDLES``, ``_MIN_CANCELLED_TIMER_HANDLES_FRACTION``).
+MIN_CANCELLED_TO_SWEEP = 100
+
+
 class Simulator:
     """The event loop: a heap of ``(time, priority, seq, event)`` entries
     plus per-priority ready queues for the zero-delay occurrences that
@@ -363,6 +378,8 @@ class Simulator:
         self.n_relays_avoided = 0
         #: events + resume records delivered by step()
         self.n_delivered = 0
+        #: cancelled timeouts still scheduled (see :meth:`cancel`)
+        self._n_cancelled = 0
 
     @property
     def now(self) -> float:
@@ -401,6 +418,30 @@ class Simulator:
         self._seq += 1
         self.n_relays_avoided += 1
         self._ready[priority].append((self._seq, record))
+
+    def cancel(self, timer: Timeout) -> None:
+        """Take back a pending timeout: its callbacks are dropped and it
+        will never run them.  Nothing happens if it was already delivered
+        or cancelled.
+
+        The heap entry stays until it pops (a delivery that only updates
+        the count of cancelled entries) or until
+        cancelled entries outnumber :data:`MIN_CANCELLED_TO_SWEEP` and
+        half the heap; then the heap is rebuilt in place without them.
+        Entries keep their ``(time, priority, seq)`` keys, so a sweep
+        changes no delivery order, only how many no-ops are delivered."""
+        if timer.callbacks is None or timer.cancelled:
+            return
+        timer.cancelled = True
+        timer.callbacks = [_uncount]
+        self._n_cancelled += 1
+        heap = self._heap
+        if self._n_cancelled > MIN_CANCELLED_TO_SWEEP and 2 * self._n_cancelled > len(heap):
+            live = [entry for entry in heap
+                    if not (isinstance(entry[3], Timeout) and entry[3].cancelled)]
+            self._n_cancelled -= len(heap) - len(live)
+            heap[:] = live
+            heapq.heapify(heap)
 
     def counters(self) -> dict[str, int]:
         """Kernel hot-path counters (E24's profiling harness reads these).

@@ -13,6 +13,8 @@ timer: no attempt process, no race of the attempt against the timer.
   stray ``Interrupt`` behind, and a disarmed timer revokes a kick it has
   already scheduled;
 * the heap-only oracle gives the same trace on a run with expiries;
+* a finished attempt cancels its timer, so a thousand pooled calls under
+  a long budget leave a heap no larger than twice its live entries;
 * ``_call_with_policy`` spawns no process and names no ``any_of``.
 """
 
@@ -280,3 +282,30 @@ def test_a_policy_call_spawns_no_process_and_builds_no_any_of(ace_with_echo, mon
     assert ace.run(scenario()) == ("hot", [])
     source = inspect.getsource(ServiceClient._call_with_policy)
     assert ".process(" not in source and "any_of" not in source
+
+
+def test_finished_attempts_leave_no_timers_in_the_heap():
+    """A finished attempt cancels its budget timer, and the kernel sweeps
+    cancelled timers out, so a long policy budget does not pile up."""
+    ace, echo = _with_echo(seed=5)
+    client = ace.client(principal="many")
+    patient = CallPolicy(deadline=60.0, attempt_timeout=30.0, max_attempts=1,
+                         breaker_threshold=0)
+    heap = ace.sim._heap
+
+    def scenario():
+        for i in range(1200):
+            reply = yield from client.call(
+                echo.address, ACECmdLine("echo", text=f"m{i}"), policy=patient)
+            assert reply["text"] == f"m{i}"
+
+    ace.run(scenario())
+    # live: neither a cancelled timer nor one whose only callback is a
+    # disarmed token (one that has let go of its caller)
+    live = sum(1 for _, _, _, event in heap
+               if not getattr(event, "cancelled", False) and any(
+                   not (isinstance(cb, _AttemptBudget) and cb.proc is None)
+                   for cb in event.callbacks or ()))
+    counters = ace.ctx.obs.metrics.snapshot("rpc.pool.")
+    assert counters["rpc.pool.reuse"] >= 1000   # pooled, not dialled per call
+    assert len(heap) <= 2 * live + 100, (len(heap), live)

@@ -42,4 +42,4 @@ def test_two_traced_flows_on_one_client_keep_disjoint_trees():
         assert len(rpcs) == 2 and len(calls) == 2
         assert all(s.parent_id == root.span_id for s in rpcs)
         assert all(ids[s.parent_id].name.startswith("rpc:") for s in calls)
-        assert all(s.parent_id in ids for s in spans if s is not root)
+        assert all(s.parent_id in ids for s in spans if s.span_id != root.span_id)

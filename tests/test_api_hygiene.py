@@ -689,3 +689,16 @@ def test_numpy_is_the_only_runtime_dependency():
                             text=True, timeout=120,
                             env={**os.environ, "PYTHONPATH": str(REPO / "src")})
     assert result.returncode == 0, result.stderr
+
+
+def test_src_never_drives_the_collector():
+    """Nothing under ``src/`` imports or names ``gc``: a run's collector
+    time comes down by allocating fewer tracked objects (finished spans
+    are columns, EXPERIMENTS.md "E22 follow-up"), never by switching the
+    collector off or tuning its thresholds."""
+    found = _spellings({"gc"}, ("src",))
+    for path in sorted((REPO / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gc":
+                found.append(f"{path.relative_to(REPO)}:{node.lineno}: from gc")
+    assert found == [], "src/ drives the collector:\n" + "\n".join(found)
