@@ -3,21 +3,21 @@
 Every experiment in this reproduction runs on the `repro.sim` event
 kernel.  E24 pins its scheduling to a machine-readable baseline:
 
-* **kernel microbench** — four scheduler-bound scenarios (zero-delay event
+* **kernel microbench** — five scheduler-bound scenarios (zero-delay event
   churn, process chains over already-processed events, an interrupt storm,
-  a process spawn storm), each with a heap of pending heartbeat-style
-  timers as ballast (that is what a real environment's heap looks like —
-  E18 runs thousands of leases/heartbeats), measured in delivered events
-  per wall second via :class:`repro.obs.ProfileScope`.  These rows are
+  a process spawn storm, processes waking on fresh timeouts), each with a
+  heap of pending heartbeat-style timers as ballast (that is what a real
+  environment's heap looks like — E18 runs thousands of
+  leases/heartbeats), measured in delivered events per wall second via :class:`repro.obs.ProfileScope`.  These rows are
   informational: host-speed regressions are ``python3 -m bench``'s job
   (``ops_per_host_s``, ``sim.events_per_host_s``, ``sim.heap_push_share``).
 * **Scenario-1 macro run** — the §7.1 new-user story end to end, with the
   kernel counters showing the ready queues carried the run.
 
 The report is ``BENCH_E24.json``.  The regression guard
-(``benchmarks/conftest.py:record``) holds Scenario 1's kernel counters
-equal to the committed baseline: they are exact per seed, where host
-rates are not.
+(``benchmarks/conftest.py:record``) holds Scenario 1's and the timer-wake
+row's kernel counters equal to the committed baseline: they are exact per
+seed, where host rates are not.
 
 Set ``ACE_BENCH_SHORT=1`` for a CI-sized run.
 """
@@ -40,7 +40,10 @@ SIZES = {
     "process_chain": 6_000 if SHORT else 60_000,
     "interrupt_storm": 4_000 if SHORT else 30_000,
     "spawn_storm": 5_000 if SHORT else 50_000,
+    "timer_wake": 20_000 if SHORT else 200_000,
 }
+#: processes sharing the timer-wake row's wakes, each with its own period
+SLEEPERS = 10
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +150,30 @@ def _scn_spawn_storm() -> ProfileScope:
     return scope
 
 
+def _scn_timer_wake() -> ProfileScope:
+    """Processes each looping on ``yield sim.timeout(d)`` — every wake a
+    fresh timer through the heap: the pattern behind most of a campus
+    run's events (transmit, latency and work delays)."""
+    n = SIZES["timer_wake"]
+    sim = _ballasted()
+
+    def sleeper(period):
+        for _ in range(n // SLEEPERS):
+            yield sim.timeout(period)
+
+    for i in range(SLEEPERS):
+        sim.process(sleeper(1e-3 * (i + 1)))
+    with ProfileScope("timer_wake", sim=sim, profile=False) as scope:
+        sim.run(until=1e5)   # the ballast lies beyond
+    return scope
+
+
 _KERNEL_SCENARIOS = {
     "event_churn": _scn_event_churn,
     "process_chain": _scn_process_chain,
     "interrupt_storm": _scn_interrupt_storm,
     "spawn_storm": _scn_spawn_storm,
+    "timer_wake": _scn_timer_wake,
 }
 
 
@@ -225,5 +247,5 @@ def test_e24_hotpath(benchmark, table_printer):
     st.add(s1["wall_s"], s1["counters"]["heap_pushes"],
            s1["counters"]["ready_hits"])
 
-    # Perf-regression guard: Scenario 1's kernel counts are exact per seed.
-    record(report, equal=["scenario1.counters.*"])
+    # Perf-regression guard: kernel counts are exact per seed.
+    record(report, equal=["scenario1.counters.*", "kernel.counters.timer_wake.*"])

@@ -13,13 +13,17 @@ sequence-number)``.
 
 Hot path (E24)
 --------------
-Almost every occurrence in an ACE run is *zero-delay*: event triggers,
-queue hand-offs, process bootstraps, relays for already-processed yields,
-interrupt kicks.  Pushing each of those through the binary heap costs a
+About a quarter of an ACE run's occurrences are *zero-delay*: event
+triggers, queue hand-offs, process bootstraps, relays for already-processed
+yields, interrupt kicks.  Pushing each of those through the binary heap costs a
 tuple allocation plus O(log n) sift both ways.  The scheduler instead
 lands zero-delay occurrences on per-priority FIFO **ready queues**, and
 process bootstraps, relays and interrupt kicks are small :class:`_Resume`
 records rather than throwaway ``Event`` allocations.
+
+An occurrence is one frame wherever it can be (``event()`` / ``timeout()``
+build with slot stores): a timer wake runs three kernel functions, ``timeout``,
+``Event._deliver``, ``Process._resume``, a ready wake five (``tests/sim/test_kernel_calls.py``).
 
 The total order is still ``(time, priority, seq)``: every schedule consumes
 one global sequence number, ready entries are FIFO-by-sequence within their
@@ -60,25 +64,24 @@ class Interrupt(Exception):
 class Event:
     """A one-shot occurrence that processes can wait on.
 
-    An event is *triggered* once (``succeed`` or ``fail``) and then delivered
-    to all registered callbacks when the simulator pops it off the heap.
+    An event is *triggered* once (``succeed`` or ``fail``; ``_ok`` is None
+    until then) and delivered to all registered callbacks when the
+    simulator pops it off the heap.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "_scheduled", "_defused")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
         self._value: Any = None
         self._ok: Optional[bool] = None
-        self._triggered = False
-        self._scheduled = False
         self._defused = False
 
     # -- inspection ------------------------------------------------------
     @property
     def triggered(self) -> bool:
-        return self._triggered
+        return self._ok is not None
 
     @property
     def processed(self) -> bool:
@@ -90,43 +93,42 @@ class Event:
 
     @property
     def value(self) -> Any:
-        if not self._triggered:
+        if self._ok is None:
             raise SimulationError("event value read before trigger")
         return self._value
 
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         """Mark the event successful and schedule callback delivery."""
-        self._trigger(True, value, priority)
+        if self._ok is not None:
+            raise SimulationError(f"{self!r} already triggered")
+        self._ok = True
+        self._value = value
+        self.sim._schedule(self, 0.0, priority)
         return self
 
     def fail(self, exc: BaseException, priority: int = NORMAL) -> "Event":
         """Mark the event failed; waiting processes see ``exc`` raised."""
         if not isinstance(exc, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exc!r}")
-        self._trigger(False, exc, priority)
+        if self._ok is not None:
+            raise SimulationError(f"{self!r} already triggered")
+        self._ok = False
+        self._value = exc
+        self.sim._schedule(self, 0.0, priority)
         return self
 
     def defuse(self) -> None:
         """Suppress the 'unhandled failure' crash for this event."""
         self._defused = True
 
-    def _trigger(self, ok: bool, value: Any, priority: int) -> None:
-        if self._triggered:
-            raise SimulationError(f"{self!r} already triggered")
-        self._triggered = True
-        self._ok = ok
-        self._value = value
-        self.sim._schedule(self, delay=0.0, priority=priority)
-
     def succeed_now(self, value: Any = None) -> None:
         """Mark the event successful and run its callbacks in the caller's
         frame: no schedule, no sequence number.  Only for a caller that
         knows nothing else is due before the callbacks would have run —
         see :meth:`repro.sim.queues.Store.deliver`."""
-        if self._triggered:
+        if self._ok is not None:
             raise SimulationError(f"{self!r} already triggered")
-        self._triggered = True
         self._ok = True
         self._value = value
         self._deliver()
@@ -141,7 +143,7 @@ class Event:
             raise self._value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "triggered" if self._triggered else "pending"
+        state = "pending" if self._ok is None else "triggered"
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
@@ -150,18 +152,19 @@ class _Resume:
 
     Stands in for three throwaway ``Event`` allocations — the bootstrap
     in :meth:`Process.__init__`, the relay for already-processed yields in
-    :meth:`Process._step`, and the kick in :meth:`Process.interrupt` —
+    :meth:`Process._resume`, and the kick in :meth:`Process.interrupt` —
     with one small record and a deque append.  ``cancelled`` lets
     :meth:`Process._throw` revoke a pending resume, and the holder of a
-    kick revoke the interrupt.
+    kick revoke the interrupt.  ``_ok`` / ``_value`` / ``_defused`` are
+    named as on an :class:`Event`: :meth:`Process._resume` reads either.
     """
 
-    __slots__ = ("proc", "ok", "value", "kick", "cancelled")
+    __slots__ = ("proc", "_ok", "_value", "_defused", "kick", "cancelled")
 
     def __init__(self, proc: "Process", ok: bool, value: Any, kick: bool = False):
         self.proc = proc
-        self.ok = ok
-        self.value = value
+        self._ok = ok
+        self._value = value
         self.kick = kick
         self.cancelled = False
 
@@ -170,32 +173,17 @@ class _Resume:
             return
         proc = self.proc
         if self.kick:
-            proc._throw(Interrupt(self.value))
+            proc._throw(Interrupt(self._value))
             return
         proc._pending_resume = None
-        proc._waiting_on = None
-        if self.ok:
-            proc._step(proc.generator.send, self.value)
-        else:
-            proc._step(proc.generator.throw, self.value)
+        proc._resume(self)
 
 
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation,
-    unless :meth:`Simulator.cancel` takes it back first."""
+    unless :meth:`Simulator.cancel` takes it back first; built by :meth:`Simulator.timeout`."""
 
     __slots__ = ("delay", "cancelled")
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None, priority: int = NORMAL):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
-        self.cancelled = False
-        self._triggered = True
-        self._ok = True
-        self._value = value
-        sim._schedule(self, delay=delay, priority=priority)
 
 
 def _uncount(timer: Timeout) -> None:
@@ -235,7 +223,7 @@ class Process(Event):
 
     @property
     def is_alive(self) -> bool:
-        return not self._triggered
+        return self._ok is None
 
     def interrupt(self, cause: Any = None) -> Optional[_Resume]:
         """Throw :class:`Interrupt` into the process at the current time.
@@ -243,44 +231,26 @@ class Process(Event):
         Returns the scheduled kick (``None`` when the process has already
         finished): setting its ``cancelled`` revokes the interrupt if it
         has not been delivered yet."""
-        if self._triggered:
+        if self._ok is not None:
             return None  # already finished; interrupting is a no-op
         record = _Resume(self, True, cause, kick=True)
         self.sim._schedule_record(record, URGENT)
         return record
 
     # -- internal --------------------------------------------------------
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Any) -> None:
+        """The one step body, for a delivered event or a _Resume alike."""
         self._waiting_on = None
-        if event._ok:
-            self._step(self.generator.send, event._value)
-        else:
-            event.defuse()
-            self._step(self.generator.throw, event._value)
-
-    def _throw(self, exc: BaseException) -> None:
-        if self._triggered:
-            return
-        record = self._pending_resume
-        if record is not None:
-            record.cancelled = True
-            self._pending_resume = None
-        waiting = self._waiting_on
-        if waiting is not None and waiting.callbacks is not None:
-            try:
-                waiting.callbacks.remove(self._resume_cb)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        self._step(self.generator.throw, exc)
-
-    def _step(self, call: Callable, arg: Any) -> None:
         sim = self.sim
         prev_active = sim.active_process
         sim.active_process = self
         try:
             try:
-                target = call(arg)
+                if event._ok:
+                    target = self.generator.send(event._value)
+                else:
+                    event._defused = True
+                    target = self.generator.throw(event._value)
             except StopIteration as stop:
                 self._resume_cb = None   # break the self-cycle: refcounting frees it
                 self.succeed(stop.value)
@@ -293,26 +263,38 @@ class Process(Event):
                 return
             if not isinstance(target, Event):
                 err = SimulationError(f"process {self.name!r} yielded non-event {target!r}")
-                self._step(self.generator.throw, err)
-                return
-            if target.sim is not sim:
+                self._resume(_Resume(self, False, err))
+            elif target.sim is not sim:
                 err = SimulationError("yielded event belongs to a different simulator")
-                self._step(self.generator.throw, err)
-                return
-            if target.callbacks is None:
+                self._resume(_Resume(self, False, err))
+            elif target.callbacks is None:
                 # Already processed: resume at the current time through the
                 # scheduler so ordering stays consistent.
                 if not target._ok:
-                    target.defuse()
+                    target._defused = True
                 record = _Resume(self, target._ok, target._value)
                 self._pending_resume = record
-                self._waiting_on = None
                 sim._schedule_record(record, URGENT)
             else:
                 target.callbacks.append(self._resume_cb)
                 self._waiting_on = target
         finally:
             sim.active_process = prev_active
+
+    def _throw(self, exc: BaseException) -> None:
+        if self._ok is not None:
+            return
+        record = self._pending_resume
+        if record is not None:
+            record.cancelled = True
+            self._pending_resume = None
+        waiting = self._waiting_on
+        if waiting is not None and waiting.callbacks is not None:
+            try:
+                waiting.callbacks.remove(self._resume_cb)
+            except ValueError:
+                pass
+        self._resume(_Resume(self, False, exc))
 
 
 class AllOf(Event):
@@ -331,7 +313,7 @@ class AllOf(Event):
         for ev in self.events:
             if ev.callbacks is not None:
                 ev.callbacks.append(self._on_child)
-            elif not ev._ok and not self._triggered:
+            elif not ev._ok and self._ok is None:
                 ev.defuse()
                 self.fail(ev._value)
         self._succeed_if_done()
@@ -341,11 +323,11 @@ class AllOf(Event):
             self._succeed_if_done()
         else:
             ev.defuse()
-            if not self._triggered:
+            if self._ok is None:
                 self.fail(ev._value)
 
     def _succeed_if_done(self) -> None:
-        if not self._triggered and all(ev.callbacks is None for ev in self.events):
+        if self._ok is None and all(ev.callbacks is None for ev in self.events):
             self.succeed({ev: ev._value for ev in self.events})
 
 
@@ -387,11 +369,34 @@ class Simulator:
         return self._now
 
     # -- event factories ---------------------------------------------------
-    def event(self) -> Event:
-        return Event(self)
+    def event(self, _new=object.__new__) -> Event:
+        ev = _new(Event)
+        ev.sim = self
+        ev.callbacks = []
+        ev._value = None
+        ev._ok = None
+        ev._defused = False
+        return ev
 
-    def timeout(self, delay: float, value: Any = None, priority: int = NORMAL) -> Timeout:
-        return Timeout(self, delay, value, priority)
+    def timeout(self, delay: float, value: Any = None, priority: int = NORMAL,
+                _new=object.__new__, _heappush=heapq.heappush) -> Timeout:
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay {delay!r}")
+        timer = _new(Timeout)
+        timer.sim = self
+        timer.callbacks = []
+        timer._value = value
+        timer._ok = True
+        timer._defused = False
+        timer.delay = delay
+        timer.cancelled = False
+        self._seq += 1
+        if delay == 0.0 and 0 <= priority <= 2:
+            self._ready[priority].append((self._seq, timer))
+        else:
+            self.n_heap_pushes += 1
+            _heappush(self._heap, (self._now + delay, priority, self._seq, timer))
+        return timer
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Spawn a new process from a generator."""
@@ -402,9 +407,6 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float, priority: int) -> None:
-        if event._scheduled:
-            raise SimulationError(f"{event!r} scheduled twice")
-        event._scheduled = True
         self._seq += 1
         if delay == 0.0 and 0 <= priority <= 2:
             self._ready[priority].append((self._seq, event))
@@ -464,7 +466,7 @@ class Simulator:
         Ready entries always carry ``time == now`` (time only advances when
         the heap delivers, and the heap never delivers past a non-empty
         ready queue), so the comparison against the heap head reduces to
-        ``(priority, seq)`` when the head is due now.
+        ``(priority, seq)`` when the head is due now.  :meth:`_drain` inlines a copy.
         """
         ready = self._ready
         if ready[0]:
@@ -495,7 +497,10 @@ class Simulator:
 
     def step(self) -> None:
         """Process exactly one occurrence (event delivery or resume)."""
-        when, item = self._pop_next()
+        try:
+            when, item = self._pop_next()
+        except IndexError:
+            raise SimulationError("step() with nothing scheduled") from None
         if when < self._now:
             raise SimulationError("time went backwards")
         self._now = when
@@ -510,32 +515,15 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and until < self._now:
+            raise SimulationError(f"until={until} is in the past (now={self._now})")
         self._running = True
-        heap = self._heap
-        r0, r1, r2 = self._ready
-        pop = self._pop_next
-        delivered = 0
         try:
-            if until is None:
-                while r0 or r1 or r2 or heap:
-                    when, item = pop()
-                    self._now = when
-                    delivered += 1
-                    item._deliver()
-            else:
-                if until < self._now:
-                    raise SimulationError(f"until={until} is in the past (now={self._now})")
-                # Ready entries are always due at the current time, which
-                # never exceeds ``until`` inside this loop.
-                while r0 or r1 or r2 or (heap and heap[0][0] <= until):
-                    when, item = pop()
-                    self._now = when
-                    delivered += 1
-                    item._deliver()
-                self._now = until
+            self._drain(float("inf") if until is None else until, True)
         finally:
-            self.n_delivered += delivered
             self._running = False
+        if until is not None:
+            self._now = until
 
     def run_window(self, before: float) -> int:
         """Process every occurrence strictly earlier than ``before``.
@@ -554,22 +542,41 @@ class Simulator:
         if before <= self._now:
             return 0
         self._running = True
+        try:
+            return self._drain(before, False)
+        finally:
+            self._running = False
+
+    def _drain(self, bound: float, inclusive: bool, _heappop=heapq.heappop) -> int:
+        """Deliver (and count) what is due before ``bound``, or at it when
+        ``inclusive``: :meth:`_pop_next`'s choice inlined, so change both together."""
         heap = self._heap
         r0, r1, r2 = self._ready
-        pop = self._pop_next
         delivered = 0
         try:
-            # Ready entries are always due at the current time, which stays
-            # strictly below ``before`` inside this loop (only delivered
-            # occurrence times advance it).
-            while r0 or r1 or r2 or (heap and heap[0][0] < before):
-                when, item = pop()
-                self._now = when
+            while True:
+                if r0:
+                    queue, prio = r0, 0
+                elif r1:
+                    queue, prio = r1, 1
+                elif r2:
+                    queue, prio = r2, 2
+                elif heap and (heap[0][0] < bound or inclusive and heap[0][0] == bound):
+                    when, _, _, item = _heappop(heap)
+                    self._now = when
+                    delivered += 1
+                    item._deliver()
+                    continue
+                else:
+                    break
+                if heap and heap[0][0] <= self._now and heap[0][1:3] < (prio, queue[0][0]):
+                    item = _heappop(heap)[3]
+                else:
+                    item = queue.popleft()[1]
                 delivered += 1
                 item._deliver()
         finally:
             self.n_delivered += delivered
-            self._running = False
         return delivered
 
     def run_process(self, generator: Generator, name: str = "", timeout: Optional[float] = None) -> Any:
@@ -585,7 +592,7 @@ class Simulator:
         pop = self._pop_next
         delivered = 0
         try:
-            while not proc._triggered:
+            while proc._ok is None:
                 if not (r0 or r1 or r2):
                     # Only heap entries can advance the clock, so the
                     # deadlock/timeout checks live on this branch alone:

@@ -32,6 +32,7 @@ that.
 from __future__ import annotations
 
 import os
+import pickle
 import select
 import time
 import traceback
@@ -77,6 +78,21 @@ def _maxrss_kb() -> int:
         return int(rss // 1024) if sys.platform == "darwin" else int(rss)
     except Exception:  # pragma: no cover - non-POSIX
         return 0
+
+
+def _unpicklable_message(result: Any) -> str:
+    """Name the first outbox message of a ``window`` reply that will not
+    pickle: kind, source shard, link seq, arrival, destination, payload type."""
+    outbox = result.get("outbox", {}) if isinstance(result, dict) else {}
+    for dst_shard, messages in outbox.items():
+        for kind, ts, src_shard, link_seq, data in messages:
+            try:
+                pickle.dumps(data)
+            except Exception:
+                return (f": {kind!r} message from shard {src_shard} (link seq {link_seq}, "
+                        f"arriving at t={ts!r}) to shard {dst_shard} carries a "
+                        f"{type(data[-1]).__name__} payload")
+    return ""
 
 
 class ShardServer:
@@ -225,7 +241,8 @@ def shard_process_main(index: int, n_shards: int,
             # result not picklable — still answer, or the coordinator hangs
             try:
                 conn.send(("error",
-                           f"shard {index}: unpicklable reply to {msg[0]!r}\n"
+                           f"shard {index}: unpicklable reply to {msg[0]!r}"
+                           f"{_unpicklable_message(reply[1])}\n"
                            + traceback.format_exc()))
             except Exception:
                 return

@@ -16,11 +16,7 @@ from repro.sim.kernel import Event, SimulationError, Simulator, URGENT
 class Request(Event):
     """The event returned by :meth:`Resource.request`; fires on grant."""
 
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim)
-        self.resource = resource
+    __slots__ = ()
 
 
 class Resource:
@@ -46,7 +42,7 @@ class Resource:
         return len(self._queue)
 
     def request(self) -> Request:
-        req = Request(self)
+        req = Request(self.sim)
         if len(self._users) < self.capacity:
             self._users.add(req)
             req.succeed(req, priority=URGENT)
@@ -59,7 +55,7 @@ class Resource:
         free (no event is scheduled), else None and nothing is queued."""
         if len(self._users) >= self.capacity:
             return None
-        req = Request(self)
+        req = Request(self.sim)
         self._users.add(req)
         req.succeed_now()  # no value: a request holding itself is a cycle
         return req

@@ -14,6 +14,17 @@ def test_peek_and_step():
     assert sim.now == 3.0
 
 
+def test_step_with_nothing_scheduled_is_named():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match=r"step\(\) with nothing scheduled"):
+        sim.step()
+    sim.timeout(1.0)
+    sim.step()
+    with pytest.raises(SimulationError, match=r"step\(\) with nothing scheduled"):
+        sim.step()
+    assert sim.now == 1.0 and sim.counters()["events_delivered"] == 1
+
+
 def test_all_of_fails_fast():
     sim = Simulator()
     bad = sim.event()

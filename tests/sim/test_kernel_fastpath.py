@@ -301,3 +301,63 @@ def test_counters_account_for_every_schedule(both):
     # the ordinary callback path, not the processed-yield resume.
     assert fast["relays_avoided"] == 11
 
+
+
+# ---------------------------------------------------------------------------
+# The two copies of the order rule: step() pops through _pop_next, run()
+# and run_window() through _drain's inlined copy
+# ---------------------------------------------------------------------------
+
+def _driven_trace(sim, how):
+    """Timers due together at three priorities, zero-delay wakes at every
+    priority after each timer, and an interrupt; logged in delivery order
+    while ``how`` drives the kernel."""
+    from repro.sim import LOW, NORMAL, URGENT
+
+    log = []
+
+    def sleeper(tag, prio, delays):
+        for d in delays:
+            try:
+                yield sim.timeout(d, priority=prio)
+            except Interrupt as intr:
+                log.append((sim.now, tag, "interrupted", intr.cause))
+                continue
+            log.append((sim.now, tag, d))
+            for p in (LOW, URGENT, NORMAL):
+                sim.event().succeed(p, priority=p).callbacks.append(
+                    lambda ev, tag=tag: log.append((sim.now, tag, "prio", ev.value)))
+
+    procs = [sim.process(sleeper(tag, prio, delays)) for tag, prio, delays in [
+        ("a", NORMAL, [1, 0, 1, 0.5]),
+        ("b", URGENT, [1, 1, 0, 0.5]),
+        ("c", LOW, [0, 2, 0.5, 0]),
+        ("d", NORMAL, [2, 0.5, 0, 0]),
+    ]]
+
+    def poker():
+        yield sim.timeout(2)
+        procs[0].interrupt("poke")
+
+    sim.process(poker())
+    if how == "run":
+        sim.run()
+    elif how == "step":
+        while sim.peek() != float("inf"):
+            sim.step()
+    else:
+        before = 0.25
+        while sim.peek() != float("inf"):
+            sim.run_window(before)
+            before += 0.25
+    return log, sim.counters()
+
+
+@pytest.mark.parametrize("how", ["run", "step", "run_window"])
+def test_run_step_and_window_deliver_in_one_order(how, both):
+    slow, fast = both(lambda sim: _driven_trace(sim, how))
+    reference = _driven_trace(Simulator(), "run")
+    assert fast == reference
+    assert slow[0] == reference[0]
+    assert slow[1]["events_delivered"] == reference[1]["events_delivered"]
+    assert len(reference[0]) == 61

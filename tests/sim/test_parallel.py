@@ -128,6 +128,21 @@ def spawn_spinner(env, shard, at=0.5):
     return True
 
 
+def spawn_unpicklable_datagram(env, shard):
+    """beta sends alpha one datagram whose payload is a generator, which
+    cannot cross a process boundary."""
+    if shard is not None and not shard.owns("beta"):
+        return False
+
+    def send():
+        sock = env.net.bind_datagram(env.net.host("beta"), PROBE_PORT)
+        yield env.sim.timeout(0.1)
+        yield from sock.send(Address("alpha", PROBE_PORT), (i for i in ()))
+
+    env.sim.process(send(), name="unpicklable-sender")
+    return True
+
+
 def _run_pair(n_shards, mode="local"):
     sim = ShardedSimulator(
         build_pair, n_shards=n_shards,
@@ -248,6 +263,25 @@ class TestFailures:
         assert "shard 1 granted [" in str(err.value)
         assert "shard 0" not in str(err.value)
         assert "in 0.5 wall seconds" in str(err.value)
+        assert not any(h.proc.is_alive() for h in sim._handles)
+        with pytest.raises(SimulationError, match="closed"):
+            sim.run(10.0)
+
+    def test_unpicklable_boundary_message_is_named(self):
+        sim = ShardedSimulator(build_pair, n_shards=2,
+                               host_to_shard=pair_shard_map, mode="process",
+                               seed=7)
+        with sim:
+            sim.boot(settle=1.0)
+            sim.spawn(spawn_unpicklable_datagram)
+            started = time.monotonic()
+            with pytest.raises(SimulationError) as err:
+                sim.run(sim.now + 2.0)
+            assert time.monotonic() - started < 30.0
+        # names the message: its kind, where it goes and what it carries
+        assert "shard 1 failed" in str(err.value)
+        assert "'dgram' message from shard 1" in str(err.value)
+        assert "to shard 0 carries a generator payload" in str(err.value)
         assert not any(h.proc.is_alive() for h in sim._handles)
         with pytest.raises(SimulationError, match="closed"):
             sim.run(10.0)

@@ -219,6 +219,8 @@ RETIRED_METHODS = {
     ("repro.security.keynote", "LicPrincipal"): {"principals"},
     ("repro.security.keynote", "LicThreshold"): {"principals"},
     ("repro.sim.kernel", "AllOf"): {"_observe", "_finalize_if_done", "results"},
+    ("repro.sim.kernel", "Process"): {"_step"},
+    ("repro.sim.kernel", "Timeout"): {"__init__"},
     ("repro.sim.resources", "Request"): {"release"},
 }
 
@@ -249,6 +251,9 @@ def test_retired_names_stay_retired():
         assert not names & set(vars(getattr(importlib.import_module(module), cls))), cls
     # never passed, never read
     assert "notification" not in inspect.signature(CommandSemantics.define).parameters
+    # a pending event is one whose ``_ok`` is None; nothing is scheduled twice
+    from repro.sim.kernel import Event
+    assert not {"_triggered", "_scheduled"} & set(Event.__slots__)
 
 
 def test_the_store_has_one_route():
