@@ -132,14 +132,13 @@ class ServiceConnection:
         """
         obs = self._client.ctx.obs
         span = None
-        if command.name != "attach":
-            parent = obs.ambient_span()
-            if parent is not None:
-                span = obs.tracer.start_span(
-                    f"call:{command.name}", self.principal, parent, kind=SPAN_CLIENT
-                )
-                if span is not None:
-                    command = inject(command, span.context)
+        parent = obs.ambient_span()
+        if parent is not None and command.name != "attach":
+            span = obs.tracer.start_span(
+                f"call:{command.name}", self.principal, parent, kind=SPAN_CLIENT
+            )
+            if span is not None:
+                command = inject(command, span.context)
         status = "interrupted"  # overwritten on any non-interrupt exit
         try:
             try:
@@ -243,7 +242,8 @@ class ConnectionPool:
         bucket = self._idle.get(key)
         while bucket:
             conn = bucket.pop()
-            if not conn.closed and not conn.channel.pending():
+            channel = conn.channel
+            if not channel.closed and not channel.pending():
                 self._m_reuse.inc()
                 return conn
             self._discard(conn)
@@ -267,7 +267,7 @@ class ConnectionPool:
         self._release(_pool_key(address, **connect_kw), connection)
 
     def _release(self, key, connection: ServiceConnection) -> None:
-        if connection.closed:
+        if connection.channel.closed:
             self._m_discard.inc()
             return
         bucket = self._idle.setdefault(key, [])
@@ -287,7 +287,7 @@ class ConnectionPool:
         back since the channel went idle, so the command reached nobody — is
         redialled once, to the host's new incarnation.  Any other failure
         closes and discards the channel and is raised."""
-        key = _pool_key(address, **connect_kw)
+        key = _pool_key(address, **connect_kw) if connect_kw else address
         conn = self._take_idle(key)
         reused = conn is not None
         while True:

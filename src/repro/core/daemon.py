@@ -15,6 +15,10 @@ four Java threads):
   ``on_datagram`` (stream services override this; §2.1.1's "data stream
   operations over a UDP channel").
 
+Per request the two threads swap the ambient span inline, probe the dedup
+key once, fan out only for a watched verb and send every reply from one
+place (``tests/core/test_round_trip_budget.py`` pins the calls).
+
 Subclassing recipe::
 
     class PTZCameraDaemon(DeviceDaemon):
@@ -34,7 +38,7 @@ import inspect
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Generator, List, Optional, Tuple, Union
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.lang import ACECmdLine, ACELanguageError, ArgSpec, ArgType, CommandSemantics
 from repro.lang.command import (
@@ -504,6 +508,9 @@ class ACEDaemon(NotificationMixin):
             except (HandshakeError, ConnectionClosed):
                 conn.close()
                 return
+        sim, obs = self.ctx.sim, self.ctx.obs
+        # This thread's process carries the ambient span: swapped inline.
+        proc = sim.active_process
         principal = "anonymous"
         attached = False
         while self.running:
@@ -517,58 +524,56 @@ class ACEDaemon(NotificationMixin):
             try:
                 command = self.semantics.validate(received_command(payload))
             except ACELanguageError as exc:
-                yield from self._safe_send(channel, f'cmdFailed cmd=parse reason="{_clean(exc)}";')
-                continue
-            if command.name == "attach":
-                principal, attached, problem = self._handle_attach(command, channel)
-                reply = (
-                    ok_reply(command, principal=principal)
-                    if problem is None
-                    else error_reply(command, problem)
-                )
-                yield from self._safe_send(channel, reply)
-                continue
-            request = Request(
-                command=command,
-                principal=principal if attached else "anonymous",
-                received_at=self.ctx.sim.now,
-                remote=channel.remote,
-            )
-            obs = self.ctx.obs
-            inbound = extract_trace(command)
-            if inbound is not None:
-                request.span = obs.tracer.start_span(
-                    f"serve:{command.name}", self.name, inbound,
-                    kind=SPAN_SERVER, principal=request.principal,
-                )
-            # The request span is ambient while this thread works on the
-            # request, so e.g. the authorization path's AuthDB fetch joins
-            # the trace as a child.
-            prev_ambient = obs.set_ambient(request.span)
+                reply = f'cmdFailed cmd=parse reason="{_clean(exc)}";'
+            else:
+                reply = None
+                if command.name == "attach":
+                    principal, attached, problem = self._handle_attach(command, channel)
+                    reply = (
+                        ok_reply(command, principal=principal)
+                        if problem is None
+                        else error_reply(command, problem)
+                    )
+                else:
+                    now = sim.now
+                    request = Request(
+                        command=command,
+                        principal=principal if attached else "anonymous",
+                        received_at=now,
+                        remote=channel.remote,
+                        queued_at=now,
+                    )
+                    inbound = extract_trace(command)
+                    if inbound is not None:
+                        request.span = obs.tracer.start_span(
+                            f"serve:{command.name}", self.name, inbound,
+                            kind=SPAN_SERVER, principal=request.principal,
+                        )
+                    # The request span is ambient while this thread works on
+                    # the request, so e.g. the authorization path's AuthDB
+                    # fetch joins the trace as a child.
+                    outer, proc.obs_context = proc.obs_context, request.span
+                    try:
+                        if self.authorize_commands and command.name != "ping":
+                            allowed, reason = yield from self._authorize(request)
+                            request.queued_at = sim.now
+                            if not allowed:
+                                obs.tracer.finish(request.span, status="denied")
+                                reply = error_reply(command, f"permission denied: {reason}")
+                        if reply is None:
+                            reply_slot = sim.event()
+                            # Unbounded queue: the put cannot block, only find it closed.
+                            if not self._control_queue.try_put((request, reply_slot)):
+                                return
+                            self._m_queue_depth.set(len(self._control_queue))
+                            reply = yield reply_slot
+                    finally:
+                        proc.obs_context = outer
+            # Every reply leaves from here: a parse failure, attach or denial too.
             try:
-                if self.authorize_commands and command.name != "ping":
-                    allowed, reason = yield from self._authorize(request)
-                    if not allowed:
-                        obs.tracer.finish(request.span, status="denied")
-                        denied = error_reply(command, f"permission denied: {reason}")
-                        yield from self._safe_send(channel, denied)
-                        continue
-                request.queued_at = self.ctx.sim.now
-                reply_slot = self.ctx.sim.event()
-                # Unbounded queue: the put cannot block, only find it closed.
-                if not self._control_queue.try_put((request, reply_slot)):
-                    return
-                self._m_queue_depth.set(len(self._control_queue))
-                reply = yield reply_slot
-            finally:
-                obs.set_ambient(prev_ambient)
-            yield from self._safe_send(channel, reply)
-
-    def _safe_send(self, channel: Channel, payload: Union[ACECmdLine, str]) -> Generator:
-        try:
-            yield from channel.send(payload)
-        except (ConnectionClosed, HostDownError):
-            pass
+                yield from channel.send(reply)
+            except (ConnectionClosed, HostDownError):
+                pass
 
     def _handle_attach(self, command: ACECmdLine, channel: Channel):
         principal = command.str("principal")
@@ -667,19 +672,23 @@ class ACEDaemon(NotificationMixin):
     # Control thread
     # ------------------------------------------------------------------
     def _control_thread(self) -> Generator:
-        obs = self.ctx.obs
+        sim, obs = self.ctx.sim, self.ctx.obs
+        # This thread's process carries the ambient span: swapped inline.
+        proc = sim.active_process
         while self.running:
             try:
                 request, reply_slot = yield self._control_queue.get()
             except QueueClosed:
                 return
-            now = self.ctx.sim.now
+            now = sim.now
+            command, span = request.command, request.span
             self._m_queue_depth.set(len(self._control_queue))
             queue_wait = now - (request.queued_at or request.received_at)
             self._m_queue_wait.observe(queue_wait)
-            if request.span is not None:
-                request.span.annotate(queue_wait_ms=round(queue_wait * 1e3, 3))
-            stamp = self._dedup_key(request.command)
+            if span is not None:
+                span.annotate(queue_wait_ms=round(queue_wait * 1e3, 3))
+            # An unstamped command costs one probe of its argument dict.
+            stamp = self._dedup_key(command) if CLIENT_ID_ARG in command._args else None
             if stamp is not None:
                 cached = self._dedup_cache.get(stamp)
                 if cached is not None:
@@ -687,53 +696,51 @@ class ACEDaemon(NotificationMixin):
                     # a previous incarnation): replay the reply verbatim.
                     self._dedup_cache.move_to_end(stamp)
                     self._m_dedup_hits.inc()
-                    obs.tracer.finish(request.span, status="dedup-replay")
+                    obs.tracer.finish(span, status="dedup-replay")
                     if not reply_slot.triggered:
                         reply_slot.succeed(cached)
                     continue
             # Make the request span ambient for the handler (and for any
             # work it spawns: replication pushes, notifications, ...).
-            prev_ambient = obs.set_ambient(request.span)
+            outer, proc.obs_context = proc.obs_context, span
             try:
                 yield from self.host.execute(self.ctx.dispatch_work)
                 reply = yield from self._execute(request)
             except (ServiceError, CallError) as exc:
                 # CallError: a service this handler called did not answer it
                 # (or answered cmdFailed) — this command's failure, not the daemon's
-                reply = error_reply(request.command, str(exc))
+                reply = error_reply(command, str(exc))
             except HostDownError:
-                obs.tracer.finish(request.span, status="host-down")
+                obs.tracer.finish(span, status="host-down")
                 return
             except Interrupt:
-                obs.tracer.finish(request.span, status="interrupted")
+                obs.tracer.finish(span, status="interrupted")
                 return
             except ACELanguageError as exc:
-                reply = error_reply(request.command, _clean(exc))
+                reply = error_reply(command, _clean(exc))
             finally:
-                obs.set_ambient(prev_ambient)
+                proc.obs_context = outer
             self._commands_served += 1
-            self._count_command(request.command.name)
-            if request.span is not None:
+            verb = command.name
+            self._count_command(verb)
+            ok = reply.name == "cmdOk"
+            if span is not None:
                 # Traced request: pin its trace id to the service-time
                 # bucket as an exemplar (memory-only; no wire impact).
-                self._m_service_time.observe_ex(
-                    self.ctx.sim.now - now, request.span.trace_id
-                )
+                self._m_service_time.observe_ex(sim.now - now, span.trace_id)
+                obs.tracer.finish(span, status="ok" if ok else "cmdFailed")
             else:
-                self._m_service_time.observe(self.ctx.sim.now - now)
-            obs.tracer.finish(
-                request.span, status="ok" if reply.name == "cmdOk" else "cmdFailed"
-            )
+                self._m_service_time.observe(sim.now - now)
             if stamp is not None:
                 self._dedup_remember(stamp, reply)
             if not reply_slot.triggered:
                 reply_slot.succeed(reply)
-            if reply.name == "cmdOk":
-                prev_ambient = obs.set_ambient(request.span)
+            if ok and verb in self.notifications.watched:
+                outer, proc.obs_context = proc.obs_context, span
                 try:
                     self._spawn_notifications(request)
                 finally:
-                    obs.set_ambient(prev_ambient)
+                    proc.obs_context = outer
 
     # -- idempotency window ------------------------------------------------
     @staticmethod

@@ -49,11 +49,12 @@ class NotificationTable:
     """The 'running list of which services to notify' (Fig. 8)."""
 
     def __init__(self) -> None:
-        self._by_command: Dict[str, List[NotificationEntry]] = {}
+        #: watched command -> its listeners (no key once nobody watches it)
+        self.watched: Dict[str, List[NotificationEntry]] = {}
 
     def add(self, entry: NotificationEntry) -> bool:
         """Register; returns False if an identical entry already exists."""
-        entries = self._by_command.setdefault(entry.command, [])
+        entries = self.watched.setdefault(entry.command, [])
         if entry in entries:
             return False
         entries.append(entry)
@@ -61,7 +62,7 @@ class NotificationTable:
 
     def remove(self, command: str, listener: str, callback: str = "") -> int:
         """Drop matching entries; empty callback matches any.  Returns count."""
-        entries = self._by_command.get(command, [])
+        entries = self.watched.get(command, [])
         keep = [
             e
             for e in entries
@@ -69,34 +70,31 @@ class NotificationTable:
         ]
         removed = len(entries) - len(keep)
         if keep:
-            self._by_command[command] = keep
+            self.watched[command] = keep
         else:
-            self._by_command.pop(command, None)
+            self.watched.pop(command, None)
         return removed
 
     def remove_listener(self, listener: str) -> int:
         """Drop every entry for a listener (e.g. after delivery failures)."""
         removed = 0
-        for command in list(self._by_command):
+        for command in list(self.watched):
             removed += self.remove(command, listener)
         return removed
 
     def listeners(self, command: str) -> List[NotificationEntry]:
-        return list(self._by_command.get(command, ()))
-
-    def watched_commands(self) -> List[str]:
-        return sorted(self._by_command)
+        return list(self.watched.get(command, ()))
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._by_command.values())
+        return sum(len(v) for v in self.watched.values())
 
     def counts(self) -> Dict[str, int]:
         """Listener count per watched command (metrics-view friendly)."""
-        return {command: len(entries) for command, entries in sorted(self._by_command.items())}
+        return {command: len(entries) for command, entries in sorted(self.watched.items())}
 
     def entries(self) -> Iterable[NotificationEntry]:
-        for command in sorted(self._by_command):
-            yield from self._by_command[command]
+        for command in sorted(self.watched):
+            yield from self.watched[command]
 
 
 class NotificationMixin:

@@ -15,9 +15,9 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.lang.command import ACECmdLine, RESERVED_ARGS
-from repro.lang.errors import SemanticError
-from repro.lang.values import Value, is_word
+from repro.lang.command import _NAME_OK, _intern, ACECmdLine, RESERVED_ARGS
+from repro.lang.errors import ACELanguageError, SemanticError
+from repro.lang.values import Value, is_word, normalize_value
 
 
 class ArgType(enum.Enum):
@@ -77,6 +77,21 @@ class ArgSpec:
     type: ArgType = ArgType.ANY
     required: bool = True
     default: Optional[Value] = None
+
+    def __post_init__(self) -> None:
+        # Once, here: validation fills the default in as it is, and a bad
+        # one fails its definition, not each request that omits it.
+        if not _NAME_OK.match(self.name):
+            raise SemanticError(f"invalid argument name {self.name!r}")
+        object.__setattr__(self, "name", _intern(self.name))
+        if self.default is None:
+            return
+        try:
+            default = normalize_value(self.default)
+        except ACELanguageError as exc:
+            raise SemanticError(f"argument {self.name!r}: bad default: {exc}") from None
+        self.check("default", default)
+        object.__setattr__(self, "default", default)
 
     def check(self, command_name: str, value: Value) -> None:
         expected = self.type
@@ -154,9 +169,7 @@ class CommandSemantics:
 
     # -- lookup ------------------------------------------------------------------
     def lookup(self, name: str) -> Optional[CommandSpec]:
-        if self._flat_valid:
-            return self._flat.get(name)
-        return self._rebuild_flat().get(name)
+        return self._flat_view().get(name)
 
     def commands(self) -> List[str]:
         names = set(self._commands)
@@ -171,10 +184,11 @@ class CommandSemantics:
     def validate(self, command: ACECmdLine) -> ACECmdLine:
         """Check ``command`` and fill in defaults; returns the (possibly
         augmented) command.  Raises :class:`SemanticError` on violations."""
-        spec = self.lookup(command.name)
+        name = command._name
+        spec = (self._flat if self._flat_valid else self._rebuild_flat()).get(name)
         if spec is None:
             if self.strict:
-                raise SemanticError(f"unknown command {command.name!r}")
+                raise SemanticError(f"unknown command {name!r}")
             return command
         # Validate against the command's argument dict directly instead of
         # copying it per request; reserved args are invisible to semantics,
@@ -185,12 +199,10 @@ class CommandSemantics:
         for arg_spec in spec.args:
             arg_name = arg_spec.name
             if arg_name in present and arg_name not in RESERVED_ARGS:
-                arg_spec.check(command.name, present[arg_name])
+                arg_spec.check(name, present[arg_name])
                 matched += 1
             elif arg_spec.required:
-                raise SemanticError(
-                    f"{command.name}: missing required argument {arg_name!r}"
-                )
+                raise SemanticError(f"{name}: missing required argument {arg_name!r}")
             elif arg_spec.default is not None:
                 if fills is None:
                     fills = {}
@@ -205,8 +217,9 @@ class CommandSemantics:
                         if k not in declared and k not in RESERVED_ARGS
                     )
                 )
-                raise SemanticError(f"{command.name}: unknown argument(s) {unknown}")
-        return command.with_args(**fills) if fills else command
+                raise SemanticError(f"{name}: unknown argument(s) {unknown}")
+        # ArgSpec normalized each default; absent slots append, as with_args would
+        return command if fills is None else ACECmdLine._from_normalized(name, {**present, **fills})
 
 
 def reply_semantics() -> CommandSemantics:

@@ -117,6 +117,7 @@ class BoundaryNetwork(Network):
         self._boundary_conns: Dict[str, BoundaryConnection] = {}
         self._pending_connects: Dict[str, Any] = {}
         self._lookahead_row: Optional[Dict[int, float]] = None
+        self._on_boundary = self._arrive_boundary
 
     # ------------------------------------------------------------------
     # Ownership / lookahead
@@ -223,11 +224,10 @@ class BoundaryNetwork(Network):
                     f"t={ts} injected at t={now} (lookahead too small?)"
                 )
             self.boundary.msgs_in += 1
-            delivery = self.sim.timeout(ts - now)
-            delivery.callbacks.append(lambda _ev, m=msg: self._arrive_boundary(m))
+            self.sim.timeout(ts - now, msg).callbacks.append(self._on_boundary)
 
-    def _arrive_boundary(self, msg: tuple) -> None:
-        kind, ts, _src_shard, _link_seq, data = msg
+    def _arrive_boundary(self, delivery: Any) -> None:
+        kind, ts, _src_shard, _link_seq, data = delivery._value
         if kind == STREAM:
             self._arrive_stream_boundary(*data)
         elif kind == DGRAM:
@@ -250,7 +250,7 @@ class BoundaryNetwork(Network):
             return (yield from super().connect(src, dest, timeout))
         src.check_up()
         dst_host = self.hosts[dest.host]
-        lat = self._path_latency(src, dst_host)
+        lat = self._path(src, dst_host)
         self._conn_seq += 1
         conn_id = f"{self.shard.index}:{self._conn_seq}"
         # The ephemeral port is minted at connect() call time — the same
@@ -299,7 +299,7 @@ class BoundaryNetwork(Network):
             else:
                 ok, reason = False, f"listener at {dest} closed during handshake"
         if dst_host is not None and src_host is not None:
-            back = self._path_latency(dst_host, src_host)
+            back = self._path(dst_host, src_host)
         else:  # pragma: no cover - full topology makes this unreachable
             back = self.connect_timeout
         self.post(src_host_name, SYNACK, self.sim.now + back,
@@ -317,17 +317,19 @@ class BoundaryNetwork(Network):
             wait.fail(ConnectionRefused(reason))
 
     def _stream_transmit(self, conn: Connection, payload: Any) -> Generator:
-        if not isinstance(conn, BoundaryConnection):
-            yield from super()._stream_transmit(conn, payload)
-            return
+        # Returned, not wrapped: an in-shard segment pays no extra frame.
+        if isinstance(conn, BoundaryConnection):
+            return self._boundary_transmit(conn, payload)
+        return super()._stream_transmit(conn, payload)
+
+    def _boundary_transmit(self, conn: "BoundaryConnection", payload: Any) -> Generator:
         nbytes = wire_size(payload)
         delay = self._transmit_delay(conn.host, nbytes)
         dst_host = self.hosts.get(conn.remote.host)
         if dst_host is None or not self._reachable(conn.host, dst_host):
             self.stats.dropped += 1
         elif not self._link_dropped(conn.host, dst_host):
-            self._account(conn.host, dst_host, nbytes)
-            arrival = self.sim.now + delay + self._path_latency(conn.host, dst_host)
+            arrival = self.sim.now + delay + self._path(conn.host, dst_host, nbytes)
             if arrival < conn._peer_last_arrival:
                 arrival = conn._peer_last_arrival
             conn._peer_last_arrival = arrival
@@ -346,7 +348,7 @@ class BoundaryNetwork(Network):
             del self._boundary_conns[conn_id]
             conn._reset()
             return
-        conn._enqueue(payload)
+        conn._inbox.deliver(payload)
 
     def _stream_close_notify(self, conn: Connection, reset: bool = False) -> None:
         if not isinstance(conn, BoundaryConnection):
@@ -361,11 +363,11 @@ class BoundaryNetwork(Network):
         dst_host = self.hosts.get(conn.remote.host)
         if dst_host is None or not self._reachable(conn.host, dst_host):
             return
-        lat = self._path_latency(conn.host, dst_host)
+        arrival = max(self.sim.now + self._path(conn.host, dst_host), conn._peer_last_arrival)
         # a reset rides the close message with a flag; a plain close's data
         # stays one field
         data = (conn.conn_id, True) if reset else (conn.conn_id,)
-        self.post(conn.remote.host, CLOSE, self.sim.now + lat, data)
+        self.post(conn.remote.host, CLOSE, arrival, data)
 
     def _abort_dead(self, conn: BoundaryConnection, lead: float) -> None:
         if not conn.host.up and self._boundary_conns.pop(conn.conn_id, None) is not None:
@@ -392,8 +394,7 @@ class BoundaryNetwork(Network):
         elif self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate:
             self.stats.dropped += 1
         elif not self._link_dropped(sock.host, dst_host):
-            self._account(sock.host, dst_host, nbytes)
-            arrival = self.sim.now + delay + self._path_latency(sock.host, dst_host)
+            arrival = self.sim.now + delay + self._path(sock.host, dst_host, nbytes)
             self.post(dest.host, DGRAM, arrival,
                       (sock.address.host, sock.address.port,
                        dest.host, dest.port, payload),

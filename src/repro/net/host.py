@@ -119,41 +119,38 @@ class Host:
         ``bogomips_seconds`` is work normalized to a 1-bogomips machine;
         wall time on this host is ``work / bogomips``.
         """
-        self.check_up()
+        if not self._up:
+            raise HostDownError(self.name)
         epoch = self._epoch
-        req = self.cpu.try_acquire()
+        cpu = self.cpu
+        req = cpu.try_acquire()
         if req is None:
-            req = self.cpu.request()
+            req = cpu.request()
             try:
                 yield req
             except BaseException:
                 # Interrupted in the run queue: give the place (or a slot
                 # granted but not yet delivered) back, or the core is lost.
-                self.cpu.release(req)
+                cpu.release(req)
                 raise
         try:
-            self.check_up()
+            if not self._up:
+                raise HostDownError(self.name)
             duration = bogomips_seconds / self.bogomips
-            self._note_busy_start()
+            # Busy time runs while at least one slot is held (this one is).
+            if self._busy_mark is None:
+                self._busy_mark = self.sim.now
             yield self.sim.timeout(duration)
             if not self._up or self._epoch != epoch:
                 raise HostDownError(self.name)
         finally:
-            self._note_busy_end()
-            self.cpu.release(req)
+            # Busy time ends when the last held slot (this one) drains.
+            if self._busy_mark is not None and len(cpu._users) <= 1:
+                self._busy_accum += self.sim.now - self._busy_mark
+                self._busy_mark = None
+            cpu.release(req)
 
     # -- load accounting -----------------------------------------------------
-    def _note_busy_start(self) -> None:
-        if self.cpu.count >= 1 and self._busy_mark is None:
-            self._busy_mark = self.sim.now
-
-    def _note_busy_end(self) -> None:
-        # Called with the slot still held; busy interval ends when the last
-        # active slot drains.
-        if self._busy_mark is not None and self.cpu.count <= 1:
-            self._busy_accum += self.sim.now - self._busy_mark
-            self._busy_mark = None
-
     def utilization(self) -> float:
         """Fraction of time at least one core was busy since the last reset."""
         end = self.sim.now

@@ -34,12 +34,17 @@ Fault model
   applies to *stream* payloads, modelling a path so lossy that TCP stalls
   past any reasonable RPC budget; the dropped message simply never
   arrives and the caller's deadline is what ends the wait.
+
+A healthy stream segment runs three frames of the fabric: its one send
+body (``_stream_transmit``), the hop's price (``_path``, which every send
+path shares) and its delivery timer's one callback (``_land_segment``).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Generator, Iterable, List, Optional, Set
 
+from repro.lang.command import ACECmdLine
 from repro.sim import RngRegistry, Simulator, TraceRecorder
 
 from repro.net.address import Address
@@ -126,6 +131,8 @@ class Network:
         self._next_port: Dict[str, int] = {}
         self._jitter_rng = self.rng.py("net.jitter")
         self._loss_rng = self.rng.py("net.loss")
+        #: every segment's delivery callback, bound once
+        self._on_segment = self._land_segment
 
     # ------------------------------------------------------------------
     # Host management
@@ -241,27 +248,29 @@ class Network:
     # ------------------------------------------------------------------
     # Latency / accounting
     # ------------------------------------------------------------------
-    def _path_latency(self, src: Host, dst: Host) -> float:
+    def _path(self, src: Host, dst: Host, nbytes: Optional[int] = None) -> float:
+        """One hop's latency, jitter drawn; with ``nbytes`` the message is
+        counted and its bytes charged by scope (every send path's rule)."""
+        stats = self.stats
         if src.name == dst.name:
             base = self.local_latency
+            if nbytes is not None:
+                stats.bytes_local += nbytes
         elif src.segment == dst.segment:
             base = self.lan_latency
+            if nbytes is not None:
+                stats.bytes_lan += nbytes
         else:
             base = self.lan_latency + self.backbone_latency
+            if nbytes is not None:
+                stats.bytes_backbone += nbytes
+        if nbytes is not None:
+            stats.messages += 1
         # Degraded hosts slow every message touching them (gray failure).
         base *= src.latency_mult * dst.latency_mult
         if self.jitter_frac > 0:
             base *= 1.0 + self.jitter_frac * self._jitter_rng.random()
         return base
-
-    def _account(self, src: Host, dst: Host, nbytes: int) -> None:
-        self.stats.messages += 1
-        if src.name == dst.name:
-            self.stats.bytes_local += nbytes
-        elif src.segment == dst.segment:
-            self.stats.bytes_lan += nbytes
-        else:
-            self.stats.bytes_backbone += nbytes
 
     def _transmit_delay(self, src: Host, nbytes: int) -> float:
         return nbytes / self.bandwidth_Bps * src.bandwidth_mult
@@ -296,7 +305,7 @@ class Network:
         dst_host = self.hosts.get(dest.host)
         local = Address(src.name, self.ephemeral_port(src.name))
         # SYN leg.
-        yield self.sim.timeout(self._path_latency(src, dst_host) if dst_host else timeout)
+        yield self.sim.timeout(self._path(src, dst_host) if dst_host else timeout)
         if dst_host is None or not self._reachable(src, dst_host) or not src.up:
             yield self.sim.timeout(timeout)
             raise ConnectionRefused(f"no route to {dest}")
@@ -313,7 +322,7 @@ class Network:
             if not listener._offer(server):
                 refusal = f"listener at {dest} closed during handshake"
         # SYN-ACK (or RST, when refused) leg back to the client.
-        yield self.sim.timeout(self._path_latency(dst_host, src))
+        yield self.sim.timeout(self._path(dst_host, src))
         if not src.up:
             raise HostDownError(src.name)
         if refusal is not None:
@@ -322,23 +331,36 @@ class Network:
         return client
 
     def _stream_transmit(self, conn: Connection, payload: Any) -> Generator:
-        nbytes = wire_size(payload)
-        yield self.sim.timeout(self._transmit_delay(conn.host, nbytes))
+        """One body: fault checks run only when a fault is set, and the
+        transmit delay is :meth:`_transmit_delay`'s expression."""
+        src = conn.host
+        nbytes = payload.wire_size if type(payload) is ACECmdLine else wire_size(payload)
+        yield self.sim.timeout(nbytes / self.bandwidth_Bps * src.bandwidth_mult)
         peer = conn.peer
         assert peer is not None
-        dst_host = peer.host
-        if not self._reachable(conn.host, dst_host):
+        dst = peer.host
+        if not dst._up or (self._partition is not None and not self._reachable(src, dst)):
             self.stats.dropped += 1
             return
-        if self._link_dropped(conn.host, dst_host):
+        if self._link_faults and self._link_dropped(src, dst):
             return
-        self._account(conn.host, dst_host, nbytes)
-        arrival = self.sim.now + self._path_latency(conn.host, dst_host)
+        now = self.sim.now
+        arrival = now + self._path(src, dst, nbytes)
         # Enforce per-connection FIFO despite jitter.
         arrival = max(arrival, peer._last_arrival)
         peer._last_arrival = arrival
-        delivery = self.sim.timeout(arrival - self.sim.now)
-        delivery.callbacks.append(lambda _ev, p=peer, m=payload: self._arrive_stream(p, m))
+        self.sim.timeout(arrival - now, (peer, payload)).callbacks.append(self._on_segment)
+
+    def _land_segment(self, delivery: Any) -> None:
+        """The delivery timer's one callback (as :meth:`Store.deliver`
+        needs); its value is ``(peer, payload)``, and only a healthy end
+        skips :meth:`_arrive_stream`."""
+        peer, payload = delivery._value
+        host = peer.host
+        if host._up and peer.epoch == host._epoch and not peer._closed:
+            peer._inbox.deliver(payload)
+        else:
+            self._arrive_stream(peer, payload)
 
     def _arrive_stream(self, peer: Connection, payload: Any) -> None:
         host = peer.host
@@ -351,7 +373,7 @@ class Network:
             self.stats.dropped += 1
             peer._reset()
             return
-        peer._enqueue(payload)
+        peer._inbox.deliver(payload)
 
     def _stream_close_notify(self, conn: Connection, reset: bool = False) -> None:
         peer = conn.peer
@@ -364,7 +386,11 @@ class Network:
             return
         if not self._reachable(conn.host, peer.host):
             return  # peer never learns; it will discover on its own
-        lat = self._path_latency(conn.host, peer.host)
+        lat = self._path(conn.host, peer.host)
+        # Under jitter the close must not overtake data still in flight.
+        now = self.sim.now
+        if now + lat < peer._last_arrival:
+            lat = peer._last_arrival - now
         delivery = self.sim.timeout(lat)
         delivery.callbacks.append(lambda _ev, p=peer, r=reset: p._enqueue_close(r))
 
@@ -403,8 +429,7 @@ class Network:
             return
         if self._link_dropped(sock.host, dst_host):
             return
-        self._account(sock.host, dst_host, nbytes)
-        delivery = self.sim.timeout(self._path_latency(sock.host, dst_host))
+        delivery = self.sim.timeout(self._path(sock.host, dst_host, nbytes))
         source = sock.address
 
         def arrive(_ev: Any) -> None:
@@ -441,8 +466,7 @@ class Network:
                 continue
             if self._link_dropped(sock.host, member.host):
                 continue
-            self._account(sock.host, member.host, nbytes)
-            delivery = self.sim.timeout(self._path_latency(sock.host, member.host))
+            delivery = self.sim.timeout(self._path(sock.host, member.host, nbytes))
             delivery.callbacks.append(
                 lambda _ev, m=member, p=payload: m._enqueue(source, p) if (not m.closed and m.host.up) else None
             )

@@ -24,9 +24,9 @@ from typing import Any, Generator, Optional, TYPE_CHECKING
 from repro.sim import Event, QueueClosed, Store
 
 from repro.net.address import Address
+from repro.net.host import Host, HostDownError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.host import Host
     from repro.net.network import Network
 
 
@@ -77,12 +77,14 @@ class Connection:
 
         Raises :class:`ConnectionClosed` if this side is already closed.
         Delivery is not acknowledged: if the peer or path dies in flight the
-        payload is silently lost (as with TCP after the last ACK).
+        payload is silently lost (as with TCP after the last ACK).  Returns
+        the fabric's transmit generator: a send adds no frame of its own.
         """
         if self._closed:
             raise ConnectionClosed(f"send on closed connection {self.local}->{self.remote}")
-        self.host.check_up()
-        yield from self.net._stream_transmit(self, payload)
+        if not self.host._up:
+            raise HostDownError(self.host.name)
+        return self.net._stream_transmit(self, payload)
 
     def recv(self) -> Generator:
         """Wait for the next message; raises ConnectionClosed at EOF."""
@@ -119,12 +121,6 @@ class Connection:
     def _mark_closed(self) -> None:
         self._closed = True
         self._inbox.close()
-
-    def _enqueue(self, item: Any) -> None:
-        """Called by the network at arrival time, from the delivery
-        timeout's only callback (what :meth:`Store.deliver` requires)."""
-        if not self._inbox.closed:
-            self._inbox.deliver(item)
 
     def _enqueue_close(self, reset: bool = False) -> None:
         if not self._inbox.closed:

@@ -136,8 +136,9 @@ class Observability:
 
     # -- ambient span (per sim process) --------------------------------
     # The kernel gives every Process an ``obs_context`` slot that child
-    # processes inherit at spawn time; these helpers are the only code
-    # that reads/writes it, keeping the kernel observability-agnostic.
+    # processes inherit at spawn time; these helpers (and, inline, the
+    # daemon's two request threads) read/write it, keeping the kernel
+    # observability-agnostic.
     def ambient_span(self) -> "Span | None":
         proc = self.sim.active_process
         return proc.obs_context if proc is not None else None

@@ -42,7 +42,7 @@ def test_remove_any_callback():
     table.add(entry(callback="cb1"))
     table.add(entry(callback="cb2"))
     assert table.remove("echo", "l1") == 2
-    assert table.watched_commands() == []
+    assert table.watched == {}
 
 
 def test_remove_listener_everywhere():

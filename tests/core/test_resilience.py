@@ -143,15 +143,16 @@ def _enter(client, entry, address, command, held=None):
 def _dies_reading(ace, daemon, verb):
     """``daemon`` is killed while a ``verb`` command is on the wire to it:
     the request was sent, the process that would have answered is gone."""
-    arrive = ace.net._arrive_stream
+    land = ace.net._on_segment   # every segment's delivery callback
 
-    def arrive_or_die(peer, payload):
+    def land_or_die(delivery):
+        peer, payload = delivery.value
         if daemon.running and peer.host is daemon.host and str(payload).startswith(verb):
             daemon.kill()
         else:
-            arrive(peer, payload)
+            land(delivery)
 
-    ace.net._arrive_stream = arrive_or_die
+    ace.net._on_segment = land_or_die
 
 
 @pytest.mark.parametrize("fault", ["nothing-listening", "host-crashed", "killed-mid-call"])

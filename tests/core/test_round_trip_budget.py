@@ -15,14 +15,20 @@ parsed.  Two budgets:
 * the commands the ledger workloads send by the thousand — class-lookup
   replies, replication batches, anti-entropy digests and fetches,
   telemetry pushes — are never parsed over a plain link; under SSL every
-  hop is parsed.
+  hop is parsed;
+* a ``ping`` round trip runs at most 70 % of the repro calls it ran
+  before the fabric's and the daemon's helper hops were folded into the
+  bodies that do the work: held **≤ 124.7** (178.3 before), pooled
+  **≤ 134.4** (192.0 before).
 """
 
+import os
 import sys
 from collections import Counter
 
 import pytest
 
+import repro
 import repro.core.client as client_module
 import repro.core.daemon as daemon_module
 import repro.lang.parser as parser
@@ -30,6 +36,7 @@ from repro.core.context import SecurityMode
 from repro.env import ACEEnvironment
 from repro.env.scenarios import standard_environment
 from repro.lang import ACECmdLine
+from tests.call_counts import calls_per_unit, profiled_calls
 
 #: request: transmit-delay timeout + delivery timeout, the reader resumed
 #: inside the delivery (2); command thread -> control thread: the queue
@@ -112,6 +119,66 @@ def test_replication_flush_to_an_idle_peer_is_one_pooled_policy_call():
     assert [ps2.namespace.get(f"/probe/o{i}").attrs for i in range(3)] == [
         {"v": str(i)} for i in range(3)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Call budget
+# ---------------------------------------------------------------------------
+
+#: repro calls per ``ping`` round trip (this file's driver loop included)
+#: before the helper hops went, measured by ``_calls_per_ping`` itself
+CALLS_BEFORE = {"held": 178.28, "pooled": 192.035}
+CALL_BUDGET_SHARE = 0.70
+
+_REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
+
+
+def _counted(filename):
+    return filename.startswith(_REPRO_DIR) or filename == __file__
+
+
+def _held(client, address):
+    conn = yield from client.connect(address)
+    return conn.call
+
+
+def _pooled(client, address):
+    yield from client.pool.call(address, ACECmdLine("ping"))   # dials the pool
+    return lambda command: client.pool.call(address, command)
+
+
+def _calls_per_ping(open_call, n=200):
+    """Repro calls per ``ping`` to an idle ASD, through the ``call`` that
+    ``open_call(client, address)`` returns: the difference of a ``2n``-
+    and an ``n``-ping loop, each profiled on a fresh environment after
+    the channel's dial has drained, over ``n``."""
+    def profiled(pings):
+        env = standard_environment(seed=29).boot()
+        client = env.client(env.net.host("podium"), principal="probe")
+
+        def ready():
+            call = yield from open_call(client, env.daemon("asd").address)
+            yield env.sim.timeout(0.01)
+            return call
+
+        call = env.run(ready())
+
+        def loop():
+            for _ in range(pings):
+                reply = yield from call(ACECmdLine("ping"))
+                assert reply.name == "cmdOk"
+
+        _, calls = profiled_calls(lambda: env.run(loop()), _counted)
+        return calls
+
+    profiled(n // 4)   # warm-up: module-level caches fill here
+    return calls_per_unit(profiled(n), profiled(2 * n), n)
+
+
+@pytest.mark.parametrize("channel, open_call", [("held", _held), ("pooled", _pooled)])
+def test_a_ping_round_trip_pays_only_for_its_work(channel, open_call):
+    per_ping, per_function = _calls_per_ping(open_call)
+    assert per_ping <= CALL_BUDGET_SHARE * CALLS_BEFORE[channel], per_function
 
 
 # ---------------------------------------------------------------------------

@@ -209,3 +209,32 @@ def test_strict_command_with_an_unknown_argument_names_only_it():
     assert sem.validate(ACECmdLine("echo", x=1, o_cid="c2"))["o_cid"] == "c2"
     with pytest.raises(SemanticError, match=r"unknown argument\(s\) y$"):
         sem.validate(ACECmdLine("echo", x=1, o_cid="c2", y=3))
+
+
+# -- defaults are checked where they are defined ----------------------------------
+
+def test_a_bool_default_fails_its_definition():
+    """Once, at definition, not as a ``cmdFailed cmd=parse`` on every
+    request that omits the argument."""
+    with pytest.raises(SemanticError, match="'verbose': bad default"):
+        ArgSpec("verbose", ArgType.ANY, required=False, default=True)
+
+
+def test_a_default_of_the_wrong_type_fails_its_definition():
+    """A float default on an INTEGER slot used to be filled in silently as
+    the wrong type."""
+    with pytest.raises(SemanticError, match="'offset' expects integer, got float"):
+        ArgSpec("offset", ArgType.INTEGER, required=False, default=1.5)
+    # ints widen to FLOAT, as a request's own value does
+    assert ArgSpec("z", ArgType.FLOAT, required=False, default=0).default == 0
+
+
+def test_a_list_default_is_a_tuple_once_and_fills_as_it_is():
+    spec = ArgSpec("at", ArgType.VECTOR, required=False, default=[1, 2])
+    assert spec.default == (1, 2) and type(spec.default) is tuple
+    sem = CommandSemantics()
+    sem.define("aim", ArgSpec("who", ArgType.WORD), spec)
+    filled = sem.validate(ACECmdLine("aim", who="cam1"))
+    assert filled["at"] is spec.default
+    assert filled == ACECmdLine("aim", who="cam1", at=(1, 2))
+    assert filled.to_string() == "aim who=cam1 at={1,2};"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import Address, Network
-from repro.net.sockets import wire_size
+from repro.net.sockets import ConnectionClosed, wire_size
 from repro.sim import RngRegistry, Simulator
 
 
@@ -140,3 +140,39 @@ def test_duplicate_datagram_bind_rejected():
     net.bind_datagram(net.host("a"), 7000)
     with pytest.raises(NetworkError):
         net.bind_datagram(net.host("a"), 7000)
+
+
+def _send_then_close(seed):
+    """What a server on another segment reads when, under heavy jitter,
+    a client sends 120 bytes and closes at once."""
+    sim = Simulator()
+    net = Network(sim, RngRegistry(seed), jitter_frac=0.5)
+    net.make_host("a", segment="east")
+    net.make_host("b", segment="west")
+    listener = net.listen(net.host("b"), 5000)
+    read = []
+
+    def server():
+        conn = yield from listener.accept()
+        try:
+            while True:
+                read.append((yield from conn.recv()))
+        except ConnectionClosed as exc:
+            read.append(str(exc))
+
+    def client():
+        conn = yield from net.connect(net.host("a"), Address("b", 5000))
+        yield from conn.send("x" * 120)
+        conn.close()
+
+    sim.process(server())
+    sim.process(client())
+    sim.run()
+    return read
+
+
+def test_a_close_never_overtakes_the_data_it_follows():
+    """The EOF's own jittered latency may be shorter than the data's; it
+    then lands with the data, after it, instead of cutting it off."""
+    expected = ["x" * 120, "peer closed a:10000"]
+    assert [seed for seed in range(200) if _send_then_close(seed) != expected] == []

@@ -497,3 +497,42 @@ def test_an_endpoint_its_crash_closed_ends_alike_on_one_kernel_and_two_shards(re
         assert at == pytest.approx(0.1 + net.connect_timeout, abs=1e-9)
     assert [(k, pytest.approx(t, abs=1e-9)) for k, t in sharded] == alone
     assert not far._boundary_conns and not near._boundary_conns
+
+
+def test_a_boundary_close_never_overtakes_the_data_it_follows():
+    """Across a shard boundary too, a close posted right after a send
+    lands no earlier than the data, jittered latencies or not."""
+    from repro.net.boundary import BoundaryNetwork
+    from repro.sim.parallel import ShardContext
+
+    def send_then_close(seed):
+        owner = {"alpha": 0, "beta": 1}.__getitem__
+        near, far = (
+            BoundaryNetwork(Simulator(), RngRegistry(seed), shard=ShardContext(i, 2, owner),
+                            jitter_frac=0.5)
+            for i in range(2))
+        for shard_net in (near, far):
+            shard_net.make_host("alpha", segment="east")
+            shard_net.make_host("beta", segment="west")
+        listener = far.listen(far.host("beta"), 5000)
+        read = []
+
+        def server():
+            conn = yield from listener.accept()
+            try:
+                while True:
+                    read.append((yield from conn.recv()))
+            except ConnectionClosed:
+                read.append("eof")
+
+        def client():
+            conn = yield from near.connect(near.host("alpha"), Address("beta", 5000))
+            yield from conn.send("x" * 120)
+            conn.close()
+
+        far.sim.process(server())
+        near.sim.process(client())
+        _relay(near, far, 0.05)
+        return read
+
+    assert [seed for seed in range(40) if send_then_close(seed) != ["x" * 120, "eof"]] == []

@@ -8,20 +8,20 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.net.sockets import Connection
+from repro.sim import Store
 
 
 @pytest.fixture
 def scheduled_handoff(monkeypatch):
-    """While active, every ``Connection`` enqueues arrivals with the
-    scheduled wake; ``.parked_arrivals`` of the returned object counts the
-    arrivals that found a reader parked."""
+    """While active, every arrival a connection's inbox takes (the only
+    caller of ``Store.deliver``) is put with the scheduled wake;
+    ``.parked_arrivals`` of the returned object counts the arrivals that
+    found a reader parked."""
     seen = SimpleNamespace(parked_arrivals=0)
 
-    def _enqueue(self, item):
-        if not self._inbox.closed:
-            seen.parked_arrivals += bool(self._inbox._getters)
-            self._inbox.try_put(item)
+    def deliver(self, item):
+        seen.parked_arrivals += bool(self._getters)
+        return self.try_put(item)
 
-    monkeypatch.setattr(Connection, "_enqueue", _enqueue)
+    monkeypatch.setattr(Store, "deliver", deliver)
     return seen

@@ -15,11 +15,9 @@ the process and finishing it cost.  Two budgets:
   ``succeed``, ``_schedule``, ``_deliver``, ``_resume`` (9 before).
 """
 
-import sys
-from collections import Counter
-
 import repro.sim.kernel as kernel
 from repro.sim import Simulator
+from tests.call_counts import calls_per_unit, profiled_calls
 
 KERNEL_FILE = kernel.__file__
 
@@ -41,18 +39,7 @@ def _profiled_run(wakes, n):
     simulator runs one process of ``n`` wakes to the end."""
     sim = Simulator()
     sim.process(wakes(sim, n))
-    calls = Counter()
-
-    def profile(frame, event, _arg):
-        code = frame.f_code
-        if event == "call" and code.co_filename == KERNEL_FILE:
-            calls[code.co_name, code.co_firstlineno] += 1
-
-    sys.setprofile(profile)
-    try:
-        sim.run()
-    finally:
-        sys.setprofile(None)
+    _, calls = profiled_calls(sim.run, lambda filename: filename == KERNEL_FILE)
     return calls, sim.n_delivered
 
 
@@ -61,8 +48,7 @@ def _calls_per_wake(wakes, n=200):
     short, short_delivered = _profiled_run(wakes, n)
     long, long_delivered = _profiled_run(wakes, 2 * n)
     assert long_delivered - short_delivered == n
-    per_function = {name: (long[name] - short[name]) / n for name in long}
-    return sum(per_function.values()), per_function
+    return calls_per_unit(short, long, n)
 
 
 def test_a_timer_wake_costs_three_kernel_calls():

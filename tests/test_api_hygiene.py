@@ -194,6 +194,7 @@ RETIRED_NAMES = frozenset({
     "max_inflight", "o_seq", "dedup_window",
     "AnyOf", "any_of", "_Condition",
     "_parse_fast", "parse_command_full", "_from_wire", "CommandParser",
+    "_safe_send", "_note_busy_start", "_note_busy_end", "_path_latency", "_account",
 })
 
 #: deleted methods whose names other classes still define
@@ -587,7 +588,7 @@ def test_benchmarks_record_once():
 
 def test_a_hop_parses_nothing():
     """A command crosses a link as the object it is: nothing under
-    ``repro/core/`` hands ``send`` / ``_safe_send`` a ``.to_string()``, and
+    ``repro/core/`` hands ``send`` a ``.to_string()``, and
     the client and daemon name ``parse_command`` only in the one receive
     helper (text from an SSL record or a hand-written notice) and in
     ``import_dedup`` (checkpoint lines).  Between shards a command is
@@ -607,7 +608,7 @@ def test_a_hop_parses_nothing():
         sends += [f"{where}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
                   and getattr(node.func, "attr", getattr(node.func, "id", None))
-                  in ("send", "_safe_send") and encodes(node)]
+                  == "send" and encodes(node)]
         if where in ("client.py", "daemon.py"):
             for function in ast.walk(tree):
                 if isinstance(function, ast.FunctionDef) and any(
