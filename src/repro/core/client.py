@@ -287,7 +287,7 @@ class ConnectionPool:
         back since the channel went idle, so the command reached nobody — is
         redialled once, to the host's new incarnation.  Any other failure
         closes and discards the channel and is raised."""
-        key = _pool_key(address, **connect_kw) if connect_kw else address
+        key = _pool_key(address, **connect_kw)
         conn = self._take_idle(key)
         reused = conn is not None
         while True:

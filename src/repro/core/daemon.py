@@ -687,8 +687,7 @@ class ACEDaemon(NotificationMixin):
             self._m_queue_wait.observe(queue_wait)
             if span is not None:
                 span.annotate(queue_wait_ms=round(queue_wait * 1e3, 3))
-            # An unstamped command costs one probe of its argument dict.
-            stamp = self._dedup_key(command) if CLIENT_ID_ARG in command._args else None
+            stamp = self._dedup_key(command)
             if stamp is not None:
                 cached = self._dedup_cache.get(stamp)
                 if cached is not None:
@@ -745,10 +744,12 @@ class ACEDaemon(NotificationMixin):
     # -- idempotency window ------------------------------------------------
     @staticmethod
     def _dedup_key(command: ACECmdLine) -> Optional[Tuple[str, int]]:
-        cid = command.get(CLIENT_ID_ARG)
+        # An unstamped command costs one probe of its argument dict.
+        args = command._args
+        cid = args.get(CLIENT_ID_ARG)
         if cid is None:
             return None
-        seq = command.get(CLIENT_SEQ_ARG)
+        seq = args.get(CLIENT_SEQ_ARG)
         return (str(cid), seq if isinstance(seq, int) else 0)
 
     def _dedup_remember(self, key: Tuple[str, int], reply: ACECmdLine) -> None:

@@ -236,8 +236,8 @@ def error_reply(request: ACECmdLine, reason: str, **extra: Any) -> ACECmdLine:
 
 
 def is_ok(reply: ACECmdLine) -> bool:
-    return reply.name == "cmdOk"
+    return reply._name == "cmdOk"
 
 
 def is_error(reply: ACECmdLine) -> bool:
-    return reply.name == "cmdFailed"
+    return reply._name == "cmdFailed"

@@ -121,12 +121,11 @@ class CommandSemantics:
         self.parent = parent
         self.strict = strict
         self._commands: Dict[str, CommandSpec] = {}
-        # Flattened parent-chain view, rebuilt lazily: daemons define their
+        # Flattened parent-chain view, kept current: daemons define their
         # vocabulary once at startup and then look commands up per request,
         # so lookup must be one dict probe, not a chain walk.  A define()
-        # anywhere up the chain invalidates every descendant's view.
-        self._flat: Dict[str, CommandSpec] = {}
-        self._flat_valid = False
+        # anywhere up the chain rebuilds every descendant's view.
+        self._flat: Dict[str, CommandSpec] = {} if parent is None else dict(parent._flat)
         self._children: "weakref.WeakSet[CommandSemantics]" = weakref.WeakSet()
 
     # -- definition -----------------------------------------------------------
@@ -140,26 +139,14 @@ class CommandSemantics:
             raise SemanticError(f"command {name!r} already defined")
         spec = CommandSpec(name, tuple(args), description)
         self._commands[name] = spec
-        self._invalidate_flat()
+        self._rebuild_flat()
         return spec
 
-    def _invalidate_flat(self) -> None:
-        self._flat_valid = False
+    def _rebuild_flat(self) -> None:
+        parent = {} if self.parent is None else self.parent._flat
+        self._flat = {**parent, **self._commands}
         for child in self._children:
-            child._invalidate_flat()
-
-    def _rebuild_flat(self) -> Dict[str, CommandSpec]:
-        if self.parent is not None:
-            flat = dict(self.parent._flat_view())
-        else:
-            flat = {}
-        flat.update(self._commands)
-        self._flat = flat
-        self._flat_valid = True
-        return flat
-
-    def _flat_view(self) -> Dict[str, CommandSpec]:
-        return self._flat if self._flat_valid else self._rebuild_flat()
+            child._rebuild_flat()
 
     def extend(self) -> "CommandSemantics":
         """Child semantics inheriting everything defined here (Fig. 6)."""
@@ -169,7 +156,7 @@ class CommandSemantics:
 
     # -- lookup ------------------------------------------------------------------
     def lookup(self, name: str) -> Optional[CommandSpec]:
-        return self._flat_view().get(name)
+        return self._flat.get(name)
 
     def commands(self) -> List[str]:
         names = set(self._commands)
@@ -185,7 +172,7 @@ class CommandSemantics:
         """Check ``command`` and fill in defaults; returns the (possibly
         augmented) command.  Raises :class:`SemanticError` on violations."""
         name = command._name
-        spec = (self._flat if self._flat_valid else self._rebuild_flat()).get(name)
+        spec = self._flat.get(name)
         if spec is None:
             if self.strict:
                 raise SemanticError(f"unknown command {name!r}")

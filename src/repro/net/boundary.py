@@ -324,7 +324,7 @@ class BoundaryNetwork(Network):
 
     def _boundary_transmit(self, conn: "BoundaryConnection", payload: Any) -> Generator:
         nbytes = wire_size(payload)
-        delay = self._transmit_delay(conn.host, nbytes)
+        delay = nbytes / self.bandwidth_Bps * conn.host.bandwidth_mult
         dst_host = self.hosts.get(conn.remote.host)
         if dst_host is None or not self._reachable(conn.host, dst_host):
             self.stats.dropped += 1
@@ -387,7 +387,7 @@ class BoundaryNetwork(Network):
             yield from super()._datagram_transmit(sock, dest, payload)
             return
         nbytes = wire_size(payload)
-        delay = self._transmit_delay(sock.host, nbytes)
+        delay = nbytes / self.bandwidth_Bps * sock.host.bandwidth_mult
         dst_host = self.hosts[dest.host]
         if not self._reachable(sock.host, dst_host):
             self.stats.dropped += 1

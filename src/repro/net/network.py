@@ -156,7 +156,7 @@ class Network:
         """Crash a host and close its listeners and datagram sockets.
 
         Its established streams are fenced by the host's crash epoch
-        instead (:meth:`_arrive_stream`): nothing reaches them again."""
+        instead (:meth:`_land_segment`): nothing reaches them again."""
         host = self.host(name)
         host.crash()
         for addr, listener in list(self._listeners.items()):
@@ -272,9 +272,6 @@ class Network:
             base *= 1.0 + self.jitter_frac * self._jitter_rng.random()
         return base
 
-    def _transmit_delay(self, src: Host, nbytes: int) -> float:
-        return nbytes / self.bandwidth_Bps * src.bandwidth_mult
-
     # ------------------------------------------------------------------
     # Stream sockets
     # ------------------------------------------------------------------
@@ -331,8 +328,7 @@ class Network:
         return client
 
     def _stream_transmit(self, conn: Connection, payload: Any) -> Generator:
-        """One body: fault checks run only when a fault is set, and the
-        transmit delay is :meth:`_transmit_delay`'s expression."""
+        """One body: fault checks run only when a fault is set."""
         src = conn.host
         nbytes = payload.wire_size if type(payload) is ACECmdLine else wire_size(payload)
         yield self.sim.timeout(nbytes / self.bandwidth_Bps * src.bandwidth_mult)
@@ -353,27 +349,19 @@ class Network:
 
     def _land_segment(self, delivery: Any) -> None:
         """The delivery timer's one callback (as :meth:`Store.deliver`
-        needs); its value is ``(peer, payload)``, and only a healthy end
-        skips :meth:`_arrive_stream`."""
+        needs); its value is ``(peer, payload)``.  A down host or a closed
+        end drops the segment; an endpoint of the host's previous life,
+        closed or not, refuses it with a reset."""
         peer, payload = delivery._value
         host = peer.host
-        if host._up and peer.epoch == host._epoch and not peer._closed:
-            peer._inbox.deliver(payload)
-        else:
-            self._arrive_stream(peer, payload)
-
-    def _arrive_stream(self, peer: Connection, payload: Any) -> None:
-        host = peer.host
-        stale = peer.epoch != host.epoch
-        if not host.up or (peer.closed and not stale):
+        stale = peer.epoch != host._epoch
+        if not host._up or (peer._closed and not stale):
             self.stats.dropped += 1
-            return
-        if stale:
-            # An endpoint of the host's previous life, closed or not: reset.
+        elif stale:
             self.stats.dropped += 1
             peer._reset()
-            return
-        peer._inbox.deliver(payload)
+        else:
+            peer._inbox.deliver(payload)
 
     def _stream_close_notify(self, conn: Connection, reset: bool = False) -> None:
         peer = conn.peer
@@ -416,7 +404,7 @@ class Network:
 
     def _datagram_transmit(self, sock: DatagramSocket, dest: Address, payload: Any) -> Generator:
         nbytes = wire_size(payload)
-        yield self.sim.timeout(self._transmit_delay(sock.host, nbytes))
+        yield self.sim.timeout(nbytes / self.bandwidth_Bps * sock.host.bandwidth_mult)
         self._datagram_route(sock, dest, payload, nbytes)
 
     def _datagram_route(self, sock: DatagramSocket, dest: Address, payload: Any, nbytes: int) -> None:
@@ -452,7 +440,7 @@ class Network:
 
     def _multicast_transmit(self, sock: DatagramSocket, group: Address, payload: Any) -> Generator:
         nbytes = wire_size(payload)
-        yield self.sim.timeout(self._transmit_delay(sock.host, nbytes))
+        yield self.sim.timeout(nbytes / self.bandwidth_Bps * sock.host.bandwidth_mult)
         members = sorted(self._multicast.get(group, ()), key=lambda s: str(s.address))
         source = sock.address
         for member in members:

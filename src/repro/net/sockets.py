@@ -53,7 +53,7 @@ class Connection:
     An endpoint lives and dies with its host's incarnation: it remembers
     the host's crash epoch, and a segment that reaches it after the host
     crashed and came back is refused with a reset (see
-    :meth:`Network._arrive_stream`) — a restarted host answers nothing on
+    :meth:`Network._land_segment`) — a restarted host answers nothing on
     its previous life's connections.
     """
 

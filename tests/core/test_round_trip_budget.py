@@ -18,8 +18,10 @@ parsed.  Two budgets:
   hop is parsed;
 * a ``ping`` round trip runs at most 70 % of the repro calls it ran
   before the fabric's and the daemon's helper hops were folded into the
-  bodies that do the work: held **≤ 124.7** (178.3 before), pooled
-  **≤ 134.4** (192.0 before).
+  bodies that do the work: held **≤ 124.8** (178.3 before, 121.3 now),
+  pooled **≤ 134.4** (192.0 before, 133.0 now).  Python 3.10, 3.11 and
+  3.12 read the same counts, so the margin of 3.5 and 1.4 calls is what a
+  new hop on the round trip may spend, not interpreter slack.
 """
 
 import os
@@ -127,6 +129,7 @@ def test_replication_flush_to_an_idle_peer_is_one_pooled_policy_call():
 
 #: repro calls per ``ping`` round trip (this file's driver loop included)
 #: before the helper hops went, measured by ``_calls_per_ping`` itself
+#: (the same on Python 3.10, 3.11 and 3.12)
 CALLS_BEFORE = {"held": 178.28, "pooled": 192.035}
 CALL_BUDGET_SHARE = 0.70
 

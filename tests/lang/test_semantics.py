@@ -238,3 +238,17 @@ def test_a_list_default_is_a_tuple_once_and_fills_as_it_is():
     assert filled["at"] is spec.default
     assert filled == ACECmdLine("aim", who="cam1", at=(1, 2))
     assert filled.to_string() == "aim who=cam1 at={1,2};"
+
+
+def test_a_define_up_the_chain_reaches_every_descendant():
+    base = CommandSemantics()
+    child = base.extend()
+    grandchild = child.extend()
+    grandchild.define("pan", ArgSpec("deg", ArgType.NUMBER))
+    assert grandchild.lookup("tilt") is None
+    spec = base.define("tilt", ArgSpec("deg", ArgType.NUMBER))
+    assert child.lookup("tilt") is spec and grandchild.lookup("tilt") is spec
+    # a descendant's own definition shadows its ancestor's
+    own = child.define("tilt", ArgSpec("deg", ArgType.INTEGER))
+    assert grandchild.lookup("tilt") is own and base.lookup("tilt") is spec
+    assert grandchild.lookup("pan") is not None and child.lookup("pan") is None

@@ -195,6 +195,7 @@ RETIRED_NAMES = frozenset({
     "AnyOf", "any_of", "_Condition",
     "_parse_fast", "parse_command_full", "_from_wire", "CommandParser",
     "_safe_send", "_note_busy_start", "_note_busy_end", "_path_latency", "_account",
+    "_arrive_stream", "_transmit_delay", "_flat_view", "_flat_valid", "_invalidate_flat",
 })
 
 #: deleted methods whose names other classes still define
